@@ -49,14 +49,6 @@ def total_energy(problem: EquilibriumProblem, u: LatticeField) -> float:
     return problem.system.energy(u.values)
 
 
-def potential_energy(problem: EquilibriumProblem, u: LatticeField) -> float:
-    """Total potential Pi(u) = E(u) - <f, u>."""
-    e = total_energy(problem, u)
-    if problem.force is not None:
-        e -= float(np.mean(np.sum(problem.force.values * u.values, axis=1)))
-    return e
-
-
 def energy_gradient(problem: EquilibriumProblem, u: LatticeField) -> LatticeField:
     """Riesz representer of the first variation with respect to <., .>_M."""
     return LatticeField(problem.lattice, problem.system.gradient(u.values))

@@ -21,11 +21,13 @@ from .lattice import LatticeField, Multilattice, discrete_derivative, nearest_ne
 
 @dataclass
 class DynamicState:
-    """Displacement, velocity, and time of an evolving system."""
+    """Displacement, velocity, and time of an evolving system; ``a`` is the
+    acceleration at ``u`` when it is already known."""
 
     u: np.ndarray
     v: np.ndarray
     t: float
+    a: np.ndarray | None = None
 
 
 def initial_condition(problem: EquilibriumProblem, amplitude: float = 0.01) -> LatticeField:
@@ -41,13 +43,17 @@ def initial_condition(problem: EquilibriumProblem, amplitude: float = 0.01) -> L
 
 
 def verlet_step(state: DynamicState, accel, tau: float) -> DynamicState:
-    """One velocity-Verlet step: half kick, drift, force refresh, half kick."""
-    a0 = accel(state.u)
+    """One velocity-Verlet step: half kick, drift, force refresh, half kick.
+
+    The returned state carries its acceleration, so a chain of steps
+    evaluates the force once per step.
+    """
+    a0 = accel(state.u) if state.a is None else state.a
     v_half = state.v + 0.5 * tau * a0
     u_new = state.u + tau * v_half
     a1 = accel(u_new)
     v_new = v_half + 0.5 * tau * a1
-    return DynamicState(u=u_new, v=v_new, t=state.t + tau)
+    return DynamicState(u=u_new, v=v_new, t=state.t + tau, a=a1)
 
 
 @dataclass

@@ -78,6 +78,11 @@ def read_config(cfg: dict, schema: dict) -> dict:
     return out
 
 
+def _failed(exc: Exception) -> str:
+    """Status of a row whose solve raised: names the exception class."""
+    return f"failed:{type(exc).__name__}"
+
+
 def _map_rows(fn, items, threads: int):
     if threads <= 1:
         return [fn(item) for item in items]
@@ -142,8 +147,8 @@ def run_converge_1d(cfg: dict) -> ExperimentResult:
             _, uhc_h1 = fem.lattice_error(u_exact, recon)
             uh_l2, uh_h1 = fem.lattice_error(u_exact, sol.macro)
             return [psi_txt, str(eps), str(h), uhc_h1, uh_h1, uh_l2, "ok"]
-        except Exception:
-            return [psi_txt, str(eps), str(h), float("nan"), float("nan"), float("nan"), "failed"]
+        except Exception as exc:
+            return [psi_txt, str(eps), str(h), float("nan"), float("nan"), float("nan"), _failed(exc)]
 
     rows = _map_rows(one_row, p["h_list"], p["threads"])
     h_floats = [float(h) for h in p["h_list"]]
@@ -214,8 +219,8 @@ def run_stochastic_2d(cfg: dict) -> ExperimentResult:
             err_hqc = abs(e_hqc - e_exact) / abs(e_exact)
             err_ad = abs(e_ad - e_exact) / abs(e_exact)
             return [n, p["seed"], n_rep, str(h), err_hqc, err_ad, "ok"]
-        except Exception:
-            return [n, p["seed"], n_rep, str(h), float("nan"), float("nan"), "failed"]
+        except Exception as exc:
+            return [n, p["seed"], n_rep, str(h), float("nan"), float("nan"), _failed(exc)]
 
     items = [(n_rep, h) for n_rep in p["n_rep_list"] for h in p["h_list"]]
     rows = _map_rows(one_row, items, p["threads"])
@@ -298,8 +303,8 @@ def run_dynamics_1d(cfg: dict) -> ExperimentResult:
             ref_fields = [LatticeField(lat, traj_ref.displacements[i]) for i in idx]
             linf_l2, l2_h1 = dynamics.trajectory_error(traj.times, ref_fields, traj.reconstructions)
             return [n_atoms, str(h), f"{tau_h:.17g}", linf_l2, l2_h1, "ok"]
-        except Exception:
-            return [n_atoms, str(h), "", float("nan"), float("nan"), "failed"]
+        except Exception as exc:
+            return [n_atoms, str(h), "", float("nan"), float("nan"), _failed(exc)]
 
     rows = _map_rows(one_row, h_list, p["threads"])
     h_floats = [float(h) for h in h_list]
@@ -374,11 +379,11 @@ def run_equivalence(cfg: dict) -> ExperimentResult:
             worst = max(worst, gap / (1.0 + abs(rep.e_hqc)))
             all_pass &= ok
             rows.append([k, kind, model.m, rep.e_hqc, rep.e_fem, rep.e_mqc, gap, tol, "ok"])
-        except Exception:
+        except Exception as exc:
             failures += 1
             all_pass = False
             nan = float("nan")
-            rows.append([k, kind, model.m, nan, nan, nan, nan, tol, "failed"])
+            rows.append([k, kind, model.m, nan, nan, nan, nan, tol, _failed(exc)])
     summary = {
         "n_trials": len(trials),
         "worst_relative_gap": worst,

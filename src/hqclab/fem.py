@@ -33,40 +33,29 @@ class MacroMesh:
         self.h = 1.0 / n
         if d == 1:
             self.vertices = np.arange(n)[:, None] / n
-            self.elements = np.stack([np.arange(n), (np.arange(n) + 1) % n], axis=1)
-            coords = np.stack([np.arange(n), np.arange(n) + 1], axis=1)[:, :, None] / n
-            self.el_coords = coords.astype(float)
+            corners = np.stack([np.arange(n), np.arange(n) + 1], axis=1)[:, :, None]
         else:
             ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
             self.vertices = np.stack([ii.ravel(), jj.ravel()], axis=1) / n
-
-            def vid(i, j):
-                return (i % n) * n + (j % n)
-
-            elements = []
-            coords = []
-            for i in range(n):
-                for j in range(n):
-                    # lower triangle (right angle at (i+1, j)), covers fx >= fy
-                    elements.append([vid(i, j), vid(i + 1, j), vid(i + 1, j + 1)])
-                    coords.append([[i, j], [i + 1, j], [i + 1, j + 1]])
-                    # upper triangle (right angle at (i, j+1)), covers fx <= fy
-                    elements.append([vid(i, j), vid(i + 1, j + 1), vid(i, j + 1)])
-                    coords.append([[i, j], [i + 1, j + 1], [i, j + 1]])
-            self.elements = np.array(elements, dtype=int)
-            self.el_coords = np.array(coords, dtype=float) / n
+            # per grid cell: the lower triangle (right angle at (i+1, j), covers
+            # fx >= fy), then the upper one (right angle at (i, j+1))
+            steps = np.array([[[0, 0], [1, 0], [1, 1]], [[0, 0], [1, 1], [0, 1]]])
+            cells = np.stack([ii.ravel(), jj.ravel()], axis=1)
+            corners = (cells[:, None, None, :] + steps[None]).reshape(-1, 3, 2)
+        # unwrapped corner indices on the 1/n grid; vertex ids wrap periodically
+        wrapped = corners % n
+        self.elements = wrapped[..., 0] if d == 1 else wrapped[..., 0] * n + wrapped[..., 1]
+        self.el_coords = corners.astype(float) / n
         self.n_vertices = len(self.vertices)
         self.n_elements = len(self.elements)
         self.volumes = np.full(self.n_elements, 1.0 / self.n_elements)
-        # gradients of the local P1 basis: (n_elements, d+1, d)
-        self._grad_basis = np.empty((self.n_elements, d + 1, d))
-        for t in range(self.n_elements):
-            X = self.el_coords[t]
-            G = (X[1:] - X[0]).T  # columns are the edge vectors from vertex 0
-            Ginv = np.linalg.inv(G)
-            # barycentric lambda(x) = Ginv (x - X0): grad of lambda_j is row j
-            self._grad_basis[t, 1:] = Ginv
-            self._grad_basis[t, 0] = -Ginv.sum(axis=0)
+        # gradients of the local P1 basis, (n_elements, d+1, d): with the edge
+        # vectors from vertex 0 as columns of G, lambda(x) = G^-1 (x - X0)
+        G = (self.el_coords[:, 1:] - self.el_coords[:, :1]).transpose(0, 2, 1)
+        Ginv = np.linalg.inv(G)
+        self._grad_basis = np.concatenate([-Ginv.sum(axis=1, keepdims=True), Ginv], axis=1)
+        # global DOF of each local (vertex, component) pair: (n_elements, d+1, d)
+        self.dofs = self.elements[:, :, None] * d + np.arange(d)
 
     def barycenters(self) -> np.ndarray:
         return self.el_coords.mean(axis=1)
@@ -112,10 +101,6 @@ class P0Field:
 
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values, dtype=float).reshape(self.mesh.n_elements, self.mesh.d)
-
-
-def zero_p1(mesh: MacroMesh) -> P1Field:
-    return P1Field(mesh, np.zeros((mesh.n_vertices, mesh.d)))
 
 
 def p1_zero_mean(u: P1Field) -> P1Field:
@@ -237,6 +222,28 @@ def load_from_lattice(mesh: MacroMesh, f: LatticeField) -> np.ndarray:
     return b
 
 
+def nodal_forces(mesh: MacroMesh, stresses: np.ndarray) -> np.ndarray:
+    """Nodal residual sum_T |T| P_T grad(phi_k) of per-element stresses (n_elements, d, d)."""
+    contrib = mesh.volumes[:, None, None] * np.einsum("tlj,tij->tli", mesh.grad_basis(), stresses)
+    out = np.zeros((mesh.n_vertices, mesh.d))
+    np.add.at(out, mesh.elements.ravel(), contrib.reshape(-1, mesh.d))
+    return out
+
+
+def assemble(mesh: MacroMesh, tangents: np.ndarray) -> sp.csr_matrix:
+    """P1 stiffness of per-element tangents A_T[i,j,k,l], shape (n_elements, d, d, d, d):
+    K[(a,i),(b,k)] = sum_T |T| A_T[i,j,k,l] d_j phi_a d_l phi_b."""
+    gb = mesh.grad_basis()
+    local = np.einsum("tlj,tijkm,tpm->tlipk", gb, tangents, gb, optimize=True)
+    local *= mesh.volumes[:, None, None, None, None]
+    dofs = mesh.dofs
+    rows = np.broadcast_to(dofs[:, :, :, None, None], local.shape)
+    cols = np.broadcast_to(dofs[:, None, None, :, :], local.shape)
+    n_dof = mesh.n_vertices * mesh.d
+    K = sp.coo_matrix((local.ravel(), (rows.ravel(), cols.ravel())), shape=(n_dof, n_dof))
+    return K.tocsr()
+
+
 def constant_tensor_stiffness(mesh: MacroMesh, A: np.ndarray) -> sp.csr_matrix:
     """P1 stiffness of the quadratic density (1/2) A[i,j,k,l] F[i,j] F[k,l].
 
@@ -244,17 +251,4 @@ def constant_tensor_stiffness(mesh: MacroMesh, A: np.ndarray) -> sp.csr_matrix:
     """
     d = mesh.d
     A = np.asarray(A, dtype=float).reshape(d, d, d, d)
-    rows, cols, data = [], [], []
-    for t in range(mesh.n_elements):
-        grads = mesh.grad_basis(t)  # (d+1, d)
-        nodes = mesh.elements[t]
-        local = mesh.volumes[t] * np.einsum("lj,ijkm,pm->lipk", grads, A, grads)
-        for l in range(d + 1):
-            for p in range(d + 1):
-                for i in range(d):
-                    for k in range(d):
-                        rows.append(nodes[l] * d + i)
-                        cols.append(nodes[p] * d + k)
-                        data.append(local[l, i, p, k])
-    K = sp.coo_matrix((data, (rows, cols)), shape=(mesh.n_vertices * d,) * 2)
-    return K.tocsr()
+    return assemble(mesh, np.broadcast_to(A, (mesh.n_elements, d, d, d, d)))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import MacroMesh, P1Field, p1_zero_mean, all_element_gradients
+from .fem import MacroMesh, P1Field, all_element_gradients, assemble, nodal_forces, p1_zero_mean
 from .lattice import Multilattice
 from .network import (
     BondSystem,
@@ -164,32 +164,11 @@ def solve_homogenized_fem(
 
     def macro_gradient(uv: np.ndarray) -> np.ndarray:
         grads = all_element_gradients(P1Field(mesh, uv))
-        out = np.zeros_like(uv)
-        for t in range(mesh.n_elements):
-            P = density.dphi0(grads[t])
-            contrib = mesh.volumes[t] * (mesh.grad_basis(t) @ P.T)
-            np.add.at(out, mesh.elements[t], contrib)
-        return out - b
+        return nodal_forces(mesh, np.array([density.dphi0(F) for F in grads])) - b
 
     def macro_hessian(uv: np.ndarray):
-        import scipy.sparse as sp_mod
-
         grads = all_element_gradients(P1Field(mesh, uv))
-        rows, cols, data = [], [], []
-        for t in range(mesh.n_elements):
-            A = density.d2phi0(grads[t])
-            gb = mesh.grad_basis(t)
-            local = mesh.volumes[t] * np.einsum("lj,ijkm,pm->lipk", gb, A, gb)
-            nodes = mesh.elements[t]
-            for l in range(d + 1):
-                for p in range(d + 1):
-                    block = local[l, :, p, :]
-                    for i in range(d):
-                        for k in range(d):
-                            rows.append(nodes[l] * d + i)
-                            cols.append(nodes[p] * d + k)
-                            data.append(block[i, k])
-        return sp_mod.coo_matrix((data, (rows, cols)), shape=(mesh.n_vertices * d,) * 2).tocsr()
+        return assemble(mesh, np.array([density.d2phi0(F) for F in grads]))
 
     for it in range(max_iter + 1):
         g = project_zero_mean_array(macro_gradient(u))

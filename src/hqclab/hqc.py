@@ -10,14 +10,18 @@ variables), so the physical corrector is eps * chi and the bond gaps are
 
 The element energy density, its stress, and the condensed tangent then feed a
 standard P1 assembly.  Quadratic models shortcut through per-domain effective
-tensors computed from unit-gradient correctors; the generic path runs a per
-element Newton with warm starts.
+tensors computed from unit-gradient correctors (cached per model, so every
+mesh on one lattice shares them) and contract them over all elements at once;
+the generic path runs a per element Newton with warm starts.
 """
 
 from __future__ import annotations
 
+import threading
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -26,9 +30,11 @@ from .fem import (
     MacroMesh,
     P1Field,
     all_element_gradients,
+    assemble,
     barycentric_weights,
     check_alignment,
     locate,
+    nodal_forces,
     p1_zero_mean,
 )
 from .lattice import LatticeField, Multilattice
@@ -50,8 +56,7 @@ class HQCError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class SamplingDomain:
+class SamplingDomain(NamedTuple):
     """Sampling domain of one macro element: a small periodic site torus."""
 
     element: int
@@ -63,21 +68,19 @@ class SamplingDomain:
     signature: tuple                # domains with equal signatures share systems
 
 
-def _nearest_bravais_cell(bary: tuple[Fraction, ...], eps: Fraction, n_cells: int) -> tuple[int, ...]:
-    # nearest site, exact ties resolved toward the smaller coordinate
-    out = []
-    for q in bary:
-        ratio = q / eps + Fraction(1, 2)
-        k = ratio.numerator // ratio.denominator  # floor
-        if ratio == k:  # exact half distance: floor is the lexicographically smaller site
-            k -= 1
-        out.append(int(k) % n_cells)
-    return tuple(out)
+def nearest_bravais_cells(mesh: MacroMesh, eps: Fraction, n_cells: int) -> np.ndarray:
+    """Bravais cell nearest each element barycenter, shape (n_elements, d).
 
-
-def _element_barycenter_exact(mesh: MacroMesh, t: int) -> tuple[Fraction, ...]:
-    idx = np.round(mesh.el_coords[t] * mesh.n).astype(int)  # corner indices on the 1/n grid
-    return tuple(Fraction(int(idx[:, j].sum()), mesh.n * (mesh.d + 1)) for j in range(mesh.d))
+    Exact integer arithmetic: with corner indices summing to S on the 1/n grid
+    the barycenter is S / (n (d+1)), so for eps = p/q the nearest cell is
+    floor(S q / (n (d+1) p) + 1/2), minus one on an exact half-distance tie
+    (ties go to the smaller coordinate).
+    """
+    S = np.rint(mesh.el_coords * mesh.n).astype(np.int64).sum(axis=1)
+    p, q = eps.numerator, eps.denominator
+    den = 2 * mesh.n * (mesh.d + 1) * p
+    num = 2 * S * q + mesh.n * (mesh.d + 1) * p
+    return (num // den - (num % den == 0)) % n_cells
 
 
 def place_sampling_domains(
@@ -88,65 +91,46 @@ def place_sampling_domains(
 
     ``n_rep`` selects subgrid sampling of n_rep^d Bravais cells for simple
     lattices (random networks); the default is one lattice period (crystals).
+    Subgrid domains do not depend on the element, so they all share one pair
+    of index arrays.
     """
     check_alignment(mesh, lattice)
     if mesh.h < lattice.eps_float * (1 - 1e-12):
         raise HQCError("macro elements must be at least one lattice period wide (h >= eps)")
     d = lattice.d
     N = lattice.cells_per_dim
+    m = lattice.m
+    reps = nearest_bravais_cells(mesh, lattice.eps, N)
+    rep_cells = [tuple(r) for r in reps.tolist()]
     if n_rep is None:
         torus = Multilattice(d, 1, lattice.shifts)
+        flat = np.ravel_multi_index(tuple(reps.T), (N,) * d)
+        sites = flat[:, None] * m + np.arange(m)
+        return [
+            SamplingDomain(t, rep, rep, torus, flat[t:t + 1], sites[t], ("period",))
+            for t, rep in enumerate(rep_cells)
+        ]
+    if m != 1:
+        raise HQCError("subgrid sampling domains require a simple lattice (m = 1)")
+    if not 1 <= n_rep <= N:
+        raise HQCError(f"n_rep must be between 1 and {N}")
+    torus = Multilattice(d, Fraction(1, int(n_rep)), lattice.shifts)
+    if int(n_rep) == N:
+        # the subgrid is the whole lattice; placement is immaterial
+        parent_cells = np.arange(lattice.n_cells)
+        signature = ("full",)
     else:
-        if lattice.m != 1:
-            raise HQCError("subgrid sampling domains require a simple lattice (m = 1)")
-        if not 1 <= n_rep <= N:
-            raise HQCError(f"n_rep must be between 1 and {N}")
-        torus = Multilattice(d, Fraction(1, int(n_rep)), lattice.shifts)
-    torus_cells = torus.cells_per_dim
-    domains = []
-    for t in range(mesh.n_elements):
-        bary = _element_barycenter_exact(mesh, t)
-        rep = _nearest_bravais_cell(bary, lattice.eps, N)
-        if n_rep is None:
-            anchor = rep
-            parent_cells = np.array([_flat_cell(rep, N, d)])
-            signature = ("period",)
-        elif int(n_rep) == N:
-            anchor = (0,) * d  # the subgrid is the whole lattice; placement is immaterial
-            parent_cells = np.arange(lattice.n_cells)
-            signature = ("full",)
-        else:
-            # one representative subsystem shared by all elements: its effective
-            # response replaces the (unknown) full-sample tensor, so the error
-            # floors at an n_rep-dependent level
-            anchor = (0,) * d
-            multi = torus._cell_multi
-            flat = np.zeros(len(multi), dtype=np.int64)
-            for j in range(d):
-                flat = flat * N + multi[:, j]
-            parent_cells = flat
-            signature = ("sub", int(n_rep))
-        m = lattice.m
-        parent_sites = (np.repeat(parent_cells, m) * m + np.tile(np.arange(m), len(parent_cells)))
-        domains.append(
-            SamplingDomain(
-                element=t,
-                rep_cell=rep,
-                anchor=anchor,
-                torus=torus,
-                parent_cells=parent_cells,
-                parent_sites=parent_sites,
-                signature=signature,
-            )
-        )
-    return domains
-
-
-def _flat_cell(cell: tuple[int, ...], N: int, d: int) -> int:
-    flat = 0
-    for c in cell:
-        flat = flat * N + int(c)
-    return flat
+        # one representative subsystem shared by all elements: its effective
+        # response replaces the (unknown) full-sample tensor, so the error
+        # floors at an n_rep-dependent level
+        parent_cells = np.ravel_multi_index(tuple(torus._cell_multi.T), (N,) * d)
+        signature = ("sub", int(n_rep))
+    parent_sites = parent_cells  # one site per cell (m = 1)
+    anchor = (0,) * d
+    return [
+        SamplingDomain(t, rep, anchor, torus, parent_cells, parent_sites, signature)
+        for t, rep in enumerate(rep_cells)
+    ]
 
 
 @dataclass
@@ -164,17 +148,6 @@ class MicroState:
     def corrector(self, eps: float) -> np.ndarray:
         """Physical corrector R_T(u^h) - u^h_lin on the sampling sites."""
         return eps * self.chi
-
-    def local_basis_sensitivities(self, grad_basis: np.ndarray) -> np.ndarray:
-        """Zero-mean parts of dR_T w - w_lin for the (d+1)*d local nodal basis.
-
-        Returns shape (d+1, d, n_sites, d): entry [l, i] is the sensitivity
-        field for the basis function phi_l e_i, assembled by linearity from the
-        unit-gradient solves.
-        """
-        if self.sensitivities is None:
-            raise HQCError("sensitivities were not computed for this state")
-        return np.einsum("lj,ijnx->linx", grad_basis, self.sensitivities)
 
 
 def micro_solve(
@@ -231,6 +204,14 @@ def condensed_tangent(system: BondSystem, chi: np.ndarray, F: np.ndarray | None,
     return np.einsum("ijbx,bxy,klby->ijkl", gaps, k, gaps) / system.n_sites
 
 
+#: per model: (cells_per_dim, signature, relax) -> (sens, A) of a quadratic
+#: system; operators on one model and lattice share a single sensitivity solve.
+#: Models are treated as immutable once an operator has been built on them.
+#: The lock makes rows running in threads wait for a solve already under way.
+_EFFECTIVE_TENSORS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+_EFFECTIVE_LOCK = threading.Lock()
+
+
 class HQCOperator:
     """Macro energy, gradient, Hessian, and load assembly for the HQC method.
 
@@ -256,12 +237,13 @@ class HQCOperator:
         self.stability_check = stability_check
         self.domains = place_sampling_domains(mesh, lattice, n_rep)
         self.systems: dict[tuple, BondSystem] = {}
-        self._quad: dict[tuple, tuple[np.ndarray | None, np.ndarray]] = {}  # sig -> (sens, A)
         for dom in self.domains:
             if dom.signature not in self.systems:
                 self.systems[dom.signature] = compile_system(
                     dom.torus, model, gap_scale=1.0, parent_cells=dom.parent_cells
                 )
+        ids = {sig: k for k, sig in enumerate(self.systems)}
+        self._sig_index = np.array([ids[dom.signature] for dom in self.domains])
         self.warm_chi: dict[int, np.ndarray] = {}
         self.is_quadratic = bool(getattr(model, "is_quadratic", False))
 
@@ -270,13 +252,20 @@ class HQCOperator:
     def _quad_data(self, sig: tuple) -> tuple[np.ndarray | None, np.ndarray]:
         """Unit-gradient sensitivities and the effective tensor of a quadratic
         system (Cauchy-Born tensor when correctors are frozen)."""
-        if sig not in self._quad:
-            system = self.systems[sig]
-            zero = np.zeros((system.n_sites, system.d))
-            sens = micro_sensitivity(system, zero, None) if self.relax else None
-            A = condensed_tangent(system, zero, None, sens)
-            self._quad[sig] = (sens, A)
-        return self._quad[sig]
+        key = (self.lattice.cells_per_dim, sig, self.relax)
+        with _EFFECTIVE_LOCK:
+            cache = _EFFECTIVE_TENSORS.setdefault(self.model, {})
+            if key not in cache:
+                system = self.systems[sig]
+                zero = np.zeros((system.n_sites, system.d))
+                sens = micro_sensitivity(system, zero, None) if self.relax else None
+                cache[key] = (sens, condensed_tangent(system, zero, None, sens))
+            return cache[key]
+
+    def _element_tensors(self) -> np.ndarray:
+        """Effective tensor of every element of a quadratic model, (n_el, d, d, d, d)."""
+        A = np.stack([self._quad_data(sig)[1] for sig in self.systems])
+        return A[self._sig_index]
 
     def element_chi(self, t: int, F: np.ndarray) -> tuple[np.ndarray, float, bool]:
         """Corrector of element t at gradient F (warm-started); returns
@@ -329,70 +318,37 @@ class HQCOperator:
 
     def energy(self, uh: P1Field) -> float:
         grads = all_element_gradients(uh)
-        total = 0.0
+        if self.is_quadratic:
+            P = np.einsum("tijkl,tkl->tij", self._element_tensors(), grads)
+            return 0.5 * float(np.einsum("t,tij,tij->", self.mesh.volumes, grads, P))
+        e = np.empty(self.mesh.n_elements)
         for t, dom in enumerate(self.domains):
-            system = self.systems[dom.signature]
-            F = grads[t]
-            if self.is_quadratic:
-                _, A = self._quad_data(dom.signature)
-                e = 0.5 * float(np.einsum("ij,ijkl,kl->", F, A, F))
-            else:
-                chi, _, _ = self.element_chi(t, F)
-                e = system.energy(chi, F)
-            total += self.mesh.volumes[t] * e
-        return total
+            chi, _, _ = self.element_chi(t, grads[t])
+            e[t] = self.systems[dom.signature].energy(chi, grads[t])
+        return float(self.mesh.volumes @ e)
 
     def gradient(self, uh: P1Field) -> np.ndarray:
         """Nodal residual of the macro energy (sensitivity-free stress form)."""
         grads = all_element_gradients(uh)
-        out = np.zeros((self.mesh.n_vertices, self.mesh.d))
-        for t, dom in enumerate(self.domains):
-            system = self.systems[dom.signature]
-            F = grads[t]
-            if self.is_quadratic:
-                _, A = self._quad_data(dom.signature)
-                P = np.einsum("ijkl,kl->ij", A, F)
-            else:
-                chi, _, _ = self.element_chi(t, F)
-                P = system.stress(chi, F)
-            contrib = self.mesh.volumes[t] * (self.mesh.grad_basis(t) @ P.T)
-            np.add.at(out, self.mesh.elements[t], contrib)
-        return out
-
-    def gradient_full(self, uh: P1Field) -> np.ndarray:
-        """Nodal residual through the sensitivity fields (the unsimplified form)."""
-        grads = all_element_gradients(uh)
-        states = self.element_states(uh, with_sensitivities=True)
-        d = self.mesh.d
-        out = np.zeros((self.mesh.n_vertices, d))
-        for t, dom in enumerate(self.domains):
-            system = self.systems[dom.signature]
-            st = states[t]
-            forces = system.bond_forces(st.chi, grads[t])  # (nb, d)
-            gb = self.mesh.grad_basis(t)
-            nodes = self.mesh.elements[t]
-            for l in range(d + 1):
-                for i in range(d):
-                    G = np.zeros((d, d))
-                    G[i, :] = gb[l]
-                    S = np.einsum("j,jnx->nx", gb[l], st.sensitivities[i])
-                    g = system.rvec @ G.T + (S[system.dst] - S[system.src]) / system.gap_scale
-                    val = float(np.sum(forces * g)) / system.n_sites
-                    out[nodes[l], i] += self.mesh.volumes[t] * val
-        return out
+        if self.is_quadratic:
+            P = np.einsum("tijkl,tkl->tij", self._element_tensors(), grads)
+        else:
+            P = np.empty_like(grads)
+            for t, dom in enumerate(self.domains):
+                chi, _, _ = self.element_chi(t, grads[t])
+                P[t] = self.systems[dom.signature].stress(chi, grads[t])
+        return nodal_forces(self.mesh, P)
 
     def element_tangents(self, uh: P1Field) -> np.ndarray:
+        if self.is_quadratic:
+            return self._element_tensors()
         grads = all_element_gradients(uh)
         d = self.mesh.d
         out = np.zeros((self.mesh.n_elements, d, d, d, d))
         for t, dom in enumerate(self.domains):
             system = self.systems[dom.signature]
-            sig = dom.signature
             F = grads[t]
-            if self.is_quadratic:
-                _, A = self._quad_data(sig)
-                out[t] = A
-            elif not self.relax:
+            if not self.relax:
                 chi = np.zeros((system.n_sites, d))
                 out[t] = condensed_tangent(system, chi, F, None)
             else:
@@ -402,22 +358,7 @@ class HQCOperator:
         return out
 
     def hessian(self, uh: P1Field) -> sp.csr_matrix:
-        d = self.mesh.d
-        tangents = self.element_tangents(uh)
-        rows, cols, data = [], [], []
-        for t in range(self.mesh.n_elements):
-            gb = self.mesh.grad_basis(t)
-            local = self.mesh.volumes[t] * np.einsum("lj,ijkm,pm->lipk", gb, tangents[t], gb)
-            nodes = self.mesh.elements[t]
-            for l in range(d + 1):
-                for p in range(d + 1):
-                    for i in range(d):
-                        for k in range(d):
-                            rows.append(nodes[l] * d + i)
-                            cols.append(nodes[p] * d + k)
-                            data.append(local[l, i, p, k])
-        n_dof = self.mesh.n_vertices * d
-        return sp.coo_matrix((data, (rows, cols)), shape=(n_dof, n_dof)).tocsr()
+        return assemble(self.mesh, self.element_tangents(uh))
 
     def rhs(self, f: LatticeField) -> np.ndarray:
         """Load vector F^hqc: per-element sampling-domain averages of f against hats."""
@@ -602,10 +543,6 @@ def hqc_energy(model, lattice, mesh, uh: P1Field, n_rep: int | None = None) -> f
 def affine_closure_energy(model, lattice, mesh, uh: P1Field, n_rep: int | None = None) -> float:
     """Cauchy-Born baseline: the HQC energy with correctors frozen at zero."""
     return HQCOperator(model, lattice, mesh, n_rep=n_rep, relax=False).energy(uh)
-
-
-def hqc_rhs(model, lattice, mesh, f: LatticeField, n_rep: int | None = None) -> np.ndarray:
-    return HQCOperator(model, lattice, mesh, n_rep=n_rep).rhs(f)
 
 
 def solve_hqc(

@@ -171,12 +171,6 @@ def zeros_field(lattice: Multilattice) -> LatticeField:
     return LatticeField(lattice, np.zeros((lattice.n_sites, lattice.d)))
 
 
-def field_from_function(lattice: Multilattice, fn) -> LatticeField:
-    """Sample a callable fn(points (n,d)) -> (n,d) at all lattice sites."""
-    vals = np.asarray(fn(lattice.site_positions()), dtype=float)
-    return LatticeField(lattice, vals.reshape(lattice.n_sites, lattice.d))
-
-
 def _check_same_domain(u: LatticeField, v: LatticeField) -> None:
     if u.lattice is not v.lattice and (
         u.lattice.d != v.lattice.d

@@ -307,10 +307,6 @@ class RandomBond2D(InteractionModel):
             for j, off in enumerate(self._offsets)
         ]
 
-    def bond_strengths(self, j: int, cells: np.ndarray) -> np.ndarray:
-        """Strength of the j-th offset's bonds at the given flat cell indices."""
-        return self.psi[np.asarray(cells, dtype=int), j]
-
 
 # ------------------------------------------------------------------ factories
 

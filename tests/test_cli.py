@@ -117,3 +117,20 @@ def test_negative_tolerance_is_config_error(tmp_path):
     cfg = tmp_path / "e.cfg"
     cfg.write_text("tol_spring = -1e-9\n")
     assert main(["equivalence", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
+
+
+def test_failed_rows_name_their_cause(tmp_path, monkeypatch):
+    from hqclab import hqc
+    from hqclab.network import SolverError
+
+    def boom(*args, **kwargs):
+        raise SolverError("forced")
+
+    monkeypatch.setattr(hqc, "solve_hqc", boom)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("eps = 1/256\nh_list = 1/4,1/8\nfit_range_h1 = 0:2\nfit_range_l2 = 0:2\n")
+    out = tmp_path / "c.csv"
+    assert main(["converge-1d", "--config", str(cfg), "--out", str(out)]) == 1
+    rows = out.read_text().strip().splitlines()[1:]
+    assert len(rows) == 2
+    assert all(row.endswith(",failed:SolverError") for row in rows)

@@ -83,6 +83,29 @@ def test_verlet_energy_error_bounded():
         assert abs(e - 0.5 * k) < 0.01 * k  # bounded oscillation, no drift
 
 
+def test_verlet_chain_evaluates_force_once_per_step():
+    # the end-of-step acceleration carries over: one force call per step after
+    # the first, and the same trajectory as re-evaluating it every step
+    prob, _, lat = dynamics_problem(32)
+    accel = atomistic_accel(prob)
+    calls = []
+
+    def counted(u):
+        calls.append(1)
+        return accel(u)
+
+    rng = np.random.default_rng(3)
+    u0 = 1e-3 * rng.standard_normal((lat.n_sites, 1))
+    chained = DynamicState(u=u0.copy(), v=np.zeros_like(u0), t=0.0)
+    fresh = DynamicState(u=u0.copy(), v=np.zeros_like(u0), t=0.0)
+    for _ in range(10):
+        chained = verlet_step(chained, counted, 1e-4)
+        fresh = verlet_step(DynamicState(fresh.u, fresh.v, fresh.t), accel, 1e-4)
+    assert len(calls) == 11
+    assert np.array_equal(chained.a, accel(chained.u))
+    assert np.array_equal(chained.u, fresh.u) and np.array_equal(chained.v, fresh.v)
+
+
 def test_verlet_time_reversibility_single_step():
     rng = np.random.default_rng(0)
     prob, _, lat = dynamics_problem(32)

@@ -9,12 +9,14 @@ from hqclab.fem import (
     P1Field,
     affine_extension,
     all_element_gradients,
+    assemble,
     build_mesh,
     check_alignment,
     element_gradient,
     lattice_error,
     load_from_lattice,
     locate,
+    nodal_forces,
     p1_eval,
     p1_interpolate_lattice,
     p1_zero_mean,
@@ -161,3 +163,41 @@ def test_load_from_lattice_matches_quadrature():
     ff -= ff.mean(axis=0)
     b_fine = load_from_lattice(mesh, LatticeField(fine, ff))
     assert np.max(np.abs(b - b_fine)) < 5e-3 * np.max(np.abs(b_fine))
+
+
+def assemble_oracle(mesh, tangents):
+    """Element-by-element P1 stiffness, one local block at a time."""
+    d = mesh.d
+    K = np.zeros((mesh.n_vertices * d,) * 2)
+    for t in range(mesh.n_elements):
+        gb = mesh.grad_basis(t)
+        nodes = mesh.elements[t]
+        for l in range(d + 1):
+            for p in range(d + 1):
+                for i in range(d):
+                    for k in range(d):
+                        val = sum(gb[l, j] * tangents[t, i, j, k, m] * gb[p, m]
+                                  for j in range(d) for m in range(d))
+                        K[nodes[l] * d + i, nodes[p] * d + k] += mesh.volumes[t] * val
+    return K
+
+
+@pytest.mark.parametrize("d,n", [(1, 2), (1, 5), (2, 2), (2, 3)])
+def test_assemble_matches_element_loop(d, n):
+    mesh = build_mesh(d, n)
+    rng = np.random.default_rng(7 + d + n)
+    tangents = rng.standard_normal((mesh.n_elements, d, d, d, d))
+    K = assemble(mesh, tangents).toarray()
+    oracle = assemble_oracle(mesh, tangents)
+    assert np.max(np.abs(K - oracle)) <= 1e-14 * np.max(np.abs(oracle))
+
+
+@pytest.mark.parametrize("d,n", [(1, 5), (2, 3)])
+def test_nodal_forces_match_element_loop(d, n):
+    mesh = build_mesh(d, n)
+    rng = np.random.default_rng(11 + d)
+    P = rng.standard_normal((mesh.n_elements, d, d))
+    oracle = np.zeros((mesh.n_vertices, d))
+    for t in range(mesh.n_elements):
+        oracle[mesh.elements[t]] += mesh.volumes[t] * mesh.grad_basis(t) @ P[t].T
+    assert np.max(np.abs(nodal_forces(mesh, P) - oracle)) <= 1e-14 * np.max(np.abs(oracle))

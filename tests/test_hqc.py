@@ -5,7 +5,14 @@ import pytest
 from fractions import Fraction
 
 from hqclab.atomistic import EquilibriumProblem, solve_equilibrium, total_energy
-from hqclab.fem import P1Field, build_mesh, constant_tensor_stiffness, p1_zero_mean, sample_on_lattice
+from hqclab.fem import (
+    P1Field,
+    all_element_gradients,
+    build_mesh,
+    constant_tensor_stiffness,
+    p1_zero_mean,
+    sample_on_lattice,
+)
 from hqclab.homog import HomogenizedDensity, harmonic_mean, solve_homogenized_fem
 from hqclab.hqc import (
     HQCOperator,
@@ -25,6 +32,31 @@ def random_uh(mesh, scale, seed):
     return p1_zero_mean(P1Field(mesh, scale * rng.standard_normal((mesh.n_vertices, mesh.d))))
 
 
+def gradient_full(op, uh):
+    """Nodal residual through the sensitivity fields (the unsimplified form):
+    oracle for the stress form of HQCOperator.gradient."""
+    grads = all_element_gradients(uh)
+    states = op.element_states(uh, with_sensitivities=True)
+    mesh = op.mesh
+    d = mesh.d
+    out = np.zeros((mesh.n_vertices, d))
+    for t, dom in enumerate(op.domains):
+        system = op.systems[dom.signature]
+        st = states[t]
+        forces = system.bond_forces(st.chi, grads[t])  # (nb, d)
+        gb = mesh.grad_basis(t)
+        nodes = mesh.elements[t]
+        for l in range(d + 1):
+            for i in range(d):
+                G = np.zeros((d, d))
+                G[i, :] = gb[l]
+                S = np.einsum("j,jnx->nx", gb[l], st.sensitivities[i])
+                g = system.rvec @ G.T + (S[system.dst] - S[system.src]) / system.gap_scale
+                val = float(np.sum(forces * g)) / system.n_sites
+                out[nodes[l], i] += mesh.volumes[t] * val
+    return out
+
+
 def test_sampling_placement_barycenter_snap():
     # T = [0, 1/4), eps = 1/16: representative site at 1/8 (cell index 2)
     mesh = build_mesh(1, 4)
@@ -35,6 +67,65 @@ def test_sampling_placement_barycenter_snap():
     assert len({d.signature for d in domains}) == 1
     reps = [d.rep_cell[0] for d in domains]
     assert reps == [2, 6, 10, 14]
+
+
+def nearest_cell_oracle(mesh, t, eps, n_cells, ties):
+    """Nearest Bravais cell of element t's barycenter in exact Fraction
+    arithmetic; exact half-distance ties go to the smaller coordinate and are
+    counted in ``ties``."""
+    idx = np.round(mesh.el_coords[t] * mesh.n).astype(int)
+    out = []
+    for j in range(mesh.d):
+        bary = Fraction(int(idx[:, j].sum()), mesh.n * (mesh.d + 1))
+        ratio = bary / eps + Fraction(1, 2)
+        k = ratio.numerator // ratio.denominator
+        if ratio == k:
+            k -= 1
+            ties.append((t, j))
+        out.append(int(k) % n_cells)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("d,n,eps,n_cells,has_ties", [
+    (1, 4, Fraction(1, 4), 4, True),
+    (1, 4, Fraction(1, 16), 16, False),
+    (1, 2, Fraction(3, 10), 7, True),
+    (1, 8, Fraction(3, 64), 7, False),
+    (2, 2, Fraction(1, 3), 3, True),
+    (2, 4, Fraction(1, 8), 8, False),
+    (2, 3, Fraction(2, 9), 11, True),
+    (2, 4, Fraction(3, 40), 5, False),
+])
+def test_nearest_cells_match_fraction_oracle(d, n, eps, n_cells, has_ties):
+    from hqclab.hqc import nearest_bravais_cells
+
+    mesh = build_mesh(d, n)
+    ties = []
+    oracle = [nearest_cell_oracle(mesh, t, eps, n_cells, ties) for t in range(mesh.n_elements)]
+    cells = nearest_bravais_cells(mesh, eps, n_cells)
+    assert cells.dtype == np.int64
+    assert [tuple(c) for c in cells.tolist()] == oracle
+    assert bool(ties) == has_ties
+
+
+def test_sampling_placement_uses_the_oracle_and_shares_subgrid_indices():
+    lat = chain_lattice(Fraction(1, 12), 1)
+    mesh = build_mesh(1, 4)  # h = 3 eps: every barycenter sits on a tie
+    ties = []
+    for n_rep, sig in ((None, ("period",)), (12, ("full",)), (4, ("sub", 4))):
+        domains = place_sampling_domains(mesh, lat, n_rep)
+        assert [dom.rep_cell for dom in domains] == [
+            nearest_cell_oracle(mesh, t, lat.eps, 12, ties) for t in range(mesh.n_elements)]
+        assert {dom.signature for dom in domains} == {sig}
+        if n_rep is not None:
+            assert all(dom.parent_cells is domains[0].parent_cells for dom in domains)
+            assert all(dom.parent_sites is domains[0].parent_sites for dom in domains)
+    assert ties
+    # crystal domains: one period at the representative cell
+    crystal = place_sampling_domains(build_mesh(1, 4), chain_lattice(Fraction(1, 16), 3))
+    for dom in crystal:
+        assert dom.parent_cells.tolist() == [dom.rep_cell[0]]
+        assert dom.parent_sites.tolist() == [3 * dom.rep_cell[0] + a for a in range(3)]
 
 
 def test_sampling_requires_h_at_least_eps():
@@ -165,7 +256,7 @@ def test_gradient_simplification_matches_full_form():
     uh = random_uh(mesh, 0.03, seed=5)
     op = HQCOperator(model, lat, mesh)
     simplified = op.gradient(uh)
-    full = op.gradient_full(uh)
+    full = gradient_full(op, uh)
     assert np.max(np.abs(simplified - full)) < 1e-10 * (1 + np.max(np.abs(full)))
 
 
@@ -466,3 +557,81 @@ def test_micro_energy_matches_independent_minimizer():
     res = minimize(energy_of, np.zeros((n - 1) * d), method="BFGS",
                    options={"gtol": 1e-12, "maxiter": 2000})
     assert res.fun == pytest.approx(e_solver, rel=1e-9)
+
+
+def test_effective_tensors_are_cached_per_model(monkeypatch):
+    from hqclab import hqc
+
+    calls = []
+    real = hqc.micro_sensitivity
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(hqc, "micro_sensitivity", counting)
+    model = LinearSpring1D((1.0, 3.0))
+    lat = chain_lattice(Fraction(1, 16), 2)
+    uh = random_uh(build_mesh(1, 4), 0.3, seed=40)
+    op = HQCOperator(model, lat, build_mesh(1, 4))
+    e_relaxed = op.energy(uh)
+    assert len(calls) == 1
+    # a second operator on the same model, another mesh: no new micro solve
+    op2 = HQCOperator(model, lat, build_mesh(1, 8))
+    op2.hessian(random_uh(op2.mesh, 0.3, seed=41))
+    assert len(calls) == 1
+    sens, A = op._quad_data(("period",))
+    sens2, A2 = op2._quad_data(("period",))
+    assert sens2 is sens and A2 is A
+    # relax=False has its own (Cauchy-Born) entry
+    frozen = HQCOperator(model, lat, build_mesh(1, 4), relax=False)
+    sens_cb, A_cb = frozen._quad_data(("period",))
+    assert sens_cb is None and not np.allclose(A_cb, A)
+    assert frozen.energy(uh) > e_relaxed
+    assert len(calls) == 1
+    # another model gets its own entries
+    HQCOperator(LinearSpring1D((1.0, 3.0)), lat, build_mesh(1, 4)).energy(uh)
+    assert len(calls) == 2
+
+
+def test_full_sample_tensors_keyed_by_lattice_size():
+    model = LinearSpring1D((2.0,))
+    small, large = chain_lattice(Fraction(1, 8), 1), chain_lattice(Fraction(1, 16), 1)
+    op_small = HQCOperator(model, small, build_mesh(1, 4), n_rep=8)
+    op_large = HQCOperator(model, large, build_mesh(1, 4), n_rep=16)
+    sens_small, A_small = op_small._quad_data(("full",))
+    sens_large, A_large = op_large._quad_data(("full",))
+    assert A_small is not A_large
+    assert sens_small.shape[2] == 8 and sens_large.shape[2] == 16
+
+
+def test_effective_tensors_computed_once_under_threads(monkeypatch):
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    from hqclab import hqc
+
+    calls = []
+    real = hqc.micro_sensitivity
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(hqc, "micro_sensitivity", counting)
+    lat = square_lattice(16)
+    model = RandomBond2D(16, seed=3)
+    meshes = [build_mesh(2, n) for n in (1, 2, 4, 8, 16)] * 2
+
+    def energy(mesh):
+        return HQCOperator(model, lat, mesh, n_rep=16).energy(random_uh(mesh, 0.1, seed=mesh.n))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = list(pool.map(energy, meshes))
+    finally:
+        sys.setswitchinterval(old)
+    assert len(calls) == 1
+    assert threaded == [energy(mesh) for mesh in meshes]
