@@ -10,7 +10,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .lattice import LatticeField, Multilattice, average, l2_norm, project_zero_mean
-from .network import BondSystem, NewtonResult, avg_norm, compile_system, newton_zero_mean
+from .network import BondSystem, avg_norm, compile_system, newton_zero_mean
 from .potential import InteractionModel
 
 #: eigenvalues below this fraction of the largest one count as translation modes
@@ -80,7 +80,7 @@ def solve_equilibrium(
     f = problem.force.values if problem.force is not None else None
     ref = l2_norm(problem.force) if problem.force is not None else 0.0
     w0 = initial_guess.values if initial_guess is not None else None
-    result: NewtonResult = newton_zero_mean(
+    result = newton_zero_mean(
         problem.system, F=None, w0=w0, f_ext=f, tol=tol, ref=ref, max_iter=max_iter
     )
     return project_zero_mean(LatticeField(problem.lattice, result.w))

@@ -2,7 +2,8 @@
 
 Each driver consumes a flat configuration dictionary, returns the CSV rows
 plus a summary (fitted slopes, pass/fail observations), and never aborts on a
-per-row solver failure (failed rows are recorded and the run continues).
+per-row solver failure (failed rows are recorded and the run continues).  Any
+other exception is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ import numpy as np
 
 from . import atomistic, dynamics, fem, hqc, mqc
 from .lattice import LatticeField, chain_lattice, l2_norm
-from .potential import LinearSpring1D, make_dynamics_model, make_stochastic_model
+from .network import SolverError
+from .potential import LinearSpring1D, PotentialError, make_dynamics_model, make_stochastic_model
 
 
 class ConfigError(ValueError):
@@ -76,6 +78,10 @@ def read_config(cfg: dict, schema: dict) -> dict:
         else:
             out[key] = default
     return out
+
+
+#: failures a row records as ``failed:<class>``; anything else is a bug and propagates
+ROW_ERRORS = (SolverError, PotentialError, np.linalg.LinAlgError)
 
 
 def _failed(exc: Exception) -> str:
@@ -147,7 +153,7 @@ def run_converge_1d(cfg: dict) -> ExperimentResult:
             _, uhc_h1 = fem.lattice_error(u_exact, recon)
             uh_l2, uh_h1 = fem.lattice_error(u_exact, sol.macro)
             return [psi_txt, str(eps), str(h), uhc_h1, uh_h1, uh_l2, "ok"]
-        except Exception as exc:
+        except ROW_ERRORS as exc:
             return [psi_txt, str(eps), str(h), float("nan"), float("nan"), float("nan"), _failed(exc)]
 
     rows = _map_rows(one_row, p["h_list"], p["threads"])
@@ -219,7 +225,7 @@ def run_stochastic_2d(cfg: dict) -> ExperimentResult:
             err_hqc = abs(e_hqc - e_exact) / abs(e_exact)
             err_ad = abs(e_ad - e_exact) / abs(e_exact)
             return [n, p["seed"], n_rep, str(h), err_hqc, err_ad, "ok"]
-        except Exception as exc:
+        except ROW_ERRORS as exc:
             return [n, p["seed"], n_rep, str(h), float("nan"), float("nan"), _failed(exc)]
 
     items = [(n_rep, h) for n_rep in p["n_rep_list"] for h in p["h_list"]]
@@ -303,7 +309,7 @@ def run_dynamics_1d(cfg: dict) -> ExperimentResult:
             ref_fields = [LatticeField(lat, traj_ref.displacements[i]) for i in idx]
             linf_l2, l2_h1 = dynamics.trajectory_error(traj.times, ref_fields, traj.reconstructions)
             return [n_atoms, str(h), f"{tau_h:.17g}", linf_l2, l2_h1, "ok"]
-        except Exception as exc:
+        except ROW_ERRORS as exc:
             return [n_atoms, str(h), "", float("nan"), float("nan"), _failed(exc)]
 
     rows = _map_rows(one_row, h_list, p["threads"])
@@ -379,7 +385,7 @@ def run_equivalence(cfg: dict) -> ExperimentResult:
             worst = max(worst, gap / (1.0 + abs(rep.e_hqc)))
             all_pass &= ok
             rows.append([k, kind, model.m, rep.e_hqc, rep.e_fem, rep.e_mqc, gap, tol, "ok"])
-        except Exception as exc:
+        except ROW_ERRORS as exc:
             failures += 1
             all_pass = False
             nan = float("nan")

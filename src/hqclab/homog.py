@@ -11,7 +11,8 @@ cell.  The homogenized energy density and stress follow by averaging:
     Phi0(F)  = < V(F R + D_y chi(F)) >,
     dPhi0(F) = < sum_r V'_r(F R + D_y chi(F)) r^T >,
 
-the latter needing no corrector sensitivity (envelope property).
+the latter needing no corrector sensitivity (envelope property).  The tangent
+d2Phi0 is the condensed tangent of the HQC micro layer on the cell system.
 """
 
 from __future__ import annotations
@@ -21,18 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fem import MacroMesh, P1Field, all_element_gradients, assemble, nodal_forces, p1_zero_mean
+from .hqc import condensed_tangent, micro_sensitivity
 from .lattice import Multilattice
-from .network import (
-    BondSystem,
-    GaugeFixedOperator,
-    compile_system,
-    newton_zero_mean,
-    project_zero_mean_array,
-)
+from .network import BondSystem, compile_system, newton, newton_zero_mean, project_zero_mean_array
 from .potential import InteractionModel
 
 CELL_TOL = 1e-12
-FD_STEP_REL = 1e-5
 F_CACHE_DIGITS = 12
 
 
@@ -59,23 +54,20 @@ def cell_system(model: InteractionModel) -> BondSystem:
 
 def solve_cell_problem(
     cell: CellProblem,
-    initial_guess: np.ndarray | None = None,
     tol: float = CELL_TOL,
     system: BondSystem | None = None,
 ) -> np.ndarray:
-    """Zero-mean corrector chi(F), shape (m, d).
+    """Zero-mean corrector chi(F), shape (m, d), reached from the zero guess.
 
-    Guess-deterministic: returns the solution reached from ``initial_guess``
-    (zero by default).  Residual tolerance is tol * (1 + ||F||).
+    Residual tolerance is tol * (1 + ||F||).
     """
     sys_ = system if system is not None else cell_system(cell.model)
     ref = float(np.linalg.norm(cell.F))
-    result = newton_zero_mean(sys_, F=cell.F, w0=initial_guess, tol=tol, ref=ref)
-    return result.w
+    return newton_zero_mean(sys_, F=cell.F, tol=tol, ref=ref).w
 
 
 class HomogenizedDensity:
-    """Phi0 / dPhi0 evaluations with corrector caching keyed on quantized F."""
+    """Phi0 and its first two derivatives, with correctors cached on quantized F."""
 
     def __init__(self, model: InteractionModel, tol: float = CELL_TOL) -> None:
         self.model = model
@@ -86,54 +78,28 @@ class HomogenizedDensity:
     def _key(self, F: np.ndarray) -> tuple:
         return tuple(np.round(np.asarray(F, dtype=float).ravel(), F_CACHE_DIGITS))
 
-    def chi(self, F, guess: np.ndarray | None = None) -> np.ndarray:
+    def chi(self, F) -> np.ndarray:
         F = np.asarray(F, dtype=float).reshape(self.model.d, self.model.d)
         key = self._key(F)
         if key not in self._cache:
             self._cache[key] = solve_cell_problem(
-                CellProblem(self.model, F), initial_guess=guess, tol=self.tol, system=self.system
+                CellProblem(self.model, F), tol=self.tol, system=self.system
             )
         return self._cache[key]
 
-    def phi0(self, F, guess: np.ndarray | None = None) -> float:
+    def phi0(self, F) -> float:
         F = np.asarray(F, dtype=float).reshape(self.model.d, self.model.d)
-        return self.system.energy(self.chi(F, guess), F)
+        return self.system.energy(self.chi(F), F)
 
-    def dphi0(self, F, guess: np.ndarray | None = None) -> np.ndarray:
+    def dphi0(self, F) -> np.ndarray:
         F = np.asarray(F, dtype=float).reshape(self.model.d, self.model.d)
-        return self.system.stress(self.chi(F, guess), F)
+        return self.system.stress(self.chi(F), F)
 
-    def d2phi0(self, F, step_rel: float = FD_STEP_REL) -> np.ndarray:
-        """Fourth-order tangent by central differences of dPhi0."""
-        d = self.model.d
-        F = np.asarray(F, dtype=float).reshape(d, d)
-        h = step_rel * max(1.0, float(np.linalg.norm(F)))
-        out = np.zeros((d, d, d, d))
-        base_chi = self.chi(F)
-        for k in range(d):
-            for l in range(d):
-                dF = np.zeros((d, d))
-                dF[k, l] = h
-                plus = solve_cell_problem(
-                    CellProblem(self.model, F + dF), initial_guess=base_chi,
-                    tol=self.tol, system=self.system,
-                )
-                minus = solve_cell_problem(
-                    CellProblem(self.model, F - dF), initial_guess=base_chi,
-                    tol=self.tol, system=self.system,
-                )
-                sp_ = self.system.stress(plus, F + dF)
-                sm = self.system.stress(minus, F - dF)
-                out[:, :, k, l] = (sp_ - sm) / (2 * h)
-        return out
-
-
-def phi0(density: HomogenizedDensity, F) -> float:
-    return density.phi0(F)
-
-
-def dphi0(density: HomogenizedDensity, F) -> np.ndarray:
-    return density.dphi0(F)
+    def d2phi0(self, F) -> np.ndarray:
+        """Fourth-order tangent: the condensed tangent at the cell corrector."""
+        F = np.asarray(F, dtype=float).reshape(self.model.d, self.model.d)
+        chi = self.chi(F)
+        return condensed_tangent(self.system, chi, F, micro_sensitivity(self.system, chi, F))
 
 
 def harmonic_mean(psi) -> float:
@@ -156,28 +122,25 @@ def solve_homogenized_fem(
 
     ``load`` is a (n_vertices, d) vector of nodal load values (the pairing of
     the external force with the nodal hats); omit it for the unforced problem.
+    Converges like ``HQCOperator.solve``: Euclidean norm of the projected nodal
+    residual at most ``tol * (1 + ||load||)``.
     """
-    d = mesh.d
-    u = np.zeros((mesh.n_vertices, d))
-    b = np.zeros_like(u) if load is None else np.asarray(load, dtype=float)
-    ref = float(np.linalg.norm(b))
+    b = np.zeros((mesh.n_vertices, mesh.d)) if load is None else np.asarray(load, dtype=float)
 
-    def macro_gradient(uv: np.ndarray) -> np.ndarray:
-        grads = all_element_gradients(P1Field(mesh, uv))
-        return nodal_forces(mesh, np.array([density.dphi0(F) for F in grads])) - b
+    def grads_of(u):
+        return all_element_gradients(P1Field(mesh, u))
 
-    def macro_hessian(uv: np.ndarray):
-        grads = all_element_gradients(P1Field(mesh, uv))
-        return assemble(mesh, np.array([density.d2phi0(F) for F in grads]))
+    def energy(u):
+        e = mesh.volumes @ np.array([density.phi0(F) for F in grads_of(u)])
+        return float(e) - float(np.sum(b * u))
 
-    for it in range(max_iter + 1):
-        g = project_zero_mean_array(macro_gradient(u))
-        if np.linalg.norm(g) <= tol * (1.0 + ref):
-            return p1_zero_mean(P1Field(mesh, u))
-        if it == max_iter:
-            raise RuntimeError("homogenized FEM Newton did not converge")
-        H = macro_hessian(u)
-        op = GaugeFixedOperator(H, d)
-        step = op.solve(-g)
-        u = project_zero_mean_array(u + step)
-    return p1_zero_mean(P1Field(mesh, u))
+    def gradient(u):
+        P = np.array([density.dphi0(F) for F in grads_of(u)])
+        return project_zero_mean_array(nodal_forces(mesh, P) - b)
+
+    def hessian(u):
+        return assemble(mesh, np.array([density.d2phi0(F) for F in grads_of(u)]))
+
+    threshold = tol * (1.0 + float(np.linalg.norm(b))) / np.sqrt(mesh.n_vertices)
+    result = newton(energy, gradient, hessian, np.zeros_like(b), mesh.d, threshold, max_iter)
+    return p1_zero_mean(P1Field(mesh, result.w))

@@ -41,8 +41,10 @@ from .lattice import LatticeField, Multilattice
 from .network import (
     BondSystem,
     GaugeFixedOperator,
+    SolverError,
     avg_norm,
     compile_system,
+    newton,
     newton_zero_mean,
     project_zero_mean_array,
 )
@@ -52,7 +54,7 @@ MICRO_TOL = 1e-12
 BOUNDARY_SNAP_TOL = 1e-9
 
 
-class HQCError(RuntimeError):
+class HQCError(SolverError):
     pass
 
 
@@ -135,19 +137,12 @@ def place_sampling_domains(
 
 @dataclass
 class MicroState:
-    """Converged micro corrector of one element plus its tangent data."""
+    """Micro corrector of one element and its residual sqrt(<|gradient|^2>)."""
 
     domain: SamplingDomain
     F: np.ndarray
     chi: np.ndarray                     # zero-mean corrector per unit macro length
     residual: float
-    converged: bool
-    sensitivities: np.ndarray | None = None   # (d, d, n_sites, d) unit-gradient fields
-    stable: bool | None = None
-
-    def corrector(self, eps: float) -> np.ndarray:
-        """Physical corrector R_T(u^h) - u^h_lin on the sampling sites."""
-        return eps * self.chi
 
 
 def micro_solve(
@@ -155,10 +150,9 @@ def micro_solve(
     F: np.ndarray,
     guess: np.ndarray | None = None,
     tol: float = MICRO_TOL,
-) -> tuple[np.ndarray, float]:
+) -> np.ndarray:
     """Zero-mean micro corrector under the imposed gradient F (chi variables)."""
-    result = newton_zero_mean(system, F=F, w0=guess, tol=tol, ref=float(np.linalg.norm(F)))
-    return result.w, result.residual
+    return newton_zero_mean(system, F=F, w0=guess, tol=tol, ref=float(np.linalg.norm(F))).w
 
 
 def micro_sensitivity(system: BondSystem, chi: np.ndarray, F: np.ndarray) -> np.ndarray:
@@ -216,7 +210,9 @@ class HQCOperator:
     """Macro energy, gradient, Hessian, and load assembly for the HQC method.
 
     ``relax=False`` freezes the correctors at zero (pure Cauchy-Born closure).
-    Micro solves warm-start from the previous evaluation of each element.
+    Micro solves warm-start from the correctors of the last ``gradient`` call,
+    the only evaluation that stores them, so line-search trials of ``energy``
+    leave no trace.
     """
 
     def __init__(
@@ -227,14 +223,12 @@ class HQCOperator:
         n_rep: int | None = None,
         relax: bool = True,
         micro_tol: float = MICRO_TOL,
-        stability_check: bool = False,
     ) -> None:
         self.model = model
         self.lattice = lattice
         self.mesh = mesh
         self.relax = relax
         self.micro_tol = micro_tol
-        self.stability_check = stability_check
         self.domains = place_sampling_domains(mesh, lattice, n_rep)
         self.systems: dict[tuple, BondSystem] = {}
         for dom in self.domains:
@@ -267,52 +261,26 @@ class HQCOperator:
         A = np.stack([self._quad_data(sig)[1] for sig in self.systems])
         return A[self._sig_index]
 
-    def element_chi(self, t: int, F: np.ndarray) -> tuple[np.ndarray, float, bool]:
-        """Corrector of element t at gradient F (warm-started); returns
-        (chi, residual, converged).  Residual -1 marks 'not evaluated here'
-        (exact linear solves); element_states fills it in."""
+    def element_chi(self, t: int, F: np.ndarray) -> np.ndarray:
+        """Corrector of element t at gradient F, warm-started from the stored one."""
         dom = self.domains[t]
         system = self.systems[dom.signature]
         if not self.relax:
-            chi = np.zeros((system.n_sites, system.d))
-            return chi, -1.0, True
+            return np.zeros((system.n_sites, system.d))
         if self.is_quadratic:
             sens, _ = self._quad_data(dom.signature)
-            chi = np.einsum("ij,ijnx->nx", F, sens)
-            return chi, -1.0, True
-        chi, res = micro_solve(system, F, guess=self.warm_chi.get(t), tol=self.micro_tol)
-        self.warm_chi[t] = chi
-        return chi, res, True
+            return np.einsum("ij,ijnx->nx", F, sens)
+        return micro_solve(system, F, guess=self.warm_chi.get(t), tol=self.micro_tol)
 
-    def element_states(self, uh: P1Field, with_sensitivities: bool = False) -> list[MicroState]:
+    def element_states(self, uh: P1Field) -> list[MicroState]:
         grads = all_element_gradients(uh)
         states = []
         for t, dom in enumerate(self.domains):
-            system = self.systems[dom.signature]
             F = grads[t]
-            chi, res, ok = self.element_chi(t, F)
-            if res < 0.0:
-                res = avg_norm(system.gradient(chi, F))
-            sens = None
-            if with_sensitivities:
-                if self.is_quadratic and self.relax:
-                    sens, _ = self._quad_data(dom.signature)
-                elif self.relax:
-                    sens = micro_sensitivity(system, chi, F)
-                else:
-                    sens = np.zeros((system.d, system.d, system.n_sites, system.d))
-            stable = None
-            if self.stability_check:
-                stable = self._micro_stable(system, chi, F)
-            states.append(MicroState(dom, F.copy(), chi, res, ok, sens, stable))
+            chi = self.element_chi(t, F)
+            res = avg_norm(self.systems[dom.signature].gradient(chi, F))
+            states.append(MicroState(dom, F.copy(), chi, res))
         return states
-
-    @staticmethod
-    def _micro_stable(system: BondSystem, chi: np.ndarray, F: np.ndarray) -> bool:
-        # constants are in the kernel, so positive semidefiniteness on the
-        # zero-mean subspace is just a nonnegative spectrum overall
-        eigs = np.linalg.eigvalsh(np.asarray(system.hessian(chi, F).todense()))
-        return bool(eigs.min() > -1e-10 * max(1.0, abs(eigs.max())))
 
     # ------------------------------------------------------------- macro layer
 
@@ -323,19 +291,20 @@ class HQCOperator:
             return 0.5 * float(np.einsum("t,tij,tij->", self.mesh.volumes, grads, P))
         e = np.empty(self.mesh.n_elements)
         for t, dom in enumerate(self.domains):
-            chi, _, _ = self.element_chi(t, grads[t])
+            chi = self.element_chi(t, grads[t])
             e[t] = self.systems[dom.signature].energy(chi, grads[t])
         return float(self.mesh.volumes @ e)
 
     def gradient(self, uh: P1Field) -> np.ndarray:
-        """Nodal residual of the macro energy (sensitivity-free stress form)."""
+        """Nodal residual of the macro energy (sensitivity-free stress form);
+        stores the element correctors as the next warm starts."""
         grads = all_element_gradients(uh)
         if self.is_quadratic:
             P = np.einsum("tijkl,tkl->tij", self._element_tensors(), grads)
         else:
             P = np.empty_like(grads)
             for t, dom in enumerate(self.domains):
-                chi, _, _ = self.element_chi(t, grads[t])
+                self.warm_chi[t] = chi = self.element_chi(t, grads[t])
                 P[t] = self.systems[dom.signature].stress(chi, grads[t])
         return nodal_forces(self.mesh, P)
 
@@ -348,13 +317,9 @@ class HQCOperator:
         for t, dom in enumerate(self.domains):
             system = self.systems[dom.signature]
             F = grads[t]
-            if not self.relax:
-                chi = np.zeros((system.n_sites, d))
-                out[t] = condensed_tangent(system, chi, F, None)
-            else:
-                chi, _, _ = self.element_chi(t, F)
-                sens = micro_sensitivity(system, chi, F)
-                out[t] = condensed_tangent(system, chi, F, sens)
+            chi = self.element_chi(t, F)
+            sens = micro_sensitivity(system, chi, F) if self.relax else None
+            out[t] = condensed_tangent(system, chi, F, sens)
         return out
 
     def hessian(self, uh: P1Field) -> sp.csr_matrix:
@@ -395,47 +360,39 @@ class HQCOperator:
         max_outer: int = 50,
     ) -> "HQCSolution":
         """Outer Newton on the macro residual; micro states warm-start across
-        iterations.  The final macro field is projected to zero mean."""
+        iterations.  The final macro field is projected to zero mean.
+
+        Converges once the Euclidean norm of the nodal residual is at most
+        ``tol * (1 + ||load||)``; ``newton`` measures the vertex-averaged norm,
+        so the threshold is divided by sqrt(n_vertices).
+        """
         mesh = self.mesh
-        d = mesh.d
-        u = np.zeros((mesh.n_vertices, d)) if u0 is None else np.array(u0.values, dtype=float)
-        b = np.zeros_like(u) if load is None else np.asarray(load, dtype=float)
-        ref = float(np.linalg.norm(b))
-        res = np.inf
-        outer_iterations = 0
-        for it in range(max_outer + 1):
-            uh = P1Field(mesh, u)
+        u0 = np.zeros((mesh.n_vertices, mesh.d)) if u0 is None else u0.values
+        b = np.zeros_like(u0) if load is None else np.asarray(load, dtype=float)
+
+        def energy(u):
+            return self.energy(P1Field(mesh, u)) - float(np.sum(b * u))
+
+        def gradient(u):
             # the macro equation lives on zero-mean test functions: drop the
             # constant component of the assembled residual (the load's sampling
             # averages need not vanish domain by domain)
-            g = project_zero_mean_array(self.gradient(uh) - b)
-            res = float(np.linalg.norm(g))
-            if res <= tol * (1.0 + ref):
-                outer_iterations = it
-                break
-            if it == max_outer:
-                raise HQCError(f"macro Newton did not converge (residual {res:.3e})")
-            H = self.hessian(uh)
-            op = GaugeFixedOperator(H, d)
-            step = op.solve(-g)
-            lam = 1.0
-            base = self.energy(uh) - float(np.sum(b * u))
-            while lam > 2.0**-30:
-                trial_u = project_zero_mean_array(u + lam * step)
-                trial = self.energy(P1Field(mesh, trial_u)) - float(np.sum(b * trial_u))
-                if trial <= base + 1e-14 * (1 + abs(base)):
-                    break
-                lam *= 0.5
-            else:
-                raise HQCError("macro line search failed")
-            u = project_zero_mean_array(u + lam * step)
-        uh = p1_zero_mean(P1Field(mesh, u))
-        return HQCSolution(macro=uh, operator=self, residual=res, iterations=outer_iterations)
+            return project_zero_mean_array(self.gradient(P1Field(mesh, u)) - b)
+
+        threshold = tol * (1.0 + float(np.linalg.norm(b))) / np.sqrt(mesh.n_vertices)
+        result = newton(energy, gradient, lambda u: self.hessian(P1Field(mesh, u)),
+                        u0, mesh.d, threshold, max_outer)
+        return HQCSolution(macro=p1_zero_mean(P1Field(mesh, result.w)), operator=self,
+                           residual=result.residual, iterations=result.iterations)
 
 
 @dataclass
 class HQCSolution:
-    """Converged macro field; micro states materialize on first access."""
+    """Converged macro field; micro states materialize on first access.
+
+    ``residual`` is the site-averaged norm sqrt(<|g|^2>) of the projected macro
+    residual g over the mesh vertices, as measured by ``network.newton``.
+    """
 
     macro: P1Field
     operator: HQCOperator
@@ -516,8 +473,10 @@ def reconstruct(solution: HQCSolution) -> LatticeField:
         mask = owners == t
         if not mask.any():
             continue
-        st = solution.micro[t]
-        dom = st.domain
+        # only the corrector: micro states would also evaluate a residual per
+        # element, on every macro step of a dynamics run
+        dom = op.domains[t]
+        chi = op.element_chi(t, grads[t])
         x0 = mesh.el_coords[t, 0]
         u0 = solution.macro.values[mesh.elements[t, 0]]
         rel = np.mod(pos[mask] - x0, 1.0)
@@ -527,7 +486,7 @@ def reconstruct(solution: HQCSolution) -> LatticeField:
         for j in range(lat.d):
             flat = flat * dom.torus.cells_per_dim + tc[:, j]
         torus_sites = flat * lat.m + species[mask]
-        out[mask] = lin + lat.eps_float * st.chi[torus_sites]
+        out[mask] = lin + lat.eps_float * chi[torus_sites]
     result = LatticeField(lat, out)
     solution.reconstructed = result
     return result

@@ -153,19 +153,6 @@ class LatticeField:
     def copy(self) -> "LatticeField":
         return LatticeField(self.lattice, self.values.copy())
 
-    def __add__(self, other: "LatticeField") -> "LatticeField":
-        _check_same_domain(self, other)
-        return LatticeField(self.lattice, self.values + other.values)
-
-    def __sub__(self, other: "LatticeField") -> "LatticeField":
-        _check_same_domain(self, other)
-        return LatticeField(self.lattice, self.values - other.values)
-
-    def __mul__(self, scalar: float) -> "LatticeField":
-        return LatticeField(self.lattice, self.values * scalar)
-
-    __rmul__ = __mul__
-
 
 def zeros_field(lattice: Multilattice) -> LatticeField:
     return LatticeField(lattice, np.zeros((lattice.n_sites, lattice.d)))

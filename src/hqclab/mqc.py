@@ -22,12 +22,13 @@ from .fem import MacroMesh, P0Field, P1Field, all_element_gradients
 from .homog import HomogenizedDensity
 from .hqc import HQCOperator
 from .lattice import Multilattice
+from .network import SolverError
 from .potential import InteractionModel, PotentialError
 
 SHIFT_TOL = 1e-12
 
 
-class ShiftSolveError(RuntimeError):
+class ShiftSolveError(SolverError):
     pass
 
 

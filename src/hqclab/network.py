@@ -1,4 +1,4 @@
-"""Shared engine: periodic bond networks, their derivatives, and Newton solves.
+"""Shared engine: periodic bond networks, their derivatives, and the Newton driver.
 
 Every equilibrium problem in the package reduces to the same shape: a torus of
 sites, a list of bonds (src, dst, offset vector r, bond law), and an energy
@@ -16,6 +16,9 @@ Gradients and Hessians are returned as Riesz representers with respect to the
 site-averaged inner product <u, v> = (1/n) sum u(x).v(x), so that the gradient
 of a translation-invariant energy has exactly zero mean and the Hessian carries
 the constant fields in its kernel.
+
+``newton`` solves every such problem, and also the macro problems of the HQC
+and homogenized-FEM solvers, whose nodal fields are zero-mean in the same way.
 """
 
 from __future__ import annotations
@@ -249,7 +252,41 @@ class NewtonResult:
     w: np.ndarray
     residual: float
     iterations: int
-    converged: bool
+
+
+def newton(energy, gradient, hessian, w0: np.ndarray, d: int, threshold: float,
+           max_iter: int = 50) -> NewtonResult:
+    """Zero-mean Newton iteration: the one nonlinear solver of the package.
+
+    ``energy``, ``gradient`` and ``hessian`` map an (n, d) field to the
+    objective, its Riesz gradient and its sparse Hessian.  Iterates stay zero
+    mean, and convergence is declared once avg_norm(gradient) <= ``threshold``.
+    Each gauge-fixed Newton step is halved until the objective does not rise;
+    a trial that raises PotentialError counts as a rise.
+    """
+    w = project_zero_mean_array(np.array(w0, dtype=float))
+    for it in range(max_iter + 1):
+        g = gradient(w)
+        res = avg_norm(g)
+        if res <= threshold:
+            return NewtonResult(w, res, it)
+        if it == max_iter:
+            break
+        step = GaugeFixedOperator(hessian(w), d).solve(-g)
+        lam = 1.0
+        base = energy(w)
+        while lam > 2.0**-30:
+            try:
+                trial = energy(project_zero_mean_array(w + lam * step))
+            except PotentialError:
+                trial = np.inf
+            if trial <= base + 1e-14 * (1 + abs(base)):
+                break
+            lam *= 0.5
+        else:
+            raise SolverError("line search failed (bond collapse or ascent direction)")
+        w = project_zero_mean_array(w + lam * step)
+    raise SolverError(f"Newton did not converge: residual {res:.3e} after {max_iter} iterations")
 
 
 def newton_zero_mean(
@@ -260,54 +297,25 @@ def newton_zero_mean(
     tol: float = 1e-12,
     ref: float = 0.0,
     max_iter: int = 50,
-    require_convergence: bool = True,
 ) -> NewtonResult:
-    """Find the zero-mean critical point of E(w; F) - <f_ext, w>.
+    """Find the zero-mean critical point of E(w; F) - <f_ext, w> with ``newton``.
 
     The residual is measured as sqrt(<|gradient|^2>) and convergence is
-    declared at ``tol * (1 + ref)``.  Full Newton steps with halving line
-    search on the objective; quadratic energies converge in one iteration.
+    declared at ``tol * (1 + ref)``; quadratic energies converge in one
+    iteration.
     """
-    n, d = system.n_sites, system.d
-    w = np.zeros((n, d)) if w0 is None else project_zero_mean_array(np.array(w0, dtype=float))
-    if n * d <= d:  # zero-mean space is trivial
-        g = system.gradient(w, F) - (f_ext if f_ext is not None else 0.0)
-        return NewtonResult(w, avg_norm(g), 0, True)
 
-    def objective(x):
-        e = system.energy(x, F)
+    def energy(w):
+        e = system.energy(w, F)
         if f_ext is not None:
-            e -= float(np.mean(np.sum(f_ext * x, axis=1)))
+            e -= float(np.mean(np.sum(f_ext * w, axis=1)))
         return e
 
-    threshold = tol * (1.0 + ref)
-    res = np.inf
-    for it in range(max_iter + 1):
+    def gradient(w):
         g = system.gradient(w, F)
-        if f_ext is not None:
-            g = g - f_ext
-        res = avg_norm(g)
-        if res <= threshold:
-            return NewtonResult(w, res, it, True)
-        if it == max_iter:
-            break
-        op = GaugeFixedOperator(system.hessian(w, F), d)
-        step = op.solve(-g)
-        lam = 1.0
-        base = objective(w)
-        while lam > 2.0**-30:
-            try:
-                trial = objective(project_zero_mean_array(w + lam * step))
-            except PotentialError:
-                trial = np.inf
-            if trial <= base + 1e-14 * (1 + abs(base)):
-                break
-            lam *= 0.5
-        else:
-            raise SolverError("line search failed (bond collapse or ascent direction)")
-        w = project_zero_mean_array(w + lam * step)
-    if require_convergence:
-        raise SolverError(f"Newton did not converge: residual {res:.3e} after {max_iter} iterations")
-    return NewtonResult(w, res, max_iter, False)
+        return g if f_ext is None else g - f_ext
 
-
+    if w0 is None:
+        w0 = np.zeros((system.n_sites, system.d))
+    return newton(energy, gradient, lambda w: system.hessian(w, F), w0, system.d,
+                  tol * (1.0 + ref), max_iter)

@@ -134,3 +134,16 @@ def test_failed_rows_name_their_cause(tmp_path, monkeypatch):
     rows = out.read_text().strip().splitlines()[1:]
     assert len(rows) == 2
     assert all(row.endswith(",failed:SolverError") for row in rows)
+
+
+def test_bug_in_equivalence_row_propagates(monkeypatch):
+    # only solver-family errors become failed rows; a programming error surfaces
+    from hqclab import mqc
+
+    def broken(*args, **kwargs):
+        raise TypeError("bug")
+
+    monkeypatch.setattr(mqc, "equivalence_report", broken)
+    cfg = {"trials_spring": "1", "trials_lj": "0", "trials_simple": "0"}
+    with pytest.raises(TypeError, match="bug"):
+        run_equivalence(cfg)
