@@ -12,7 +12,8 @@ The element energy density, its stress, and the condensed tangent then feed a
 standard P1 assembly.  Quadratic models shortcut through per-domain effective
 tensors computed from unit-gradient correctors (cached per model, so every
 mesh on one lattice shares them) and contract them over all elements at once;
-the generic path runs a per element Newton with warm starts.
+the generic path checks the warm-started correctors of all elements in one
+stacked residual evaluation and runs a Newton solve only where it fails.
 """
 
 from __future__ import annotations
@@ -135,14 +136,12 @@ def place_sampling_domains(
     ]
 
 
-@dataclass
-class MicroState:
-    """Micro corrector of one element and its residual sqrt(<|gradient|^2>)."""
+class MicroStates(NamedTuple):
+    """Micro states of all elements of an operator, stacked along the first axis."""
 
-    domain: SamplingDomain
-    F: np.ndarray
-    chi: np.ndarray                     # zero-mean corrector per unit macro length
-    residual: float
+    F: np.ndarray                       # element gradients (n_el, d, d)
+    chi: np.ndarray                     # zero-mean correctors per unit macro length (n_el, n, d)
+    residual: np.ndarray                # sqrt(<|micro gradient|^2>) per element (n_el,)
 
 
 def micro_solve(
@@ -210,9 +209,11 @@ class HQCOperator:
     """Macro energy, gradient, Hessian, and load assembly for the HQC method.
 
     ``relax=False`` freezes the correctors at zero (pure Cauchy-Born closure).
-    Micro solves warm-start from the correctors of the last ``gradient`` call,
-    the only evaluation that stores them, so line-search trials of ``energy``
-    leave no trace.
+    All sampling domains of a placement share one signature and hence one
+    micro ``system``; the correctors of all elements are evaluated as one
+    stack.  Micro solves warm-start from the correctors of the last
+    ``gradient`` call, the only evaluation that stores them, so line-search
+    trials of ``energy`` leave no trace.
     """
 
     def __init__(
@@ -230,27 +231,24 @@ class HQCOperator:
         self.relax = relax
         self.micro_tol = micro_tol
         self.domains = place_sampling_domains(mesh, lattice, n_rep)
-        self.systems: dict[tuple, BondSystem] = {}
-        for dom in self.domains:
-            if dom.signature not in self.systems:
-                self.systems[dom.signature] = compile_system(
-                    dom.torus, model, gap_scale=1.0, parent_cells=dom.parent_cells
-                )
-        ids = {sig: k for k, sig in enumerate(self.systems)}
-        self._sig_index = np.array([ids[dom.signature] for dom in self.domains])
-        self.warm_chi: dict[int, np.ndarray] = {}
+        first = self.domains[0]
+        self.signature = first.signature
+        self.system = compile_system(first.torus, model, gap_scale=1.0,
+                                     parent_cells=first.parent_cells)
+        self.warm_chi: np.ndarray | None = None
         self.is_quadratic = bool(getattr(model, "is_quadratic", False))
+        self._site_map: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     # ------------------------------------------------------------- micro layer
 
-    def _quad_data(self, sig: tuple) -> tuple[np.ndarray | None, np.ndarray]:
+    def _quad_data(self) -> tuple[np.ndarray | None, np.ndarray]:
         """Unit-gradient sensitivities and the effective tensor of a quadratic
         system (Cauchy-Born tensor when correctors are frozen)."""
-        key = (self.lattice.cells_per_dim, sig, self.relax)
+        key = (self.lattice.cells_per_dim, self.signature, self.relax)
         with _EFFECTIVE_LOCK:
             cache = _EFFECTIVE_TENSORS.setdefault(self.model, {})
             if key not in cache:
-                system = self.systems[sig]
+                system = self.system
                 zero = np.zeros((system.n_sites, system.d))
                 sens = micro_sensitivity(system, zero, None) if self.relax else None
                 cache[key] = (sens, condensed_tangent(system, zero, None, sens))
@@ -258,29 +256,34 @@ class HQCOperator:
 
     def _element_tensors(self) -> np.ndarray:
         """Effective tensor of every element of a quadratic model, (n_el, d, d, d, d)."""
-        A = np.stack([self._quad_data(sig)[1] for sig in self.systems])
-        return A[self._sig_index]
+        return np.repeat(self._quad_data()[1][None], self.mesh.n_elements, axis=0)
 
-    def element_chi(self, t: int, F: np.ndarray) -> np.ndarray:
-        """Corrector of element t at gradient F, warm-started from the stored one."""
-        dom = self.domains[t]
-        system = self.systems[dom.signature]
+    def correctors(self, grads: np.ndarray) -> np.ndarray:
+        """Zero-mean correctors of all elements at gradients (n_el, d, d), shape
+        (n_el, n_sites, d).
+
+        Nonlinear models project the warm starts to zero mean and check all of
+        them in one batched residual evaluation against the test ``newton``
+        applies at iteration 0; only elements above it run ``micro_solve``.
+        """
+        system = self.system
+        shape = (len(grads), system.n_sites, system.d)
         if not self.relax:
-            return np.zeros((system.n_sites, system.d))
+            return np.zeros(shape)
         if self.is_quadratic:
-            sens, _ = self._quad_data(dom.signature)
-            return np.einsum("ij,ijnx->nx", F, sens)
-        return micro_solve(system, F, guess=self.warm_chi.get(t), tol=self.micro_tol)
+            return np.einsum("tij,ijnx->tnx", grads, self._quad_data()[0])
+        warm = np.zeros(shape) if self.warm_chi is None else self.warm_chi
+        chi = project_zero_mean_array(warm)
+        residual = avg_norm(system.gradient(chi, grads))
+        threshold = self.micro_tol * (1.0 + np.linalg.norm(grads, axis=(1, 2)))
+        for t in np.flatnonzero(residual > threshold):
+            chi[t] = micro_solve(system, grads[t], guess=warm[t], tol=self.micro_tol)
+        return chi
 
-    def element_states(self, uh: P1Field) -> list[MicroState]:
+    def element_states(self, uh: P1Field) -> MicroStates:
         grads = all_element_gradients(uh)
-        states = []
-        for t, dom in enumerate(self.domains):
-            F = grads[t]
-            chi = self.element_chi(t, F)
-            res = avg_norm(self.systems[dom.signature].gradient(chi, F))
-            states.append(MicroState(dom, F.copy(), chi, res))
-        return states
+        chi = self.correctors(grads)
+        return MicroStates(grads, chi, avg_norm(self.system.gradient(chi, grads)))
 
     # ------------------------------------------------------------- macro layer
 
@@ -289,11 +292,7 @@ class HQCOperator:
         if self.is_quadratic:
             P = np.einsum("tijkl,tkl->tij", self._element_tensors(), grads)
             return 0.5 * float(np.einsum("t,tij,tij->", self.mesh.volumes, grads, P))
-        e = np.empty(self.mesh.n_elements)
-        for t, dom in enumerate(self.domains):
-            chi = self.element_chi(t, grads[t])
-            e[t] = self.systems[dom.signature].energy(chi, grads[t])
-        return float(self.mesh.volumes @ e)
+        return float(self.mesh.volumes @ self.system.energy(self.correctors(grads), grads))
 
     def gradient(self, uh: P1Field) -> np.ndarray:
         """Nodal residual of the macro energy (sensitivity-free stress form);
@@ -302,25 +301,37 @@ class HQCOperator:
         if self.is_quadratic:
             P = np.einsum("tijkl,tkl->tij", self._element_tensors(), grads)
         else:
-            P = np.empty_like(grads)
-            for t, dom in enumerate(self.domains):
-                self.warm_chi[t] = chi = self.element_chi(t, grads[t])
-                P[t] = self.systems[dom.signature].stress(chi, grads[t])
+            self.warm_chi = chi = self.correctors(grads)
+            P = self.system.stress(chi, grads)
         return nodal_forces(self.mesh, P)
 
     def element_tangents(self, uh: P1Field) -> np.ndarray:
         if self.is_quadratic:
             return self._element_tensors()
         grads = all_element_gradients(uh)
+        chi = self.correctors(grads)
+        system = self.system
         d = self.mesh.d
         out = np.zeros((self.mesh.n_elements, d, d, d, d))
-        for t, dom in enumerate(self.domains):
-            system = self.systems[dom.signature]
-            F = grads[t]
-            chi = self.element_chi(t, F)
-            sens = micro_sensitivity(system, chi, F) if self.relax else None
-            out[t] = condensed_tangent(system, chi, F, sens)
+        for t, F in enumerate(grads):
+            sens = micro_sensitivity(system, chi[t], F) if self.relax else None
+            out[t] = condensed_tangent(system, chi[t], F, sens)
         return out
+
+    def site_map(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per lattice site: owner element, offset from the owner's first
+        vertex, and site of the owner's sampling torus (computed once)."""
+        if self._site_map is None:
+            lat, mesh = self.lattice, self.mesh
+            pos = lat.site_positions()
+            owner = owner_elements(mesh, pos)
+            rel = np.mod(pos - mesh.el_coords[owner, 0], 1.0)
+            anchors = np.array([dom.anchor for dom in self.domains], dtype=int)
+            n_torus = self.domains[0].torus.cells_per_dim
+            cells = np.mod(lat.site_cells() - anchors[owner], n_torus)
+            flat = np.ravel_multi_index(tuple(cells.T), (n_torus,) * lat.d)
+            self._site_map = (owner, rel, flat * lat.m + lat.site_species())
+        return self._site_map
 
     def hessian(self, uh: P1Field) -> sp.csr_matrix:
         return assemble(self.mesh, self.element_tangents(uh))
@@ -399,13 +410,12 @@ class HQCSolution:
     residual: float
     iterations: int = 0
     reconstructed: LatticeField | None = None
-    _micro: dict[int, MicroState] | None = None
+    _micro: MicroStates | None = None
 
     @property
-    def micro(self) -> dict[int, MicroState]:
+    def micro(self) -> MicroStates:
         if self._micro is None:
-            states = self.operator.element_states(self.macro)
-            self._micro = {st.domain.element: st for st in states}
+            self._micro = self.operator.element_states(self.macro)
         return self._micro
 
 
@@ -458,36 +468,17 @@ def _containing_elements(mesh: MacroMesh, point: np.ndarray) -> list[int]:
 
 
 def reconstruct(solution: HQCSolution) -> LatticeField:
-    """Lattice-resolution field u^{h,c}: per element, the affine part plus the
-    periodic tiling of the element's corrector over its interior sites."""
+    """Lattice-resolution field u^{h,c}: at every site, the affine part of its
+    owner element plus the periodic tiling of that element's corrector."""
     op = solution.operator
-    lat = op.lattice
-    mesh = op.mesh
-    pos = lat.site_positions()
-    owners = owner_elements(mesh, pos)
-    cells = lat.site_cells()
-    species = lat.site_species()
-    out = np.empty((lat.n_sites, lat.d))
+    owner, rel, torus_site = op.site_map()
     grads = all_element_gradients(solution.macro)
-    for t in range(mesh.n_elements):
-        mask = owners == t
-        if not mask.any():
-            continue
-        # only the corrector: micro states would also evaluate a residual per
-        # element, on every macro step of a dynamics run
-        dom = op.domains[t]
-        chi = op.element_chi(t, grads[t])
-        x0 = mesh.el_coords[t, 0]
-        u0 = solution.macro.values[mesh.elements[t, 0]]
-        rel = np.mod(pos[mask] - x0, 1.0)
-        lin = u0[None, :] + rel @ grads[t].T
-        tc = np.mod(cells[mask] - np.asarray(dom.anchor, dtype=int), dom.torus.cells_per_dim)
-        flat = np.zeros(tc.shape[0], dtype=np.int64)
-        for j in range(lat.d):
-            flat = flat * dom.torus.cells_per_dim + tc[:, j]
-        torus_sites = flat * lat.m + species[mask]
-        out[mask] = lin + lat.eps_float * chi[torus_sites]
-    result = LatticeField(lat, out)
+    # only the correctors: micro states would also evaluate residuals, on
+    # every macro step of a dynamics run
+    chi = op.correctors(grads)
+    u0 = solution.macro.values[op.mesh.elements[owner, 0]]
+    lin = u0 + (grads[owner] @ rel[:, :, None])[:, :, 0]
+    result = LatticeField(op.lattice, lin + op.lattice.eps_float * chi[owner, torus_site])
     solution.reconstructed = result
     return result
 

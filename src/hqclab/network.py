@@ -41,7 +41,13 @@ class SolverError(RuntimeError):
 
 
 class BondSystem:
-    """Compiled bond list of an interaction model on a periodic site torus."""
+    """Compiled bond list of an interaction model on a periodic site torus.
+
+    ``law`` holds the per-bond parameters of every bond, so each evaluation is
+    one law call.  ``gaps``, ``energy``, ``bond_forces``, ``gradient`` and
+    ``stress`` also take a stack of fields w (T, n_sites, d) with gradients
+    F (T, d, d) and return one result per stack entry.
+    """
 
     def __init__(
         self,
@@ -50,8 +56,7 @@ class BondSystem:
         src: np.ndarray,
         dst: np.ndarray,
         rvec: np.ndarray,
-        laws: list,
-        law_slices: list[slice],
+        law,
         gap_scale: float = 1.0,
     ) -> None:
         self.n_sites = n_sites
@@ -59,51 +64,49 @@ class BondSystem:
         self.src = src
         self.dst = dst
         self.rvec = rvec
-        self.laws = laws
-        self.law_slices = law_slices
+        self.law = law
         self.gap_scale = float(gap_scale)
         self.n_dof = n_sites * d
+        self.incidence = incidence_matrix(n_sites, src, dst)
 
     # ------------------------------------------------------------- evaluation
 
     def gaps(self, w: np.ndarray, F: np.ndarray | None = None) -> np.ndarray:
-        g = (w[self.dst] - w[self.src]) / self.gap_scale
+        # np.take keeps stacked gaps C-contiguous, so the per-entry bond sums
+        # downstream round exactly like those of a single field
+        g = (np.take(w, self.dst, axis=-2) - np.take(w, self.src, axis=-2)) / self.gap_scale
         if F is not None:
-            g = g + self.rvec @ np.atleast_2d(F).T
+            g = g + self.rvec @ np.swapaxes(np.atleast_2d(F), -1, -2)
         return g
 
-    def _per_bond(self, fn: str, w: np.ndarray, F: np.ndarray | None):
-        g = self.gaps(w, F)
-        parts = []
-        for law, sl in zip(self.laws, self.law_slices):
-            parts.append(getattr(law, fn)(g[sl], self.rvec[sl]))
-        return np.concatenate(parts, axis=0)
-
-    def energy(self, w: np.ndarray, F: np.ndarray | None = None) -> float:
-        return float(self._per_bond("energy", w, F).sum() / self.n_sites)
+    def energy(self, w: np.ndarray, F: np.ndarray | None = None):
+        """Energy per site: a float, or one per stack entry."""
+        e = self.law.energy(self.gaps(w, F), self.rvec).sum(axis=-1) / self.n_sites
+        return float(e) if np.ndim(e) == 0 else e
 
     def bond_forces(self, w: np.ndarray, F: np.ndarray | None = None) -> np.ndarray:
-        """phi'_b per bond, shape (n_bonds, d)."""
-        return self._per_bond("grad", w, F)
+        """phi'_b per bond, shape (..., n_bonds, d)."""
+        return self.law.grad(self.gaps(w, F), self.rvec)
 
     def bond_stiffness(self, w: np.ndarray, F: np.ndarray | None = None) -> np.ndarray:
-        """phi''_b per bond, shape (n_bonds, d, d)."""
-        return self._per_bond("hess", w, F)
+        """phi''_b per bond, shape (..., n_bonds, d, d)."""
+        return self.law.hess(self.gaps(w, F), self.rvec)
 
     def _scatter(self, per_bond: np.ndarray) -> np.ndarray:
         """Riesz gradient from per-bond forces: +phi' at dst, -phi' at src, / gap_scale."""
-        out = np.zeros((self.n_sites, self.d))
-        np.add.at(out, self.dst, per_bond)
-        np.subtract.at(out, self.src, per_bond)
-        return out / self.gap_scale
+        nb, d = per_bond.shape[-2:]
+        lead = per_bond.shape[:-2]
+        flat = np.moveaxis(per_bond, -2, 0).reshape(nb, -1)
+        out = (self.incidence @ flat).reshape((self.n_sites,) + lead + (d,))
+        return np.moveaxis(out, 0, -2) / self.gap_scale
 
     def gradient(self, w: np.ndarray, F: np.ndarray | None = None) -> np.ndarray:
         return self._scatter(self.bond_forces(w, F))
 
     def stress(self, w: np.ndarray, F: np.ndarray | None = None) -> np.ndarray:
-        """Averaged first Piola-type stress < sum_r phi'_r r^T >, a d x d matrix."""
+        """Averaged first Piola-type stress < sum_r phi'_r r^T >, shape (..., d, d)."""
         forces = self.bond_forces(w, F)
-        return forces.T @ self.rvec / self.n_sites
+        return np.swapaxes(forces, -1, -2) @ self.rvec / self.n_sites
 
     def affine_force(self, w: np.ndarray, F: np.ndarray | None, G: np.ndarray) -> np.ndarray:
         """Riesz representer of v -> < sum_r phi''_r (G r), D_r v >.
@@ -140,6 +143,23 @@ class BondSystem:
         return H.tocsr()
 
 
+def incidence_matrix(n_sites: int, src: np.ndarray, dst: np.ndarray) -> sp.csr_matrix:
+    """Sites x bonds matrix D with +1 at (dst_b, b) and -1 at (src_b, b).
+
+    Each row holds its dst entries in bond order, then its src entries: the
+    order in which ``np.add.at(out, dst, f); np.subtract.at(out, src, f)``
+    accumulates.  The entries stay in that order (never canonicalized), so
+    ``D @ f`` rounds exactly like those two calls.
+    """
+    nb = len(src)
+    rows = np.concatenate([dst, src])
+    order = np.argsort(rows, kind="stable")
+    cols = np.concatenate([np.arange(nb), np.arange(nb)])[order]
+    data = np.concatenate([np.ones(nb), -np.ones(nb)])[order]
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n_sites))])
+    return sp.csr_matrix((data, cols, indptr), shape=(n_sites, nb))
+
+
 def compile_system(lattice: Multilattice, model: InteractionModel, gap_scale: float,
                    parent_cells: np.ndarray | None = None) -> BondSystem:
     """Build the bond list of ``model`` on ``lattice``.
@@ -150,8 +170,7 @@ def compile_system(lattice: Multilattice, model: InteractionModel, gap_scale: fl
     """
     if model.d != lattice.d or model.m != lattice.m:
         raise PotentialError("model and lattice are incompatible")
-    src_parts, dst_parts, r_parts, laws, slices = [], [], [], [], []
-    start = 0
+    src_parts, dst_parts, r_parts, laws, counts = [], [], [], [], []
     cells = parent_cells if parent_cells is not None else np.arange(lattice.n_cells)
     for alpha in range(lattice.m):
         for spec in model.bond_specs(alpha, cells):
@@ -162,16 +181,14 @@ def compile_system(lattice: Multilattice, model: InteractionModel, gap_scale: fl
             dst_parts.append(dst)
             r_parts.append(np.tile(spec.offset.r_float, (nb, 1)))
             laws.append(spec.law)
-            slices.append(slice(start, start + nb))
-            start += nb
+            counts.append(nb)
     return BondSystem(
         n_sites=lattice.n_sites,
         d=lattice.d,
         src=np.concatenate(src_parts),
         dst=np.concatenate(dst_parts),
         rvec=np.concatenate(r_parts, axis=0),
-        laws=laws,
-        law_slices=slices,
+        law=type(laws[0]).stack(laws, counts),
         gap_scale=gap_scale,
     )
 
@@ -179,13 +196,15 @@ def compile_system(lattice: Multilattice, model: InteractionModel, gap_scale: fl
 # ------------------------------------------------------------- linear algebra
 
 
-def avg_norm(v: np.ndarray) -> float:
-    """Discrete L2 norm sqrt(<|v|^2>) over sites."""
-    return float(np.sqrt(np.mean(np.sum(np.atleast_2d(v) ** 2, axis=-1))))
+def avg_norm(v: np.ndarray):
+    """Discrete L2 norm sqrt(<|v|^2>) over sites: a float, or one per stack entry."""
+    out = np.sqrt(np.mean(np.sum(np.atleast_2d(v) ** 2, axis=-1), axis=-1))
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def project_zero_mean_array(w: np.ndarray) -> np.ndarray:
-    return w - w.mean(axis=0)[None, :]
+    """Subtract the site mean (of each stack entry)."""
+    return w - w.mean(axis=-2, keepdims=True)
 
 
 class GaugeFixedOperator:

@@ -35,6 +35,21 @@ class PotentialError(ValueError):
 
 
 # ------------------------------------------------------------------- bond laws
+#
+# A law evaluates gaps of shape (..., n_bonds, d) against bond vectors
+# (n_bonds, d); its parameters are scalars or per-bond arrays (n_bonds,) that
+# broadcast over any leading axes.
+#
+# ``Law.stack(laws, counts)`` merges laws of one class into a single law in
+# which law k applies to the next counts[k] bonds.  Every per-bond value equals
+# that of the law it came from, so a system evaluates all its bonds in one call
+# instead of one call per bond class.
+
+
+def _per_bond(laws: Sequence, counts: Sequence[int], name: str) -> np.ndarray:
+    """Parameter ``name`` of law k repeated over its counts[k] bonds, concatenated."""
+    return np.concatenate([np.broadcast_to(getattr(law, name), (n,))
+                           for law, n in zip(laws, counts)])
 
 
 class SpringLaw:
@@ -44,6 +59,10 @@ class SpringLaw:
 
     def __init__(self, psi: np.ndarray) -> None:
         self.psi = np.asarray(psi, dtype=float)
+
+    @classmethod
+    def stack(cls, laws: Sequence["SpringLaw"], counts: Sequence[int]) -> "SpringLaw":
+        return cls(_per_bond(laws, counts, "psi"))
 
     def energy(self, gaps: np.ndarray, rvec: np.ndarray) -> np.ndarray:
         return 0.5 * self.psi * np.sum(gaps**2, axis=-1)
@@ -72,6 +91,15 @@ class LennardJonesLaw:
         self.s = np.asarray(s, dtype=float)
         self.ell = np.asarray(ell, dtype=float)
         self.scale = float(scale)
+        self.l6 = self.ell**6
+        self.l12 = self.l6**2
+
+    @classmethod
+    def stack(cls, laws: Sequence["LennardJonesLaw"], counts: Sequence[int]) -> "LennardJonesLaw":
+        scales = {law.scale for law in laws}
+        if len(scales) != 1:
+            raise PotentialError("stacked LJ laws must share one length scale")
+        return cls(_per_bond(laws, counts, "s"), _per_bond(laws, counts, "ell"), scales.pop())
 
     def _bond_vectors(self, gaps: np.ndarray, rvec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         vec = self.scale * (rvec + gaps)
@@ -85,22 +113,21 @@ class LennardJonesLaw:
         q = self.ell / b
         return self.s * (-2.0 * q**6 + q**12)
 
-    def _phi_derivs(self, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        l6 = self.ell**6
-        l12 = l6**2
-        dphi = 12.0 * self.s * (l6 * b**-7 - l12 * b**-13)
-        d2phi = self.s * (-84.0 * l6 * b**-8 + 156.0 * l12 * b**-14)
-        return dphi, d2phi
+    def _dphi(self, b: np.ndarray) -> np.ndarray:
+        return 12.0 * self.s * (self.l6 * b**-7 - self.l12 * b**-13)
+
+    def _d2phi(self, b: np.ndarray) -> np.ndarray:
+        return self.s * (-84.0 * self.l6 * b**-8 + 156.0 * self.l12 * b**-14)
 
     def grad(self, gaps: np.ndarray, rvec: np.ndarray) -> np.ndarray:
         vec, b = self._bond_vectors(gaps, rvec)
-        dphi, _ = self._phi_derivs(b)
+        dphi = self._dphi(b)
         # d/dg phi(|scale*(r+g)|) = phi'(b) * scale * n,  n the unit bond vector
         return (dphi * self.scale / b)[..., None] * vec
 
     def hess(self, gaps: np.ndarray, rvec: np.ndarray) -> np.ndarray:
         vec, b = self._bond_vectors(gaps, rvec)
-        dphi, d2phi = self._phi_derivs(b)
+        dphi, d2phi = self._dphi(b), self._d2phi(b)
         n = vec / b[..., None]
         d = gaps.shape[-1]
         eye = np.eye(d)

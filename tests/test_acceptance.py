@@ -177,7 +177,7 @@ def test_acceptance_6_derivative_consistency():
     # micro-sensitivity directional check
     from hqclab.network import newton_zero_mean
 
-    system = op.systems[("period",)]
+    system = op.system
     F = np.array([[0.015]])
     chi = newton_zero_mean(system, F=F, tol=1e-14, ref=1.0).w
     sens = hqc.micro_sensitivity(system, chi, F)

@@ -41,12 +41,12 @@ def gradient_full(op, uh):
     states = op.element_states(uh)
     mesh = op.mesh
     d = mesh.d
+    system = op.system
     out = np.zeros((mesh.n_vertices, d))
-    for t, dom in enumerate(op.domains):
-        system = op.systems[dom.signature]
-        st = states[t]
-        sens = micro_sensitivity(system, st.chi, grads[t])
-        forces = system.bond_forces(st.chi, grads[t])  # (nb, d)
+    for t in range(mesh.n_elements):
+        chi = states.chi[t]
+        sens = micro_sensitivity(system, chi, grads[t])
+        forces = system.bond_forces(chi, grads[t])  # (nb, d)
         gb = mesh.grad_basis(t)
         nodes = mesh.elements[t]
         for l in range(d + 1):
@@ -148,11 +148,11 @@ def test_micro_matches_cell_problem():
         uh = random_uh(mesh, scale, seed=1)
         op = HQCOperator(model, lat, mesh)
         states = op.element_states(uh)
-        for st in states:
-            chi_cell = solve_cell_problem(CellProblem(model, st.F))
-            assert np.max(np.abs(st.chi - chi_cell)) < 1e-12 * (1 + np.linalg.norm(st.F))
-            assert np.abs(st.chi.mean(axis=0)).max() < 1e-12
-            assert st.residual <= 1e-12 * (1 + np.linalg.norm(st.F))
+        for F, chi, residual in zip(*states):
+            chi_cell = solve_cell_problem(CellProblem(model, F))
+            assert np.max(np.abs(chi - chi_cell)) < 1e-12 * (1 + np.linalg.norm(F))
+            assert np.abs(chi.mean(axis=0)).max() < 1e-12
+            assert residual <= 1e-12 * (1 + np.linalg.norm(F))
 
 
 def test_micro_simple_lattice_trivial():
@@ -161,8 +161,7 @@ def test_micro_simple_lattice_trivial():
     mesh = build_mesh(1, 4)
     op = HQCOperator(model, lat, mesh)
     states = op.element_states(random_uh(mesh, 0.5, seed=2))
-    for st in states:
-        assert np.allclose(st.chi, 0.0)
+    assert np.allclose(states.chi, 0.0)
 
 
 def test_micro_sensitivity_directional_difference():
@@ -174,7 +173,7 @@ def test_micro_sensitivity_directional_difference():
     lat = chain_lattice(Fraction(1, 16), 2)
     mesh = build_mesh(1, 2)
     op = HQCOperator(model, lat, mesh)
-    system = op.systems[("period",)]
+    system = op.system
     F = np.array([[0.02]])
     chi = newton_zero_mean(system, F=F, tol=1e-14, ref=1.0).w
     sens = micro_sensitivity(system, chi, F)
@@ -195,8 +194,8 @@ def test_quadratic_sensitivity_equals_micro_solve():
     lat = chain_lattice(Fraction(1, 8), 2)
     mesh = build_mesh(1, 2)
     op = HQCOperator(model, lat, mesh)
-    system = op.systems[("period",)]
-    sens, _ = op._quad_data(("period",))
+    system = op.system
+    sens, _ = op._quad_data()
     direct = newton_zero_mean(system, F=np.array([[1.0]]), tol=1e-14, ref=1.0).w
     assert np.max(np.abs(sens[0, 0] - direct)) < 1e-12
 
@@ -394,12 +393,79 @@ def test_energy_independent_of_call_history():
     uh = random_uh(mesh, 0.03, seed=15)
     op = HQCOperator(model, lat, mesh)
     before = op.energy(uh)
-    chi_before = [st.chi for st in op.element_states(uh)]
+    chi_before = op.element_states(uh).chi
     for seed in (16, 17, 18):
         op.energy(random_uh(mesh, 0.05, seed=seed))
     assert op.energy(uh) == before
-    for st, chi in zip(op.element_states(uh), chi_before):
-        assert np.array_equal(st.chi, chi)
+    assert np.array_equal(op.element_states(uh).chi, chi_before)
+
+
+def newton_springs():
+    """Two-species springs sent through the micro Newton path: a nonzero
+    corrector whose exact values the effective tensors give."""
+    model = LinearSpring1D((1.0, 3.0))
+    model.is_quadratic = False
+    return model
+
+
+def test_nonlinear_micro_path_matches_effective_tensors():
+    lat = chain_lattice(Fraction(1, 32), 2)
+    mesh = build_mesh(1, 8)
+    uh = random_uh(mesh, 0.3, seed=50)
+    newton_op = HQCOperator(newton_springs(), lat, mesh)
+    tensor_op = HQCOperator(LinearSpring1D((1.0, 3.0)), lat, mesh)
+    assert np.max(np.abs(newton_op.element_states(uh).chi)) > 0.01
+
+    def close(a, b):
+        assert np.max(np.abs(np.asarray(a) - b)) <= 1e-12 * np.max(np.abs(b))
+
+    close(newton_op.energy(uh), tensor_op.energy(uh))
+    close(newton_op.gradient(uh), tensor_op.gradient(uh))
+    close(newton_op.element_tangents(uh), tensor_op.element_tangents(uh))
+    from hqclab.hqc import HQCSolution
+
+    recon = [reconstruct(HQCSolution(macro=uh, operator=op, residual=0.0)).values
+             for op in (newton_op, tensor_op)]
+    close(*recon)
+    # per element: affine part plus the tiled corrector (one-cell torus: site = species)
+    from hqclab.fem import affine_extension
+
+    pos = lat.site_positions()
+    owners = owner_elements(mesh, pos)
+    chi = newton_op.element_states(uh).chi
+    for t in range(mesh.n_elements):
+        mask = owners == t
+        expected = affine_extension(uh, t)(pos[mask]) + lat.eps_float * chi[t][lat.site_species()[mask]]
+        close(recon[0][mask], expected)
+
+
+def test_nonlinear_micro_solves_only_changed_elements(monkeypatch):
+    from hqclab import hqc
+
+    calls = []
+    real = hqc.micro_solve
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(hqc, "micro_solve", counting)
+    lat = chain_lattice(Fraction(1, 32), 2)
+    mesh = build_mesh(1, 8)
+    uh = random_uh(mesh, 0.3, seed=51)
+    op = HQCOperator(newton_springs(), lat, mesh)
+    op.gradient(uh)
+    assert len(calls) == mesh.n_elements
+    values = uh.values.copy()
+    values[[2, 5]] += 0.05  # moves the gradients of elements 1, 2, 4 and 5 only
+    uh2 = P1Field(mesh, values)
+    changed = np.any(all_element_gradients(uh2) != all_element_gradients(uh), axis=(1, 2))
+    assert changed.sum() == 4
+    calls.clear()
+    g2 = op.gradient(uh2)
+    assert len(calls) == changed.sum()
+    fresh = HQCOperator(newton_springs(), lat, mesh).gradient(uh2)
+    assert np.max(np.abs(g2 - fresh)) <= 1e-12 * np.max(np.abs(fresh))
 
 
 def test_quadratic_converges_in_one_iteration():
@@ -471,7 +537,7 @@ def test_reconstruct_single_period_element():
         ext = affine_extension(uh, t)
         lin = ext(pos[mask])
         species = lat.site_species()[mask]
-        expected = lin + lat.eps_float * states[t].chi[species]
+        expected = lin + lat.eps_float * states.chi[t][species]
         assert np.max(np.abs(recon.values[mask] - expected)) < 1e-14
 
 
@@ -530,10 +596,10 @@ def test_stability_flag():
     lat = chain_lattice(Fraction(1, 8), 2)
     mesh = build_mesh(1, 2)
     op = HQCOperator(model, lat, mesh)
-    for st in op.element_states(random_uh(mesh, 0.01, seed=20)):
+    for F, chi, _ in zip(*op.element_states(random_uh(mesh, 0.01, seed=20))):
         # constants are in the kernel, so stability on the zero-mean subspace
         # is a nonnegative spectrum overall
-        H = op.systems[st.domain.signature].hessian(st.chi, st.F)
+        H = op.system.hessian(chi, F)
         eigs = np.linalg.eigvalsh(np.asarray(H.todense()))
         assert eigs.min() > -1e-10 * max(1.0, abs(eigs.max()))
 
@@ -582,7 +648,7 @@ def test_micro_solve_collapse_reports():
     lat = chain_lattice(Fraction(1, 8), 2)
     mesh = build_mesh(1, 2)
     op = HQCOperator(model, lat, mesh)
-    system = op.systems[("period",)]
+    system = op.system
     with pytest.raises((SolverError, PotentialError)):
         micro_solve(system, np.array([[-1.0]]))
 
@@ -596,9 +662,9 @@ def test_micro_energy_matches_independent_minimizer():
     model = RandomBond2D(4, seed=7)
     mesh = build_mesh(2, 1)
     op = HQCOperator(model, lat, mesh, n_rep=4)
-    system = op.systems[("full",)]
+    system = op.system
     F = np.array([[0.3, 0.1], [-0.2, 0.4]])
-    chi = op.element_chi(0, F)
+    chi = op.correctors(F[None])[0]
     e_solver = system.energy(chi, F)
 
     n, d = system.n_sites, system.d
@@ -634,12 +700,12 @@ def test_effective_tensors_are_cached_per_model(monkeypatch):
     op2 = HQCOperator(model, lat, build_mesh(1, 8))
     op2.hessian(random_uh(op2.mesh, 0.3, seed=41))
     assert len(calls) == 1
-    sens, A = op._quad_data(("period",))
-    sens2, A2 = op2._quad_data(("period",))
+    sens, A = op._quad_data()
+    sens2, A2 = op2._quad_data()
     assert sens2 is sens and A2 is A
     # relax=False has its own (Cauchy-Born) entry
     frozen = HQCOperator(model, lat, build_mesh(1, 4), relax=False)
-    sens_cb, A_cb = frozen._quad_data(("period",))
+    sens_cb, A_cb = frozen._quad_data()
     assert sens_cb is None and not np.allclose(A_cb, A)
     assert frozen.energy(uh) > e_relaxed
     assert len(calls) == 1
@@ -653,8 +719,8 @@ def test_full_sample_tensors_keyed_by_lattice_size():
     small, large = chain_lattice(Fraction(1, 8), 1), chain_lattice(Fraction(1, 16), 1)
     op_small = HQCOperator(model, small, build_mesh(1, 4), n_rep=8)
     op_large = HQCOperator(model, large, build_mesh(1, 4), n_rep=16)
-    sens_small, A_small = op_small._quad_data(("full",))
-    sens_large, A_large = op_large._quad_data(("full",))
+    sens_small, A_small = op_small._quad_data()
+    sens_large, A_large = op_large._quad_data()
     assert A_small is not A_large
     assert sens_small.shape[2] == 8 and sens_large.shape[2] == 16
 

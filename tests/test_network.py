@@ -1,0 +1,109 @@
+"""The stacked bond kernel: one law per system, incidence scatter, stacked fields."""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from hqclab.lattice import Multilattice, chain_lattice, square_lattice
+from hqclab.network import compile_system
+from hqclab.potential import (
+    LennardJones1D,
+    LennardJonesParams,
+    LinearSpring1D,
+    RandomBond2D,
+    make_dynamics_model,
+)
+
+
+def per_spec_laws(lattice, model, parent_cells=None):
+    """One law per bond class and its bond slice, in compile_system's bond order."""
+    cells = parent_cells if parent_cells is not None else np.arange(lattice.n_cells)
+    laws, slices, start = [], [], 0
+    for alpha in range(lattice.m):
+        nb = len(lattice.species_sites(alpha))
+        for spec in model.bond_specs(alpha, cells):
+            laws.append(spec.law)
+            slices.append(slice(start, start + nb))
+            start += nb
+    return laws, slices
+
+
+def oracle(system, laws, slices, fn, w, F=None):
+    """Per-bond values through one law call per bond class (the former kernel)."""
+    g = system.gaps(w, F)
+    return np.concatenate([getattr(law, fn)(g[sl], system.rvec[sl])
+                           for law, sl in zip(laws, slices)], axis=0)
+
+
+def scatter_oracle(system, per_bond):
+    out = np.zeros((system.n_sites, system.d))
+    np.add.at(out, system.dst, per_bond)
+    np.subtract.at(out, system.src, per_bond)
+    return out / system.gap_scale
+
+
+def three_species_lj():
+    return LennardJones1D(LennardJonesParams(s=(1.0, 0.7, 1.3), ell=(1.0, 0.98, 1.03), cutoff=2.0))
+
+
+def cases():
+    """(name, lattice, model, gap_scale, field scale, F or None)."""
+    lj = make_dynamics_model().model
+    chain = chain_lattice(Fraction(1, 512), 2)
+    return [
+        ("springs", chain_lattice(Fraction(1, 16), 2), LinearSpring1D((1.0, 3.0)), 1 / 16, 0.002, None),
+        ("lj-chain", chain, lj, chain.eps_float, 1e-4, None),
+        ("lj-micro", Multilattice(1, 1, lj.shifts()), lj, 1.0, 0.02, np.array([[0.03]])),
+        ("lj-3", chain_lattice(Fraction(1, 16), 3), three_species_lj(), 1 / 16, 0.001, None),
+        ("lj-3-micro", Multilattice(1, 1, three_species_lj().shifts()), three_species_lj(), 1.0,
+         0.02, np.array([[-0.02]])),
+        ("network", square_lattice(8), RandomBond2D(8, seed=5), 1 / 8, 0.01, None),
+        ("network-strained", square_lattice(8), RandomBond2D(8, seed=6), 1.0, 0.1,
+         np.array([[0.1, -0.05], [0.02, 0.07]])),
+    ]
+
+
+@pytest.mark.parametrize("name, lattice, model, gap_scale, scale, F", cases(),
+                         ids=[c[0] for c in cases()])
+def test_stacked_kernel_bit_identical_to_per_spec_laws(name, lattice, model, gap_scale, scale, F):
+    system = compile_system(lattice, model, gap_scale)
+    laws, slices = per_spec_laws(lattice, model)
+    rng = np.random.default_rng(7)
+    w = scale * rng.standard_normal((lattice.n_sites, lattice.d))
+    e = oracle(system, laws, slices, "energy", w, F)
+    assert system.energy(w, F) == float(e.sum() / system.n_sites)
+    forces = oracle(system, laws, slices, "grad", w, F)
+    assert np.array_equal(system.bond_forces(w, F), forces)
+    assert np.array_equal(system.bond_stiffness(w, F), oracle(system, laws, slices, "hess", w, F))
+    assert np.array_equal(system.gradient(w, F), scatter_oracle(system, forces))
+
+
+@pytest.mark.parametrize("name, lattice, model, gap_scale, scale, F", cases(),
+                         ids=[c[0] for c in cases()])
+def test_stacked_fields_equal_single_evaluations(name, lattice, model, gap_scale, scale, F):
+    system = compile_system(lattice, model, gap_scale)
+    rng = np.random.default_rng(8)
+    T, d = 3, lattice.d
+    W = scale * rng.standard_normal((T, lattice.n_sites, d))
+    Fs = None if F is None else F + 0.01 * rng.standard_normal((T, d, d))
+    single = [(W[t], None if Fs is None else Fs[t]) for t in range(T)]
+    assert np.array_equal(system.gaps(W, Fs), np.stack([system.gaps(*a) for a in single]))
+    assert np.array_equal(system.energy(W, Fs), np.array([system.energy(*a) for a in single]))
+    for fn in ("bond_forces", "gradient", "stress"):
+        batched = getattr(system, fn)(W, Fs)
+        assert np.array_equal(batched, np.stack([getattr(system, fn)(*a) for a in single])), fn
+
+
+def test_incidence_scatter_matches_add_at_bitwise():
+    lat = chain_lattice(Fraction(1, 512), 2)
+    system = compile_system(lat, make_dynamics_model().model, gap_scale=lat.eps_float)
+    assert lat.n_sites == 1024
+    f = np.random.default_rng(9).standard_normal((len(system.src), 1))
+    out = np.zeros((lat.n_sites, 1))
+    np.add.at(out, system.dst, f)
+    np.subtract.at(out, system.src, f)
+    assert np.array_equal(system.incidence @ f, out)
+    # a single-cell torus bonds sites to themselves: both entries are kept
+    cell = compile_system(Multilattice(1, 1, lat.shifts), make_dynamics_model().model, 1.0)
+    assert cell.incidence.nnz == 2 * len(cell.src)

@@ -1,0 +1,83 @@
+"""Property tests of the stacked bond kernel on random models, strains and fields."""
+
+from fractions import Fraction
+
+import numpy as np
+from hypothesis import given, strategies as st
+
+from hqclab.lattice import chain_lattice, square_lattice
+from hqclab.network import compile_system
+from hqclab.potential import LennardJones1D, LennardJonesParams, RandomBond2D
+
+STEP = 1e-6
+
+
+@st.composite
+def lj_systems(draw):
+    """A random LJ chain cell problem on a 4-cell torus under a random strain."""
+    m = draw(st.integers(1, 3))
+    s = tuple(draw(st.lists(st.floats(0.5, 2.0), min_size=m, max_size=m)))
+    ell = tuple(draw(st.lists(st.floats(0.97, 1.03), min_size=m, max_size=m)))
+    cutoff = draw(st.sampled_from([1.0, 1.5, 2.0]))
+    model = LennardJones1D(LennardJonesParams(s=s, ell=ell, cutoff=cutoff))
+    system = compile_system(chain_lattice(Fraction(1, 4), m), model, gap_scale=1.0)
+    F = np.array([[draw(st.floats(-0.04, 0.04))]])
+    return system, F, 0.01
+
+
+@st.composite
+def spring_networks(draw):
+    """A random 2D bond network, strained or not."""
+    n = draw(st.sampled_from([2, 4]))
+    system = compile_system(square_lattice(n), RandomBond2D(n, seed=draw(st.integers(0, 2**16))),
+                            gap_scale=1.0)
+    F = np.array(draw(st.lists(st.floats(-0.2, 0.2), min_size=4, max_size=4))).reshape(2, 2)
+    return system, draw(st.sampled_from([None, F])), 0.1
+
+
+systems = st.one_of(lj_systems(), spring_networks())
+
+
+def random_field(system, scale, seed):
+    return scale * np.random.default_rng(seed).standard_normal((system.n_sites, system.d))
+
+
+def unit(system, k):
+    e = np.zeros(system.n_dof)
+    e[k] = 1.0
+    return e.reshape(system.n_sites, system.d)
+
+
+@given(systems, st.integers(0, 2**16))
+def test_gradient_is_central_difference_of_energy(case, seed):
+    system, F, scale = case
+    w = random_field(system, scale, seed)
+    # Riesz representer with respect to the site average: n_sites * dE/dw
+    fd = np.array([(system.energy(w + STEP * unit(system, k), F)
+                    - system.energy(w - STEP * unit(system, k), F)) / (2 * STEP)
+                   for k in range(system.n_dof)]).reshape(w.shape) * system.n_sites
+    g = system.gradient(w, F)
+    assert np.max(np.abs(fd - g)) <= 1e-6 * (1.0 + np.max(np.abs(g)))
+
+
+@given(systems, st.integers(0, 2**16))
+def test_hessian_is_central_difference_of_gradient(case, seed):
+    system, F, scale = case
+    w = random_field(system, scale, seed)
+    fd = np.stack([((system.gradient(w + STEP * unit(system, k), F)
+                     - system.gradient(w - STEP * unit(system, k), F)) / (2 * STEP)).ravel()
+                   for k in range(system.n_dof)], axis=1)
+    H = system.hessian(w, F).toarray()
+    assert np.max(np.abs(fd - H)) <= 1e-6 * (1.0 + np.max(np.abs(H)))
+
+
+@given(systems, st.integers(0, 2**16), st.floats(-10.0, 10.0))
+def test_stacked_kernel_is_translation_invariant(case, seed, shift):
+    system, F, scale = case
+    W = np.stack([random_field(system, scale, seed), random_field(system, scale, seed + 1)])
+    Fs = None if F is None else np.stack([F, -F])
+    g = system.gradient(W, Fs)
+    assert np.allclose(system.energy(W + shift, Fs), system.energy(W, Fs), rtol=1e-12, atol=1e-12)
+    assert np.allclose(system.gradient(W + shift, Fs), g, rtol=0.0, atol=1e-9 * (1.0 + np.abs(g).max()))
+    # the Riesz gradient of a translation-invariant energy has zero mean
+    assert np.abs(g.sum(axis=1)).max() <= 1e-12 * (1.0 + np.abs(g).max()) * system.n_sites
