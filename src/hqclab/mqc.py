@@ -7,13 +7,15 @@ its neighbor of species a(beta, r) under the macro gradient F is
     F r + q_{a(beta, r)} - q_beta.
 
 The per-element energy density (1/m) sum_beta V_beta(gaps) is made stationary
-in the shifts by a small dense Newton.  A converged shift state and a
+in the shifts by a small dense Newton, run on all elements of a mesh at once
+over the flat bond arrays of a ``ShiftTable``.  A converged shift state and a
 zero-mean cell corrector chi are two gauges of the same microstructure:
 q_alpha = chi(p_alpha) - chi(p_0).
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,107 +28,134 @@ from .network import SolverError
 from .potential import InteractionModel, PotentialError
 
 SHIFT_TOL = 1e-12
+#: the line search gives up once its step factor falls to this value
+MIN_STEP = 2.0**-30
 
 
 class ShiftSolveError(SolverError):
     pass
 
 
-def _species_tables(model: InteractionModel):
-    """Per species: offsets (float vectors) and the target-species indices."""
-    offsets, targets = [], []
-    for beta in range(model.m):
-        specs = model.bond_specs(beta)
-        offsets.append(np.array([s.offset.r_float for s in specs]))
-        targets.append(np.array([s.offset.species_target for s in specs], dtype=int))
-    return offsets, targets
+class ShiftTable:
+    """Every bond of a unit cell as flat arrays, evaluated over a stack of elements.
 
+    ``src``/``dst`` are the source and target species of each bond, ``rvec``
+    its offset (n_bonds, d) and ``law`` one law with per-bond parameters.
+    ``B`` (m-1, n_bonds) is the signed species incidence of the free shifts:
+    +1 at the target species, -1 at the source, and no row for q_0 = 0.
+    Gradients F are (T, d, d) and shifts q (T, m-1, d).
+    """
 
-def _gaps(F, q_full, beta, offsets, targets):
-    return offsets[beta] @ F.T + q_full[targets[beta]] - q_full[beta][None, :]
+    def __init__(self, model: InteractionModel) -> None:
+        bonds = [(beta, spec) for beta in range(model.m) for spec in model.bond_specs(beta)]
+        self.m, self.d = model.m, model.d
+        self.src = np.array([beta for beta, _ in bonds])
+        self.dst = np.array([spec.offset.species_target for _, spec in bonds])
+        self.rvec = np.array([spec.offset.r_float for _, spec in bonds])
+        laws = [spec.law for _, spec in bonds]
+        self.law = type(laws[0]).stack(laws, [1] * len(laws))
+        incidence = np.zeros((self.m, len(bonds)))
+        np.add.at(incidence, (self.dst, np.arange(len(bonds))), 1.0)
+        np.add.at(incidence, (self.src, np.arange(len(bonds))), -1.0)
+        self.B = incidence[1:]
+
+    def gaps(self, F: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """F r + q_dst - q_src per bond, shape (T, n_bonds, d)."""
+        q_full = np.concatenate([np.zeros((len(q), 1, self.d)), q], axis=1)
+        return self.rvec @ np.swapaxes(F, -1, -2) + q_full[:, self.dst] - q_full[:, self.src]
+
+    def energy(self, F: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """Element densities (1/m) sum_bonds phi_b, shape (T,)."""
+        return self.law.energy(self.gaps(F, q), self.rvec).sum(axis=-1) / self.m
+
+    def derivatives(self, F: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Shift gradient (T, m-1, d) and Hessian (T, (m-1)d, (m-1)d) of the densities."""
+        gaps = self.gaps(F, q)
+        grad = self.B @ self.law.grad(gaps, self.rvec) / self.m
+        k = self.law.hess(gaps, self.rvec)
+        nq = (self.m - 1) * self.d
+        hess = np.einsum("ab,cb,tbij->taicj", self.B, self.B, k).reshape(len(q), nq, nq) / self.m
+        return grad, hess
 
 
 def mqc_element_energy(model: InteractionModel, F, shifts: np.ndarray) -> float:
     """Element energy density (1/m) sum_beta V_beta(F r + q_a - q_beta)."""
     d = model.d
-    F = np.asarray(F, dtype=float).reshape(d, d)
-    q_full = np.zeros((model.m, d))
-    if model.m > 1:
-        q_full[1:] = np.asarray(shifts, dtype=float).reshape(model.m - 1, d)
-    offsets, targets = _species_tables(model)
-    total = 0.0
-    for beta in range(model.m):
-        gaps = _gaps(F, q_full, beta, offsets, targets)
-        total += model.site_energy(beta, list(gaps))
-    return total / model.m
+    F = np.asarray(F, dtype=float).reshape(1, d, d)
+    q = np.asarray(shifts, dtype=float).reshape(1, model.m - 1, d)
+    return float(ShiftTable(model).energy(F, q)[0])
 
 
-def _shift_gradient_hessian(model, F, q_full, offsets, targets):
-    """Gradient and Hessian of the element density with respect to q_1..q_{m-1}."""
-    m, d = model.m, model.d
-    nq = (m - 1) * d
-    grad = np.zeros((m, d))
-    hess = np.zeros((m, d, m, d))
-    for beta in range(m):
-        gaps = _gaps(F, q_full, beta, offsets, targets)
-        gvecs = model.site_gradient(beta, list(gaps))
-        hblocks = model.site_hessian(beta, list(gaps))
-        for j, a in enumerate(targets[beta]):
-            grad[a] += gvecs[j]
-            grad[beta] -= gvecs[j]
-            for k, c in enumerate(targets[beta]):
-                blk = hblocks[j][k]
-                hess[a, :, c, :] += blk
-                hess[a, :, beta, :] -= blk
-                hess[beta, :, c, :] -= blk
-                hess[beta, :, beta, :] += blk
-    grad = grad[1:].reshape(nq) / m
-    hess = hess[1:, :, 1:, :].reshape(nq, nq) / m
-    return grad, hess
+def _trial_energy(table: ShiftTable, F: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Element densities; an element whose bonds collapse reads inf."""
+    try:
+        return table.energy(F, q)
+    except PotentialError:
+        out = np.full(len(q), np.inf)
+        for t in range(len(q)):
+            with contextlib.suppress(PotentialError):
+                out[t] = table.energy(F[t:t + 1], q[t:t + 1])[0]
+        return out
 
 
-def solve_shift_vectors(
-    model: InteractionModel,
-    F,
-    guess: np.ndarray | None = None,
-    tol: float = SHIFT_TOL,
-    max_iter: int = 50,
-) -> np.ndarray:
-    """Stationary shift vectors q(F), shape (m-1, d); guess-deterministic."""
-    d = model.d
-    m = model.m
-    F = np.asarray(F, dtype=float).reshape(d, d)
-    if m == 1:
-        return np.zeros((0, d))
-    q = np.zeros((m - 1, d)) if guess is None else np.array(guess, dtype=float).reshape(m - 1, d)
-    offsets, targets = _species_tables(model)
-    ref = float(np.linalg.norm(F))
+def _shift_newton(table: ShiftTable, F: np.ndarray, q: np.ndarray, tol: float,
+                  max_iter: int) -> tuple[np.ndarray, np.ndarray]:
+    """Newton on every element of the stack; returns the shifts and final residuals."""
+    threshold = tol * (1.0 + np.linalg.norm(F.reshape(len(F), -1), axis=1))
+    res = np.zeros(len(F))
+    active = np.arange(len(F))
     for it in range(max_iter + 1):
-        q_full = np.vstack([np.zeros((1, d)), q])
-        grad, hess = _shift_gradient_hessian(model, F, q_full, offsets, targets)
-        res = float(np.linalg.norm(grad))
-        if res <= tol * (1.0 + ref):
-            return q
+        grad, hess = table.derivatives(F[active], q[active])
+        res[active] = np.linalg.norm(grad.reshape(len(active), -1), axis=1)
+        unconverged = ~(res[active] <= threshold[active])
+        active, grad, hess = active[unconverged], grad[unconverged], hess[unconverged]
+        if not len(active):
+            return q, res
         if it == max_iter:
-            raise ShiftSolveError(f"shift Newton did not converge (residual {res:.3e})")
+            raise ShiftSolveError(
+                f"shift Newton did not converge: worst residual {res[active].max():.3e} "
+                f"on {len(active)} of {len(F)} elements after {max_iter} iterations")
         try:
-            step = np.linalg.solve(hess, -grad).reshape(m - 1, d)
+            step = np.linalg.solve(hess, -grad.reshape(len(active), -1, 1)).reshape(grad.shape)
         except np.linalg.LinAlgError as exc:
             raise ShiftSolveError("singular shift Hessian") from exc
-        base = mqc_element_energy(model, F, q)
-        lam = 1.0
-        while lam > 2.0**-30:
-            try:
-                trial = mqc_element_energy(model, F, q + lam * step)
-            except PotentialError:
-                trial = np.inf
-            if trial <= base + 1e-14 * (1 + abs(base)):
-                break
-            lam *= 0.5
-        else:
-            raise ShiftSolveError("shift line search failed")
-        q = q + lam * step
-    return q
+        Fa, qa = F[active], q[active]
+        base = table.energy(Fa, qa)
+        bound = base + 1e-14 * (1 + np.abs(base))
+        lam, pending, size = np.ones(len(active)), np.arange(len(active)), 1.0
+        while len(pending):  # halve the steps of the elements whose density rose
+            if size <= MIN_STEP:
+                raise ShiftSolveError("shift line search failed")
+            trial = _trial_energy(table, Fa[pending], qa[pending] + size * step[pending])
+            pending = pending[~(trial <= bound[pending])]
+            size *= 0.5
+            lam[pending] = size
+        q[active] = qa + lam[:, None, None] * step
+
+
+def solve_shift_vectors(model: InteractionModel, F, guess: np.ndarray | None = None,
+                        tol: float = SHIFT_TOL, max_iter: int = 50, with_residual: bool = False):
+    """Stationary shift vectors q(F); guess-deterministic.
+
+    ``F`` is one gradient (d, d), giving shifts (m-1, d), or a stack (T, d, d),
+    giving (T, m-1, d).  One Newton runs on the whole stack: element t stops
+    once its residual |dW/dq| is at most tol (1 + |F_t|), and its step is
+    halved until its density does not rise.  If any element fails, the whole
+    call raises ``ShiftSolveError``.  With ``with_residual`` the final residual
+    norms (a float, or one per element) are returned as well.
+    """
+    d, m = model.d, model.m
+    F = np.asarray(F, dtype=float)
+    single = F.ndim < 3
+    F = F.reshape((1 if single else -1, d, d))
+    shape = (len(F), m - 1, d)
+    q = np.zeros(shape) if guess is None else np.array(guess, dtype=float).reshape(shape)
+    res = np.zeros(len(F))
+    if m > 1:
+        q, res = _shift_newton(ShiftTable(model), F, q, tol, max_iter)
+    if single:
+        q, res = q[0], float(res[0])
+    return (q, res) if with_residual else q
 
 
 def shifts_from_corrector(chi: np.ndarray) -> np.ndarray:
@@ -154,52 +183,18 @@ class ShiftState:
         return np.stack([f.values[t] for f in self.fields]) if self.fields else np.zeros((0, 1))
 
 
-def shift_residual(model: InteractionModel, F, shifts: np.ndarray) -> float:
-    """Norm of the shift stationarity equations at the given shift vectors."""
-    if model.m == 1:
-        return 0.0
-    d = model.d
-    F = np.asarray(F, dtype=float).reshape(d, d)
-    q_full = np.vstack([np.zeros((1, d)), np.asarray(shifts, dtype=float).reshape(model.m - 1, d)])
-    offsets, targets = _species_tables(model)
-    grad, _ = _shift_gradient_hessian(model, F, q_full, offsets, targets)
-    return float(np.linalg.norm(grad))
+def solve_shift_state(model: InteractionModel, mesh: MacroMesh, uh: P1Field) -> ShiftState:
+    """Stationary shift vectors on every element of the mesh, in one stacked solve."""
+    q, res = solve_shift_vectors(model, all_element_gradients(uh), with_residual=True)
+    fields = [P0Field(mesh, q[:, a]) for a in range(model.m - 1)]
+    return ShiftState(fields=fields, residual=float(res.max()))
 
 
-def solve_shift_state(
-    model: InteractionModel,
-    mesh: MacroMesh,
-    uh: P1Field,
-    guesses: list[np.ndarray] | None = None,
-) -> ShiftState:
-    """Stationary shift vectors on every element of the mesh."""
-    grads = all_element_gradients(uh)
-    d = model.d
-    per_species = np.zeros((max(model.m - 1, 0), mesh.n_elements, d))
-    worst = 0.0
-    for t in range(mesh.n_elements):
-        g = None if guesses is None else guesses[t]
-        q = solve_shift_vectors(model, grads[t], guess=g)
-        if model.m > 1:
-            per_species[:, t, :] = q
-            worst = max(worst, shift_residual(model, grads[t], q))
-    fields = [P0Field(mesh, per_species[a]) for a in range(max(model.m - 1, 0))]
-    return ShiftState(fields=fields, residual=worst)
-
-
-def mqc_energy(
-    model: InteractionModel,
-    mesh: MacroMesh,
-    uh: P1Field,
-    guesses: list[np.ndarray] | None = None,
-) -> float:
+def mqc_energy(model: InteractionModel, mesh: MacroMesh, uh: P1Field) -> float:
     """Total MQC energy: element volumes times densities at stationary shifts."""
     grads = all_element_gradients(uh)
-    state = solve_shift_state(model, mesh, uh, guesses)
-    total = 0.0
-    for t in range(mesh.n_elements):
-        total += mesh.volumes[t] * mqc_element_energy(model, grads[t], state.element_shifts(t))
-    return total
+    q = solve_shift_vectors(model, grads)
+    return float(np.sum(mesh.volumes * ShiftTable(model).energy(grads, q)))
 
 
 @dataclass

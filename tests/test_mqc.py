@@ -4,17 +4,30 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
-from hqclab.fem import P1Field, build_mesh, p1_zero_mean
+from hqclab import mqc, network
+from hqclab.fem import P1Field, all_element_gradients, build_mesh, p1_zero_mean
 from hqclab.homog import CellProblem, cell_system, solve_cell_problem
 from hqclab.lattice import chain_lattice
 from hqclab.mqc import (
+    ShiftSolveError,
+    ShiftTable,
     corrector_from_shifts,
     equivalence_report,
     mqc_element_energy,
     shifts_from_corrector,
+    solve_shift_state,
     solve_shift_vectors,
 )
-from hqclab.potential import LinearSpring1D, make_dynamics_model
+from hqclab.potential import (
+    BondSpec,
+    LennardJones1D,
+    LennardJonesLaw,
+    LennardJonesParams,
+    LinearSpring1D,
+    PotentialError,
+    SpringLaw,
+    make_dynamics_model,
+)
 
 
 def test_symmetric_chain_zero_shift():
@@ -212,3 +225,206 @@ def test_2d_two_species_shift_solve_matches_corrector():
     q = solve_shift_vectors(model, F)
     chi = solve_cell_problem(CellProblem(model, F))
     assert np.max(np.abs(q - shifts_from_corrector(chi))) < 1e-11
+
+
+# ------------------------------------------------------- stacked shift table
+
+
+def _bond_by_bond(model, F, shifts):
+    """Oracle: element density and its shift gradient and Hessian, assembled bond
+    by bond from the model's site energies (the former per-bond evaluation)."""
+    m, d = model.m, model.d
+    nq = (m - 1) * d
+    q_full = np.vstack([np.zeros((1, d)), np.reshape(shifts, (m - 1, d))])
+    energy = 0.0
+    grad = np.zeros((m, d))
+    hess = np.zeros((m, d, m, d))
+    for beta in range(m):
+        specs = model.bond_specs(beta)
+        offsets = np.array([s.offset.r_float for s in specs])
+        targets = [s.offset.species_target for s in specs]
+        gaps = offsets @ F.T + q_full[targets] - q_full[beta][None, :]
+        energy += model.site_energy(beta, list(gaps))
+        gvecs = model.site_gradient(beta, list(gaps))
+        hblocks = model.site_hessian(beta, list(gaps))
+        for j, a in enumerate(targets):
+            grad[a] += gvecs[j]
+            grad[beta] -= gvecs[j]
+            for k, c in enumerate(targets):
+                blk = hblocks[j][k]
+                hess[a, :, c, :] += blk
+                hess[a, :, beta, :] -= blk
+                hess[beta, :, c, :] -= blk
+                hess[beta, :, beta, :] += blk
+    return energy / m, grad[1:].reshape(nq) / m, hess[1:, :, 1:, :].reshape(nq, nq) / m
+
+
+def _three_species_lj():
+    return LennardJones1D(LennardJonesParams(s=(1.0, 1.5, 0.7), ell=(1.0, 0.98, 1.02), cutoff=2.0))
+
+
+ORACLE_MODELS = {
+    "spring-m2": lambda: LinearSpring1D((1.0, 3.0)),
+    "spring-m3": lambda: LinearSpring1D((1.0, 3.0, 0.5)),
+    "spring-m4": lambda: LinearSpring1D((2.0, 0.7, 4.0, 1.3)),
+    "lj-dynamics": lambda: make_dynamics_model().model,
+    "lj-3-species": _three_species_lj,
+    "two-species-2d": lambda: _TwoSpecies2D(psi0=1.0, psi1=3.0),
+}
+
+
+def _random_stack(model, T, seed):
+    rng = np.random.default_rng(seed)
+    F = rng.uniform(-0.05, 0.05, (T, model.d, model.d))
+    q = rng.uniform(-0.03, 0.03, (T, model.m - 1, model.d))
+    return F, q
+
+
+def _rel_err(a, b):
+    return np.max(np.abs(np.asarray(a) - np.asarray(b))) / np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
+def test_shift_table_matches_bond_by_bond_oracle(name):
+    model = ORACLE_MODELS[name]()
+    table = ShiftTable(model)
+    F, q = _random_stack(model, 6, seed=len(name))
+    energy = table.energy(F, q)
+    grad, hess = table.derivatives(F, q)
+    assert energy.shape == (6,) and grad.shape == (6, model.m - 1, model.d)
+    for t in range(6):
+        e_ref, g_ref, h_ref = _bond_by_bond(model, F[t], q[t])
+        assert abs(energy[t] - e_ref) <= 1e-14 * abs(e_ref)
+        assert _rel_err(grad[t].ravel(), g_ref) <= 1e-14
+        assert _rel_err(hess[t], h_ref) <= 1e-14
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
+def test_shift_table_stack_equals_single_elements(name):
+    model = ORACLE_MODELS[name]()
+    table = ShiftTable(model)
+    F, q = _random_stack(model, 5, seed=7)
+    energy = table.energy(F, q)
+    grad, hess = table.derivatives(F, q)
+    shifts = solve_shift_vectors(model, F)
+    for t in range(5):
+        one = slice(t, t + 1)
+        g1, h1 = table.derivatives(F[one], q[one])
+        assert _rel_err(energy[one], table.energy(F[one], q[one])) <= 1e-15
+        assert _rel_err(grad[one], g1) <= 1e-15
+        assert _rel_err(hess[one], h1) <= 1e-15
+        single = solve_shift_vectors(model, F[t])
+        assert np.max(np.abs(shifts[t] - single)) <= 1e-15 * (1 + np.max(np.abs(single)))
+
+
+def test_solve_shift_state_reports_the_newton_residual():
+    model = make_dynamics_model().model
+    mesh = build_mesh(1, 4)
+    rng = np.random.default_rng(8)
+    uh = p1_zero_mean(P1Field(mesh, 0.02 * rng.standard_normal((4, 1))))
+    state = solve_shift_state(model, mesh, uh)
+    grads = all_element_gradients(uh)
+    _, res = solve_shift_vectors(model, grads, with_residual=True)
+    assert state.residual == res.max()
+    assert 0.0 < state.residual <= 1e-12 * (1 + np.abs(grads).max())
+
+
+# ------------------------------------------------------ failure semantics
+
+
+class _HardCoreLaw(LennardJonesLaw):
+    """LJ bond that counts as collapsed (PotentialError) below half its equilibrium length."""
+
+    def _bond_vectors(self, gaps, rvec):
+        vec, b = super()._bond_vectors(gaps, rvec)
+        if np.any(b < 0.5 * self.ell):
+            raise PotentialError("bond collapsed into the hard core")
+        return vec, b
+
+
+class _HardCoreDynamicsModel(LennardJones1D):
+    """The dynamics LJ chain with hard-core bonds."""
+
+    def __init__(self):
+        super().__init__(make_dynamics_model().model.params)
+        self._specs = [[BondSpec(s.offset, _HardCoreLaw(s.law.s, s.law.ell, s.law.scale))
+                        for s in specs] for specs in self._specs]
+
+
+@pytest.mark.parametrize("model", [make_dynamics_model().model, _HardCoreDynamicsModel()],
+                         ids=["lj", "lj-hard-core"])
+def test_collapsing_step_is_halved_for_its_element_only(model, monkeypatch):
+    # element 0 starts where the Hessian is nearly flat: its full Newton step
+    # squeezes a bond to 0.17 of its length (a rise in energy for the LJ law, a
+    # PotentialError for the hard core); elements 1 and 2 accept full steps
+    F = np.array([[[0.2]], [[0.2]], [[0.05]]])
+    guess = np.array([[[-0.062]], [[0.1]], [[0.03]]])
+    table = ShiftTable(model)
+    grad, hess = table.derivatives(F[:1], guess[:1])
+    full = guess[:1] - grad / hess  # one shift dof: the Newton step is a quotient
+    bonds = table.law.scale * np.abs(table.rvec + table.gaps(F[:1], full))
+    assert np.min(bonds) < 0.2
+    if isinstance(model, _HardCoreDynamicsModel):
+        with pytest.raises(PotentialError):
+            table.energy(F[:1], full)
+
+    trials = []
+    trial_energy = mqc._trial_energy
+
+    def counted(table, F, q):
+        trials.append(len(q))
+        return trial_energy(table, F, q)
+
+    monkeypatch.setattr(mqc, "_trial_energy", counted)
+    shifts = solve_shift_vectors(model, F, guess=guess)
+    assert trials[:2] == [3, 1]  # only element 0 is tried again, with half the step
+    monkeypatch.undo()
+    for t in range(3):
+        single = solve_shift_vectors(model, F[t], guess=guess[t])
+        assert np.array_equal(shifts[t], single)
+    assert shifts[0, 0, 0] == pytest.approx(-shifts[1, 0, 0], rel=1e-12)  # the two dimer branches
+
+
+def test_stalled_element_fails_the_whole_stack():
+    # at F = -0.5 the compressed LJ chain's shift residual stalls on rounding
+    # above 1e-12 (1 + |F|); its neighbors converge, yet no partial result
+    model = make_dynamics_model().model
+    with pytest.raises(ShiftSolveError) as single:
+        solve_shift_vectors(model, [[-0.5]])
+    worst = single.value.args[0].split("worst residual ")[1].split()[0]
+    assert float(worst) > 1.5e-12
+    F = np.array([[[0.01]], [[-0.5]], [[-0.02]], [[0.03]]])
+    with pytest.raises(ShiftSolveError, match=f"worst residual {worst} on 1 of 4 elements"):
+        solve_shift_vectors(model, F)
+
+
+class _DetachedSpecies(LinearSpring1D):
+    """Three-species chain whose third species has no bonds: a singular shift Hessian."""
+
+    def __init__(self):
+        super().__init__((1.0, 3.0, 2.0))
+        lat = chain_lattice(1, 3)
+        self._specs = [[BondSpec(lat.resolve_offset(0, Fraction(1, 3)), SpringLaw(np.array(1.0)))],
+                       [BondSpec(lat.resolve_offset(1, Fraction(-1, 3)), SpringLaw(np.array(3.0)))],
+                       []]
+
+
+def test_singular_shift_hessian_raises():
+    model = _DetachedSpecies()
+    with pytest.raises(ShiftSolveError, match="singular shift Hessian"):
+        solve_shift_vectors(model, [[0.4]])
+    with pytest.raises(ShiftSolveError, match="singular shift Hessian"):
+        solve_shift_vectors(model, np.array([[[0.0]], [[0.4]]]))
+
+
+# ------------------------------------------------------------ independence
+
+
+def test_mqc_binds_nothing_from_network_but_solver_error():
+    # MQC is the independent reference of the equivalence check: no bond
+    # system, Newton driver or gauge-fixed solver of the shared engine
+    bound = {name for name, value in vars(mqc).items()
+             if value is network or getattr(value, "__module__", None) == network.__name__}
+    assert bound == {"SolverError"}
+    for name in ("BondSystem", "compile_system", "newton", "newton_zero_mean", "GaugeFixedOperator"):
+        assert not hasattr(mqc, name)

@@ -1,13 +1,17 @@
-"""Property tests of the stacked bond kernel on random models, strains and fields."""
+"""Property tests on random models, strains and fields: the stacked bond kernel,
+and the three-way HQC / homogenized FEM / MQC equivalence."""
 
 from fractions import Fraction
 
 import numpy as np
 from hypothesis import given, strategies as st
 
+from hqclab.fem import P1Field, all_element_gradients, build_mesh, p1_zero_mean
+from hqclab.homog import CellProblem, solve_cell_problem
 from hqclab.lattice import chain_lattice, square_lattice
+from hqclab.mqc import equivalence_report, shifts_from_corrector, solve_shift_vectors
 from hqclab.network import compile_system
-from hqclab.potential import LennardJones1D, LennardJonesParams, RandomBond2D
+from hqclab.potential import LennardJones1D, LennardJonesParams, LinearSpring1D, RandomBond2D
 
 STEP = 1e-6
 
@@ -81,3 +85,18 @@ def test_stacked_kernel_is_translation_invariant(case, seed, shift):
     assert np.allclose(system.gradient(W + shift, Fs), g, rtol=0.0, atol=1e-9 * (1.0 + np.abs(g).max()))
     # the Riesz gradient of a translation-invariant energy has zero mean
     assert np.abs(g.sum(axis=1)).max() <= 1e-12 * (1.0 + np.abs(g).max()) * system.n_sites
+
+
+@given(st.integers(2, 4).flatmap(lambda m: st.lists(st.floats(0.5, 5.0), min_size=m, max_size=m)),
+       st.lists(st.floats(-0.5, 0.5), min_size=4, max_size=4))
+def test_three_way_equivalence_on_random_spring_chains(psi, nodal):
+    model = LinearSpring1D(psi)
+    mesh = build_mesh(1, 4)
+    uh = p1_zero_mean(P1Field(mesh, np.array(nodal)[:, None]))
+    rep = equivalence_report(model, chain_lattice(Fraction(1, 32), model.m), mesh, uh)
+    assert rep.max_gap <= 1e-10 * (1.0 + abs(rep.e_hqc))
+    grads = all_element_gradients(uh)
+    shifts = solve_shift_vectors(model, grads)
+    for t, F in enumerate(grads):
+        q = shifts_from_corrector(solve_cell_problem(CellProblem(model, F)))
+        assert np.max(np.abs(shifts[t] - q)) <= 1e-11
