@@ -16,6 +16,7 @@ q_alpha = chi(p_alpha) - chi(p_0).
 from __future__ import annotations
 
 import contextlib
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,12 +79,19 @@ class ShiftTable:
         return grad, hess
 
 
+_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()  # model -> its ShiftTable
+
+
+def _shift_table(model: InteractionModel) -> ShiftTable:
+    """The model's ShiftTable, built on first use; models are treated as immutable."""
+    return _TABLES[model] if model in _TABLES else _TABLES.setdefault(model, ShiftTable(model))
+
+
 def mqc_element_energy(model: InteractionModel, F, shifts: np.ndarray) -> float:
     """Element energy density (1/m) sum_beta V_beta(F r + q_a - q_beta)."""
-    d = model.d
-    F = np.asarray(F, dtype=float).reshape(1, d, d)
-    q = np.asarray(shifts, dtype=float).reshape(1, model.m - 1, d)
-    return float(ShiftTable(model).energy(F, q)[0])
+    F = np.asarray(F, dtype=float).reshape(1, model.d, model.d)
+    q = np.asarray(shifts, dtype=float).reshape(1, model.m - 1, model.d)
+    return float(_shift_table(model).energy(F, q)[0])
 
 
 def _trial_energy(table: ShiftTable, F: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -134,15 +142,14 @@ def _shift_newton(table: ShiftTable, F: np.ndarray, q: np.ndarray, tol: float,
 
 
 def solve_shift_vectors(model: InteractionModel, F, guess: np.ndarray | None = None,
-                        tol: float = SHIFT_TOL, max_iter: int = 50, with_residual: bool = False):
+                        tol: float = SHIFT_TOL, max_iter: int = 50) -> np.ndarray:
     """Stationary shift vectors q(F); guess-deterministic.
 
     ``F`` is one gradient (d, d), giving shifts (m-1, d), or a stack (T, d, d),
     giving (T, m-1, d).  One Newton runs on the whole stack: element t stops
     once its residual |dW/dq| is at most tol (1 + |F_t|), and its step is
     halved until its density does not rise.  If any element fails, the whole
-    call raises ``ShiftSolveError``.  With ``with_residual`` the final residual
-    norms (a float, or one per element) are returned as well.
+    call raises ``ShiftSolveError``.
     """
     d, m = model.d, model.m
     F = np.asarray(F, dtype=float)
@@ -150,12 +157,8 @@ def solve_shift_vectors(model: InteractionModel, F, guess: np.ndarray | None = N
     F = F.reshape((1 if single else -1, d, d))
     shape = (len(F), m - 1, d)
     q = np.zeros(shape) if guess is None else np.array(guess, dtype=float).reshape(shape)
-    res = np.zeros(len(F))
-    if m > 1:
-        q, res = _shift_newton(ShiftTable(model), F, q, tol, max_iter)
-    if single:
-        q, res = q[0], float(res[0])
-    return (q, res) if with_residual else q
+    q = _shift_newton(_shift_table(model), F, q, tol, max_iter)[0] if m > 1 else q
+    return q[0] if single else q
 
 
 def shifts_from_corrector(chi: np.ndarray) -> np.ndarray:
@@ -185,7 +188,9 @@ class ShiftState:
 
 def solve_shift_state(model: InteractionModel, mesh: MacroMesh, uh: P1Field) -> ShiftState:
     """Stationary shift vectors on every element of the mesh, in one stacked solve."""
-    q, res = solve_shift_vectors(model, all_element_gradients(uh), with_residual=True)
+    grads = all_element_gradients(uh)
+    q, res = _shift_newton(_shift_table(model), grads, np.zeros((len(grads), model.m - 1, model.d)),
+                           SHIFT_TOL, 50)
     fields = [P0Field(mesh, q[:, a]) for a in range(model.m - 1)]
     return ShiftState(fields=fields, residual=float(res.max()))
 
@@ -194,7 +199,7 @@ def mqc_energy(model: InteractionModel, mesh: MacroMesh, uh: P1Field) -> float:
     """Total MQC energy: element volumes times densities at stationary shifts."""
     grads = all_element_gradients(uh)
     q = solve_shift_vectors(model, grads)
-    return float(np.sum(mesh.volumes * ShiftTable(model).energy(grads, q)))
+    return float(np.sum(mesh.volumes * _shift_table(model).energy(grads, q)))
 
 
 @dataclass

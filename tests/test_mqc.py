@@ -324,7 +324,7 @@ def test_solve_shift_state_reports_the_newton_residual():
     uh = p1_zero_mean(P1Field(mesh, 0.02 * rng.standard_normal((4, 1))))
     state = solve_shift_state(model, mesh, uh)
     grads = all_element_gradients(uh)
-    _, res = solve_shift_vectors(model, grads, with_residual=True)
+    _, res = mqc._shift_newton(ShiftTable(model), grads, np.zeros((4, 1, 1)), mqc.SHIFT_TOL, 50)
     assert state.residual == res.max()
     assert 0.0 < state.residual <= 1e-12 * (1 + np.abs(grads).max())
 
@@ -385,17 +385,22 @@ def test_collapsing_step_is_halved_for_its_element_only(model, monkeypatch):
     assert shifts[0, 0, 0] == pytest.approx(-shifts[1, 0, 0], rel=1e-12)  # the two dimer branches
 
 
-def test_stalled_element_fails_the_whole_stack():
-    # at F = -0.5 the compressed LJ chain's shift residual stalls on rounding
-    # above 1e-12 (1 + |F|); its neighbors converge, yet no partial result
+def test_unconverged_element_fails_the_whole_stack():
+    # element 1 starts 0.02 off its shift and needs more than two Newton steps;
+    # its neighbors start converged, yet the stack gives no partial result
     model = make_dynamics_model().model
+    F = np.array([[[0.01]], [[-0.02]], [[0.03]], [[0.05]]])
+    guess = solve_shift_vectors(model, F)
+    guess[1] += 0.02
     with pytest.raises(ShiftSolveError) as single:
-        solve_shift_vectors(model, [[-0.5]])
+        solve_shift_vectors(model, F[1], guess=guess[1], max_iter=2)
     worst = single.value.args[0].split("worst residual ")[1].split()[0]
-    assert float(worst) > 1.5e-12
-    F = np.array([[[0.01]], [[-0.5]], [[-0.02]], [[0.03]]])
+    assert float(worst) > 1e-3
     with pytest.raises(ShiftSolveError, match=f"worst residual {worst} on 1 of 4 elements"):
-        solve_shift_vectors(model, F)
+        solve_shift_vectors(model, F, guess=guess, max_iter=2)
+    rest = [0, 2, 3]
+    assert np.array_equal(solve_shift_vectors(model, F[rest], guess=guess[rest], max_iter=2),
+                          guess[rest])
 
 
 class _DetachedSpecies(LinearSpring1D):
