@@ -7,14 +7,10 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
-from .lattice import LatticeField, Multilattice, average, l2_norm, project_zero_mean
-from .network import BondSystem, avg_norm, compile_system, newton_zero_mean
+from .lattice import ZERO_MEAN_TOL, LatticeField, Multilattice, average, l2_norm, project_zero_mean, translate
+from .network import BondSystem, SolverError, avg_norm, compile_system, newton_zero_mean
 from .potential import InteractionModel
-
-#: eigenvalues below this fraction of the largest one count as translation modes
-KERNEL_EIG_REL_TOL = 1e-8
 
 
 @dataclass
@@ -24,7 +20,7 @@ class EquilibriumProblem:
     lattice: Multilattice
     model: InteractionModel
     force: LatticeField | None = None
-    masses: np.ndarray | None = None  # per-site masses, used by dynamics
+    masses: np.ndarray | None = None  # per-site masses, used by dynamics; None means unit
     _system: BondSystem = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
@@ -32,10 +28,10 @@ class EquilibriumProblem:
             scale = max(np.max(np.abs(self.force.values)), 1.0)
             if np.any(np.abs(average(self.force)) > 1e-12 * scale):
                 raise ValueError("external force must have zero mean over the lattice")
-        if self.masses is not None:
-            self.masses = np.asarray(self.masses, dtype=float)
-            if self.masses.shape != (self.lattice.n_sites,) or np.any(self.masses <= 0):
-                raise ValueError("masses must be positive, one per site")
+        n = self.lattice.n_sites
+        self.masses = np.ones(n) if self.masses is None else np.asarray(self.masses, dtype=float)
+        if self.masses.shape != (n,) or np.any(self.masses <= 0):
+            raise ValueError("masses must be positive, one per site")
 
     @property
     def system(self) -> BondSystem:
@@ -87,40 +83,43 @@ def solve_equilibrium(
 
 
 def slowest_eigenmode(problem: EquilibriumProblem, u_eq: LatticeField) -> tuple[LatticeField, float]:
-    """Slowest non-translational vibration mode at an equilibrium.
+    """Slowest non-translational vibration mode of a chain at a cell-periodic equilibrium.
 
-    Solves the generalized problem H v = lam M v with H the Hessian at u_eq and
-    M the (diagonal) mass matrix, returning the eigenvector of the smallest
-    nonzero eigenvalue.  The mode is L2-normalized, mass-orthogonal to the
-    translations, and sign-fixed so its first nonzero component is positive.
+    There the Hessian H is block-circulant, so the span of the longest Bloch
+    waves {e_alpha cos 2 pi x, e_alpha sin 2 pi x} (one pair per species) is
+    invariant and holds the smallest nonzero eigenvalue lam of H v = lam M v,
+    with M the diagonal mass matrix.  A Rayleigh-Ritz solve on that span gives
+    every Ritz value as a cos/sin pair; the mode is the M-projection of the
+    all-species cosine wave onto the eigenspace of the lowest pair, so it does
+    not depend on the basis the eigensolver returns.  The mode is
+    L2-normalized and sign-fixed so its first nonzero component is positive.
     """
-    if problem.masses is None:
-        masses = np.ones(problem.lattice.n_sites)
-    else:
-        masses = problem.masses
-    d = problem.lattice.d
+    lat = problem.lattice
+    if lat.d != 1:
+        raise SolverError("the Bloch-wave eigenmode is defined for 1D chains only")
+    scale = max(float(np.max(np.abs(u_eq.values))), 1.0)
+    if np.max(np.abs(translate(u_eq, [1]).values - u_eq.values)) > ZERO_MEAN_TOL * scale:
+        raise SolverError("equilibrium is not cell-periodic, so its Hessian is not block-circulant")
+    phase = 2 * np.pi * lat.site_positions()
+    onehot = lat.site_species()[:, None] == np.arange(lat.m)
+    V = np.hstack([onehot * np.cos(phase), onehot * np.sin(phase)])
     H = energy_hessian(problem, u_eq)
-    mdiag = np.repeat(masses, d)
-    n_dof = H.shape[0]
-    if n_dof <= 4096:
-        vals, vecs = scipy.linalg.eigh(np.asarray(H.todense()), np.diag(mdiag))
-    else:
-        M = sp.diags(mdiag).tocsc()
-        k = min(d + 6, n_dof - 1)
-        vals, vecs = spla.eigsh(H.tocsc(), k=k, M=M, sigma=0, which="LM")
-        order = np.argsort(vals)
-        vals, vecs = vals[order], vecs[:, order]
-    lam_max = float(np.max(np.abs(vals)))
-    nonzero = np.where(vals > KERNEL_EIG_REL_TOL * lam_max)[0]
-    if len(nonzero) == 0:
-        raise RuntimeError("no nonzero eigenvalue found; Hessian appears fully singular")
-    idx = nonzero[0]
-    mode = vecs[:, idx].reshape(problem.lattice.n_sites, d)
-    field_ = LatticeField(problem.lattice, mode)
-    norm = l2_norm(field_)
-    mode = mode / norm
-    flat = mode.ravel()
-    first = flat[np.nonzero(np.abs(flat) > 1e-12 * np.max(np.abs(flat)))[0][0]]
+    B = V.T @ (problem.masses[:, None] * V)
+    vals, vecs = scipy.linalg.eigh(V.T @ (H @ V), B)
+    lam = float(vals[0])
+    if not lam > 0:
+        raise SolverError(f"lowest Bloch eigenvalue {lam:.6g} is not positive")
+    pair = vecs[:, :2]  # M-orthonormal basis of the lowest cos/sin pair
+    cosine = np.repeat([1.0, 0.0], lat.m)  # cos 2 pi x on every species, in the basis V
+    coef = pair.T @ (B @ cosine)
+    if np.linalg.norm(coef) <= 1e-8 * np.sqrt(cosine @ B @ cosine):
+        raise SolverError("the cosine wave has no component in the lowest Bloch eigenspace")
+    v = V @ (pair @ coef)
+    Mv = problem.masses * v
+    if np.linalg.norm(H @ v - lam * Mv) > 1e-8 * lam * np.linalg.norm(Mv):
+        raise SolverError("Bloch span is not invariant: masses or equilibrium not cell-periodic")
+    mode = v / np.sqrt(np.mean(v**2))
+    first = mode[np.nonzero(np.abs(mode) > 1e-12 * np.max(np.abs(mode)))[0][0]]
     if first < 0:
         mode = -mode
-    return LatticeField(problem.lattice, mode), float(vals[idx])
+    return LatticeField(lat, mode[:, None]), lam

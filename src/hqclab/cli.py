@@ -31,7 +31,10 @@ EXPERIMENTS = {
 def parse_config_file(path: str) -> dict:
     """Flat `key = value` lines; '#' starts a comment; blank lines ignored."""
     cfg = {}
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from exc
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:

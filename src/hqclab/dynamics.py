@@ -31,7 +31,9 @@ class DynamicState:
 
 
 def initial_condition(problem: EquilibriumProblem, amplitude: float = 0.01) -> LatticeField:
-    """Equilibrium plus the slowest eigenmode, scaled so the mode's largest
+    """Equilibrium plus a kick along the slowest vibration mode: the lowest
+    Bloch mode, taken as the M-projection of the cosine wave cos 2 pi x onto
+    its eigenspace (see ``slowest_eigenmode``), scaled so the mode's largest
     nearest-neighbor difference quotient equals ``amplitude``."""
     u_eq = solve_equilibrium(problem)
     mode, _ = slowest_eigenmode(problem, u_eq)
@@ -66,8 +68,6 @@ class Trajectory:
 
 def atomistic_accel(problem: EquilibriumProblem):
     masses = problem.masses
-    if masses is None:
-        masses = np.ones(problem.lattice.n_sites)
     system = problem.system
 
     def accel(u: np.ndarray) -> np.ndarray:
@@ -78,8 +78,7 @@ def atomistic_accel(problem: EquilibriumProblem):
 
 def atomistic_total_energy(problem: EquilibriumProblem, state: DynamicState) -> float:
     """Kinetic plus interaction energy in the site-averaged convention."""
-    masses = problem.masses if problem.masses is not None else np.ones(problem.lattice.n_sites)
-    kinetic = 0.5 * float(np.mean(masses * np.sum(state.v**2, axis=1)))
+    kinetic = 0.5 * float(np.mean(problem.masses * np.sum(state.v**2, axis=1)))
     return kinetic + total_energy(problem, LatticeField(problem.lattice, state.u))
 
 
@@ -173,20 +172,6 @@ def run_hqc_dynamics(
 def _reconstruct_now(op: HQCOperator, mesh: MacroMesh, u: np.ndarray) -> LatticeField:
     sol = HQCSolution(macro=P1Field(mesh, u), operator=op, residual=0.0)
     return reconstruct(sol)
-
-
-def export_trajectory_csv(path: str, times: np.ndarray, displacements: list[np.ndarray]) -> None:
-    """Write trajectory snapshots as CSV rows (time, site, displacement components)."""
-    d = displacements[0].shape[1]
-    header = "time,site," + ",".join(f"u{i}" for i in range(d))
-    lines = [header]
-    for t, u in zip(times, displacements):
-        for site in range(u.shape[0]):
-            comps = ",".join(f"{u[site, i]:.17g}" for i in range(d))
-            lines.append(f"{t:.17g},{site},{comps}")
-    from pathlib import Path
-
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def trajectory_error(

@@ -46,16 +46,23 @@ def _parse_fraction(text: str) -> Fraction:
     return Fraction(text.strip())
 
 
-def _parse_fraction_list(text: str) -> list[Fraction]:
-    return [_parse_fraction(tok) for tok in text.split(",") if tok.strip()]
+def _list_of(parse):
+    """Parser of a non-empty comma-separated list of ``parse`` values."""
+
+    def parser(text: str) -> list:
+        values = [parse(tok) for tok in text.split(",") if tok.strip()]
+        if not values:
+            raise ValueError("empty list")
+        return values
+
+    return parser
 
 
-def _parse_float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
-
-
-def _parse_int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+def _parse_mesh_sizes(text: str) -> list[Fraction]:
+    sizes = _list_of(_parse_fraction)(text)
+    if any(h <= 0 for h in sizes):
+        raise ValueError("mesh sizes must be positive")
+    return sizes
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -113,10 +120,10 @@ def smooth_force_1d(points: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------- converge-1d
 
 CONVERGE_1D_SCHEMA = {
-    "psi": ([1.0, 3.0], _parse_float_list),
+    "psi": ([1.0, 3.0], _list_of(float)),
     "eps": (Fraction(1, 4096), _parse_fraction),
     "h_list": ([Fraction(1, 4), Fraction(1, 8), Fraction(1, 16), Fraction(1, 32), Fraction(1, 64)],
-               _parse_fraction_list),
+               _parse_mesh_sizes),
     "fit_range_h1": ((0, 5), _parse_range),
     "fit_range_l2": ((0, 4), _parse_range),
     "force_scale": (1.0, float),
@@ -184,8 +191,8 @@ STOCHASTIC_2D_SCHEMA = {
     # start where the Cauchy-Born tensor gap dominates the macro error, so the
     # affine-closure curve exhibits its non-convergent floor
     "h_list": ([Fraction(1, 8), Fraction(1, 16), Fraction(1, 32), Fraction(1, 64)],
-               _parse_fraction_list),
-    "n_rep_list": ([8, 32, 128], _parse_int_list),
+               _parse_mesh_sizes),
+    "n_rep_list": ([8, 32, 128], _list_of(int)),
     "fit_range": ((0, 3), _parse_range),
     "threads": (1, int),
 }
@@ -258,7 +265,7 @@ def run_stochastic_2d(cfg: dict) -> ExperimentResult:
 DYNAMICS_1D_SCHEMA = {
     "n_atoms": (1024, int),
     "h_list": ([Fraction(1, 4), Fraction(1, 8), Fraction(1, 16), Fraction(1, 32)],
-               _parse_fraction_list),
+               _parse_mesh_sizes),
     "t_final": (Fraction(1, 20), _parse_fraction),
     "amplitude": (0.01, float),
     "threads": (1, int),

@@ -168,12 +168,6 @@ class InteractionModel:
     def bond_specs(self, alpha: int, cell=0) -> list[BondSpec]:
         raise NotImplementedError
 
-    def lattice(self, eps) -> Multilattice:
-        return Multilattice(self.d, eps, self.shifts())
-
-    def neighborhood(self, alpha: int) -> list[NeighborOffset]:
-        return [spec.offset for spec in self.bond_specs(alpha)]
-
     # --- single-site evaluation (gaps: one vector per neighborhood offset) ---
 
     def _site_gaps(self, alpha: int, gaps) -> list[np.ndarray]:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from fractions import Fraction
 
 from hqclab.atomistic import (
@@ -20,6 +21,7 @@ from hqclab.lattice import (
     l2_norm,
     zeros_field,
 )
+from hqclab.network import SolverError
 from hqclab.potential import LinearSpring1D, make_dynamics_model
 
 
@@ -199,3 +201,49 @@ def test_dynamics_equilibrium_stable():
     u_eq = solve_equilibrium(prob)
     _, lam = slowest_eigenmode(prob, u_eq)
     assert lam > 0
+
+
+def _lj_chain_problem():
+    setup = make_dynamics_model()
+    lat = chain_lattice(Fraction(1, 16), 2)
+    return EquilibriumProblem(lat, setup.model, masses=setup.mass_field(lat))
+
+
+def _asymmetric_spring_problem():
+    # three species with distinct springs and masses: no reflection symmetry,
+    # so the cosine waves alone do not span an invariant subspace
+    lat = chain_lattice(Fraction(1, 8), 3)
+    return EquilibriumProblem(lat, LinearSpring1D((1.0, 2.0, 4.0)), masses=np.tile([1.0, 3.0, 2.0], lat.n_cells))
+
+
+@pytest.mark.parametrize("make_problem", [_lj_chain_problem, _asymmetric_spring_problem])
+def test_eigenmode_matches_dense_eigenspace(make_problem):
+    # dense generalized eigensolve of the whole Hessian as the oracle: the mode
+    # is the M-projection of cos(2 pi x) onto the lowest nonzero eigenspace
+    prob = make_problem()
+    lat = prob.lattice
+    u_eq = solve_equilibrium(prob)
+    mode, lam = slowest_eigenmode(prob, u_eq)
+    H = np.asarray(energy_hessian(prob, u_eq).todense())
+    vals, vecs = scipy.linalg.eigh(H, np.diag(prob.masses))
+    assert abs(vals[0]) < 1e-10 * vals[-1]  # the translation
+    assert vals[2] - vals[1] < 1e-10 * vals[1] < vals[3] - vals[2]  # an isolated pair
+    assert lam == pytest.approx(vals[1], rel=1e-10)
+    pair = vecs[:, 1:3]  # M-orthonormal
+    cosine = np.cos(2 * np.pi * lat.site_positions()[:, 0])
+    expected = pair @ (pair.T @ (prob.masses * cosine))
+    expected /= np.sqrt(np.mean(expected**2))
+    expected *= np.sign(expected[0])
+    assert np.max(np.abs(mode.values[:, 0] - expected)) < 1e-10
+
+
+def test_eigenmode_rejects_forced_equilibrium():
+    # a forced equilibrium is not cell-periodic, so its Hessian is not block-circulant
+    lat = chain_lattice(Fraction(1, 8), 2)
+    model = make_dynamics_model().model
+    x = lat.site_positions()
+    f = LatticeField(lat, 0.5 * np.sin(2 * np.pi * x))
+    prob = EquilibriumProblem(lat, model, force=f)
+    u_eq = solve_equilibrium(prob)
+    with pytest.raises(SolverError, match="cell-periodic"):
+        slowest_eigenmode(prob, u_eq)

@@ -1,9 +1,14 @@
 """Command-line driver: config parsing, CSV output, determinism, exit codes."""
 
-from hqclab.cli import main, parse_config_file, write_csv
-from hqclab.experiments import ConfigError, run_converge_1d, run_equivalence
+from pathlib import Path
+
+from hqclab import experiments
+from hqclab.cli import EXPERIMENTS, main, parse_config_file, write_csv
+from hqclab.experiments import ConfigError, read_config, run_converge_1d, run_equivalence
 
 import pytest
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def test_parse_config_file(tmp_path):
@@ -147,3 +152,48 @@ def test_bug_in_equivalence_row_propagates(monkeypatch):
     cfg = {"trials_spring": "1", "trials_lj": "0", "trials_simple": "0"}
     with pytest.raises(TypeError, match="bug"):
         run_equivalence(cfg)
+
+
+@pytest.mark.parametrize("experiment, text", [
+    pytest.param("converge-1d", "h_list =\n", id="converge-empty-h_list"),
+    pytest.param("dynamics-1d", "h_list =\n", id="dynamics-empty-h_list"),
+    pytest.param("stochastic-2d", "n_rep_list =\n", id="stochastic-empty-n_rep_list"),
+    pytest.param("converge-1d", "h_list = 0\n", id="converge-zero-h"),
+    pytest.param("dynamics-1d", "h_list = -1/4\n", id="dynamics-negative-h"),
+    pytest.param("equivalence", None, id="missing-config-file"),
+])
+def test_config_errors_exit_before_any_solve(tmp_path, monkeypatch, capsys, experiment, text):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the config was checked")
+
+    monkeypatch.setattr(experiments.atomistic, "solve_equilibrium", no_solve)
+    monkeypatch.setattr(experiments.mqc, "equivalence_report", no_solve)
+    cfg = tmp_path / "c.cfg"
+    if text is not None:
+        cfg.write_text(text)
+    assert main([experiment, "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
+
+
+SCHEMAS = {
+    "converge-1d": experiments.CONVERGE_1D_SCHEMA,
+    "stochastic-2d": experiments.STOCHASTIC_2D_SCHEMA,
+    "dynamics-1d": experiments.DYNAMICS_1D_SCHEMA,
+    "equivalence": experiments.EQUIVALENCE_SCHEMA,
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(SCHEMAS))
+def test_shipped_configs_show_the_defaults(experiment):
+    # each configs/<experiment>.cfg says "(defaults shown)": it must parse and
+    # set every key it names to the schema default
+    assert sorted(p.stem for p in CONFIGS.glob("*.cfg")) == sorted(EXPERIMENTS) == sorted(SCHEMAS)
+    schema = SCHEMAS[experiment]
+    path = CONFIGS / f"{experiment}.cfg"
+    assert "(defaults shown)" in path.read_text()
+    cfg = parse_config_file(str(path))
+    assert cfg
+    parsed = read_config(cfg, schema)
+    for key in cfg:
+        assert parsed[key] == schema[key][0], key

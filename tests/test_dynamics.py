@@ -247,19 +247,3 @@ def test_macro_initial_condition_interpolates():
     for k, v in enumerate(mesh.vertices):
         site = lat.site_index((int(round(v[0] / lat.eps_float)),), 0)
         assert macro0.values[k, 0] == pytest.approx(u0.values[site, 0])
-
-
-def test_export_trajectory_csv(tmp_path):
-    from hqclab.dynamics import export_trajectory_csv
-
-    prob, setup, lat = dynamics_problem(32)
-    u0 = initial_condition(prob)
-    traj = run_atomistic_dynamics(prob, u0, t_final=2e-4, tau=1e-4)
-    out = tmp_path / "traj.csv"
-    export_trajectory_csv(str(out), traj.times, traj.displacements)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "time,site,u0"
-    assert len(lines) == 1 + len(traj.times) * lat.n_sites
-    t, site, u = lines[1].split(",")
-    assert float(t) == 0.0 and int(site) == 0
-    assert float(u) == traj.displacements[0][0, 0]
