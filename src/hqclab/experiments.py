@@ -58,11 +58,33 @@ def _list_of(parse):
     return parser
 
 
-def _parse_mesh_sizes(text: str) -> list[Fraction]:
-    sizes = _list_of(_parse_fraction)(text)
-    if any(h <= 0 for h in sizes):
-        raise ValueError("mesh sizes must be positive")
-    return sizes
+def _positive(parse):
+    """Parser of a ``parse`` value that must be positive."""
+
+    def parser(text: str):
+        value = parse(text)
+        if not value > 0:
+            raise ValueError("must be positive")
+        return value
+
+    return parser
+
+
+def _parse_lattice_eps(text: str) -> Fraction:
+    eps = _parse_fraction(text)
+    if eps <= 0 or (1 / eps).denominator != 1:
+        raise ValueError("1/eps must be a positive integer")
+    return eps
+
+
+def _parse_power_of_two(text: str) -> int:
+    n = int(text)
+    if n < 2 or n & (n - 1):
+        raise ValueError("must be a power of two, at least 2")
+    return n
+
+
+_parse_mesh_sizes = _list_of(_positive(_parse_fraction))
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -81,7 +103,7 @@ def read_config(cfg: dict, schema: dict) -> dict:
             try:
                 out[key] = parser(cfg[key])
             except (ValueError, ZeroDivisionError) as exc:
-                raise ConfigError(f"bad value for {key!r}: {cfg[key]!r}") from exc
+                raise ConfigError(f"bad value for {key!r}: {cfg[key]!r} ({exc})") from exc
         else:
             out[key] = default
     return out
@@ -120,8 +142,8 @@ def smooth_force_1d(points: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------- converge-1d
 
 CONVERGE_1D_SCHEMA = {
-    "psi": ([1.0, 3.0], _list_of(float)),
-    "eps": (Fraction(1, 4096), _parse_fraction),
+    "psi": ([1.0, 3.0], _list_of(_positive(float))),
+    "eps": (Fraction(1, 4096), _parse_lattice_eps),
     "h_list": ([Fraction(1, 4), Fraction(1, 8), Fraction(1, 16), Fraction(1, 32), Fraction(1, 64)],
                _parse_mesh_sizes),
     "fit_range_h1": ((0, 5), _parse_range),
@@ -186,7 +208,7 @@ def run_converge_1d(cfg: dict) -> ExperimentResult:
 # -------------------------------------------------------------- stochastic-2d
 
 STOCHASTIC_2D_SCHEMA = {
-    "n": (128, int),
+    "n": (128, _parse_power_of_two),
     "seed": (1, int),
     # start where the Cauchy-Born tensor gap dominates the macro error, so the
     # affine-closure curve exhibits its non-convergent floor
@@ -203,8 +225,6 @@ def run_stochastic_2d(cfg: dict) -> ExperimentResult:
     for full sampling) against the non-converging affine (Cauchy-Born) closure."""
     p = read_config(cfg, STOCHASTIC_2D_SCHEMA)
     n = p["n"]
-    if n & (n - 1):
-        raise ConfigError("n must be a power of two")
     _check_mesh_divides(p["h_list"], Fraction(n))
     for n_rep in p["n_rep_list"]:
         if not 1 <= n_rep <= n:
@@ -263,7 +283,7 @@ def run_stochastic_2d(cfg: dict) -> ExperimentResult:
 # --------------------------------------------------------------- dynamics-1d
 
 DYNAMICS_1D_SCHEMA = {
-    "n_atoms": (1024, int),
+    "n_atoms": (1024, _parse_power_of_two),
     "h_list": ([Fraction(1, 4), Fraction(1, 8), Fraction(1, 16), Fraction(1, 32)],
                _parse_mesh_sizes),
     "t_final": (Fraction(1, 20), _parse_fraction),
@@ -277,8 +297,6 @@ def run_dynamics_1d(cfg: dict) -> ExperimentResult:
     atomistic reference, with tau = h/20 (macro) and tau = eps/20 (reference)."""
     p = read_config(cfg, DYNAMICS_1D_SCHEMA)
     n_atoms = p["n_atoms"]
-    if n_atoms & (n_atoms - 1):
-        raise ConfigError("n_atoms must be a power of two")
     setup = make_dynamics_model()
     model = setup.model
     eps = Fraction(model.m, n_atoms)
@@ -338,8 +356,8 @@ EQUIVALENCE_SCHEMA = {
     "trials_spring": (36, int),
     "trials_lj": (15, int),
     "trials_simple": (4, int),
-    "mesh_n": (4, int),
-    "eps": (Fraction(1, 32), _parse_fraction),
+    "mesh_n": (4, _positive(int)),
+    "eps": (Fraction(1, 32), _parse_lattice_eps),
     "tol_spring": (1e-10, float),
     "tol_lj": (1e-9, float),
     "tol_simple": (1e-12, float),
@@ -353,9 +371,10 @@ def run_equivalence(cfg: dict) -> ExperimentResult:
     p = read_config(cfg, EQUIVALENCE_SCHEMA)
     if min(p["tol_spring"], p["tol_lj"], p["tol_simple"]) <= 0:
         raise ConfigError("tolerances must be positive")
+    eps = p["eps"]
+    _check_mesh_divides([Fraction(1, p["mesh_n"])], 1 / eps)
     rng = np.random.Generator(np.random.Philox(p["seed"]))
     mesh = fem.build_mesh(1, p["mesh_n"])
-    eps = p["eps"]
     trials = []
     for k in range(p["trials_spring"]):
         m = (2, 3, 4)[k % 3]

@@ -142,5 +142,6 @@ def solve_homogenized_fem(
         return assemble(mesh, np.array([density.d2phi0(F) for F in grads_of(u)]))
 
     threshold = tol * (1.0 + float(np.linalg.norm(b))) / np.sqrt(mesh.n_vertices)
-    result = newton(energy, gradient, hessian, np.zeros_like(b), mesh.d, threshold, max_iter)
+    result = newton(energy, gradient, hessian, np.zeros_like(b), (mesh.n,) * mesh.d, threshold,
+                    max_iter)
     return p1_zero_mean(P1Field(mesh, result.w))

@@ -157,21 +157,17 @@ def micro_solve(
 def micro_sensitivity(system: BondSystem, chi: np.ndarray, F: np.ndarray) -> np.ndarray:
     """Unit-gradient sensitivity fields at a converged micro state.
 
-    Solves the linearized microproblem for each unit imposed gradient E_ij;
-    sensitivities for arbitrary macro basis functions follow by linearity.
+    Solves the linearized microproblem for each unit imposed gradient E_ij,
+    all d^2 right-hand sides as one stacked solve; sensitivities for arbitrary
+    macro basis functions follow by linearity.
     """
     d = system.d
     n = system.n_sites
-    out = np.zeros((d, d, n, d))
-    if n * d <= d:
-        return out
-    op = GaugeFixedOperator(system.hessian(chi, F), d)
-    for i in range(d):
-        for j in range(d):
-            G = np.zeros((d, d))
-            G[i, j] = 1.0
-            out[i, j] = op.solve(-system.affine_force(chi, F, G))
-    return out
+    if n == 1:
+        return np.zeros((d, d, n, d))
+    op = GaugeFixedOperator(system.hessian(chi, F), d, system.cells)
+    rhs = np.stack([-system.affine_force(chi, F, G) for G in np.eye(d * d).reshape(d * d, d, d)])
+    return op.solve(rhs).reshape(d, d, n, d)
 
 
 def condensed_tangent(system: BondSystem, chi: np.ndarray, F: np.ndarray | None,
@@ -392,7 +388,7 @@ class HQCOperator:
 
         threshold = tol * (1.0 + float(np.linalg.norm(b))) / np.sqrt(mesh.n_vertices)
         result = newton(energy, gradient, lambda u: self.hessian(P1Field(mesh, u)),
-                        u0, mesh.d, threshold, max_outer)
+                        u0, (mesh.n,) * mesh.d, threshold, max_outer)
         return HQCSolution(macro=p1_zero_mean(P1Field(mesh, result.w)), operator=self,
                            residual=result.residual, iterations=result.iterations)
 

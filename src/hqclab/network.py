@@ -19,6 +19,10 @@ the constant fields in its kernel.
 
 ``newton`` solves every such problem, and also the macro problems of the HQC
 and homogenized-FEM solvers, whose nodal fields are zero-mean in the same way.
+All of them live on periodic grids, so each Newton step is one
+``GaugeFixedOperator`` solve: dense LAPACK <= 600 DOF, FFT-preconditioned CG
+above, with the grid-averaged stencil as the preconditioner (the lattice
+analogue of Moulinec-Suquet FFT homogenization).
 """
 
 from __future__ import annotations
@@ -27,13 +31,19 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .lattice import Multilattice
 from .potential import InteractionModel, PotentialError
 
 #: below this many degrees of freedom, linear solves go through dense LAPACK
 DENSE_DOF_LIMIT = 600
+#: PCG stops once the relative residual ||r|| / ||b|| is at most PCG_RTOL ...
+PCG_RTOL = 1e-13
+#: ... or once the normwise backward error ||r|| / (||H||_inf ||x|| + ||b||) is
+#: at most PCG_BACKWARD_TOL (the rounding floor of stiff fine lattices)
+PCG_BACKWARD_TOL = 1e-15
+#: PCG iterations before a solve fails with SolverError
+PCG_MAX_ITER = 1000
 
 
 class SolverError(RuntimeError):
@@ -46,7 +56,9 @@ class BondSystem:
     ``law`` holds the per-bond parameters of every bond, so each evaluation is
     one law call.  ``gaps``, ``energy``, ``bond_forces``, ``gradient`` and
     ``stress`` also take a stack of fields w (T, n_sites, d) with gradients
-    F (T, d, d) and return one result per stack entry.
+    F (T, d, d) and return one result per stack entry.  ``cells`` is the
+    periodic grid of Bravais cells; sites are numbered cell-major (C order over
+    ``cells``), species-minor.
     """
 
     def __init__(
@@ -57,9 +69,11 @@ class BondSystem:
         dst: np.ndarray,
         rvec: np.ndarray,
         law,
+        cells: tuple[int, ...],
         gap_scale: float = 1.0,
     ) -> None:
         self.n_sites = n_sites
+        self.cells = tuple(cells)
         self.d = d
         self.src = src
         self.dst = dst
@@ -189,6 +203,7 @@ def compile_system(lattice: Multilattice, model: InteractionModel, gap_scale: fl
         dst=np.concatenate(dst_parts),
         rvec=np.concatenate(r_parts, axis=0),
         law=type(laws[0]).stack(laws, counts),
+        cells=(lattice.cells_per_dim,) * lattice.d,
         gap_scale=gap_scale,
     )
 
@@ -207,17 +222,59 @@ def project_zero_mean_array(w: np.ndarray) -> np.ndarray:
     return w - w.mean(axis=-2, keepdims=True)
 
 
+def _circulant_inverse(H: sp.spmatrix, cells: tuple[int, ...], d: int) -> np.ndarray:
+    """Inverse symbol of the grid average of H, one block per rfft wavevector.
+
+    H acts on fields numbered cell-major over the periodic grid ``cells`` with
+    b = n_dof / n_cells DOF per cell.  Its b x b blocks are averaged per
+    periodic cell offset into the stencil S (exactly H when H is
+    block-circulant), whose symbol S^(k) = sum_delta S[delta] e^{2 pi i k.delta/N}
+    is inverted block by block.  At k = 0 the d translations are projected out,
+    so the inverse maps onto zero-mean fields.  Returns shape
+    ``(b, b) + rfft grid``.
+    """
+    n_dof = H.shape[0]
+    n_cells = int(np.prod(cells))
+    if n_dof % n_cells or (n_dof // n_cells) % d:
+        raise SolverError(f"grid {tuple(cells)} does not fit {n_dof} DOF in blocks of {d}")
+    b = n_dof // n_cells
+    coo = H.tocoo()
+    ci, ai = np.divmod(coo.row, b)
+    cj, aj = np.divmod(coo.col, b)
+    delta = np.zeros_like(ci)           # flat periodic offset of cell cj from cell ci
+    stride = n_cells
+    for n in cells:
+        stride //= n
+        delta = delta * n + (cj // stride - ci // stride) % n
+    S = np.bincount((delta * b + ai) * b + aj, weights=coo.data, minlength=n_cells * b * b)
+    axes = tuple(range(len(cells)))
+    # S is real, so its symbol is the conjugate of its forward transform
+    sym = np.conj(np.fft.rfftn(S.reshape(tuple(cells) + (b, b)) / n_cells, axes=axes))
+    trans = np.tile(np.eye(d), (b // d, 1)) / np.sqrt(b // d)   # orthonormal translations
+    kernel = trans @ trans.T
+    zero = (0,) * len(cells)
+    sym[zero] += max(np.abs(sym[zero]).max(), 1.0) * kernel
+    try:
+        inv = np.linalg.inv(sym)
+    except np.linalg.LinAlgError as exc:
+        raise SolverError("averaged stiffness is singular beyond the translation kernel") from exc
+    proj = np.eye(b) - kernel
+    inv[zero] = proj @ inv[zero] @ proj
+    return np.ascontiguousarray(np.moveaxis(inv, (-2, -1), (0, 1)))
+
+
 class GaugeFixedOperator:
     """Linear solver for Riesz Hessians with the constant fields in the kernel.
 
-    Small systems add a rank-d regularization on the constant modes; larger
-    sparse systems pin the first site's degrees of freedom instead (an
-    equivalent gauge choice that preserves sparsity).  Either way the returned
-    increment is projected back to zero mean, so both paths produce the same
-    zero-mean Newton step.
+    Dense LAPACK <= 600 DOF (``DENSE_DOF_LIMIT``): a rank-d regularization on
+    the constant modes, one step of iterative refinement.  FFT-preconditioned
+    CG above: H stays sparse, and the preconditioner is the inverse of its
+    average over the periodic grid ``cells`` (``_circulant_inverse``), exact for
+    block-circulant H.  Either way the solution is the zero-mean field, and a
+    failure raises SolverError naming its cause.
     """
 
-    def __init__(self, H: sp.spmatrix, d: int) -> None:
+    def __init__(self, H: sp.spmatrix, d: int, cells: tuple[int, ...]) -> None:
         self.d = d
         self.n_dof = H.shape[0]
         self.n_sites = self.n_dof // d
@@ -233,37 +290,78 @@ class GaugeFixedOperator:
                 self._dense = np.linalg.inv(A)
             except np.linalg.LinAlgError as exc:
                 raise SolverError("singular stiffness beyond the translation kernel") from exc
-            self._lu = None
         else:
-            keep = np.arange(d, self.n_dof)
-            A = H.tocsr()[keep][:, keep].tocsc()
-            try:
-                self._lu = spla.splu(A)
-            except RuntimeError as exc:
-                raise SolverError("singular stiffness beyond the translation kernel") from exc
             self._dense = None
-            self._keep = keep
+            self.cells = tuple(cells)
+            self._inv = _circulant_inverse(self._H, self.cells, d)
+            self._h_inf = float(abs(self._H).sum(axis=1).max())
 
-    def _raw_solve(self, b: np.ndarray) -> np.ndarray:
-        if self._dense is not None:
-            return self._dense @ b
-        x = np.zeros(self.n_dof)
-        x[self._keep] = self._lu.solve(b[self._keep])
-        return x
+    def _dense_solve(self, b: np.ndarray) -> np.ndarray:
+        """Dense solve of one flat right-hand side with one refinement step,
+        which keeps the step accurate when the stiffness entries are large
+        (fine lattices scale like 1/eps^2)."""
+        x = project_zero_mean_array((self._dense @ b).reshape(self.n_sites, self.d)).ravel()
+        return x + self._dense @ (b - self._H @ x)
+
+    def _precondition(self, R: np.ndarray) -> np.ndarray:
+        """Apply the inverse grid-averaged stiffness to a stack R (k, n_dof)."""
+        k, b = len(R), len(self._inv)
+        axes = tuple(range(-len(self.cells), 0))
+        grid = np.moveaxis(R.reshape((k,) + self.cells + (b,)), -1, 1)   # (k, b, *cells)
+        F = np.fft.rfftn(grid, axes=axes)
+        Z = self._inv[:, 0] * F[:, None, 0]
+        for c in range(1, b):
+            Z += self._inv[:, c] * F[:, None, c]
+        return np.moveaxis(np.fft.irfftn(Z, s=self.cells, axes=axes), 1, -1).reshape(k, -1)
+
+    def _pcg(self, B: np.ndarray) -> np.ndarray:
+        """Preconditioned CG on a stack of zero-mean right-hand sides B (k, n_dof);
+        an entry leaves the iteration once it meets PCG_RTOL or PCG_BACKWARD_TOL."""
+        X = np.zeros_like(B)
+        b_norm = np.linalg.norm(B, axis=1)
+        rows = np.arange(len(B))                # stack entries still iterating
+        x = np.zeros_like(B)
+        r = B.copy()
+        z = self._precondition(r)
+        p = z
+        rz = np.sum(r * z, axis=1)
+        it = 0
+        while True:
+            r_norm = np.linalg.norm(r, axis=1)
+            floor = PCG_BACKWARD_TOL * (self._h_inf * np.linalg.norm(x, axis=1) + b_norm[rows])
+            done = (r_norm <= PCG_RTOL * b_norm[rows]) | (r_norm <= floor)
+            if done.any():
+                X[rows[done]] = x[done]
+                keep = ~done
+                rows, x, r, p, rz, r_norm = rows[keep], x[keep], r[keep], p[keep], rz[keep], r_norm[keep]
+                if not len(rows):
+                    return X
+            rel = float(np.max(r_norm / b_norm[rows]))
+            if it == PCG_MAX_ITER:
+                raise SolverError(f"PCG did not converge: relative residual {rel:.3e} "
+                                  f"after {it} iterations")
+            Hp = (self._H @ p.T).T
+            pHp = np.sum(p * Hp, axis=1)
+            if not np.all(pHp > 0):
+                raise SolverError(f"PCG met non-positive curvature p.Hp = {pHp.min():.3e} at "
+                                  f"iteration {it} (relative residual {rel:.3e})")
+            alpha = (rz / pHp)[:, None]
+            x = x + alpha * p
+            r = r - alpha * Hp
+            z = self._precondition(r)
+            rz_new = np.sum(r * z, axis=1)
+            p = z + (rz_new / rz)[:, None] * p
+            rz = rz_new
+            it += 1
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve H x = rhs (rhs shape (n_sites, d)); returns a zero-mean field.
-
-        One step of iterative refinement keeps the step accurate when the
-        stiffness entries are large (fine lattices scale like 1/eps^2).
-        """
-        b = rhs.ravel()
-        x = self._raw_solve(b)
-        x = project_zero_mean_array(x.reshape(self.n_sites, self.d)).ravel()
-        r = b - self._H @ x
-        x = x + self._raw_solve(r)
-        x = x.reshape(self.n_sites, self.d)
-        return project_zero_mean_array(x)
+        """Solve H x = rhs for one field (n_sites, d) or a stack (k, n_sites, d);
+        returns zero-mean fields of the same shape."""
+        if self._dense is not None:
+            X = np.stack([self._dense_solve(b) for b in rhs.reshape(-1, self.n_dof)])
+        else:
+            X = self._pcg(project_zero_mean_array(rhs).reshape(-1, self.n_dof))
+        return project_zero_mean_array(X.reshape(rhs.shape))
 
 
 @dataclass
@@ -273,17 +371,19 @@ class NewtonResult:
     iterations: int
 
 
-def newton(energy, gradient, hessian, w0: np.ndarray, d: int, threshold: float,
-           max_iter: int = 50) -> NewtonResult:
+def newton(energy, gradient, hessian, w0: np.ndarray, cells: tuple[int, ...],
+           threshold: float, max_iter: int = 50) -> NewtonResult:
     """Zero-mean Newton iteration: the one nonlinear solver of the package.
 
-    ``energy``, ``gradient`` and ``hessian`` map an (n, d) field to the
-    objective, its Riesz gradient and its sparse Hessian.  Iterates stay zero
-    mean, and convergence is declared once avg_norm(gradient) <= ``threshold``.
+    ``energy``, ``gradient`` and ``hessian`` map an (n, d) field on the
+    periodic grid ``cells`` to the objective, its Riesz gradient and its
+    sparse Hessian.  Iterates stay zero mean, and convergence is declared
+    once avg_norm(gradient) <= ``threshold``.
     Each gauge-fixed Newton step is halved until the objective does not rise;
     a trial that raises PotentialError counts as a rise.
     """
     w = project_zero_mean_array(np.array(w0, dtype=float))
+    d = w.shape[-1]
     for it in range(max_iter + 1):
         g = gradient(w)
         res = avg_norm(g)
@@ -291,7 +391,7 @@ def newton(energy, gradient, hessian, w0: np.ndarray, d: int, threshold: float,
             return NewtonResult(w, res, it)
         if it == max_iter:
             break
-        step = GaugeFixedOperator(hessian(w), d).solve(-g)
+        step = GaugeFixedOperator(hessian(w), d, cells).solve(-g)
         lam = 1.0
         base = energy(w)
         while lam > 2.0**-30:
@@ -336,5 +436,5 @@ def newton_zero_mean(
 
     if w0 is None:
         w0 = np.zeros((system.n_sites, system.d))
-    return newton(energy, gradient, lambda w: system.hessian(w, F), w0, system.d,
+    return newton(energy, gradient, lambda w: system.hessian(w, F), w0, system.cells,
                   tol * (1.0 + ref), max_iter)

@@ -49,6 +49,27 @@ def test_equivalence_cli_deterministic(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_stochastic_cli_deterministic_through_pcg(tmp_path, monkeypatch):
+    from hqclab.network import GaugeFixedOperator
+
+    pcg_sizes = []
+    pcg = GaugeFixedOperator._pcg
+
+    def counted(self, B):
+        pcg_sizes.append(self.n_dof)
+        return pcg(self, B)
+
+    monkeypatch.setattr(GaugeFixedOperator, "_pcg", counted)
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("n = 32\nh_list = 1/4,1/8\nn_rep_list = 8,32\nfit_range = 0:2\n")
+    outs = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    for out in outs:
+        assert main(["stochastic-2d", "--config", str(cfg), "--out", str(out)]) == 0
+    # the atomistic reference and the full-sample sensitivity run through PCG
+    assert pcg_sizes and set(pcg_sizes) == {2048}
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
 def test_seed_override_changes_output(tmp_path):
     cfg = tmp_path / "eq.cfg"
     cfg.write_text("trials_spring = 6\ntrials_lj = 0\ntrials_simple = 0\n")
@@ -161,6 +182,14 @@ def test_bug_in_equivalence_row_propagates(monkeypatch):
     pytest.param("converge-1d", "h_list = 0\n", id="converge-zero-h"),
     pytest.param("dynamics-1d", "h_list = -1/4\n", id="dynamics-negative-h"),
     pytest.param("equivalence", None, id="missing-config-file"),
+    pytest.param("converge-1d", "eps = 0\n", id="converge-zero-eps"),
+    pytest.param("converge-1d", "eps = -1/4\n", id="converge-negative-eps"),
+    pytest.param("converge-1d", "psi = 1,0\n", id="converge-zero-psi"),
+    pytest.param("dynamics-1d", "n_atoms = 0\n", id="dynamics-zero-atoms"),
+    pytest.param("stochastic-2d", "n = 0\n", id="stochastic-zero-n"),
+    pytest.param("equivalence", "mesh_n = 0\n", id="equivalence-zero-mesh_n"),
+    pytest.param("equivalence", "mesh_n = 3\n", id="equivalence-misaligned-mesh_n"),
+    pytest.param("equivalence", "eps = 0\n", id="equivalence-zero-eps"),
 ])
 def test_config_errors_exit_before_any_solve(tmp_path, monkeypatch, capsys, experiment, text):
     def no_solve(*args, **kwargs):

@@ -1,12 +1,15 @@
-"""The stacked bond kernel: one law per system, incidence scatter, stacked fields."""
+"""The stacked bond kernel (one law per system, incidence scatter, stacked
+fields) and the FFT-preconditioned CG behind the gauge-fixed solves."""
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from hqclab import network
+from hqclab.fem import MacroMesh, constant_tensor_stiffness
 from hqclab.lattice import Multilattice, chain_lattice, square_lattice
-from hqclab.network import compile_system
+from hqclab.network import DENSE_DOF_LIMIT, GaugeFixedOperator, SolverError, compile_system
 from hqclab.potential import (
     LennardJones1D,
     LennardJonesParams,
@@ -107,3 +110,77 @@ def test_incidence_scatter_matches_add_at_bitwise():
     # a single-cell torus bonds sites to themselves: both entries are kept
     cell = compile_system(Multilattice(1, 1, lat.shifts), make_dynamics_model().model, 1.0)
     assert cell.incidence.nnz == 2 * len(cell.src)
+
+
+# ------------------------------------------------------------ PCG solves
+
+
+def network_hessian(log_decades=None):
+    """Hessian of an n = 32 random network (2048 DOF), optionally with bond
+    strengths redrawn log-uniformly over ``log_decades`` decades."""
+    n = 32
+    model = RandomBond2D(n, seed=11)
+    if log_decades is not None:
+        rng = np.random.default_rng(12)
+        model.psi = 10.0 ** rng.uniform(0.0, log_decades, size=model.psi.shape)
+    system = compile_system(square_lattice(n), model, gap_scale=1 / n)
+    assert system.n_dof > DENSE_DOF_LIMIT and system.cells == (n, n)
+    return system, system.hessian(np.zeros((system.n_sites, 2)))
+
+
+def zero_mean_stack(k, n_sites, d, seed):
+    b = np.random.default_rng(seed).standard_normal((k, n_sites, d))
+    return b - b.mean(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("log_decades, tol", [(None, 1e-10), (3.0, 1e-9)],
+                         ids=["uniform-bonds", "log-uniform-3-decades"])
+def test_pcg_matches_dense_least_squares(log_decades, tol):
+    system, H = network_hessian(log_decades)
+    rhs = zero_mean_stack(4, system.n_sites, 2, seed=13)
+    x = GaugeFixedOperator(H, 2, system.cells).solve(rhs)
+    # minimum-norm solution = the zero-mean one, since the kernel is the translations
+    ref = np.linalg.lstsq(H.toarray(), rhs.reshape(4, -1).T, rcond=None)[0].T.reshape(rhs.shape)
+    assert np.abs(ref.mean(axis=1)).max() <= 1e-12 * np.abs(ref).max()
+    for xk, rk in zip(x, ref):
+        assert np.linalg.norm(xk - rk) <= tol * np.linalg.norm(rk)
+    assert np.abs(x.mean(axis=1)).max() <= 1e-14 * np.abs(x).max()
+
+
+def chain_spring_hessian():
+    lat = chain_lattice(Fraction(1, 384), 2)
+    system = compile_system(lat, LinearSpring1D((1.0, 3.0)), gap_scale=lat.eps_float)
+    return system.hessian(np.zeros((lat.n_sites, 1))), 1, system.cells
+
+
+def p1_constant_tensor_stiffness():
+    mesh = MacroMesh(2, 32)
+    M = np.random.default_rng(14).standard_normal((4, 4))
+    A = (M @ M.T / 4 + np.eye(4)).reshape(2, 2, 2, 2)   # positive on every gradient
+    return constant_tensor_stiffness(mesh, A), 2, (32, 32)
+
+
+@pytest.mark.parametrize("build", [chain_spring_hessian, p1_constant_tensor_stiffness],
+                         ids=["two-species-chain", "p1-constant-tensor"])
+def test_preconditioner_inverts_block_circulant_operators_exactly(build):
+    H, d, cells = build()
+    assert H.shape[0] > DENSE_DOF_LIMIT
+    op = GaugeFixedOperator(H, d, cells)
+    x = zero_mean_stack(2, H.shape[0] // d, d, seed=15).reshape(2, -1)
+    back = op._precondition(np.asarray((H @ x.T).T))
+    assert np.abs(back - x).max() <= 1e-12 * np.abs(x).max()
+    # the translation kernel is zeroed, not inverted
+    assert np.abs(op._precondition(np.ones((1, H.shape[0])))).max() <= 1e-12
+
+
+def test_pcg_failures_name_their_cause(monkeypatch):
+    system, H = network_hessian(3.0)
+    rhs = zero_mean_stack(1, system.n_sites, 2, seed=16)[0]
+    with pytest.raises(SolverError, match=r"grid \(31, 31\) does not fit"):
+        GaugeFixedOperator(H, 2, (31, 31))
+    with pytest.raises(SolverError, match=r"non-positive curvature .* iteration 0 "
+                                          r"\(relative residual 1\.000e\+00\)"):
+        GaugeFixedOperator(-H, 2, system.cells).solve(rhs)
+    monkeypatch.setattr(network, "PCG_MAX_ITER", 3)
+    with pytest.raises(SolverError, match=r"relative residual \d\.\d{3}e[-+]\d+ after 3 iterations"):
+        GaugeFixedOperator(H, 2, system.cells).solve(rhs)
