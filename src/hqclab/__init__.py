@@ -5,7 +5,6 @@ companions for cross-validation."""
 from .lattice import (
     LatticeField,
     Multilattice,
-    build_multilattice,
     chain_lattice,
     square_lattice,
 )
@@ -24,7 +23,6 @@ from .mqc import equivalence_report, solve_shift_vectors
 __all__ = [
     "LatticeField",
     "Multilattice",
-    "build_multilattice",
     "chain_lattice",
     "square_lattice",
     "LinearSpring1D",

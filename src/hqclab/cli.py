@@ -68,15 +68,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--config", help="flat key=value config file")
     parser.add_argument("--out", help="CSV output path (default <experiment>.csv)")
     parser.add_argument("--seed", type=int, help="override the config seed")
-    parser.add_argument("--threads", type=int, help="worker threads for independent rows")
+    parser.add_argument("--threads", type=int, choices=[1],
+                        help="accepted for compatibility: rows run in one thread")
     args = parser.parse_args(argv)
 
     try:
         cfg = parse_config_file(args.config) if args.config else {}
         if args.seed is not None:
             cfg["seed"] = str(args.seed)
-        if args.threads is not None:
-            cfg["threads"] = str(args.threads)
         result = EXPERIMENTS[args.experiment](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

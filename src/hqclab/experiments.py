@@ -8,7 +8,6 @@ other exception is a bug and propagates.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -29,7 +28,11 @@ class ExperimentResult:
     columns: list[str]
     rows: list[list]
     summary: dict = field(default_factory=dict)
-    failures: int = 0
+
+    @property
+    def failures(self) -> int:
+        """Number of rows whose status (the last column) is not ``ok``."""
+        return sum(1 for row in self.rows if row[-1] != "ok")
 
 
 def fit_slope(h_values, errors, lo: int, hi: int) -> float:
@@ -118,13 +121,6 @@ def _failed(exc: Exception) -> str:
     return f"failed:{type(exc).__name__}"
 
 
-def _map_rows(fn, items, threads: int):
-    if threads <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def _check_mesh_divides(h_list, cells: Fraction) -> None:
     for h in h_list:
         n = Fraction(1) / h
@@ -149,7 +145,6 @@ CONVERGE_1D_SCHEMA = {
     "fit_range_h1": ((0, 5), _parse_range),
     "fit_range_l2": ((0, 4), _parse_range),
     "force_scale": (1.0, float),
-    "threads": (1, int),
 }
 
 
@@ -185,7 +180,7 @@ def run_converge_1d(cfg: dict) -> ExperimentResult:
         except ROW_ERRORS as exc:
             return [psi_txt, str(eps), str(h), float("nan"), float("nan"), float("nan"), _failed(exc)]
 
-    rows = _map_rows(one_row, p["h_list"], p["threads"])
+    rows = [one_row(h) for h in p["h_list"]]
     h_floats = [float(h) for h in p["h_list"]]
     uhc_h1 = [r[3] for r in rows]
     uh_h1 = [r[4] for r in rows]
@@ -201,8 +196,7 @@ def run_converge_1d(cfg: dict) -> ExperimentResult:
         "eps": float(eps),
         "u_norm": u_norm,
     }
-    failures = sum(1 for r in rows if r[-1] != "ok")
-    return ExperimentResult(columns, rows, summary, failures)
+    return ExperimentResult(columns, rows, summary)
 
 
 # -------------------------------------------------------------- stochastic-2d
@@ -216,7 +210,6 @@ STOCHASTIC_2D_SCHEMA = {
                _parse_mesh_sizes),
     "n_rep_list": ([8, 32, 128], _list_of(int)),
     "fit_range": ((0, 3), _parse_range),
-    "threads": (1, int),
 }
 
 
@@ -236,8 +229,7 @@ def run_stochastic_2d(cfg: dict) -> ExperimentResult:
 
     columns = ["n", "seed", "n_rep", "h", "err_hqc", "err_ad", "status"]
 
-    def one_row(args):
-        n_rep, h = args
+    def one_row(n_rep: int, h: Fraction):
         try:
             mesh = fem.build_mesh(2, int(1 / h))
             # the body force is global and smooth: pair it exactly with the
@@ -255,8 +247,7 @@ def run_stochastic_2d(cfg: dict) -> ExperimentResult:
         except ROW_ERRORS as exc:
             return [n, p["seed"], n_rep, str(h), float("nan"), float("nan"), _failed(exc)]
 
-    items = [(n_rep, h) for n_rep in p["n_rep_list"] for h in p["h_list"]]
-    rows = _map_rows(one_row, items, p["threads"])
+    rows = [one_row(n_rep, h) for n_rep in p["n_rep_list"] for h in p["h_list"]]
 
     h_floats = [float(h) for h in p["h_list"]]
     by_rep = {n_rep: [r for r in rows if r[2] == n_rep] for n_rep in p["n_rep_list"]}
@@ -276,8 +267,7 @@ def run_stochastic_2d(cfg: dict) -> ExperimentResult:
             summary[f"floor_ratio_nrep_{n_rep}"] = (
                 errs_rep[-1] / errs[-1] if np.isfinite(errs_rep[-1]) else float("nan")
             )
-    failures = sum(1 for r in rows if r[-1] != "ok")
-    return ExperimentResult(columns, rows, summary, failures)
+    return ExperimentResult(columns, rows, summary)
 
 
 # --------------------------------------------------------------- dynamics-1d
@@ -288,7 +278,6 @@ DYNAMICS_1D_SCHEMA = {
                _parse_mesh_sizes),
     "t_final": (Fraction(1, 20), _parse_fraction),
     "amplitude": (0.01, float),
-    "threads": (1, int),
 }
 
 
@@ -337,7 +326,7 @@ def run_dynamics_1d(cfg: dict) -> ExperimentResult:
         except ROW_ERRORS as exc:
             return [n_atoms, str(h), "", float("nan"), float("nan"), _failed(exc)]
 
-    rows = _map_rows(one_row, h_list, p["threads"])
+    rows = [one_row(h) for h in h_list]
     h_floats = [float(h) for h in h_list]
     summary = {
         "slope_linf_l2": fit_slope(h_floats, [r[3] for r in rows], 0, len(rows)),
@@ -345,8 +334,7 @@ def run_dynamics_1d(cfg: dict) -> ExperimentResult:
         "ref_energy_drift": drift,
         "eps": float(eps),
     }
-    failures = sum(1 for r in rows if r[-1] != "ok")
-    return ExperimentResult(columns, rows, summary, failures)
+    return ExperimentResult(columns, rows, summary)
 
 
 # --------------------------------------------------------------- equivalence
@@ -361,7 +349,6 @@ EQUIVALENCE_SCHEMA = {
     "tol_spring": (1e-10, float),
     "tol_lj": (1e-9, float),
     "tol_simple": (1e-12, float),
-    "threads": (1, int),
 }
 
 
@@ -386,7 +373,6 @@ def run_equivalence(cfg: dict) -> ExperimentResult:
 
     columns = ["trial", "model", "m", "e_hqc", "e_fem", "e_mqc", "max_gap", "tol", "status"]
     rows = []
-    failures = 0
     worst = 0.0
     all_pass = True
     for k, (kind, m, seed) in enumerate(trials):
@@ -412,7 +398,6 @@ def run_equivalence(cfg: dict) -> ExperimentResult:
             all_pass &= ok
             rows.append([k, kind, model.m, rep.e_hqc, rep.e_fem, rep.e_mqc, gap, tol, "ok"])
         except ROW_ERRORS as exc:
-            failures += 1
             all_pass = False
             nan = float("nan")
             rows.append([k, kind, model.m, nan, nan, nan, nan, tol, _failed(exc)])
@@ -421,4 +406,4 @@ def run_equivalence(cfg: dict) -> ExperimentResult:
         "worst_relative_gap": worst,
         "all_within_tolerance": all_pass,
     }
-    return ExperimentResult(columns, rows, summary, failures)
+    return ExperimentResult(columns, rows, summary)

@@ -18,7 +18,6 @@ stacked residual evaluation and runs a Newton solve only where it fails.
 
 from __future__ import annotations
 
-import threading
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,6 +33,7 @@ from .fem import (
     assemble,
     barycentric_weights,
     check_alignment,
+    load_from_lattice,
     locate,
     nodal_forces,
     p1_zero_mean,
@@ -196,9 +196,7 @@ def condensed_tangent(system: BondSystem, chi: np.ndarray, F: np.ndarray | None,
 #: per model: (cells_per_dim, signature, relax) -> (sens, A) of a quadratic
 #: system; operators on one model and lattice share a single sensitivity solve.
 #: Models are treated as immutable once an operator has been built on them.
-#: The lock makes rows running in threads wait for a solve already under way.
 _EFFECTIVE_TENSORS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-_EFFECTIVE_LOCK = threading.Lock()
 
 
 class HQCOperator:
@@ -241,14 +239,13 @@ class HQCOperator:
         """Unit-gradient sensitivities and the effective tensor of a quadratic
         system (Cauchy-Born tensor when correctors are frozen)."""
         key = (self.lattice.cells_per_dim, self.signature, self.relax)
-        with _EFFECTIVE_LOCK:
-            cache = _EFFECTIVE_TENSORS.setdefault(self.model, {})
-            if key not in cache:
-                system = self.system
-                zero = np.zeros((system.n_sites, system.d))
-                sens = micro_sensitivity(system, zero, None) if self.relax else None
-                cache[key] = (sens, condensed_tangent(system, zero, None, sens))
-            return cache[key]
+        cache = _EFFECTIVE_TENSORS.setdefault(self.model, {})
+        if key not in cache:
+            system = self.system
+            zero = np.zeros((system.n_sites, system.d))
+            sens = micro_sensitivity(system, zero, None) if self.relax else None
+            cache[key] = (sens, condensed_tangent(system, zero, None, sens))
+        return cache[key]
 
     def _element_tensors(self) -> np.ndarray:
         """Effective tensor of every element of a quadratic model, (n_el, d, d, d, d)."""
@@ -333,15 +330,17 @@ class HQCOperator:
         return assemble(self.mesh, self.element_tangents(uh))
 
     def rhs(self, f: LatticeField) -> np.ndarray:
-        """Load vector F^hqc: per-element sampling-domain averages of f against hats."""
+        """Load vector F^hqc: per-element sampling-domain averages of f against hats.
+
+        A full-lattice domain on every element (volumes summing to 1) is the
+        exact lattice pairing ``load_from_lattice``.
+        """
         mesh = self.mesh
+        if self.signature == ("full",):
+            return load_from_lattice(mesh, f)
         b = np.zeros((mesh.n_vertices, mesh.d))
         pos = self.lattice.site_positions()
-        full_volume = 0.0
         for dom in self.domains:
-            if dom.signature == ("full",):
-                full_volume += mesh.volumes[dom.element]
-                continue
             pts = pos[dom.parent_sites]
             fvals = f.values[dom.parent_sites]
             elems = locate(mesh, pts)
@@ -349,32 +348,21 @@ class HQCOperator:
             nodes = mesh.elements[elems]
             w = lam[:, :, None] * fvals[:, None, :] * (mesh.volumes[dom.element] / len(pts))
             np.add.at(b, nodes.ravel(), w.reshape(-1, mesh.d))
-        if full_volume > 0.0:
-            elems = locate(mesh, pos)
-            lam = barycentric_weights(mesh, pos, elems)
-            nodes = mesh.elements[elems]
-            w = lam[:, :, None] * f.values[:, None, :] * (full_volume / self.lattice.n_sites)
-            np.add.at(b, nodes.ravel(), w.reshape(-1, mesh.d))
         return b
 
     # ------------------------------------------------------------------ solve
 
-    def solve(
-        self,
-        load: np.ndarray | None = None,
-        u0: P1Field | None = None,
-        tol: float = 1e-10,
-        max_outer: int = 50,
-    ) -> "HQCSolution":
-        """Outer Newton on the macro residual; micro states warm-start across
-        iterations.  The final macro field is projected to zero mean.
+    def solve(self, load: np.ndarray | None = None, tol: float = 1e-10) -> "HQCSolution":
+        """Outer Newton from u^h = 0 on the macro residual; micro states
+        warm-start across iterations.  The final macro field is projected to
+        zero mean.
 
         Converges once the Euclidean norm of the nodal residual is at most
         ``tol * (1 + ||load||)``; ``newton`` measures the vertex-averaged norm,
         so the threshold is divided by sqrt(n_vertices).
         """
         mesh = self.mesh
-        u0 = np.zeros((mesh.n_vertices, mesh.d)) if u0 is None else u0.values
+        u0 = np.zeros((mesh.n_vertices, mesh.d))
         b = np.zeros_like(u0) if load is None else np.asarray(load, dtype=float)
 
         def energy(u):
@@ -388,7 +376,7 @@ class HQCOperator:
 
         threshold = tol * (1.0 + float(np.linalg.norm(b))) / np.sqrt(mesh.n_vertices)
         result = newton(energy, gradient, lambda u: self.hessian(P1Field(mesh, u)),
-                        u0, (mesh.n,) * mesh.d, threshold, max_outer)
+                        u0, (mesh.n,) * mesh.d, threshold)
         return HQCSolution(macro=p1_zero_mean(P1Field(mesh, result.w)), operator=self,
                            residual=result.residual, iterations=result.iterations)
 
@@ -480,15 +468,6 @@ def reconstruct(solution: HQCSolution) -> LatticeField:
 
 
 # --------------------------------------------------------- module-level API
-
-
-def hqc_energy(model, lattice, mesh, uh: P1Field, n_rep: int | None = None) -> float:
-    return HQCOperator(model, lattice, mesh, n_rep=n_rep).energy(uh)
-
-
-def affine_closure_energy(model, lattice, mesh, uh: P1Field, n_rep: int | None = None) -> float:
-    """Cauchy-Born baseline: the HQC energy with correctors frozen at zero."""
-    return HQCOperator(model, lattice, mesh, n_rep=n_rep, relax=False).energy(uh)
 
 
 def solve_hqc(

@@ -243,11 +243,6 @@ def l2_norm(u: LatticeField) -> float:
     return float(np.sqrt(np.mean(np.sum(u.values**2, axis=1))))
 
 
-def build_multilattice(d: int, eps, shifts: Sequence) -> Multilattice:
-    """Construct a multilattice with validated spacing and species shifts."""
-    return Multilattice(d, eps, shifts)
-
-
 def chain_lattice(eps, m: int) -> Multilattice:
     """1D multilattice with the uniform shifts P = (0, 1/m, ..., (m-1)/m)."""
     return Multilattice(1, eps, [(Fraction(k, m),) for k in range(m)])

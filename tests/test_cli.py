@@ -126,11 +126,26 @@ def test_converge_rows_reproducible():
     assert r1.rows == r2.rows
 
 
-def test_threaded_rows_match_sequential():
-    base = {"eps": "1/256", "h_list": "1/4,1/8,1/16", "fit_range_h1": "0:3", "fit_range_l2": "0:3"}
-    seq = run_converge_1d(dict(base, threads="1"))
-    par = run_converge_1d(dict(base, threads="3"))
-    assert seq.rows == par.rows
+def test_threads_flag_accepts_only_one(tmp_path):
+    # rows run in one thread; --threads 1 is kept for old command lines
+    cfg = tmp_path / "eq.cfg"
+    cfg.write_text("trials_spring = 3\ntrials_lj = 1\ntrials_simple = 1\n")
+    plain, one = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(["equivalence", "--config", str(cfg), "--out", str(plain)]) == 0
+    assert main(["equivalence", "--config", str(cfg), "--out", str(one), "--threads", "1"]) == 0
+    assert plain.read_bytes() == one.read_bytes()
+    with pytest.raises(SystemExit) as exc:
+        main(["equivalence", "--config", str(cfg), "--out", str(tmp_path / "c.csv"), "--threads", "2"])
+    assert exc.value.code == 2
+    assert not (tmp_path / "c.csv").exists()
+
+
+@pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
+def test_threads_config_key_is_unknown(tmp_path, capsys, experiment):
+    cfg = tmp_path / "t.cfg"
+    cfg.write_text("threads = 1\n")
+    assert main([experiment, "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
+    assert "unknown config keys: ['threads']" in capsys.readouterr().err
 
 
 def test_misaligned_mesh_is_config_error(tmp_path):

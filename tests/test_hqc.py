@@ -16,8 +16,6 @@ from hqclab.fem import (
 from hqclab.homog import HomogenizedDensity, harmonic_mean, solve_homogenized_fem
 from hqclab.hqc import (
     HQCOperator,
-    affine_closure_energy,
-    hqc_energy,
     owner_elements,
     place_sampling_domains,
     reconstruct,
@@ -204,7 +202,7 @@ def test_hqc_energy_zero_field():
     model = LinearSpring1D((1.0, 3.0))
     lat = chain_lattice(Fraction(1, 16), 2)
     mesh = build_mesh(1, 4)
-    assert hqc_energy(model, lat, mesh, P1Field(mesh, np.zeros((4, 1)))) == 0.0
+    assert HQCOperator(model, lat, mesh).energy(P1Field(mesh, np.zeros((4, 1)))) == 0.0
 
 
 def test_hqc_energy_equals_homogenized_density():
@@ -217,7 +215,7 @@ def test_hqc_energy_equals_homogenized_density():
 
     grads = all_element_gradients(uh)
     expected = sum(mesh.volumes[t] * density.phi0(grads[t]) for t in range(mesh.n_elements))
-    assert hqc_energy(model, lat, mesh, uh) == pytest.approx(expected, abs=1e-12)
+    assert HQCOperator(model, lat, mesh).energy(uh) == pytest.approx(expected, abs=1e-12)
 
 
 def test_single_element_full_domain_sampling():
@@ -227,7 +225,7 @@ def test_single_element_full_domain_sampling():
     lat = chain_lattice(1, 2)  # one Bravais cell: M is a single period
     mesh = build_mesh(1, 1)
     uh = P1Field(mesh, np.zeros((1, 1)))
-    e_hqc = hqc_energy(model, lat, mesh, uh)
+    e_hqc = HQCOperator(model, lat, mesh).energy(uh)
     prob = EquilibriumProblem(lat, model)
     u_eq = solve_equilibrium(prob, tol=1e-12)
     assert e_hqc == pytest.approx(total_energy(prob, u_eq), abs=1e-12)
@@ -331,6 +329,20 @@ def test_rhs_quadrature_consistency():
     assert slope >= 1.0
 
 
+def test_full_sample_rhs_is_the_lattice_pairing():
+    # a full-lattice sampling domain on every element samples f at every site
+    from hqclab.fem import load_from_lattice
+    from hqclab.potential import make_stochastic_model
+
+    lat, model, f = make_stochastic_model(16, 3)
+    for n in (2, 4, 8):
+        mesh = build_mesh(2, n)
+        b = HQCOperator(model, lat, mesh, n_rep=16).rhs(f)
+        assert np.array_equal(b, load_from_lattice(mesh, f))
+        # a subgrid domain samples f on 8^2 of the 16^2 cells only
+        assert not np.allclose(HQCOperator(model, lat, mesh, n_rep=8).rhs(f), b)
+
+
 def test_solve_zero_force():
     model = LinearSpring1D((1.0, 3.0))
     lat = chain_lattice(Fraction(1, 16), 2)
@@ -384,10 +396,24 @@ def test_d2phi0_matches_element_tangents():
         assert np.max(np.abs(density.d2phi0(F) - A)) <= 1e-12 * np.max(np.abs(A))
 
 
-def test_energy_independent_of_call_history():
+def newton_springs():
+    """Two-species springs sent through the micro Newton path: a nonzero
+    corrector whose exact values the effective tensors give."""
+    model = LinearSpring1D((1.0, 3.0))
+    model.is_quadratic = False
+    return model
+
+
+@pytest.mark.parametrize("make_model", [
+    pytest.param(lambda: make_dynamics_model().model, id="lj-chain"),
+    pytest.param(newton_springs, id="newton-springs"),
+])
+def test_energy_independent_of_call_history(make_model):
     # line-search trials evaluate the energy at rejected fields; those calls
-    # must not seed the micro solves of later evaluations
-    model = make_dynamics_model().model
+    # must not seed the micro solves of later evaluations.  The LJ chain's
+    # corrector is 0 by symmetry, so only the springs, whose corrector is
+    # not, can show a stale warm start.
+    model = make_model()
     lat = chain_lattice(Fraction(1, 16), 2)
     mesh = build_mesh(1, 4)
     uh = random_uh(mesh, 0.03, seed=15)
@@ -398,14 +424,6 @@ def test_energy_independent_of_call_history():
         op.energy(random_uh(mesh, 0.05, seed=seed))
     assert op.energy(uh) == before
     assert np.array_equal(op.element_states(uh).chi, chi_before)
-
-
-def newton_springs():
-    """Two-species springs sent through the micro Newton path: a nonzero
-    corrector whose exact values the effective tensors give."""
-    model = LinearSpring1D((1.0, 3.0))
-    model.is_quadratic = False
-    return model
 
 
 def test_nonlinear_micro_path_matches_effective_tensors():
@@ -565,10 +583,10 @@ def test_affine_closure_two_spring_coefficient():
         mesh.volumes[t] * np.mean(psi) * (grads[t][0, 0] / m) ** 2 / 2
         for t in range(mesh.n_elements)
     )
-    e_ad = affine_closure_energy(model, lat, mesh, uh)
+    e_ad = HQCOperator(model, lat, mesh, relax=False).energy(uh)
     assert e_ad == pytest.approx(expected, rel=1e-12)
     # relaxation lowers the energy
-    assert hqc_energy(model, lat, mesh, uh) <= e_ad
+    assert HQCOperator(model, lat, mesh).energy(uh) <= e_ad
 
 
 def test_affine_closure_simple_lattice_equals_hqc():
@@ -576,8 +594,8 @@ def test_affine_closure_simple_lattice_equals_hqc():
     lat = chain_lattice(Fraction(1, 16), 1)
     mesh = build_mesh(1, 4)
     uh = random_uh(mesh, 0.5, seed=18)
-    assert affine_closure_energy(model, lat, mesh, uh) == pytest.approx(
-        hqc_energy(model, lat, mesh, uh), rel=1e-14
+    assert HQCOperator(model, lat, mesh, relax=False).energy(uh) == pytest.approx(
+        HQCOperator(model, lat, mesh).energy(uh), rel=1e-14
     )
 
 
@@ -586,8 +604,8 @@ def test_affine_closure_2d_random_bond():
     model = RandomBond2D(16, seed=2)
     mesh = build_mesh(2, 4)
     uh = random_uh(mesh, 0.2, seed=19)
-    e_hqc = hqc_energy(model, lat, mesh, uh, n_rep=16)
-    e_ad = affine_closure_energy(model, lat, mesh, uh, n_rep=16)
+    e_hqc = HQCOperator(model, lat, mesh, n_rep=16).energy(uh)
+    e_ad = HQCOperator(model, lat, mesh, n_rep=16, relax=False).energy(uh)
     assert e_hqc <= e_ad
 
 
@@ -723,35 +741,3 @@ def test_full_sample_tensors_keyed_by_lattice_size():
     sens_large, A_large = op_large._quad_data()
     assert A_small is not A_large
     assert sens_small.shape[2] == 8 and sens_large.shape[2] == 16
-
-
-def test_effective_tensors_computed_once_under_threads(monkeypatch):
-    import sys
-    from concurrent.futures import ThreadPoolExecutor
-
-    from hqclab import hqc
-
-    calls = []
-    real = hqc.micro_sensitivity
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(hqc, "micro_sensitivity", counting)
-    lat = square_lattice(16)
-    model = RandomBond2D(16, seed=3)
-    meshes = [build_mesh(2, n) for n in (1, 2, 4, 8, 16)] * 2
-
-    def energy(mesh):
-        return HQCOperator(model, lat, mesh, n_rep=16).energy(random_uh(mesh, 0.1, seed=mesh.n))
-
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            threaded = list(pool.map(energy, meshes))
-    finally:
-        sys.setswitchinterval(old)
-    assert len(calls) == 1
-    assert threaded == [energy(mesh) for mesh in meshes]

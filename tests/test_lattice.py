@@ -182,8 +182,8 @@ def test_2d_norm_offsets():
     assert h1 >= l2 > 0.0
 
 
-def test_build_multilattice_alias():
-    from hqclab.lattice import build_multilattice
-
-    lat = build_multilattice(1, Fraction(1, 4), [(0,), (Fraction(1, 2),)])
+def test_multilattice_takes_eps_and_shifts_as_exact_floats():
+    lat = Multilattice(1, 0.25, [(0,), (0.5,)])
+    assert lat.eps == Fraction(1, 4)
+    assert lat.shifts == ((Fraction(0),), (Fraction(1, 2),))
     assert lat.n_sites == 8
