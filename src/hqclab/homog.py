@@ -17,18 +17,13 @@ d2Phi0 is the condensed tangent of the HQC micro layer on the cell system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .fem import MacroMesh, P1Field, all_element_gradients, assemble, nodal_forces, p1_zero_mean
-from .hqc import condensed_tangent, micro_sensitivity
+from .fem import MacroMesh, P1Field, all_element_gradients, assemble, nodal_forces
+from .hqc import MICRO_TOL, condensed_tangents, macro_newton
 from .lattice import Multilattice
-from .network import BondSystem, compile_system, newton, newton_zero_mean, project_zero_mean_array
+from .network import BondSystem, compile_system, newton_zero_mean
 from .potential import InteractionModel
-
-CELL_TOL = 1e-12
-F_CACHE_DIGITS = 12
 
 
 def unit_cell(model: InteractionModel) -> Multilattice:
@@ -36,70 +31,63 @@ def unit_cell(model: InteractionModel) -> Multilattice:
     return Multilattice(model.d, 1, model.shifts())
 
 
-@dataclass
-class CellProblem:
-    """Corrector problem on one period under the imposed gradient F."""
-
-    model: InteractionModel
-    F: np.ndarray
-
-    def __post_init__(self) -> None:
-        d = self.model.d
-        self.F = np.asarray(self.F, dtype=float).reshape(d, d)
-
-
 def cell_system(model: InteractionModel) -> BondSystem:
     return compile_system(unit_cell(model), model, gap_scale=1.0)
 
 
 def solve_cell_problem(
-    cell: CellProblem,
-    tol: float = CELL_TOL,
+    model: InteractionModel,
+    F,
+    tol: float = MICRO_TOL,
     system: BondSystem | None = None,
 ) -> np.ndarray:
     """Zero-mean corrector chi(F), shape (m, d), reached from the zero guess.
 
     Residual tolerance is tol * (1 + ||F||).
     """
-    sys_ = system if system is not None else cell_system(cell.model)
-    ref = float(np.linalg.norm(cell.F))
-    return newton_zero_mean(sys_, F=cell.F, tol=tol, ref=ref).w
+    F = np.asarray(F, dtype=float).reshape(model.d, model.d)
+    sys_ = system if system is not None else cell_system(model)
+    return newton_zero_mean(sys_, F=F, tol=tol, ref=float(np.linalg.norm(F))).w
 
 
 class HomogenizedDensity:
-    """Phi0 and its first two derivatives, with correctors cached on quantized F."""
+    """Phi0 and its first two derivatives at one gradient (d, d) or a stack
+    (T, d, d).  Every corrector is solved afresh from the zero guess, so each
+    value is a function of F alone."""
 
-    def __init__(self, model: InteractionModel, tol: float = CELL_TOL) -> None:
+    def __init__(self, model: InteractionModel) -> None:
         self.model = model
-        self.tol = tol
         self.system = cell_system(model)
-        self._cache: dict[tuple, np.ndarray] = {}
 
-    def _key(self, F: np.ndarray) -> tuple:
-        return tuple(np.round(np.asarray(F, dtype=float).ravel(), F_CACHE_DIGITS))
+    def _states(self, F) -> tuple[np.ndarray, np.ndarray, bool]:
+        """Gradients as a stack (T, d, d), their correctors (T, m, d), and
+        whether F was one gradient."""
+        d = self.model.d
+        F = np.asarray(F, dtype=float)
+        single = F.ndim < 3
+        F = F.reshape((1 if single else -1, d, d))
+        chi = np.stack([solve_cell_problem(self.model, G, system=self.system) for G in F])
+        return F, chi, single
 
     def chi(self, F) -> np.ndarray:
-        F = np.asarray(F, dtype=float).reshape(self.model.d, self.model.d)
-        key = self._key(F)
-        if key not in self._cache:
-            self._cache[key] = solve_cell_problem(
-                CellProblem(self.model, F), tol=self.tol, system=self.system
-            )
-        return self._cache[key]
+        _, chi, single = self._states(F)
+        return chi[0] if single else chi
 
-    def phi0(self, F) -> float:
-        F = np.asarray(F, dtype=float).reshape(self.model.d, self.model.d)
-        return self.system.energy(self.chi(F), F)
+    def phi0(self, F):
+        F, chi, single = self._states(F)
+        e = self.system.energy(chi, F)
+        return float(e[0]) if single else e
 
     def dphi0(self, F) -> np.ndarray:
-        F = np.asarray(F, dtype=float).reshape(self.model.d, self.model.d)
-        return self.system.stress(self.chi(F), F)
+        F, chi, single = self._states(F)
+        P = self.system.stress(chi, F)
+        return P[0] if single else P
 
     def d2phi0(self, F) -> np.ndarray:
         """Fourth-order tangent: the condensed tangent at the cell corrector."""
-        F = np.asarray(F, dtype=float).reshape(self.model.d, self.model.d)
-        chi = self.chi(F)
-        return condensed_tangent(self.system, chi, F, micro_sensitivity(self.system, chi, F))
+        F, chi, single = self._states(F)
+        A = condensed_tangents(self.system, chi, F)
+        return A[0] if single else A
 
 
 def harmonic_mean(psi) -> float:
@@ -115,33 +103,23 @@ def solve_homogenized_fem(
     density: HomogenizedDensity,
     load: np.ndarray | None = None,
     tol: float = 1e-10,
-    max_iter: int = 50,
 ) -> P1Field:
     """Macro FEM for the homogenized energy: critical point of
     sum_T |T| Phi0(grad u^h|_T) - load . u^h over zero-mean P1 fields.
 
     ``load`` is a (n_vertices, d) vector of nodal load values (the pairing of
     the external force with the nodal hats); omit it for the unforced problem.
-    Converges like ``HQCOperator.solve``: Euclidean norm of the projected nodal
-    residual at most ``tol * (1 + ||load||)``.
+    Runs the ``macro_newton`` of ``HQCOperator.solve``, with its convergence
+    test.
     """
-    b = np.zeros((mesh.n_vertices, mesh.d)) if load is None else np.asarray(load, dtype=float)
 
-    def grads_of(u):
-        return all_element_gradients(P1Field(mesh, u))
+    def energy(uh):
+        return float(mesh.volumes @ density.phi0(all_element_gradients(uh)))
 
-    def energy(u):
-        e = mesh.volumes @ np.array([density.phi0(F) for F in grads_of(u)])
-        return float(e) - float(np.sum(b * u))
+    def gradient(uh):
+        return nodal_forces(mesh, density.dphi0(all_element_gradients(uh)))
 
-    def gradient(u):
-        P = np.array([density.dphi0(F) for F in grads_of(u)])
-        return project_zero_mean_array(nodal_forces(mesh, P) - b)
+    def hessian(uh):
+        return assemble(mesh, density.d2phi0(all_element_gradients(uh)))
 
-    def hessian(u):
-        return assemble(mesh, np.array([density.d2phi0(F) for F in grads_of(u)]))
-
-    threshold = tol * (1.0 + float(np.linalg.norm(b))) / np.sqrt(mesh.n_vertices)
-    result = newton(energy, gradient, hessian, np.zeros_like(b), (mesh.n,) * mesh.d, threshold,
-                    max_iter)
-    return p1_zero_mean(P1Field(mesh, result.w))
+    return macro_newton(mesh, energy, gradient, hessian, load, tol)[0]

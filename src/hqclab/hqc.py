@@ -14,6 +14,8 @@ tensors computed from unit-gradient correctors (cached per model, so every
 mesh on one lattice shares them) and contract them over all elements at once;
 the generic path checks the warm-started correctors of all elements in one
 stacked residual evaluation and runs a Newton solve only where it fails.
+The stacked tangents (``condensed_tangents``) and the macro Newton
+(``macro_newton``) also serve the homogenized FEM of ``homog``.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .lattice import LatticeField, Multilattice
 from .network import (
     BondSystem,
     GaugeFixedOperator,
+    NewtonResult,
     SolverError,
     avg_norm,
     compile_system,
@@ -136,14 +139,6 @@ def place_sampling_domains(
     ]
 
 
-class MicroStates(NamedTuple):
-    """Micro states of all elements of an operator, stacked along the first axis."""
-
-    F: np.ndarray                       # element gradients (n_el, d, d)
-    chi: np.ndarray                     # zero-mean correctors per unit macro length (n_el, n, d)
-    residual: np.ndarray                # sqrt(<|micro gradient|^2>) per element (n_el,)
-
-
 def micro_solve(
     system: BondSystem,
     F: np.ndarray,
@@ -191,6 +186,39 @@ def condensed_tangent(system: BondSystem, chi: np.ndarray, F: np.ndarray | None,
                 g = g + (w[system.dst] - w[system.src]) / system.gap_scale
             gaps[i, j] = g
     return np.einsum("ijbx,bxy,klby->ijkl", gaps, k, gaps) / system.n_sites
+
+
+def condensed_tangents(system: BondSystem, chi: np.ndarray, grads: np.ndarray,
+                       relax: bool = True) -> np.ndarray:
+    """Condensed tangents of a stack of micro states: correctors (T, n_sites, d)
+    at gradients (T, d, d), shape (T, d, d, d, d).  ``relax=False`` drops the
+    corrector sensitivities (Cauchy-Born tangents)."""
+    return np.stack([
+        condensed_tangent(system, c, F, micro_sensitivity(system, c, F) if relax else None)
+        for c, F in zip(chi, grads)
+    ])
+
+
+def macro_newton(mesh: MacroMesh, energy, gradient, hessian, load: np.ndarray | None,
+                 tol: float) -> tuple[P1Field, NewtonResult]:
+    """Outer Newton from u^h = 0 for the critical point of energy(u^h) - load . u^h
+    over zero-mean P1 fields; returns the zero-mean macro field and the result.
+
+    ``energy``, ``gradient`` and ``hessian`` map a P1Field to the macro energy,
+    its nodal residual (n_vertices, d) and its sparse Hessian.  The macro
+    equation lives on zero-mean test functions, so the constant component of
+    the residual minus the load is dropped (the load's sampling averages need
+    not vanish domain by domain).  Converges once the Euclidean norm of that
+    residual is at most ``tol * (1 + ||load||)``; ``newton`` measures the
+    vertex-averaged norm, so the threshold is divided by sqrt(n_vertices).
+    """
+    b = np.zeros((mesh.n_vertices, mesh.d)) if load is None else np.asarray(load, dtype=float)
+    threshold = tol * (1.0 + float(np.linalg.norm(b))) / np.sqrt(mesh.n_vertices)
+    result = newton(lambda u: energy(P1Field(mesh, u)) - float(np.sum(b * u)),
+                    lambda u: project_zero_mean_array(gradient(P1Field(mesh, u)) - b),
+                    lambda u: hessian(P1Field(mesh, u)),
+                    np.zeros_like(b), (mesh.n,) * mesh.d, threshold)
+    return p1_zero_mean(P1Field(mesh, result.w)), result
 
 
 #: per model: (cells_per_dim, signature, relax) -> (sens, A) of a quadratic
@@ -273,11 +301,6 @@ class HQCOperator:
             chi[t] = micro_solve(system, grads[t], guess=warm[t], tol=self.micro_tol)
         return chi
 
-    def element_states(self, uh: P1Field) -> MicroStates:
-        grads = all_element_gradients(uh)
-        chi = self.correctors(grads)
-        return MicroStates(grads, chi, avg_norm(self.system.gradient(chi, grads)))
-
     # ------------------------------------------------------------- macro layer
 
     def energy(self, uh: P1Field) -> float:
@@ -302,14 +325,7 @@ class HQCOperator:
         if self.is_quadratic:
             return self._element_tensors()
         grads = all_element_gradients(uh)
-        chi = self.correctors(grads)
-        system = self.system
-        d = self.mesh.d
-        out = np.zeros((self.mesh.n_elements, d, d, d, d))
-        for t, F in enumerate(grads):
-            sens = micro_sensitivity(system, chi[t], F) if self.relax else None
-            out[t] = condensed_tangent(system, chi[t], F, sens)
-        return out
+        return condensed_tangents(self.system, self.correctors(grads), grads, self.relax)
 
     def site_map(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per lattice site: owner element, offset from the owner's first
@@ -338,52 +354,31 @@ class HQCOperator:
         mesh = self.mesh
         if self.signature == ("full",):
             return load_from_lattice(mesh, f)
+        # every domain's sites in domain order, weighted by |T| / (sites of T's domain)
+        sites = np.concatenate([dom.parent_sites for dom in self.domains])
+        sizes = [len(dom.parent_sites) for dom in self.domains]
+        weight = np.repeat(mesh.volumes[[dom.element for dom in self.domains]] / sizes, sizes)
+        pts = self.lattice.site_positions()[sites]
+        elems = locate(mesh, pts)
+        lam = barycentric_weights(mesh, pts, elems)
+        w = lam[:, :, None] * f.values[sites][:, None, :] * weight[:, None, None]
         b = np.zeros((mesh.n_vertices, mesh.d))
-        pos = self.lattice.site_positions()
-        for dom in self.domains:
-            pts = pos[dom.parent_sites]
-            fvals = f.values[dom.parent_sites]
-            elems = locate(mesh, pts)
-            lam = barycentric_weights(mesh, pts, elems)
-            nodes = mesh.elements[elems]
-            w = lam[:, :, None] * fvals[:, None, :] * (mesh.volumes[dom.element] / len(pts))
-            np.add.at(b, nodes.ravel(), w.reshape(-1, mesh.d))
+        np.add.at(b, mesh.elements[elems].ravel(), w.reshape(-1, mesh.d))
         return b
 
     # ------------------------------------------------------------------ solve
 
     def solve(self, load: np.ndarray | None = None, tol: float = 1e-10) -> "HQCSolution":
-        """Outer Newton from u^h = 0 on the macro residual; micro states
-        warm-start across iterations.  The final macro field is projected to
-        zero mean.
-
-        Converges once the Euclidean norm of the nodal residual is at most
-        ``tol * (1 + ||load||)``; ``newton`` measures the vertex-averaged norm,
-        so the threshold is divided by sqrt(n_vertices).
-        """
-        mesh = self.mesh
-        u0 = np.zeros((mesh.n_vertices, mesh.d))
-        b = np.zeros_like(u0) if load is None else np.asarray(load, dtype=float)
-
-        def energy(u):
-            return self.energy(P1Field(mesh, u)) - float(np.sum(b * u))
-
-        def gradient(u):
-            # the macro equation lives on zero-mean test functions: drop the
-            # constant component of the assembled residual (the load's sampling
-            # averages need not vanish domain by domain)
-            return project_zero_mean_array(self.gradient(P1Field(mesh, u)) - b)
-
-        threshold = tol * (1.0 + float(np.linalg.norm(b))) / np.sqrt(mesh.n_vertices)
-        result = newton(energy, gradient, lambda u: self.hessian(P1Field(mesh, u)),
-                        u0, (mesh.n,) * mesh.d, threshold)
-        return HQCSolution(macro=p1_zero_mean(P1Field(mesh, result.w)), operator=self,
-                           residual=result.residual, iterations=result.iterations)
+        """``macro_newton`` on the HQC energy; micro states warm-start across
+        iterations."""
+        macro, result = macro_newton(self.mesh, self.energy, self.gradient, self.hessian, load, tol)
+        return HQCSolution(macro=macro, operator=self, residual=result.residual,
+                           iterations=result.iterations)
 
 
 @dataclass
 class HQCSolution:
-    """Converged macro field; micro states materialize on first access.
+    """Converged macro field of an operator.
 
     ``residual`` is the site-averaged norm sqrt(<|g|^2>) of the projected macro
     residual g over the mesh vertices, as measured by ``network.newton``.
@@ -393,14 +388,6 @@ class HQCSolution:
     operator: HQCOperator
     residual: float
     iterations: int = 0
-    reconstructed: LatticeField | None = None
-    _micro: MicroStates | None = None
-
-    @property
-    def micro(self) -> MicroStates:
-        if self._micro is None:
-            self._micro = self.operator.element_states(self.macro)
-        return self._micro
 
 
 # ------------------------------------------------------------- reconstruction
@@ -422,33 +409,24 @@ def owner_elements(mesh: MacroMesh, points: np.ndarray) -> np.ndarray:
     order = np.lexsort(bary.T[::-1])  # elements sorted by barycenter, lexicographically
     rank = np.empty(mesh.n_elements, dtype=int)
     rank[order] = np.arange(mesh.n_elements)
-    for p in np.nonzero(boundary)[0]:
-        candidates = _containing_elements(mesh, pts[p])
-        owners[p] = min(candidates, key=lambda t: rank[t])
+    idx = np.flatnonzero(boundary)
+    # candidates: both simplices (one in 1D) of the 3^d grid cells around each point
+    shifts = np.array(list(np.ndindex(*(3,) * mesh.d))) - 1
+    cells = (np.floor(pts[idx] * n).astype(int)[:, None, :] + shifts) % n
+    if mesh.d == 1:
+        cand = cells[..., 0]
+    else:
+        flat = 2 * (cells[..., 0] * n + cells[..., 1])
+        cand = np.stack([flat, flat + 1], axis=-1).reshape(len(idx), 2 * len(shifts))
+    lam = barycentric_weights(mesh, np.repeat(pts[idx], cand.shape[1], axis=0), cand.ravel())
+    # a point belongs to t if all barycentric weights are in [0, 1] up to snap
+    # tolerance within the element's periodic frame; none found keeps ``locate``
+    snap = BOUNDARY_SNAP_TOL * n
+    inside = np.all((lam >= -snap) & (lam <= 1 + snap), axis=1).reshape(cand.shape)
+    best = np.where(inside, rank[cand], mesh.n_elements).argmin(axis=1)
+    found = inside.any(axis=1)
+    owners[idx[found]] = cand[found, best[found]]
     return owners
-
-
-def _containing_elements(mesh: MacroMesh, point: np.ndarray) -> list[int]:
-    n = mesh.n
-    base = np.floor(point * n).astype(int)
-    cells = []
-    for shift in np.ndindex(*(3,) * mesh.d):
-        cells.append((base + np.array(shift) - 1) % n)
-    candidates = set()
-    for cell in cells:
-        if mesh.d == 1:
-            candidates.add(int(cell[0]))
-        else:
-            flat = 2 * (int(cell[0]) * n + int(cell[1]))
-            candidates.update((flat, flat + 1))
-    found = []
-    for t in candidates:
-        lam = barycentric_weights(mesh, point[None, :], np.array([t]))[0]
-        # wrap distances: a point belongs to t if all barycentric weights are
-        # in [0,1] up to snap tolerance within the element's periodic frame
-        if np.all(lam >= -BOUNDARY_SNAP_TOL * n) and np.all(lam <= 1 + BOUNDARY_SNAP_TOL * n):
-            found.append(t)
-    return found if found else [int(locate(mesh, point[None, :])[0])]
 
 
 def reconstruct(solution: HQCSolution) -> LatticeField:
@@ -457,14 +435,10 @@ def reconstruct(solution: HQCSolution) -> LatticeField:
     op = solution.operator
     owner, rel, torus_site = op.site_map()
     grads = all_element_gradients(solution.macro)
-    # only the correctors: micro states would also evaluate residuals, on
-    # every macro step of a dynamics run
     chi = op.correctors(grads)
     u0 = solution.macro.values[op.mesh.elements[owner, 0]]
     lin = u0 + (grads[owner] @ rel[:, :, None])[:, :, 0]
-    result = LatticeField(op.lattice, lin + op.lattice.eps_float * chi[owner, torus_site])
-    solution.reconstructed = result
-    return result
+    return LatticeField(op.lattice, lin + op.lattice.eps_float * chi[owner, torus_site])
 
 
 # --------------------------------------------------------- module-level API

@@ -227,8 +227,6 @@ def equivalence_report(
     is unique along that branch.
     """
     e_hqc = HQCOperator(model, lattice, mesh).energy(uh)
-    density = HomogenizedDensity(model)
-    grads = all_element_gradients(uh)
-    e_fem = float(sum(mesh.volumes[t] * density.phi0(grads[t]) for t in range(mesh.n_elements)))
+    e_fem = float(mesh.volumes @ HomogenizedDensity(model).phi0(all_element_gradients(uh)))
     e_mqc = mqc_energy(model, mesh, uh)
     return EquivalenceReport(e_hqc=e_hqc, e_fem=e_fem, e_mqc=e_mqc)

@@ -226,7 +226,7 @@ def test_acceptance_7_small_instance_oracles():
         m = int(rng.integers(2, 5))
         psi_t = tuple(rng.uniform(0.4, 6.0, m))
         F = float(rng.uniform(-2, 2))
-        chi = homog.solve_cell_problem(homog.CellProblem(LinearSpring1D(psi_t), [[F]]))
+        chi = homog.solve_cell_problem(LinearSpring1D(psi_t), [[F]])
         r = 1.0 / m
         c = homog.harmonic_mean(psi_t) * F * r
         for alpha in range(m):
@@ -247,7 +247,7 @@ def test_acceptance_7_small_instance_oracles():
     # shift/corrector bijection residuals
     for model_b, F in ((LinearSpring1D((1.0, 3.0, 0.5)), 0.8), (make_dynamics_model().model, 0.02)):
         system = homog.cell_system(model_b)
-        chi = homog.solve_cell_problem(homog.CellProblem(model_b, [[F]]), system=system)
+        chi = homog.solve_cell_problem(model_b, [[F]], system=system)
         q = mqc.shifts_from_corrector(chi)
         q_solved = mqc.solve_shift_vectors(model_b, [[F]], guess=q)
         assert np.max(np.abs(q_solved - q)) <= 1e-10

@@ -6,7 +6,6 @@ from fractions import Fraction
 
 from hqclab.fem import build_mesh, constant_tensor_stiffness, load_from_lattice
 from hqclab.homog import (
-    CellProblem,
     HomogenizedDensity,
     cell_system,
     harmonic_mean,
@@ -14,18 +13,18 @@ from hqclab.homog import (
     solve_homogenized_fem,
 )
 from hqclab.lattice import LatticeField, chain_lattice
-from hqclab.potential import LinearSpring1D, make_dynamics_model
+from hqclab.potential import LinearSpring1D, RandomBond2D, make_dynamics_model
 
 
 def test_simple_lattice_trivial_corrector():
     model = LinearSpring1D((2.0,))
-    chi = solve_cell_problem(CellProblem(model, [[1.0]]))
+    chi = solve_cell_problem(model, [[1.0]])
     assert np.allclose(chi, 0.0)
 
 
 def test_zero_gradient_zero_corrector():
     model = LinearSpring1D((1.0, 3.0))
-    chi = solve_cell_problem(CellProblem(model, [[0.0]]))
+    chi = solve_cell_problem(model, [[0.0]])
     assert np.allclose(chi, 0.0)
 
 
@@ -34,7 +33,7 @@ def test_two_spring_cell_solution():
     # <1/psi>^-1 F r / psi = (0.75, 0.25)
     model = LinearSpring1D((1.0, 3.0))
     F = np.array([[1.0]])
-    chi = solve_cell_problem(CellProblem(model, F))
+    chi = solve_cell_problem(model, F)
     gaps = [0.5 + chi[1, 0] - chi[0, 0], 0.5 + chi[0, 0] - chi[1, 0]]
     assert gaps[0] == pytest.approx(0.75, abs=1e-12)
     assert gaps[1] == pytest.approx(0.25, abs=1e-12)
@@ -46,7 +45,7 @@ def test_flux_constancy(m):
     psi = tuple(rng.uniform(0.5, 5.0, m))
     model = LinearSpring1D(psi)
     F = float(rng.uniform(-2, 2))
-    chi = solve_cell_problem(CellProblem(model, [[F]]))
+    chi = solve_cell_problem(model, [[F]])
     r = 1.0 / m
     fluxes = []
     for alpha in range(m):
@@ -120,8 +119,8 @@ def test_quadratic_scaling_and_symmetry():
 def test_guess_determinism():
     model = LinearSpring1D((1.0, 3.0))
     F = np.array([[0.9]])
-    chi1 = solve_cell_problem(CellProblem(model, F))
-    chi2 = solve_cell_problem(CellProblem(model, F))
+    chi1 = solve_cell_problem(model, F)
+    chi2 = solve_cell_problem(model, F)
     assert np.array_equal(chi1, chi2)
 
 
@@ -129,7 +128,7 @@ def test_residual_tolerance():
     model = make_dynamics_model().model
     F = np.array([[0.03]])
     system = cell_system(model)
-    chi = solve_cell_problem(CellProblem(model, F), system=system)
+    chi = solve_cell_problem(model, F, system=system)
     res = system.gradient(chi, F)
     assert np.sqrt(np.mean(res**2)) <= 1e-12 * (1 + np.linalg.norm(F))
 
@@ -204,3 +203,53 @@ def test_homogenized_fem_2d_homogeneous_oracle():
     rhs = np.concatenate([load.ravel(), [0.0, 0.0]])
     expected = np.linalg.solve(Aug, rhs)[:n_dof]
     assert np.max(np.abs(u.values.ravel() - expected)) < 1e-9
+
+
+def test_corrector_is_a_function_of_F():
+    # two gradients 4e-13 apart get their own correctors, each equal to a
+    # fresh cell solve at that gradient
+    model = LinearSpring1D((1.0, 3.0))
+    density = HomogenizedDensity(model)
+    F = np.array([[0.7]])
+    for G in (F, F + 4e-13):
+        assert np.array_equal(density.chi(G), solve_cell_problem(model, G))
+
+
+def _uniform_network():
+    model = RandomBond2D(4, seed=0)
+    model.psi[:, :2] = 2.0
+    model.psi[:, 2:] = 1.0
+    return model
+
+
+@pytest.mark.parametrize("make_model, scale", [
+    pytest.param(lambda: LinearSpring1D((1.0, 3.0)), 0.3, id="springs-2"),
+    pytest.param(lambda: LinearSpring1D((1.0, 3.0, 0.5)), 0.3, id="springs-3"),
+    pytest.param(lambda: make_dynamics_model().model, 0.02, id="lj-chain"),
+    pytest.param(_uniform_network, 0.2, id="uniform-network"),
+])
+def test_stacked_density_matches_single_calls(make_model, scale):
+    model = make_model()
+    density = HomogenizedDensity(model)
+    d = model.d
+    grads = scale * np.random.default_rng(9).standard_normal((5, d, d))
+    phi = density.phi0(grads)
+    assert phi.shape == (5,)
+    assert np.array_equal(phi, [density.phi0(F) for F in grads])
+    assert all(type(density.phi0(F)) is float for F in grads)
+    for name, shape in (("chi", (model.m, d)), ("dphi0", (d, d)), ("d2phi0", (d,) * 4)):
+        stacked = getattr(density, name)(grads)
+        singles = [getattr(density, name)(F) for F in grads]
+        assert stacked.shape == (5,) + shape and all(x.shape == shape for x in singles)
+        assert np.array_equal(stacked, singles)
+
+
+def test_homog_binds_no_hqc_operator():
+    # the corrector route of the equivalence check stays independent of the
+    # HQC operator and its quadratic effective-tensor shortcut
+    from hqclab import homog, hqc
+
+    for name in ("HQCOperator", "_EFFECTIVE_TENSORS"):
+        assert not hasattr(homog, name)
+    assert not any(value is hqc.HQCOperator or value is hqc._EFFECTIVE_TENSORS
+                   for value in vars(homog).values())

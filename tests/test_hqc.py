@@ -22,6 +22,7 @@ from hqclab.hqc import (
     solve_hqc,
 )
 from hqclab.lattice import LatticeField, chain_lattice, square_lattice
+from hqclab.network import avg_norm
 from hqclab.potential import LinearSpring1D, RandomBond2D, make_dynamics_model
 
 
@@ -36,13 +37,13 @@ def gradient_full(op, uh):
     from hqclab.hqc import micro_sensitivity
 
     grads = all_element_gradients(uh)
-    states = op.element_states(uh)
+    correctors = op.correctors(grads)
     mesh = op.mesh
     d = mesh.d
     system = op.system
     out = np.zeros((mesh.n_vertices, d))
     for t in range(mesh.n_elements):
-        chi = states.chi[t]
+        chi = correctors[t]
         sens = micro_sensitivity(system, chi, grads[t])
         forces = system.bond_forces(chi, grads[t])  # (nb, d)
         gb = mesh.grad_basis(t)
@@ -138,16 +139,17 @@ def test_sampling_requires_h_at_least_eps():
 
 def test_micro_matches_cell_problem():
     # element correctors coincide with the unit-cell solution (crystal case)
-    from hqclab.homog import CellProblem, solve_cell_problem
+    from hqclab.homog import solve_cell_problem
 
     for model, scale in ((LinearSpring1D((1.0, 3.0)), 1.0), (make_dynamics_model().model, 0.04)):
         lat = chain_lattice(Fraction(1, 32), model.m)
         mesh = build_mesh(1, 4)
         uh = random_uh(mesh, scale, seed=1)
         op = HQCOperator(model, lat, mesh)
-        states = op.element_states(uh)
-        for F, chi, residual in zip(*states):
-            chi_cell = solve_cell_problem(CellProblem(model, F))
+        grads = all_element_gradients(uh)
+        chis = op.correctors(grads)
+        for F, chi, residual in zip(grads, chis, avg_norm(op.system.gradient(chis, grads))):
+            chi_cell = solve_cell_problem(model, F)
             assert np.max(np.abs(chi - chi_cell)) < 1e-12 * (1 + np.linalg.norm(F))
             assert np.abs(chi.mean(axis=0)).max() < 1e-12
             assert residual <= 1e-12 * (1 + np.linalg.norm(F))
@@ -158,8 +160,8 @@ def test_micro_simple_lattice_trivial():
     lat = chain_lattice(Fraction(1, 16), 1)
     mesh = build_mesh(1, 4)
     op = HQCOperator(model, lat, mesh)
-    states = op.element_states(random_uh(mesh, 0.5, seed=2))
-    assert np.allclose(states.chi, 0.0)
+    chi = op.correctors(all_element_gradients(random_uh(mesh, 0.5, seed=2)))
+    assert np.allclose(chi, 0.0)
 
 
 def test_micro_sensitivity_directional_difference():
@@ -329,6 +331,44 @@ def test_rhs_quadrature_consistency():
     assert slope >= 1.0
 
 
+def _rhs_by_domain(op, f):
+    """Oracle for the stacked ``rhs``: one scatter per sampling domain, in domain order."""
+    from hqclab.fem import barycentric_weights, locate
+
+    mesh = op.mesh
+    b = np.zeros((mesh.n_vertices, mesh.d))
+    pos = op.lattice.site_positions()
+    for dom in op.domains:
+        pts = pos[dom.parent_sites]
+        elems = locate(mesh, pts)
+        lam = barycentric_weights(mesh, pts, elems)
+        w = lam[:, :, None] * f.values[dom.parent_sites][:, None, :] * (
+            mesh.volumes[dom.element] / len(pts))
+        np.add.at(b, mesh.elements[elems].ravel(), w.reshape(-1, mesh.d))
+    return b
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_period_rhs_matches_per_domain_scatter(m):
+    model = LinearSpring1D(tuple(np.arange(1.0, m + 1)))
+    lat = chain_lattice(Fraction(1, 32), m)
+    fvals = np.random.default_rng(m).standard_normal((lat.n_sites, 1))
+    f = LatticeField(lat, fvals - fvals.mean(axis=0))
+    for n in (2, 4, 8):
+        op = HQCOperator(model, lat, build_mesh(1, n))
+        assert np.array_equal(op.rhs(f), _rhs_by_domain(op, f))
+
+
+@pytest.mark.parametrize("n_rep", [2, 4, 8])
+def test_subgrid_rhs_matches_per_domain_scatter(n_rep):
+    from hqclab.potential import make_stochastic_model
+
+    lat, model, f = make_stochastic_model(16, 3)
+    for n in (2, 4):
+        op = HQCOperator(model, lat, build_mesh(2, n), n_rep=n_rep)
+        assert np.array_equal(op.rhs(f), _rhs_by_domain(op, f))
+
+
 def test_full_sample_rhs_is_the_lattice_pairing():
     # a full-lattice sampling domain on every element samples f at every site
     from hqclab.fem import load_from_lattice
@@ -419,11 +459,12 @@ def test_energy_independent_of_call_history(make_model):
     uh = random_uh(mesh, 0.03, seed=15)
     op = HQCOperator(model, lat, mesh)
     before = op.energy(uh)
-    chi_before = op.element_states(uh).chi
+    grads = all_element_gradients(uh)
+    chi_before = op.correctors(grads)
     for seed in (16, 17, 18):
         op.energy(random_uh(mesh, 0.05, seed=seed))
     assert op.energy(uh) == before
-    assert np.array_equal(op.element_states(uh).chi, chi_before)
+    assert np.array_equal(op.correctors(grads), chi_before)
 
 
 def test_nonlinear_micro_path_matches_effective_tensors():
@@ -432,7 +473,8 @@ def test_nonlinear_micro_path_matches_effective_tensors():
     uh = random_uh(mesh, 0.3, seed=50)
     newton_op = HQCOperator(newton_springs(), lat, mesh)
     tensor_op = HQCOperator(LinearSpring1D((1.0, 3.0)), lat, mesh)
-    assert np.max(np.abs(newton_op.element_states(uh).chi)) > 0.01
+    chi = newton_op.correctors(all_element_gradients(uh))
+    assert np.max(np.abs(chi)) > 0.01
 
     def close(a, b):
         assert np.max(np.abs(np.asarray(a) - b)) <= 1e-12 * np.max(np.abs(b))
@@ -450,7 +492,6 @@ def test_nonlinear_micro_path_matches_effective_tensors():
 
     pos = lat.site_positions()
     owners = owner_elements(mesh, pos)
-    chi = newton_op.element_states(uh).chi
     for t in range(mesh.n_elements):
         mask = owners == t
         expected = affine_extension(uh, t)(pos[mask]) + lat.eps_float * chi[t][lat.site_species()[mask]]
@@ -545,7 +586,7 @@ def test_reconstruct_single_period_element():
     sol = HQCSolution(macro=uh, operator=op, residual=0.0)
     recon = reconstruct(sol)
     # every site value is the element's affine part plus eps * chi
-    states = sol.micro
+    chi = op.correctors(all_element_gradients(uh))
     pos = lat.site_positions()
     owners = owner_elements(mesh, pos)
     from hqclab.fem import affine_extension
@@ -555,7 +596,7 @@ def test_reconstruct_single_period_element():
         ext = affine_extension(uh, t)
         lin = ext(pos[mask])
         species = lat.site_species()[mask]
-        expected = lin + lat.eps_float * states.chi[t][species]
+        expected = lin + lat.eps_float * chi[t][species]
         assert np.max(np.abs(recon.values[mask] - expected)) < 1e-14
 
 
@@ -614,7 +655,8 @@ def test_stability_flag():
     lat = chain_lattice(Fraction(1, 8), 2)
     mesh = build_mesh(1, 2)
     op = HQCOperator(model, lat, mesh)
-    for F, chi, _ in zip(*op.element_states(random_uh(mesh, 0.01, seed=20))):
+    grads = all_element_gradients(random_uh(mesh, 0.01, seed=20))
+    for F, chi in zip(grads, op.correctors(grads)):
         # constants are in the kernel, so stability on the zero-mean subspace
         # is a nonnegative spectrum overall
         H = op.system.hessian(chi, F)
@@ -641,18 +683,26 @@ def test_reconstruct_2d_homogeneous_network():
 
 
 def test_owner_rule_2d_boundaries():
-    mesh = build_mesh(2, 2)
-    bary = mesh.barycenters()
-    # a vertex shared by several elements goes to the lexicographically
-    # smallest containing barycenter
-    pts = np.array([[0.5, 0.5], [0.25, 0.25]])
-    owners = owner_elements(mesh, pts)
-    for p, t in zip(pts, owners):
-        from hqclab.hqc import _containing_elements
+    # a point shared by several elements goes to the lexicographically
+    # smallest barycenter among them; oracle: containment tested against
+    # every element
+    from hqclab.fem import barycentric_weights
+    from hqclab.hqc import BOUNDARY_SNAP_TOL
 
-        cands = _containing_elements(mesh, p)
-        best = min(cands, key=lambda c: tuple(bary[c]))
-        assert t == best
+    rng = np.random.default_rng(21)
+    for n in (2, 4):
+        mesh = build_mesh(2, n)
+        bary = mesh.barycenters()
+        grid = np.stack(np.meshgrid(*(np.arange(2 * n) / (2 * n),) * 2), axis=-1).reshape(-1, 2)
+        pts = np.concatenate([grid, grid + 1e-11 * rng.standard_normal(grid.shape),
+                              rng.uniform(0, 1, (50, 2))])
+        owners = owner_elements(mesh, pts)
+        every = np.arange(mesh.n_elements)
+        snap = BOUNDARY_SNAP_TOL * n
+        for p, t in zip(pts, owners):
+            lam = barycentric_weights(mesh, np.repeat(p[None], mesh.n_elements, axis=0), every)
+            cands = every[np.all((lam >= -snap) & (lam <= 1 + snap), axis=1)]
+            assert t == min(cands, key=lambda c: tuple(bary[c]))
 
 
 def test_micro_solve_collapse_reports():

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 from hqclab import mqc, network
 from hqclab.fem import P1Field, all_element_gradients, build_mesh, p1_zero_mean
-from hqclab.homog import CellProblem, cell_system, solve_cell_problem
+from hqclab.homog import cell_system, solve_cell_problem
 from hqclab.lattice import chain_lattice
 from hqclab.mqc import (
     ShiftSolveError,
@@ -66,7 +66,7 @@ def test_shift_corrector_bijection():
     # staying below tolerance
     for model, F in ((LinearSpring1D((1.0, 3.0, 0.5)), 0.9), (make_dynamics_model().model, 0.03)):
         system = cell_system(model)
-        chi = solve_cell_problem(CellProblem(model, [[F]]), system=system)
+        chi = solve_cell_problem(model, [[F]], system=system)
         q_from_chi = shifts_from_corrector(chi)
         # shift residual at the mapped point
         q_solved = solve_shift_vectors(model, [[F]], guess=q_from_chi)
@@ -223,7 +223,7 @@ def test_2d_two_species_shift_solve_matches_corrector():
     model = _TwoSpecies2D(psi0=1.0, psi1=3.0)
     F = np.array([[0.4, -0.1], [0.2, 0.3]])
     q = solve_shift_vectors(model, F)
-    chi = solve_cell_problem(CellProblem(model, F))
+    chi = solve_cell_problem(model, F)
     assert np.max(np.abs(q - shifts_from_corrector(chi))) < 1e-11
 
 

@@ -7,7 +7,7 @@ import numpy as np
 from hypothesis import given, strategies as st
 
 from hqclab.fem import P1Field, all_element_gradients, build_mesh, p1_zero_mean
-from hqclab.homog import CellProblem, solve_cell_problem
+from hqclab.homog import solve_cell_problem
 from hqclab.lattice import chain_lattice, square_lattice
 from hqclab.mqc import equivalence_report, shifts_from_corrector, solve_shift_vectors
 from hqclab.network import compile_system
@@ -98,5 +98,5 @@ def test_three_way_equivalence_on_random_spring_chains(psi, nodal):
     grads = all_element_gradients(uh)
     shifts = solve_shift_vectors(model, grads)
     for t, F in enumerate(grads):
-        q = shifts_from_corrector(solve_cell_problem(CellProblem(model, F)))
+        q = shifts_from_corrector(solve_cell_problem(model, F))
         assert np.max(np.abs(shifts[t] - q)) <= 1e-11
