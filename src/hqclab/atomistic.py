@@ -66,7 +66,6 @@ def solve_equilibrium(
     problem: EquilibriumProblem,
     initial_guess: LatticeField | None = None,
     tol: float = 1e-10,
-    max_iter: int = 50,
 ) -> LatticeField:
     """Newton solve of <dE(u), v> = <f, v> for zero-mean periodic u.
 
@@ -76,9 +75,7 @@ def solve_equilibrium(
     f = problem.force.values if problem.force is not None else None
     ref = l2_norm(problem.force) if problem.force is not None else 0.0
     w0 = initial_guess.values if initial_guess is not None else None
-    result = newton_zero_mean(
-        problem.system, F=None, w0=w0, f_ext=f, tol=tol, ref=ref, max_iter=max_iter
-    )
+    result = newton_zero_mean(problem.system, F=None, w0=w0, f_ext=f, tol=tol, ref=ref)
     return project_zero_mean(LatticeField(problem.lattice, result.w))
 
 

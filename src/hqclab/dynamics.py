@@ -4,7 +4,8 @@ chain and for the HQC macro discretization with lumped masses.
 The atomistic evolution solves M(x) u''(x) = -dE(u)(x) with the Riesz gradient
 of the interaction energy; the macro evolution uses the averaged mass density
 M0 = <M> lumped at the mesh nodes and the HQC nodal residual as the force.
-Correctors are warm-started across time steps (no fast micro oscillations).
+The micro problems carry no inertia: at every step each corrector is the
+relaxed one of the current macro field, solved from the zero guess.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from .atomistic import EquilibriumProblem, slowest_eigenmode, solve_equilibrium, total_energy
 from .fem import MacroMesh, P1Field, p1_interpolate_lattice
-from .hqc import HQCOperator, HQCSolution, reconstruct
+from .hqc import HQCOperator, reconstruct
 from .lattice import LatticeField, Multilattice, discrete_derivative, nearest_neighbor_offsets
 
 
@@ -123,7 +124,6 @@ def energy_drift(traj: Trajectory) -> float:
 @dataclass
 class MacroTrajectory:
     times: np.ndarray
-    macro: list[np.ndarray]
     reconstructions: list[LatticeField]
 
 
@@ -159,19 +159,12 @@ def run_hqc_dynamics(
     n_steps = int(round(t_final / tau))
     state = DynamicState(u=u_init.values.copy(), v=np.zeros_like(u_init.values), t=0.0)
     times = [0.0]
-    macro = [state.u.copy()]
-    recon = [_reconstruct_now(op, mesh, state.u)]
+    recon = [reconstruct(op, P1Field(mesh, state.u))]
     for _ in range(n_steps):
         state = verlet_step(state, accel, tau)
         times.append(state.t)
-        macro.append(state.u.copy())
-        recon.append(_reconstruct_now(op, mesh, state.u))
-    return MacroTrajectory(np.array(times), macro, recon)
-
-
-def _reconstruct_now(op: HQCOperator, mesh: MacroMesh, u: np.ndarray) -> LatticeField:
-    sol = HQCSolution(macro=P1Field(mesh, u), operator=op, residual=0.0)
-    return reconstruct(sol)
+        recon.append(reconstruct(op, P1Field(mesh, state.u)))
+    return MacroTrajectory(np.array(times), recon)
 
 
 def trajectory_error(

@@ -173,7 +173,7 @@ def run_converge_1d(cfg: dict) -> ExperimentResult:
         try:
             mesh = fem.build_mesh(1, int(1 / h))
             sol = hqc.solve_hqc(model, lat, mesh, f=f, tol=1e-12)
-            recon = hqc.reconstruct(sol)
+            recon = hqc.reconstruct(sol.operator, sol.macro)
             _, uhc_h1 = fem.lattice_error(u_exact, recon)
             uh_l2, uh_h1 = fem.lattice_error(u_exact, sol.macro)
             return [psi_txt, str(eps), str(h), uhc_h1, uh_h1, uh_l2, "ok"]

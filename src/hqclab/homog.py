@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fem import MacroMesh, P1Field, all_element_gradients, assemble, nodal_forces
-from .hqc import MICRO_TOL, condensed_tangents, macro_newton
+from .hqc import MICRO_TOL, condensed_tangents, macro_newton, stacked_correctors
 from .lattice import Multilattice
 from .network import BondSystem, compile_system, newton_zero_mean
 from .potential import InteractionModel
@@ -35,25 +35,21 @@ def cell_system(model: InteractionModel) -> BondSystem:
     return compile_system(unit_cell(model), model, gap_scale=1.0)
 
 
-def solve_cell_problem(
-    model: InteractionModel,
-    F,
-    tol: float = MICRO_TOL,
-    system: BondSystem | None = None,
-) -> np.ndarray:
+def solve_cell_problem(model: InteractionModel, F, system: BondSystem | None = None) -> np.ndarray:
     """Zero-mean corrector chi(F), shape (m, d), reached from the zero guess.
 
-    Residual tolerance is tol * (1 + ||F||).
+    Residual tolerance is MICRO_TOL * (1 + ||F||).
     """
     F = np.asarray(F, dtype=float).reshape(model.d, model.d)
     sys_ = system if system is not None else cell_system(model)
-    return newton_zero_mean(sys_, F=F, tol=tol, ref=float(np.linalg.norm(F))).w
+    return newton_zero_mean(sys_, F=F, tol=MICRO_TOL, ref=float(np.linalg.norm(F))).w
 
 
 class HomogenizedDensity:
     """Phi0 and its first two derivatives at one gradient (d, d) or a stack
-    (T, d, d).  Every corrector is solved afresh from the zero guess, so each
-    value is a function of F alone."""
+    (T, d, d).  The correctors come from ``hqc.stacked_correctors`` on the
+    cell system, each from the zero guess, so every value is a function of F
+    alone."""
 
     def __init__(self, model: InteractionModel) -> None:
         self.model = model
@@ -66,8 +62,7 @@ class HomogenizedDensity:
         F = np.asarray(F, dtype=float)
         single = F.ndim < 3
         F = F.reshape((1 if single else -1, d, d))
-        chi = np.stack([solve_cell_problem(self.model, G, system=self.system) for G in F])
-        return F, chi, single
+        return F, stacked_correctors(self.system, F), single
 
     def chi(self, F) -> np.ndarray:
         _, chi, single = self._states(F)

@@ -12,10 +12,12 @@ The element energy density, its stress, and the condensed tangent then feed a
 standard P1 assembly.  Quadratic models shortcut through per-domain effective
 tensors computed from unit-gradient correctors (cached per model, so every
 mesh on one lattice shares them) and contract them over all elements at once;
-the generic path checks the warm-started correctors of all elements in one
-stacked residual evaluation and runs a Newton solve only where it fails.
-The stacked tangents (``condensed_tangents``) and the macro Newton
-(``macro_newton``) also serve the homogenized FEM of ``homog``.
+the generic path (``stacked_correctors``) starts every corrector from zero,
+checks the whole stack in one residual evaluation and runs a Newton solve
+only where that check fails.  No micro state is kept between evaluations, so
+the macro energy is a function of u^h alone.  The stacked correctors and
+tangents (``condensed_tangents``) and the macro Newton (``macro_newton``)
+also serve the homogenized FEM of ``homog``.
 """
 
 from __future__ import annotations
@@ -139,14 +141,25 @@ def place_sampling_domains(
     ]
 
 
-def micro_solve(
-    system: BondSystem,
-    F: np.ndarray,
-    guess: np.ndarray | None = None,
-    tol: float = MICRO_TOL,
-) -> np.ndarray:
-    """Zero-mean micro corrector under the imposed gradient F (chi variables)."""
-    return newton_zero_mean(system, F=F, w0=guess, tol=tol, ref=float(np.linalg.norm(F))).w
+def micro_solve(system: BondSystem, F: np.ndarray) -> np.ndarray:
+    """Zero-mean micro corrector under the imposed gradient F (chi variables),
+    reached from the zero guess."""
+    return newton_zero_mean(system, F=F, tol=MICRO_TOL, ref=float(np.linalg.norm(F))).w
+
+
+def stacked_correctors(system: BondSystem, grads: np.ndarray) -> np.ndarray:
+    """Zero-mean correctors at a stack of gradients (T, d, d), shape (T, n_sites, d).
+
+    Every entry starts from zero.  The whole stack is checked in one residual
+    evaluation against the test ``newton`` applies at iteration 0, and
+    ``micro_solve`` runs only on the entries that fail it.
+    """
+    chi = np.zeros((len(grads), system.n_sites, system.d))
+    residual = avg_norm(system.gradient(chi, grads))
+    threshold = MICRO_TOL * (1.0 + np.linalg.norm(grads, axis=(1, 2)))
+    for t in np.flatnonzero(residual > threshold):
+        chi[t] = micro_solve(system, grads[t])
+    return chi
 
 
 def micro_sensitivity(system: BondSystem, chi: np.ndarray, F: np.ndarray) -> np.ndarray:
@@ -161,7 +174,7 @@ def micro_sensitivity(system: BondSystem, chi: np.ndarray, F: np.ndarray) -> np.
     if n == 1:
         return np.zeros((d, d, n, d))
     op = GaugeFixedOperator(system.hessian(chi, F), d, system.cells)
-    rhs = np.stack([-system.affine_force(chi, F, G) for G in np.eye(d * d).reshape(d * d, d, d)])
+    rhs = -system.affine_force(chi, F, np.eye(d * d).reshape(d * d, d, d))
     return op.solve(rhs).reshape(d, d, n, d)
 
 
@@ -174,17 +187,9 @@ def condensed_tangent(system: BondSystem, chi: np.ndarray, F: np.ndarray | None,
     """
     d = system.d
     k = system.bond_stiffness(chi, F)
-    nb = len(system.src)
-    gaps = np.zeros((d, d, nb, d))
-    for i in range(d):
-        for j in range(d):
-            G = np.zeros((d, d))
-            G[i, j] = 1.0
-            g = system.rvec @ G.T
-            if sens is not None:
-                w = sens[i, j]
-                g = g + (w[system.dst] - w[system.src]) / system.gap_scale
-            gaps[i, j] = g
+    gaps = system.rvec @ np.swapaxes(np.eye(d * d).reshape(d, d, d, d), -1, -2)
+    if sens is not None:
+        gaps = gaps + system.gaps(sens)
     return np.einsum("ijbx,bxy,klby->ijkl", gaps, k, gaps) / system.n_sites
 
 
@@ -233,9 +238,8 @@ class HQCOperator:
     ``relax=False`` freezes the correctors at zero (pure Cauchy-Born closure).
     All sampling domains of a placement share one signature and hence one
     micro ``system``; the correctors of all elements are evaluated as one
-    stack.  Micro solves warm-start from the correctors of the last
-    ``gradient`` call, the only evaluation that stores them, so line-search
-    trials of ``energy`` leave no trace.
+    stack, each from the zero guess.  The operator keeps no micro state, so
+    ``energy``, ``gradient`` and ``correctors`` depend on their arguments alone.
     """
 
     def __init__(
@@ -245,19 +249,16 @@ class HQCOperator:
         mesh: MacroMesh,
         n_rep: int | None = None,
         relax: bool = True,
-        micro_tol: float = MICRO_TOL,
     ) -> None:
         self.model = model
         self.lattice = lattice
         self.mesh = mesh
         self.relax = relax
-        self.micro_tol = micro_tol
         self.domains = place_sampling_domains(mesh, lattice, n_rep)
         first = self.domains[0]
         self.signature = first.signature
         self.system = compile_system(first.torus, model, gap_scale=1.0,
                                      parent_cells=first.parent_cells)
-        self.warm_chi: np.ndarray | None = None
         self.is_quadratic = bool(getattr(model, "is_quadratic", False))
         self._site_map: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
@@ -283,23 +284,15 @@ class HQCOperator:
         """Zero-mean correctors of all elements at gradients (n_el, d, d), shape
         (n_el, n_sites, d).
 
-        Nonlinear models project the warm starts to zero mean and check all of
-        them in one batched residual evaluation against the test ``newton``
-        applies at iteration 0; only elements above it run ``micro_solve``.
+        Quadratic models contract the unit-gradient sensitivities; nonlinear
+        models run ``stacked_correctors``.
         """
         system = self.system
-        shape = (len(grads), system.n_sites, system.d)
         if not self.relax:
-            return np.zeros(shape)
+            return np.zeros((len(grads), system.n_sites, system.d))
         if self.is_quadratic:
             return np.einsum("tij,ijnx->tnx", grads, self._quad_data()[0])
-        warm = np.zeros(shape) if self.warm_chi is None else self.warm_chi
-        chi = project_zero_mean_array(warm)
-        residual = avg_norm(system.gradient(chi, grads))
-        threshold = self.micro_tol * (1.0 + np.linalg.norm(grads, axis=(1, 2)))
-        for t in np.flatnonzero(residual > threshold):
-            chi[t] = micro_solve(system, grads[t], guess=warm[t], tol=self.micro_tol)
-        return chi
+        return stacked_correctors(system, grads)
 
     # ------------------------------------------------------------- macro layer
 
@@ -311,14 +304,12 @@ class HQCOperator:
         return float(self.mesh.volumes @ self.system.energy(self.correctors(grads), grads))
 
     def gradient(self, uh: P1Field) -> np.ndarray:
-        """Nodal residual of the macro energy (sensitivity-free stress form);
-        stores the element correctors as the next warm starts."""
+        """Nodal residual of the macro energy (sensitivity-free stress form)."""
         grads = all_element_gradients(uh)
         if self.is_quadratic:
             P = np.einsum("tijkl,tkl->tij", self._element_tensors(), grads)
         else:
-            self.warm_chi = chi = self.correctors(grads)
-            P = self.system.stress(chi, grads)
+            P = self.system.stress(self.correctors(grads), grads)
         return nodal_forces(self.mesh, P)
 
     def element_tangents(self, uh: P1Field) -> np.ndarray:
@@ -369,8 +360,7 @@ class HQCOperator:
     # ------------------------------------------------------------------ solve
 
     def solve(self, load: np.ndarray | None = None, tol: float = 1e-10) -> "HQCSolution":
-        """``macro_newton`` on the HQC energy; micro states warm-start across
-        iterations."""
+        """``macro_newton`` on the HQC energy."""
         macro, result = macro_newton(self.mesh, self.energy, self.gradient, self.hessian, load, tol)
         return HQCSolution(macro=macro, operator=self, residual=result.residual,
                            iterations=result.iterations)
@@ -429,14 +419,14 @@ def owner_elements(mesh: MacroMesh, points: np.ndarray) -> np.ndarray:
     return owners
 
 
-def reconstruct(solution: HQCSolution) -> LatticeField:
-    """Lattice-resolution field u^{h,c}: at every site, the affine part of its
-    owner element plus the periodic tiling of that element's corrector."""
-    op = solution.operator
+def reconstruct(op: HQCOperator, uh: P1Field) -> LatticeField:
+    """Lattice-resolution field u^{h,c} of the macro field ``uh``: at every site,
+    the affine part of its owner element plus the periodic tiling of that
+    element's corrector."""
     owner, rel, torus_site = op.site_map()
-    grads = all_element_gradients(solution.macro)
+    grads = all_element_gradients(uh)
     chi = op.correctors(grads)
-    u0 = solution.macro.values[op.mesh.elements[owner, 0]]
+    u0 = uh.values[op.mesh.elements[owner, 0]]
     lin = u0 + (grads[owner] @ rel[:, :, None])[:, :, 0]
     return LatticeField(op.lattice, lin + op.lattice.eps_float * chi[owner, torus_site])
 
@@ -453,7 +443,6 @@ def solve_hqc(
     tol: float = 1e-10,
     relax: bool = True,
 ) -> HQCSolution:
-    op = HQCOperator(model, lattice, mesh, n_rep=n_rep, relax=relax,
-                     micro_tol=min(MICRO_TOL, 0.01 * tol))
+    op = HQCOperator(model, lattice, mesh, n_rep=n_rep, relax=relax)
     load = op.rhs(f) if f is not None else None
     return op.solve(load=load, tol=tol)

@@ -123,14 +123,15 @@ class BondSystem:
         return np.swapaxes(forces, -1, -2) @ self.rvec / self.n_sites
 
     def affine_force(self, w: np.ndarray, F: np.ndarray | None, G: np.ndarray) -> np.ndarray:
-        """Riesz representer of v -> < sum_r phi''_r (G r), D_r v >.
+        """Riesz representer of v -> < sum_r phi''_r (G r), D_r v >, shape (..., n_sites, d).
 
         This is the right-hand side of the sensitivity (tangent) problem for a
-        perturbation of the imposed gradient in direction G.
+        perturbation of the imposed gradient in direction G (d, d), or in each
+        direction of a stack G (..., d, d) at one evaluation of phi''.
         """
         k = self.bond_stiffness(w, F)
-        gr = self.rvec @ np.atleast_2d(G).T
-        return self._scatter(np.einsum("bij,bj->bi", k, gr))
+        gr = self.rvec @ np.swapaxes(np.atleast_2d(G), -1, -2)
+        return self._scatter(np.einsum("bij,...bj->...bi", k, gr))
 
     def hessian(self, w: np.ndarray, F: np.ndarray | None = None) -> sp.csr_matrix:
         """Riesz Hessian as a sparse (n_dof x n_dof) matrix."""
@@ -415,7 +416,6 @@ def newton_zero_mean(
     f_ext: np.ndarray | None = None,
     tol: float = 1e-12,
     ref: float = 0.0,
-    max_iter: int = 50,
 ) -> NewtonResult:
     """Find the zero-mean critical point of E(w; F) - <f_ext, w> with ``newton``.
 
@@ -437,4 +437,4 @@ def newton_zero_mean(
     if w0 is None:
         w0 = np.zeros((system.n_sites, system.d))
     return newton(energy, gradient, lambda w: system.hessian(w, F), w0, system.cells,
-                  tol * (1.0 + ref), max_iter)
+                  tol * (1.0 + ref))

@@ -185,6 +185,32 @@ def test_micro_sensitivity_directional_difference():
     assert np.max(np.abs(fd - assembled)) < 1e-5 * (1 + np.max(np.abs(assembled)))
 
 
+def test_stacked_directions_match_direction_loops():
+    # the stacked affine forces and the broadcast tangent gaps against the
+    # per-direction loops they replace, on a 2D system (d^2 = 4 directions)
+    from hqclab.hqc import condensed_tangent, micro_sensitivity
+
+    op = HQCOperator(RandomBond2D(8, seed=3), square_lattice(8), build_mesh(2, 2), n_rep=4)
+    system = op.system
+    d = system.d
+    rng = np.random.default_rng(5)
+    F = 0.1 * rng.standard_normal((d, d))
+    chi = 0.01 * rng.standard_normal((system.n_sites, d))
+    k = system.bond_stiffness(chi, F)
+    units = np.eye(d * d).reshape(d, d, d, d)
+    forces = system.affine_force(chi, F, units)
+    sens = micro_sensitivity(system, chi, F)
+    gaps = np.zeros((d, d, len(system.src), d))
+    for i in range(d):
+        for j in range(d):
+            per_bond = np.einsum("bij,bj->bi", k, system.rvec @ units[i, j].T)
+            assert np.array_equal(forces[i, j], system._scatter(per_bond))
+            w = sens[i, j]
+            gaps[i, j] = system.rvec @ units[i, j].T + (w[system.dst] - w[system.src]) / system.gap_scale
+    expected = np.einsum("ijbx,bxy,klby->ijkl", gaps, k, gaps) / system.n_sites
+    assert np.array_equal(condensed_tangent(system, chi, F, sens), expected)
+
+
 def test_quadratic_sensitivity_equals_micro_solve():
     # linear reconstruction: the sensitivity of a basis function equals the
     # micro solve driven by that basis function's affine data
@@ -436,10 +462,10 @@ def test_d2phi0_matches_element_tangents():
         assert np.max(np.abs(density.d2phi0(F) - A)) <= 1e-12 * np.max(np.abs(A))
 
 
-def newton_springs():
-    """Two-species springs sent through the micro Newton path: a nonzero
+def newton_springs(psi=(1.0, 3.0)):
+    """Multi-species springs sent through the micro Newton path: a nonzero
     corrector whose exact values the effective tensors give."""
-    model = LinearSpring1D((1.0, 3.0))
+    model = LinearSpring1D(psi)
     model.is_quadratic = False
     return model
 
@@ -449,22 +475,43 @@ def newton_springs():
     pytest.param(newton_springs, id="newton-springs"),
 ])
 def test_energy_independent_of_call_history(make_model):
-    # line-search trials evaluate the energy at rejected fields; those calls
-    # must not seed the micro solves of later evaluations.  The LJ chain's
+    # energy, gradient and correctors are functions of their argument alone:
+    # evaluations at other fields (line-search trials, earlier Newton or
+    # Verlet steps) must leave no trace in later ones.  The LJ chain's
     # corrector is 0 by symmetry, so only the springs, whose corrector is
-    # not, can show a stale warm start.
+    # not, can show a stale micro state.
     model = make_model()
     lat = chain_lattice(Fraction(1, 16), 2)
     mesh = build_mesh(1, 4)
     uh = random_uh(mesh, 0.03, seed=15)
-    op = HQCOperator(model, lat, mesh)
-    before = op.energy(uh)
     grads = all_element_gradients(uh)
-    chi_before = op.correctors(grads)
+    fresh = HQCOperator(model, lat, mesh)
+    expected = (fresh.energy(uh), fresh.gradient(uh), fresh.correctors(grads))
+    op = HQCOperator(model, lat, mesh)
     for seed in (16, 17, 18):
-        op.energy(random_uh(mesh, 0.05, seed=seed))
-    assert op.energy(uh) == before
-    assert np.array_equal(op.correctors(grads), chi_before)
+        other = random_uh(mesh, 0.05, seed=seed)
+        op.energy(other)
+        op.gradient(other)
+        op.element_tangents(other)
+        assert op.energy(uh) == expected[0]
+        assert np.array_equal(op.gradient(uh), expected[1])
+        assert np.array_equal(op.correctors(grads), expected[2])
+
+
+@pytest.mark.parametrize("make_model, scale", [
+    pytest.param(newton_springs, 0.3, id="newton-springs-m2"),
+    pytest.param(lambda: newton_springs((1.0, 3.0, 0.7)), 0.3, id="newton-springs-m3"),
+    pytest.param(lambda: make_dynamics_model().model, 0.003, id="lj-chain"),
+])
+def test_homogenized_correctors_match_hqc_correctors(make_model, scale):
+    # crystal sampling domains are one period, so HQC and the homogenized
+    # density solve the same cell problems through one stacked routine
+    model = make_model()
+    mesh = build_mesh(1, 8)
+    op = HQCOperator(model, chain_lattice(Fraction(1, 32), model.m), mesh)
+    grads = all_element_gradients(random_uh(mesh, scale, seed=52))
+    chi = op.correctors(grads)
+    assert np.array_equal(HomogenizedDensity(model).chi(grads), chi)
 
 
 def test_nonlinear_micro_path_matches_effective_tensors():
@@ -482,10 +529,7 @@ def test_nonlinear_micro_path_matches_effective_tensors():
     close(newton_op.energy(uh), tensor_op.energy(uh))
     close(newton_op.gradient(uh), tensor_op.gradient(uh))
     close(newton_op.element_tangents(uh), tensor_op.element_tangents(uh))
-    from hqclab.hqc import HQCSolution
-
-    recon = [reconstruct(HQCSolution(macro=uh, operator=op, residual=0.0)).values
-             for op in (newton_op, tensor_op)]
+    recon = [reconstruct(op, uh).values for op in (newton_op, tensor_op)]
     close(*recon)
     # per element: affine part plus the tiled corrector (one-cell torus: site = species)
     from hqclab.fem import affine_extension
@@ -498,7 +542,15 @@ def test_nonlinear_micro_path_matches_effective_tensors():
         close(recon[0][mask], expected)
 
 
-def test_nonlinear_micro_solves_only_changed_elements(monkeypatch):
+@pytest.mark.parametrize("make_model, failing", [
+    # the LJ chain's corrector is 0 by symmetry: every zero guess passes
+    pytest.param(lambda: make_dynamics_model().model, 0, id="lj-chain"),
+    # the springs' corrector is nonzero under any nonzero gradient
+    pytest.param(newton_springs, 8, id="newton-springs"),
+])
+def test_micro_solves_run_where_zero_guess_fails(monkeypatch, make_model, failing):
+    # every gradient call starts all correctors from zero and runs micro_solve
+    # on exactly the elements whose zero guess fails, whatever came before
     from hqclab import hqc
 
     calls = []
@@ -511,20 +563,16 @@ def test_nonlinear_micro_solves_only_changed_elements(monkeypatch):
     monkeypatch.setattr(hqc, "micro_solve", counting)
     lat = chain_lattice(Fraction(1, 32), 2)
     mesh = build_mesh(1, 8)
-    uh = random_uh(mesh, 0.3, seed=51)
-    op = HQCOperator(newton_springs(), lat, mesh)
-    op.gradient(uh)
-    assert len(calls) == mesh.n_elements
+    assert mesh.n_elements == 8
+    uh = random_uh(mesh, 0.003, seed=51)
     values = uh.values.copy()
-    values[[2, 5]] += 0.05  # moves the gradients of elements 1, 2, 4 and 5 only
+    values[[2, 5]] += 0.0005
     uh2 = P1Field(mesh, values)
-    changed = np.any(all_element_gradients(uh2) != all_element_gradients(uh), axis=(1, 2))
-    assert changed.sum() == 4
-    calls.clear()
-    g2 = op.gradient(uh2)
-    assert len(calls) == changed.sum()
-    fresh = HQCOperator(newton_springs(), lat, mesh).gradient(uh2)
-    assert np.max(np.abs(g2 - fresh)) <= 1e-12 * np.max(np.abs(fresh))
+    op = HQCOperator(make_model(), lat, mesh)
+    for field in (uh, uh, uh2, uh):
+        calls.clear()
+        op.gradient(field)
+        assert len(calls) == failing
 
 
 def test_quadratic_converges_in_one_iteration():
@@ -569,7 +617,7 @@ def test_reconstruct_zero_corrector_matches_macro():
     fvals = rng.standard_normal((lat.n_sites, 1))
     fvals -= fvals.mean(axis=0)
     sol = solve_hqc(model, lat, mesh, f=LatticeField(lat, fvals))
-    recon = reconstruct(sol)
+    recon = reconstruct(sol.operator, sol.macro)
     sampled = sample_on_lattice(sol.macro, lat)
     assert np.max(np.abs(recon.values - sampled.values)) < 1e-12
 
@@ -581,10 +629,7 @@ def test_reconstruct_single_period_element():
     mesh = build_mesh(1, 4)
     uh = random_uh(mesh, 0.3, seed=16)
     op = HQCOperator(model, lat, mesh)
-    from hqclab.hqc import HQCSolution
-
-    sol = HQCSolution(macro=uh, operator=op, residual=0.0)
-    recon = reconstruct(sol)
+    recon = reconstruct(op, uh)
     # every site value is the element's affine part plus eps * chi
     chi = op.correctors(all_element_gradients(uh))
     pos = lat.site_positions()
@@ -674,10 +719,7 @@ def test_reconstruct_2d_homogeneous_network():
     mesh = build_mesh(2, 4)
     uh = random_uh(mesh, 0.1, seed=30)
     op = HQCOperator(model, lat, mesh, n_rep=16)
-    from hqclab.hqc import HQCSolution
-
-    sol = HQCSolution(macro=uh, operator=op, residual=0.0)
-    recon = reconstruct(sol)
+    recon = reconstruct(op, uh)
     sampled = sample_on_lattice(uh, lat)
     assert np.max(np.abs(recon.values - sampled.values)) < 1e-12
 
