@@ -9,7 +9,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from .lattice import ZERO_MEAN_TOL, LatticeField, Multilattice, average, l2_norm, project_zero_mean, translate
-from .network import BondSystem, SolverError, avg_norm, compile_system, newton_zero_mean
+from .network import BondSystem, SolverError, compile_system, newton_zero_mean
 from .potential import InteractionModel
 
 
@@ -45,21 +45,9 @@ def total_energy(problem: EquilibriumProblem, u: LatticeField) -> float:
     return problem.system.energy(u.values)
 
 
-def energy_gradient(problem: EquilibriumProblem, u: LatticeField) -> LatticeField:
-    """Riesz representer of the first variation with respect to <., .>_M."""
-    return LatticeField(problem.lattice, problem.system.gradient(u.values))
-
-
 def energy_hessian(problem: EquilibriumProblem, u: LatticeField) -> sp.csr_matrix:
     """Riesz Hessian, a symmetric sparse operator with constants in the kernel."""
     return problem.system.hessian(u.values)
-
-
-def residual_norm(problem: EquilibriumProblem, u: LatticeField) -> float:
-    g = problem.system.gradient(u.values)
-    if problem.force is not None:
-        g = g - problem.force.values
-    return avg_norm(g)
 
 
 def solve_equilibrium(

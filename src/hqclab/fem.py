@@ -1,4 +1,4 @@
-"""Uniform periodic simplicial macro meshes and P1/P0 fields.
+"""Uniform periodic simplicial macro meshes and P1 fields.
 
 Meshes are structured: intervals in 1D, right triangles from a square grid in
 2D (each cell split along its main diagonal).  Vertices are periodic; element
@@ -92,55 +92,14 @@ class P1Field:
         self.values = np.asarray(self.values, dtype=float).reshape(self.mesh.n_vertices, self.mesh.d)
 
 
-@dataclass
-class P0Field:
-    """Piecewise-constant field: one value per element."""
-
-    mesh: MacroMesh
-    values: np.ndarray  # (n_elements, d)
-
-    def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=float).reshape(self.mesh.n_elements, self.mesh.d)
-
-
 def p1_zero_mean(u: P1Field) -> P1Field:
     # uniform meshes: the integral of u^h is the plain vertex average
     return P1Field(u.mesh, u.values - u.values.mean(axis=0)[None, :])
 
 
-def element_vertex_values(u: P1Field, t: int) -> np.ndarray:
-    return u.values[u.mesh.elements[t]]
-
-
-def element_gradient(u: P1Field, t: int) -> np.ndarray:
-    """Constant gradient of u^h on element t, F[i, j] = d u_i / d x_j."""
-    U = element_vertex_values(u, t)  # (d+1, d)
-    return U.T @ u.mesh.grad_basis(t)
-
-
 def all_element_gradients(u: P1Field) -> np.ndarray:
     U = u.values[u.mesh.elements]  # (ne, d+1, d)
     return np.einsum("tlj,tli->tij", u.mesh.grad_basis(), U)
-
-
-@dataclass(frozen=True)
-class AffineMap:
-    """Affine extension u(x) = value0 + F (x - x0) of an element restriction."""
-
-    F: np.ndarray
-    x0: np.ndarray
-    value0: np.ndarray
-
-    def __call__(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(points)
-        return self.value0[None, :] + (pts - self.x0[None, :]) @ self.F.T
-
-
-def affine_extension(u: P1Field, t: int) -> AffineMap:
-    """The affine map agreeing with u^h on element t, defined on all of R^d."""
-    F = element_gradient(u, t)
-    x0 = u.mesh.el_coords[t, 0]
-    return AffineMap(F=F, x0=x0, value0=u.values[u.mesh.elements[t, 0]].copy())
 
 
 def locate(mesh: MacroMesh, points: np.ndarray) -> np.ndarray:
@@ -242,13 +201,3 @@ def assemble(mesh: MacroMesh, tangents: np.ndarray) -> sp.csr_matrix:
     n_dof = mesh.n_vertices * mesh.d
     K = sp.coo_matrix((local.ravel(), (rows.ravel(), cols.ravel())), shape=(n_dof, n_dof))
     return K.tocsr()
-
-
-def constant_tensor_stiffness(mesh: MacroMesh, A: np.ndarray) -> sp.csr_matrix:
-    """P1 stiffness of the quadratic density (1/2) A[i,j,k,l] F[i,j] F[k,l].
-
-    For d = 1 a scalar A is accepted (density A (u')^2 / 2).
-    """
-    d = mesh.d
-    A = np.asarray(A, dtype=float).reshape(d, d, d, d)
-    return assemble(mesh, np.broadcast_to(A, (mesh.n_elements, d, d, d, d)))

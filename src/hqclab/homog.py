@@ -12,7 +12,8 @@ cell.  The homogenized energy density and stress follow by averaging:
     dPhi0(F) = < sum_r V'_r(F R + D_y chi(F)) r^T >,
 
 the latter needing no corrector sensitivity (envelope property).  The tangent
-d2Phi0 is the condensed tangent of the HQC micro layer on the cell system.
+d2Phi0 is the condensed tangent of the HQC micro layer on the cell system,
+and a stack of gradients is one stacked solve of that layer.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fem import MacroMesh, P1Field, all_element_gradients, assemble, nodal_forces
-from .hqc import MICRO_TOL, condensed_tangents, macro_newton, stacked_correctors
+from .hqc import MICRO_TOL, condensed_tangent, macro_newton, micro_sensitivity, micro_solve
 from .lattice import Multilattice
 from .network import BondSystem, compile_system, newton_zero_mean
 from .potential import InteractionModel
@@ -47,9 +48,9 @@ def solve_cell_problem(model: InteractionModel, F, system: BondSystem | None = N
 
 class HomogenizedDensity:
     """Phi0 and its first two derivatives at one gradient (d, d) or a stack
-    (T, d, d).  The correctors come from ``hqc.stacked_correctors`` on the
-    cell system, each from the zero guess, so every value is a function of F
-    alone."""
+    (T, d, d).  The correctors come from one ``hqc.micro_solve`` of the stack
+    on the cell system, each entry from the zero guess, so every value is a
+    function of F alone."""
 
     def __init__(self, model: InteractionModel) -> None:
         self.model = model
@@ -62,7 +63,7 @@ class HomogenizedDensity:
         F = np.asarray(F, dtype=float)
         single = F.ndim < 3
         F = F.reshape((1 if single else -1, d, d))
-        return F, stacked_correctors(self.system, F), single
+        return F, micro_solve(self.system, F), single
 
     def chi(self, F) -> np.ndarray:
         _, chi, single = self._states(F)
@@ -81,7 +82,7 @@ class HomogenizedDensity:
     def d2phi0(self, F) -> np.ndarray:
         """Fourth-order tangent: the condensed tangent at the cell corrector."""
         F, chi, single = self._states(F)
-        A = condensed_tangents(self.system, chi, F)
+        A = condensed_tangent(self.system, chi, F, micro_sensitivity(self.system, chi, F))
         return A[0] if single else A
 
 

@@ -11,13 +11,13 @@ variables), so the physical corrector is eps * chi and the bond gaps are
 The element energy density, its stress, and the condensed tangent then feed a
 standard P1 assembly.  Quadratic models shortcut through per-domain effective
 tensors computed from unit-gradient correctors (cached per model, so every
-mesh on one lattice shares them) and contract them over all elements at once;
-the generic path (``stacked_correctors``) starts every corrector from zero,
-checks the whole stack in one residual evaluation and runs a Newton solve
-only where that check fails.  No micro state is kept between evaluations, so
-the macro energy is a function of u^h alone.  The stacked correctors and
-tangents (``condensed_tangents``) and the macro Newton (``macro_newton``)
-also serve the homogenized FEM of ``homog``.
+mesh on one lattice shares them) and contract them over all elements at once.
+The generic path solves the microproblems of all elements as one stack, each
+from zero (``micro_solve``, one stacked ``network.newton``), and
+``micro_sensitivity`` and ``condensed_tangent`` take the same stack.  No micro
+state is kept between evaluations, so the macro energy is a function of u^h
+alone.  The stacked micro layer and the macro Newton (``macro_newton``) also
+serve the homogenized FEM of ``homog``.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from .network import (
     GaugeFixedOperator,
     NewtonResult,
     SolverError,
-    avg_norm,
     compile_system,
     newton,
     newton_zero_mean,
@@ -141,46 +140,30 @@ def place_sampling_domains(
     ]
 
 
-def micro_solve(system: BondSystem, F: np.ndarray) -> np.ndarray:
-    """Zero-mean micro corrector under the imposed gradient F (chi variables),
-    reached from the zero guess."""
-    return newton_zero_mean(system, F=F, tol=MICRO_TOL, ref=float(np.linalg.norm(F))).w
+def micro_solve(system: BondSystem, grads: np.ndarray) -> np.ndarray:
+    """Zero-mean micro correctors (chi variables) at gradients (T, d, d), shape
+    (T, n_sites, d): one stacked Newton from zero, tolerance MICRO_TOL (1 + |F_t|)."""
+    return newton_zero_mean(system, F=grads, tol=MICRO_TOL, ref=np.linalg.norm(grads, axis=(1, 2))).w
 
 
-def stacked_correctors(system: BondSystem, grads: np.ndarray) -> np.ndarray:
-    """Zero-mean correctors at a stack of gradients (T, d, d), shape (T, n_sites, d).
-
-    Every entry starts from zero.  The whole stack is checked in one residual
-    evaluation against the test ``newton`` applies at iteration 0, and
-    ``micro_solve`` runs only on the entries that fail it.
-    """
-    chi = np.zeros((len(grads), system.n_sites, system.d))
-    residual = avg_norm(system.gradient(chi, grads))
-    threshold = MICRO_TOL * (1.0 + np.linalg.norm(grads, axis=(1, 2)))
-    for t in np.flatnonzero(residual > threshold):
-        chi[t] = micro_solve(system, grads[t])
-    return chi
-
-
-def micro_sensitivity(system: BondSystem, chi: np.ndarray, F: np.ndarray) -> np.ndarray:
-    """Unit-gradient sensitivity fields at a converged micro state.
+def micro_sensitivity(system: BondSystem, chi: np.ndarray, F: np.ndarray | None) -> np.ndarray:
+    """Unit-gradient sensitivity fields at converged micro states.
 
     Solves the linearized microproblem for each unit imposed gradient E_ij,
-    all d^2 right-hand sides as one stacked solve; sensitivities for arbitrary
-    macro basis functions follow by linearity.
+    all d^2 right-hand sides of all entries as one solve; sensitivities for
+    arbitrary macro basis functions follow by linearity.  Shape (d, d, n_sites,
+    d), with a leading axis T for a stack chi (T, n_sites, d), F (T, d, d).
     """
     d = system.d
-    n = system.n_sites
-    if n == 1:
-        return np.zeros((d, d, n, d))
     op = GaugeFixedOperator(system.hessian(chi, F), d, system.cells)
     rhs = -system.affine_force(chi, F, np.eye(d * d).reshape(d * d, d, d))
-    return op.solve(rhs).reshape(d, d, n, d)
+    return op.solve(rhs).reshape(chi.shape[:-2] + (d, d) + chi.shape[-2:])
 
 
 def condensed_tangent(system: BondSystem, chi: np.ndarray, F: np.ndarray | None,
                       sens: np.ndarray | None) -> np.ndarray:
-    """Element tangent A[i,j,k,l] = < (E_ij r + D S_ij) . V'' . (E_kl r + D S_kl) >.
+    """Element tangent A[i,j,k,l] = < (E_ij r + D S_ij) . V'' . (E_kl r + D S_kl) >
+    of one micro state, or of each entry of a stack (T, d, d, d, d).
 
     With ``sens=None`` the correction is dropped, which yields the Cauchy-Born
     (affine closure) tangent.
@@ -190,18 +173,7 @@ def condensed_tangent(system: BondSystem, chi: np.ndarray, F: np.ndarray | None,
     gaps = system.rvec @ np.swapaxes(np.eye(d * d).reshape(d, d, d, d), -1, -2)
     if sens is not None:
         gaps = gaps + system.gaps(sens)
-    return np.einsum("ijbx,bxy,klby->ijkl", gaps, k, gaps) / system.n_sites
-
-
-def condensed_tangents(system: BondSystem, chi: np.ndarray, grads: np.ndarray,
-                       relax: bool = True) -> np.ndarray:
-    """Condensed tangents of a stack of micro states: correctors (T, n_sites, d)
-    at gradients (T, d, d), shape (T, d, d, d, d).  ``relax=False`` drops the
-    corrector sensitivities (Cauchy-Born tangents)."""
-    return np.stack([
-        condensed_tangent(system, c, F, micro_sensitivity(system, c, F) if relax else None)
-        for c, F in zip(chi, grads)
-    ])
+    return np.einsum("...ijbx,...bxy,...klby->...ijkl", gaps, k, gaps) / system.n_sites
 
 
 def macro_newton(mesh: MacroMesh, energy, gradient, hessian, load: np.ndarray | None,
@@ -219,11 +191,11 @@ def macro_newton(mesh: MacroMesh, energy, gradient, hessian, load: np.ndarray | 
     """
     b = np.zeros((mesh.n_vertices, mesh.d)) if load is None else np.asarray(load, dtype=float)
     threshold = tol * (1.0 + float(np.linalg.norm(b))) / np.sqrt(mesh.n_vertices)
-    result = newton(lambda u: energy(P1Field(mesh, u)) - float(np.sum(b * u)),
-                    lambda u: project_zero_mean_array(gradient(P1Field(mesh, u)) - b),
-                    lambda u: hessian(P1Field(mesh, u)),
-                    np.zeros_like(b), (mesh.n,) * mesh.d, threshold)
-    return p1_zero_mean(P1Field(mesh, result.w)), result
+    result = newton(lambda u, _: [energy(P1Field(mesh, u[0])) - float(np.sum(b * u[0]))],
+                    lambda u, _: project_zero_mean_array(gradient(P1Field(mesh, u[0])) - b)[None],
+                    lambda u, _: hessian(P1Field(mesh, u[0])),
+                    np.zeros_like(b)[None], (mesh.n,) * mesh.d, threshold)
+    return p1_zero_mean(P1Field(mesh, result.w[0])), result
 
 
 #: per model: (cells_per_dim, signature, relax) -> (sens, A) of a quadratic
@@ -285,14 +257,14 @@ class HQCOperator:
         (n_el, n_sites, d).
 
         Quadratic models contract the unit-gradient sensitivities; nonlinear
-        models run ``stacked_correctors``.
+        models run ``micro_solve``.
         """
         system = self.system
         if not self.relax:
             return np.zeros((len(grads), system.n_sites, system.d))
         if self.is_quadratic:
             return np.einsum("tij,ijnx->tnx", grads, self._quad_data()[0])
-        return stacked_correctors(system, grads)
+        return micro_solve(system, grads)
 
     # ------------------------------------------------------------- macro layer
 
@@ -316,7 +288,9 @@ class HQCOperator:
         if self.is_quadratic:
             return self._element_tensors()
         grads = all_element_gradients(uh)
-        return condensed_tangents(self.system, self.correctors(grads), grads, self.relax)
+        chi = self.correctors(grads)
+        sens = micro_sensitivity(self.system, chi, grads) if self.relax else None
+        return condensed_tangent(self.system, chi, grads, sens)
 
     def site_map(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per lattice site: owner element, offset from the owner's first

@@ -154,19 +154,6 @@ class LatticeField:
         return LatticeField(self.lattice, self.values.copy())
 
 
-def zeros_field(lattice: Multilattice) -> LatticeField:
-    return LatticeField(lattice, np.zeros((lattice.n_sites, lattice.d)))
-
-
-def _check_same_domain(u: LatticeField, v: LatticeField) -> None:
-    if u.lattice is not v.lattice and (
-        u.lattice.d != v.lattice.d
-        or u.lattice.eps != v.lattice.eps
-        or u.lattice.shifts != v.lattice.shifts
-    ):
-        raise LatticeError("fields live on different lattices")
-
-
 # ---------------------------------------------------------------------- calculus
 
 
@@ -203,19 +190,8 @@ def average(u: LatticeField) -> np.ndarray:
     return u.values.mean(axis=0)
 
 
-def inner_product(u: LatticeField, v: LatticeField) -> float:
-    """Averaged inner product <u, v>_S = <u . v>_S."""
-    _check_same_domain(u, v)
-    return float(np.mean(np.sum(u.values * v.values, axis=1)))
-
-
 def project_zero_mean(u: LatticeField) -> LatticeField:
     return LatticeField(u.lattice, u.values - average(u)[None, :])
-
-
-def is_zero_mean(u: LatticeField) -> bool:
-    scale = np.max(np.abs(u.values)) if u.values.size else 0.0
-    return bool(np.all(np.abs(average(u)) <= ZERO_MEAN_TOL * max(scale, 1.0)))
 
 
 def nearest_neighbor_offsets(lattice: Multilattice) -> list:

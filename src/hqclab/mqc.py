@@ -15,18 +15,17 @@ q_alpha = chi(p_alpha) - chi(p_0).
 
 from __future__ import annotations
 
-import contextlib
 import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import MacroMesh, P0Field, P1Field, all_element_gradients
+from .fem import MacroMesh, P1Field, all_element_gradients
 from .homog import HomogenizedDensity
 from .hqc import HQCOperator
 from .lattice import Multilattice
 from .network import SolverError
-from .potential import InteractionModel, PotentialError
+from .potential import InteractionModel, energies_or_inf
 
 SHIFT_TOL = 1e-12
 #: the line search gives up once its step factor falls to this value
@@ -87,23 +86,9 @@ def _shift_table(model: InteractionModel) -> ShiftTable:
     return _TABLES[model] if model in _TABLES else _TABLES.setdefault(model, ShiftTable(model))
 
 
-def mqc_element_energy(model: InteractionModel, F, shifts: np.ndarray) -> float:
-    """Element energy density (1/m) sum_beta V_beta(F r + q_a - q_beta)."""
-    F = np.asarray(F, dtype=float).reshape(1, model.d, model.d)
-    q = np.asarray(shifts, dtype=float).reshape(1, model.m - 1, model.d)
-    return float(_shift_table(model).energy(F, q)[0])
-
-
 def _trial_energy(table: ShiftTable, F: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Element densities; an element whose bonds collapse reads inf."""
-    try:
-        return table.energy(F, q)
-    except PotentialError:
-        out = np.full(len(q), np.inf)
-        for t in range(len(q)):
-            with contextlib.suppress(PotentialError):
-                out[t] = table.energy(F[t:t + 1], q[t:t + 1])[0]
-        return out
+    return energies_or_inf(table.energy, F, q)
 
 
 def _shift_newton(table: ShiftTable, F: np.ndarray, q: np.ndarray, tol: float,
@@ -159,40 +144,6 @@ def solve_shift_vectors(model: InteractionModel, F, guess: np.ndarray | None = N
     q = np.zeros(shape) if guess is None else np.array(guess, dtype=float).reshape(shape)
     q = _shift_newton(_shift_table(model), F, q, tol, max_iter)[0] if m > 1 else q
     return q[0] if single else q
-
-
-def shifts_from_corrector(chi: np.ndarray) -> np.ndarray:
-    """Map a cell corrector (m, d) to shift vectors: q_alpha = chi_alpha - chi_0."""
-    chi = np.atleast_2d(chi)
-    return chi[1:] - chi[0][None, :]
-
-
-def corrector_from_shifts(shifts: np.ndarray, d: int) -> np.ndarray:
-    """Zero-mean cell corrector equivalent to the shift state (gauge change)."""
-    shifts = np.asarray(shifts, dtype=float).reshape(-1, d)
-    chi = np.vstack([np.zeros((1, d)), shifts])
-    return chi - chi.mean(axis=0)[None, :]
-
-
-@dataclass
-class ShiftState:
-    """Per-element shift vectors, one piecewise-constant field per species
-    alpha = 1 .. m-1 (the first species is pinned at zero)."""
-
-    fields: list[P0Field]
-    residual: float
-
-    def element_shifts(self, t: int) -> np.ndarray:
-        return np.stack([f.values[t] for f in self.fields]) if self.fields else np.zeros((0, 1))
-
-
-def solve_shift_state(model: InteractionModel, mesh: MacroMesh, uh: P1Field) -> ShiftState:
-    """Stationary shift vectors on every element of the mesh, in one stacked solve."""
-    grads = all_element_gradients(uh)
-    q, res = _shift_newton(_shift_table(model), grads, np.zeros((len(grads), model.m - 1, model.d)),
-                           SHIFT_TOL, 50)
-    fields = [P0Field(mesh, q[:, a]) for a in range(model.m - 1)]
-    return ShiftState(fields=fields, residual=float(res.max()))
 
 
 def mqc_energy(model: InteractionModel, mesh: MacroMesh, uh: P1Field) -> float:

@@ -17,11 +17,11 @@ site-averaged inner product <u, v> = (1/n) sum u(x).v(x), so that the gradient
 of a translation-invariant energy has exactly zero mean and the Hessian carries
 the constant fields in its kernel.
 
-``newton`` solves every such problem, and also the macro problems of the HQC
-and homogenized-FEM solvers, whose nodal fields are zero-mean in the same way.
-All of them live on periodic grids, so each Newton step is one
-``GaugeFixedOperator`` solve: dense LAPACK <= 600 DOF, FFT-preconditioned CG
-above, with the grid-averaged stencil as the preconditioner (the lattice
+``newton`` solves stacks of such problems (one problem is a stack of one), and
+also the macro problems of the HQC and homogenized-FEM solvers, whose nodal
+fields are zero-mean in the same way.  Each Newton step is one
+``GaugeFixedOperator`` solve: batched dense LAPACK <= 600 DOF, FFT-preconditioned
+CG above, with the grid-averaged stencil as the preconditioner (the lattice
 analogue of Moulinec-Suquet FFT homogenization).
 """
 
@@ -33,7 +33,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .lattice import Multilattice
-from .potential import InteractionModel, PotentialError
+from .potential import InteractionModel, PotentialError, energies_or_inf
 
 #: below this many degrees of freedom, linear solves go through dense LAPACK
 DENSE_DOF_LIMIT = 600
@@ -127,35 +127,34 @@ class BondSystem:
 
         This is the right-hand side of the sensitivity (tangent) problem for a
         perturbation of the imposed gradient in direction G (d, d), or in each
-        direction of a stack G (..., d, d) at one evaluation of phi''.
+        direction of a stack G (..., d, d) at one evaluation of phi''.  A stack
+        of states w (T, n_sites, d) takes every direction at every entry.
         """
         k = self.bond_stiffness(w, F)
         gr = self.rvec @ np.swapaxes(np.atleast_2d(G), -1, -2)
-        return self._scatter(np.einsum("bij,...bj->...bi", k, gr))
+        if k.ndim > 3:
+            k = np.expand_dims(k, tuple(range(1, gr.ndim - 1)))
+        return self._scatter(np.einsum("...bij,...bj->...bi", k, gr))
 
-    def hessian(self, w: np.ndarray, F: np.ndarray | None = None) -> sp.csr_matrix:
-        """Riesz Hessian as a sparse (n_dof x n_dof) matrix."""
+    def hessian(self, w: np.ndarray, F: np.ndarray | None = None):
+        """Riesz Hessian: sparse (n_dof x n_dof) for one field, a dense stack (T,
+        n_dof, n_dof) for a stack, assembled block-diagonally so that each block
+        sums its duplicate entries exactly like the matrix of its own field."""
         k = self.bond_stiffness(w, F) / self.gap_scale**2
-        d = self.d
-        nb = len(self.src)
-        src = self.src
-        dst = self.dst
-        ii, jj = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
-        ii = ii.ravel()
-        jj = jj.ravel()
-
-        def block_rows(sites):
-            return (sites[:, None] * d + ii[None, :]).ravel()
-
-        def block_cols(sites):
-            return (sites[:, None] * d + jj[None, :]).ravel()
-
-        vals = k.reshape(nb, d * d)
-        rows = np.concatenate([block_rows(src), block_rows(dst), block_rows(src), block_rows(dst)])
-        cols = np.concatenate([block_cols(src), block_cols(dst), block_cols(dst), block_cols(src)])
-        data = np.concatenate([vals, vals, -vals, -vals], axis=0).ravel()
-        H = sp.coo_matrix((data, (rows, cols)), shape=(self.n_dof, self.n_dof))
-        return H.tocsr()
+        n, T = self.n_dof, int(np.prod(k.shape[:-3]))
+        i, j = np.indices((self.d, self.d))
+        base = n * np.arange(T)[:, None, None, None]   # first DOF of each stack entry
+        rows = base + self.d * np.hstack([self.src, self.dst, self.src, self.dst])[:, None, None] + i
+        cols = base + self.d * np.hstack([self.src, self.dst, self.dst, self.src])[:, None, None] + j
+        vals = k.reshape((T,) + k.shape[-3:])
+        data = np.concatenate([vals, vals, -vals, -vals], axis=1)
+        H = sp.coo_matrix((data.ravel(), (rows.ravel(), cols.ravel())), shape=(T * n, T * n)).tocsr()
+        if k.ndim == 3:
+            return H
+        H = H.tocoo()
+        out = np.zeros((T * n, n))
+        out[H.row, H.col % n] += H.data   # as todense adds them
+        return out.reshape(T, n, n)
 
 
 def incidence_matrix(n_sites: int, src: np.ndarray, dst: np.ndarray) -> sp.csr_matrix:
@@ -267,42 +266,47 @@ def _circulant_inverse(H: sp.spmatrix, cells: tuple[int, ...], d: int) -> np.nda
 class GaugeFixedOperator:
     """Linear solver for Riesz Hessians with the constant fields in the kernel.
 
-    Dense LAPACK <= 600 DOF (``DENSE_DOF_LIMIT``): a rank-d regularization on
-    the constant modes, one step of iterative refinement.  FFT-preconditioned
-    CG above: H stays sparse, and the preconditioner is the inverse of its
-    average over the periodic grid ``cells`` (``_circulant_inverse``), exact for
-    block-circulant H.  Either way the solution is the zero-mean field, and a
+    ``H`` is sparse, or a dense stack (T, n_dof, n_dof) of independent
+    Hessians.  Dense LAPACK <= 600 DOF (``DENSE_DOF_LIMIT``): a rank-d
+    regularization on the constant modes, one batched inverse, one refinement
+    step.  FFT-preconditioned CG above for sparse H, preconditioned by the
+    inverse of its average over the periodic grid ``cells`` (exact for
+    block-circulant H).  Either way the solution is the zero-mean field, and a
     failure raises SolverError naming its cause.
     """
 
-    def __init__(self, H: sp.spmatrix, d: int, cells: tuple[int, ...]) -> None:
+    def __init__(self, H, d: int, cells: tuple[int, ...]) -> None:
         self.d = d
-        self.n_dof = H.shape[0]
+        self.n_dof = H.shape[-1]
         self.n_sites = self.n_dof // d
-        self._H = H.tocsr()
+        stacked = isinstance(H, np.ndarray)
+        self._H = H if stacked else H.tocsr()
         if self.n_dof <= DENSE_DOF_LIMIT:
-            A = np.asarray(H.todense())
-            scale = max(np.abs(np.diag(A)).mean(), 1.0)
-            for i in range(d):
-                mode = np.zeros(self.n_dof)
-                mode[i::d] = 1.0 / np.sqrt(self.n_sites)
-                A = A + scale * np.outer(mode, mode)
+            A = H if stacked else self._H.toarray()[None]
+            scale = np.maximum(np.abs(np.diagonal(A, axis1=-2, axis2=-1)).mean(axis=-1), 1.0)
+            modes = np.tile(np.eye(d), (self.n_sites, 1)) / np.sqrt(self.n_sites)   # translations
             try:
-                self._dense = np.linalg.inv(A)
+                self._dense = np.linalg.inv(A + scale[:, None, None] * (modes @ modes.T))[:, None]
             except np.linalg.LinAlgError as exc:
                 raise SolverError("singular stiffness beyond the translation kernel") from exc
+        elif stacked:
+            raise SolverError(f"dense stack of {self.n_dof} > DENSE_DOF_LIMIT = {DENSE_DOF_LIMIT} DOF")
         else:
             self._dense = None
             self.cells = tuple(cells)
             self._inv = _circulant_inverse(self._H, self.cells, d)
             self._h_inf = float(abs(self._H).sum(axis=1).max())
 
-    def _dense_solve(self, b: np.ndarray) -> np.ndarray:
-        """Dense solve of one flat right-hand side with one refinement step,
-        which keeps the step accurate when the stiffness entries are large
-        (fine lattices scale like 1/eps^2)."""
-        x = project_zero_mean_array((self._dense @ b).reshape(self.n_sites, self.d)).ravel()
-        return x + self._dense @ (b - self._H @ x)
+    def _dense_solve(self, B: np.ndarray) -> np.ndarray:
+        """Dense solve of right-hand sides B (T, k, n_dof) with one refinement step, which
+        keeps the step accurate for stiff entries (fine lattices scale like 1/eps^2)."""
+        x = (self._dense @ B[..., None])[..., 0]
+        x = project_zero_mean_array(x.reshape(x.shape[:-1] + (self.n_sites, self.d))).reshape(x.shape)
+        if isinstance(self._H, np.ndarray):   # row sums round like the sparse product (cells < 8 DOF)
+            Hx = (self._H[:, None] * x[..., None, :]).sum(axis=-1)
+        else:
+            Hx = (self._H @ x.reshape(-1, self.n_dof).T).T.reshape(x.shape)
+        return x + (self._dense @ (B - Hx)[..., None])[..., 0]
 
     def _precondition(self, R: np.ndarray) -> np.ndarray:
         """Apply the inverse grid-averaged stiffness to a stack R (k, n_dof)."""
@@ -356,10 +360,10 @@ class GaugeFixedOperator:
             it += 1
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve H x = rhs for one field (n_sites, d) or a stack (k, n_sites, d);
-        returns zero-mean fields of the same shape."""
+        """Solve H x = rhs for one field (n_sites, d) or a stack (k, n_sites, d),
+        with a leading axis T for a dense stack; returns zero-mean fields."""
         if self._dense is not None:
-            X = np.stack([self._dense_solve(b) for b in rhs.reshape(-1, self.n_dof)])
+            X = self._dense_solve(rhs.reshape(len(self._dense), -1, self.n_dof))
         else:
             X = self._pcg(project_zero_mean_array(rhs).reshape(-1, self.n_dof))
         return project_zero_mean_array(X.reshape(rhs.shape))
@@ -368,45 +372,52 @@ class GaugeFixedOperator:
 @dataclass
 class NewtonResult:
     w: np.ndarray
-    residual: float
-    iterations: int
+    residual: float     # the worst final residual over the stack
+    iterations: int     # Newton steps summed over the stack entries
 
 
 def newton(energy, gradient, hessian, w0: np.ndarray, cells: tuple[int, ...],
-           threshold: float, max_iter: int = 50) -> NewtonResult:
+           threshold, max_iter: int = 50) -> NewtonResult:
     """Zero-mean Newton iteration: the one nonlinear solver of the package.
 
-    ``energy``, ``gradient`` and ``hessian`` map an (n, d) field on the
-    periodic grid ``cells`` to the objective, its Riesz gradient and its
-    sparse Hessian.  Iterates stay zero mean, and convergence is declared
-    once avg_norm(gradient) <= ``threshold``.
-    Each gauge-fixed Newton step is halved until the objective does not rise;
-    a trial that raises PotentialError counts as a rise.
+    ``w0`` is a stack (T, n, d) of independent problems on the grid ``cells``.
+    ``energy``, ``gradient`` and ``hessian`` map the fields w (k, n, d) of the
+    entries ``rows`` to their objectives, Riesz gradients and Hessians.  Entry
+    t leaves once avg_norm(gradient) <= ``threshold`` (a float or one per
+    entry); its step is halved until its objective does not rise, and a trial
+    that raises PotentialError is a rise of the entries whose bonds collapsed.
     """
     w = project_zero_mean_array(np.array(w0, dtype=float))
-    d = w.shape[-1]
+    T, d = len(w), w.shape[-1]
+    threshold = np.broadcast_to(threshold, (T,))
+    res, active, steps = np.zeros(T), np.arange(T), 0
     for it in range(max_iter + 1):
-        g = gradient(w)
-        res = avg_norm(g)
-        if res <= threshold:
-            return NewtonResult(w, res, it)
+        g = gradient(w[active], active)
+        res[active] = avg_norm(g)
+        keep = ~(res[active] <= threshold[active])
+        active, g = active[keep], g[keep]
+        if not len(active):
+            return NewtonResult(w, float(res.max()), steps)
         if it == max_iter:
             break
-        step = GaugeFixedOperator(hessian(w), d, cells).solve(-g)
-        lam = 1.0
-        base = energy(w)
-        while lam > 2.0**-30:
-            try:
-                trial = energy(project_zero_mean_array(w + lam * step))
-            except PotentialError:
-                trial = np.inf
-            if trial <= base + 1e-14 * (1 + abs(base)):
-                break
-            lam *= 0.5
-        else:
-            raise SolverError("line search failed (bond collapse or ascent direction)")
-        w = project_zero_mean_array(w + lam * step)
-    raise SolverError(f"Newton did not converge: residual {res:.3e} after {max_iter} iterations")
+        wa = w[active]
+        step = GaugeFixedOperator(hessian(wa, active), d, cells).solve(-g)
+        base = np.asarray(energy(wa, active), dtype=float)
+        bound = base + 1e-14 * (1 + np.abs(base))
+        lam, pending, size = np.ones(len(active)), np.arange(len(active)), 1.0
+        while len(pending):   # halve the steps of the entries whose objective rose
+            if size <= 2.0**-30:
+                raise SolverError(f"line search failed on {len(pending)} of {T} entries "
+                                  "(bond collapse or ascent direction)")
+            trial = energies_or_inf(energy, project_zero_mean_array(wa[pending] + size * step[pending]),
+                                    active[pending])
+            pending = pending[~(trial <= bound[pending])]
+            size *= 0.5
+            lam[pending] = size
+        w[active] = project_zero_mean_array(wa + lam[:, None, None] * step)
+        steps += len(active)
+    raise SolverError(f"Newton did not converge: residual {res[active].max():.3e} on {len(active)} "
+                      f"of {T} entries after {max_iter} iterations")
 
 
 def newton_zero_mean(
@@ -415,26 +426,33 @@ def newton_zero_mean(
     w0: np.ndarray | None = None,
     f_ext: np.ndarray | None = None,
     tol: float = 1e-12,
-    ref: float = 0.0,
+    ref=0.0,
 ) -> NewtonResult:
     """Find the zero-mean critical point of E(w; F) - <f_ext, w> with ``newton``.
 
-    The residual is measured as sqrt(<|gradient|^2>) and convergence is
-    declared at ``tol * (1 + ref)``; quadratic energies converge in one
-    iteration.
+    ``F`` is None, one gradient (d, d), or a stack (T, d, d) of independent
+    problems, for which ``w0`` and the result are (T, n_sites, d).  Entry t
+    converges once sqrt(<|gradient|^2>) <= ``tol * (1 + ref_t)``; quadratic
+    energies converge in one iteration.
     """
+    stacked = np.ndim(F) == 3
+    Fs = None if F is None else np.asarray(F, dtype=float).reshape(-1, system.d, system.d)
+    shape = (len(Fs) if stacked else 1, system.n_sites, system.d)
 
-    def energy(w):
-        e = system.energy(w, F)
-        if f_ext is not None:
-            e -= float(np.mean(np.sum(f_ext * w, axis=1)))
-        return e
+    def at(rows):
+        return None if Fs is None else Fs[rows]
 
-    def gradient(w):
-        g = system.gradient(w, F)
+    def energy(w, rows):
+        e = system.energy(w, at(rows))
+        return e if f_ext is None else e - np.mean(np.sum(f_ext * w, axis=-1), axis=-1)
+
+    def gradient(w, rows):
+        g = system.gradient(w, at(rows))
         return g if f_ext is None else g - f_ext
 
-    if w0 is None:
-        w0 = np.zeros((system.n_sites, system.d))
-    return newton(energy, gradient, lambda w: system.hessian(w, F), w0, system.cells,
-                  tol * (1.0 + ref))
+    def hessian(w, rows):   # one field: the sparse Hessian, which also serves above DENSE_DOF_LIMIT
+        return system.hessian(w[0], at(rows[0])) if len(rows) == 1 else system.hessian(w, at(rows))
+
+    result = newton(energy, gradient, hessian, np.zeros(shape) if w0 is None else np.reshape(w0, shape),
+                    system.cells, tol * (1.0 + np.asarray(ref)))
+    return result if stacked else NewtonResult(result.w[0], result.residual, result.iterations)

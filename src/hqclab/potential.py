@@ -15,6 +15,7 @@ per-bond terms, each a function of the single gap D_r u.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -32,6 +33,19 @@ from .lattice import (
 
 class PotentialError(ValueError):
     """Invalid model parameters or inadmissible bond configuration."""
+
+
+def energies_or_inf(energy, *stacks) -> np.ndarray:
+    """``energy(*stacks)``, one value per entry of the stacked arguments; an
+    entry whose bonds collapse (PotentialError) reads inf."""
+    try:
+        return np.asarray(energy(*stacks), dtype=float)
+    except PotentialError:
+        out = np.full(len(stacks[0]), np.inf)
+        for t in range(len(out)):
+            with contextlib.suppress(PotentialError):
+                out[t] = energy(*(s[t:t + 1] for s in stacks))[0]
+        return out
 
 
 # ------------------------------------------------------------------- bond laws
@@ -167,40 +181,6 @@ class InteractionModel:
 
     def bond_specs(self, alpha: int, cell=0) -> list[BondSpec]:
         raise NotImplementedError
-
-    # --- single-site evaluation (gaps: one vector per neighborhood offset) ---
-
-    def _site_gaps(self, alpha: int, gaps) -> list[np.ndarray]:
-        specs = self.bond_specs(alpha)
-        gaps = [np.atleast_1d(np.asarray(g, dtype=float)) for g in gaps]
-        if len(gaps) != len(specs):
-            raise PotentialError(
-                f"species {alpha} expects {len(specs)} gaps, got {len(gaps)}"
-            )
-        return gaps
-
-    def site_energy(self, alpha: int, gaps, cell: int = 0) -> float:
-        total = 0.0
-        for spec, g in zip(self.bond_specs(alpha, cell), self._site_gaps(alpha, gaps)):
-            total += float(spec.law.energy(g[None, :], spec.offset.r_float[None, :])[0])
-        return total
-
-    def site_gradient(self, alpha: int, gaps, cell: int = 0) -> list[np.ndarray]:
-        out = []
-        for spec, g in zip(self.bond_specs(alpha, cell), self._site_gaps(alpha, gaps)):
-            out.append(spec.law.grad(g[None, :], spec.offset.r_float[None, :])[0])
-        return out
-
-    def site_hessian(self, alpha: int, gaps, cell: int = 0) -> list[list[np.ndarray]]:
-        """Blocks V''_{r,rho}; off-diagonal blocks vanish for pairwise models."""
-        specs = self.bond_specs(alpha, cell)
-        gaps = self._site_gaps(alpha, gaps)
-        k = len(specs)
-        d = self.d
-        blocks = [[np.zeros((d, d)) for _ in range(k)] for _ in range(k)]
-        for j, (spec, g) in enumerate(zip(specs, gaps)):
-            blocks[j][j] = spec.law.hess(g[None, :], spec.offset.r_float[None, :])[0]
-        return blocks
 
 
 class LinearSpring1D(InteractionModel):

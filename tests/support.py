@@ -1,0 +1,184 @@
+"""Conveniences that only the tests use: single-site model evaluation, shift
+and corrector gauges, element-wise P1 helpers, and small field and residual
+helpers.  They are thin wrappers over the package's stacked routines, kept
+here so that the package carries no API without a caller."""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from hqclab import mqc
+from hqclab.atomistic import EquilibriumProblem
+from hqclab.fem import MacroMesh, P1Field, all_element_gradients, assemble
+from hqclab.lattice import ZERO_MEAN_TOL, LatticeError, LatticeField, Multilattice, average
+from hqclab.network import avg_norm
+from hqclab.potential import PotentialError
+
+# ------------------------------------------- single-site model evaluation
+# gaps: one vector per neighborhood offset of species alpha
+
+
+def _site_gaps(model, alpha: int, gaps) -> list[np.ndarray]:
+    specs = model.bond_specs(alpha)
+    gaps = [np.atleast_1d(np.asarray(g, dtype=float)) for g in gaps]
+    if len(gaps) != len(specs):
+        raise PotentialError(f"species {alpha} expects {len(specs)} gaps, got {len(gaps)}")
+    return gaps
+
+
+def site_energy(model, alpha: int, gaps, cell: int = 0) -> float:
+    total = 0.0
+    for spec, g in zip(model.bond_specs(alpha, cell), _site_gaps(model, alpha, gaps)):
+        total += float(spec.law.energy(g[None, :], spec.offset.r_float[None, :])[0])
+    return total
+
+
+def site_gradient(model, alpha: int, gaps, cell: int = 0) -> list[np.ndarray]:
+    return [spec.law.grad(g[None, :], spec.offset.r_float[None, :])[0]
+            for spec, g in zip(model.bond_specs(alpha, cell), _site_gaps(model, alpha, gaps))]
+
+
+def site_hessian(model, alpha: int, gaps, cell: int = 0) -> list[list[np.ndarray]]:
+    """Blocks V''_{r,rho}; off-diagonal blocks vanish for pairwise models."""
+    specs = model.bond_specs(alpha, cell)
+    gaps = _site_gaps(model, alpha, gaps)
+    d = model.d
+    blocks = [[np.zeros((d, d)) for _ in specs] for _ in specs]
+    for j, (spec, g) in enumerate(zip(specs, gaps)):
+        blocks[j][j] = spec.law.hess(g[None, :], spec.offset.r_float[None, :])[0]
+    return blocks
+
+
+# ------------------------------------------------ shift / corrector gauges
+
+
+def mqc_element_energy(model, F, shifts: np.ndarray) -> float:
+    """Element energy density (1/m) sum_beta V_beta(F r + q_a - q_beta)."""
+    F = np.asarray(F, dtype=float).reshape(1, model.d, model.d)
+    q = np.asarray(shifts, dtype=float).reshape(1, model.m - 1, model.d)
+    return float(mqc._shift_table(model).energy(F, q)[0])
+
+
+def shifts_from_corrector(chi: np.ndarray) -> np.ndarray:
+    """Map a cell corrector (m, d) to shift vectors: q_alpha = chi_alpha - chi_0."""
+    chi = np.atleast_2d(chi)
+    return chi[1:] - chi[0][None, :]
+
+
+def corrector_from_shifts(shifts: np.ndarray, d: int) -> np.ndarray:
+    """Zero-mean cell corrector equivalent to the shift state (gauge change)."""
+    shifts = np.asarray(shifts, dtype=float).reshape(-1, d)
+    chi = np.vstack([np.zeros((1, d)), shifts])
+    return chi - chi.mean(axis=0)[None, :]
+
+
+@dataclass
+class P0Field:
+    """Piecewise-constant field: one value per element."""
+
+    mesh: MacroMesh
+    values: np.ndarray  # (n_elements, d)
+
+    def __post_init__(self) -> None:
+        self.values = np.asarray(self.values, dtype=float).reshape(self.mesh.n_elements, self.mesh.d)
+
+
+@dataclass
+class ShiftState:
+    """Per-element shift vectors, one piecewise-constant field per species
+    alpha = 1 .. m-1 (the first species is pinned at zero)."""
+
+    fields: list[P0Field]
+    residual: float
+
+    def element_shifts(self, t: int) -> np.ndarray:
+        return np.stack([f.values[t] for f in self.fields]) if self.fields else np.zeros((0, 1))
+
+
+def solve_shift_state(model, mesh: MacroMesh, uh: P1Field) -> ShiftState:
+    """Stationary shift vectors on every element of the mesh, in one stacked solve."""
+    grads = all_element_gradients(uh)
+    q, res = mqc._shift_newton(mqc._shift_table(model), grads,
+                               np.zeros((len(grads), model.m - 1, model.d)), mqc.SHIFT_TOL, 50)
+    fields = [P0Field(mesh, q[:, a]) for a in range(model.m - 1)]
+    return ShiftState(fields=fields, residual=float(res.max()))
+
+
+# ----------------------------------------------------- element-wise P1
+
+
+def element_vertex_values(u: P1Field, t: int) -> np.ndarray:
+    return u.values[u.mesh.elements[t]]
+
+
+def element_gradient(u: P1Field, t: int) -> np.ndarray:
+    """Constant gradient of u^h on element t, F[i, j] = d u_i / d x_j."""
+    U = element_vertex_values(u, t)  # (d+1, d)
+    return U.T @ u.mesh.grad_basis(t)
+
+
+@dataclass(frozen=True)
+class AffineMap:
+    """Affine extension u(x) = value0 + F (x - x0) of an element restriction."""
+
+    F: np.ndarray
+    x0: np.ndarray
+    value0: np.ndarray
+
+    def __call__(self, points: np.ndarray) -> np.ndarray:
+        pts = np.atleast_2d(points)
+        return self.value0[None, :] + (pts - self.x0[None, :]) @ self.F.T
+
+
+def affine_extension(u: P1Field, t: int) -> AffineMap:
+    """The affine map agreeing with u^h on element t, defined on all of R^d."""
+    F = element_gradient(u, t)
+    x0 = u.mesh.el_coords[t, 0]
+    return AffineMap(F=F, x0=x0, value0=u.values[u.mesh.elements[t, 0]].copy())
+
+
+def constant_tensor_stiffness(mesh: MacroMesh, A: np.ndarray):
+    """P1 stiffness of the quadratic density (1/2) A[i,j,k,l] F[i,j] F[k,l].
+
+    For d = 1 a scalar A is accepted (density A (u')^2 / 2).
+    """
+    d = mesh.d
+    A = np.asarray(A, dtype=float).reshape(d, d, d, d)
+    return assemble(mesh, np.broadcast_to(A, (mesh.n_elements, d, d, d, d)))
+
+
+# ------------------------------------------------ fields and residuals
+
+
+def zeros_field(lattice: Multilattice) -> LatticeField:
+    return LatticeField(lattice, np.zeros((lattice.n_sites, lattice.d)))
+
+
+def inner_product(u: LatticeField, v: LatticeField) -> float:
+    """Averaged inner product <u, v>_S = <u . v>_S."""
+    if u.lattice is not v.lattice and (
+        u.lattice.d != v.lattice.d
+        or u.lattice.eps != v.lattice.eps
+        or u.lattice.shifts != v.lattice.shifts
+    ):
+        raise LatticeError("fields live on different lattices")
+    return float(np.mean(np.sum(u.values * v.values, axis=1)))
+
+
+def is_zero_mean(u: LatticeField) -> bool:
+    scale = np.max(np.abs(u.values)) if u.values.size else 0.0
+    return bool(np.all(np.abs(average(u)) <= ZERO_MEAN_TOL * max(scale, 1.0)))
+
+
+def energy_gradient(problem: EquilibriumProblem, u: LatticeField) -> LatticeField:
+    """Riesz representer of the first variation with respect to <., .>_M."""
+    return LatticeField(problem.lattice, problem.system.gradient(u.values))
+
+
+def residual_norm(problem: EquilibriumProblem, u: LatticeField) -> float:
+    g = problem.system.gradient(u.values)
+    if problem.force is not None:
+        g = g - problem.force.values
+    return avg_norm(g)

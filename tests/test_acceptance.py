@@ -21,10 +21,19 @@ from hqclab.lattice import (
     LatticeField,
     chain_lattice,
     discrete_derivative,
-    inner_product,
     project_zero_mean,
 )
 from hqclab.potential import LinearSpring1D, make_dynamics_model
+from support import (
+    constant_tensor_stiffness,
+    corrector_from_shifts,
+    energy_gradient,
+    inner_product,
+    shifts_from_corrector,
+    site_energy,
+    site_gradient,
+    site_hessian,
+)
 
 
 def _report(num: int, name: str, elapsed: float, budget: float) -> None:
@@ -116,19 +125,19 @@ def test_acceptance_6_derivative_consistency():
     cases.append((rb, 0, [0.1 * rng.standard_normal(2) for _ in rb.bond_specs(0, 3)], 3))
     step = 1e-5
     for model, alpha, gaps, cell in cases:
-        grad = model.site_gradient(alpha, gaps, cell)
-        hess = model.site_hessian(alpha, gaps, cell)
+        grad = site_gradient(model, alpha, gaps, cell)
+        hess = site_hessian(model, alpha, gaps, cell)
         for j in range(len(gaps)):
             for comp in range(len(gaps[j])):
                 plus = [np.array(g, float) for g in gaps]
                 minus = [np.array(g, float) for g in gaps]
                 plus[j][comp] += step
                 minus[j][comp] -= step
-                fd = (model.site_energy(alpha, plus, cell) - model.site_energy(alpha, minus, cell)) / (2 * step)
+                fd = (site_energy(model, alpha, plus, cell) - site_energy(model, alpha, minus, cell)) / (2 * step)
                 scale = max(abs(grad[j][comp]), 1e-2)
                 assert abs(fd - grad[j][comp]) <= 1e-6 * scale
-                gp = model.site_gradient(alpha, plus, cell)
-                gm = model.site_gradient(alpha, minus, cell)
+                gp = site_gradient(model, alpha, plus, cell)
+                gm = site_gradient(model, alpha, minus, cell)
                 for i in range(len(gaps)):
                     fdh = (gp[i] - gm[i]) / (2 * step)
                     hscale = max(np.max(np.abs(hess[i][j])), 1.0)
@@ -140,7 +149,7 @@ def test_acceptance_6_derivative_consistency():
     prob = atomistic.EquilibriumProblem(lat, lj)
     x = lat.site_positions()
     u = LatticeField(lat, 0.01 * np.sin(2 * np.pi * x) + 0.005 * np.cos(4 * np.pi * x))
-    g = atomistic.energy_gradient(prob, u)
+    g = energy_gradient(prob, u)
     # smaller step here: the 1/eps^3 amplification of the LJ third derivative
     # would otherwise leave the oracle's own truncation above the tolerance
     step_u = 2e-6
@@ -240,7 +249,7 @@ def test_acceptance_7_small_instance_oracles():
     op = hqc.HQCOperator(model, lat8, mesh)
     H = np.asarray(op.hessian(fem.P1Field(mesh, np.zeros((8, 1)))).todense())
     K_fem = np.asarray(
-        fem.constant_tensor_stiffness(mesh, np.array(homog.harmonic_mean(psi) / 4)).todense()
+        constant_tensor_stiffness(mesh, np.array(homog.harmonic_mean(psi) / 4)).todense()
     )
     assert np.max(np.abs(H - K_fem)) <= 1e-12 * np.max(np.abs(K_fem))
 
@@ -248,10 +257,10 @@ def test_acceptance_7_small_instance_oracles():
     for model_b, F in ((LinearSpring1D((1.0, 3.0, 0.5)), 0.8), (make_dynamics_model().model, 0.02)):
         system = homog.cell_system(model_b)
         chi = homog.solve_cell_problem(model_b, [[F]], system=system)
-        q = mqc.shifts_from_corrector(chi)
+        q = shifts_from_corrector(chi)
         q_solved = mqc.solve_shift_vectors(model_b, [[F]], guess=q)
         assert np.max(np.abs(q_solved - q)) <= 1e-10
-        chi_back = mqc.corrector_from_shifts(q, model_b.d)
+        chi_back = corrector_from_shifts(q, model_b.d)
         res = system.gradient(chi_back, np.array([[F]]))
         assert np.sqrt(np.mean(res**2)) <= 1e-10 * (1 + abs(F))
 

@@ -7,9 +7,7 @@ from fractions import Fraction
 
 from hqclab.atomistic import (
     EquilibriumProblem,
-    energy_gradient,
     energy_hessian,
-    residual_norm,
     slowest_eigenmode,
     solve_equilibrium,
     total_energy,
@@ -19,10 +17,10 @@ from hqclab.lattice import (
     average,
     chain_lattice,
     l2_norm,
-    zeros_field,
 )
 from hqclab.network import SolverError
 from hqclab.potential import LinearSpring1D, make_dynamics_model
+from support import energy_gradient, residual_norm, zeros_field
 
 
 def spring_problem(eps, psi, force=None):

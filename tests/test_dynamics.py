@@ -17,9 +17,10 @@ from hqclab.dynamics import (
     trajectory_error,
     verlet_step,
 )
-from hqclab.fem import P1Field, build_mesh, constant_tensor_stiffness, p1_interpolate_lattice
+from hqclab.fem import P1Field, build_mesh, p1_interpolate_lattice
 from hqclab.lattice import LatticeField, chain_lattice, discrete_derivative
 from hqclab.potential import LinearSpring1D, make_dynamics_model
+from support import constant_tensor_stiffness
 
 
 def dynamics_problem(n_atoms):

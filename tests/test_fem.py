@@ -7,12 +7,10 @@ from fractions import Fraction
 from hqclab.fem import (
     MeshError,
     P1Field,
-    affine_extension,
     all_element_gradients,
     assemble,
     build_mesh,
     check_alignment,
-    element_gradient,
     lattice_error,
     load_from_lattice,
     locate,
@@ -23,6 +21,7 @@ from hqclab.fem import (
     sample_on_lattice,
 )
 from hqclab.lattice import LatticeField, chain_lattice, square_lattice
+from support import affine_extension, element_gradient
 
 
 def test_1d_mesh_counts():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
-from hqclab.fem import build_mesh, constant_tensor_stiffness, load_from_lattice
+from hqclab.fem import build_mesh, load_from_lattice
 from hqclab.homog import (
     HomogenizedDensity,
     cell_system,
@@ -14,6 +14,7 @@ from hqclab.homog import (
 )
 from hqclab.lattice import LatticeField, chain_lattice
 from hqclab.potential import LinearSpring1D, RandomBond2D, make_dynamics_model
+from support import constant_tensor_stiffness
 
 
 def test_simple_lattice_trivial_corrector():

@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 from fractions import Fraction
+from hypothesis import given, strategies as st
 
 from hqclab.atomistic import EquilibriumProblem, solve_equilibrium, total_energy
 from hqclab.fem import (
     P1Field,
     all_element_gradients,
     build_mesh,
-    constant_tensor_stiffness,
     p1_zero_mean,
     sample_on_lattice,
 )
@@ -24,6 +24,7 @@ from hqclab.hqc import (
 from hqclab.lattice import LatticeField, chain_lattice, square_lattice
 from hqclab.network import avg_norm
 from hqclab.potential import LinearSpring1D, RandomBond2D, make_dynamics_model
+from support import constant_tensor_stiffness
 
 
 def random_uh(mesh, scale, seed):
@@ -532,7 +533,7 @@ def test_nonlinear_micro_path_matches_effective_tensors():
     recon = [reconstruct(op, uh).values for op in (newton_op, tensor_op)]
     close(*recon)
     # per element: affine part plus the tiled corrector (one-cell torus: site = species)
-    from hqclab.fem import affine_extension
+    from support import affine_extension
 
     pos = lat.site_positions()
     owners = owner_elements(mesh, pos)
@@ -549,18 +550,22 @@ def test_nonlinear_micro_path_matches_effective_tensors():
     pytest.param(newton_springs, 8, id="newton-springs"),
 ])
 def test_micro_solves_run_where_zero_guess_fails(monkeypatch, make_model, failing):
-    # every gradient call starts all correctors from zero and runs micro_solve
-    # on exactly the elements whose zero guess fails, whatever came before
-    from hqclab import hqc
+    # every gradient call starts all correctors from zero and takes Newton
+    # steps on exactly the stack entries whose zero guess fails, whatever came
+    # before
+    from hqclab import network
 
-    calls = []
-    real = hqc.micro_solve
+    calls = set()   # stack entries whose Hessian a Newton step asked for
+    real = network.newton
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def counting(energy, gradient, hessian, *args, **kwargs):
+        def tracked(w, rows):
+            calls.update(rows.tolist())
+            return hessian(w, rows)
 
-    monkeypatch.setattr(hqc, "micro_solve", counting)
+        return real(energy, gradient, tracked, *args, **kwargs)
+
+    monkeypatch.setattr(network, "newton", counting)
     lat = chain_lattice(Fraction(1, 32), 2)
     mesh = build_mesh(1, 8)
     assert mesh.n_elements == 8
@@ -575,6 +580,37 @@ def test_micro_solves_run_where_zero_guess_fails(monkeypatch, make_model, failin
         assert len(calls) == failing
 
 
+@pytest.mark.parametrize("psi", [(1.0, 3.0), (1.0, 3.0, 0.7), (1.0, 3.0, 0.5, 2.0)],
+                         ids=["m2", "m3", "m4"])
+def test_stacked_micro_solve_equals_single_cell_solves(psi):
+    # one stacked Newton over all entries against one solve per gradient; the
+    # zero gradient passes its zero guess, the others take Newton steps
+    from hqclab.homog import cell_system, solve_cell_problem
+    from hqclab.hqc import micro_solve
+
+    model = newton_springs(psi)
+    system = cell_system(model)
+    grads = np.array([0.3, 0.0, -0.7, 1.2, 0.05]).reshape(-1, 1, 1)
+    chi = micro_solve(system, grads)
+    assert np.max(np.abs(chi)) > 0.01
+    for t, F in enumerate(grads):
+        assert np.array_equal(chi[t], solve_cell_problem(model, F, system=system))
+
+
+@given(st.lists(st.floats(0.2, 5.0), min_size=2, max_size=4),
+       st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=6))
+def test_stacked_micro_solve_equals_single_solves_on_random_springs(psi, strains):
+    from hqclab.homog import cell_system, solve_cell_problem
+    from hqclab.hqc import micro_solve
+
+    model = newton_springs(tuple(psi))
+    system = cell_system(model)
+    grads = np.array(strains).reshape(-1, 1, 1)
+    chi = micro_solve(system, grads)
+    for t, F in enumerate(grads):
+        assert np.array_equal(chi[t], solve_cell_problem(model, F, system=system))
+
+
 def test_quadratic_converges_in_one_iteration():
     model = LinearSpring1D((1.0, 3.0))
     lat = chain_lattice(Fraction(1, 32), 2)
@@ -586,7 +622,7 @@ def test_quadratic_converges_in_one_iteration():
     assert sol.iterations == 1
 
 
-def test_warm_start_determinism():
+def test_solve_is_deterministic():
     model = make_dynamics_model().model
     lat = chain_lattice(Fraction(1, 16), 2)
     mesh = build_mesh(1, 4)
@@ -634,7 +670,7 @@ def test_reconstruct_single_period_element():
     chi = op.correctors(all_element_gradients(uh))
     pos = lat.site_positions()
     owners = owner_elements(mesh, pos)
-    from hqclab.fem import affine_extension
+    from support import affine_extension
 
     for t in range(mesh.n_elements):
         mask = owners == t
@@ -760,7 +796,7 @@ def test_micro_solve_collapse_reports():
     op = HQCOperator(model, lat, mesh)
     system = op.system
     with pytest.raises((SolverError, PotentialError)):
-        micro_solve(system, np.array([[-1.0]]))
+        micro_solve(system, np.array([[[-1.0]]]))
 
 
 def test_micro_energy_matches_independent_minimizer():

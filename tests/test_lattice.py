@@ -12,13 +12,11 @@ from hqclab.lattice import (
     chain_lattice,
     discrete_derivative,
     discrete_norms,
-    inner_product,
-    is_zero_mean,
     project_zero_mean,
     square_lattice,
     translate,
-    zeros_field,
 )
+from support import inner_product, is_zero_mean, zeros_field
 
 
 def test_two_species_chain_sites():

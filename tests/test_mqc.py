@@ -11,11 +11,7 @@ from hqclab.lattice import chain_lattice
 from hqclab.mqc import (
     ShiftSolveError,
     ShiftTable,
-    corrector_from_shifts,
     equivalence_report,
-    mqc_element_energy,
-    shifts_from_corrector,
-    solve_shift_state,
     solve_shift_vectors,
 )
 from hqclab.potential import (
@@ -27,6 +23,15 @@ from hqclab.potential import (
     PotentialError,
     SpringLaw,
     make_dynamics_model,
+)
+from support import (
+    corrector_from_shifts,
+    mqc_element_energy,
+    shifts_from_corrector,
+    site_energy,
+    site_gradient,
+    site_hessian,
+    solve_shift_state,
 )
 
 
@@ -138,8 +143,6 @@ def test_equivalence_simple_lattice():
 
 
 def test_shift_state_fields_per_species():
-    from hqclab.mqc import solve_shift_state
-
     model = LinearSpring1D((1.0, 3.0, 0.5))
     lat = chain_lattice(Fraction(1, 32), 3)
     mesh = build_mesh(1, 4)
@@ -186,26 +189,6 @@ class _TwoSpecies2D:
     def bond_specs(self, alpha, cell=0):
         return self._specs[alpha]
 
-    def site_energy(self, alpha, gaps, cell=0):
-        from hqclab.potential import InteractionModel
-
-        return InteractionModel.site_energy(self, alpha, gaps, cell)
-
-    def site_gradient(self, alpha, gaps, cell=0):
-        from hqclab.potential import InteractionModel
-
-        return InteractionModel.site_gradient(self, alpha, gaps, cell)
-
-    def site_hessian(self, alpha, gaps, cell=0):
-        from hqclab.potential import InteractionModel
-
-        return InteractionModel.site_hessian(self, alpha, gaps, cell)
-
-    def _site_gaps(self, alpha, gaps):
-        from hqclab.potential import InteractionModel
-
-        return InteractionModel._site_gaps(self, alpha, gaps)
-
 
 def test_equivalence_2d_two_species_crystal():
     from hqclab.lattice import Multilattice
@@ -244,9 +227,9 @@ def _bond_by_bond(model, F, shifts):
         offsets = np.array([s.offset.r_float for s in specs])
         targets = [s.offset.species_target for s in specs]
         gaps = offsets @ F.T + q_full[targets] - q_full[beta][None, :]
-        energy += model.site_energy(beta, list(gaps))
-        gvecs = model.site_gradient(beta, list(gaps))
-        hblocks = model.site_hessian(beta, list(gaps))
+        energy += site_energy(model, beta, list(gaps))
+        gvecs = site_gradient(model, beta, list(gaps))
+        hblocks = site_hessian(model, beta, list(gaps))
         for j, a in enumerate(targets):
             grad[a] += gvecs[j]
             grad[beta] -= gvecs[j]

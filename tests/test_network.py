@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from hqclab import network
-from hqclab.fem import MacroMesh, constant_tensor_stiffness
+from hqclab.fem import MacroMesh
 from hqclab.lattice import Multilattice, chain_lattice, square_lattice
 from hqclab.network import DENSE_DOF_LIMIT, GaugeFixedOperator, SolverError, compile_system
 from hqclab.potential import (
@@ -17,6 +17,7 @@ from hqclab.potential import (
     RandomBond2D,
     make_dynamics_model,
 )
+from support import constant_tensor_stiffness
 
 
 def per_spec_laws(lattice, model, parent_cells=None):
@@ -184,3 +185,114 @@ def test_pcg_failures_name_their_cause(monkeypatch):
     monkeypatch.setattr(network, "PCG_MAX_ITER", 3)
     with pytest.raises(SolverError, match=r"relative residual \d\.\d{3}e[-+]\d+ after 3 iterations"):
         GaugeFixedOperator(H, 2, system.cells).solve(rhs)
+
+
+# ------------------------------------------------- stacked Newton and solves
+
+
+def micro_cases():
+    """(name, model, gradient scale) of cell problems with 2 to 4 DOF."""
+    return [
+        ("lj-m2", make_dynamics_model().model, 0.03),
+        ("lj-m3", three_species_lj(), 0.03),
+        ("springs-m4", LinearSpring1D((1.0, 3.0, 0.5, 2.0)), 0.3),
+    ]
+
+
+@pytest.mark.parametrize("name, model, scale", micro_cases(), ids=[c[0] for c in micro_cases()])
+def test_dense_stack_operator_equals_per_entry_sparse_operators(name, model, scale):
+    system = compile_system(Multilattice(1, 1, model.shifts()), model, 1.0)
+    rng = np.random.default_rng(17)
+    T, n = 5, system.n_sites
+    W = 0.01 * rng.standard_normal((T, n, 1))
+    Fs = scale * rng.standard_normal((T, 1, 1))
+    stack = system.hessian(W, Fs)
+    op = GaugeFixedOperator(stack, 1, system.cells)
+    one_rhs = rng.standard_normal((T, n, 1))
+    many_rhs = rng.standard_normal((T, 3, n, 1))
+    x_one, x_many = op.solve(one_rhs), op.solve(many_rhs)
+    for t in range(T):
+        H = system.hessian(W[t], Fs[t])
+        assert np.array_equal(stack[t], H.toarray())
+        single = GaugeFixedOperator(H, 1, system.cells)
+        assert np.array_equal(x_one[t], single.solve(one_rhs[t]))
+        assert np.array_equal(x_many[t], single.solve(many_rhs[t]))
+
+
+def test_dense_hessian_stack_sums_duplicates_like_the_sparse_matrix():
+    # a 2 x 2 torus bonds every site to its neighbors more than once
+    system = compile_system(square_lattice(2), RandomBond2D(2, seed=18), 1.0)
+    rng = np.random.default_rng(19)
+    W = 0.1 * rng.standard_normal((3, system.n_sites, 2))
+    Fs = 0.1 * rng.standard_normal((3, 2, 2))
+    stack = system.hessian(W, Fs)
+    assert stack.shape == (3, system.n_dof, system.n_dof)
+    for t in range(3):
+        assert np.array_equal(stack[t], system.hessian(W[t], Fs[t]).toarray())
+
+
+def test_dense_stack_above_the_limit_raises():
+    n = DENSE_DOF_LIMIT + 2
+    with pytest.raises(SolverError, match=f"DENSE_DOF_LIMIT = {DENSE_DOF_LIMIT}"):
+        GaugeFixedOperator(np.zeros((2, n, n)), 2, (n // 2,))
+
+
+def cell_callbacks(system, F):
+    """``newton`` callbacks of the cell problems at the gradient stack F."""
+    return (lambda w, rows: system.energy(w, F[rows]),
+            lambda w, rows: system.gradient(w, F[rows]),
+            lambda w, rows: system.hessian(w, F[rows]))
+
+
+def test_collapsing_step_is_halved_for_its_entry_only(monkeypatch):
+    # the shift states of tests/test_mqc.py in the corrector gauge: entry 0's
+    # full Newton step collapses a hard-core bond, entries 1 and 2 accept theirs
+    from test_mqc import _HardCoreDynamicsModel
+
+    from hqclab.potential import PotentialError
+
+    model = _HardCoreDynamicsModel()
+    system = compile_system(Multilattice(1, 1, model.shifts()), model, 1.0)
+    F = np.array([[[0.2]], [[0.2]], [[0.05]]])
+    shifts = np.array([-0.062, 0.1, 0.03])
+    w0 = np.stack([-shifts / 2, shifts / 2], axis=1)[:, :, None]
+    energy, gradient, hessian = cell_callbacks(system, F)
+    step = GaugeFixedOperator(system.hessian(w0[0], F[0]), 1, system.cells).solve(-gradient(w0[:1], [0])[0])
+    with pytest.raises(PotentialError):
+        system.energy(w0[0] + step, F[0])
+
+    trials = []
+    real = network.energies_or_inf
+
+    def counted(energy, w, rows):
+        trials.append(len(rows))
+        return real(energy, w, rows)
+
+    monkeypatch.setattr(network, "energies_or_inf", counted)
+    threshold = 1e-12 * (1 + np.abs(F[:, 0, 0]))
+    stacked = network.newton(energy, gradient, hessian, w0, system.cells, threshold)
+    assert trials[:2] == [3, 1]   # only entry 0 is tried again, with half the step
+    monkeypatch.undo()
+    for t in range(3):
+        single = network.newton(*cell_callbacks(system, F[t:t + 1]), w0[t:t + 1], system.cells,
+                                threshold[t])
+        assert np.array_equal(stacked.w[t], single.w[0])
+
+
+def test_unconverged_entry_fails_the_whole_stack():
+    # entry 1 starts 0.02 off its shift and needs more than two Newton steps;
+    # the other entries start converged
+    from hqclab.hqc import MICRO_TOL, micro_solve
+
+    model = make_dynamics_model().model
+    system = compile_system(Multilattice(1, 1, model.shifts()), model, 1.0)
+    F = np.array([[[0.01]], [[-0.02]], [[0.03]], [[0.05]]])
+    w0 = micro_solve(system, F)
+    w0[1] += [[-0.01], [0.01]]
+    threshold = MICRO_TOL * (1 + np.abs(F[:, 0, 0]))
+    with pytest.raises(SolverError, match=r"residual \d\.\d{3}e[-+]\d+ on 1 of 4 entries after 2 iterations"):
+        network.newton(*cell_callbacks(system, F), w0, system.cells, threshold, max_iter=2)
+    rest = [0, 2, 3]
+    result = network.newton(*cell_callbacks(system, F[rest]), w0[rest], system.cells, threshold[rest],
+                            max_iter=2)
+    assert np.array_equal(result.w, w0[rest]) and result.iterations == 0

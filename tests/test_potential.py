@@ -12,20 +12,21 @@ from hqclab.potential import (
     make_dynamics_model,
     make_stochastic_model,
 )
+from support import site_energy, site_gradient, site_hessian
 
 
 def test_spring_site_energy_and_derivatives():
     model = LinearSpring1D((2.0,))
-    assert model.site_energy(0, [0.3]) == pytest.approx(0.09)
-    (g,) = model.site_gradient(0, [0.3])
+    assert site_energy(model, 0, [0.3]) == pytest.approx(0.09)
+    (g,) = site_gradient(model, 0, [0.3])
     assert g == pytest.approx([0.6])
-    blocks = model.site_hessian(0, [0.3])
+    blocks = site_hessian(model, 0, [0.3])
     assert np.allclose(blocks[0][0], [[2.0]])
 
 
 def test_spring_zero_gap_energy():
     model = LinearSpring1D((1.0, 3.0))
-    assert model.site_energy(1, [0.0]) == 0.0
+    assert site_energy(model, 1, [0.0]) == 0.0
 
 
 def test_lj_bond_minimum():
@@ -42,7 +43,7 @@ def test_lj_bond_minimum():
 def test_quadratic_scaling():
     model = LinearSpring1D((1.0, 3.0))
     for lam in (0.5, 2.0, -1.3):
-        assert model.site_energy(0, [lam * 0.2]) == pytest.approx(lam**2 * model.site_energy(0, [0.2]))
+        assert site_energy(model, 0, [lam * 0.2]) == pytest.approx(lam**2 * site_energy(model, 0, [0.2]))
 
 
 def _fd_gradient(model, alpha, gaps, cell=0, step=1e-5):
@@ -55,7 +56,7 @@ def _fd_gradient(model, alpha, gaps, cell=0, step=1e-5):
             minus = [g.copy() for g in gaps]
             plus[j][k] += step
             minus[j][k] -= step
-            gj[k] = (model.site_energy(alpha, plus, cell) - model.site_energy(alpha, minus, cell)) / (2 * step)
+            gj[k] = (site_energy(model, alpha, plus, cell) - site_energy(model, alpha, minus, cell)) / (2 * step)
         out.append(gj)
     return out
 
@@ -79,7 +80,7 @@ def _models_for_consistency():
 
 def test_gradient_matches_finite_differences():
     for model, alpha, gaps, cell in _models_for_consistency():
-        exact = model.site_gradient(alpha, gaps, cell)
+        exact = site_gradient(model, alpha, gaps, cell)
         approx = _fd_gradient(model, alpha, gaps, cell)
         for a, b in zip(exact, approx):
             scale = max(np.max(np.abs(a)), 1e-3)
@@ -89,7 +90,7 @@ def test_gradient_matches_finite_differences():
 def test_hessian_matches_gradient_differences():
     step = 1e-5
     for model, alpha, gaps, cell in _models_for_consistency():
-        blocks = model.site_hessian(alpha, gaps, cell)
+        blocks = site_hessian(model, alpha, gaps, cell)
         k = len(gaps)
         d = len(np.atleast_1d(gaps[0]))
         for j in range(k):
@@ -98,8 +99,8 @@ def test_hessian_matches_gradient_differences():
                 minus = [np.array(g, float) for g in gaps]
                 plus[j][comp] += step
                 minus[j][comp] -= step
-                gp = model.site_gradient(alpha, plus, cell)
-                gm = model.site_gradient(alpha, minus, cell)
+                gp = site_gradient(model, alpha, plus, cell)
+                gm = site_gradient(model, alpha, minus, cell)
                 for i in range(k):
                     fd = (gp[i] - gm[i]) / (2 * step)
                     scale = max(np.max(np.abs(blocks[i][j])), 1.0)
@@ -108,7 +109,7 @@ def test_hessian_matches_gradient_differences():
 
 def test_hessian_block_symmetry():
     for model, alpha, gaps, cell in _models_for_consistency():
-        blocks = model.site_hessian(alpha, gaps, cell)
+        blocks = site_hessian(model, alpha, gaps, cell)
         k = len(blocks)
         for i in range(k):
             for j in range(k):
@@ -124,7 +125,7 @@ def test_lj_collapse_raises():
 def test_gap_count_mismatch():
     model = LinearSpring1D((1.0, 2.0))
     with pytest.raises(PotentialError):
-        model.site_energy(0, [0.1, 0.2])
+        site_energy(model, 0, [0.1, 0.2])
 
 
 def test_dynamics_model_parameters():

@@ -9,9 +9,10 @@ from hypothesis import given, strategies as st
 from hqclab.fem import P1Field, all_element_gradients, build_mesh, p1_zero_mean
 from hqclab.homog import solve_cell_problem
 from hqclab.lattice import chain_lattice, square_lattice
-from hqclab.mqc import equivalence_report, shifts_from_corrector, solve_shift_vectors
+from hqclab.mqc import equivalence_report, solve_shift_vectors
 from hqclab.network import compile_system
 from hqclab.potential import LennardJones1D, LennardJonesParams, LinearSpring1D, RandomBond2D
+from support import shifts_from_corrector
 
 STEP = 1e-6
 
