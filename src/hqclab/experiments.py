@@ -375,6 +375,7 @@ def run_equivalence(cfg: dict) -> ExperimentResult:
     rows = []
     worst = 0.0
     all_pass = True
+    lj_model = make_dynamics_model().model
     for k, (kind, m, seed) in enumerate(trials):
         trial_rng = np.random.Generator(np.random.Philox(int(seed)))
         if kind == "spring":
@@ -383,7 +384,7 @@ def run_equivalence(cfg: dict) -> ExperimentResult:
             scale = 0.3
             tol = p["tol_spring"] if m > 1 else p["tol_simple"]
         else:
-            model = make_dynamics_model().model
+            model = lj_model
             scale = 0.02
             tol = p["tol_lj"]
         lat = chain_lattice(eps, model.m)

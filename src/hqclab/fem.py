@@ -141,16 +141,13 @@ def p1_interpolate_lattice(mesh: MacroMesh, u: LatticeField) -> P1Field:
     Vertices must coincide with lattice sites (aligned meshes).
     """
     lat = u.lattice
-    pos = lat.site_positions()
-    vals = np.empty((mesh.n_vertices, mesh.d))
-    scale = 1.0 / lat.eps_float
-    for k, v in enumerate(mesh.vertices):
-        rel = v * scale  # in cell units
-        cell = np.round(rel).astype(int)
-        if not np.allclose(rel, cell, atol=1e-9):
-            raise MeshError("mesh vertex does not coincide with a Bravais site")
-        vals[k] = u.values[lat.site_index(cell, 0)]
-    return P1Field(mesh, vals)
+    rel = mesh.vertices * (1.0 / lat.eps_float)  # in cell units
+    cells = np.round(rel).astype(int)
+    if not np.allclose(rel, cells, atol=1e-9):
+        raise MeshError("mesh vertex does not coincide with a Bravais site")
+    N = lat.cells_per_dim
+    flat = np.ravel_multi_index(tuple(np.mod(cells, N).T), (N,) * lat.d)
+    return P1Field(mesh, u.values[flat * lat.m])
 
 
 def sample_on_lattice(u: P1Field, lattice) -> LatticeField:

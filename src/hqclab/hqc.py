@@ -9,15 +9,16 @@ variables), so the physical corrector is eps * chi and the bond gaps are
     D_r R_T(u^h) = F r + chi[neighbor] - chi[site],   F = grad u^h|_T.
 
 The element energy density, its stress, and the condensed tangent then feed a
-standard P1 assembly.  Quadratic models shortcut through per-domain effective
-tensors computed from unit-gradient correctors (cached per model, so every
-mesh on one lattice shares them) and contract them over all elements at once.
-The generic path solves the microproblems of all elements as one stack, each
-from zero (``micro_solve``, one stacked ``network.newton``), and
-``micro_sensitivity`` and ``condensed_tangent`` take the same stack.  No micro
-state is kept between evaluations, so the macro energy is a function of u^h
-alone.  The stacked micro layer and the macro Newton (``macro_newton``) also
-serve the homogenized FEM of ``homog``.
+standard P1 assembly.  The route follows the bond law of the compiled micro
+system: a quadratic law shortcuts through one effective tensor computed from
+unit-gradient correctors (cached per model, so every mesh on one lattice
+shares it) and contracts it over all elements at once.  Any other law solves
+the microproblems of all elements as one stack, each from zero
+(``micro_solve``, one stacked ``network.newton``), and ``micro_sensitivity``
+and ``condensed_tangent`` take the same stack.  No micro state is kept between
+evaluations, so the macro energy is a function of u^h alone.  The stacked
+micro layer and the macro Newton (``macro_newton``) also serve the homogenized
+FEM of ``homog``.
 """
 
 from __future__ import annotations
@@ -72,7 +73,6 @@ class SamplingDomain(NamedTuple):
     torus: Multilattice
     parent_cells: np.ndarray        # flat parent cell per torus cell
     parent_sites: np.ndarray        # flat parent site per torus site
-    signature: tuple                # domains with equal signatures share systems
 
 
 def nearest_bravais_cells(mesh: MacroMesh, eps: Fraction, n_cells: int) -> np.ndarray:
@@ -99,7 +99,8 @@ def place_sampling_domains(
     ``n_rep`` selects subgrid sampling of n_rep^d Bravais cells for simple
     lattices (random networks); the default is one lattice period (crystals).
     Subgrid domains do not depend on the element, so they all share one pair
-    of index arrays.
+    of index arrays; with n_rep equal to the cells per dimension the subgrid
+    is the whole lattice in site order.
     """
     check_alignment(mesh, lattice)
     if mesh.h < lattice.eps_float * (1 - 1e-12):
@@ -113,31 +114,29 @@ def place_sampling_domains(
         torus = Multilattice(d, 1, lattice.shifts)
         flat = np.ravel_multi_index(tuple(reps.T), (N,) * d)
         sites = flat[:, None] * m + np.arange(m)
-        return [
-            SamplingDomain(t, rep, rep, torus, flat[t:t + 1], sites[t], ("period",))
-            for t, rep in enumerate(rep_cells)
-        ]
+        return [SamplingDomain(t, rep, rep, torus, flat[t:t + 1], sites[t])
+                for t, rep in enumerate(rep_cells)]
     if m != 1:
         raise HQCError("subgrid sampling domains require a simple lattice (m = 1)")
     if not 1 <= n_rep <= N:
         raise HQCError(f"n_rep must be between 1 and {N}")
+    # one subsystem shared by all elements: below n_rep = N its effective
+    # response replaces the (unknown) full-sample tensor, so the error floors
+    # at an n_rep-dependent level
     torus = Multilattice(d, Fraction(1, int(n_rep)), lattice.shifts)
-    if int(n_rep) == N:
-        # the subgrid is the whole lattice; placement is immaterial
-        parent_cells = np.arange(lattice.n_cells)
-        signature = ("full",)
-    else:
-        # one representative subsystem shared by all elements: its effective
-        # response replaces the (unknown) full-sample tensor, so the error
-        # floors at an n_rep-dependent level
-        parent_cells = np.ravel_multi_index(tuple(torus._cell_multi.T), (N,) * d)
-        signature = ("sub", int(n_rep))
-    parent_sites = parent_cells  # one site per cell (m = 1)
-    anchor = (0,) * d
-    return [
-        SamplingDomain(t, rep, anchor, torus, parent_cells, parent_sites, signature)
-        for t, rep in enumerate(rep_cells)
-    ]
+    parent_cells = np.ravel_multi_index(tuple(torus._cell_multi.T), (N,) * d)
+    return [SamplingDomain(t, rep, (0,) * d, torus, parent_cells, parent_cells)  # one site per cell
+            for t, rep in enumerate(rep_cells)]
+
+
+def _require_cell_independent(model: InteractionModel, cells: np.ndarray) -> None:
+    """Period sampling compiles one system from the first element's cell: refuse
+    a model with a bond-law parameter that differs between the elements' cells."""
+    for alpha in range(model.m):
+        for spec in model.bond_specs(alpha, cells):
+            if any(np.any(v != np.ravel(v)[0]) for v in vars(spec.law).values()):
+                raise HQCError("bond law varies by cell: period sampling (n_rep=None) "
+                               "needs a crystal; pass n_rep for subgrid sampling")
 
 
 def micro_solve(system: BondSystem, grads: np.ndarray) -> np.ndarray:
@@ -198,8 +197,8 @@ def macro_newton(mesh: MacroMesh, energy, gradient, hessian, load: np.ndarray | 
     return p1_zero_mean(P1Field(mesh, result.w[0])), result
 
 
-#: per model: (cells_per_dim, signature, relax) -> (sens, A) of a quadratic
-#: system; operators on one model and lattice share a single sensitivity solve.
+#: per model: (cells_per_dim, n_rep, relax) -> (sens, A) of a quadratic system;
+#: operators on one model and lattice share a single sensitivity solve.
 #: Models are treated as immutable once an operator has been built on them.
 _EFFECTIVE_TENSORS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
@@ -208,8 +207,10 @@ class HQCOperator:
     """Macro energy, gradient, Hessian, and load assembly for the HQC method.
 
     ``relax=False`` freezes the correctors at zero (pure Cauchy-Born closure).
-    All sampling domains of a placement share one signature and hence one
-    micro ``system``; the correctors of all elements are evaluated as one
+    All sampling domains of a placement share one micro ``system``: subgrid
+    domains share their cells, and period sampling is refused for a model
+    whose bond laws vary by cell.  A quadratic bond law takes the tensor
+    route; otherwise the correctors of all elements are evaluated as one
     stack, each from the zero guess.  The operator keeps no micro state, so
     ``energy``, ``gradient`` and ``correctors`` depend on their arguments alone.
     """
@@ -226,12 +227,13 @@ class HQCOperator:
         self.lattice = lattice
         self.mesh = mesh
         self.relax = relax
+        self.n_rep = n_rep
         self.domains = place_sampling_domains(mesh, lattice, n_rep)
+        if n_rep is None:
+            _require_cell_independent(model, np.concatenate([dom.parent_cells for dom in self.domains]))
         first = self.domains[0]
-        self.signature = first.signature
         self.system = compile_system(first.torus, model, gap_scale=1.0,
                                      parent_cells=first.parent_cells)
-        self.is_quadratic = bool(getattr(model, "is_quadratic", False))
         self._site_map: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     # ------------------------------------------------------------- micro layer
@@ -239,7 +241,7 @@ class HQCOperator:
     def _quad_data(self) -> tuple[np.ndarray | None, np.ndarray]:
         """Unit-gradient sensitivities and the effective tensor of a quadratic
         system (Cauchy-Born tensor when correctors are frozen)."""
-        key = (self.lattice.cells_per_dim, self.signature, self.relax)
+        key = (self.lattice.cells_per_dim, self.n_rep, self.relax)
         cache = _EFFECTIVE_TENSORS.setdefault(self.model, {})
         if key not in cache:
             system = self.system
@@ -248,21 +250,17 @@ class HQCOperator:
             cache[key] = (sens, condensed_tangent(system, zero, None, sens))
         return cache[key]
 
-    def _element_tensors(self) -> np.ndarray:
-        """Effective tensor of every element of a quadratic model, (n_el, d, d, d, d)."""
-        return np.repeat(self._quad_data()[1][None], self.mesh.n_elements, axis=0)
-
     def correctors(self, grads: np.ndarray) -> np.ndarray:
         """Zero-mean correctors of all elements at gradients (n_el, d, d), shape
         (n_el, n_sites, d).
 
-        Quadratic models contract the unit-gradient sensitivities; nonlinear
-        models run ``micro_solve``.
+        A quadratic bond law contracts the unit-gradient sensitivities; any
+        other runs ``micro_solve``.
         """
         system = self.system
         if not self.relax:
             return np.zeros((len(grads), system.n_sites, system.d))
-        if self.is_quadratic:
+        if system.law.is_quadratic:
             return np.einsum("tij,ijnx->tnx", grads, self._quad_data()[0])
         return micro_solve(system, grads)
 
@@ -270,23 +268,24 @@ class HQCOperator:
 
     def energy(self, uh: P1Field) -> float:
         grads = all_element_gradients(uh)
-        if self.is_quadratic:
-            P = np.einsum("tijkl,tkl->tij", self._element_tensors(), grads)
+        if self.system.law.is_quadratic:
+            P = np.einsum("ijkl,tkl->tij", self._quad_data()[1], grads)
             return 0.5 * float(np.einsum("t,tij,tij->", self.mesh.volumes, grads, P))
         return float(self.mesh.volumes @ self.system.energy(self.correctors(grads), grads))
 
     def gradient(self, uh: P1Field) -> np.ndarray:
         """Nodal residual of the macro energy (sensitivity-free stress form)."""
         grads = all_element_gradients(uh)
-        if self.is_quadratic:
-            P = np.einsum("tijkl,tkl->tij", self._element_tensors(), grads)
+        if self.system.law.is_quadratic:
+            P = np.einsum("ijkl,tkl->tij", self._quad_data()[1], grads)
         else:
             P = self.system.stress(self.correctors(grads), grads)
         return nodal_forces(self.mesh, P)
 
     def element_tangents(self, uh: P1Field) -> np.ndarray:
-        if self.is_quadratic:
-            return self._element_tensors()
+        if self.system.law.is_quadratic:
+            A = self._quad_data()[1]
+            return np.broadcast_to(A, (self.mesh.n_elements,) + A.shape)
         grads = all_element_gradients(uh)
         chi = self.correctors(grads)
         sens = micro_sensitivity(self.system, chi, grads) if self.relax else None
@@ -317,7 +316,7 @@ class HQCOperator:
         exact lattice pairing ``load_from_lattice``.
         """
         mesh = self.mesh
-        if self.signature == ("full",):
+        if self.n_rep == self.lattice.cells_per_dim:
             return load_from_lattice(mesh, f)
         # every domain's sites in domain order, weighted by |T| / (sites of T's domain)
         sites = np.concatenate([dom.parent_sites for dom in self.domains])

@@ -165,16 +165,17 @@ class BondSpec:
 class InteractionModel:
     """Base class: species-resolved pairwise site potentials.
 
-    Concrete models define ``bond_specs(alpha)``: the interaction neighborhood
-    of species alpha together with one bond law per offset.  The site energy is
-    the sum of the per-bond energies over the neighborhood; gradients and
-    Hessians follow bond by bond (the Hessian is block diagonal in the offsets
-    for pairwise interactions).
+    Concrete models define ``bond_specs(alpha, cells)``: the interaction
+    neighborhood of species alpha together with one bond law per offset, whose
+    parameters may vary over the given cells.  The site energy is the sum of
+    the per-bond energies over the neighborhood; gradients and Hessians follow
+    bond by bond (the Hessian is block diagonal in the offsets for pairwise
+    interactions).  Whether a model is quadratic is a property of its bond
+    laws (``is_quadratic`` of the law class), not of the model.
     """
 
     d: int
     m: int
-    is_quadratic: bool
 
     def shifts(self) -> list:
         raise NotImplementedError
@@ -197,7 +198,6 @@ class LinearSpring1D(InteractionModel):
         if any(p <= 0 for p in self.psi):
             raise PotentialError("spring coefficients must be positive")
         self.m = len(self.psi)
-        self.is_quadratic = True
         lat = chain_lattice(1, self.m)
         self._specs = [
             [BondSpec(lat.resolve_offset(alpha, Fraction(1, self.m)), SpringLaw(np.array(self.psi[alpha])))]
@@ -242,7 +242,6 @@ class LennardJones1D(InteractionModel):
         self.m = len(params.s)
         if len(params.ell) != self.m:
             raise PotentialError("s and ell must have one entry per species")
-        self.is_quadratic = False
         lat = chain_lattice(1, self.m)
         step = Fraction(1, self.m)
         offsets = []
@@ -289,7 +288,6 @@ class RandomBond2D(InteractionModel):
             raise PotentialError("grid size must be at least 2")
         self.n = int(n)
         self.seed = int(seed)
-        self.is_quadratic = True
         rng = np.random.Generator(np.random.Philox(self.seed))
         raw = rng.uniform(0.0, 1.0, size=(self.n * self.n, 4))
         lo = np.array([AXIS_BOND_RANGE[0]] * 2 + [DIAGONAL_BOND_RANGE[0]] * 2)

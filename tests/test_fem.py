@@ -104,6 +104,27 @@ def test_interpolation_round_trip():
     assert np.allclose(back.values, u.values, atol=1e-12)
 
 
+@pytest.mark.parametrize("d,n,lat", [
+    (1, 4, chain_lattice(Fraction(1, 16), 3)),
+    (2, 4, square_lattice(8)),
+])
+def test_interpolation_reads_the_vertex_sites(d, n, lat):
+    # the gathered nodal values are those of species 0 at each vertex's cell
+    mesh = build_mesh(d, n)
+    rng = np.random.default_rng(6)
+    u = LatticeField(lat, rng.standard_normal((lat.n_sites, d)))
+    cells = np.rint(mesh.vertices / lat.eps_float).astype(int)
+    expected = [u.values[lat.site_index(c, 0)] for c in cells]
+    assert np.array_equal(p1_interpolate_lattice(mesh, u).values, expected)
+
+
+def test_interpolation_rejects_vertices_off_the_lattice():
+    lat = chain_lattice(Fraction(1, 4), 1)
+    u = LatticeField(lat, np.zeros((lat.n_sites, 1)))
+    with pytest.raises(MeshError):
+        p1_interpolate_lattice(build_mesh(1, 3), u)
+
+
 def test_lattice_error_constant_offset():
     lat = chain_lattice(Fraction(1, 8), 1)
     rng = np.random.default_rng(5)

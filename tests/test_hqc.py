@@ -9,12 +9,15 @@ from hqclab.atomistic import EquilibriumProblem, solve_equilibrium, total_energy
 from hqclab.fem import (
     P1Field,
     all_element_gradients,
+    assemble,
     build_mesh,
+    nodal_forces,
     p1_zero_mean,
     sample_on_lattice,
 )
 from hqclab.homog import HomogenizedDensity, harmonic_mean, solve_homogenized_fem
 from hqclab.hqc import (
+    HQCError,
     HQCOperator,
     owner_elements,
     place_sampling_domains,
@@ -23,7 +26,13 @@ from hqclab.hqc import (
 )
 from hqclab.lattice import LatticeField, chain_lattice, square_lattice
 from hqclab.network import avg_norm
-from hqclab.potential import LinearSpring1D, RandomBond2D, make_dynamics_model
+from hqclab.potential import (
+    BondSpec,
+    LinearSpring1D,
+    RandomBond2D,
+    SpringLaw,
+    make_dynamics_model,
+)
 from support import constant_tensor_stiffness
 
 
@@ -66,8 +75,9 @@ def test_sampling_placement_barycenter_snap():
     lat = chain_lattice(Fraction(1, 16), 2)
     domains = place_sampling_domains(mesh, lat)
     assert domains[0].rep_cell == (2,)
-    # uniform mesh, uniform lattice: domains are translates (same signature)
-    assert len({d.signature for d in domains}) == 1
+    # uniform mesh, uniform lattice: domains are translates, one period each
+    assert all(d.torus is domains[0].torus for d in domains)
+    assert [d.parent_sites.tolist() for d in domains] == [[2 * r, 2 * r + 1] for r in (2, 6, 10, 14)]
     reps = [d.rep_cell[0] for d in domains]
     assert reps == [2, 6, 10, 14]
 
@@ -115,11 +125,13 @@ def test_sampling_placement_uses_the_oracle_and_shares_subgrid_indices():
     lat = chain_lattice(Fraction(1, 12), 1)
     mesh = build_mesh(1, 4)  # h = 3 eps: every barycenter sits on a tie
     ties = []
-    for n_rep, sig in ((None, ("period",)), (12, ("full",)), (4, ("sub", 4))):
+    for n_rep in (None, 12, 4):
         domains = place_sampling_domains(mesh, lat, n_rep)
         assert [dom.rep_cell for dom in domains] == [
             nearest_cell_oracle(mesh, t, lat.eps, 12, ties) for t in range(mesh.n_elements)]
-        assert {dom.signature for dom in domains} == {sig}
+        if n_rep == 12:
+            # full sampling: the whole lattice in site order
+            assert np.array_equal(domains[0].parent_cells, np.arange(12))
         if n_rep is not None:
             assert all(dom.parent_cells is domains[0].parent_cells for dom in domains)
             assert all(dom.parent_sites is domains[0].parent_sites for dom in domains)
@@ -463,12 +475,22 @@ def test_d2phi0_matches_element_tangents():
         assert np.max(np.abs(density.d2phi0(F) - A)) <= 1e-12 * np.max(np.abs(A))
 
 
+class NewtonSpringLaw(SpringLaw):
+    """Quadratic springs that do not declare themselves quadratic."""
+
+    is_quadratic = False
+
+
+class NewtonSprings(LinearSpring1D):
+    def bond_specs(self, alpha, cell=0):
+        return [BondSpec(spec.offset, NewtonSpringLaw(spec.law.psi))
+                for spec in super().bond_specs(alpha, cell)]
+
+
 def newton_springs(psi=(1.0, 3.0)):
     """Multi-species springs sent through the micro Newton path: a nonzero
     corrector whose exact values the effective tensors give."""
-    model = LinearSpring1D(psi)
-    model.is_quadratic = False
-    return model
+    return NewtonSprings(psi)
 
 
 @pytest.mark.parametrize("make_model", [
@@ -869,3 +891,76 @@ def test_full_sample_tensors_keyed_by_lattice_size():
     sens_large, A_large = op_large._quad_data()
     assert A_small is not A_large
     assert sens_small.shape[2] == 8 and sens_large.shape[2] == 16
+
+
+@pytest.mark.parametrize("make_model, newton_calls", [
+    pytest.param(lambda: LinearSpring1D((1.0, 3.0)), 0, id="springs"),
+    pytest.param(newton_springs, 1, id="newton-springs"),
+])
+def test_micro_route_follows_the_compiled_bond_law(monkeypatch, make_model, newton_calls):
+    from hqclab import hqc
+
+    calls = []
+    real = hqc.micro_solve
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(hqc, "micro_solve", counting)
+    mesh = build_mesh(1, 4)
+    op = HQCOperator(make_model(), chain_lattice(Fraction(1, 16), 2), mesh)
+    uh = random_uh(mesh, 0.3, seed=60)
+    for evaluate in (op.energy, op.gradient, op.element_tangents):
+        calls.clear()
+        evaluate(uh)
+        assert len(calls) == newton_calls
+    calls.clear()
+    op.correctors(all_element_gradients(uh))
+    reconstruct(op, uh)
+    assert len(calls) == 2 * newton_calls
+
+
+def test_tensor_route_contracts_one_tensor_like_per_element_copies():
+    lat = square_lattice(8)
+    mesh = build_mesh(2, 4)
+    op = HQCOperator(RandomBond2D(8, seed=3), lat, mesh, n_rep=4)
+    uh = random_uh(mesh, 0.3, seed=61)
+    grads = all_element_gradients(uh)
+    A = np.repeat(op._quad_data()[1][None], mesh.n_elements, axis=0)
+    P = np.einsum("tijkl,tkl->tij", A, grads)
+    assert op.energy(uh) == 0.5 * float(np.einsum("t,tij,tij->", mesh.volumes, grads, P))
+    assert np.array_equal(op.gradient(uh), nodal_forces(mesh, P))
+    assert np.array_equal(op.element_tangents(uh), A)
+    assert np.array_equal(op.hessian(uh).toarray(), assemble(mesh, A).toarray())
+
+
+def uniform_network(n):
+    model = RandomBond2D(n, seed=0)
+    model.psi[:, :2] = 2.0
+    model.psi[:, 2:] = 1.0
+    return model
+
+
+def test_period_sampling_refuses_cell_dependent_bond_laws():
+    # one system compiled from the first element's cell would serve every element
+    with pytest.raises(HQCError, match="n_rep"):
+        HQCOperator(RandomBond2D(8, seed=2), square_lattice(8), build_mesh(2, 4))
+    with pytest.raises(HQCError, match="n_rep"):
+        HQCOperator(RandomBond2D(8, seed=2), square_lattice(8), build_mesh(2, 4), relax=False)
+    # subgrid sampling of the same network compiles one shared subsystem
+    HQCOperator(RandomBond2D(8, seed=2), square_lattice(8), build_mesh(2, 4), n_rep=4)
+
+
+@pytest.mark.parametrize("make_model, lat", [
+    pytest.param(lambda: uniform_network(8), square_lattice(8), id="uniform-network"),
+    pytest.param(lambda: LinearSpring1D((1.0, 3.0)), chain_lattice(Fraction(1, 16), 2), id="springs"),
+    pytest.param(lambda: LinearSpring1D((2.0,)), chain_lattice(Fraction(1, 16), 1), id="simple-springs"),
+    pytest.param(newton_springs, chain_lattice(Fraction(1, 16), 2), id="newton-springs"),
+    pytest.param(lambda: make_dynamics_model().model, chain_lattice(Fraction(1, 16), 2), id="lj-chain"),
+])
+def test_period_sampling_accepts_cell_independent_bond_laws(make_model, lat):
+    model = make_model()
+    mesh = build_mesh(model.d, 4)
+    op = HQCOperator(model, lat, mesh)
+    assert np.isfinite(op.energy(random_uh(mesh, 0.01, seed=62)))
