@@ -145,9 +145,7 @@ def p1_interpolate_lattice(mesh: MacroMesh, u: LatticeField) -> P1Field:
     cells = np.round(rel).astype(int)
     if not np.allclose(rel, cells, atol=1e-9):
         raise MeshError("mesh vertex does not coincide with a Bravais site")
-    N = lat.cells_per_dim
-    flat = np.ravel_multi_index(tuple(np.mod(cells, N).T), (N,) * lat.d)
-    return P1Field(mesh, u.values[flat * lat.m])
+    return P1Field(mesh, u.values[lat.site_index(cells)])
 
 
 def sample_on_lattice(u: P1Field, lattice) -> LatticeField:

@@ -69,7 +69,6 @@ class SamplingDomain(NamedTuple):
 
     element: int
     rep_cell: tuple[int, ...]       # Bravais cell of the representative site
-    anchor: tuple[int, ...]         # parent cell mapped to torus cell (0, ..., 0)
     torus: Multilattice
     parent_cells: np.ndarray        # flat parent cell per torus cell
     parent_sites: np.ndarray        # flat parent site per torus site
@@ -93,7 +92,7 @@ def nearest_bravais_cells(mesh: MacroMesh, eps: Fraction, n_cells: int) -> np.nd
 def place_sampling_domains(
     mesh: MacroMesh, lattice: Multilattice, n_rep: int | None = None
 ) -> list[SamplingDomain]:
-    """One sampling domain per element, anchored at the Bravais site nearest the
+    """One sampling domain per element, placed at the Bravais site nearest the
     element barycenter (exact rational arithmetic, ties toward smaller coordinates).
 
     ``n_rep`` selects subgrid sampling of n_rep^d Bravais cells for simple
@@ -112,10 +111,9 @@ def place_sampling_domains(
     rep_cells = [tuple(r) for r in reps.tolist()]
     if n_rep is None:
         torus = Multilattice(d, 1, lattice.shifts)
-        flat = np.ravel_multi_index(tuple(reps.T), (N,) * d)
-        sites = flat[:, None] * m + np.arange(m)
-        return [SamplingDomain(t, rep, rep, torus, flat[t:t + 1], sites[t])
-                for t, rep in enumerate(rep_cells)]
+        sites = lattice.site_index(reps[:, None, :], np.arange(m))
+        cells = sites[:, :1] // m
+        return [SamplingDomain(t, rep, torus, cells[t], sites[t]) for t, rep in enumerate(rep_cells)]
     if m != 1:
         raise HQCError("subgrid sampling domains require a simple lattice (m = 1)")
     if not 1 <= n_rep <= N:
@@ -124,17 +122,17 @@ def place_sampling_domains(
     # response replaces the (unknown) full-sample tensor, so the error floors
     # at an n_rep-dependent level
     torus = Multilattice(d, Fraction(1, int(n_rep)), lattice.shifts)
-    parent_cells = np.ravel_multi_index(tuple(torus._cell_multi.T), (N,) * d)
-    return [SamplingDomain(t, rep, (0,) * d, torus, parent_cells, parent_cells)  # one site per cell
-            for t, rep in enumerate(rep_cells)]
+    parent_cells = lattice.site_index(torus.cell_multi)  # m = 1: one site per cell
+    return [SamplingDomain(t, rep, torus, parent_cells, parent_cells) for t, rep in enumerate(rep_cells)]
 
 
 def _require_cell_independent(model: InteractionModel, cells: np.ndarray) -> None:
     """Period sampling compiles one system from the first element's cell: refuse
-    a model with a bond-law parameter that differs between the elements' cells."""
+    a model with a bond-law parameter that differs between the elements' cells
+    (a 0-d parameter cannot)."""
     for alpha in range(model.m):
         for spec in model.bond_specs(alpha, cells):
-            if any(np.any(v != np.ravel(v)[0]) for v in vars(spec.law).values()):
+            if any(np.ndim(v) and np.any(v != np.ravel(v)[0]) for v in vars(spec.law).values()):
                 raise HQCError("bond law varies by cell: period sampling (n_rep=None) "
                                "needs a crystal; pass n_rep for subgrid sampling")
 
@@ -299,11 +297,8 @@ class HQCOperator:
             pos = lat.site_positions()
             owner = owner_elements(mesh, pos)
             rel = np.mod(pos - mesh.el_coords[owner, 0], 1.0)
-            anchors = np.array([dom.anchor for dom in self.domains], dtype=int)
-            n_torus = self.domains[0].torus.cells_per_dim
-            cells = np.mod(lat.site_cells() - anchors[owner], n_torus)
-            flat = np.ravel_multi_index(tuple(cells.T), (n_torus,) * lat.d)
-            self._site_map = (owner, rel, flat * lat.m + lat.site_species())
+            torus = self.domains[0].torus
+            self._site_map = (owner, rel, torus.site_index(lat.site_cells(), lat.site_species()))
         return self._site_map
 
     def hessian(self, uh: P1Field) -> sp.csr_matrix:
@@ -313,15 +308,20 @@ class HQCOperator:
         """Load vector F^hqc: per-element sampling-domain averages of f against hats.
 
         A full-lattice domain on every element (volumes summing to 1) is the
-        exact lattice pairing ``load_from_lattice``.
+        exact lattice pairing ``load_from_lattice``.  A subgrid below the full
+        lattice is shared by all elements and samples f near the origin only,
+        so it has no load of its own.
         """
         mesh = self.mesh
         if self.n_rep == self.lattice.cells_per_dim:
             return load_from_lattice(mesh, f)
-        # every domain's sites in domain order, weighted by |T| / (sites of T's domain)
+        if self.n_rep is not None:
+            raise HQCError(f"subgrid sampling (n_rep={self.n_rep}) has no per-element load; "
+                           "pair the operator with fem.load_from_lattice")
+        # every period domain's m sites in element order, weighted by |T| / m
+        m = self.lattice.m
         sites = np.concatenate([dom.parent_sites for dom in self.domains])
-        sizes = [len(dom.parent_sites) for dom in self.domains]
-        weight = np.repeat(mesh.volumes[[dom.element for dom in self.domains]] / sizes, sizes)
+        weight = np.repeat(mesh.volumes / m, m)
         pts = self.lattice.site_positions()[sites]
         elems = locate(mesh, pts)
         lam = barycentric_weights(mesh, pts, elems)

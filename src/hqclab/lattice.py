@@ -1,10 +1,11 @@
 """Periodic multilattice geometry and discrete vector calculus.
 
 A multilattice is a union of m shifted copies of the Bravais lattice
-eps*Z^d, restricted to the periodic unit cell Omega = [0,1)^d.  Sites are
-indexed by (Bravais cell, species); adjacency is resolved with exact
-rational arithmetic so that periodic wrap-around never suffers from
-floating-point coincidence checks.
+eps*Z^d, restricted to the periodic unit cell Omega = [0,1)^d.  A site is a
+pair (Bravais cell, species), and ``Multilattice.site_index`` alone turns such
+pairs into flat site ids.  Adjacency is resolved with exact rational
+arithmetic so that periodic wrap-around never suffers from floating-point
+coincidence checks.
 """
 
 from __future__ import annotations
@@ -82,29 +83,35 @@ class Multilattice:
         self.cells_per_dim = int(1 / eps)
         self.n_cells = self.cells_per_dim**d
         self.n_sites = self.m * self.n_cells
-        # cell multi-indices in C order; cell_index[k] is the k-th cell
-        grids = np.indices((self.cells_per_dim,) * d).reshape(d, -1).T
-        self._cell_multi = grids  # (n_cells, d) int
+        #: cell multi-indices in C order, (n_cells, d): cell_multi[k] is the k-th cell
+        self.cell_multi = np.indices((self.cells_per_dim,) * d).reshape(d, -1).T
 
     # ------------------------------------------------------------------ geometry
 
-    def site_index(self, cell: Sequence[int], species: int) -> int:
-        cell = np.mod(np.asarray(cell, dtype=int), self.cells_per_dim)
-        flat = 0
-        for c in cell:
-            flat = flat * self.cells_per_dim + int(c)
-        return flat * self.m + species
+    def site_index(self, cells, species=0) -> np.ndarray:
+        """Flat site id of (Bravais cell, species) pairs: cells wrap periodically
+        and are numbered in C order, each holding its m species consecutively.
+
+        ``cells`` is integer (..., d) and ``species`` broadcasts against its
+        leading axes.  Every flat cell or site id of the package comes from
+        here; a flat cell id is the site id of species 0 divided by m.
+        """
+        cells = np.mod(cells, self.cells_per_dim)
+        flat = np.zeros(cells.shape[:-1], dtype=np.int64)
+        for j in range(self.d):
+            flat = flat * self.cells_per_dim + cells[..., j]
+        return flat * self.m + np.asarray(species)
 
     def site_species(self) -> np.ndarray:
         return np.tile(np.arange(self.m), self.n_cells)
 
     def site_cells(self) -> np.ndarray:
         """Bravais cell multi-index of every site, shape (n_sites, d)."""
-        return np.repeat(self._cell_multi, self.m, axis=0)
+        return np.repeat(self.cell_multi, self.m, axis=0)
 
     def site_positions(self) -> np.ndarray:
         shifts = np.array([[float(x) for x in p] for p in self.shifts])
-        pos = self._cell_multi[:, None, :] + shifts[None, :, :]
+        pos = self.cell_multi[:, None, :] + shifts[None, :, :]
         return (self.eps_float * pos).reshape(self.n_sites, self.d)
 
     def resolve_offset(self, species: int, r) -> NeighborOffset:
@@ -121,17 +128,6 @@ class Multilattice:
                 shift = tuple(int(t - f) for t, f in zip(target, frac))
                 return NeighborOffset(r=r, species_target=beta, cell_shift=shift)
         raise LatticeError(f"offset {r} from species {species} does not land on a lattice site")
-
-    def neighbor_sites(self, species: int, offset: NeighborOffset) -> np.ndarray:
-        """Flat site indices of x + eps*r for all sites x of ``species``, in cell order."""
-        shifted = np.mod(self._cell_multi + np.asarray(offset.cell_shift, dtype=int), self.cells_per_dim)
-        flat = np.zeros(self.n_cells, dtype=np.int64)
-        for j in range(self.d):
-            flat = flat * self.cells_per_dim + shifted[:, j]
-        return flat * self.m + offset.species_target
-
-    def species_sites(self, species: int) -> np.ndarray:
-        return np.arange(self.n_cells, dtype=np.int64) * self.m + species
 
 
 @dataclass
@@ -164,25 +160,17 @@ def discrete_derivative(u: LatticeField, r) -> LatticeField:
     """
     lat = u.lattice
     rvec = r.r if isinstance(r, NeighborOffset) else r
-    out = np.empty_like(u.values)
-    for alpha in range(lat.m):
-        off = lat.resolve_offset(alpha, rvec)
-        src = lat.species_sites(alpha)
-        dst = lat.neighbor_sites(alpha, off)
-        out[src] = (u.values[dst] - u.values[src]) / lat.eps_float
-    return LatticeField(lat, out)
+    offsets = [lat.resolve_offset(alpha, rvec) for alpha in range(lat.m)]
+    dst = lat.site_index(lat.cell_multi[:, None, :] + [off.cell_shift for off in offsets],
+                         [off.species_target for off in offsets]).ravel()
+    return LatticeField(lat, (u.values[dst] - u.values) / lat.eps_float)
 
 
 def translate(u: LatticeField, cells: Sequence[int]) -> LatticeField:
     """Periodic shift (T u)(x) = u(x + eps*cells) by an integer number of Bravais cells."""
     lat = u.lattice
-    out = np.empty_like(u.values)
-    shift = tuple(int(c) for c in np.atleast_1d(cells))
-    for alpha in range(lat.m):
-        off = NeighborOffset(r=tuple(Fraction(c) for c in shift), species_target=alpha, cell_shift=shift)
-        src = lat.species_sites(alpha)
-        out[src] = u.values[lat.neighbor_sites(alpha, off)]
-    return LatticeField(lat, out)
+    shifted = lat.cell_multi[:, None, :] + np.atleast_1d(cells).astype(int)
+    return LatticeField(lat, u.values[lat.site_index(shifted, np.arange(lat.m)).ravel()])
 
 
 def average(u: LatticeField) -> np.ndarray:

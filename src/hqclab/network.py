@@ -57,8 +57,8 @@ class BondSystem:
     one law call.  ``gaps``, ``energy``, ``bond_forces``, ``gradient`` and
     ``stress`` also take a stack of fields w (T, n_sites, d) with gradients
     F (T, d, d) and return one result per stack entry.  ``cells`` is the
-    periodic grid of Bravais cells; sites are numbered cell-major (C order over
-    ``cells``), species-minor.
+    periodic grid of Bravais cells; sites are numbered by
+    ``Multilattice.site_index`` (C order over ``cells``, species-minor).
     """
 
     def __init__(
@@ -176,33 +176,28 @@ def incidence_matrix(n_sites: int, src: np.ndarray, dst: np.ndarray) -> sp.csr_m
 
 def compile_system(lattice: Multilattice, model: InteractionModel, gap_scale: float,
                    parent_cells: np.ndarray | None = None) -> BondSystem:
-    """Build the bond list of ``model`` on ``lattice``.
+    """Build the bond list of ``model`` on ``lattice`` (bond class by bond class,
+    each over all cells) from the offsets its ``bond_specs`` hold resolved, so
+    the lattice must carry the model's species shifts.
 
     ``parent_cells`` maps the torus cells to cells of a parent lattice and is
     used by models with site-dependent coefficients (random bond networks
     restricted to a sampling subgrid).
     """
-    if model.d != lattice.d or model.m != lattice.m:
-        raise PotentialError("model and lattice are incompatible")
-    src_parts, dst_parts, r_parts, laws, counts = [], [], [], [], []
+    if tuple(map(tuple, model.shifts())) != lattice.shifts:
+        raise PotentialError("model and lattice are incompatible: their species shifts differ")
     cells = parent_cells if parent_cells is not None else np.arange(lattice.n_cells)
-    for alpha in range(lattice.m):
-        for spec in model.bond_specs(alpha, cells):
-            src = lattice.species_sites(alpha)
-            dst = lattice.neighbor_sites(alpha, lattice.resolve_offset(alpha, spec.offset.r))
-            nb = len(src)
-            src_parts.append(src)
-            dst_parts.append(dst)
-            r_parts.append(np.tile(spec.offset.r_float, (nb, 1)))
-            laws.append(spec.law)
-            counts.append(nb)
+    species, offsets, laws = zip(*[(alpha, spec.offset, spec.law) for alpha in range(lattice.m)
+                                   for spec in model.bond_specs(alpha, cells)])
+    shift = np.array([off.cell_shift for off in offsets])[:, None, :]
+    target = np.array([off.species_target for off in offsets])[:, None]
     return BondSystem(
         n_sites=lattice.n_sites,
         d=lattice.d,
-        src=np.concatenate(src_parts),
-        dst=np.concatenate(dst_parts),
-        rvec=np.concatenate(r_parts, axis=0),
-        law=type(laws[0]).stack(laws, counts),
+        src=lattice.site_index(lattice.cell_multi, np.array(species)[:, None]).ravel(),
+        dst=lattice.site_index(lattice.cell_multi + shift, target).ravel(),
+        rvec=np.repeat([off.r_float for off in offsets], lattice.n_cells, axis=0),
+        law=type(laws[0]).stack(laws, [lattice.n_cells] * len(laws)),
         cells=(lattice.cells_per_dim,) * lattice.d,
         gap_scale=gap_scale,
     )

@@ -1,7 +1,8 @@
 """Conveniences that only the tests use: single-site model evaluation, shift
 and corrector gauges, element-wise P1 helpers, and small field and residual
 helpers.  They are thin wrappers over the package's stacked routines, kept
-here so that the package carries no API without a caller."""
+here so that the package carries no API without a caller.  The per-spec bond
+compile that ``compile_system`` replaced stays here as its reference."""
 
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from hqclab import mqc
 from hqclab.atomistic import EquilibriumProblem
 from hqclab.fem import MacroMesh, P1Field, all_element_gradients, assemble
 from hqclab.lattice import ZERO_MEAN_TOL, LatticeError, LatticeField, Multilattice, average
-from hqclab.network import avg_norm
+from hqclab.network import BondSystem, avg_norm
 from hqclab.potential import PotentialError
 
 # ------------------------------------------- single-site model evaluation
@@ -182,3 +183,37 @@ def residual_norm(problem: EquilibriumProblem, u: LatticeField) -> float:
     if problem.force is not None:
         g = g - problem.force.values
     return avg_norm(g)
+
+
+# ------------------------------------------------ per-spec compile reference
+
+
+def _neighbor_sites(lattice: Multilattice, offset) -> np.ndarray:
+    """Flat site of x + eps*r for every site x of one species, in cell order."""
+    shifted = np.mod(lattice.cell_multi + np.asarray(offset.cell_shift, dtype=int), lattice.cells_per_dim)
+    flat = np.zeros(lattice.n_cells, dtype=np.int64)
+    for j in range(lattice.d):
+        flat = flat * lattice.cells_per_dim + shifted[:, j]
+    return flat * lattice.m + offset.species_target
+
+
+def reference_compile(lattice: Multilattice, model, gap_scale: float,
+                      parent_cells: np.ndarray | None = None) -> BondSystem:
+    """The bond list built spec by spec, each offset re-resolved on the lattice
+    with exact rational arithmetic: the oracle of ``compile_system``."""
+    if model.d != lattice.d or model.m != lattice.m:
+        raise PotentialError("model and lattice are incompatible")
+    src_parts, dst_parts, r_parts, laws, counts = [], [], [], [], []
+    cells = parent_cells if parent_cells is not None else np.arange(lattice.n_cells)
+    for alpha in range(lattice.m):
+        for spec in model.bond_specs(alpha, cells):
+            src = np.arange(lattice.n_cells, dtype=np.int64) * lattice.m + alpha
+            dst = _neighbor_sites(lattice, lattice.resolve_offset(alpha, spec.offset.r))
+            src_parts.append(src)
+            dst_parts.append(dst)
+            r_parts.append(np.tile(spec.offset.r_float, (len(src), 1)))
+            laws.append(spec.law)
+            counts.append(len(src))
+    return BondSystem(lattice.n_sites, lattice.d, np.concatenate(src_parts), np.concatenate(dst_parts),
+                      np.concatenate(r_parts, axis=0), type(laws[0]).stack(laws, counts),
+                      (lattice.cells_per_dim,) * lattice.d, gap_scale)

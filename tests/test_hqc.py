@@ -399,13 +399,16 @@ def test_period_rhs_matches_per_domain_scatter(m):
 
 
 @pytest.mark.parametrize("n_rep", [2, 4, 8])
-def test_subgrid_rhs_matches_per_domain_scatter(n_rep):
+def test_subgrid_rhs_refuses_and_names_the_lattice_pairing(n_rep):
+    # all subgrid domains share the cells near the origin, so a load sampled
+    # there would land on the hats of one element only
     from hqclab.potential import make_stochastic_model
 
     lat, model, f = make_stochastic_model(16, 3)
     for n in (2, 4):
         op = HQCOperator(model, lat, build_mesh(2, n), n_rep=n_rep)
-        assert np.array_equal(op.rhs(f), _rhs_by_domain(op, f))
+        with pytest.raises(HQCError, match="fem.load_from_lattice"):
+            op.rhs(f)
 
 
 def test_full_sample_rhs_is_the_lattice_pairing():
@@ -418,8 +421,9 @@ def test_full_sample_rhs_is_the_lattice_pairing():
         mesh = build_mesh(2, n)
         b = HQCOperator(model, lat, mesh, n_rep=16).rhs(f)
         assert np.array_equal(b, load_from_lattice(mesh, f))
-        # a subgrid domain samples f on 8^2 of the 16^2 cells only
-        assert not np.allclose(HQCOperator(model, lat, mesh, n_rep=8).rhs(f), b)
+        # a subgrid domain samples f on 8^2 of the 16^2 cells only: no load
+        with pytest.raises(HQCError, match="fem.load_from_lattice"):
+            HQCOperator(model, lat, mesh, n_rep=8).rhs(f)
 
 
 def test_solve_zero_force():
@@ -950,6 +954,17 @@ def test_period_sampling_refuses_cell_dependent_bond_laws():
         HQCOperator(RandomBond2D(8, seed=2), square_lattice(8), build_mesh(2, 4), relax=False)
     # subgrid sampling of the same network compiles one shared subsystem
     HQCOperator(RandomBond2D(8, seed=2), square_lattice(8), build_mesh(2, 4), n_rep=4)
+
+
+def test_cell_independence_check_compares_per_cell_parameters_only():
+    # 0-d law parameters (LJ's s, ell, l6, l12, scale) are skipped; a per-cell
+    # psi that differs between two cells is still refused
+    from hqclab.hqc import _require_cell_independent
+
+    with pytest.raises(HQCError, match="n_rep"):
+        _require_cell_independent(RandomBond2D(8, seed=2), np.array([0, 5]))
+    _require_cell_independent(uniform_network(8), np.array([0, 5]))
+    _require_cell_independent(make_dynamics_model().model, np.array([0, 5]))
 
 
 @pytest.mark.parametrize("make_model, lat", [

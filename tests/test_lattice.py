@@ -1,5 +1,7 @@
 """Multilattice geometry and discrete calculus."""
 
+import itertools
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -157,11 +159,10 @@ def test_full_and_partial_derivative_identity():
 
     r = Fraction(1, 2)
     # neighbor index table for the physical step x -> x + eps*r
-    nbr = np.empty(n, dtype=int)
-    for alpha in range(m):
-        off = lat.resolve_offset(alpha, r)
-        nbr[lat.species_sites(alpha)] = lat.neighbor_sites(alpha, off)
-    yshift = np.array([lat.resolve_offset(a, r).species_target for a in range(m)])
+    offsets = [lat.resolve_offset(a, r) for a in range(m)]
+    yshift = np.array([off.species_target for off in offsets])
+    cell_shift = np.array([off.cell_shift for off in offsets])
+    nbr = lat.site_index(lat.site_cells() + cell_shift[species], yshift[species])
 
     trace = u[np.arange(n), species]
     full = (u[nbr, species[nbr]] - trace) / eps
@@ -170,6 +171,43 @@ def test_full_and_partial_derivative_identity():
     # (1/eps) D_{y,r} u: undivided difference in y, scaled
     dy = (u[np.arange(n), yshift[species]] - trace) / eps
     assert np.allclose(full, dx_ty + dy, atol=1e-12)
+
+
+@pytest.mark.parametrize("lat", [
+    chain_lattice(Fraction(1, 5), 3),
+    Multilattice(2, Fraction(1, 4), [(0, 0), (Fraction(1, 2), Fraction(1, 4))]),
+], ids=["chain-m3", "2d-two-species"])
+def test_site_index_matches_an_explicit_loop(lat):
+    # site ids counted cell by cell in C order, species-minor; shifted cells
+    # (negative, and several periods away) wrap back into the torus
+    N, d, m = lat.cells_per_dim, lat.d, lat.m
+    expected, k = {}, 0
+    for cell in itertools.product(range(N), repeat=d):
+        for alpha in range(m):
+            expected[cell, alpha] = k
+            k += 1
+    assert np.array_equal(lat.site_index(lat.site_cells(), lat.site_species()), np.arange(lat.n_sites))
+    for shift in [(-1,) * d, (2 * N + 1,) * d, (-3 * N - 2, N + 3)[:d]]:
+        cells = lat.cell_multi + shift
+        got = lat.site_index(cells[:, None, :], np.arange(m))
+        assert got.shape == (lat.n_cells, m)
+        for i, cell in enumerate(cells.tolist()):
+            for alpha in range(m):
+                assert got[i, alpha] == expected[tuple(c % N for c in cell), alpha]
+                assert lat.site_index(cell, alpha) == got[i, alpha]
+
+
+def test_translation_and_difference_gather_through_site_index():
+    # T u(x) = u(x + eps*cells) and D_r u(x) on a two-species chain, site by site
+    lat = chain_lattice(Fraction(1, 6), 2)
+    u = LatticeField(lat, np.random.default_rng(4).standard_normal((lat.n_sites, 1)))
+    shifted = translate(u, [-7])
+    diff = discrete_derivative(u, Fraction(3, 2))
+    for site, (cell, alpha) in enumerate(zip(lat.site_cells()[:, 0], lat.site_species())):
+        assert shifted.values[site, 0] == u.values[lat.site_index((cell - 7,), alpha), 0]
+        # x + 3 eps/2 is the other species, one cell on (two from species 1)
+        nbr = lat.site_index((cell + 1 + alpha,), 1 - alpha)
+        assert diff.values[site, 0] == (u.values[nbr, 0] - u.values[site, 0]) / lat.eps_float
 
 
 def test_2d_norm_offsets():

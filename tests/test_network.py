@@ -7,25 +7,27 @@ import numpy as np
 import pytest
 
 from hqclab import network
-from hqclab.fem import MacroMesh
+from hqclab.fem import MacroMesh, build_mesh
 from hqclab.lattice import Multilattice, chain_lattice, square_lattice
 from hqclab.network import DENSE_DOF_LIMIT, GaugeFixedOperator, SolverError, compile_system
 from hqclab.potential import (
     LennardJones1D,
     LennardJonesParams,
     LinearSpring1D,
+    PotentialError,
     RandomBond2D,
     make_dynamics_model,
 )
-from support import constant_tensor_stiffness
+from support import constant_tensor_stiffness, reference_compile
 
 
 def per_spec_laws(lattice, model, parent_cells=None):
-    """One law per bond class and its bond slice, in compile_system's bond order."""
+    """One law per bond class and its bond slice, in compile_system's bond order
+    (one bond per cell: the sites ``site_index`` gives the species)."""
     cells = parent_cells if parent_cells is not None else np.arange(lattice.n_cells)
     laws, slices, start = [], [], 0
     for alpha in range(lattice.m):
-        nb = len(lattice.species_sites(alpha))
+        nb = len(lattice.site_index(lattice.cell_multi, alpha))
         for spec in model.bond_specs(alpha, cells):
             laws.append(spec.law)
             slices.append(slice(start, start + nb))
@@ -97,6 +99,54 @@ def test_stacked_fields_equal_single_evaluations(name, lattice, model, gap_scale
     for fn in ("bond_forces", "gradient", "stress"):
         batched = getattr(system, fn)(W, Fs)
         assert np.array_equal(batched, np.stack([getattr(system, fn)(*a) for a in single])), fn
+
+
+def _bitwise_equal(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def compile_cases():
+    """(lattice, model, parent_cells or None) for the compile-against-reference check."""
+    from test_mqc import _TwoSpecies2D
+
+    from hqclab.hqc import place_sampling_domains
+
+    sub = place_sampling_domains(build_mesh(2, 2), square_lattice(8), n_rep=4)[0]
+    two = _TwoSpecies2D(psi0=1.0, psi1=3.0)
+    springs = [pytest.param(chain_lattice(Fraction(1, 8), m), LinearSpring1D(tuple(np.arange(1.0, m + 1))),
+                            None, id=f"springs-m{m}") for m in (1, 2, 3, 4)]
+    return springs + [
+        pytest.param(chain_lattice(Fraction(1, 16), 2), make_dynamics_model().model, None, id="lj-chain"),
+        pytest.param(chain_lattice(Fraction(1, 16), 3), three_species_lj(), None, id="lj-3"),
+        pytest.param(square_lattice(8), RandomBond2D(8, seed=5), None, id="network"),
+        pytest.param(sub.torus, RandomBond2D(8, seed=5), sub.parent_cells, id="network-subgrid"),
+        pytest.param(Multilattice(2, Fraction(1, 4), two.shifts()), two, None, id="two-species-2d"),
+    ]
+
+
+@pytest.mark.parametrize("lattice, model, parent_cells", compile_cases())
+def test_compile_equals_the_per_spec_reference_bitwise(lattice, model, parent_cells):
+    # one array pass over the models' resolved offsets against the per-spec
+    # compile that re-resolves every offset on the lattice
+    system = compile_system(lattice, model, 0.25, parent_cells=parent_cells)
+    ref = reference_compile(lattice, model, 0.25, parent_cells=parent_cells)
+    for name in ("src", "dst", "rvec"):
+        assert _bitwise_equal(getattr(system, name), getattr(ref, name)), name
+    assert type(system.law) is type(ref.law) and vars(system.law).keys() == vars(ref.law).keys()
+    for name, value in vars(ref.law).items():
+        assert _bitwise_equal(getattr(system.law, name), value), name
+    assert (system.n_sites, system.cells, system.gap_scale) == (ref.n_sites, ref.cells, ref.gap_scale)
+
+
+def test_compile_refuses_a_lattice_with_other_shifts():
+    # the offsets come resolved from the model, so the lattice must carry its shifts
+    with pytest.raises(PotentialError, match="shifts"):
+        compile_system(Multilattice(1, Fraction(1, 8), [0, Fraction(1, 3)]), LinearSpring1D((1.0, 2.0)), 1.0)
+    with pytest.raises(PotentialError, match="shifts"):
+        compile_system(chain_lattice(Fraction(1, 8), 3), LinearSpring1D((1.0, 2.0)), 1.0)
+    with pytest.raises(PotentialError, match="shifts"):
+        compile_system(chain_lattice(Fraction(1, 8), 1), RandomBond2D(8, seed=1), 1.0)
 
 
 def test_incidence_scatter_matches_add_at_bitwise():
