@@ -33,6 +33,8 @@ def unit_cell(model: InteractionModel) -> Multilattice:
 
 
 def cell_system(model: InteractionModel) -> BondSystem:
+    """The model's cell system, compiled once per model and shared with HQC
+    period sampling (``compile_system`` keeps it)."""
     return compile_system(unit_cell(model), model, gap_scale=1.0)
 
 

@@ -127,9 +127,10 @@ def place_sampling_domains(
 
 
 def _require_cell_independent(model: InteractionModel, cells: np.ndarray) -> None:
-    """Period sampling compiles one system from the first element's cell: refuse
-    a model with a bond-law parameter that differs between the elements' cells
-    (a 0-d parameter cannot)."""
+    """Period sampling serves every element with the model's cell system,
+    compiled at cell 0: refuse a model with a bond-law parameter that differs
+    between cell 0 and the elements' ``cells`` (a 0-d parameter cannot)."""
+    cells = np.concatenate([[0], cells])
     for alpha in range(model.m):
         for spec in model.bond_specs(alpha, cells):
             if any(np.ndim(v) and np.any(v != np.ravel(v)[0]) for v in vars(spec.law).values()):
@@ -206,8 +207,9 @@ class HQCOperator:
 
     ``relax=False`` freezes the correctors at zero (pure Cauchy-Born closure).
     All sampling domains of a placement share one micro ``system``: subgrid
-    domains share their cells, and period sampling is refused for a model
-    whose bond laws vary by cell.  A quadratic bond law takes the tensor
+    domains share their cells, and period sampling takes the model's cell
+    system (compiled at cell 0, the one ``homog`` uses) and is refused for a
+    model whose bond laws vary by cell.  A quadratic bond law takes the tensor
     route; otherwise the correctors of all elements are evaluated as one
     stack, each from the zero guess.  The operator keeps no micro state, so
     ``energy``, ``gradient`` and ``correctors`` depend on their arguments alone.
@@ -231,7 +233,7 @@ class HQCOperator:
             _require_cell_independent(model, np.concatenate([dom.parent_cells for dom in self.domains]))
         first = self.domains[0]
         self.system = compile_system(first.torus, model, gap_scale=1.0,
-                                     parent_cells=first.parent_cells)
+                                     parent_cells=None if n_rep is None else first.parent_cells)
         self._site_map: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     # ------------------------------------------------------------- micro layer

@@ -3,9 +3,10 @@
 A multilattice is a union of m shifted copies of the Bravais lattice
 eps*Z^d, restricted to the periodic unit cell Omega = [0,1)^d.  A site is a
 pair (Bravais cell, species), and ``Multilattice.site_index`` alone turns such
-pairs into flat site ids.  Adjacency is resolved with exact rational
-arithmetic so that periodic wrap-around never suffers from floating-point
-coincidence checks.
+pairs into flat site ids; it numbers the cells through ``cell_index``, which
+also numbers the cell offsets of the FFT preconditioner.  Adjacency is
+resolved with exact rational arithmetic so that periodic wrap-around never
+suffers from floating-point coincidence checks.
 """
 
 from __future__ import annotations
@@ -31,6 +32,16 @@ def _as_fraction_vector(v, d: int) -> tuple[Fraction, ...]:
     if len(vec) != d:
         raise LatticeError(f"expected a {d}-vector, got {v!r}")
     return vec
+
+
+def cell_index(coords, grid: tuple[int, ...]) -> np.ndarray:
+    """Flat id of integer cells on the periodic grid ``grid``, given axis by
+    axis as d coordinate arrays ``coords``: each coordinate wraps, and the grid
+    is numbered in C order.  Integer arithmetic in the dtype of ``coords``."""
+    flat = 0
+    for x, n in zip(coords, grid, strict=True):
+        flat = flat * n + np.mod(x, n)
+    return flat
 
 
 @dataclass(frozen=True)
@@ -93,14 +104,11 @@ class Multilattice:
         and are numbered in C order, each holding its m species consecutively.
 
         ``cells`` is integer (..., d) and ``species`` broadcasts against its
-        leading axes.  Every flat cell or site id of the package comes from
-        here; a flat cell id is the site id of species 0 divided by m.
+        leading axes.  Every flat site id of the package comes from here; a
+        flat cell id is the site id of species 0 divided by m (``cell_index``).
         """
-        cells = np.mod(cells, self.cells_per_dim)
-        flat = np.zeros(cells.shape[:-1], dtype=np.int64)
-        for j in range(self.d):
-            flat = flat * self.cells_per_dim + cells[..., j]
-        return flat * self.m + np.asarray(species)
+        coords = np.moveaxis(np.asarray(cells, dtype=np.int64), -1, 0)
+        return cell_index(coords, (self.cells_per_dim,) * self.d) * self.m + np.asarray(species)
 
     def site_species(self) -> np.ndarray:
         return np.tile(np.arange(self.m), self.n_cells)

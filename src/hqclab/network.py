@@ -27,12 +27,14 @@ analogue of Moulinec-Suquet FFT homogenization).
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
-from .lattice import Multilattice
+from .lattice import Multilattice, cell_index
 from .potential import InteractionModel, PotentialError, energies_or_inf
 
 #: below this many degrees of freedom, linear solves go through dense LAPACK
@@ -136,25 +138,59 @@ class BondSystem:
             k = np.expand_dims(k, tuple(range(1, gr.ndim - 1)))
         return self._scatter(np.einsum("...bij,...bj->...bi", k, gr))
 
-    def hessian(self, w: np.ndarray, F: np.ndarray | None = None):
-        """Riesz Hessian: sparse (n_dof x n_dof) for one field, a dense stack (T,
-        n_dof, n_dof) for a stack, assembled block-diagonally so that each block
-        sums its duplicate entries exactly like the matrix of its own field."""
-        k = self.bond_stiffness(w, F) / self.gap_scale**2
-        n, T = self.n_dof, int(np.prod(k.shape[:-3]))
+    def _entries(self) -> tuple[np.ndarray, np.ndarray]:
+        """Row and column of every Hessian entry: the d x d blocks of the bonds
+        at (src, src), (dst, dst), (src, dst) and (dst, src)."""
         i, j = np.indices((self.d, self.d))
-        base = n * np.arange(T)[:, None, None, None]   # first DOF of each stack entry
-        rows = base + self.d * np.hstack([self.src, self.dst, self.src, self.dst])[:, None, None] + i
-        cols = base + self.d * np.hstack([self.src, self.dst, self.dst, self.src])[:, None, None] + j
-        vals = k.reshape((T,) + k.shape[-3:])
-        data = np.concatenate([vals, vals, -vals, -vals], axis=1)
-        H = sp.coo_matrix((data.ravel(), (rows.ravel(), cols.ravel())), shape=(T * n, T * n)).tocsr()
+        rows = self.d * np.hstack([self.src, self.dst, self.src, self.dst])[:, None, None] + i
+        cols = self.d * np.hstack([self.src, self.dst, self.dst, self.src])[:, None, None] + j
+        return rows.ravel(), cols.ravel()
+
+    @cached_property
+    def _hessian_pattern(self) -> tuple[np.ndarray, ...]:
+        """The order in which scipy's COO -> CSR conversion sums the Hessian
+        entries, each sorted entry's CSR slot and dense position, and the CSR
+        ``indices`` and ``indptr``.  The conversion sorts by row (stably), then
+        within each row by column alone; neither sort reads the values, so
+        converting the entry ids once gives the order of every later call."""
+        rows, cols = self._entries()
+        n = self.n_dof
+        by_row = np.argsort(rows, kind="stable")
+        ids = sp.csr_matrix((by_row.astype(float), cols[by_row], _row_pointer(rows, n)), shape=(n, n))
+        ids.sort_indices()
+        order = ids.data.astype(np.intp)
+        r, c = rows[order], cols[order]
+        slot = np.cumsum(np.concatenate([[True], (r[1:] != r[:-1]) | (c[1:] != c[:-1])])) - 1
+        ids.sum_duplicates()
+        for a in (ids.indices, ids.indptr):
+            a.setflags(write=False)
+        return order, slot, r * n + c, ids.indices, ids.indptr
+
+    def hessian(self, w: np.ndarray, F: np.ndarray | None = None):
+        """Riesz Hessian: CSR (n_dof x n_dof) for one field, a dense stack (T,
+        n_dof, n_dof) for a stack.  Each entry sums its terms in the order of
+        scipy's COO -> CSR conversion, so a stack entry equals the matrix of its
+        own field.  One field above DENSE_DOF_LIMIT runs that conversion, which
+        costs less than finding the pattern of a Hessian built once per step."""
+        k = self.bond_stiffness(w, F) / self.gap_scale**2
+        vals = np.concatenate([k, k, -k, -k], axis=-3).reshape(k.shape[:-3] + (-1,))
+        n = self.n_dof
+        if k.ndim == 3 and n > DENSE_DOF_LIMIT:
+            return sp.coo_matrix((vals, self._entries()), shape=(n, n)).tocsr()
+        order, slot, dense, indices, indptr = self._hessian_pattern
         if k.ndim == 3:
-            return H
-        H = H.tocoo()
-        out = np.zeros((T * n, n))
-        out[H.row, H.col % n] += H.data   # as todense adds them
-        return out.reshape(T, n, n)
+            data = np.full(len(indices), -0.0)   # -0.0 + x is x: each sum starts at its first term
+            np.add.at(data, slot, vals[order])
+            return sp.csr_matrix((data, indices, indptr), shape=(n, n))
+        vals = vals.reshape(-1, len(order))[:, order]
+        T = len(vals)
+        where = dense + n * n * np.arange(T)[:, None]
+        return np.bincount(where.ravel(), weights=vals.ravel(), minlength=T * n * n).reshape(T, n, n)
+
+
+def _row_pointer(rows: np.ndarray, n: int) -> np.ndarray:
+    """CSR ``indptr`` of n rows holding entries in the given ``rows``."""
+    return np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
 
 
 def incidence_matrix(n_sites: int, src: np.ndarray, dst: np.ndarray) -> sp.csr_matrix:
@@ -170,8 +206,12 @@ def incidence_matrix(n_sites: int, src: np.ndarray, dst: np.ndarray) -> sp.csr_m
     order = np.argsort(rows, kind="stable")
     cols = np.concatenate([np.arange(nb), np.arange(nb)])[order]
     data = np.concatenate([np.ones(nb), -np.ones(nb)])[order]
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n_sites))])
-    return sp.csr_matrix((data, cols, indptr), shape=(n_sites, nb))
+    return sp.csr_matrix((data, cols, _row_pointer(rows, n_sites)), shape=(n_sites, nb))
+
+
+#: per model: its cell system (one-cell torus, gap_scale 1), shared by HQC
+#: period sampling and homogenization.  Models are immutable once compiled.
+_CELL_SYSTEMS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def compile_system(lattice: Multilattice, model: InteractionModel, gap_scale: float,
@@ -182,16 +222,21 @@ def compile_system(lattice: Multilattice, model: InteractionModel, gap_scale: fl
 
     ``parent_cells`` maps the torus cells to cells of a parent lattice and is
     used by models with site-dependent coefficients (random bond networks
-    restricted to a sampling subgrid).
+    restricted to a sampling subgrid).  Without it, the one-cell torus at
+    gap_scale 1 (the model's cell system, at cell 0) is compiled once per model
+    and returned on every later call.
     """
     if tuple(map(tuple, model.shifts())) != lattice.shifts:
         raise PotentialError("model and lattice are incompatible: their species shifts differ")
+    cell = lattice.n_cells == 1 and gap_scale == 1 and parent_cells is None
+    if cell and model in _CELL_SYSTEMS:
+        return _CELL_SYSTEMS[model]
     cells = parent_cells if parent_cells is not None else np.arange(lattice.n_cells)
     species, offsets, laws = zip(*[(alpha, spec.offset, spec.law) for alpha in range(lattice.m)
                                    for spec in model.bond_specs(alpha, cells)])
     shift = np.array([off.cell_shift for off in offsets])[:, None, :]
     target = np.array([off.species_target for off in offsets])[:, None]
-    return BondSystem(
+    system = BondSystem(
         n_sites=lattice.n_sites,
         d=lattice.d,
         src=lattice.site_index(lattice.cell_multi, np.array(species)[:, None]).ravel(),
@@ -201,6 +246,9 @@ def compile_system(lattice: Multilattice, model: InteractionModel, gap_scale: fl
         cells=(lattice.cells_per_dim,) * lattice.d,
         gap_scale=gap_scale,
     )
+    if cell:
+        _CELL_SYSTEMS[model] = system
+    return system
 
 
 # ------------------------------------------------------------- linear algebra
@@ -236,11 +284,11 @@ def _circulant_inverse(H: sp.spmatrix, cells: tuple[int, ...], d: int) -> np.nda
     coo = H.tocoo()
     ci, ai = np.divmod(coo.row, b)
     cj, aj = np.divmod(coo.col, b)
-    delta = np.zeros_like(ci)           # flat periodic offset of cell cj from cell ci
-    stride = n_cells
-    for n in cells:
-        stride //= n
-        delta = delta * n + (cj // stride - ci // stride) % n
+    grid = np.indices(cells, dtype=ci.dtype).reshape(len(cells), -1)
+    coords = np.empty_like(grid)        # coordinates of each flat cell, as cell_index numbers them
+    coords[:, cell_index(grid, cells)] = grid
+    # flat periodic offset of cell cj from cell ci
+    delta = cell_index((np.take(x, cj) - np.take(x, ci) for x in coords), cells)
     S = np.bincount((delta * b + ai) * b + aj, weights=coo.data, minlength=n_cells * b * b)
     axes = tuple(range(len(cells)))
     # S is real, so its symbol is the conjugate of its forward transform

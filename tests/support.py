@@ -2,13 +2,15 @@
 and corrector gauges, element-wise P1 helpers, and small field and residual
 helpers.  They are thin wrappers over the package's stacked routines, kept
 here so that the package carries no API without a caller.  The per-spec bond
-compile that ``compile_system`` replaced stays here as its reference."""
+compile that ``compile_system`` replaced and the COO Hessian build that the
+fixed-pattern ``BondSystem.hessian`` replaced stay here as their references."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from hqclab import mqc
 from hqclab.atomistic import EquilibriumProblem
@@ -217,3 +219,24 @@ def reference_compile(lattice: Multilattice, model, gap_scale: float,
     return BondSystem(lattice.n_sites, lattice.d, np.concatenate(src_parts), np.concatenate(dst_parts),
                       np.concatenate(r_parts, axis=0), type(laws[0]).stack(laws, counts),
                       (lattice.cells_per_dim,) * lattice.d, gap_scale)
+
+
+def reference_hessian(system: BondSystem, w: np.ndarray, F: np.ndarray | None = None):
+    """The Hessian through scipy's COO -> CSR conversion: CSR for one field; a
+    stack assembled block-diagonally and scattered into a dense (T, n_dof,
+    n_dof) array.  The oracle of ``BondSystem.hessian``."""
+    k = system.bond_stiffness(w, F) / system.gap_scale**2
+    n, T = system.n_dof, int(np.prod(k.shape[:-3]))
+    i, j = np.indices((system.d, system.d))
+    base = n * np.arange(T)[:, None, None, None]   # first DOF of each stack entry
+    rows = base + system.d * np.hstack([system.src, system.dst, system.src, system.dst])[:, None, None] + i
+    cols = base + system.d * np.hstack([system.src, system.dst, system.dst, system.src])[:, None, None] + j
+    vals = k.reshape((T,) + k.shape[-3:])
+    data = np.concatenate([vals, vals, -vals, -vals], axis=1)
+    H = sp.coo_matrix((data.ravel(), (rows.ravel(), cols.ravel())), shape=(T * n, T * n)).tocsr()
+    if k.ndim == 3:
+        return H
+    H = H.tocoo()
+    out = np.zeros((T * n, n))
+    out[H.row, H.col % n] += H.data   # as todense adds them
+    return out.reshape(T, n, n)

@@ -1,5 +1,7 @@
 """Uniform periodic meshes, P1 fields, interpolation, and error norms."""
 
+import itertools
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -109,12 +111,18 @@ def test_interpolation_round_trip():
     (2, 4, square_lattice(8)),
 ])
 def test_interpolation_reads_the_vertex_sites(d, n, lat):
-    # the gathered nodal values are those of species 0 at each vertex's cell
+    # the gathered nodal values are those of species 0 at each vertex's cell,
+    # with sites counted cell by cell in C order, species-minor
     mesh = build_mesh(d, n)
     rng = np.random.default_rng(6)
     u = LatticeField(lat, rng.standard_normal((lat.n_sites, d)))
-    cells = np.rint(mesh.vertices / lat.eps_float).astype(int)
-    expected = [u.values[lat.site_index(c, 0)] for c in cells]
+    N = lat.cells_per_dim
+    site = {}
+    for cell in itertools.product(range(N), repeat=d):
+        for alpha in range(lat.m):
+            site[cell, alpha] = len(site)
+    cells = np.rint(mesh.vertices / lat.eps_float).astype(int) % N
+    expected = [u.values[site[tuple(c), 0]] for c in cells.tolist()]
     assert np.array_equal(p1_interpolate_lattice(mesh, u).values, expected)
 
 

@@ -947,7 +947,7 @@ def uniform_network(n):
 
 
 def test_period_sampling_refuses_cell_dependent_bond_laws():
-    # one system compiled from the first element's cell would serve every element
+    # the model's cell system, compiled at cell 0, would serve every element
     with pytest.raises(HQCError, match="n_rep"):
         HQCOperator(RandomBond2D(8, seed=2), square_lattice(8), build_mesh(2, 4))
     with pytest.raises(HQCError, match="n_rep"):
@@ -965,6 +965,72 @@ def test_cell_independence_check_compares_per_cell_parameters_only():
         _require_cell_independent(RandomBond2D(8, seed=2), np.array([0, 5]))
     _require_cell_independent(uniform_network(8), np.array([0, 5]))
     _require_cell_independent(make_dynamics_model().model, np.array([0, 5]))
+
+
+def test_cell_independence_check_includes_cell_zero():
+    # the shared cell system is compiled at cell 0, which no element of this
+    # placement samples: a law that differs there alone is refused, one that
+    # differs on another unsampled cell is not
+    from hqclab.hqc import _require_cell_independent
+
+    lat, mesh = square_lattice(8), build_mesh(2, 4)
+    cells = np.concatenate([dom.parent_cells for dom in place_sampling_domains(mesh, lat)])
+    assert not np.isin([0, 1], cells).any()
+    at_zero, at_one = uniform_network(8), uniform_network(8)
+    at_zero.psi[0] = 9.0
+    at_one.psi[1] = 9.0
+    with pytest.raises(HQCError, match="n_rep"):
+        _require_cell_independent(at_zero, cells)
+    with pytest.raises(HQCError, match="n_rep"):
+        HQCOperator(at_zero, lat, mesh)
+    _require_cell_independent(at_one, cells)
+    op = HQCOperator(at_one, lat, mesh)
+    assert np.array_equal(op.system.law.psi, uniform_network(8).psi[0])
+
+
+@pytest.mark.parametrize("make_model", [
+    pytest.param(lambda: make_dynamics_model().model, id="lj-chain"),
+    pytest.param(lambda: LinearSpring1D((1.0, 3.0, 0.5)), id="springs-m3"),
+    pytest.param(lambda: uniform_network(8), id="uniform-network"),
+])
+def test_period_sampling_and_homogenization_share_one_cell_system(make_model):
+    from hqclab.homog import cell_system
+
+    model = make_model()
+    lat = chain_lattice(Fraction(1, 16), model.m) if model.d == 1 else square_lattice(8)
+    op = HQCOperator(model, lat, build_mesh(model.d, 4))
+    assert op.system is HomogenizedDensity(model).system is cell_system(model)
+    assert HQCOperator(model, lat, build_mesh(model.d, 2), relax=False).system is op.system
+    # another model compiles its own; subgrid sampling compiles per operator
+    assert HQCOperator(make_model(), lat, build_mesh(model.d, 4)).system is not op.system
+    if model.m == 1:
+        sub = HQCOperator(model, lat, build_mesh(model.d, 4), n_rep=1)
+        assert sub.system is not op.system and sub.system.n_sites == op.system.n_sites
+
+
+def test_equivalence_study_compiles_one_system_per_model(monkeypatch):
+    # the tiny equivalence config: six reports on five models (the LJ trials
+    # share one); each model's cell is compiled once, not twice per report
+    from hqclab import experiments, network
+
+    built, models = [], []
+    init, report = network.BondSystem.__init__, experiments.mqc.equivalence_report
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    def recording_report(model, *args):
+        models.append(model)
+        return report(model, *args)
+
+    monkeypatch.setattr(network.BondSystem, "__init__", counting_init)
+    monkeypatch.setattr(experiments.mqc, "equivalence_report", recording_report)
+    res = experiments.run_equivalence({"seed": "3", "trials_spring": "3", "trials_lj": "2",
+                                       "trials_simple": "1"})
+    assert res.summary["all_within_tolerance"]
+    assert len(models) == 6
+    assert len(built) == len({id(model) for model in models}) == 5
 
 
 @pytest.mark.parametrize("make_model, lat", [

@@ -11,6 +11,7 @@ from hqclab.lattice import (
     LatticeField,
     Multilattice,
     average,
+    cell_index,
     chain_lattice,
     discrete_derivative,
     discrete_norms,
@@ -195,6 +196,19 @@ def test_site_index_matches_an_explicit_loop(lat):
             for alpha in range(m):
                 assert got[i, alpha] == expected[tuple(c % N for c in cell), alpha]
                 assert lat.site_index(cell, alpha) == got[i, alpha]
+
+
+def test_cell_index_counts_a_rectangular_grid_in_c_order():
+    # the grids of the FFT preconditioner need not be square; offsets of
+    # either sign wrap exactly (integer arithmetic throughout)
+    grid = (3, 5)
+    expected = {cell: k for k, cell in enumerate(itertools.product(*map(range, grid)))}
+    offsets = [(i, j) for i in range(-7, 8) for j in range(-11, 12)]
+    for dtype in (np.int32, np.int64):
+        got = cell_index(np.array(offsets, dtype=dtype).T, grid)
+        assert got.dtype == dtype
+        assert got.tolist() == [expected[i % 3, j % 5] for i, j in offsets]
+    assert cell_index(([2], [4]), grid).tolist() == [14]
 
 
 def test_translation_and_difference_gather_through_site_index():

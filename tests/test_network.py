@@ -18,7 +18,7 @@ from hqclab.potential import (
     RandomBond2D,
     make_dynamics_model,
 )
-from support import constant_tensor_stiffness, reference_compile
+from support import constant_tensor_stiffness, reference_compile, reference_hessian
 
 
 def per_spec_laws(lattice, model, parent_cells=None):
@@ -279,6 +279,66 @@ def test_dense_hessian_stack_sums_duplicates_like_the_sparse_matrix():
     assert stack.shape == (3, system.n_dof, system.n_dof)
     for t in range(3):
         assert np.array_equal(stack[t], system.hessian(W[t], Fs[t]).toarray())
+
+
+def hessian_cases():
+    """Systems below and above DENSE_DOF_LIMIT for the Hessian-against-reference check."""
+    from test_mqc import _TwoSpecies2D
+
+    from hqclab.hqc import place_sampling_domains
+
+    def cell(model):
+        return compile_system(Multilattice(model.d, 1, model.shifts()), model, 1.0)
+
+    sub = place_sampling_domains(build_mesh(2, 2), square_lattice(8), n_rep=8)[0]
+    above = DENSE_DOF_LIMIT // 2 + 1
+    springs = [pytest.param(lambda m=m: cell(LinearSpring1D(tuple(np.arange(1.0, m + 1)))), id=f"springs-m{m}")
+               for m in (1, 2, 3, 4)]
+    return springs + [
+        pytest.param(lambda: cell(make_dynamics_model().model), id="lj-cell"),
+        pytest.param(lambda: cell(_TwoSpecies2D(psi0=1.0, psi1=3.0)), id="two-species-2d"),
+        pytest.param(lambda: compile_system(sub.torus, RandomBond2D(8, seed=5), 1.0,
+                                            parent_cells=sub.parent_cells), id="network-subgrid-128"),
+        pytest.param(lambda: compile_system(chain_lattice(Fraction(1, above), 2), LinearSpring1D((1.0, 2.0)),
+                                            1.0 / above), id="above-the-limit"),
+    ]
+
+
+@pytest.mark.parametrize("T", [None, 1, 3], ids=["field", "stack-1", "stack-3"])
+@pytest.mark.parametrize("build", hessian_cases())
+def test_hessian_equals_the_coo_reference_bitwise(build, T):
+    # the fixed pattern sums every entry in the order of scipy's COO -> CSR
+    # conversion: same data (signed zeros included), indices and indptr
+    system = build()
+    rng = np.random.default_rng(23)
+    lead = () if T is None else (T,)
+    w = 0.01 * rng.standard_normal(lead + (system.n_sites, system.d))
+    F = 0.02 * rng.standard_normal(lead + (system.d, system.d))
+    for args in ((w, F), (w, None)):
+        H, ref = system.hessian(*args), reference_hessian(system, *args)
+        if T is None:
+            for name in ("data", "indices", "indptr"):
+                assert _bitwise_equal(getattr(H, name), getattr(ref, name)), name
+            assert H.shape == ref.shape
+        else:
+            assert _bitwise_equal(H, ref)
+    if T is None and system.n_dof > DENSE_DOF_LIMIT:
+        assert "_hessian_pattern" not in vars(system)   # one field above the limit: no pattern
+    else:
+        assert "_hessian_pattern" in vars(system)
+
+
+def test_hessian_pattern_is_found_once_per_system():
+    model = make_dynamics_model().model
+    system = compile_system(Multilattice(1, 1, model.shifts()), model, 1.0)
+    rng = np.random.default_rng(24)
+    first = system.hessian(0.01 * rng.standard_normal((2, 1)), np.array([[0.02]]))
+    pattern = system._hessian_pattern
+    second = system.hessian(0.01 * rng.standard_normal((3, 2, 1)), 0.02 * rng.standard_normal((3, 1, 1)))
+    assert system._hessian_pattern is pattern and second.shape == (3, 2, 2)
+    # every matrix views the pattern's index arrays, which nothing may write
+    assert np.shares_memory(first.indices, pattern[3]) and not first.indices.flags.writeable
+    assert np.shares_memory(first.indptr, pattern[4]) and not first.indptr.flags.writeable
 
 
 def test_dense_stack_above_the_limit_raises():

@@ -1,7 +1,10 @@
-"""The benchmark tracer (perfbench/tracer.py) wraps package functions by name.
-A rename in the package that breaks one of those names fails here, in the
-package's own suite, and not only in the benchmark's."""
+"""The benchmark tracer (perfbench/tracer.py) wraps package functions by name,
+and perfbench/test_perfbench.py lists the bindings copied by ``from ...
+import`` that it must also patch.  A rename in the package that breaks one of
+those names fails here, in the package's own suite, and not only in the
+benchmark's."""
 
+import ast
 import importlib.util
 import sys
 from pathlib import Path
@@ -10,7 +13,9 @@ import pytest
 
 import hqclab.cli  # noqa: F401  (imports every hqclab module)
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
+BENCH_TESTS = PERFBENCH / "test_perfbench.py"
 
 
 @pytest.fixture(scope="module")
@@ -23,6 +28,18 @@ def tracer():
     return module
 
 
+def imported_by_name() -> list[str]:
+    """``IMPORTED_BY_NAME`` of perfbench/test_perfbench.py, read from its source
+    without importing the benchmark."""
+    if not BENCH_TESTS.is_file():
+        pytest.skip("perfbench/test_perfbench.py is absent")
+    for node in ast.parse(BENCH_TESTS.read_text()).body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "IMPORTED_BY_NAME"
+                                                for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/test_perfbench.py defines no IMPORTED_BY_NAME")
+
+
 def test_every_tracer_target_resolves_and_unwraps(tracer):
     spans = tracer.Tracer()
     try:
@@ -33,3 +50,12 @@ def test_every_tracer_target_resolves_and_unwraps(tracer):
     finally:
         spans.uninstall()
     assert tracer.wrapped_bindings() == []
+
+
+def test_every_binding_imported_by_name_resolves():
+    names = imported_by_name()
+    assert names
+    for dotted in names:
+        module, name = dotted.rsplit(".", 1)
+        value = getattr(sys.modules[module], name, None)
+        assert callable(value) and value.__module__.startswith("hqclab."), dotted
