@@ -6,7 +6,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
 
 from .lattice import ZERO_MEAN_TOL, LatticeField, Multilattice, average, l2_norm, project_zero_mean, translate
 from .network import BondSystem, SolverError, compile_system, newton_zero_mean
@@ -45,8 +44,9 @@ def total_energy(problem: EquilibriumProblem, u: LatticeField) -> float:
     return problem.system.energy(u.values)
 
 
-def energy_hessian(problem: EquilibriumProblem, u: LatticeField) -> sp.csr_matrix:
-    """Riesz Hessian, a symmetric sparse operator with constants in the kernel."""
+def energy_hessian(problem: EquilibriumProblem, u: LatticeField):
+    """Riesz Hessian, symmetric with constants in the kernel: a CSR matrix, or
+    on a one-cell lattice a dense stack of one (1, n_dof, n_dof)."""
     return problem.system.hessian(u.values)
 
 
@@ -68,7 +68,8 @@ def solve_equilibrium(
 
 
 def slowest_eigenmode(problem: EquilibriumProblem, u_eq: LatticeField) -> tuple[LatticeField, float]:
-    """Slowest non-translational vibration mode of a chain at a cell-periodic equilibrium.
+    """Slowest non-translational vibration mode of a chain (at least 3 cells) at a
+    cell-periodic equilibrium.
 
     There the Hessian H is block-circulant, so the span of the longest Bloch
     waves {e_alpha cos 2 pi x, e_alpha sin 2 pi x} (one pair per species) is
@@ -82,6 +83,9 @@ def slowest_eigenmode(problem: EquilibriumProblem, u_eq: LatticeField) -> tuple[
     lat = problem.lattice
     if lat.d != 1:
         raise SolverError("the Bloch-wave eigenmode is defined for 1D chains only")
+    if lat.cells_per_dim <= 2:
+        raise SolverError(f"the Bloch-wave eigenmode needs at least 3 cells, not {lat.cells_per_dim}: "
+                          "on fewer the cos/sin 2 pi x pair is degenerate")
     scale = max(float(np.max(np.abs(u_eq.values))), 1.0)
     if np.max(np.abs(translate(u_eq, [1]).values - u_eq.values)) > ZERO_MEAN_TOL * scale:
         raise SolverError("equilibrium is not cell-periodic, so its Hessian is not block-circulant")

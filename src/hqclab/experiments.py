@@ -229,12 +229,14 @@ def run_stochastic_2d(cfg: dict) -> ExperimentResult:
 
     columns = ["n", "seed", "n_rep", "h", "err_hqc", "err_ad", "status"]
 
+    meshes = {h: fem.build_mesh(2, int(1 / h)) for h in p["h_list"]}
+    # the body force is global and smooth: pair it exactly with the hats
+    # rather than sampling it on the shared subsystem
+    loads = {h: fem.load_from_lattice(mesh, f) for h, mesh in meshes.items()}
+
     def one_row(n_rep: int, h: Fraction):
+        mesh, load = meshes[h], loads[h]
         try:
-            mesh = fem.build_mesh(2, int(1 / h))
-            # the body force is global and smooth: pair it exactly with the
-            # hats rather than sampling it on the shared subsystem
-            load = fem.load_from_lattice(mesh, f)
             op = hqc.HQCOperator(model, lat, mesh, n_rep=n_rep)
             sol = op.solve(load=load, tol=1e-10)
             e_hqc = op.energy(sol.macro)
@@ -289,6 +291,9 @@ def run_dynamics_1d(cfg: dict) -> ExperimentResult:
     setup = make_dynamics_model()
     model = setup.model
     eps = Fraction(model.m, n_atoms)
+    if n_atoms // model.m < 3:
+        raise ConfigError(f"n_atoms must be at least {3 * model.m}: the slowest Bloch mode "
+                          "needs a chain of at least 3 cells")
     _check_mesh_divides(p["h_list"], Fraction(1) / eps)
     if float(p["t_final"]) <= 0 or p["amplitude"] <= 0:
         raise ConfigError("t_final and amplitude must be positive")

@@ -20,9 +20,10 @@ the constant fields in its kernel.
 ``newton`` solves stacks of such problems (one problem is a stack of one), and
 also the macro problems of the HQC and homogenized-FEM solvers, whose nodal
 fields are zero-mean in the same way.  Each Newton step is one
-``GaugeFixedOperator`` solve: batched dense LAPACK <= 600 DOF, FFT-preconditioned
-CG above, with the grid-averaged stencil as the preconditioner (the lattice
-analogue of Moulinec-Suquet FFT homogenization).
+``GaugeFixedOperator`` solve: batched dense LAPACK for the dense Hessian stacks
+(one-cell systems, stacked fields), FFT-preconditioned CG for every sparse
+system on a grid of cells, with the grid-averaged stencil as the preconditioner
+(the lattice analogue of Moulinec-Suquet FFT homogenization).
 """
 
 from __future__ import annotations
@@ -37,8 +38,6 @@ import scipy.sparse as sp
 from .lattice import Multilattice, cell_index
 from .potential import InteractionModel, PotentialError, energies_or_inf
 
-#: below this many degrees of freedom, linear solves go through dense LAPACK
-DENSE_DOF_LIMIT = 600
 #: PCG stops once the relative residual ||r|| / ||b|| is at most PCG_RTOL ...
 PCG_RTOL = 1e-13
 #: ... or once the normwise backward error ||r|| / (||H||_inf ||x|| + ||b||) is
@@ -147,41 +146,32 @@ class BondSystem:
         return rows.ravel(), cols.ravel()
 
     @cached_property
-    def _hessian_pattern(self) -> tuple[np.ndarray, ...]:
+    def _hessian_pattern(self) -> tuple[np.ndarray, np.ndarray]:
         """The order in which scipy's COO -> CSR conversion sums the Hessian
-        entries, each sorted entry's CSR slot and dense position, and the CSR
-        ``indices`` and ``indptr``.  The conversion sorts by row (stably), then
-        within each row by column alone; neither sort reads the values, so
-        converting the entry ids once gives the order of every later call."""
+        entries, and the dense position of each entry in that order.  The
+        conversion sorts by row (stably), then within each row by column alone;
+        neither sort reads the values, so converting the entry ids once gives
+        the order of every later call."""
         rows, cols = self._entries()
         n = self.n_dof
         by_row = np.argsort(rows, kind="stable")
         ids = sp.csr_matrix((by_row.astype(float), cols[by_row], _row_pointer(rows, n)), shape=(n, n))
         ids.sort_indices()
         order = ids.data.astype(np.intp)
-        r, c = rows[order], cols[order]
-        slot = np.cumsum(np.concatenate([[True], (r[1:] != r[:-1]) | (c[1:] != c[:-1])])) - 1
-        ids.sum_duplicates()
-        for a in (ids.indices, ids.indptr):
-            a.setflags(write=False)
-        return order, slot, r * n + c, ids.indices, ids.indptr
+        return order, rows[order] * n + cols[order]
 
     def hessian(self, w: np.ndarray, F: np.ndarray | None = None):
-        """Riesz Hessian: CSR (n_dof x n_dof) for one field, a dense stack (T,
-        n_dof, n_dof) for a stack.  Each entry sums its terms in the order of
-        scipy's COO -> CSR conversion, so a stack entry equals the matrix of its
-        own field.  One field above DENSE_DOF_LIMIT runs that conversion, which
-        costs less than finding the pattern of a Hessian built once per step."""
+        """Riesz Hessian.  A stack of fields, or one field on a one-cell torus
+        (a stack of one), gives a dense stack (T, n_dof, n_dof); one field on a
+        grid of cells gives a CSR matrix (n_dof x n_dof).  The dense entries sum
+        their terms in the order of scipy's COO -> CSR conversion, so a stack
+        entry equals the matrix of its own field bit for bit."""
         k = self.bond_stiffness(w, F) / self.gap_scale**2
         vals = np.concatenate([k, k, -k, -k], axis=-3).reshape(k.shape[:-3] + (-1,))
         n = self.n_dof
-        if k.ndim == 3 and n > DENSE_DOF_LIMIT:
+        if k.ndim == 3 and np.prod(self.cells) > 1:
             return sp.coo_matrix((vals, self._entries()), shape=(n, n)).tocsr()
-        order, slot, dense, indices, indptr = self._hessian_pattern
-        if k.ndim == 3:
-            data = np.full(len(indices), -0.0)   # -0.0 + x is x: each sum starts at its first term
-            np.add.at(data, slot, vals[order])
-            return sp.csr_matrix((data, indices, indptr), shape=(n, n))
+        order, dense = self._hessian_pattern
         vals = vals.reshape(-1, len(order))[:, order]
         T = len(vals)
         where = dense + n * n * np.arange(T)[:, None]
@@ -309,33 +299,32 @@ def _circulant_inverse(H: sp.spmatrix, cells: tuple[int, ...], d: int) -> np.nda
 class GaugeFixedOperator:
     """Linear solver for Riesz Hessians with the constant fields in the kernel.
 
-    ``H`` is sparse, or a dense stack (T, n_dof, n_dof) of independent
-    Hessians.  Dense LAPACK <= 600 DOF (``DENSE_DOF_LIMIT``): a rank-d
-    regularization on the constant modes, one batched inverse, one refinement
-    step.  FFT-preconditioned CG above for sparse H, preconditioned by the
+    The type of ``H`` picks the path.  A dense stack (T, n_dof, n_dof) of
+    independent Hessians (one-cell systems, stacked fields) goes through
+    batched LAPACK: a rank-d regularization on the constant modes, one inverse
+    per entry, one refinement step.  A sparse H (a system on a grid of cells,
+    or a macro stiffness) goes, at any size, through CG preconditioned by the
     inverse of its average over the periodic grid ``cells`` (exact for
-    block-circulant H).  Either way the solution is the zero-mean field, and a
-    failure raises SolverError naming its cause.
+    block-circulant H, so on one cell it is the whole matrix).  Either way the
+    solution is the zero-mean field, and a failure raises SolverError naming
+    its cause.
     """
 
     def __init__(self, H, d: int, cells: tuple[int, ...]) -> None:
         self.d = d
         self.n_dof = H.shape[-1]
         self.n_sites = self.n_dof // d
-        stacked = isinstance(H, np.ndarray)
-        self._H = H if stacked else H.tocsr()
-        if self.n_dof <= DENSE_DOF_LIMIT:
-            A = H if stacked else self._H.toarray()[None]
-            scale = np.maximum(np.abs(np.diagonal(A, axis1=-2, axis2=-1)).mean(axis=-1), 1.0)
+        if isinstance(H, np.ndarray):
+            self._H = H
+            scale = np.maximum(np.abs(np.diagonal(H, axis1=-2, axis2=-1)).mean(axis=-1), 1.0)
             modes = np.tile(np.eye(d), (self.n_sites, 1)) / np.sqrt(self.n_sites)   # translations
             try:
-                self._dense = np.linalg.inv(A + scale[:, None, None] * (modes @ modes.T))[:, None]
+                self._dense = np.linalg.inv(H + scale[:, None, None] * (modes @ modes.T))[:, None]
             except np.linalg.LinAlgError as exc:
                 raise SolverError("singular stiffness beyond the translation kernel") from exc
-        elif stacked:
-            raise SolverError(f"dense stack of {self.n_dof} > DENSE_DOF_LIMIT = {DENSE_DOF_LIMIT} DOF")
         else:
             self._dense = None
+            self._H = H.tocsr()
             self.cells = tuple(cells)
             self._inv = _circulant_inverse(self._H, self.cells, d)
             self._h_inf = float(abs(self._H).sum(axis=1).max())
@@ -345,10 +334,7 @@ class GaugeFixedOperator:
         keeps the step accurate for stiff entries (fine lattices scale like 1/eps^2)."""
         x = (self._dense @ B[..., None])[..., 0]
         x = project_zero_mean_array(x.reshape(x.shape[:-1] + (self.n_sites, self.d))).reshape(x.shape)
-        if isinstance(self._H, np.ndarray):   # row sums round like the sparse product (cells < 8 DOF)
-            Hx = (self._H[:, None] * x[..., None, :]).sum(axis=-1)
-        else:
-            Hx = (self._H @ x.reshape(-1, self.n_dof).T).T.reshape(x.shape)
+        Hx = (self._H[:, None] * x[..., None, :]).sum(axis=-1)
         return x + (self._dense @ (B - Hx)[..., None])[..., 0]
 
     def _precondition(self, R: np.ndarray) -> np.ndarray:
@@ -493,7 +479,7 @@ def newton_zero_mean(
         g = system.gradient(w, at(rows))
         return g if f_ext is None else g - f_ext
 
-    def hessian(w, rows):   # one field: the sparse Hessian, which also serves above DENSE_DOF_LIMIT
+    def hessian(w, rows):   # one field on a grid: the sparse Hessian, which PCG solves
         return system.hessian(w[0], at(rows[0])) if len(rows) == 1 else system.hessian(w, at(rows))
 
     result = newton(energy, gradient, hessian, np.zeros(shape) if w0 is None else np.reshape(w0, shape),

@@ -245,3 +245,19 @@ def test_eigenmode_rejects_forced_equilibrium():
     u_eq = solve_equilibrium(prob)
     with pytest.raises(SolverError, match="cell-periodic"):
         slowest_eigenmode(prob, u_eq)
+
+
+@pytest.mark.parametrize("n_cells", [1, 2])
+def test_eigenmode_refuses_chains_of_two_cells_or_fewer(monkeypatch, n_cells):
+    # on fewer than 3 cells the cos/sin 2 pi x pair is degenerate: refuse before building H
+    import hqclab.atomistic as atomistic
+
+    def no_hessian(*args):
+        raise AssertionError("built the Hessian")
+
+    setup = make_dynamics_model()
+    lat = chain_lattice(Fraction(1, n_cells), 2)
+    prob = EquilibriumProblem(lat, setup.model, masses=setup.mass_field(lat))
+    monkeypatch.setattr(atomistic, "energy_hessian", no_hessian)
+    with pytest.raises(SolverError, match=f"needs at least 3 cells, not {n_cells}"):
+        slowest_eigenmode(prob, zeros_field(lat))

@@ -65,8 +65,10 @@ def test_stochastic_cli_deterministic_through_pcg(tmp_path, monkeypatch):
     outs = [tmp_path / "a.csv", tmp_path / "b.csv"]
     for out in outs:
         assert main(["stochastic-2d", "--config", str(cfg), "--out", str(out)]) == 0
-    # the atomistic reference and the full-sample sensitivity run through PCG
-    assert pcg_sizes and set(pcg_sizes) == {2048}
+    # every solve runs through PCG: the atomistic reference and the full-sample
+    # sensitivity (2048 DOF), the n_rep = 8 sensitivity (128) and the macro
+    # stiffness at h = 1/4 (32) and 1/8 (128)
+    assert set(pcg_sizes) == {2048, 128, 32}
     assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
@@ -201,6 +203,8 @@ def test_bug_in_equivalence_row_propagates(monkeypatch):
     pytest.param("converge-1d", "eps = -1/4\n", id="converge-negative-eps"),
     pytest.param("converge-1d", "psi = 1,0\n", id="converge-zero-psi"),
     pytest.param("dynamics-1d", "n_atoms = 0\n", id="dynamics-zero-atoms"),
+    pytest.param("dynamics-1d", "n_atoms = 2\nh_list = 1\n", id="dynamics-one-cell"),
+    pytest.param("dynamics-1d", "n_atoms = 4\nh_list = 1/2\n", id="dynamics-two-cells"),
     pytest.param("stochastic-2d", "n = 0\n", id="stochastic-zero-n"),
     pytest.param("equivalence", "mesh_n = 0\n", id="equivalence-zero-mesh_n"),
     pytest.param("equivalence", "mesh_n = 3\n", id="equivalence-misaligned-mesh_n"),

@@ -766,8 +766,8 @@ def test_stability_flag():
     for F, chi in zip(grads, op.correctors(grads)):
         # constants are in the kernel, so stability on the zero-mean subspace
         # is a nonnegative spectrum overall
-        H = op.system.hessian(chi, F)
-        eigs = np.linalg.eigvalsh(np.asarray(H.todense()))
+        H = op.system.hessian(chi, F)   # the one-cell system: a dense stack of one
+        eigs = np.linalg.eigvalsh(H[0])
         assert eigs.min() > -1e-10 * max(1.0, abs(eigs.max()))
 
 

@@ -5,11 +5,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from hqclab import network
 from hqclab.fem import MacroMesh, build_mesh
 from hqclab.lattice import Multilattice, chain_lattice, square_lattice
-from hqclab.network import DENSE_DOF_LIMIT, GaugeFixedOperator, SolverError, compile_system
+from hqclab.network import GaugeFixedOperator, SolverError, compile_system
 from hqclab.potential import (
     LennardJones1D,
     LennardJonesParams,
@@ -175,7 +176,7 @@ def network_hessian(log_decades=None):
         rng = np.random.default_rng(12)
         model.psi = 10.0 ** rng.uniform(0.0, log_decades, size=model.psi.shape)
     system = compile_system(square_lattice(n), model, gap_scale=1 / n)
-    assert system.n_dof > DENSE_DOF_LIMIT and system.cells == (n, n)
+    assert system.cells == (n, n)
     return system, system.hessian(np.zeros((system.n_sites, 2)))
 
 
@@ -215,13 +216,56 @@ def p1_constant_tensor_stiffness():
                          ids=["two-species-chain", "p1-constant-tensor"])
 def test_preconditioner_inverts_block_circulant_operators_exactly(build):
     H, d, cells = build()
-    assert H.shape[0] > DENSE_DOF_LIMIT
     op = GaugeFixedOperator(H, d, cells)
+    assert op._dense is None   # a sparse H takes the PCG path
     x = zero_mean_stack(2, H.shape[0] // d, d, seed=15).reshape(2, -1)
     back = op._precondition(np.asarray((H @ x.T).T))
     assert np.abs(back - x).max() <= 1e-12 * np.abs(x).max()
     # the translation kernel is zeroed, not inverted
     assert np.abs(op._precondition(np.ones((1, H.shape[0])))).max() <= 1e-12
+
+
+def subgrid_sensitivity():
+    """The n_rep = 8 sampling subgrid of an n = 32 random network (128 DOF) and
+    the right-hand sides of its unit-gradient sensitivities."""
+    from hqclab.hqc import place_sampling_domains
+
+    sub = place_sampling_domains(build_mesh(2, 4), square_lattice(32), n_rep=8)[0]
+    system = compile_system(sub.torus, RandomBond2D(32, seed=1), 1.0, parent_cells=sub.parent_cells)
+    zero = np.zeros((system.n_sites, 2))
+    rhs = -system.affine_force(zero, None, np.eye(4).reshape(4, 2, 2))
+    return system.hessian(zero), rhs, 2, system.cells
+
+
+def macro_stiffness(d, n):
+    """HQC macro Hessian on n elements per direction: the n_rep = 8 random
+    network in 2D, the nonlinear LJ chain at a random macro field in 1D."""
+    from hqclab.fem import P1Field
+    from hqclab.hqc import HQCOperator
+
+    mesh = build_mesh(d, n)
+    if d == 2:
+        op = HQCOperator(RandomBond2D(32, seed=1), square_lattice(32), mesh, n_rep=8)
+        uh = np.zeros((n * n, 2))
+    else:
+        op = HQCOperator(make_dynamics_model().model, chain_lattice(Fraction(1, 16), 2), mesh)
+        uh = 0.01 * np.random.default_rng(31).standard_normal((n, 1))
+    rhs = zero_mean_stack(3, mesh.n_vertices, d, seed=32)
+    return op.hessian(P1Field(mesh, uh)), rhs, d, (n,) * d
+
+
+@pytest.mark.parametrize("build", [subgrid_sensitivity, lambda: macro_stiffness(2, 8),
+                                   lambda: macro_stiffness(2, 16), lambda: macro_stiffness(1, 4)],
+                         ids=["subgrid-sensitivity-128", "macro-2d-128", "macro-2d-512", "macro-1d-4"])
+def test_small_grids_solve_by_pcg_to_dense_least_squares(build):
+    H, rhs, d, cells = build()
+    op = GaugeFixedOperator(H, d, cells)
+    assert op._dense is None
+    x = op.solve(rhs)
+    k = len(rhs)
+    ref = np.linalg.lstsq(H.toarray(), rhs.reshape(k, -1).T, rcond=None)[0].T.reshape(rhs.shape)
+    for xk, rk in zip(x, ref):
+        assert np.linalg.norm(xk - rk) <= 1e-12 * np.linalg.norm(rk)
 
 
 def test_pcg_failures_name_their_cause(monkeypatch):
@@ -251,6 +295,8 @@ def micro_cases():
 
 @pytest.mark.parametrize("name, model, scale", micro_cases(), ids=[c[0] for c in micro_cases()])
 def test_dense_stack_operator_equals_per_entry_sparse_operators(name, model, scale):
+    # each entry's own operator: one field on the one-cell torus, whose Hessian
+    # is a dense stack of one
     system = compile_system(Multilattice(1, 1, model.shifts()), model, 1.0)
     rng = np.random.default_rng(17)
     T, n = 5, system.n_sites
@@ -263,7 +309,7 @@ def test_dense_stack_operator_equals_per_entry_sparse_operators(name, model, sca
     x_one, x_many = op.solve(one_rhs), op.solve(many_rhs)
     for t in range(T):
         H = system.hessian(W[t], Fs[t])
-        assert np.array_equal(stack[t], H.toarray())
+        assert H.shape == (1, n, n) and np.array_equal(stack[t], H[0])
         single = GaugeFixedOperator(H, 1, system.cells)
         assert np.array_equal(x_one[t], single.solve(one_rhs[t]))
         assert np.array_equal(x_many[t], single.solve(many_rhs[t]))
@@ -282,7 +328,7 @@ def test_dense_hessian_stack_sums_duplicates_like_the_sparse_matrix():
 
 
 def hessian_cases():
-    """Systems below and above DENSE_DOF_LIMIT for the Hessian-against-reference check."""
+    """One-cell systems and systems on a grid of cells for the Hessian-against-reference check."""
     from test_mqc import _TwoSpecies2D
 
     from hqclab.hqc import place_sampling_domains
@@ -291,7 +337,6 @@ def hessian_cases():
         return compile_system(Multilattice(model.d, 1, model.shifts()), model, 1.0)
 
     sub = place_sampling_domains(build_mesh(2, 2), square_lattice(8), n_rep=8)[0]
-    above = DENSE_DOF_LIMIT // 2 + 1
     springs = [pytest.param(lambda m=m: cell(LinearSpring1D(tuple(np.arange(1.0, m + 1)))), id=f"springs-m{m}")
                for m in (1, 2, 3, 4)]
     return springs + [
@@ -299,33 +344,35 @@ def hessian_cases():
         pytest.param(lambda: cell(_TwoSpecies2D(psi0=1.0, psi1=3.0)), id="two-species-2d"),
         pytest.param(lambda: compile_system(sub.torus, RandomBond2D(8, seed=5), 1.0,
                                             parent_cells=sub.parent_cells), id="network-subgrid-128"),
-        pytest.param(lambda: compile_system(chain_lattice(Fraction(1, above), 2), LinearSpring1D((1.0, 2.0)),
-                                            1.0 / above), id="above-the-limit"),
+        pytest.param(lambda: compile_system(chain_lattice(Fraction(1, 301), 2), LinearSpring1D((1.0, 2.0)),
+                                            1.0 / 301), id="chain-602"),
     ]
 
 
 @pytest.mark.parametrize("T", [None, 1, 3], ids=["field", "stack-1", "stack-3"])
 @pytest.mark.parametrize("build", hessian_cases())
 def test_hessian_equals_the_coo_reference_bitwise(build, T):
-    # the fixed pattern sums every entry in the order of scipy's COO -> CSR
-    # conversion: same data (signed zeros included), indices and indptr
+    # one field on a grid of cells is the COO -> CSR conversion itself (same
+    # data, signed zeros included, indices and indptr); a stack, or one field
+    # on a one-cell torus, sums every entry in that conversion's order
     system = build()
+    one_cell = np.prod(system.cells) == 1
     rng = np.random.default_rng(23)
     lead = () if T is None else (T,)
     w = 0.01 * rng.standard_normal(lead + (system.n_sites, system.d))
     F = 0.02 * rng.standard_normal(lead + (system.d, system.d))
     for args in ((w, F), (w, None)):
         H, ref = system.hessian(*args), reference_hessian(system, *args)
-        if T is None:
+        if T is None and one_cell:
+            assert _bitwise_equal(H, ref.toarray()[None])
+        elif T is None:
+            assert isinstance(H, sp.csr_matrix) and H.shape == ref.shape
             for name in ("data", "indices", "indptr"):
                 assert _bitwise_equal(getattr(H, name), getattr(ref, name)), name
-            assert H.shape == ref.shape
         else:
             assert _bitwise_equal(H, ref)
-    if T is None and system.n_dof > DENSE_DOF_LIMIT:
-        assert "_hessian_pattern" not in vars(system)   # one field above the limit: no pattern
-    else:
-        assert "_hessian_pattern" in vars(system)
+    # one field on a grid of cells needs no summation pattern
+    assert ("_hessian_pattern" in vars(system)) == (T is not None or one_cell)
 
 
 def test_hessian_pattern_is_found_once_per_system():
@@ -335,16 +382,8 @@ def test_hessian_pattern_is_found_once_per_system():
     first = system.hessian(0.01 * rng.standard_normal((2, 1)), np.array([[0.02]]))
     pattern = system._hessian_pattern
     second = system.hessian(0.01 * rng.standard_normal((3, 2, 1)), 0.02 * rng.standard_normal((3, 1, 1)))
-    assert system._hessian_pattern is pattern and second.shape == (3, 2, 2)
-    # every matrix views the pattern's index arrays, which nothing may write
-    assert np.shares_memory(first.indices, pattern[3]) and not first.indices.flags.writeable
-    assert np.shares_memory(first.indptr, pattern[4]) and not first.indptr.flags.writeable
-
-
-def test_dense_stack_above_the_limit_raises():
-    n = DENSE_DOF_LIMIT + 2
-    with pytest.raises(SolverError, match=f"DENSE_DOF_LIMIT = {DENSE_DOF_LIMIT}"):
-        GaugeFixedOperator(np.zeros((2, n, n)), 2, (n // 2,))
+    assert system._hessian_pattern is pattern
+    assert first.shape == (1, 2, 2) and second.shape == (3, 2, 2)
 
 
 def cell_callbacks(system, F):
