@@ -72,7 +72,10 @@ def main(argv: list[str] | None = None) -> int:
                         help="accepted for compatibility: rows run in one thread")
     args = parser.parse_args(argv)
 
+    out = args.out or f"{args.experiment}.csv"
     try:
+        if Path(out).is_dir() or not Path(out).parent.is_dir():
+            raise ConfigError(f"cannot write {out}: it is not a file name in an existing directory")
         cfg = parse_config_file(args.config) if args.config else {}
         if args.seed is not None:
             cfg["seed"] = str(args.seed)
@@ -81,7 +84,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    out = args.out or f"{args.experiment}.csv"
     write_csv(out, result)
     print(f"{args.experiment}: {len(result.rows)} rows -> {out}")
     for key, value in result.summary.items():

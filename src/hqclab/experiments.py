@@ -295,8 +295,12 @@ def run_dynamics_1d(cfg: dict) -> ExperimentResult:
         raise ConfigError(f"n_atoms must be at least {3 * model.m}: the slowest Bloch mode "
                           "needs a chain of at least 3 cells")
     _check_mesh_divides(p["h_list"], Fraction(1) / eps)
-    if float(p["t_final"]) <= 0 or p["amplitude"] <= 0:
-        raise ConfigError("t_final and amplitude must be positive")
+    if p["amplitude"] <= 0:
+        raise ConfigError("amplitude must be positive")
+    # a whole number of macro steps h/20 is one of reference steps too, which divide h
+    if not all(q > 0 and q.denominator == 1 for q in (20 * p["t_final"] / h for h in p["h_list"])):
+        raise ConfigError(f"t_final = {p['t_final']} must be a positive whole number of macro "
+                          "steps h/20 for every h")
     lat = chain_lattice(eps, model.m)
     masses = setup.mass_field(lat)
     problem = atomistic.EquilibriumProblem(lat, model, masses=masses)

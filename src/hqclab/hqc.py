@@ -29,7 +29,6 @@ from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .fem import (
     MacroMesh,
@@ -303,7 +302,8 @@ class HQCOperator:
             self._site_map = (owner, rel, torus.site_index(lat.site_cells(), lat.site_species()))
         return self._site_map
 
-    def hessian(self, uh: P1Field) -> sp.csr_matrix:
+    def hessian(self, uh: P1Field):
+        """The assembled P1 tangent, a CSR matrix."""
         return assemble(self.mesh, self.element_tangents(uh))
 
     def rhs(self, f: LatticeField) -> np.ndarray:

@@ -23,14 +23,15 @@ fields are zero-mean in the same way.  Each Newton step is one
 ``GaugeFixedOperator`` solve: batched dense LAPACK for the dense Hessian stacks
 (one-cell systems, stacked fields), FFT-preconditioned CG for every sparse
 system on a grid of cells, with the grid-averaged stencil as the preconditioner
-(the lattice analogue of Moulinec-Suquet FFT homogenization).
+(the lattice analogue of Moulinec-Suquet FFT homogenization).  A dense Hessian
+is one ``bincount`` of the bond terms in bond order; scipy serves only the
+sparse matrices (the incidence scatter, the Hessian on a grid) that PCG needs.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -145,42 +146,23 @@ class BondSystem:
         cols = self.d * np.hstack([self.src, self.dst, self.dst, self.src])[:, None, None] + j
         return rows.ravel(), cols.ravel()
 
-    @cached_property
-    def _hessian_pattern(self) -> tuple[np.ndarray, np.ndarray]:
-        """The order in which scipy's COO -> CSR conversion sums the Hessian
-        entries, and the dense position of each entry in that order.  The
-        conversion sorts by row (stably), then within each row by column alone;
-        neither sort reads the values, so converting the entry ids once gives
-        the order of every later call."""
-        rows, cols = self._entries()
-        n = self.n_dof
-        by_row = np.argsort(rows, kind="stable")
-        ids = sp.csr_matrix((by_row.astype(float), cols[by_row], _row_pointer(rows, n)), shape=(n, n))
-        ids.sort_indices()
-        order = ids.data.astype(np.intp)
-        return order, rows[order] * n + cols[order]
-
     def hessian(self, w: np.ndarray, F: np.ndarray | None = None):
         """Riesz Hessian.  A stack of fields, or one field on a one-cell torus
-        (a stack of one), gives a dense stack (T, n_dof, n_dof); one field on a
-        grid of cells gives a CSR matrix (n_dof x n_dof).  The dense entries sum
-        their terms in the order of scipy's COO -> CSR conversion, so a stack
-        entry equals the matrix of its own field bit for bit."""
+        (a stack of one), gives a dense stack (T, n_dof, n_dof) whose entries
+        sum their terms in bond order, so a stack entry equals the Hessian of
+        its own field as a stack of one bit for bit; one field on a grid of
+        cells gives a CSR matrix (n_dof x n_dof) through scipy's COO -> CSR
+        conversion."""
         k = self.bond_stiffness(w, F) / self.gap_scale**2
         vals = np.concatenate([k, k, -k, -k], axis=-3).reshape(k.shape[:-3] + (-1,))
         n = self.n_dof
         if k.ndim == 3 and np.prod(self.cells) > 1:
             return sp.coo_matrix((vals, self._entries()), shape=(n, n)).tocsr()
-        order, dense = self._hessian_pattern
-        vals = vals.reshape(-1, len(order))[:, order]
+        rows, cols = self._entries()
+        vals = vals.reshape(-1, len(rows))
         T = len(vals)
-        where = dense + n * n * np.arange(T)[:, None]
+        where = rows * n + cols + n * n * np.arange(T)[:, None]
         return np.bincount(where.ravel(), weights=vals.ravel(), minlength=T * n * n).reshape(T, n, n)
-
-
-def _row_pointer(rows: np.ndarray, n: int) -> np.ndarray:
-    """CSR ``indptr`` of n rows holding entries in the given ``rows``."""
-    return np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
 
 
 def incidence_matrix(n_sites: int, src: np.ndarray, dst: np.ndarray) -> sp.csr_matrix:
@@ -196,7 +178,8 @@ def incidence_matrix(n_sites: int, src: np.ndarray, dst: np.ndarray) -> sp.csr_m
     order = np.argsort(rows, kind="stable")
     cols = np.concatenate([np.arange(nb), np.arange(nb)])[order]
     data = np.concatenate([np.ones(nb), -np.ones(nb)])[order]
-    return sp.csr_matrix((data, cols, _row_pointer(rows, n_sites)), shape=(n_sites, nb))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n_sites))])
+    return sp.csr_matrix((data, cols, indptr), shape=(n_sites, nb))
 
 
 #: per model: its cell system (one-cell torus, gap_scale 1), shared by HQC

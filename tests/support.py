@@ -2,8 +2,9 @@
 and corrector gauges, element-wise P1 helpers, and small field and residual
 helpers.  They are thin wrappers over the package's stacked routines, kept
 here so that the package carries no API without a caller.  The per-spec bond
-compile that ``compile_system`` replaced and the COO Hessian build that the
-fixed-pattern ``BondSystem.hessian`` replaced stay here as their references."""
+compile that ``compile_system`` replaced, the COO Hessian build of every
+field, and a bond-order sum of the dense Hessian stay here as references of
+``BondSystem``."""
 
 from __future__ import annotations
 
@@ -224,7 +225,8 @@ def reference_compile(lattice: Multilattice, model, gap_scale: float,
 def reference_hessian(system: BondSystem, w: np.ndarray, F: np.ndarray | None = None):
     """The Hessian through scipy's COO -> CSR conversion: CSR for one field; a
     stack assembled block-diagonally and scattered into a dense (T, n_dof,
-    n_dof) array.  The oracle of ``BondSystem.hessian``."""
+    n_dof) array.  The oracle of the sparse ``BondSystem.hessian``, and of its
+    dense stacks to rounding."""
     k = system.bond_stiffness(w, F) / system.gap_scale**2
     n, T = system.n_dof, int(np.prod(k.shape[:-3]))
     i, j = np.indices((system.d, system.d))
@@ -240,3 +242,21 @@ def reference_hessian(system: BondSystem, w: np.ndarray, F: np.ndarray | None = 
     out = np.zeros((T * n, n))
     out[H.row, H.col % n] += H.data   # as todense adds them
     return out.reshape(T, n, n)
+
+
+def bond_order_hessian(system: BondSystem, w: np.ndarray, F: np.ndarray | None = None) -> np.ndarray:
+    """The dense Hessian stack (T, n_dof, n_dof) summed in bond order: for each
+    of the blocks (src, src), (dst, dst), (src, dst) and (dst, src) in turn,
+    ``np.add.at`` of every bond's d x d block, bond by bond, per stack entry.
+    The oracle of the dense ``BondSystem.hessian``."""
+    k = system.bond_stiffness(w, F) / system.gap_scale**2
+    k = k.reshape((-1,) + k.shape[-3:])
+    d, n = system.d, system.n_dof
+    i, j = np.indices((d, d))
+    out = np.zeros((len(k), n, n))
+    blocks = ((system.src, system.src, k), (system.dst, system.dst, k),
+              (system.src, system.dst, -k), (system.dst, system.src, -k))
+    for a, b, vals in blocks:
+        for t in range(len(k)):
+            np.add.at(out[t], (d * a[:, None, None] + i, d * b[:, None, None] + j), vals[t])
+    return out

@@ -235,6 +235,41 @@ def test_eigenmode_matches_dense_eigenspace(make_problem):
     assert np.max(np.abs(mode.values[:, 0] - expected)) < 1e-10
 
 
+def _scipy_eigenmode(prob, u_eq):
+    """The Rayleigh-Ritz step of ``slowest_eigenmode`` through scipy's
+    generalized symmetric eigensolver: the oracle of its numpy reduction."""
+    lat = prob.lattice
+    phase = 2 * np.pi * lat.site_positions()
+    onehot = lat.site_species()[:, None] == np.arange(lat.m)
+    V = np.hstack([onehot * np.cos(phase), onehot * np.sin(phase)])
+    B = V.T @ (prob.masses[:, None] * V)
+    vals, vecs = scipy.linalg.eigh(V.T @ (energy_hessian(prob, u_eq) @ V), B)
+    pair = vecs[:, :2]
+    v = V @ (pair @ (pair.T @ (B @ np.repeat([1.0, 0.0], lat.m))))
+    v /= np.sqrt(np.mean(v**2))
+    return v * np.sign(v[np.nonzero(np.abs(v) > 1e-12 * np.max(np.abs(v)))[0][0]]), vals[0]
+
+
+@pytest.mark.parametrize("n_atoms", [64, 1024])
+def test_eigenmode_matches_the_scipy_generalized_eigensolve(n_atoms):
+    setup = make_dynamics_model()
+    lat = chain_lattice(Fraction(setup.model.m, n_atoms), setup.model.m)
+    prob = EquilibriumProblem(lat, setup.model, masses=setup.mass_field(lat))
+    u_eq = solve_equilibrium(prob)
+    mode, lam = slowest_eigenmode(prob, u_eq)
+    expected, lam_ref = _scipy_eigenmode(prob, u_eq)
+    assert abs(lam - lam_ref) <= 1e-12 * lam_ref
+    assert np.max(np.abs(mode.values[:, 0] - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_eigenmode_refuses_a_mass_matrix_that_is_not_positive_definite():
+    prob = _lj_chain_problem()
+    u_eq = solve_equilibrium(prob)
+    prob.masses = -prob.masses   # past the constructor's check
+    with pytest.raises(SolverError, match="not positive definite"):
+        slowest_eigenmode(prob, u_eq)
+
+
 def test_eigenmode_rejects_forced_equilibrium():
     # a forced equilibrium is not cell-periodic, so its Hessian is not block-circulant
     lat = chain_lattice(Fraction(1, 8), 2)

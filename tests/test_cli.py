@@ -1,7 +1,11 @@
 """Command-line driver: config parsing, CSV output, determinism, exit codes."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import hqclab
 from hqclab import experiments
 from hqclab.cli import EXPERIMENTS, main, parse_config_file, write_csv
 from hqclab.experiments import ConfigError, read_config, run_converge_1d, run_equivalence
@@ -205,6 +209,10 @@ def test_bug_in_equivalence_row_propagates(monkeypatch):
     pytest.param("dynamics-1d", "n_atoms = 0\n", id="dynamics-zero-atoms"),
     pytest.param("dynamics-1d", "n_atoms = 2\nh_list = 1\n", id="dynamics-one-cell"),
     pytest.param("dynamics-1d", "n_atoms = 4\nh_list = 1/2\n", id="dynamics-two-cells"),
+    pytest.param("dynamics-1d", "n_atoms = 64\nh_list = 1/4,1/8\nt_final = 1/30\n",
+                 id="dynamics-t_final-between-macro-steps"),
+    pytest.param("dynamics-1d", "n_atoms = 64\nh_list = 1/4,1/8\nt_final = 1/1000\n",
+                 id="dynamics-t_final-below-one-macro-step"),
     pytest.param("stochastic-2d", "n = 0\n", id="stochastic-zero-n"),
     pytest.param("equivalence", "mesh_n = 0\n", id="equivalence-zero-mesh_n"),
     pytest.param("equivalence", "mesh_n = 3\n", id="equivalence-misaligned-mesh_n"),
@@ -222,6 +230,30 @@ def test_config_errors_exit_before_any_solve(tmp_path, monkeypatch, capsys, expe
     assert main([experiment, "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
     assert "config error:" in capsys.readouterr().err
     assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("out", ["missing/x.csv", "."], ids=["missing-directory", "a-directory"])
+def test_unwritable_output_path_exits_before_any_solve(tmp_path, monkeypatch, capsys, out):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the output path was checked")
+
+    monkeypatch.setattr(experiments.mqc, "equivalence_report", no_solve)
+    assert main(["equivalence", "--out", str(tmp_path / out)]) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_study_loads_no_dense_scipy(tmp_path):
+    # numpy is the one dense linear-algebra library; scipy serves sparse matrices only
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text("n_atoms = 8\nh_list = 1/2,1/4\nt_final = 1/20\n")
+    argv = ["dynamics-1d", "--config", str(cfg), "--out", str(tmp_path / "tiny.csv")]
+    code = (f"import sys\nfrom hqclab import cli\nassert cli.main({argv!r}) == 0\n"
+            "print('scipy.sparse' in sys.modules, 'scipy.linalg' in sys.modules)")
+    src = str(Path(hqclab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert run.stdout.splitlines()[-1] == "True False"   # scipy.sparse loaded, scipy.linalg not
 
 
 SCHEMAS = {

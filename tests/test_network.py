@@ -19,7 +19,7 @@ from hqclab.potential import (
     RandomBond2D,
     make_dynamics_model,
 )
-from support import constant_tensor_stiffness, reference_compile, reference_hessian
+from support import bond_order_hessian, constant_tensor_stiffness, reference_compile, reference_hessian
 
 
 def per_spec_laws(lattice, model, parent_cells=None):
@@ -316,7 +316,9 @@ def test_dense_stack_operator_equals_per_entry_sparse_operators(name, model, sca
 
 
 def test_dense_hessian_stack_sums_duplicates_like_the_sparse_matrix():
-    # a 2 x 2 torus bonds every site to its neighbors more than once
+    # a 2 x 2 torus bonds every site to its neighbors more than once: each stack
+    # entry is its own field's stack of one bit for bit, and the sparse matrix
+    # of that field to rounding
     system = compile_system(square_lattice(2), RandomBond2D(2, seed=18), 1.0)
     rng = np.random.default_rng(19)
     W = 0.1 * rng.standard_normal((3, system.n_sites, 2))
@@ -324,7 +326,9 @@ def test_dense_hessian_stack_sums_duplicates_like_the_sparse_matrix():
     stack = system.hessian(W, Fs)
     assert stack.shape == (3, system.n_dof, system.n_dof)
     for t in range(3):
-        assert np.array_equal(stack[t], system.hessian(W[t], Fs[t]).toarray())
+        assert np.array_equal(stack[t], system.hessian(W[t:t + 1], Fs[t:t + 1])[0])
+        sparse = system.hessian(W[t], Fs[t]).toarray()
+        assert np.max(np.abs(stack[t] - sparse)) <= 1e-14 * np.max(np.abs(sparse))
 
 
 def hessian_cases():
@@ -354,7 +358,8 @@ def hessian_cases():
 def test_hessian_equals_the_coo_reference_bitwise(build, T):
     # one field on a grid of cells is the COO -> CSR conversion itself (same
     # data, signed zeros included, indices and indptr); a stack, or one field
-    # on a one-cell torus, sums every entry in that conversion's order
+    # on a one-cell torus, sums every entry in bond order, which differs from
+    # that conversion's order only by rounding
     system = build()
     one_cell = np.prod(system.cells) == 1
     rng = np.random.default_rng(23)
@@ -363,27 +368,15 @@ def test_hessian_equals_the_coo_reference_bitwise(build, T):
     F = 0.02 * rng.standard_normal(lead + (system.d, system.d))
     for args in ((w, F), (w, None)):
         H, ref = system.hessian(*args), reference_hessian(system, *args)
-        if T is None and one_cell:
-            assert _bitwise_equal(H, ref.toarray()[None])
-        elif T is None:
+        if T is None and not one_cell:
             assert isinstance(H, sp.csr_matrix) and H.shape == ref.shape
             for name in ("data", "indices", "indptr"):
                 assert _bitwise_equal(getattr(H, name), getattr(ref, name)), name
-        else:
-            assert _bitwise_equal(H, ref)
-    # one field on a grid of cells needs no summation pattern
-    assert ("_hessian_pattern" in vars(system)) == (T is not None or one_cell)
-
-
-def test_hessian_pattern_is_found_once_per_system():
-    model = make_dynamics_model().model
-    system = compile_system(Multilattice(1, 1, model.shifts()), model, 1.0)
-    rng = np.random.default_rng(24)
-    first = system.hessian(0.01 * rng.standard_normal((2, 1)), np.array([[0.02]]))
-    pattern = system._hessian_pattern
-    second = system.hessian(0.01 * rng.standard_normal((3, 2, 1)), 0.02 * rng.standard_normal((3, 1, 1)))
-    assert system._hessian_pattern is pattern
-    assert first.shape == (1, 2, 2) and second.shape == (3, 2, 2)
+            continue
+        dense = ref.toarray()[None] if T is None else ref
+        assert _bitwise_equal(H, bond_order_hessian(system, *args))
+        assert H.shape == dense.shape
+        assert np.max(np.abs(H - dense)) <= 1e-14 * np.max(np.abs(dense))
 
 
 def cell_callbacks(system, F):
