@@ -83,6 +83,16 @@ def atomistic_total_energy(problem: EquilibriumProblem, state: DynamicState) -> 
     return kinetic + total_energy(problem, LatticeField(problem.lattice, state.u))
 
 
+def _whole_steps(t_final: float, tau: float) -> int:
+    """The number of steps tau that make up t_final; raises ValueError unless
+    t_final / tau is within 1e-9 relative of a positive integer."""
+    ratio = t_final / tau
+    n_steps = int(round(ratio))
+    if n_steps < 1 or abs(ratio - n_steps) > 1e-9 * n_steps:
+        raise ValueError(f"t_final = {t_final:g} is not a positive whole number of steps tau = {tau:g}")
+    return n_steps
+
+
 def run_atomistic_dynamics(
     problem: EquilibriumProblem,
     u0: LatticeField,
@@ -90,12 +100,21 @@ def run_atomistic_dynamics(
     tau: float,
     sample_every: int = 1,
 ) -> Trajectory:
-    """Verlet evolution from rest; samples every ``sample_every``-th step.
+    """Verlet evolution from rest; samples every ``sample_every``-th step and
+    the last one.
 
-    Raises if the total energy grows beyond a blow-up threshold (instability).
+    Blow-up guard (instability): every step checks that its new acceleration
+    is finite, and every recorded state checks its total energy, which must be
+    finite and within 1e3 * max(|E0|, 1) of the initial E0. Either failure
+    raises RuntimeError at the step where it happens, so no returned sample
+    escapes the energy check. The energy is evaluated at recorded states only.
+    Raises ValueError for ``sample_every < 1`` and unless t_final is a whole
+    number of steps tau.
     """
+    if sample_every < 1:
+        raise ValueError(f"sample_every must be at least 1, got {sample_every}")
+    n_steps = _whole_steps(t_final, tau)
     accel = atomistic_accel(problem)
-    n_steps = int(round(t_final / tau))
     state = DynamicState(u=u0.values.copy(), v=np.zeros_like(u0.values), t=0.0)
     e0 = atomistic_total_energy(problem, state)
     scale = max(abs(e0), 1.0)
@@ -105,14 +124,17 @@ def run_atomistic_dynamics(
     energies = [e0]
     for k in range(1, n_steps + 1):
         state = verlet_step(state, accel, tau)
+        if k % sample_every and k < n_steps:
+            if not np.isfinite(state.a).all():
+                raise RuntimeError(f"atomistic dynamics blew up at t = {state.t:.6g}")
+            continue
         e = atomistic_total_energy(problem, state)
         if not np.isfinite(e) or abs(e - e0) > 1e3 * scale:
             raise RuntimeError(f"atomistic dynamics blew up at t = {state.t:.6g}")
-        if k % sample_every == 0 or k == n_steps:
-            times.append(state.t)
-            disp.append(state.u.copy())
-            vel.append(state.v.copy())
-            energies.append(e)
+        times.append(state.t)
+        disp.append(state.u.copy())
+        vel.append(state.v.copy())
+        energies.append(e)
     return Trajectory(np.array(times), disp, vel, np.array(energies))
 
 
@@ -145,8 +167,10 @@ def run_hqc_dynamics(
 
     The initial macro displacement interpolates the atomistic initial state at
     the mesh vertices; initial velocity is zero.  Reconstructions are stored at
-    every macro step.
+    every macro step.  Raises ValueError unless t_final is a whole number of
+    steps tau.
     """
+    n_steps = _whole_steps(t_final, tau)
     op = HQCOperator(model, lattice, mesh)
     m0 = float(np.mean(species_masses))
     node_mass = lumped_node_masses(mesh, m0)
@@ -156,7 +180,6 @@ def run_hqc_dynamics(
         g = op.gradient(P1Field(mesh, u))
         return -g / node_mass[:, None]
 
-    n_steps = int(round(t_final / tau))
     state = DynamicState(u=u_init.values.copy(), v=np.zeros_like(u_init.values), t=0.0)
     times = [0.0]
     recon = [reconstruct(op, P1Field(mesh, state.u))]

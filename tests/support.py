@@ -4,7 +4,8 @@ helpers.  They are thin wrappers over the package's stacked routines, kept
 here so that the package carries no API without a caller.  The per-spec bond
 compile that ``compile_system`` replaced, the COO Hessian build of every
 field, and a bond-order sum of the dense Hessian stay here as references of
-``BondSystem``."""
+``BondSystem``; the Verlet loop that checks the energy at every step stays
+as the reference of ``run_atomistic_dynamics``."""
 
 from __future__ import annotations
 
@@ -15,6 +16,13 @@ import scipy.sparse as sp
 
 from hqclab import mqc
 from hqclab.atomistic import EquilibriumProblem
+from hqclab.dynamics import (
+    DynamicState,
+    Trajectory,
+    atomistic_accel,
+    atomistic_total_energy,
+    verlet_step,
+)
 from hqclab.fem import MacroMesh, P1Field, all_element_gradients, assemble
 from hqclab.lattice import ZERO_MEAN_TOL, LatticeError, LatticeField, Multilattice, average
 from hqclab.network import BondSystem, avg_norm
@@ -260,3 +268,31 @@ def bond_order_hessian(system: BondSystem, w: np.ndarray, F: np.ndarray | None =
         for t in range(len(k)):
             np.add.at(out[t], (d * a[:, None, None] + i, d * b[:, None, None] + j), vals[t])
     return out
+
+
+def every_step_energy_dynamics(problem: EquilibriumProblem, u0: LatticeField, t_final: float,
+                               tau: float, sample_every: int = 1) -> Trajectory:
+    """Verlet evolution from rest that evaluates the total energy and its
+    blow-up guard after every step and records every ``sample_every``-th step
+    and the last one. The oracle of ``run_atomistic_dynamics``, which
+    evaluates the energy at recorded states only."""
+    accel = atomistic_accel(problem)
+    n_steps = int(round(t_final / tau))
+    state = DynamicState(u=u0.values.copy(), v=np.zeros_like(u0.values), t=0.0)
+    e0 = atomistic_total_energy(problem, state)
+    scale = max(abs(e0), 1.0)
+    times = [0.0]
+    disp = [state.u.copy()]
+    vel = [state.v.copy()]
+    energies = [e0]
+    for k in range(1, n_steps + 1):
+        state = verlet_step(state, accel, tau)
+        e = atomistic_total_energy(problem, state)
+        if not np.isfinite(e) or abs(e - e0) > 1e3 * scale:
+            raise RuntimeError(f"atomistic dynamics blew up at t = {state.t:.6g}")
+        if k % sample_every == 0 or k == n_steps:
+            times.append(state.t)
+            disp.append(state.u.copy())
+            vel.append(state.v.copy())
+            energies.append(e)
+    return Trajectory(np.array(times), disp, vel, np.array(energies))

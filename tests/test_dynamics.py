@@ -20,7 +20,7 @@ from hqclab.dynamics import (
 from hqclab.fem import P1Field, build_mesh, p1_interpolate_lattice
 from hqclab.lattice import LatticeField, chain_lattice, discrete_derivative
 from hqclab.potential import LinearSpring1D, make_dynamics_model
-from support import constant_tensor_stiffness
+from support import constant_tensor_stiffness, every_step_energy_dynamics
 
 
 def dynamics_problem(n_atoms):
@@ -185,12 +185,70 @@ def test_harmonic_chain_matches_normal_mode():
     assert 3.0 <= errs[0] / errs[1] <= 5.0
 
 
-def test_blowup_detection():
+@pytest.mark.parametrize("sample_every", [1, 4, 32])
+def test_trajectory_equals_the_every_step_energy_reference(sample_every):
+    # the energy evaluated at recorded states only changes no recorded value;
+    # 70 steps end between samples for 4 and 32, so the last step is recorded too
     prob, _, lat = dynamics_problem(64)
     u0 = initial_condition(prob)
-    with pytest.raises(RuntimeError):
+    tau = lat.eps_float / 2 / 20
+    traj = run_atomistic_dynamics(prob, u0, 70 * tau, tau, sample_every=sample_every)
+    ref = every_step_energy_dynamics(prob, u0, 70 * tau, tau, sample_every=sample_every)
+    assert len(traj.times) == len(ref.times) == 70 // sample_every + 1 + (70 % sample_every > 0)
+    assert np.array_equal(traj.times, ref.times)
+    assert np.array_equal(traj.energies, ref.energies)
+    for field in ("displacements", "velocities"):
+        assert len(getattr(traj, field)) == len(ref.times)
+        for got, want in zip(getattr(traj, field), getattr(ref, field)):
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("sample_every", [1, 32])
+def test_blowup_detection(sample_every):
+    prob, _, lat = dynamics_problem(64)
+    u0 = initial_condition(prob)
+    with pytest.raises(RuntimeError, match="blew up"):
         # far beyond the stability limit
-        run_atomistic_dynamics(prob, u0, t_final=0.5, tau=lat.eps_float)
+        run_atomistic_dynamics(prob, u0, t_final=0.5, tau=lat.eps_float, sample_every=sample_every)
+
+
+def test_blowup_between_samples_stops_at_the_first_non_finite_step():
+    # the zigzag mode of a unit spring chain grows about (omega tau)^2 = 1024-fold
+    # per step at tau = 1 and overflows long before the first sample at t = 128
+    lat = chain_lattice(Fraction(1, 16), 1)
+    prob = EquilibriumProblem(lat, LinearSpring1D((1.0,)), masses=np.ones(lat.n_sites))
+    zigzag = 0.01 * (-1.0) ** np.arange(lat.n_sites)[:, None]
+    accel = atomistic_accel(prob)
+    with np.errstate(over="ignore", invalid="ignore"):
+        state = verlet_step(DynamicState(zigzag.copy(), np.zeros_like(zigzag), 0.0), accel, 1.0)
+        while np.isfinite(state.a).all():
+            state = verlet_step(state, accel, 1.0)
+        assert 1.0 < state.t < 128.0
+        with pytest.raises(RuntimeError, match=f"blew up at t = {state.t:.6g}$"):
+            run_atomistic_dynamics(prob, LatticeField(lat, zigzag), t_final=256.0, tau=1.0,
+                                   sample_every=128)
+
+
+@pytest.mark.parametrize("sample_every", [0, -1])
+def test_sample_every_must_be_positive(sample_every):
+    prob, _, lat = dynamics_problem(64)
+    with pytest.raises(ValueError, match="sample_every"):
+        run_atomistic_dynamics(prob, LatticeField(lat, np.zeros((lat.n_sites, 1))),
+                               t_final=1e-3, tau=1e-4, sample_every=sample_every)
+
+
+@pytest.mark.parametrize("t_final", [0.00105, 0.5e-4, 0.0, -1e-3],
+                         ids=["between-steps", "below-one-step", "zero", "negative"])
+@pytest.mark.parametrize("runner", ["atomistic", "hqc"])
+def test_t_final_must_be_a_whole_number_of_steps(runner, t_final):
+    prob, setup, lat = dynamics_problem(64)
+    u0 = LatticeField(lat, np.zeros((lat.n_sites, 1)))
+    with pytest.raises(ValueError, match="whole number of steps"):
+        if runner == "atomistic":
+            run_atomistic_dynamics(prob, u0, t_final=t_final, tau=1e-4)
+        else:
+            run_hqc_dynamics(setup.model, lat, build_mesh(1, 4), setup.species_masses, u0,
+                             t_final=t_final, tau=1e-4)
 
 
 def test_hqc_dynamics_simple_lattice_is_lumped_fem():
@@ -219,9 +277,9 @@ def test_hqc_dynamics_runs_and_reconstructs():
     u0 = initial_condition(prob)
     mesh = build_mesh(1, 4)
     traj = run_hqc_dynamics(setup.model, lat, mesh, setup.species_masses, u0,
-                            t_final=1 / 160, tau=(1 / 4) / 20)
+                            t_final=1 / 40, tau=(1 / 4) / 20)
     assert isinstance(traj, MacroTrajectory)
-    assert len(traj.times) == len(traj.reconstructions)
+    assert len(traj.times) == len(traj.reconstructions) == 3
     assert traj.reconstructions[0].values.shape == (lat.n_sites, 1)
 
 
