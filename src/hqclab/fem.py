@@ -184,9 +184,16 @@ def nodal_forces(mesh: MacroMesh, stresses: np.ndarray) -> np.ndarray:
     return out
 
 
-def assemble(mesh: MacroMesh, tangents: np.ndarray) -> sp.csr_matrix:
+def assemble(mesh: MacroMesh, tangents: np.ndarray, stencil: bool = False):
     """P1 stiffness of per-element tangents A_T[i,j,k,l], shape (n_elements, d, d, d, d):
-    K[(a,i),(b,k)] = sum_T |T| A_T[i,j,k,l] d_j phi_a d_l phi_b."""
+    K[(a,i),(b,k)] = sum_T |T| A_T[i,j,k,l] d_j phi_a d_l phi_b, a CSR matrix.
+
+    With ``stencil=True`` the result is a pair (K, S), where S ((n,)*d + (d, d))
+    is the grid average of K: block [delta] couples a vertex to the vertex
+    delta further on.  Elements come cell by cell, one per orientation, and
+    each local vertex pair of an orientation sits at a fixed vertex offset, so
+    S sums the local stiffnesses per orientation and pair.
+    """
     gb = mesh.grad_basis()
     local = np.einsum("tlj,tijkm,tpm->tlipk", gb, tangents, gb, optimize=True)
     local *= mesh.volumes[:, None, None, None, None]
@@ -194,5 +201,14 @@ def assemble(mesh: MacroMesh, tangents: np.ndarray) -> sp.csr_matrix:
     rows = np.broadcast_to(dofs[:, :, :, None, None], local.shape)
     cols = np.broadcast_to(dofs[:, None, None, :, :], local.shape)
     n_dof = mesh.n_vertices * mesh.d
-    K = sp.coo_matrix((local.ravel(), (rows.ravel(), cols.ravel())), shape=(n_dof, n_dof))
-    return K.tocsr()
+    K = sp.coo_matrix((local.ravel(), (rows.ravel(), cols.ravel())), shape=(n_dof, n_dof)).tocsr()
+    if not stencil:
+        return K
+    d, n = mesh.d, mesh.n
+    n_orient = mesh.n_elements // mesh.n_vertices
+    per_pair = local.reshape((mesh.n_vertices, n_orient) + local.shape[1:]).sum(axis=0) / mesh.n_vertices
+    corners = np.rint(mesh.el_coords[:n_orient] * n).astype(int)    # the elements of cell 0, unwrapped
+    S = np.zeros((n,) * d + (d, d))
+    for o, a, b in np.ndindex(n_orient, d + 1, d + 1):
+        S[tuple((corners[o, b] - corners[o, a]) % n)] += per_pair[o, a, :, b]
+    return K, S

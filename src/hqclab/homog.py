@@ -20,22 +20,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fem import MacroMesh, P1Field, all_element_gradients, assemble, nodal_forces
+from .fem import MacroMesh, P1Field, all_element_gradients, nodal_forces
 from .hqc import MICRO_TOL, condensed_tangent, macro_newton, micro_sensitivity, micro_solve
-from .lattice import Multilattice
+from .lattice import unit_cell
 from .network import BondSystem, compile_system, newton_zero_mean
 from .potential import InteractionModel
-
-
-def unit_cell(model: InteractionModel) -> Multilattice:
-    """One lattice period in fast-variable coordinates (eps = 1, m sites)."""
-    return Multilattice(model.d, 1, model.shifts())
 
 
 def cell_system(model: InteractionModel) -> BondSystem:
     """The model's cell system, compiled once per model and shared with HQC
     period sampling (``compile_system`` keeps it)."""
-    return compile_system(unit_cell(model), model, gap_scale=1.0)
+    return compile_system(unit_cell(model.d, model.shifts()), model, gap_scale=1.0)
 
 
 def solve_cell_problem(model: InteractionModel, F, system: BondSystem | None = None) -> np.ndarray:
@@ -117,7 +112,7 @@ def solve_homogenized_fem(
     def gradient(uh):
         return nodal_forces(mesh, density.dphi0(all_element_gradients(uh)))
 
-    def hessian(uh):
-        return assemble(mesh, density.d2phi0(all_element_gradients(uh)))
+    def tangents(uh):
+        return density.d2phi0(all_element_gradients(uh))
 
-    return macro_newton(mesh, energy, gradient, hessian, load, tol)[0]
+    return macro_newton(mesh, energy, gradient, tangents, load, tol)[0]

@@ -42,7 +42,7 @@ from .fem import (
     nodal_forces,
     p1_zero_mean,
 )
-from .lattice import LatticeField, Multilattice
+from .lattice import LatticeField, Multilattice, unit_cell
 from .network import (
     BondSystem,
     GaugeFixedOperator,
@@ -109,7 +109,7 @@ def place_sampling_domains(
     reps = nearest_bravais_cells(mesh, lattice.eps, N)
     rep_cells = [tuple(r) for r in reps.tolist()]
     if n_rep is None:
-        torus = Multilattice(d, 1, lattice.shifts)
+        torus = unit_cell(d, lattice.shifts)
         sites = lattice.site_index(reps[:, None, :], np.arange(m))
         cells = sites[:, :1] // m
         return [SamplingDomain(t, rep, torus, cells[t], sites[t]) for t, rep in enumerate(rep_cells)]
@@ -152,9 +152,9 @@ def micro_sensitivity(system: BondSystem, chi: np.ndarray, F: np.ndarray | None)
     d), with a leading axis T for a stack chi (T, n_sites, d), F (T, d, d).
     """
     d = system.d
-    op = GaugeFixedOperator(system.hessian(chi, F), d, system.cells)
     rhs = -system.affine_force(chi, F, np.eye(d * d).reshape(d * d, d, d))
-    return op.solve(rhs).reshape(chi.shape[:-2] + (d, d) + chi.shape[-2:])
+    H, stencil = system.hessian(chi, F, stencil=True)
+    return GaugeFixedOperator(H, d, stencil).solve(rhs).reshape(chi.shape[:-2] + (d, d) + chi.shape[-2:])
 
 
 def condensed_tangent(system: BondSystem, chi: np.ndarray, F: np.ndarray | None,
@@ -173,13 +173,14 @@ def condensed_tangent(system: BondSystem, chi: np.ndarray, F: np.ndarray | None,
     return np.einsum("...ijbx,...bxy,...klby->...ijkl", gaps, k, gaps) / system.n_sites
 
 
-def macro_newton(mesh: MacroMesh, energy, gradient, hessian, load: np.ndarray | None,
+def macro_newton(mesh: MacroMesh, energy, gradient, tangents, load: np.ndarray | None,
                  tol: float) -> tuple[P1Field, NewtonResult]:
     """Outer Newton from u^h = 0 for the critical point of energy(u^h) - load . u^h
     over zero-mean P1 fields; returns the zero-mean macro field and the result.
 
-    ``energy``, ``gradient`` and ``hessian`` map a P1Field to the macro energy,
-    its nodal residual (n_vertices, d) and its sparse Hessian.  The macro
+    ``energy``, ``gradient`` and ``tangents`` map a P1Field to the macro
+    energy, its nodal residual (n_vertices, d) and its element tangents, which
+    ``assemble`` turns into the sparse Hessian and its stencil.  The macro
     equation lives on zero-mean test functions, so the constant component of
     the residual minus the load is dropped (the load's sampling averages need
     not vanish domain by domain).  Converges once the Euclidean norm of that
@@ -190,8 +191,8 @@ def macro_newton(mesh: MacroMesh, energy, gradient, hessian, load: np.ndarray | 
     threshold = tol * (1.0 + float(np.linalg.norm(b))) / np.sqrt(mesh.n_vertices)
     result = newton(lambda u, _: [energy(P1Field(mesh, u[0])) - float(np.sum(b * u[0]))],
                     lambda u, _: project_zero_mean_array(gradient(P1Field(mesh, u[0])) - b)[None],
-                    lambda u, _: hessian(P1Field(mesh, u[0])),
-                    np.zeros_like(b)[None], (mesh.n,) * mesh.d, threshold)
+                    lambda u, _: assemble(mesh, tangents(P1Field(mesh, u[0])), stencil=True),
+                    np.zeros_like(b)[None], threshold)
     return p1_zero_mean(P1Field(mesh, result.w[0])), result
 
 
@@ -336,7 +337,7 @@ class HQCOperator:
 
     def solve(self, load: np.ndarray | None = None, tol: float = 1e-10) -> "HQCSolution":
         """``macro_newton`` on the HQC energy."""
-        macro, result = macro_newton(self.mesh, self.energy, self.gradient, self.hessian, load, tol)
+        macro, result = macro_newton(self.mesh, self.energy, self.gradient, self.element_tangents, load, tol)
         return HQCSolution(macro=macro, operator=self, residual=result.residual,
                            iterations=result.iterations)
 

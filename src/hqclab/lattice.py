@@ -138,6 +138,21 @@ class Multilattice:
         raise LatticeError(f"offset {r} from species {species} does not land on a lattice site")
 
 
+#: one-cell lattices by (d, species shifts): see ``unit_cell``
+_UNIT_CELLS: dict = {}
+
+
+def unit_cell(d: int, shifts: Sequence) -> Multilattice:
+    """One lattice period (eps = 1) with the species ``shifts``, built once per
+    (d, shifts) and shared: the cell system of homogenization and the period
+    tori of HQC sampling stand on the same lattice.  Lattices are not changed
+    once built."""
+    key = (d, tuple(_as_fraction_vector(p, d) for p in shifts))
+    if key not in _UNIT_CELLS:
+        _UNIT_CELLS[key] = Multilattice(d, 1, key[1])
+    return _UNIT_CELLS[key]
+
+
 @dataclass
 class LatticeField:
     """Periodic vector-valued function on the sites of a multilattice."""

@@ -24,8 +24,10 @@ fields are zero-mean in the same way.  Each Newton step is one
 (one-cell systems, stacked fields), FFT-preconditioned CG for every sparse
 system on a grid of cells, with the grid-averaged stencil as the preconditioner
 (the lattice analogue of Moulinec-Suquet FFT homogenization).  A dense Hessian
-is one ``bincount`` of the bond terms in bond order; scipy serves only the
-sparse matrices (the incidence scatter, the Hessian on a grid) that PCG needs.
+is one ``bincount`` of the bond terms in bond order; a Hessian on a grid is
+filled from the incidence rows and its stencil class by class, with no COO
+matrix.  scipy serves only the sparse matrices (the incidence scatter, the
+Hessian on a grid) that PCG needs.
 """
 
 from __future__ import annotations
@@ -60,7 +62,11 @@ class BondSystem:
     ``stress`` also take a stack of fields w (T, n_sites, d) with gradients
     F (T, d, d) and return one result per stack entry.  ``cells`` is the
     periodic grid of Bravais cells; sites are numbered by
-    ``Multilattice.site_index`` (C order over ``cells``, species-minor).
+    ``Multilattice.site_index`` (C order over ``cells``, species-minor).  The
+    bonds come class by class, ``n_cells`` per class in cell order, and the
+    bonds of a class share their source species, target species and cell
+    offset (the layout of ``compile_system``); the Hessian on a grid and its
+    stencil rely on it.
     """
 
     def __init__(
@@ -136,33 +142,97 @@ class BondSystem:
         gr = self.rvec @ np.swapaxes(np.atleast_2d(G), -1, -2)
         if k.ndim > 3:
             k = np.expand_dims(k, tuple(range(1, gr.ndim - 1)))
-        return self._scatter(np.einsum("...bij,...bj->...bi", k, gr))
+        # written bond-major, the layout _scatter multiplies, so it needs no copy
+        lead = np.broadcast_shapes(k.shape[:-3], gr.shape[:-2])
+        per_bond = np.empty((len(self.rvec),) + lead + (self.d,))
+        np.einsum("...bij,...bj->...bi", k, gr, out=np.moveaxis(per_bond, 0, -2))
+        del k, gr   # freed before the scatter allocates its result
+        return self._scatter(np.moveaxis(per_bond, 0, -2))
 
-    def _entries(self) -> tuple[np.ndarray, np.ndarray]:
-        """Row and column of every Hessian entry: the d x d blocks of the bonds
-        at (src, src), (dst, dst), (src, dst) and (dst, src)."""
-        i, j = np.indices((self.d, self.d))
-        rows = self.d * np.hstack([self.src, self.dst, self.src, self.dst])[:, None, None] + i
-        cols = self.d * np.hstack([self.src, self.dst, self.dst, self.src])[:, None, None] + j
-        return rows.ravel(), cols.ravel()
-
-    def hessian(self, w: np.ndarray, F: np.ndarray | None = None):
+    def hessian(self, w: np.ndarray, F: np.ndarray | None = None, stencil: bool = False):
         """Riesz Hessian.  A stack of fields, or one field on a one-cell torus
         (a stack of one), gives a dense stack (T, n_dof, n_dof) whose entries
         sum their terms in bond order, so a stack entry equals the Hessian of
-        its own field as a stack of one bit for bit; one field on a grid of
-        cells gives a CSR matrix (n_dof x n_dof) through scipy's COO -> CSR
-        conversion."""
-        k = self.bond_stiffness(w, F) / self.gap_scale**2
-        vals = np.concatenate([k, k, -k, -k], axis=-3).reshape(k.shape[:-3] + (-1,))
-        n = self.n_dof
+        its own field as a stack of one bit for bit.  One field on a grid of
+        cells gives a CSR matrix (n_dof x n_dof) filled from the incidence
+        rows: a site's row block is its diagonal block, its incident bonds'
+        stiffnesses summed in incidence order, then one -k block per incident
+        bond at the bond's other end (bonds reaching one site share a block).
+        ``stencil=True`` returns (H, S), S the grid-averaged stencil of a CSR
+        H and None for a dense stack."""
+        k = self.bond_stiffness(w, F)
+        k /= self.gap_scale**2
         if k.ndim == 3 and np.prod(self.cells) > 1:
-            return sp.coo_matrix((vals, self._entries()), shape=(n, n)).tocsr()
-        rows, cols = self._entries()
-        vals = vals.reshape(-1, len(rows))
+            H = self._grid_hessian(k)
+            return (H, self._stencil(k)) if stencil else H
+        d, n = self.d, self.n_dof
+        i, j = np.indices((d, d))
+        rows = (d * np.hstack([self.src, self.dst, self.src, self.dst])[:, None, None] + i).ravel()
+        cols = (d * np.hstack([self.src, self.dst, self.dst, self.src])[:, None, None] + j).ravel()
+        vals = np.concatenate([k, k, -k, -k], axis=-3).reshape(-1, len(rows))
         T = len(vals)
         where = rows * n + cols + n * n * np.arange(T)[:, None]
-        return np.bincount(where.ravel(), weights=vals.ravel(), minlength=T * n * n).reshape(T, n, n)
+        H = np.bincount(where.ravel(), weights=vals.ravel(), minlength=T * n * n).reshape(T, n, n)
+        return (H, None) if stencil else H
+
+    def _grid_hessian(self, k: np.ndarray) -> sp.csr_matrix:
+        """CSR Hessian of one field on a grid from the per-bond stiffnesses k
+        (n_bonds, d, d).  Every cell's rows list the same bond classes in the
+        same order, so the blocks of a species' rows are laid out once, from
+        cell 0, and each incident bond is filled for all cells at once."""
+        d, n_cells = self.d, int(np.prod(self.cells))
+        m = self.n_sites // n_cells
+        D = self.incidence
+        bonds = D.indices.reshape(n_cells, -1)      # per cell: the bonds of its m rows in turn
+        layouts = []                                # per species: block of each incident bond, blocks per row
+        for alpha in range(m):
+            incident = D.indices[D.indptr[alpha]:D.indptr[alpha + 1]]
+            ends = [alpha] + list(self.src[incident] + self.dst[incident] - alpha)
+            blocks = list(dict.fromkeys(ends))
+            layouts.append(([blocks.index(e) for e in ends[1:]], len(blocks)))
+        widths = np.array([q for _, q in layouts])
+        nnz = n_cells * d * d * int(widths.sum())
+        itype = np.int32 if max(nnz, self.n_dof) < 2**31 else np.int64
+        indptr = np.zeros(self.n_dof + 1, dtype=itype)
+        np.cumsum(np.tile(np.repeat(d * widths, d), n_cells), out=indptr[1:])
+        data = np.zeros((n_cells, nnz // n_cells))
+        indices = np.empty((n_cells, nnz // n_cells), dtype=itype)
+        start = entry = 0
+        for alpha, (slots, q) in enumerate(layouts):
+            span = slice(d * d * start, d * d * (start + q))
+            # views [cell, row component, block, column component] of the rows of this species
+            block = data[:, span].reshape(n_cells, d, q, d)
+            column = indices[:, span].reshape(n_cells, d, q, d)
+            row = np.arange(n_cells) * m + alpha
+            column[:, :, 0] = (d * row)[:, None, None] + np.arange(d)
+            for slot in slots:
+                b = bonds[:, entry]
+                kb = k[b]
+                block[:, :, 0] += kb
+                block[:, :, slot] -= kb
+                column[:, :, slot] = (d * (self.src[b] + self.dst[b] - row))[:, None, None] + np.arange(d)
+                entry += 1
+            start += q
+        return sp.csr_matrix((data.ravel(), indices.ravel(), indptr), shape=(self.n_dof, self.n_dof))
+
+    def _stencil(self, k: np.ndarray) -> np.ndarray:
+        """Grid average of the Hessian from the per-bond stiffnesses k, shape
+        cells + (b, b) with b = n_dof / n_cells: block [delta] couples a cell
+        to the cell delta further on.  Each bond class adds its summed
+        stiffness to the four blocks of its species pair and cell offset."""
+        d, n_cells = self.d, int(np.prod(self.cells))
+        m = self.n_sites // n_cells
+        k_class = k.reshape(-1, n_cells, d, d).sum(axis=1) / n_cells
+        # the bond of each class from cell 0: its source site is its species
+        alpha, (ahead, beta) = self.src[::n_cells], np.divmod(self.dst[::n_cells], m)
+        back = cell_index([-x for x in np.unravel_index(ahead, self.cells)], self.cells)
+        S = np.zeros((n_cells, m, d, m, d))
+        for kc, a, b, fwd, bwd in zip(k_class, alpha, beta, ahead, back):
+            S[0, a, :, a] += kc
+            S[0, b, :, b] += kc
+            S[fwd, a, :, b] -= kc
+            S[bwd, b, :, a] -= kc
+        return S.reshape(self.cells + (m * d, m * d))
 
 
 def incidence_matrix(n_sites: int, src: np.ndarray, dst: np.ndarray) -> sp.csr_matrix:
@@ -238,37 +308,23 @@ def project_zero_mean_array(w: np.ndarray) -> np.ndarray:
     return w - w.mean(axis=-2, keepdims=True)
 
 
-def _circulant_inverse(H: sp.spmatrix, cells: tuple[int, ...], d: int) -> np.ndarray:
-    """Inverse symbol of the grid average of H, one block per rfft wavevector.
+def _circulant_inverse(S: np.ndarray, d: int) -> np.ndarray:
+    """Inverse symbol of a grid-averaged stencil, one block per rfft wavevector.
 
-    H acts on fields numbered cell-major over the periodic grid ``cells`` with
-    b = n_dof / n_cells DOF per cell.  Its b x b blocks are averaged per
-    periodic cell offset into the stencil S (exactly H when H is
-    block-circulant), whose symbol S^(k) = sum_delta S[delta] e^{2 pi i k.delta/N}
-    is inverted block by block.  At k = 0 the d translations are projected out,
-    so the inverse maps onto zero-mean fields.  Returns shape
-    ``(b, b) + rfft grid``.
+    S (cells + (b, b)) averages a Hessian's b x b blocks per periodic cell
+    offset (exactly H when H is block-circulant), as ``BondSystem.hessian``
+    and ``fem.assemble`` give it: block [delta] couples a cell to the cell
+    delta further on.  Its symbol S^(k) = sum_delta S[delta] e^{2 pi i k.delta/N}
+    is inverted block by block.  At k = 0 the d translations are projected out, so the
+    inverse maps onto zero-mean fields.  Returns shape ``(b, b) + rfft grid``.
     """
-    n_dof = H.shape[0]
-    n_cells = int(np.prod(cells))
-    if n_dof % n_cells or (n_dof // n_cells) % d:
-        raise SolverError(f"grid {tuple(cells)} does not fit {n_dof} DOF in blocks of {d}")
-    b = n_dof // n_cells
-    coo = H.tocoo()
-    ci, ai = np.divmod(coo.row, b)
-    cj, aj = np.divmod(coo.col, b)
-    grid = np.indices(cells, dtype=ci.dtype).reshape(len(cells), -1)
-    coords = np.empty_like(grid)        # coordinates of each flat cell, as cell_index numbers them
-    coords[:, cell_index(grid, cells)] = grid
-    # flat periodic offset of cell cj from cell ci
-    delta = cell_index((np.take(x, cj) - np.take(x, ci) for x in coords), cells)
-    S = np.bincount((delta * b + ai) * b + aj, weights=coo.data, minlength=n_cells * b * b)
-    axes = tuple(range(len(cells)))
+    b = S.shape[-1]
+    axes = tuple(range(S.ndim - 2))
     # S is real, so its symbol is the conjugate of its forward transform
-    sym = np.conj(np.fft.rfftn(S.reshape(tuple(cells) + (b, b)) / n_cells, axes=axes))
+    sym = np.conj(np.fft.rfftn(S, axes=axes))
     trans = np.tile(np.eye(d), (b // d, 1)) / np.sqrt(b // d)   # orthonormal translations
     kernel = trans @ trans.T
-    zero = (0,) * len(cells)
+    zero = (0,) * len(axes)
     sym[zero] += max(np.abs(sym[zero]).max(), 1.0) * kernel
     try:
         inv = np.linalg.inv(sym)
@@ -287,13 +343,14 @@ class GaugeFixedOperator:
     batched LAPACK: a rank-d regularization on the constant modes, one inverse
     per entry, one refinement step.  A sparse H (a system on a grid of cells,
     or a macro stiffness) goes, at any size, through CG preconditioned by the
-    inverse of its average over the periodic grid ``cells`` (exact for
-    block-circulant H, so on one cell it is the whole matrix).  Either way the
-    solution is the zero-mean field, and a failure raises SolverError naming
-    its cause.
+    inverse of its grid-averaged ``stencil`` (cells + (b, b), from
+    ``BondSystem.hessian`` or ``fem.assemble``; exact for block-circulant H, so
+    on one cell it is the whole matrix); a dense stack takes None.  Either way
+    the solution is the zero-mean field, and a failure raises SolverError
+    naming its cause.
     """
 
-    def __init__(self, H, d: int, cells: tuple[int, ...]) -> None:
+    def __init__(self, H, d: int, stencil: np.ndarray | None) -> None:
         self.d = d
         self.n_dof = H.shape[-1]
         self.n_sites = self.n_dof // d
@@ -308,9 +365,13 @@ class GaugeFixedOperator:
         else:
             self._dense = None
             self._H = H.tocsr()
-            self.cells = tuple(cells)
-            self._inv = _circulant_inverse(self._H, self.cells, d)
-            self._h_inf = float(abs(self._H).sum(axis=1).max())
+            self.cells = stencil.shape[:-2]
+            b = stencil.shape[-1]
+            if int(np.prod(self.cells)) * b != self.n_dof or b % d:
+                raise SolverError(f"grid {self.cells} does not fit {self.n_dof} DOF in blocks of {d}")
+            self._inv = _circulant_inverse(stencil, d)
+            # row sums in row order, as H's own product with ones sums them
+            self._h_inf = float(np.add.reduceat(np.abs(self._H.data), self._H.indptr[:-1]).max())
 
     def _dense_solve(self, B: np.ndarray) -> np.ndarray:
         """Dense solve of right-hand sides B (T, k, n_dof) with one refinement step, which
@@ -388,16 +449,16 @@ class NewtonResult:
     iterations: int     # Newton steps summed over the stack entries
 
 
-def newton(energy, gradient, hessian, w0: np.ndarray, cells: tuple[int, ...],
-           threshold, max_iter: int = 50) -> NewtonResult:
+def newton(energy, gradient, hessian, w0: np.ndarray, threshold, max_iter: int = 50) -> NewtonResult:
     """Zero-mean Newton iteration: the one nonlinear solver of the package.
 
-    ``w0`` is a stack (T, n, d) of independent problems on the grid ``cells``.
-    ``energy``, ``gradient`` and ``hessian`` map the fields w (k, n, d) of the
-    entries ``rows`` to their objectives, Riesz gradients and Hessians.  Entry
-    t leaves once avg_norm(gradient) <= ``threshold`` (a float or one per
-    entry); its step is halved until its objective does not rise, and a trial
-    that raises PotentialError is a rise of the entries whose bonds collapsed.
+    ``w0`` is a stack (T, n, d) of independent problems.  ``energy``,
+    ``gradient`` and ``hessian`` map the fields w (k, n, d) of the entries
+    ``rows`` to their objectives, Riesz gradients and (Hessian, stencil) pairs
+    as ``GaugeFixedOperator`` takes them.  Entry t leaves once
+    avg_norm(gradient) <= ``threshold`` (a float or one per entry); its step
+    is halved until its objective does not rise, and a trial that raises
+    PotentialError is a rise of the entries whose bonds collapsed.
     """
     w = project_zero_mean_array(np.array(w0, dtype=float))
     T, d = len(w), w.shape[-1]
@@ -413,7 +474,8 @@ def newton(energy, gradient, hessian, w0: np.ndarray, cells: tuple[int, ...],
         if it == max_iter:
             break
         wa = w[active]
-        step = GaugeFixedOperator(hessian(wa, active), d, cells).solve(-g)
+        H, stencil = hessian(wa, active)
+        step = GaugeFixedOperator(H, d, stencil).solve(-g)
         base = np.asarray(energy(wa, active), dtype=float)
         bound = base + 1e-14 * (1 + np.abs(base))
         lam, pending, size = np.ones(len(active)), np.arange(len(active)), 1.0
@@ -463,8 +525,10 @@ def newton_zero_mean(
         return g if f_ext is None else g - f_ext
 
     def hessian(w, rows):   # one field on a grid: the sparse Hessian, which PCG solves
-        return system.hessian(w[0], at(rows[0])) if len(rows) == 1 else system.hessian(w, at(rows))
+        if len(rows) == 1:
+            return system.hessian(w[0], at(rows[0]), stencil=True)
+        return system.hessian(w, at(rows), stencil=True)
 
     result = newton(energy, gradient, hessian, np.zeros(shape) if w0 is None else np.reshape(w0, shape),
-                    system.cells, tol * (1.0 + np.asarray(ref)))
+                    tol * (1.0 + np.asarray(ref)))
     return result if stacked else NewtonResult(result.w[0], result.residual, result.iterations)

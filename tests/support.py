@@ -3,8 +3,9 @@ and corrector gauges, element-wise P1 helpers, and small field and residual
 helpers.  They are thin wrappers over the package's stacked routines, kept
 here so that the package carries no API without a caller.  The per-spec bond
 compile that ``compile_system`` replaced, the COO Hessian build of every
-field, and a bond-order sum of the dense Hessian stay here as references of
-``BondSystem``; the Verlet loop that checks the energy at every step stays
+field, a bond-order sum of the dense Hessian, and the grid average of a
+matrix's blocks stay here as references of ``BondSystem`` and of the stencils
+of ``BondSystem.hessian`` and ``fem.assemble``; the Verlet loop that checks the energy at every step stays
 as the reference of ``run_atomistic_dynamics``."""
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from hqclab.dynamics import (
     verlet_step,
 )
 from hqclab.fem import MacroMesh, P1Field, all_element_gradients, assemble
-from hqclab.lattice import ZERO_MEAN_TOL, LatticeError, LatticeField, Multilattice, average
+from hqclab.lattice import ZERO_MEAN_TOL, LatticeError, LatticeField, Multilattice, average, cell_index
 from hqclab.network import BondSystem, avg_norm
 from hqclab.potential import PotentialError
 
@@ -250,6 +251,24 @@ def reference_hessian(system: BondSystem, w: np.ndarray, F: np.ndarray | None = 
     out = np.zeros((T * n, n))
     out[H.row, H.col % n] += H.data   # as todense adds them
     return out.reshape(T, n, n)
+
+
+def grid_average(H, cells: tuple[int, ...]) -> np.ndarray:
+    """Grid-averaged stencil of a matrix H (dense or sparse) on fields numbered
+    cell-major over the periodic grid ``cells``: its b x b blocks summed per
+    periodic cell offset (column cell minus row cell) through a COO copy, then
+    divided by the number of cells.  Shape cells + (b, b)."""
+    coo = sp.coo_matrix(H)
+    n_cells = int(np.prod(cells))
+    b = coo.shape[0] // n_cells
+    ci, ai = np.divmod(coo.row, b)
+    cj, aj = np.divmod(coo.col, b)
+    grid = np.indices(cells).reshape(len(cells), -1)
+    coords = np.empty_like(grid)        # coordinates of each flat cell, as cell_index numbers them
+    coords[:, cell_index(grid, cells)] = grid
+    delta = cell_index((np.take(x, cj) - np.take(x, ci) for x in coords), cells)
+    S = np.bincount((delta * b + ai) * b + aj, weights=coo.data, minlength=n_cells * b * b)
+    return S.reshape(tuple(cells) + (b, b)) / n_cells
 
 
 def bond_order_hessian(system: BondSystem, w: np.ndarray, F: np.ndarray | None = None) -> np.ndarray:

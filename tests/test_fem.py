@@ -23,7 +23,7 @@ from hqclab.fem import (
     sample_on_lattice,
 )
 from hqclab.lattice import LatticeField, chain_lattice, square_lattice
-from support import affine_extension, element_gradient
+from support import affine_extension, element_gradient, grid_average
 
 
 def test_1d_mesh_counts():
@@ -218,6 +218,21 @@ def test_assemble_matches_element_loop(d, n):
     K = assemble(mesh, tangents).toarray()
     oracle = assemble_oracle(mesh, tangents)
     assert np.max(np.abs(K - oracle)) <= 1e-14 * np.max(np.abs(oracle))
+
+
+@pytest.mark.parametrize("d,n", [(1, 2), (1, 5), (2, 2), (2, 3), (2, 4)])
+def test_p1_stencil_is_the_grid_average_of_the_stiffness(d, n):
+    # the stencil summed per orientation and local vertex pair against the
+    # element loop's matrix averaged block by block over the vertex grid,
+    # including grids so small that an element's vertices wrap onto each other
+    mesh = build_mesh(d, n)
+    rng = np.random.default_rng(13 + d + n)
+    tangents = rng.standard_normal((mesh.n_elements, d, d, d, d))
+    K, S = assemble(mesh, tangents, stencil=True)
+    assert np.array_equal(K.toarray(), assemble(mesh, tangents).toarray())
+    ref = grid_average(assemble_oracle(mesh, tangents), (n,) * d)
+    assert S.shape == ref.shape == (n,) * d + (d, d)
+    assert np.max(np.abs(S - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("d,n", [(1, 5), (2, 3)])

@@ -24,7 +24,7 @@ from hqclab.hqc import (
     reconstruct,
     solve_hqc,
 )
-from hqclab.lattice import LatticeField, chain_lattice, square_lattice
+from hqclab.lattice import LatticeField, chain_lattice, square_lattice, unit_cell
 from hqclab.network import avg_norm
 from hqclab.potential import (
     BondSpec,
@@ -141,6 +141,17 @@ def test_sampling_placement_uses_the_oracle_and_shares_subgrid_indices():
     for dom in crystal:
         assert dom.parent_cells.tolist() == [dom.rep_cell[0]]
         assert dom.parent_sites.tolist() == [3 * dom.rep_cell[0] + a for a in range(3)]
+
+
+def test_period_tori_and_the_cell_system_share_one_unit_cell():
+    # every crystal domain and homogenization's cell system stand on the one
+    # shared lattice period of the model's shifts
+    model = make_dynamics_model().model
+    domains = place_sampling_domains(build_mesh(1, 4), chain_lattice(Fraction(1, 16), 2))
+    cell = unit_cell(1, model.shifts())
+    assert (cell.n_cells, cell.shifts) == (1, chain_lattice(Fraction(1, 16), 2).shifts)
+    assert all(dom.torus is cell for dom in domains)
+    assert unit_cell(1, [(0.0,), (0.5,)]) is cell
 
 
 def test_sampling_requires_h_at_least_eps():

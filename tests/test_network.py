@@ -1,6 +1,7 @@
 """The stacked bond kernel (one law per system, incidence scatter, stacked
 fields) and the FFT-preconditioned CG behind the gauge-fixed solves."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,18 +9,21 @@ import pytest
 import scipy.sparse as sp
 
 from hqclab import network
-from hqclab.fem import MacroMesh, build_mesh
+from hqclab.fem import MacroMesh, assemble, build_mesh
 from hqclab.lattice import Multilattice, chain_lattice, square_lattice
 from hqclab.network import GaugeFixedOperator, SolverError, compile_system
 from hqclab.potential import (
+    BondSpec,
+    InteractionModel,
     LennardJones1D,
     LennardJonesParams,
     LinearSpring1D,
     PotentialError,
     RandomBond2D,
+    SpringLaw,
     make_dynamics_model,
 )
-from support import bond_order_hessian, constant_tensor_stiffness, reference_compile, reference_hessian
+from support import bond_order_hessian, grid_average, reference_compile, reference_hessian
 
 
 def per_spec_laws(lattice, model, parent_cells=None):
@@ -100,6 +104,8 @@ def test_stacked_fields_equal_single_evaluations(name, lattice, model, gap_scale
     for fn in ("bond_forces", "gradient", "stress"):
         batched = getattr(system, fn)(W, Fs)
         assert np.array_equal(batched, np.stack([getattr(system, fn)(*a) for a in single])), fn
+    G = np.eye(d * d).reshape(d * d, d, d)   # every unit direction at every entry
+    assert np.array_equal(system.affine_force(W, Fs, G), np.stack([system.affine_force(*a, G) for a in single]))
 
 
 def _bitwise_equal(a, b) -> bool:
@@ -177,7 +183,7 @@ def network_hessian(log_decades=None):
         model.psi = 10.0 ** rng.uniform(0.0, log_decades, size=model.psi.shape)
     system = compile_system(square_lattice(n), model, gap_scale=1 / n)
     assert system.cells == (n, n)
-    return system, system.hessian(np.zeros((system.n_sites, 2)))
+    return (system,) + system.hessian(np.zeros((system.n_sites, 2)), stencil=True)
 
 
 def zero_mean_stack(k, n_sites, d, seed):
@@ -188,9 +194,9 @@ def zero_mean_stack(k, n_sites, d, seed):
 @pytest.mark.parametrize("log_decades, tol", [(None, 1e-10), (3.0, 1e-9)],
                          ids=["uniform-bonds", "log-uniform-3-decades"])
 def test_pcg_matches_dense_least_squares(log_decades, tol):
-    system, H = network_hessian(log_decades)
+    system, H, stencil = network_hessian(log_decades)
     rhs = zero_mean_stack(4, system.n_sites, 2, seed=13)
-    x = GaugeFixedOperator(H, 2, system.cells).solve(rhs)
+    x = GaugeFixedOperator(H, 2, stencil).solve(rhs)
     # minimum-norm solution = the zero-mean one, since the kernel is the translations
     ref = np.linalg.lstsq(H.toarray(), rhs.reshape(4, -1).T, rcond=None)[0].T.reshape(rhs.shape)
     assert np.abs(ref.mean(axis=1)).max() <= 1e-12 * np.abs(ref).max()
@@ -202,21 +208,21 @@ def test_pcg_matches_dense_least_squares(log_decades, tol):
 def chain_spring_hessian():
     lat = chain_lattice(Fraction(1, 384), 2)
     system = compile_system(lat, LinearSpring1D((1.0, 3.0)), gap_scale=lat.eps_float)
-    return system.hessian(np.zeros((lat.n_sites, 1))), 1, system.cells
+    return system.hessian(np.zeros((lat.n_sites, 1)), stencil=True) + (1,)
 
 
 def p1_constant_tensor_stiffness():
     mesh = MacroMesh(2, 32)
     M = np.random.default_rng(14).standard_normal((4, 4))
     A = (M @ M.T / 4 + np.eye(4)).reshape(2, 2, 2, 2)   # positive on every gradient
-    return constant_tensor_stiffness(mesh, A), 2, (32, 32)
+    return assemble(mesh, np.broadcast_to(A, (mesh.n_elements, 2, 2, 2, 2)), stencil=True) + (2,)
 
 
 @pytest.mark.parametrize("build", [chain_spring_hessian, p1_constant_tensor_stiffness],
                          ids=["two-species-chain", "p1-constant-tensor"])
 def test_preconditioner_inverts_block_circulant_operators_exactly(build):
-    H, d, cells = build()
-    op = GaugeFixedOperator(H, d, cells)
+    H, stencil, d = build()
+    op = GaugeFixedOperator(H, d, stencil)
     assert op._dense is None   # a sparse H takes the PCG path
     x = zero_mean_stack(2, H.shape[0] // d, d, seed=15).reshape(2, -1)
     back = op._precondition(np.asarray((H @ x.T).T))
@@ -234,7 +240,7 @@ def subgrid_sensitivity():
     system = compile_system(sub.torus, RandomBond2D(32, seed=1), 1.0, parent_cells=sub.parent_cells)
     zero = np.zeros((system.n_sites, 2))
     rhs = -system.affine_force(zero, None, np.eye(4).reshape(4, 2, 2))
-    return system.hessian(zero), rhs, 2, system.cells
+    return system.hessian(zero, stencil=True) + (rhs, 2)
 
 
 def macro_stiffness(d, n):
@@ -251,15 +257,15 @@ def macro_stiffness(d, n):
         op = HQCOperator(make_dynamics_model().model, chain_lattice(Fraction(1, 16), 2), mesh)
         uh = 0.01 * np.random.default_rng(31).standard_normal((n, 1))
     rhs = zero_mean_stack(3, mesh.n_vertices, d, seed=32)
-    return op.hessian(P1Field(mesh, uh)), rhs, d, (n,) * d
+    return assemble(mesh, op.element_tangents(P1Field(mesh, uh)), stencil=True) + (rhs, d)
 
 
 @pytest.mark.parametrize("build", [subgrid_sensitivity, lambda: macro_stiffness(2, 8),
                                    lambda: macro_stiffness(2, 16), lambda: macro_stiffness(1, 4)],
                          ids=["subgrid-sensitivity-128", "macro-2d-128", "macro-2d-512", "macro-1d-4"])
 def test_small_grids_solve_by_pcg_to_dense_least_squares(build):
-    H, rhs, d, cells = build()
-    op = GaugeFixedOperator(H, d, cells)
+    H, stencil, rhs, d = build()
+    op = GaugeFixedOperator(H, d, stencil)
     assert op._dense is None
     x = op.solve(rhs)
     k = len(rhs)
@@ -269,16 +275,16 @@ def test_small_grids_solve_by_pcg_to_dense_least_squares(build):
 
 
 def test_pcg_failures_name_their_cause(monkeypatch):
-    system, H = network_hessian(3.0)
+    system, H, stencil = network_hessian(3.0)
     rhs = zero_mean_stack(1, system.n_sites, 2, seed=16)[0]
     with pytest.raises(SolverError, match=r"grid \(31, 31\) does not fit"):
-        GaugeFixedOperator(H, 2, (31, 31))
+        GaugeFixedOperator(H, 2, np.zeros((31, 31, 2, 2)))
     with pytest.raises(SolverError, match=r"non-positive curvature .* iteration 0 "
                                           r"\(relative residual 1\.000e\+00\)"):
-        GaugeFixedOperator(-H, 2, system.cells).solve(rhs)
+        GaugeFixedOperator(-H, 2, -stencil).solve(rhs)
     monkeypatch.setattr(network, "PCG_MAX_ITER", 3)
     with pytest.raises(SolverError, match=r"relative residual \d\.\d{3}e[-+]\d+ after 3 iterations"):
-        GaugeFixedOperator(H, 2, system.cells).solve(rhs)
+        GaugeFixedOperator(H, 2, stencil).solve(rhs)
 
 
 # ------------------------------------------------- stacked Newton and solves
@@ -303,14 +309,14 @@ def test_dense_stack_operator_equals_per_entry_sparse_operators(name, model, sca
     W = 0.01 * rng.standard_normal((T, n, 1))
     Fs = scale * rng.standard_normal((T, 1, 1))
     stack = system.hessian(W, Fs)
-    op = GaugeFixedOperator(stack, 1, system.cells)
+    op = GaugeFixedOperator(stack, 1, None)
     one_rhs = rng.standard_normal((T, n, 1))
     many_rhs = rng.standard_normal((T, 3, n, 1))
     x_one, x_many = op.solve(one_rhs), op.solve(many_rhs)
     for t in range(T):
         H = system.hessian(W[t], Fs[t])
         assert H.shape == (1, n, n) and np.array_equal(stack[t], H[0])
-        single = GaugeFixedOperator(H, 1, system.cells)
+        single = GaugeFixedOperator(H, 1, None)
         assert np.array_equal(x_one[t], single.solve(one_rhs[t]))
         assert np.array_equal(x_many[t], single.solve(many_rhs[t]))
 
@@ -329,6 +335,10 @@ def test_dense_hessian_stack_sums_duplicates_like_the_sparse_matrix():
         assert np.array_equal(stack[t], system.hessian(W[t:t + 1], Fs[t:t + 1])[0])
         sparse = system.hessian(W[t], Fs[t]).toarray()
         assert np.max(np.abs(stack[t] - sparse)) <= 1e-14 * np.max(np.abs(sparse))
+
+
+#: the cases of hessian_cases on a grid of cells, whose one field has a CSR Hessian
+GRID_CASES = ("network-subgrid-128", "chain-602")
 
 
 def hessian_cases():
@@ -353,37 +363,108 @@ def hessian_cases():
     ]
 
 
-@pytest.mark.parametrize("T", [None, 1, 3], ids=["field", "stack-1", "stack-3"])
-@pytest.mark.parametrize("build", hessian_cases())
+def dense_hessian_cases():
+    """Every case of hessian_cases at every stack size whose Hessian is a dense
+    stack: a stack of fields, or one field on a one-cell torus."""
+    return [pytest.param(case.values[0], T, id=f"{case.id}-{name}") for case in hessian_cases()
+            for T, name in ((None, "field"), (1, "stack-1"), (3, "stack-3"))
+            if T is not None or case.id not in GRID_CASES]
+
+
+@pytest.mark.parametrize("build, T", dense_hessian_cases())
 def test_hessian_equals_the_coo_reference_bitwise(build, T):
-    # one field on a grid of cells is the COO -> CSR conversion itself (same
-    # data, signed zeros included, indices and indptr); a stack, or one field
-    # on a one-cell torus, sums every entry in bond order, which differs from
-    # that conversion's order only by rounding
+    # a stack, or one field on a one-cell torus, sums every entry in bond
+    # order, which differs from the COO -> CSR conversion's order only by rounding
     system = build()
-    one_cell = np.prod(system.cells) == 1
     rng = np.random.default_rng(23)
     lead = () if T is None else (T,)
     w = 0.01 * rng.standard_normal(lead + (system.n_sites, system.d))
     F = 0.02 * rng.standard_normal(lead + (system.d, system.d))
     for args in ((w, F), (w, None)):
         H, ref = system.hessian(*args), reference_hessian(system, *args)
-        if T is None and not one_cell:
-            assert isinstance(H, sp.csr_matrix) and H.shape == ref.shape
-            for name in ("data", "indices", "indptr"):
-                assert _bitwise_equal(getattr(H, name), getattr(ref, name)), name
-            continue
         dense = ref.toarray()[None] if T is None else ref
         assert _bitwise_equal(H, bond_order_hessian(system, *args))
         assert H.shape == dense.shape
         assert np.max(np.abs(H - dense)) <= 1e-14 * np.max(np.abs(dense))
 
 
+class _UnevenChain(InteractionModel):
+    """Test-local two-species spring chain whose species have different
+    degrees: species 0 bonds to the species-1 site half a cell on and to the
+    next species-0 site, species 1 only to the next species-0 site."""
+
+    d, m = 1, 2
+
+    def __init__(self):
+        lat = chain_lattice(1, 2)
+        self._specs = [[BondSpec(lat.resolve_offset(0, Fraction(1, 2)), SpringLaw(np.array(1.0))),
+                        BondSpec(lat.resolve_offset(0, Fraction(1)), SpringLaw(np.array(0.5)))],
+                       [BondSpec(lat.resolve_offset(1, Fraction(1, 2)), SpringLaw(np.array(2.0)))]]
+
+    def shifts(self):
+        return [(Fraction(0),), (Fraction(1, 2),)]
+
+    def bond_specs(self, alpha, cell=0):
+        return self._specs[alpha]
+
+
+def grid_hessian_cases():
+    """(system builder, whether bonds reach one site twice) of one field on a grid of cells."""
+    grid = [pytest.param(case.values[0], False, id=case.id) for case in hessian_cases() if case.id in GRID_CASES]
+    return grid + [
+        pytest.param(lambda: compile_system(chain_lattice(Fraction(1, 3), 2), make_dynamics_model().model, 1 / 3),
+                     True, id="lj-chain-3"),
+        pytest.param(lambda: compile_system(chain_lattice(Fraction(1, 5), 2), _UnevenChain(), 1 / 5),
+                     False, id="uneven-degrees"),
+    ]
+
+
+@pytest.mark.parametrize("build, coincident", grid_hessian_cases())
+def test_grid_hessian_matches_the_coo_reference(build, coincident):
+    # one field on a grid of cells: the CSR filled from the incidence rows holds
+    # the COO -> CSR reference's entries to rounding, each (row, col) once, and
+    # its stencil is the reference's grid average.  On the 3-cell LJ chain the
+    # bond range wraps, so bonds of one site reach the same neighbor
+    system = build()
+    rng = np.random.default_rng(23)
+    w = 0.01 * rng.standard_normal((system.n_sites, system.d))
+    F = 0.02 * rng.standard_normal((system.d, system.d))
+    blocks = system.n_sites + system.incidence.nnz       # one per site and incident bond
+    assert (system.d**2 * blocks > reference_hessian(system, w).nnz) == coincident
+    for args in ((w, F), (w, None)):
+        (H, stencil), ref = system.hessian(*args, stencil=True), reference_hessian(system, *args)
+        assert isinstance(H, sp.csr_matrix) and H.shape == ref.shape and H.nnz == ref.nnz
+        assert np.array_equal(H.data, system.hessian(*args).data)
+        rows = np.repeat(np.arange(H.shape[0]), np.diff(H.indptr))
+        assert len(np.unique(rows * H.shape[1] + H.indices)) == H.nnz    # no duplicate (row, col)
+        assert np.max(np.abs(H.toarray() - ref.toarray())) <= 1e-14 * np.max(np.abs(ref.data))
+        average = grid_average(ref, system.cells)
+        assert stencil.shape == average.shape
+        assert np.max(np.abs(stencil - average)) <= 1e-14 * np.max(np.abs(average))
+
+
+def test_grid_hessian_and_solver_set_up_stay_near_the_matrix_size():
+    # the n = 128 random network of the stochastic study: the Hessian and the
+    # operator's set-up allocate little beyond the CSR matrix they keep
+    n = 128
+    system = compile_system(square_lattice(n), RandomBond2D(n, seed=1), gap_scale=1 / n)
+    zero = np.zeros((system.n_sites, 2))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        H, stencil = system.hessian(zero, stencil=True)
+        GaugeFixedOperator(H, 2, stencil)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * (H.data.nbytes + H.indices.nbytes + H.indptr.nbytes)
+
+
 def cell_callbacks(system, F):
     """``newton`` callbacks of the cell problems at the gradient stack F."""
     return (lambda w, rows: system.energy(w, F[rows]),
             lambda w, rows: system.gradient(w, F[rows]),
-            lambda w, rows: system.hessian(w, F[rows]))
+            lambda w, rows: system.hessian(w, F[rows], stencil=True))
 
 
 def test_collapsing_step_is_halved_for_its_entry_only(monkeypatch):
@@ -399,7 +480,7 @@ def test_collapsing_step_is_halved_for_its_entry_only(monkeypatch):
     shifts = np.array([-0.062, 0.1, 0.03])
     w0 = np.stack([-shifts / 2, shifts / 2], axis=1)[:, :, None]
     energy, gradient, hessian = cell_callbacks(system, F)
-    step = GaugeFixedOperator(system.hessian(w0[0], F[0]), 1, system.cells).solve(-gradient(w0[:1], [0])[0])
+    step = GaugeFixedOperator(system.hessian(w0[0], F[0]), 1, None).solve(-gradient(w0[:1], [0])[0])
     with pytest.raises(PotentialError):
         system.energy(w0[0] + step, F[0])
 
@@ -412,12 +493,11 @@ def test_collapsing_step_is_halved_for_its_entry_only(monkeypatch):
 
     monkeypatch.setattr(network, "energies_or_inf", counted)
     threshold = 1e-12 * (1 + np.abs(F[:, 0, 0]))
-    stacked = network.newton(energy, gradient, hessian, w0, system.cells, threshold)
+    stacked = network.newton(energy, gradient, hessian, w0, threshold)
     assert trials[:2] == [3, 1]   # only entry 0 is tried again, with half the step
     monkeypatch.undo()
     for t in range(3):
-        single = network.newton(*cell_callbacks(system, F[t:t + 1]), w0[t:t + 1], system.cells,
-                                threshold[t])
+        single = network.newton(*cell_callbacks(system, F[t:t + 1]), w0[t:t + 1], threshold[t])
         assert np.array_equal(stacked.w[t], single.w[0])
 
 
@@ -433,8 +513,7 @@ def test_unconverged_entry_fails_the_whole_stack():
     w0[1] += [[-0.01], [0.01]]
     threshold = MICRO_TOL * (1 + np.abs(F[:, 0, 0]))
     with pytest.raises(SolverError, match=r"residual \d\.\d{3}e[-+]\d+ on 1 of 4 entries after 2 iterations"):
-        network.newton(*cell_callbacks(system, F), w0, system.cells, threshold, max_iter=2)
+        network.newton(*cell_callbacks(system, F), w0, threshold, max_iter=2)
     rest = [0, 2, 3]
-    result = network.newton(*cell_callbacks(system, F[rest]), w0[rest], system.cells, threshold[rest],
-                            max_iter=2)
+    result = network.newton(*cell_callbacks(system, F[rest]), w0[rest], threshold[rest], max_iter=2)
     assert np.array_equal(result.w, w0[rest]) and result.iterations == 0
