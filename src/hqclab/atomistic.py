@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -19,7 +20,6 @@ class EquilibriumProblem:
     model: InteractionModel
     force: LatticeField | None = None
     masses: np.ndarray | None = None  # per-site masses, used by dynamics; None means unit
-    _system: BondSystem = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.force is not None:
@@ -31,11 +31,9 @@ class EquilibriumProblem:
         if self.masses.shape != (n,) or np.any(self.masses <= 0):
             raise ValueError("masses must be positive, one per site")
 
-    @property
+    @cached_property
     def system(self) -> BondSystem:
-        if self._system is None:
-            self._system = compile_system(self.lattice, self.model, gap_scale=self.lattice.eps_float)
-        return self._system
+        return compile_system(self.lattice, self.model, gap_scale=self.lattice.eps_float)
 
 
 def total_energy(problem: EquilibriumProblem, u: LatticeField) -> float:

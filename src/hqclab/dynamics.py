@@ -17,7 +17,7 @@ import numpy as np
 from .atomistic import EquilibriumProblem, slowest_eigenmode, solve_equilibrium, total_energy
 from .fem import MacroMesh, P1Field, p1_interpolate_lattice
 from .hqc import HQCOperator, reconstruct
-from .lattice import LatticeField, Multilattice, discrete_derivative, nearest_neighbor_offsets
+from .lattice import LatticeField, Multilattice, discrete_derivative, discrete_norms, nearest_neighbor_offsets
 
 
 @dataclass
@@ -200,8 +200,6 @@ def trajectory_error(
     Returns (max-over-time L2 error, trapezoid-in-time H1 error); a single
     common sample reduces to the static (L2, H1) pair.
     """
-    from .lattice import discrete_norms
-
     if len(reference) != len(approx) or len(reference) != len(times):
         raise ValueError("trajectories must share their sample times")
     l2s, h1s = [], []

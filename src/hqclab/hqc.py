@@ -9,11 +9,14 @@ variables), so the physical corrector is eps * chi and the bond gaps are
     D_r R_T(u^h) = F r + chi[neighbor] - chi[site],   F = grad u^h|_T.
 
 The element energy density, its stress, and the condensed tangent then feed a
-standard P1 assembly.  The route follows the bond law of the compiled micro
-system: a quadratic law shortcuts through one effective tensor computed from
-unit-gradient correctors (cached per model, so every mesh on one lattice
-shares it) and contracts it over all elements at once.  Any other law solves
-the microproblems of all elements as one stack, each from zero
+standard P1 assembly.  A model's micro system for one sampling (one period,
+or n_rep on a lattice of N cells per dimension) is compiled once and kept with
+its effective tensors in one memo per model, keyed on the lattice: every
+operator on that model and sampling shares them, whatever its mesh and relax
+value.  The route follows the bond law of the compiled micro system: a
+quadratic law shortcuts through one effective tensor computed from
+unit-gradient correctors and contracts it over all elements at once.  Any
+other law solves the microproblems of all elements as one stack, each from zero
 (``micro_solve``, one stacked ``network.newton``), and ``micro_sensitivity``
 and ``condensed_tangent`` take the same stack.  No micro state is kept between
 evaluations, so the macro energy is a function of u^h alone.  The stacked
@@ -26,6 +29,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -66,8 +70,6 @@ class HQCError(SolverError):
 class SamplingDomain(NamedTuple):
     """Sampling domain of one macro element: a small periodic site torus."""
 
-    element: int
-    rep_cell: tuple[int, ...]       # Bravais cell of the representative site
     torus: Multilattice
     parent_cells: np.ndarray        # flat parent cell per torus cell
     parent_sites: np.ndarray        # flat parent site per torus site
@@ -96,8 +98,8 @@ def place_sampling_domains(
 
     ``n_rep`` selects subgrid sampling of n_rep^d Bravais cells for simple
     lattices (random networks); the default is one lattice period (crystals).
-    Subgrid domains do not depend on the element, so they all share one pair
-    of index arrays; with n_rep equal to the cells per dimension the subgrid
+    Subgrid domains do not depend on the element, so every element gets the
+    one shared domain; with n_rep equal to the cells per dimension the subgrid
     is the whole lattice in site order.
     """
     check_alignment(mesh, lattice)
@@ -106,13 +108,11 @@ def place_sampling_domains(
     d = lattice.d
     N = lattice.cells_per_dim
     m = lattice.m
-    reps = nearest_bravais_cells(mesh, lattice.eps, N)
-    rep_cells = [tuple(r) for r in reps.tolist()]
     if n_rep is None:
         torus = unit_cell(d, lattice.shifts)
-        sites = lattice.site_index(reps[:, None, :], np.arange(m))
-        cells = sites[:, :1] // m
-        return [SamplingDomain(t, rep, torus, cells[t], sites[t]) for t, rep in enumerate(rep_cells)]
+        reps = nearest_bravais_cells(mesh, lattice.eps, N)
+        sites = lattice.site_index(reps[:, None, :], np.arange(m))  # (T, m)
+        return [SamplingDomain(torus, row[:1] // m, row) for row in sites]
     if m != 1:
         raise HQCError("subgrid sampling domains require a simple lattice (m = 1)")
     if not 1 <= n_rep <= N:
@@ -122,7 +122,7 @@ def place_sampling_domains(
     # at an n_rep-dependent level
     torus = Multilattice(d, Fraction(1, int(n_rep)), lattice.shifts)
     parent_cells = lattice.site_index(torus.cell_multi)  # m = 1: one site per cell
-    return [SamplingDomain(t, rep, torus, parent_cells, parent_cells) for t, rep in enumerate(rep_cells)]
+    return [SamplingDomain(torus, parent_cells, parent_cells)] * mesh.n_elements
 
 
 def _require_cell_independent(model: InteractionModel, cells: np.ndarray) -> None:
@@ -196,20 +196,21 @@ def macro_newton(mesh: MacroMesh, energy, gradient, tangents, load: np.ndarray |
     return p1_zero_mean(P1Field(mesh, result.w[0])), result
 
 
-#: per model: (cells_per_dim, n_rep, relax) -> (sens, A) of a quadratic system;
-#: operators on one model and lattice share a single sensitivity solve.
+#: per model: (shifts, cells_per_dim, n_rep) -> (micro system, {relax: (sens, A)}):
+#: the sampling's compiled system and, for a quadratic law, its effective tensors.
 #: Models are treated as immutable once an operator has been built on them.
-_EFFECTIVE_TENSORS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+_SAMPLINGS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 class HQCOperator:
     """Macro energy, gradient, Hessian, and load assembly for the HQC method.
 
     ``relax=False`` freezes the correctors at zero (pure Cauchy-Born closure).
-    All sampling domains of a placement share one micro ``system``: subgrid
-    domains share their cells, and period sampling takes the model's cell
-    system (compiled at cell 0, the one ``homog`` uses) and is refused for a
-    model whose bond laws vary by cell.  A quadratic bond law takes the tensor
+    All sampling domains of a placement share one micro ``system``, and so do
+    all operators on one model and sampling (``_SAMPLINGS``): subgrid domains
+    share their cells, and period sampling takes the model's cell system
+    (compiled at cell 0, the one ``homog`` uses) and is refused for a model
+    whose bond laws vary by cell.  A quadratic bond law takes the tensor
     route; otherwise the correctors of all elements are evaluated as one
     stack, each from the zero guess.  The operator keeps no micro state, so
     ``energy``, ``gradient`` and ``correctors`` depend on their arguments alone.
@@ -231,24 +232,25 @@ class HQCOperator:
         self.domains = place_sampling_domains(mesh, lattice, n_rep)
         if n_rep is None:
             _require_cell_independent(model, np.concatenate([dom.parent_cells for dom in self.domains]))
-        first = self.domains[0]
-        self.system = compile_system(first.torus, model, gap_scale=1.0,
-                                     parent_cells=None if n_rep is None else first.parent_cells)
-        self._site_map: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        samplings = _SAMPLINGS.setdefault(model, {})
+        key = (lattice.shifts, lattice.cells_per_dim, n_rep)  # mismatched shifts miss and are refused
+        if key not in samplings:
+            first = self.domains[0]
+            samplings[key] = (compile_system(first.torus, model, gap_scale=1.0,
+                                             parent_cells=None if n_rep is None else first.parent_cells), {})
+        self.system, self._tensors = samplings[key]
 
     # ------------------------------------------------------------- micro layer
 
     def _quad_data(self) -> tuple[np.ndarray | None, np.ndarray]:
         """Unit-gradient sensitivities and the effective tensor of a quadratic
         system (Cauchy-Born tensor when correctors are frozen)."""
-        key = (self.lattice.cells_per_dim, self.n_rep, self.relax)
-        cache = _EFFECTIVE_TENSORS.setdefault(self.model, {})
-        if key not in cache:
+        if self.relax not in self._tensors:
             system = self.system
             zero = np.zeros((system.n_sites, system.d))
             sens = micro_sensitivity(system, zero, None) if self.relax else None
-            cache[key] = (sens, condensed_tangent(system, zero, None, sens))
-        return cache[key]
+            self._tensors[self.relax] = (sens, condensed_tangent(system, zero, None, sens))
+        return self._tensors[self.relax]
 
     def correctors(self, grads: np.ndarray) -> np.ndarray:
         """Zero-mean correctors of all elements at gradients (n_el, d, d), shape
@@ -291,17 +293,15 @@ class HQCOperator:
         sens = micro_sensitivity(self.system, chi, grads) if self.relax else None
         return condensed_tangent(self.system, chi, grads, sens)
 
+    @cached_property
     def site_map(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per lattice site: owner element, offset from the owner's first
-        vertex, and site of the owner's sampling torus (computed once)."""
-        if self._site_map is None:
-            lat, mesh = self.lattice, self.mesh
-            pos = lat.site_positions()
-            owner = owner_elements(mesh, pos)
-            rel = np.mod(pos - mesh.el_coords[owner, 0], 1.0)
-            torus = self.domains[0].torus
-            self._site_map = (owner, rel, torus.site_index(lat.site_cells(), lat.site_species()))
-        return self._site_map
+        vertex, and site of the owner's sampling torus."""
+        lat, mesh = self.lattice, self.mesh
+        pos = lat.site_positions()
+        owner = owner_elements(mesh, pos)
+        rel = np.mod(pos - mesh.el_coords[owner, 0], 1.0)
+        return owner, rel, self.domains[0].torus.site_index(lat.site_cells(), lat.site_species())
 
     def hessian(self, uh: P1Field):
         """The assembled P1 tangent, a CSR matrix."""
@@ -399,7 +399,7 @@ def reconstruct(op: HQCOperator, uh: P1Field) -> LatticeField:
     """Lattice-resolution field u^{h,c} of the macro field ``uh``: at every site,
     the affine part of its owner element plus the periodic tiling of that
     element's corrector."""
-    owner, rel, torus_site = op.site_map()
+    owner, rel, torus_site = op.site_map
     grads = all_element_gradients(uh)
     chi = op.correctors(grads)
     u0 = uh.values[op.mesh.elements[owner, 0]]

@@ -250,7 +250,7 @@ def test_homog_binds_no_hqc_operator():
     # HQC operator and its quadratic effective-tensor shortcut
     from hqclab import homog, hqc
 
-    for name in ("HQCOperator", "_EFFECTIVE_TENSORS"):
+    for name in ("HQCOperator", "_SAMPLINGS"):
         assert not hasattr(homog, name)
-    assert not any(value is hqc.HQCOperator or value is hqc._EFFECTIVE_TENSORS
+    assert not any(value is hqc.HQCOperator or value is hqc._SAMPLINGS
                    for value in vars(homog).values())

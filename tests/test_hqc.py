@@ -74,12 +74,11 @@ def test_sampling_placement_barycenter_snap():
     mesh = build_mesh(1, 4)
     lat = chain_lattice(Fraction(1, 16), 2)
     domains = place_sampling_domains(mesh, lat)
-    assert domains[0].rep_cell == (2,)
+    assert domains[0].parent_cells.tolist() == [2]
     # uniform mesh, uniform lattice: domains are translates, one period each
     assert all(d.torus is domains[0].torus for d in domains)
     assert [d.parent_sites.tolist() for d in domains] == [[2 * r, 2 * r + 1] for r in (2, 6, 10, 14)]
-    reps = [d.rep_cell[0] for d in domains]
-    assert reps == [2, 6, 10, 14]
+    assert [d.parent_cells.tolist() for d in domains] == [[2], [6], [10], [14]]
 
 
 def nearest_cell_oracle(mesh, t, eps, n_cells, ties):
@@ -125,22 +124,26 @@ def test_sampling_placement_uses_the_oracle_and_shares_subgrid_indices():
     lat = chain_lattice(Fraction(1, 12), 1)
     mesh = build_mesh(1, 4)  # h = 3 eps: every barycenter sits on a tie
     ties = []
-    for n_rep in (None, 12, 4):
-        domains = place_sampling_domains(mesh, lat, n_rep)
-        assert [dom.rep_cell for dom in domains] == [
-            nearest_cell_oracle(mesh, t, lat.eps, 12, ties) for t in range(mesh.n_elements)]
-        if n_rep == 12:
-            # full sampling: the whole lattice in site order
-            assert np.array_equal(domains[0].parent_cells, np.arange(12))
-        if n_rep is not None:
-            assert all(dom.parent_cells is domains[0].parent_cells for dom in domains)
-            assert all(dom.parent_sites is domains[0].parent_sites for dom in domains)
+    domains = place_sampling_domains(mesh, lat)
+    assert [dom.parent_cells.tolist() for dom in domains] == [
+        list(nearest_cell_oracle(mesh, t, lat.eps, 12, ties)) for t in range(mesh.n_elements)]
     assert ties
-    # crystal domains: one period at the representative cell
-    crystal = place_sampling_domains(build_mesh(1, 4), chain_lattice(Fraction(1, 16), 3))
-    for dom in crystal:
-        assert dom.parent_cells.tolist() == [dom.rep_cell[0]]
-        assert dom.parent_sites.tolist() == [3 * dom.rep_cell[0] + a for a in range(3)]
+    for n_rep in (12, 4):
+        domains = place_sampling_domains(mesh, lat, n_rep)
+        # one shared domain, whatever the element
+        assert len(domains) == mesh.n_elements
+        assert all(dom is domains[0] for dom in domains)
+        assert domains[0].parent_sites is domains[0].parent_cells
+        assert domains[0].torus.cells_per_dim == n_rep
+    # full sampling: the whole lattice in site order
+    assert np.array_equal(place_sampling_domains(mesh, lat, 12)[0].parent_cells, np.arange(12))
+    # crystal domains: one period at the nearest cell
+    lat3 = chain_lattice(Fraction(1, 16), 3)
+    crystal = place_sampling_domains(mesh, lat3)
+    for t, dom in enumerate(crystal):
+        (cell,) = nearest_cell_oracle(mesh, t, lat3.eps, 16, [])
+        assert dom.parent_cells.tolist() == [cell]
+        assert dom.parent_sites.tolist() == [3 * cell + a for a in range(3)]
 
 
 def test_period_tori_and_the_cell_system_share_one_unit_cell():
@@ -388,12 +391,12 @@ def _rhs_by_domain(op, f):
     mesh = op.mesh
     b = np.zeros((mesh.n_vertices, mesh.d))
     pos = op.lattice.site_positions()
-    for dom in op.domains:
+    for t, dom in enumerate(op.domains):
         pts = pos[dom.parent_sites]
         elems = locate(mesh, pts)
         lam = barycentric_weights(mesh, pts, elems)
         w = lam[:, :, None] * f.values[dom.parent_sites][:, None, :] * (
-            mesh.volumes[dom.element] / len(pts))
+            mesh.volumes[t] / len(pts))
         np.add.at(b, mesh.elements[elems].ravel(), w.reshape(-1, mesh.d))
     return b
 
@@ -886,10 +889,12 @@ def test_effective_tensors_are_cached_per_model(monkeypatch):
     sens, A = op._quad_data()
     sens2, A2 = op2._quad_data()
     assert sens2 is sens and A2 is A
-    # relax=False has its own (Cauchy-Born) entry
+    assert op2.system is op.system
+    # relax=False shares the system but has its own (Cauchy-Born) tensors
     frozen = HQCOperator(model, lat, build_mesh(1, 4), relax=False)
+    assert frozen.system is op.system
     sens_cb, A_cb = frozen._quad_data()
-    assert sens_cb is None and not np.allclose(A_cb, A)
+    assert sens_cb is None and A_cb is not A and not np.allclose(A_cb, A)
     assert frozen.energy(uh) > e_relaxed
     assert len(calls) == 1
     # another model gets its own entries
@@ -906,6 +911,16 @@ def test_full_sample_tensors_keyed_by_lattice_size():
     sens_large, A_large = op_large._quad_data()
     assert A_small is not A_large
     assert sens_small.shape[2] == 8 and sens_large.shape[2] == 16
+
+
+def test_a_memoized_sampling_still_refuses_other_species_shifts():
+    from hqclab.lattice import Multilattice
+    from hqclab.potential import PotentialError
+
+    model = LinearSpring1D((1.0, 3.0))
+    HQCOperator(model, chain_lattice(Fraction(1, 16), 2), build_mesh(1, 4))
+    with pytest.raises(PotentialError, match="shifts differ"):
+        HQCOperator(model, Multilattice(1, Fraction(1, 16), [0, Fraction(1, 3)]), build_mesh(1, 4))
 
 
 @pytest.mark.parametrize("make_model, newton_calls", [
@@ -1012,7 +1027,7 @@ def test_period_sampling_and_homogenization_share_one_cell_system(make_model):
     op = HQCOperator(model, lat, build_mesh(model.d, 4))
     assert op.system is HomogenizedDensity(model).system is cell_system(model)
     assert HQCOperator(model, lat, build_mesh(model.d, 2), relax=False).system is op.system
-    # another model compiles its own; subgrid sampling compiles per operator
+    # another model compiles its own; subgrid sampling compiles its own torus
     assert HQCOperator(make_model(), lat, build_mesh(model.d, 4)).system is not op.system
     if model.m == 1:
         sub = HQCOperator(model, lat, build_mesh(model.d, 4), n_rep=1)
@@ -1042,6 +1057,32 @@ def test_equivalence_study_compiles_one_system_per_model(monkeypatch):
     assert res.summary["all_within_tolerance"]
     assert len(models) == 6
     assert len(built) == len({id(model) for model in models}) == 5
+
+
+def test_stochastic_study_compiles_one_system_per_sampling(monkeypatch):
+    # two samplings, two meshes, two relax values: each sampling's torus is
+    # compiled once for its four operators, plus the atomistic system, and each
+    # sampling solves for its sensitivities once
+    from hqclab import experiments, hqc, network
+
+    built, solved = [], []
+    init, sensitivity = network.BondSystem.__init__, hqc.micro_sensitivity
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs["n_sites"])
+        init(self, *args, **kwargs)
+
+    def counting_sensitivity(system, *args):
+        solved.append(system.n_sites)
+        return sensitivity(system, *args)
+
+    monkeypatch.setattr(network.BondSystem, "__init__", counting_init)
+    monkeypatch.setattr(hqc, "micro_sensitivity", counting_sensitivity)
+    res = experiments.run_stochastic_2d({"n": "16", "seed": "3", "h_list": "1/2,1/4",
+                                         "n_rep_list": "4,16", "fit_range": "0:2"})
+    assert all(row[-1] == "ok" for row in res.rows)
+    assert sorted(built) == [16, 256, 256]
+    assert sorted(solved) == [16, 256]
 
 
 @pytest.mark.parametrize("make_model, lat", [

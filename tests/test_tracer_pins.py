@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-import hqclab.cli  # noqa: F401  (imports every hqclab module)
+import hqclab.cli  # imports every hqclab module
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
@@ -59,3 +59,21 @@ def test_every_binding_imported_by_name_resolves():
         module, name = dotted.rsplit(".", 1)
         value = getattr(sys.modules[module], name, None)
         assert callable(value) and value.__module__.startswith("hqclab."), dotted
+
+
+def test_traced_study_writes_the_plain_csv_and_counts_its_domains(tracer, tmp_path):
+    # the tracer's counter hooks read the placement's result: a traced run must
+    # still write the same rows and see one sampling domain per element and
+    # operator (two operators per row, 8 + 32 elements per n_rep)
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("n = 16\nseed = 3\nh_list = 1/2,1/4\nn_rep_list = 4,16\nfit_range = 0:2\n")
+    plain, traced = tmp_path / "plain.csv", tmp_path / "traced.csv"
+    assert hqclab.cli.main(["stochastic-2d", "--config", str(cfg), "--out", str(plain)]) == 0
+    spans = tracer.Tracer()
+    try:
+        spans.install()
+        assert hqclab.cli.main(["stochastic-2d", "--config", str(cfg), "--out", str(traced)]) == 0
+    finally:
+        spans.uninstall()
+    assert traced.read_bytes() == plain.read_bytes()
+    assert spans.counts["hqc.place.domains"] == 160
