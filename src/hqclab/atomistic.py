@@ -1,4 +1,8 @@
-"""Full-atomistic reference: energy, equilibrium solve, and slow eigenmodes."""
+"""Full-atomistic reference: energy, equilibrium solve, and slow eigenmodes.
+
+Each runs on the model's compiled system in corrector variables chi = u / eps,
+the micro system of HQC's full sampling: E(u) = E_1(u / eps), so the gradient
+carries a factor 1/eps and the Hessian 1/eps^2."""
 
 from __future__ import annotations
 
@@ -33,18 +37,25 @@ class EquilibriumProblem:
 
     @cached_property
     def system(self) -> BondSystem:
-        return compile_system(self.lattice, self.model, gap_scale=self.lattice.eps_float)
+        return compile_system(self.lattice, self.model)
 
 
 def total_energy(problem: EquilibriumProblem, u: LatticeField) -> float:
     """Interaction energy E(u) = < V(D_R u) >, the site average of site energies."""
-    return problem.system.energy(u.values)
+    return problem.system.energy(u.values / problem.lattice.eps_float)
+
+
+def energy_gradient(problem: EquilibriumProblem, u: LatticeField) -> LatticeField:
+    """Riesz representer of the first variation of E with respect to <., .>."""
+    eps = problem.lattice.eps_float
+    return LatticeField(problem.lattice, problem.system.gradient(u.values / eps) / eps)
 
 
 def energy_hessian(problem: EquilibriumProblem, u: LatticeField):
     """Riesz Hessian, symmetric with constants in the kernel: a CSR matrix, or
     on a one-cell lattice a dense stack of one (1, n_dof, n_dof)."""
-    return problem.system.hessian(u.values)
+    eps = problem.lattice.eps_float
+    return problem.system.hessian(u.values / eps) / eps**2
 
 
 def solve_equilibrium(
@@ -55,13 +66,15 @@ def solve_equilibrium(
     """Newton solve of <dE(u), v> = <f, v> for zero-mean periodic u.
 
     Converges when the residual satisfies ||dE(u) - f|| <= tol * (1 + ||f||) in
-    the discrete L2 norm; quadratic models finish in a single linear solve.
+    the discrete L2 norm (eps times that in chi = u / eps); quadratic models
+    finish in a single linear solve.
     """
-    f = problem.force.values if problem.force is not None else None
+    eps = problem.lattice.eps_float
+    f = eps * problem.force.values if problem.force is not None else None
     ref = l2_norm(problem.force) if problem.force is not None else 0.0
-    w0 = initial_guess.values if initial_guess is not None else None
-    result = newton_zero_mean(problem.system, F=None, w0=w0, f_ext=f, tol=tol, ref=ref)
-    return project_zero_mean(LatticeField(problem.lattice, result.w))
+    w0 = initial_guess.values / eps if initial_guess is not None else None
+    result = newton_zero_mean(problem.system, F=None, w0=w0, f_ext=f, tol=eps * tol, ref=ref)
+    return project_zero_mean(LatticeField(problem.lattice, eps * result.w))
 
 
 def slowest_eigenmode(problem: EquilibriumProblem, u_eq: LatticeField) -> tuple[LatticeField, float]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atomistic import EquilibriumProblem, slowest_eigenmode, solve_equilibrium, total_energy
+from .atomistic import EquilibriumProblem, energy_gradient, slowest_eigenmode, solve_equilibrium, total_energy
 from .fem import MacroMesh, P1Field, p1_interpolate_lattice
 from .hqc import HQCOperator, reconstruct
 from .lattice import LatticeField, Multilattice, discrete_derivative, discrete_norms, nearest_neighbor_offsets
@@ -69,10 +69,9 @@ class Trajectory:
 
 def atomistic_accel(problem: EquilibriumProblem):
     masses = problem.masses
-    system = problem.system
 
     def accel(u: np.ndarray) -> np.ndarray:
-        return -system.gradient(u) / masses[:, None]
+        return -energy_gradient(problem, LatticeField(problem.lattice, u)).values / masses[:, None]
 
     return accel
 

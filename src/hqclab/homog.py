@@ -30,17 +30,16 @@ from .potential import InteractionModel
 def cell_system(model: InteractionModel) -> BondSystem:
     """The model's cell system, compiled once per model and shared with HQC
     period sampling (``compile_system`` keeps it)."""
-    return compile_system(unit_cell(model.d, model.shifts()), model, gap_scale=1.0)
+    return compile_system(unit_cell(model.d, model.shifts()), model)
 
 
-def solve_cell_problem(model: InteractionModel, F, system: BondSystem | None = None) -> np.ndarray:
+def solve_cell_problem(model: InteractionModel, F) -> np.ndarray:
     """Zero-mean corrector chi(F), shape (m, d), reached from the zero guess.
 
     Residual tolerance is MICRO_TOL * (1 + ||F||).
     """
     F = np.asarray(F, dtype=float).reshape(model.d, model.d)
-    sys_ = system if system is not None else cell_system(model)
-    return newton_zero_mean(sys_, F=F, tol=MICRO_TOL, ref=float(np.linalg.norm(F))).w
+    return newton_zero_mean(cell_system(model), F=F, tol=MICRO_TOL, ref=float(np.linalg.norm(F))).w
 
 
 class HomogenizedDensity:

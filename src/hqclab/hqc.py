@@ -9,19 +9,19 @@ variables), so the physical corrector is eps * chi and the bond gaps are
     D_r R_T(u^h) = F r + chi[neighbor] - chi[site],   F = grad u^h|_T.
 
 The element energy density, its stress, and the condensed tangent then feed a
-standard P1 assembly.  A model's micro system for one sampling (one period,
-or n_rep on a lattice of N cells per dimension) is compiled once and kept with
-its effective tensors in one memo per model, keyed on the lattice: every
-operator on that model and sampling shares them, whatever its mesh and relax
-value.  The route follows the bond law of the compiled micro system: a
-quadratic law shortcuts through one effective tensor computed from
-unit-gradient correctors and contracts it over all elements at once.  Any
-other law solves the microproblems of all elements as one stack, each from zero
-(``micro_solve``, one stacked ``network.newton``), and ``micro_sensitivity``
-and ``condensed_tangent`` take the same stack.  No micro state is kept between
-evaluations, so the macro energy is a function of u^h alone.  The stacked
-micro layer and the macro Newton (``macro_newton``) also serve the homogenized
-FEM of ``homog``.
+standard P1 assembly.  The micro system of a sampling (one period, or n_rep
+cells per dimension) is the model's compiled system on that many cells, the
+one homogenization (one period) and the atomistic reference (n_rep = N) use;
+its effective tensors are kept per system, so every operator on one model and
+sampling shares both, whatever its mesh and relax value.  The route follows
+the bond law of the micro system: a quadratic law shortcuts through one
+effective tensor computed from unit-gradient correctors and contracts it over
+all elements at once.  Any other law solves the microproblems of all elements
+as one stack, each from zero (``micro_solve``, one stacked ``network.newton``),
+and ``micro_sensitivity`` and ``condensed_tangent`` take the same stack.  No
+micro state is kept between evaluations, so the macro energy is a function of
+u^h alone.  The stacked micro layer and the macro Newton (``macro_newton``)
+also serve the homogenized FEM of ``homog``.
 """
 
 from __future__ import annotations
@@ -128,8 +128,9 @@ def place_sampling_domains(
 def _require_cell_independent(model: InteractionModel, cells: np.ndarray) -> None:
     """Period sampling serves every element with the model's cell system,
     compiled at cell 0: refuse a model with a bond-law parameter that differs
-    between cell 0 and the elements' ``cells`` (a 0-d parameter cannot)."""
-    cells = np.concatenate([[0], cells])
+    between cell 0 and the elements' ``cells`` (multi-indices (n, d); a 0-d
+    parameter cannot)."""
+    cells = np.concatenate([np.zeros((1, model.d), dtype=int), cells])
     for alpha in range(model.m):
         for spec in model.bond_specs(alpha, cells):
             if any(np.ndim(v) and np.any(v != np.ravel(v)[0]) for v in vars(spec.law).values()):
@@ -196,24 +197,23 @@ def macro_newton(mesh: MacroMesh, energy, gradient, tangents, load: np.ndarray |
     return p1_zero_mean(P1Field(mesh, result.w[0])), result
 
 
-#: per model: (shifts, cells_per_dim, n_rep) -> (micro system, {relax: (sens, A)}):
-#: the sampling's compiled system and, for a quadratic law, its effective tensors.
-#: Models are treated as immutable once an operator has been built on them.
-_SAMPLINGS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+#: per micro system: {relax: (sens, A)}, the effective tensors of a quadratic law
+_TENSORS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 class HQCOperator:
     """Macro energy, gradient, Hessian, and load assembly for the HQC method.
 
     ``relax=False`` freezes the correctors at zero (pure Cauchy-Born closure).
-    All sampling domains of a placement share one micro ``system``, and so do
-    all operators on one model and sampling (``_SAMPLINGS``): subgrid domains
-    share their cells, and period sampling takes the model's cell system
-    (compiled at cell 0, the one ``homog`` uses) and is refused for a model
-    whose bond laws vary by cell.  A quadratic bond law takes the tensor
-    route; otherwise the correctors of all elements are evaluated as one
-    stack, each from the zero guess.  The operator keeps no micro state, so
-    ``energy``, ``gradient`` and ``correctors`` depend on their arguments alone.
+    All sampling domains of a placement share one micro ``system``, the
+    model's compiled system on the sampling's cells, and every operator on one
+    model and sampling shares it and its effective tensors (``_TENSORS``).
+    Period sampling takes the model's cell system (compiled at cell 0) and is
+    refused for a model whose bond laws vary by cell.  A quadratic bond law
+    takes the tensor route; otherwise the correctors of all elements are
+    evaluated as one stack, each from the zero guess.  The operator keeps no
+    micro state, so ``energy``, ``gradient`` and ``correctors`` depend on
+    their arguments alone.
     """
 
     def __init__(
@@ -231,14 +231,10 @@ class HQCOperator:
         self.n_rep = n_rep
         self.domains = place_sampling_domains(mesh, lattice, n_rep)
         if n_rep is None:
-            _require_cell_independent(model, np.concatenate([dom.parent_cells for dom in self.domains]))
-        samplings = _SAMPLINGS.setdefault(model, {})
-        key = (lattice.shifts, lattice.cells_per_dim, n_rep)  # mismatched shifts miss and are refused
-        if key not in samplings:
-            first = self.domains[0]
-            samplings[key] = (compile_system(first.torus, model, gap_scale=1.0,
-                                             parent_cells=None if n_rep is None else first.parent_cells), {})
-        self.system, self._tensors = samplings[key]
+            cells = np.concatenate([dom.parent_cells for dom in self.domains])
+            _require_cell_independent(model, lattice.cell_multi[cells])
+        self.system = compile_system(self.domains[0].torus, model)
+        self._tensors = _TENSORS.setdefault(self.system, {})
 
     # ------------------------------------------------------------- micro layer
 

@@ -3,12 +3,14 @@
 Every equilibrium problem in the package reduces to the same shape: a torus of
 sites, a list of bonds (src, dst, offset vector r, bond law), and an energy
 
-    E(w; F) = (1/n_sites) * sum_bonds phi_b( F r_b + (w[dst_b] - w[src_b]) / gap_scale )
+    E(w; F) = (1/n_sites) * sum_bonds phi_b( F r_b + w[dst_b] - w[src_b] )
 
-minimized over zero-mean periodic fields w.  The three uses are
+minimized over zero-mean periodic fields w in corrector variables.  The three
+uses are
 
-* full atomistic statics:   gap_scale = eps, F = 0, w = displacement u;
-* cell / micro problems:    gap_scale = 1,  F = macro gradient, w = corrector chi
+* full atomistic statics:   F = 0, w = u / eps for the displacement u, the
+  micro problem of HQC's full sampling (``atomistic`` scales by eps);
+* cell / micro problems:    F = macro gradient, w = corrector chi
   (the physical corrector is eps * chi);
 * affine (Cauchy-Born) closures: w frozen at zero.
 
@@ -78,7 +80,6 @@ class BondSystem:
         rvec: np.ndarray,
         law,
         cells: tuple[int, ...],
-        gap_scale: float = 1.0,
     ) -> None:
         self.n_sites = n_sites
         self.cells = tuple(cells)
@@ -87,7 +88,6 @@ class BondSystem:
         self.dst = dst
         self.rvec = rvec
         self.law = law
-        self.gap_scale = float(gap_scale)
         self.n_dof = n_sites * d
         self.incidence = incidence_matrix(n_sites, src, dst)
 
@@ -96,7 +96,7 @@ class BondSystem:
     def gaps(self, w: np.ndarray, F: np.ndarray | None = None) -> np.ndarray:
         # np.take keeps stacked gaps C-contiguous, so the per-entry bond sums
         # downstream round exactly like those of a single field
-        g = (np.take(w, self.dst, axis=-2) - np.take(w, self.src, axis=-2)) / self.gap_scale
+        g = np.take(w, self.dst, axis=-2) - np.take(w, self.src, axis=-2)
         if F is not None:
             g = g + self.rvec @ np.swapaxes(np.atleast_2d(F), -1, -2)
         return g
@@ -115,12 +115,12 @@ class BondSystem:
         return self.law.hess(self.gaps(w, F), self.rvec)
 
     def _scatter(self, per_bond: np.ndarray) -> np.ndarray:
-        """Riesz gradient from per-bond forces: +phi' at dst, -phi' at src, / gap_scale."""
+        """Riesz gradient from per-bond forces: +phi' at dst, -phi' at src."""
         nb, d = per_bond.shape[-2:]
         lead = per_bond.shape[:-2]
         flat = np.moveaxis(per_bond, -2, 0).reshape(nb, -1)
         out = (self.incidence @ flat).reshape((self.n_sites,) + lead + (d,))
-        return np.moveaxis(out, 0, -2) / self.gap_scale
+        return np.moveaxis(out, 0, -2)
 
     def gradient(self, w: np.ndarray, F: np.ndarray | None = None) -> np.ndarray:
         return self._scatter(self.bond_forces(w, F))
@@ -161,7 +161,6 @@ class BondSystem:
         ``stencil=True`` returns (H, S), S the grid-averaged stencil of a CSR
         H and None for a dense stack."""
         k = self.bond_stiffness(w, F)
-        k /= self.gap_scale**2
         if k.ndim == 3 and np.prod(self.cells) > 1:
             H = self._grid_hessian(k)
             return (H, self._stencil(k)) if stencil else H
@@ -252,46 +251,41 @@ def incidence_matrix(n_sites: int, src: np.ndarray, dst: np.ndarray) -> sp.csr_m
     return sp.csr_matrix((data, cols, indptr), shape=(n_sites, nb))
 
 
-#: per model: its cell system (one-cell torus, gap_scale 1), shared by HQC
-#: period sampling and homogenization.  Models are immutable once compiled.
-_CELL_SYSTEMS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+#: per model: its compiled systems by cells per dimension.  Models are
+#: immutable once compiled.
+_SYSTEMS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def compile_system(lattice: Multilattice, model: InteractionModel, gap_scale: float,
-                   parent_cells: np.ndarray | None = None) -> BondSystem:
-    """Build the bond list of ``model`` on ``lattice`` (bond class by bond class,
+def compile_system(lattice: Multilattice, model: InteractionModel) -> BondSystem:
+    """The bond list of ``model`` on ``lattice`` (bond class by bond class,
     each over all cells) from the offsets its ``bond_specs`` hold resolved, so
     the lattice must carry the model's species shifts.
 
-    ``parent_cells`` maps the torus cells to cells of a parent lattice and is
-    used by models with site-dependent coefficients (random bond networks
-    restricted to a sampling subgrid).  Without it, the one-cell torus at
-    gap_scale 1 (the model's cell system, at cell 0) is compiled once per model
-    and returned on every later call.
+    The bond laws come from ``bond_specs`` at the lattice's cell
+    multi-indices, so a model with site-dependent coefficients compiles the
+    corner subgrid of its own grid.  The system is then fixed by the model and
+    the cells per dimension: it is compiled once per pair and returned on
+    every later call.
     """
     if tuple(map(tuple, model.shifts())) != lattice.shifts:
         raise PotentialError("model and lattice are incompatible: their species shifts differ")
-    cell = lattice.n_cells == 1 and gap_scale == 1 and parent_cells is None
-    if cell and model in _CELL_SYSTEMS:
-        return _CELL_SYSTEMS[model]
-    cells = parent_cells if parent_cells is not None else np.arange(lattice.n_cells)
-    species, offsets, laws = zip(*[(alpha, spec.offset, spec.law) for alpha in range(lattice.m)
-                                   for spec in model.bond_specs(alpha, cells)])
-    shift = np.array([off.cell_shift for off in offsets])[:, None, :]
-    target = np.array([off.species_target for off in offsets])[:, None]
-    system = BondSystem(
-        n_sites=lattice.n_sites,
-        d=lattice.d,
-        src=lattice.site_index(lattice.cell_multi, np.array(species)[:, None]).ravel(),
-        dst=lattice.site_index(lattice.cell_multi + shift, target).ravel(),
-        rvec=np.repeat([off.r_float for off in offsets], lattice.n_cells, axis=0),
-        law=type(laws[0]).stack(laws, [lattice.n_cells] * len(laws)),
-        cells=(lattice.cells_per_dim,) * lattice.d,
-        gap_scale=gap_scale,
-    )
-    if cell:
-        _CELL_SYSTEMS[model] = system
-    return system
+    systems = _SYSTEMS.setdefault(model, {})
+    n = lattice.cells_per_dim
+    if n not in systems:
+        species, offsets, laws = zip(*[(alpha, spec.offset, spec.law) for alpha in range(lattice.m)
+                                       for spec in model.bond_specs(alpha, lattice.cell_multi)])
+        shift = np.array([off.cell_shift for off in offsets])[:, None, :]
+        target = np.array([off.species_target for off in offsets])[:, None]
+        systems[n] = BondSystem(
+            n_sites=lattice.n_sites,
+            d=lattice.d,
+            src=lattice.site_index(lattice.cell_multi, np.array(species)[:, None]).ravel(),
+            dst=lattice.site_index(lattice.cell_multi + shift, target).ravel(),
+            rvec=np.repeat([off.r_float for off in offsets], lattice.n_cells, axis=0),
+            law=type(laws[0]).stack(laws, [lattice.n_cells] * len(laws)),
+            cells=(n,) * lattice.d,
+        )
+    return systems[n]
 
 
 # ------------------------------------------------------------- linear algebra

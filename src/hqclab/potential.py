@@ -22,13 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .lattice import (
-    LatticeField,
-    Multilattice,
-    NeighborOffset,
-    chain_lattice,
-    square_lattice,
-)
+from .lattice import LatticeField, Multilattice, NeighborOffset, cell_index, square_lattice, unit_cell
 
 
 class PotentialError(ValueError):
@@ -167,11 +161,13 @@ class InteractionModel:
 
     Concrete models define ``bond_specs(alpha, cells)``: the interaction
     neighborhood of species alpha together with one bond law per offset, whose
-    parameters may vary over the given cells.  The site energy is the sum of
-    the per-bond energies over the neighborhood; gradients and Hessians follow
-    bond by bond (the Hessian is block diagonal in the offsets for pairwise
-    interactions).  Whether a model is quadratic is a property of its bond
-    laws (``is_quadratic`` of the law class), not of the model.
+    parameters may vary over ``cells`` (multi-indices (n_cells, d); None: the
+    origin).  A model on a grid of its own takes a smaller lattice as its
+    corner subgrid and refuses cells off it.  The site energy is the sum of the
+    per-bond energies over the neighborhood; gradients and Hessians follow bond
+    by bond (the Hessian is block diagonal in the offsets for pairwise
+    interactions).  Whether a model is quadratic is a property of its bond laws
+    (``is_quadratic`` of the law class), not of the model.
     """
 
     d: int
@@ -180,7 +176,7 @@ class InteractionModel:
     def shifts(self) -> list:
         raise NotImplementedError
 
-    def bond_specs(self, alpha: int, cell=0) -> list[BondSpec]:
+    def bond_specs(self, alpha: int, cells=None) -> list[BondSpec]:
         raise NotImplementedError
 
 
@@ -198,16 +194,16 @@ class LinearSpring1D(InteractionModel):
         if any(p <= 0 for p in self.psi):
             raise PotentialError("spring coefficients must be positive")
         self.m = len(self.psi)
-        lat = chain_lattice(1, self.m)
+        cell = unit_cell(1, self.shifts())
         self._specs = [
-            [BondSpec(lat.resolve_offset(alpha, Fraction(1, self.m)), SpringLaw(np.array(self.psi[alpha])))]
+            [BondSpec(cell.resolve_offset(alpha, Fraction(1, self.m)), SpringLaw(np.array(self.psi[alpha])))]
             for alpha in range(self.m)
         ]
 
     def shifts(self) -> list:
         return [(Fraction(k, self.m),) for k in range(self.m)]
 
-    def bond_specs(self, alpha: int, cell: int = 0) -> list[BondSpec]:
+    def bond_specs(self, alpha: int, cells=None) -> list[BondSpec]:
         return self._specs[alpha]
 
 
@@ -242,7 +238,7 @@ class LennardJones1D(InteractionModel):
         self.m = len(params.s)
         if len(params.ell) != self.m:
             raise PotentialError("s and ell must have one entry per species")
-        lat = chain_lattice(1, self.m)
+        cell = unit_cell(1, self.shifts())
         step = Fraction(1, self.m)
         offsets = []
         k = 1
@@ -253,7 +249,7 @@ class LennardJones1D(InteractionModel):
         for alpha in range(self.m):
             specs = []
             for r in sorted(offsets):
-                off = lat.resolve_offset(alpha, r)
+                off = cell.resolve_offset(alpha, r)
                 law = LennardJonesLaw(
                     np.array(params.s[alpha]), np.array(params.ell[alpha]), scale=float(self.m)
                 )
@@ -263,7 +259,7 @@ class LennardJones1D(InteractionModel):
     def shifts(self) -> list:
         return [(Fraction(k, self.m),) for k in range(self.m)]
 
-    def bond_specs(self, alpha: int, cell: int = 0) -> list[BondSpec]:
+    def bond_specs(self, alpha: int, cells=None) -> list[BondSpec]:
         return self._specs[alpha]
 
 
@@ -277,7 +273,9 @@ class RandomBond2D(InteractionModel):
 
     Axis bonds (1,0), (0,1) draw uniformly from [0.5, 10], diagonal bonds
     (1,1), (-1,1) from [0.1, 5].  The strength field regenerates bit-identically
-    from ``seed``; the stream order is site-major, then offset.
+    from ``seed``; the stream order is site-major, then offset.  ``bond_specs``
+    reads cell multi-indices on this n x n grid: a smaller lattice (an HQC
+    sampling subgrid) takes its corner subgrid, a larger one is refused.
     """
 
     d = 2
@@ -293,18 +291,18 @@ class RandomBond2D(InteractionModel):
         lo = np.array([AXIS_BOND_RANGE[0]] * 2 + [DIAGONAL_BOND_RANGE[0]] * 2)
         hi = np.array([AXIS_BOND_RANGE[1]] * 2 + [DIAGONAL_BOND_RANGE[1]] * 2)
         self.psi = lo + (hi - lo) * raw  # (n_cells, 4), cells in C order
-        lat = square_lattice(self.n)
-        self._offsets = [lat.resolve_offset(0, r) for r in STOCHASTIC_OFFSETS]
+        cell = unit_cell(2, self.shifts())
+        self._offsets = [cell.resolve_offset(0, r) for r in STOCHASTIC_OFFSETS]
 
     def shifts(self) -> list:
         return [(Fraction(0), Fraction(0))]
 
-    def bond_specs(self, alpha: int, cell=0) -> list[BondSpec]:
-        cells = np.atleast_1d(np.asarray(cell, dtype=int))
-        return [
-            BondSpec(off, SpringLaw(self.psi[cells, j]))
-            for j, off in enumerate(self._offsets)
-        ]
+    def bond_specs(self, alpha: int, cells=None) -> list[BondSpec]:
+        cells = np.zeros((1, 2), dtype=int) if cells is None else np.reshape(cells, (-1, 2))
+        if np.any((cells < 0) | (cells >= self.n)):
+            raise PotentialError(f"cells outside the model's {self.n} x {self.n} grid")
+        flat = cell_index(cells.T, (self.n, self.n))
+        return [BondSpec(off, SpringLaw(self.psi[flat, j])) for j, off in enumerate(self._offsets)]
 
 
 # ------------------------------------------------------------------ factories

@@ -5,8 +5,11 @@ here so that the package carries no API without a caller.  The per-spec bond
 compile that ``compile_system`` replaced, the COO Hessian build of every
 field, a bond-order sum of the dense Hessian, and the grid average of a
 matrix's blocks stay here as references of ``BondSystem`` and of the stencils
-of ``BondSystem.hessian`` and ``fem.assemble``; the Verlet loop that checks the energy at every step stays
-as the reference of ``run_atomistic_dynamics``."""
+of ``BondSystem.hessian`` and ``fem.assemble``.  The atomistic system in
+displacement variables, its gaps divided by eps bond by bond, stays as the
+reference of the corrector-variable ``atomistic`` routines, and the Verlet
+loop that checks the energy at every step as the reference of
+``run_atomistic_dynamics``."""
 
 from __future__ import annotations
 
@@ -25,12 +28,22 @@ from hqclab.dynamics import (
     verlet_step,
 )
 from hqclab.fem import MacroMesh, P1Field, all_element_gradients, assemble
-from hqclab.lattice import ZERO_MEAN_TOL, LatticeError, LatticeField, Multilattice, average, cell_index
-from hqclab.network import BondSystem, avg_norm
+from hqclab.lattice import (
+    ZERO_MEAN_TOL,
+    LatticeError,
+    LatticeField,
+    Multilattice,
+    average,
+    cell_index,
+    l2_norm,
+    project_zero_mean,
+)
+from hqclab.network import BondSystem, avg_norm, newton_zero_mean
 from hqclab.potential import PotentialError
 
 # ------------------------------------------- single-site model evaluation
-# gaps: one vector per neighborhood offset of species alpha
+# gaps: one vector per neighborhood offset of species alpha; cell: a Bravais
+# cell multi-index, None for the origin
 
 
 def _site_gaps(model, alpha: int, gaps) -> list[np.ndarray]:
@@ -41,19 +54,19 @@ def _site_gaps(model, alpha: int, gaps) -> list[np.ndarray]:
     return gaps
 
 
-def site_energy(model, alpha: int, gaps, cell: int = 0) -> float:
+def site_energy(model, alpha: int, gaps, cell=None) -> float:
     total = 0.0
     for spec, g in zip(model.bond_specs(alpha, cell), _site_gaps(model, alpha, gaps)):
         total += float(spec.law.energy(g[None, :], spec.offset.r_float[None, :])[0])
     return total
 
 
-def site_gradient(model, alpha: int, gaps, cell: int = 0) -> list[np.ndarray]:
+def site_gradient(model, alpha: int, gaps, cell=None) -> list[np.ndarray]:
     return [spec.law.grad(g[None, :], spec.offset.r_float[None, :])[0]
             for spec, g in zip(model.bond_specs(alpha, cell), _site_gaps(model, alpha, gaps))]
 
 
-def site_hessian(model, alpha: int, gaps, cell: int = 0) -> list[list[np.ndarray]]:
+def site_hessian(model, alpha: int, gaps, cell=None) -> list[list[np.ndarray]]:
     """Blocks V''_{r,rho}; off-diagonal blocks vanish for pairwise models."""
     specs = model.bond_specs(alpha, cell)
     gaps = _site_gaps(model, alpha, gaps)
@@ -185,13 +198,9 @@ def is_zero_mean(u: LatticeField) -> bool:
     return bool(np.all(np.abs(average(u)) <= ZERO_MEAN_TOL * max(scale, 1.0)))
 
 
-def energy_gradient(problem: EquilibriumProblem, u: LatticeField) -> LatticeField:
-    """Riesz representer of the first variation with respect to <., .>_M."""
-    return LatticeField(problem.lattice, problem.system.gradient(u.values))
-
-
 def residual_norm(problem: EquilibriumProblem, u: LatticeField) -> float:
-    g = problem.system.gradient(u.values)
+    """||dE(u) - f||, the gradient from the oracle ``GapScaledSystem``."""
+    g = GapScaledSystem(problem).gradient(u.values)
     if problem.force is not None:
         g = g - problem.force.values
     return avg_norm(g)
@@ -209,16 +218,15 @@ def _neighbor_sites(lattice: Multilattice, offset) -> np.ndarray:
     return flat * lattice.m + offset.species_target
 
 
-def reference_compile(lattice: Multilattice, model, gap_scale: float,
-                      parent_cells: np.ndarray | None = None) -> BondSystem:
+def reference_compile(lattice: Multilattice, model) -> BondSystem:
     """The bond list built spec by spec, each offset re-resolved on the lattice
-    with exact rational arithmetic: the oracle of ``compile_system``."""
+    with exact rational arithmetic: the oracle of ``compile_system``, built
+    anew on every call."""
     if model.d != lattice.d or model.m != lattice.m:
         raise PotentialError("model and lattice are incompatible")
     src_parts, dst_parts, r_parts, laws, counts = [], [], [], [], []
-    cells = parent_cells if parent_cells is not None else np.arange(lattice.n_cells)
     for alpha in range(lattice.m):
-        for spec in model.bond_specs(alpha, cells):
+        for spec in model.bond_specs(alpha, lattice.cell_multi):
             src = np.arange(lattice.n_cells, dtype=np.int64) * lattice.m + alpha
             dst = _neighbor_sites(lattice, lattice.resolve_offset(alpha, spec.offset.r))
             src_parts.append(src)
@@ -228,7 +236,38 @@ def reference_compile(lattice: Multilattice, model, gap_scale: float,
             counts.append(len(src))
     return BondSystem(lattice.n_sites, lattice.d, np.concatenate(src_parts), np.concatenate(dst_parts),
                       np.concatenate(r_parts, axis=0), type(laws[0]).stack(laws, counts),
-                      (lattice.cells_per_dim,) * lattice.d, gap_scale)
+                      (lattice.cells_per_dim,) * lattice.d)
+
+
+class GapScaledSystem(BondSystem):
+    """The atomistic system of a problem in displacement variables: the gaps
+    (u[dst] - u[src]) / eps, the gradient scattered and divided by eps, the
+    stiffnesses divided by eps^2 before the Hessian sums them.  The formula
+    ``BondSystem`` evaluated with a gap scale of eps, built from
+    ``reference_compile``: the oracle of ``atomistic``'s corrector variables."""
+
+    def __init__(self, problem: EquilibriumProblem) -> None:
+        ref = reference_compile(problem.lattice, problem.model)
+        super().__init__(ref.n_sites, ref.d, ref.src, ref.dst, ref.rvec, ref.law, ref.cells)
+        self.eps = problem.lattice.eps_float
+
+    def gaps(self, w: np.ndarray, F: np.ndarray | None = None) -> np.ndarray:
+        assert F is None
+        return (np.take(w, self.dst, axis=-2) - np.take(w, self.src, axis=-2)) / self.eps
+
+    def _scatter(self, per_bond: np.ndarray) -> np.ndarray:
+        return super()._scatter(per_bond) / self.eps
+
+    def bond_stiffness(self, w: np.ndarray, F: np.ndarray | None = None) -> np.ndarray:
+        return super().bond_stiffness(w, F) / self.eps**2
+
+
+def gap_scaled_solve(problem: EquilibriumProblem, tol: float = 1e-10) -> LatticeField:
+    """The equilibrium solve in displacement variables on ``GapScaledSystem``."""
+    f = problem.force.values if problem.force is not None else None
+    ref = l2_norm(problem.force) if problem.force is not None else 0.0
+    result = newton_zero_mean(GapScaledSystem(problem), f_ext=f, tol=tol, ref=ref)
+    return project_zero_mean(LatticeField(problem.lattice, result.w))
 
 
 def reference_hessian(system: BondSystem, w: np.ndarray, F: np.ndarray | None = None):
@@ -236,7 +275,7 @@ def reference_hessian(system: BondSystem, w: np.ndarray, F: np.ndarray | None = 
     stack assembled block-diagonally and scattered into a dense (T, n_dof,
     n_dof) array.  The oracle of the sparse ``BondSystem.hessian``, and of its
     dense stacks to rounding."""
-    k = system.bond_stiffness(w, F) / system.gap_scale**2
+    k = system.bond_stiffness(w, F)
     n, T = system.n_dof, int(np.prod(k.shape[:-3]))
     i, j = np.indices((system.d, system.d))
     base = n * np.arange(T)[:, None, None, None]   # first DOF of each stack entry
@@ -276,7 +315,7 @@ def bond_order_hessian(system: BondSystem, w: np.ndarray, F: np.ndarray | None =
     of the blocks (src, src), (dst, dst), (src, dst) and (dst, src) in turn,
     ``np.add.at`` of every bond's d x d block, bond by bond, per stack entry.
     The oracle of the dense ``BondSystem.hessian``."""
-    k = system.bond_stiffness(w, F) / system.gap_scale**2
+    k = system.bond_stiffness(w, F)
     k = k.reshape((-1,) + k.shape[-3:])
     d, n = system.d, system.n_dof
     i, j = np.indices((d, d))

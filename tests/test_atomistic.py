@@ -7,6 +7,7 @@ from fractions import Fraction
 
 from hqclab.atomistic import (
     EquilibriumProblem,
+    energy_gradient,
     energy_hessian,
     slowest_eigenmode,
     solve_equilibrium,
@@ -17,10 +18,11 @@ from hqclab.lattice import (
     average,
     chain_lattice,
     l2_norm,
+    square_lattice,
 )
 from hqclab.network import SolverError
-from hqclab.potential import LinearSpring1D, make_dynamics_model
-from support import energy_gradient, residual_norm, zeros_field
+from hqclab.potential import LinearSpring1D, RandomBond2D, make_dynamics_model, make_stochastic_model
+from support import GapScaledSystem, gap_scaled_solve, residual_norm, zeros_field
 
 
 def spring_problem(eps, psi, force=None):
@@ -147,6 +149,83 @@ def test_quadratic_solve_guess_independent():
     guess = LatticeField(lat, rng.standard_normal((lat.n_sites, 1)))
     u2 = solve_equilibrium(prob, initial_guess=guess, tol=1e-12)
     assert np.allclose(u1.values, u2.values, atol=1e-11)
+
+
+def _smooth_force(lat, scale):
+    x = lat.site_positions()
+    f = scale * np.sin(2 * np.pi * x[:, :1]) * np.cos(2 * np.pi * x[:, -1:]) + 0.3 * scale * np.cos(6 * np.pi * x)
+    return LatticeField(lat, f - f.mean(axis=0))
+
+
+def _oracle_cases(eps):
+    """(id, problem, displacement scale) on chains of spacing ``eps``, and at
+    power-of-two eps also the random network of the stochastic study."""
+    spring = LinearSpring1D((1.0, 3.0))
+    lj_lat, spring_lat = chain_lattice(eps, 2), chain_lattice(eps, 2)
+    cases = [("lj-chain", EquilibriumProblem(lj_lat, make_dynamics_model().model, force=_smooth_force(lj_lat, 0.1)),
+              0.01 * lj_lat.eps_float),
+             ("spring-chain", EquilibriumProblem(spring_lat, spring, force=_smooth_force(spring_lat, 1.0)), 0.1)]
+    if (1 / eps) % 2 == 0:
+        lat, model, f = make_stochastic_model(int(1 / eps), seed=3)
+        cases.append(("network", EquilibriumProblem(lat, model, force=f), 0.1))
+    return cases
+
+
+@pytest.mark.parametrize("eps", [Fraction(1, 16), Fraction(1, 3)], ids=["eps-1/16", "eps-1/3"])
+def test_corrector_variables_reproduce_the_gap_scaled_formula(eps):
+    # energy, gradient, Hessian and equilibrium in chi = u / eps against the
+    # same network in displacement variables with its gaps divided by eps:
+    # bit for bit at power-of-two eps, where scaling by eps is exact, and to
+    # rounding at eps = 1/3
+    exact = eps.numerator == 1 and not (eps.denominator & (eps.denominator - 1))
+    rng = np.random.default_rng(21)
+    for name, prob, scale in _oracle_cases(eps):
+        lat = prob.lattice
+        oracle = GapScaledSystem(prob)
+        u = LatticeField(lat, scale * rng.standard_normal((lat.n_sites, lat.d)))
+        e, g, H = total_energy(prob, u), energy_gradient(prob, u).values, energy_hessian(prob, u)
+        e_ref, g_ref, H_ref = oracle.energy(u.values), oracle.gradient(u.values), oracle.hessian(u.values)
+        assert np.array_equal(H.indptr, H_ref.indptr) and np.array_equal(H.indices, H_ref.indices), name
+        if exact:
+            assert e == e_ref and np.array_equal(g, g_ref) and np.array_equal(H.data, H_ref.data), name
+        else:
+            assert e == pytest.approx(e_ref, rel=1e-14), name
+            assert np.max(np.abs(g - g_ref)) <= 1e-14 * np.max(np.abs(g_ref)), name
+            assert np.max(np.abs(H.data - H_ref.data)) <= 1e-14 * np.max(np.abs(H_ref.data)), name
+        # the loose tolerance stops the LJ Newton before its last step
+        for tol in (1e-11, 1e-5):
+            u_eq, u_ref = solve_equilibrium(prob, tol=tol), gap_scaled_solve(prob, tol=tol)
+            assert residual_norm(prob, u_eq) <= tol * (1 + l2_norm(prob.force)), name
+            if exact:
+                assert np.array_equal(u_eq.values, u_ref.values), name
+            else:
+                assert np.max(np.abs(u_eq.values - u_ref.values)) <= 10 * tol * np.max(np.abs(u_ref.values)), name
+
+
+def test_reference_and_full_sampling_share_one_system():
+    # the reference on N cells is the micro problem of HQC's full sampling
+    from hqclab.fem import build_mesh
+    from hqclab.hqc import HQCOperator
+
+    lat, model, _ = make_stochastic_model(16, seed=2)
+    op = HQCOperator(model, lat, build_mesh(2, 4), n_rep=16)
+    assert EquilibriumProblem(lat, model).system is op.system
+    assert EquilibriumProblem(square_lattice(16), model).system is op.system
+
+
+def test_a_lattice_beyond_the_network_grid_is_refused():
+    # the strengths live on the model's 8 x 8 grid: a 16 x 16 lattice has cells
+    # off it, while a 4 x 4 lattice takes the grid's corner
+    from hqclab.network import compile_system
+    from hqclab.potential import PotentialError
+
+    model = RandomBond2D(8, seed=1)
+    with pytest.raises(PotentialError, match="8 x 8 grid"):
+        compile_system(square_lattice(16), model)
+    with pytest.raises(PotentialError, match="8 x 8 grid"):
+        EquilibriumProblem(square_lattice(16), model).system
+    corner = model.psi.reshape(8, 8, 4)[:4, :4].reshape(16, 4)
+    assert np.array_equal(compile_system(square_lattice(4), model).law.psi, corner.T.ravel())
 
 
 def test_nonzero_mean_force_rejected():

@@ -129,7 +129,7 @@ def test_residual_tolerance():
     model = make_dynamics_model().model
     F = np.array([[0.03]])
     system = cell_system(model)
-    chi = solve_cell_problem(model, F, system=system)
+    chi = solve_cell_problem(model, F)
     res = system.gradient(chi, F)
     assert np.sqrt(np.mean(res**2)) <= 1e-12 * (1 + np.linalg.norm(F))
 
@@ -250,7 +250,7 @@ def test_homog_binds_no_hqc_operator():
     # HQC operator and its quadratic effective-tensor shortcut
     from hqclab import homog, hqc
 
-    for name in ("HQCOperator", "_SAMPLINGS"):
+    for name in ("HQCOperator", "_TENSORS"):
         assert not hasattr(homog, name)
-    assert not any(value is hqc.HQCOperator or value is hqc._SAMPLINGS
+    assert not any(value is hqc.HQCOperator or value is hqc._TENSORS
                    for value in vars(homog).values())

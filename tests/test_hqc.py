@@ -63,7 +63,7 @@ def gradient_full(op, uh):
                 G = np.zeros((d, d))
                 G[i, :] = gb[l]
                 S = np.einsum("j,jnx->nx", gb[l], sens[i])
-                g = system.rvec @ G.T + (S[system.dst] - S[system.src]) / system.gap_scale
+                g = system.rvec @ G.T + (S[system.dst] - S[system.src])
                 val = float(np.sum(forces * g)) / system.n_sites
                 out[nodes[l], i] += mesh.volumes[t] * val
     return out
@@ -233,7 +233,7 @@ def test_stacked_directions_match_direction_loops():
             per_bond = np.einsum("bij,bj->bi", k, system.rvec @ units[i, j].T)
             assert np.array_equal(forces[i, j], system._scatter(per_bond))
             w = sens[i, j]
-            gaps[i, j] = system.rvec @ units[i, j].T + (w[system.dst] - w[system.src]) / system.gap_scale
+            gaps[i, j] = system.rvec @ units[i, j].T + (w[system.dst] - w[system.src])
     expected = np.einsum("ijbx,bxy,klby->ijkl", gaps, k, gaps) / system.n_sites
     assert np.array_equal(condensed_tangent(system, chi, F, sens), expected)
 
@@ -500,9 +500,9 @@ class NewtonSpringLaw(SpringLaw):
 
 
 class NewtonSprings(LinearSpring1D):
-    def bond_specs(self, alpha, cell=0):
+    def bond_specs(self, alpha, cells=None):
         return [BondSpec(spec.offset, NewtonSpringLaw(spec.law.psi))
-                for spec in super().bond_specs(alpha, cell)]
+                for spec in super().bond_specs(alpha, cells)]
 
 
 def newton_springs(psi=(1.0, 3.0)):
@@ -634,7 +634,7 @@ def test_stacked_micro_solve_equals_single_cell_solves(psi):
     chi = micro_solve(system, grads)
     assert np.max(np.abs(chi)) > 0.01
     for t, F in enumerate(grads):
-        assert np.array_equal(chi[t], solve_cell_problem(model, F, system=system))
+        assert np.array_equal(chi[t], solve_cell_problem(model, F))
 
 
 @given(st.lists(st.floats(0.2, 5.0), min_size=2, max_size=4),
@@ -648,7 +648,7 @@ def test_stacked_micro_solve_equals_single_solves_on_random_springs(psi, strains
     grads = np.array(strains).reshape(-1, 1, 1)
     chi = micro_solve(system, grads)
     for t, F in enumerate(grads):
-        assert np.array_equal(chi[t], solve_cell_problem(model, F, system=system))
+        assert np.array_equal(chi[t], solve_cell_problem(model, F))
 
 
 def test_quadratic_converges_in_one_iteration():
@@ -988,9 +988,9 @@ def test_cell_independence_check_compares_per_cell_parameters_only():
     from hqclab.hqc import _require_cell_independent
 
     with pytest.raises(HQCError, match="n_rep"):
-        _require_cell_independent(RandomBond2D(8, seed=2), np.array([0, 5]))
-    _require_cell_independent(uniform_network(8), np.array([0, 5]))
-    _require_cell_independent(make_dynamics_model().model, np.array([0, 5]))
+        _require_cell_independent(RandomBond2D(8, seed=2), np.array([[0, 0], [0, 5]]))
+    _require_cell_independent(uniform_network(8), np.array([[0, 0], [0, 5]]))
+    _require_cell_independent(make_dynamics_model().model, np.array([[0], [5]]))
 
 
 def test_cell_independence_check_includes_cell_zero():
@@ -1002,6 +1002,7 @@ def test_cell_independence_check_includes_cell_zero():
     lat, mesh = square_lattice(8), build_mesh(2, 4)
     cells = np.concatenate([dom.parent_cells for dom in place_sampling_domains(mesh, lat)])
     assert not np.isin([0, 1], cells).any()
+    cells = lat.cell_multi[cells]
     at_zero, at_one = uniform_network(8), uniform_network(8)
     at_zero.psi[0] = 9.0
     at_one.psi[1] = 9.0
@@ -1027,11 +1028,10 @@ def test_period_sampling_and_homogenization_share_one_cell_system(make_model):
     op = HQCOperator(model, lat, build_mesh(model.d, 4))
     assert op.system is HomogenizedDensity(model).system is cell_system(model)
     assert HQCOperator(model, lat, build_mesh(model.d, 2), relax=False).system is op.system
-    # another model compiles its own; subgrid sampling compiles its own torus
+    # another model compiles its own; a one-cell sampling subgrid is the cell
     assert HQCOperator(make_model(), lat, build_mesh(model.d, 4)).system is not op.system
     if model.m == 1:
-        sub = HQCOperator(model, lat, build_mesh(model.d, 4), n_rep=1)
-        assert sub.system is not op.system and sub.system.n_sites == op.system.n_sites
+        assert HQCOperator(model, lat, build_mesh(model.d, 4), n_rep=1).system is op.system
 
 
 def test_equivalence_study_compiles_one_system_per_model(monkeypatch):
@@ -1061,8 +1061,8 @@ def test_equivalence_study_compiles_one_system_per_model(monkeypatch):
 
 def test_stochastic_study_compiles_one_system_per_sampling(monkeypatch):
     # two samplings, two meshes, two relax values: each sampling's torus is
-    # compiled once for its four operators, plus the atomistic system, and each
-    # sampling solves for its sensitivities once
+    # compiled once for its four operators, and the full sampling's is the
+    # atomistic system; each sampling solves for its sensitivities once
     from hqclab import experiments, hqc, network
 
     built, solved = [], []
@@ -1081,7 +1081,7 @@ def test_stochastic_study_compiles_one_system_per_sampling(monkeypatch):
     res = experiments.run_stochastic_2d({"n": "16", "seed": "3", "h_list": "1/2,1/4",
                                          "n_rep_list": "4,16", "fit_range": "0:2"})
     assert all(row[-1] == "ok" for row in res.rows)
-    assert sorted(built) == [16, 256, 256]
+    assert sorted(built) == [16, 256]
     assert sorted(solved) == [16, 256]
 
 

@@ -71,7 +71,7 @@ def test_shift_corrector_bijection():
     # staying below tolerance
     for model, F in ((LinearSpring1D((1.0, 3.0, 0.5)), 0.9), (make_dynamics_model().model, 0.03)):
         system = cell_system(model)
-        chi = solve_cell_problem(model, [[F]], system=system)
+        chi = solve_cell_problem(model, [[F]])
         q_from_chi = shifts_from_corrector(chi)
         # shift residual at the mapped point
         q_solved = solve_shift_vectors(model, [[F]], guess=q_from_chi)
@@ -186,7 +186,7 @@ class _TwoSpecies2D:
     def shifts(self):
         return self._shifts
 
-    def bond_specs(self, alpha, cell=0):
+    def bond_specs(self, alpha, cells=None):
         return self._specs[alpha]
 
 

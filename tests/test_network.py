@@ -26,14 +26,13 @@ from hqclab.potential import (
 from support import bond_order_hessian, grid_average, reference_compile, reference_hessian
 
 
-def per_spec_laws(lattice, model, parent_cells=None):
+def per_spec_laws(lattice, model):
     """One law per bond class and its bond slice, in compile_system's bond order
     (one bond per cell: the sites ``site_index`` gives the species)."""
-    cells = parent_cells if parent_cells is not None else np.arange(lattice.n_cells)
     laws, slices, start = [], [], 0
     for alpha in range(lattice.m):
         nb = len(lattice.site_index(lattice.cell_multi, alpha))
-        for spec in model.bond_specs(alpha, cells):
+        for spec in model.bond_specs(alpha, lattice.cell_multi):
             laws.append(spec.law)
             slices.append(slice(start, start + nb))
             start += nb
@@ -51,7 +50,7 @@ def scatter_oracle(system, per_bond):
     out = np.zeros((system.n_sites, system.d))
     np.add.at(out, system.dst, per_bond)
     np.subtract.at(out, system.src, per_bond)
-    return out / system.gap_scale
+    return out
 
 
 def three_species_lj():
@@ -59,26 +58,25 @@ def three_species_lj():
 
 
 def cases():
-    """(name, lattice, model, gap_scale, field scale, F or None)."""
+    """(name, lattice, model, field scale, F or None): fields in corrector
+    variables, so the atomistic chains take u / eps at the scale of u."""
     lj = make_dynamics_model().model
-    chain = chain_lattice(Fraction(1, 512), 2)
     return [
-        ("springs", chain_lattice(Fraction(1, 16), 2), LinearSpring1D((1.0, 3.0)), 1 / 16, 0.002, None),
-        ("lj-chain", chain, lj, chain.eps_float, 1e-4, None),
-        ("lj-micro", Multilattice(1, 1, lj.shifts()), lj, 1.0, 0.02, np.array([[0.03]])),
-        ("lj-3", chain_lattice(Fraction(1, 16), 3), three_species_lj(), 1 / 16, 0.001, None),
-        ("lj-3-micro", Multilattice(1, 1, three_species_lj().shifts()), three_species_lj(), 1.0,
+        ("springs", chain_lattice(Fraction(1, 16), 2), LinearSpring1D((1.0, 3.0)), 0.032, None),
+        ("lj-chain", chain_lattice(Fraction(1, 512), 2), lj, 0.0512, None),
+        ("lj-micro", Multilattice(1, 1, lj.shifts()), lj, 0.02, np.array([[0.03]])),
+        ("lj-3", chain_lattice(Fraction(1, 16), 3), three_species_lj(), 0.016, None),
+        ("lj-3-micro", Multilattice(1, 1, three_species_lj().shifts()), three_species_lj(),
          0.02, np.array([[-0.02]])),
-        ("network", square_lattice(8), RandomBond2D(8, seed=5), 1 / 8, 0.01, None),
-        ("network-strained", square_lattice(8), RandomBond2D(8, seed=6), 1.0, 0.1,
+        ("network", square_lattice(8), RandomBond2D(8, seed=5), 0.08, None),
+        ("network-strained", square_lattice(8), RandomBond2D(8, seed=6), 0.1,
          np.array([[0.1, -0.05], [0.02, 0.07]])),
     ]
 
 
-@pytest.mark.parametrize("name, lattice, model, gap_scale, scale, F", cases(),
-                         ids=[c[0] for c in cases()])
-def test_stacked_kernel_bit_identical_to_per_spec_laws(name, lattice, model, gap_scale, scale, F):
-    system = compile_system(lattice, model, gap_scale)
+@pytest.mark.parametrize("name, lattice, model, scale, F", cases(), ids=[c[0] for c in cases()])
+def test_stacked_kernel_bit_identical_to_per_spec_laws(name, lattice, model, scale, F):
+    system = compile_system(lattice, model)
     laws, slices = per_spec_laws(lattice, model)
     rng = np.random.default_rng(7)
     w = scale * rng.standard_normal((lattice.n_sites, lattice.d))
@@ -90,10 +88,9 @@ def test_stacked_kernel_bit_identical_to_per_spec_laws(name, lattice, model, gap
     assert np.array_equal(system.gradient(w, F), scatter_oracle(system, forces))
 
 
-@pytest.mark.parametrize("name, lattice, model, gap_scale, scale, F", cases(),
-                         ids=[c[0] for c in cases()])
-def test_stacked_fields_equal_single_evaluations(name, lattice, model, gap_scale, scale, F):
-    system = compile_system(lattice, model, gap_scale)
+@pytest.mark.parametrize("name, lattice, model, scale, F", cases(), ids=[c[0] for c in cases()])
+def test_stacked_fields_equal_single_evaluations(name, lattice, model, scale, F):
+    system = compile_system(lattice, model)
     rng = np.random.default_rng(8)
     T, d = 3, lattice.d
     W = scale * rng.standard_normal((T, lattice.n_sites, d))
@@ -114,7 +111,8 @@ def _bitwise_equal(a, b) -> bool:
 
 
 def compile_cases():
-    """(lattice, model, parent_cells or None) for the compile-against-reference check."""
+    """(lattice, model, parent cells of a sampling subgrid or None) for the
+    compile-against-reference check."""
     from test_mqc import _TwoSpecies2D
 
     from hqclab.hqc import place_sampling_domains
@@ -135,30 +133,44 @@ def compile_cases():
 @pytest.mark.parametrize("lattice, model, parent_cells", compile_cases())
 def test_compile_equals_the_per_spec_reference_bitwise(lattice, model, parent_cells):
     # one array pass over the models' resolved offsets against the per-spec
-    # compile that re-resolves every offset on the lattice
-    system = compile_system(lattice, model, 0.25, parent_cells=parent_cells)
-    ref = reference_compile(lattice, model, 0.25, parent_cells=parent_cells)
+    # compile that re-resolves every offset on the lattice; a sampling subgrid
+    # compiles the model's corner subgrid, the parent cells of its placement
+    system = compile_system(lattice, model)
+    ref = reference_compile(lattice, model)
     for name in ("src", "dst", "rvec"):
         assert _bitwise_equal(getattr(system, name), getattr(ref, name)), name
     assert type(system.law) is type(ref.law) and vars(system.law).keys() == vars(ref.law).keys()
     for name, value in vars(ref.law).items():
         assert _bitwise_equal(getattr(system.law, name), value), name
-    assert (system.n_sites, system.cells, system.gap_scale) == (ref.n_sites, ref.cells, ref.gap_scale)
+    assert (system.n_sites, system.cells) == (ref.n_sites, ref.cells)
+    if parent_cells is not None:
+        assert np.array_equal(system.law.psi, model.psi[parent_cells].T.ravel())
 
 
 def test_compile_refuses_a_lattice_with_other_shifts():
     # the offsets come resolved from the model, so the lattice must carry its shifts
     with pytest.raises(PotentialError, match="shifts"):
-        compile_system(Multilattice(1, Fraction(1, 8), [0, Fraction(1, 3)]), LinearSpring1D((1.0, 2.0)), 1.0)
+        compile_system(Multilattice(1, Fraction(1, 8), [0, Fraction(1, 3)]), LinearSpring1D((1.0, 2.0)))
     with pytest.raises(PotentialError, match="shifts"):
-        compile_system(chain_lattice(Fraction(1, 8), 3), LinearSpring1D((1.0, 2.0)), 1.0)
+        compile_system(chain_lattice(Fraction(1, 8), 3), LinearSpring1D((1.0, 2.0)))
     with pytest.raises(PotentialError, match="shifts"):
-        compile_system(chain_lattice(Fraction(1, 8), 1), RandomBond2D(8, seed=1), 1.0)
+        compile_system(chain_lattice(Fraction(1, 8), 1), RandomBond2D(8, seed=1))
+
+
+def test_one_system_per_model_and_cells_per_dimension():
+    # a system is fixed by its model and cells per dimension: two lattices of
+    # one size share one memo entry, another size or model compiles its own
+    model = LinearSpring1D((1.0, 3.0))
+    first = compile_system(chain_lattice(Fraction(1, 8), 2), model)
+    assert compile_system(chain_lattice(Fraction(1, 8), 2), model) is first
+    assert compile_system(chain_lattice(Fraction(1, 16), 2), model) is not first
+    assert sorted(network._SYSTEMS[model]) == [8, 16]
+    assert compile_system(chain_lattice(Fraction(1, 8), 2), LinearSpring1D((1.0, 3.0))) is not first
 
 
 def test_incidence_scatter_matches_add_at_bitwise():
     lat = chain_lattice(Fraction(1, 512), 2)
-    system = compile_system(lat, make_dynamics_model().model, gap_scale=lat.eps_float)
+    system = compile_system(lat, make_dynamics_model().model)
     assert lat.n_sites == 1024
     f = np.random.default_rng(9).standard_normal((len(system.src), 1))
     out = np.zeros((lat.n_sites, 1))
@@ -166,7 +178,7 @@ def test_incidence_scatter_matches_add_at_bitwise():
     np.subtract.at(out, system.src, f)
     assert np.array_equal(system.incidence @ f, out)
     # a single-cell torus bonds sites to themselves: both entries are kept
-    cell = compile_system(Multilattice(1, 1, lat.shifts), make_dynamics_model().model, 1.0)
+    cell = compile_system(Multilattice(1, 1, lat.shifts), make_dynamics_model().model)
     assert cell.incidence.nnz == 2 * len(cell.src)
 
 
@@ -181,7 +193,7 @@ def network_hessian(log_decades=None):
     if log_decades is not None:
         rng = np.random.default_rng(12)
         model.psi = 10.0 ** rng.uniform(0.0, log_decades, size=model.psi.shape)
-    system = compile_system(square_lattice(n), model, gap_scale=1 / n)
+    system = compile_system(square_lattice(n), model)
     assert system.cells == (n, n)
     return (system,) + system.hessian(np.zeros((system.n_sites, 2)), stencil=True)
 
@@ -207,7 +219,7 @@ def test_pcg_matches_dense_least_squares(log_decades, tol):
 
 def chain_spring_hessian():
     lat = chain_lattice(Fraction(1, 384), 2)
-    system = compile_system(lat, LinearSpring1D((1.0, 3.0)), gap_scale=lat.eps_float)
+    system = compile_system(lat, LinearSpring1D((1.0, 3.0)))
     return system.hessian(np.zeros((lat.n_sites, 1)), stencil=True) + (1,)
 
 
@@ -237,7 +249,7 @@ def subgrid_sensitivity():
     from hqclab.hqc import place_sampling_domains
 
     sub = place_sampling_domains(build_mesh(2, 4), square_lattice(32), n_rep=8)[0]
-    system = compile_system(sub.torus, RandomBond2D(32, seed=1), 1.0, parent_cells=sub.parent_cells)
+    system = compile_system(sub.torus, RandomBond2D(32, seed=1))
     zero = np.zeros((system.n_sites, 2))
     rhs = -system.affine_force(zero, None, np.eye(4).reshape(4, 2, 2))
     return system.hessian(zero, stencil=True) + (rhs, 2)
@@ -303,7 +315,7 @@ def micro_cases():
 def test_dense_stack_operator_equals_per_entry_sparse_operators(name, model, scale):
     # each entry's own operator: one field on the one-cell torus, whose Hessian
     # is a dense stack of one
-    system = compile_system(Multilattice(1, 1, model.shifts()), model, 1.0)
+    system = compile_system(Multilattice(1, 1, model.shifts()), model)
     rng = np.random.default_rng(17)
     T, n = 5, system.n_sites
     W = 0.01 * rng.standard_normal((T, n, 1))
@@ -325,7 +337,7 @@ def test_dense_hessian_stack_sums_duplicates_like_the_sparse_matrix():
     # a 2 x 2 torus bonds every site to its neighbors more than once: each stack
     # entry is its own field's stack of one bit for bit, and the sparse matrix
     # of that field to rounding
-    system = compile_system(square_lattice(2), RandomBond2D(2, seed=18), 1.0)
+    system = compile_system(square_lattice(2), RandomBond2D(2, seed=18))
     rng = np.random.default_rng(19)
     W = 0.1 * rng.standard_normal((3, system.n_sites, 2))
     Fs = 0.1 * rng.standard_normal((3, 2, 2))
@@ -348,7 +360,7 @@ def hessian_cases():
     from hqclab.hqc import place_sampling_domains
 
     def cell(model):
-        return compile_system(Multilattice(model.d, 1, model.shifts()), model, 1.0)
+        return compile_system(Multilattice(model.d, 1, model.shifts()), model)
 
     sub = place_sampling_domains(build_mesh(2, 2), square_lattice(8), n_rep=8)[0]
     springs = [pytest.param(lambda m=m: cell(LinearSpring1D(tuple(np.arange(1.0, m + 1)))), id=f"springs-m{m}")
@@ -356,10 +368,9 @@ def hessian_cases():
     return springs + [
         pytest.param(lambda: cell(make_dynamics_model().model), id="lj-cell"),
         pytest.param(lambda: cell(_TwoSpecies2D(psi0=1.0, psi1=3.0)), id="two-species-2d"),
-        pytest.param(lambda: compile_system(sub.torus, RandomBond2D(8, seed=5), 1.0,
-                                            parent_cells=sub.parent_cells), id="network-subgrid-128"),
-        pytest.param(lambda: compile_system(chain_lattice(Fraction(1, 301), 2), LinearSpring1D((1.0, 2.0)),
-                                            1.0 / 301), id="chain-602"),
+        pytest.param(lambda: compile_system(sub.torus, RandomBond2D(8, seed=5)), id="network-subgrid-128"),
+        pytest.param(lambda: compile_system(chain_lattice(Fraction(1, 301), 2), LinearSpring1D((1.0, 2.0))),
+                     id="chain-602"),
     ]
 
 
@@ -404,7 +415,7 @@ class _UnevenChain(InteractionModel):
     def shifts(self):
         return [(Fraction(0),), (Fraction(1, 2),)]
 
-    def bond_specs(self, alpha, cell=0):
+    def bond_specs(self, alpha, cells=None):
         return self._specs[alpha]
 
 
@@ -412,9 +423,9 @@ def grid_hessian_cases():
     """(system builder, whether bonds reach one site twice) of one field on a grid of cells."""
     grid = [pytest.param(case.values[0], False, id=case.id) for case in hessian_cases() if case.id in GRID_CASES]
     return grid + [
-        pytest.param(lambda: compile_system(chain_lattice(Fraction(1, 3), 2), make_dynamics_model().model, 1 / 3),
+        pytest.param(lambda: compile_system(chain_lattice(Fraction(1, 3), 2), make_dynamics_model().model),
                      True, id="lj-chain-3"),
-        pytest.param(lambda: compile_system(chain_lattice(Fraction(1, 5), 2), _UnevenChain(), 1 / 5),
+        pytest.param(lambda: compile_system(chain_lattice(Fraction(1, 5), 2), _UnevenChain()),
                      False, id="uneven-degrees"),
     ]
 
@@ -447,7 +458,7 @@ def test_grid_hessian_and_solver_set_up_stay_near_the_matrix_size():
     # the n = 128 random network of the stochastic study: the Hessian and the
     # operator's set-up allocate little beyond the CSR matrix they keep
     n = 128
-    system = compile_system(square_lattice(n), RandomBond2D(n, seed=1), gap_scale=1 / n)
+    system = compile_system(square_lattice(n), RandomBond2D(n, seed=1))
     zero = np.zeros((system.n_sites, 2))
     tracemalloc.start()
     try:
@@ -475,7 +486,7 @@ def test_collapsing_step_is_halved_for_its_entry_only(monkeypatch):
     from hqclab.potential import PotentialError
 
     model = _HardCoreDynamicsModel()
-    system = compile_system(Multilattice(1, 1, model.shifts()), model, 1.0)
+    system = compile_system(Multilattice(1, 1, model.shifts()), model)
     F = np.array([[[0.2]], [[0.2]], [[0.05]]])
     shifts = np.array([-0.062, 0.1, 0.03])
     w0 = np.stack([-shifts / 2, shifts / 2], axis=1)[:, :, None]
@@ -507,7 +518,7 @@ def test_unconverged_entry_fails_the_whole_stack():
     from hqclab.hqc import MICRO_TOL, micro_solve
 
     model = make_dynamics_model().model
-    system = compile_system(Multilattice(1, 1, model.shifts()), model, 1.0)
+    system = compile_system(Multilattice(1, 1, model.shifts()), model)
     F = np.array([[[0.01]], [[-0.02]], [[0.03]], [[0.05]]])
     w0 = micro_solve(system, F)
     w0[1] += [[-0.01], [0.01]]

@@ -46,7 +46,7 @@ def test_quadratic_scaling():
         assert site_energy(model, 0, [lam * 0.2]) == pytest.approx(lam**2 * site_energy(model, 0, [0.2]))
 
 
-def _fd_gradient(model, alpha, gaps, cell=0, step=1e-5):
+def _fd_gradient(model, alpha, gaps, cell=None, step=1e-5):
     gaps = [np.atleast_1d(np.asarray(g, float)) for g in gaps]
     out = []
     for j in range(len(gaps)):
@@ -69,12 +69,12 @@ def _models_for_consistency():
     cases = []
     for alpha in range(2):
         gaps = [0.05 * rng.standard_normal(1) for _ in spring.bond_specs(alpha)]
-        cases.append((spring, alpha, gaps, 0))
+        cases.append((spring, alpha, gaps, None))
     for alpha in range(2):
         gaps = [0.03 * rng.standard_normal(1) for _ in lj.bond_specs(alpha)]
-        cases.append((lj, alpha, gaps, 0))
-    gaps = [0.1 * rng.standard_normal(2) for _ in rb.bond_specs(0, 5)]
-    cases.append((rb, 0, gaps, 5))
+        cases.append((lj, alpha, gaps, None))
+    gaps = [0.1 * rng.standard_normal(2) for _ in rb.bond_specs(0, (1, 1))]
+    cases.append((rb, 0, gaps, (1, 1)))
     return cases
 
 

@@ -25,7 +25,7 @@ def lj_systems(draw):
     ell = tuple(draw(st.lists(st.floats(0.97, 1.03), min_size=m, max_size=m)))
     cutoff = draw(st.sampled_from([1.0, 1.5, 2.0]))
     model = LennardJones1D(LennardJonesParams(s=s, ell=ell, cutoff=cutoff))
-    system = compile_system(chain_lattice(Fraction(1, 4), m), model, gap_scale=1.0)
+    system = compile_system(chain_lattice(Fraction(1, 4), m), model)
     F = np.array([[draw(st.floats(-0.04, 0.04))]])
     return system, F, 0.01
 
@@ -34,8 +34,7 @@ def lj_systems(draw):
 def spring_networks(draw):
     """A random 2D bond network, strained or not."""
     n = draw(st.sampled_from([2, 4]))
-    system = compile_system(square_lattice(n), RandomBond2D(n, seed=draw(st.integers(0, 2**16))),
-                            gap_scale=1.0)
+    system = compile_system(square_lattice(n), RandomBond2D(n, seed=draw(st.integers(0, 2**16))))
     F = np.array(draw(st.lists(st.floats(-0.2, 0.2), min_size=4, max_size=4))).reshape(2, 2)
     return system, draw(st.sampled_from([None, F])), 0.1
 
