@@ -14,11 +14,13 @@ cells per dimension) is the model's compiled system on that many cells, the
 one homogenization (one period) and the atomistic reference (n_rep = N) use;
 its effective tensors are kept per system, so every operator on one model and
 sampling shares both, whatever its mesh and relax value.  The route follows
-the bond law of the micro system: a quadratic law shortcuts through one
-effective tensor computed from unit-gradient correctors and contracts it over
-all elements at once.  Any other law solves the microproblems of all elements
-as one stack, each from zero (``micro_solve``, one stacked ``network.newton``),
-and ``micro_sensitivity`` and ``condensed_tangent`` take the same stack.  No
+the bond law of the micro system.  A quadratic law, whose stiffness must be
+psi I, takes the tensor route (``conductance_tensors``): d scalar
+sensitivities on the graph Laplacian, solved as one stack, and the effective
+tensor A_ijkl = delta_ik a_jl, contracted over all elements at once.  Any
+other law solves the microproblems of all elements as one stack,
+each from zero (``micro_solve``, one stacked ``network.newton``), and
+``micro_sensitivity`` and ``condensed_tangent`` take the same stack.  No
 micro state is kept between evaluations, so the macro energy is a function of
 u^h alone.  The stacked micro layer and the macro Newton (``macro_newton``)
 also serve the homogenized FEM of ``homog``.
@@ -154,8 +156,7 @@ def micro_sensitivity(system: BondSystem, chi: np.ndarray, F: np.ndarray | None)
     """
     d = system.d
     rhs = -system.affine_force(chi, F, np.eye(d * d).reshape(d * d, d, d))
-    H, stencil = system.hessian(chi, F, stencil=True)
-    return GaugeFixedOperator(H, d, stencil).solve(rhs).reshape(chi.shape[:-2] + (d, d) + chi.shape[-2:])
+    return system.operator(chi, F).solve(rhs).reshape(chi.shape[:-2] + (d, d) + chi.shape[-2:])
 
 
 def condensed_tangent(system: BondSystem, chi: np.ndarray, F: np.ndarray | None,
@@ -174,6 +175,30 @@ def condensed_tangent(system: BondSystem, chi: np.ndarray, F: np.ndarray | None,
     return np.einsum("...ijbx,...bxy,...klby->...ijkl", gaps, k, gaps) / system.n_sites
 
 
+def conductance_tensors(system: BondSystem, relax: bool) -> tuple[np.ndarray | None, np.ndarray]:
+    """Unit-gradient sensitivities s and effective tensor a of a quadratic
+    system at rest whose stiffness is psi_b I per bond.
+
+    The sensitivity of the unit gradient E_ij is e_i s_j, with the scalar
+    field s_j the zero-mean solution of L s_j = -D(psi r_j), L the scalar
+    Laplacian; s (n_sites, d) holds s_j in column j, all d solved as one
+    stack.  The condensed tangent is A_ijkl = delta_ik a_jl with
+    a_jl = < psi (r_j + D s_j)(r_l + D s_l) >.  With ``relax=False`` s is None
+    and a_jl = < psi r_j r_l >, the Cauchy-Born tensor.  A law whose stiffness
+    is not scalar is refused.
+    """
+    d = system.d
+    zero = np.zeros((system.n_sites, d))
+    psi = system.scalar_stiffness(zero)
+    if psi is None:
+        raise HQCError(f"quadratic bond law {type(system.law).__name__} has no scalar stiffness "
+                       "(scalar_hess): the tensor route needs a stiffness psi I")
+    # a quadratic law's force at the gap r is psi r: column j of this gradient is D(psi r_j)
+    s = system.operator(zero).solve(-system.gradient(zero, np.eye(d))) if relax else None
+    g = system.gaps(zero if s is None else s, np.eye(d))   # r_j + D s_j in column j
+    return s, np.einsum("bj,b,bl->jl", g, psi, g) / system.n_sites
+
+
 def macro_newton(mesh: MacroMesh, energy, gradient, tangents, load: np.ndarray | None,
                  tol: float) -> tuple[P1Field, NewtonResult]:
     """Outer Newton from u^h = 0 for the critical point of energy(u^h) - load . u^h
@@ -190,14 +215,18 @@ def macro_newton(mesh: MacroMesh, energy, gradient, tangents, load: np.ndarray |
     """
     b = np.zeros((mesh.n_vertices, mesh.d)) if load is None else np.asarray(load, dtype=float)
     threshold = tol * (1.0 + float(np.linalg.norm(b))) / np.sqrt(mesh.n_vertices)
+
+    def operator(u, _):
+        K, S = assemble(mesh, tangents(P1Field(mesh, u[0])), stencil=True)
+        return GaugeFixedOperator(K, mesh.d, S)
+
     result = newton(lambda u, _: [energy(P1Field(mesh, u[0])) - float(np.sum(b * u[0]))],
                     lambda u, _: project_zero_mean_array(gradient(P1Field(mesh, u[0])) - b)[None],
-                    lambda u, _: assemble(mesh, tangents(P1Field(mesh, u[0])), stencil=True),
-                    np.zeros_like(b)[None], threshold)
+                    operator, np.zeros_like(b)[None], threshold)
     return p1_zero_mean(P1Field(mesh, result.w[0])), result
 
 
-#: per micro system: {relax: (sens, A)}, the effective tensors of a quadratic law
+#: per micro system: {relax: (s, a)} of ``conductance_tensors``
 _TENSORS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -239,27 +268,25 @@ class HQCOperator:
     # ------------------------------------------------------------- micro layer
 
     def _quad_data(self) -> tuple[np.ndarray | None, np.ndarray]:
-        """Unit-gradient sensitivities and the effective tensor of a quadratic
-        system (Cauchy-Born tensor when correctors are frozen)."""
+        """The scalar sensitivities s (n_sites, d) and the tensor a (d, d) of a
+        quadratic system, ``conductance_tensors`` (Cauchy-Born when correctors
+        are frozen)."""
         if self.relax not in self._tensors:
-            system = self.system
-            zero = np.zeros((system.n_sites, system.d))
-            sens = micro_sensitivity(system, zero, None) if self.relax else None
-            self._tensors[self.relax] = (sens, condensed_tangent(system, zero, None, sens))
+            self._tensors[self.relax] = conductance_tensors(self.system, self.relax)
         return self._tensors[self.relax]
 
     def correctors(self, grads: np.ndarray) -> np.ndarray:
         """Zero-mean correctors of all elements at gradients (n_el, d, d), shape
         (n_el, n_sites, d).
 
-        A quadratic bond law contracts the unit-gradient sensitivities; any
-        other runs ``micro_solve``.
+        A quadratic bond law contracts the scalar sensitivities,
+        chi[:, x] = F[x, j] s_j; any other runs ``micro_solve``.
         """
         system = self.system
         if not self.relax:
             return np.zeros((len(grads), system.n_sites, system.d))
         if system.law.is_quadratic:
-            return np.einsum("tij,ijnx->tnx", grads, self._quad_data()[0])
+            return np.einsum("txj,nj->tnx", grads, self._quad_data()[0])
         return micro_solve(system, grads)
 
     # ------------------------------------------------------------- macro layer
@@ -267,7 +294,7 @@ class HQCOperator:
     def energy(self, uh: P1Field) -> float:
         grads = all_element_gradients(uh)
         if self.system.law.is_quadratic:
-            P = np.einsum("ijkl,tkl->tij", self._quad_data()[1], grads)
+            P = np.einsum("til,jl->tij", grads, self._quad_data()[1])
             return 0.5 * float(np.einsum("t,tij,tij->", self.mesh.volumes, grads, P))
         return float(self.mesh.volumes @ self.system.energy(self.correctors(grads), grads))
 
@@ -275,14 +302,14 @@ class HQCOperator:
         """Nodal residual of the macro energy (sensitivity-free stress form)."""
         grads = all_element_gradients(uh)
         if self.system.law.is_quadratic:
-            P = np.einsum("ijkl,tkl->tij", self._quad_data()[1], grads)
+            P = np.einsum("til,jl->tij", grads, self._quad_data()[1])
         else:
             P = self.system.stress(self.correctors(grads), grads)
         return nodal_forces(self.mesh, P)
 
     def element_tangents(self, uh: P1Field) -> np.ndarray:
         if self.system.law.is_quadratic:
-            A = self._quad_data()[1]
+            A = np.einsum("ik,jl->ijkl", np.eye(self.mesh.d), self._quad_data()[1])
             return np.broadcast_to(A, (self.mesh.n_elements,) + A.shape)
         grads = all_element_gradients(uh)
         chi = self.correctors(grads)

@@ -30,6 +30,11 @@ is one ``bincount`` of the bond terms in bond order; a Hessian on a grid is
 filled from the incidence rows and its stencil class by class, with no COO
 matrix.  scipy serves only the sparse matrices (the incidence scatter, the
 Hessian on a grid) that PCG needs.
+
+Springs have the stiffness psi_b I, so their Hessian is L (x) I_d, with L the
+weighted graph Laplacian of the bonds (the discrete random-conductance
+operator).  Their solvers (``BondSystem.operator``) hold L, built by the same
+code at block size 1, and solve a field's d components as d scalar columns.
 """
 
 from __future__ import annotations
@@ -149,7 +154,13 @@ class BondSystem:
         del k, gr   # freed before the scatter allocates its result
         return self._scatter(np.moveaxis(per_bond, 0, -2))
 
-    def hessian(self, w: np.ndarray, F: np.ndarray | None = None, stencil: bool = False):
+    def scalar_stiffness(self, w: np.ndarray, F: np.ndarray | None = None) -> np.ndarray | None:
+        """c_b per bond, shape (..., n_bonds), when every phi''_b is c_b I (a law
+        with ``scalar_hess``, such as springs); None for any other law."""
+        scalar = getattr(self.law, "scalar_hess", None)
+        return None if scalar is None else scalar(self.gaps(w, F), self.rvec)
+
+    def hessian(self, w: np.ndarray, F: np.ndarray | None = None):
         """Riesz Hessian.  A stack of fields, or one field on a one-cell torus
         (a stack of one), gives a dense stack (T, n_dof, n_dof) whose entries
         sum their terms in bond order, so a stack entry equals the Hessian of
@@ -157,29 +168,42 @@ class BondSystem:
         cells gives a CSR matrix (n_dof x n_dof) filled from the incidence
         rows: a site's row block is its diagonal block, its incident bonds'
         stiffnesses summed in incidence order, then one -k block per incident
-        bond at the bond's other end (bonds reaching one site share a block).
-        ``stencil=True`` returns (H, S), S the grid-averaged stencil of a CSR
-        H and None for a dense stack."""
-        k = self.bond_stiffness(w, F)
+        bond at the bond's other end (bonds reaching one site share a block)."""
+        return self._matrix(self.bond_stiffness(w, F))
+
+    def operator(self, w: np.ndarray, F: np.ndarray | None = None) -> "GaugeFixedOperator":
+        """The solver of the Riesz Hessian at w (one field or a stack, as
+        ``hessian`` takes them), and the one place that picks scalar or
+        vector: with a scalar stiffness c_b I it holds the graph Laplacian L
+        of H = L (x) I_d, one DOF per site; otherwise the full Hessian."""
+        c = self.scalar_stiffness(w, F)
+        k = self.bond_stiffness(w, F) if c is None else c[..., None, None]
+        H = self._matrix(k)
+        return GaugeFixedOperator(H, k.shape[-1], self._stencil(k) if sp.issparse(H) else None)
+
+    def _matrix(self, k: np.ndarray):
+        """The Hessian of ``hessian`` from per-bond stiffness blocks k (..., n_bonds,
+        b, b): b = d for the full Hessian, b = 1 for the scalar Laplacian."""
         if k.ndim == 3 and np.prod(self.cells) > 1:
-            H = self._grid_hessian(k)
-            return (H, self._stencil(k)) if stencil else H
-        d, n = self.d, self.n_dof
-        i, j = np.indices((d, d))
-        rows = (d * np.hstack([self.src, self.dst, self.src, self.dst])[:, None, None] + i).ravel()
-        cols = (d * np.hstack([self.src, self.dst, self.dst, self.src])[:, None, None] + j).ravel()
+            return self._grid_hessian(k)
+        b = k.shape[-1]
+        n = self.n_sites * b
+        i, j = np.indices((b, b))
+        rows = (b * np.hstack([self.src, self.dst, self.src, self.dst])[:, None, None] + i).ravel()
+        cols = (b * np.hstack([self.src, self.dst, self.dst, self.src])[:, None, None] + j).ravel()
         vals = np.concatenate([k, k, -k, -k], axis=-3).reshape(-1, len(rows))
         T = len(vals)
         where = rows * n + cols + n * n * np.arange(T)[:, None]
-        H = np.bincount(where.ravel(), weights=vals.ravel(), minlength=T * n * n).reshape(T, n, n)
-        return (H, None) if stencil else H
+        return np.bincount(where.ravel(), weights=vals.ravel(), minlength=T * n * n).reshape(T, n, n)
 
     def _grid_hessian(self, k: np.ndarray) -> sp.csr_matrix:
-        """CSR Hessian of one field on a grid from the per-bond stiffnesses k
-        (n_bonds, d, d).  Every cell's rows list the same bond classes in the
-        same order, so the blocks of a species' rows are laid out once, from
-        cell 0, and each incident bond is filled for all cells at once."""
-        d, n_cells = self.d, int(np.prod(self.cells))
+        """CSR Hessian of one field on a grid from the per-bond stiffness blocks
+        k (n_bonds, d, d), with d the block size of k.  Every cell's rows list
+        the same bond classes in the same order, so the blocks of a species'
+        rows are laid out once, from cell 0, and each incident bond is filled
+        for all cells at once."""
+        d, n_cells = k.shape[-1], int(np.prod(self.cells))
+        n_dof = self.n_sites * d
         m = self.n_sites // n_cells
         D = self.incidence
         bonds = D.indices.reshape(n_cells, -1)      # per cell: the bonds of its m rows in turn
@@ -191,8 +215,8 @@ class BondSystem:
             layouts.append(([blocks.index(e) for e in ends[1:]], len(blocks)))
         widths = np.array([q for _, q in layouts])
         nnz = n_cells * d * d * int(widths.sum())
-        itype = np.int32 if max(nnz, self.n_dof) < 2**31 else np.int64
-        indptr = np.zeros(self.n_dof + 1, dtype=itype)
+        itype = np.int32 if max(nnz, n_dof) < 2**31 else np.int64
+        indptr = np.zeros(n_dof + 1, dtype=itype)
         np.cumsum(np.tile(np.repeat(d * widths, d), n_cells), out=indptr[1:])
         data = np.zeros((n_cells, nnz // n_cells))
         indices = np.empty((n_cells, nnz // n_cells), dtype=itype)
@@ -212,14 +236,14 @@ class BondSystem:
                 column[:, :, slot] = (d * (self.src[b] + self.dst[b] - row))[:, None, None] + np.arange(d)
                 entry += 1
             start += q
-        return sp.csr_matrix((data.ravel(), indices.ravel(), indptr), shape=(self.n_dof, self.n_dof))
+        return sp.csr_matrix((data.ravel(), indices.ravel(), indptr), shape=(n_dof, n_dof))
 
     def _stencil(self, k: np.ndarray) -> np.ndarray:
-        """Grid average of the Hessian from the per-bond stiffnesses k, shape
-        cells + (b, b) with b = n_dof / n_cells: block [delta] couples a cell
+        """Grid average of the Hessian from the per-bond stiffness blocks k
+        (n_bonds, d, d), shape cells + (m d, m d): block [delta] couples a cell
         to the cell delta further on.  Each bond class adds its summed
         stiffness to the four blocks of its species pair and cell offset."""
-        d, n_cells = self.d, int(np.prod(self.cells))
+        d, n_cells = k.shape[-1], int(np.prod(self.cells))
         m = self.n_sites // n_cells
         k_class = k.reshape(-1, n_cells, d, d).sum(axis=1) / n_cells
         # the bond of each class from cell 0: its source site is its species
@@ -306,8 +330,8 @@ def _circulant_inverse(S: np.ndarray, d: int) -> np.ndarray:
     """Inverse symbol of a grid-averaged stencil, one block per rfft wavevector.
 
     S (cells + (b, b)) averages a Hessian's b x b blocks per periodic cell
-    offset (exactly H when H is block-circulant), as ``BondSystem.hessian``
-    and ``fem.assemble`` give it: block [delta] couples a cell to the cell
+    offset (exactly H when H is block-circulant), as ``BondSystem.operator``
+    and ``fem.assemble`` build it: block [delta] couples a cell to the cell
     delta further on.  Its symbol S^(k) = sum_delta S[delta] e^{2 pi i k.delta/N}
     is inverted block by block.  At k = 0 the d translations are projected out, so the
     inverse maps onto zero-mean fields.  Returns shape ``(b, b) + rfft grid``.
@@ -332,13 +356,16 @@ def _circulant_inverse(S: np.ndarray, d: int) -> np.ndarray:
 class GaugeFixedOperator:
     """Linear solver for Riesz Hessians with the constant fields in the kernel.
 
+    ``H`` has blocks of ``d`` DOF per site, and ``solve`` also takes fields of
+    c d components per site against H (x) I_c, as one stack: the scalar
+    Laplacian of a spring system (d = 1) solves its fields of any dimension.
     The type of ``H`` picks the path.  A dense stack (T, n_dof, n_dof) of
     independent Hessians (one-cell systems, stacked fields) goes through
     batched LAPACK: a rank-d regularization on the constant modes, one inverse
     per entry, one refinement step.  A sparse H (a system on a grid of cells,
     or a macro stiffness) goes, at any size, through CG preconditioned by the
     inverse of its grid-averaged ``stencil`` (cells + (b, b), from
-    ``BondSystem.hessian`` or ``fem.assemble``; exact for block-circulant H, so
+    ``BondSystem.operator`` or ``fem.assemble``; exact for block-circulant H, so
     on one cell it is the whole matrix); a dense stack takes None.  Either way
     the solution is the zero-mean field, and a failure raises SolverError
     naming its cause.
@@ -427,13 +454,18 @@ class GaugeFixedOperator:
             it += 1
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve H x = rhs for one field (n_sites, d) or a stack (k, n_sites, d),
-        with a leading axis T for a dense stack; returns zero-mean fields."""
+        """Solve (H (x) I_c) x = rhs for one field (n_sites, c d) or a stack
+        (k, n_sites, c d), with a leading axis T for a dense stack; returns
+        zero-mean fields.  The c axis joins the stack: one solve of c k columns."""
+        c = rhs.shape[-1] // self.d
+        cols = rhs.reshape(rhs.shape[:-1] + (self.d, c)).swapaxes(-1, -2).swapaxes(-2, -3)
+        cols = np.ascontiguousarray(cols)   # (..., c, n_sites, d): each column sums as it does alone
         if self._dense is not None:
-            X = self._dense_solve(rhs.reshape(len(self._dense), -1, self.n_dof))
+            X = self._dense_solve(cols.reshape(len(self._dense), -1, self.n_dof))
         else:
-            X = self._pcg(project_zero_mean_array(rhs).reshape(-1, self.n_dof))
-        return project_zero_mean_array(X.reshape(rhs.shape))
+            X = self._pcg(project_zero_mean_array(cols).reshape(-1, self.n_dof))
+        X = project_zero_mean_array(X.reshape(cols.shape))
+        return X.swapaxes(-3, -2).swapaxes(-2, -1).reshape(rhs.shape)
 
 
 @dataclass
@@ -443,19 +475,19 @@ class NewtonResult:
     iterations: int     # Newton steps summed over the stack entries
 
 
-def newton(energy, gradient, hessian, w0: np.ndarray, threshold, max_iter: int = 50) -> NewtonResult:
+def newton(energy, gradient, operator, w0: np.ndarray, threshold, max_iter: int = 50) -> NewtonResult:
     """Zero-mean Newton iteration: the one nonlinear solver of the package.
 
     ``w0`` is a stack (T, n, d) of independent problems.  ``energy``,
-    ``gradient`` and ``hessian`` map the fields w (k, n, d) of the entries
-    ``rows`` to their objectives, Riesz gradients and (Hessian, stencil) pairs
-    as ``GaugeFixedOperator`` takes them.  Entry t leaves once
+    ``gradient`` and ``operator`` map the fields w (k, n, d) of the entries
+    ``rows`` to their objectives, Riesz gradients and the
+    ``GaugeFixedOperator`` of their Hessians.  Entry t leaves once
     avg_norm(gradient) <= ``threshold`` (a float or one per entry); its step
     is halved until its objective does not rise, and a trial that raises
     PotentialError is a rise of the entries whose bonds collapsed.
     """
     w = project_zero_mean_array(np.array(w0, dtype=float))
-    T, d = len(w), w.shape[-1]
+    T = len(w)
     threshold = np.broadcast_to(threshold, (T,))
     res, active, steps = np.zeros(T), np.arange(T), 0
     for it in range(max_iter + 1):
@@ -468,8 +500,7 @@ def newton(energy, gradient, hessian, w0: np.ndarray, threshold, max_iter: int =
         if it == max_iter:
             break
         wa = w[active]
-        H, stencil = hessian(wa, active)
-        step = GaugeFixedOperator(H, d, stencil).solve(-g)
+        step = operator(wa, active).solve(-g)
         base = np.asarray(energy(wa, active), dtype=float)
         bound = base + 1e-14 * (1 + np.abs(base))
         lam, pending, size = np.ones(len(active)), np.arange(len(active)), 1.0
@@ -518,11 +549,11 @@ def newton_zero_mean(
         g = system.gradient(w, at(rows))
         return g if f_ext is None else g - f_ext
 
-    def hessian(w, rows):   # one field on a grid: the sparse Hessian, which PCG solves
+    def operator(w, rows):   # one field on a grid: the sparse Hessian, which PCG solves
         if len(rows) == 1:
-            return system.hessian(w[0], at(rows[0]), stencil=True)
-        return system.hessian(w, at(rows), stencil=True)
+            return system.operator(w[0], at(rows[0]))
+        return system.operator(w, at(rows))
 
-    result = newton(energy, gradient, hessian, np.zeros(shape) if w0 is None else np.reshape(w0, shape),
+    result = newton(energy, gradient, operator, np.zeros(shape) if w0 is None else np.reshape(w0, shape),
                     tol * (1.0 + np.asarray(ref)))
     return result if stacked else NewtonResult(result.w[0], result.residual, result.iterations)

@@ -61,7 +61,10 @@ def _per_bond(laws: Sequence, counts: Sequence[int], name: str) -> np.ndarray:
 
 
 class SpringLaw:
-    """Quadratic bond energy psi * |g|^2 / 2 with per-bond coefficient psi."""
+    """Quadratic bond energy psi * |g|^2 / 2 with per-bond coefficient psi.
+
+    Its stiffness is psi I, and ``scalar_hess`` gives the scalar psi; a law
+    without ``scalar_hess`` has a general d x d stiffness."""
 
     is_quadratic = True
 
@@ -83,6 +86,10 @@ class SpringLaw:
         out = np.zeros(gaps.shape[:-1] + (d, d))
         out[...] = np.eye(d)
         return self.psi[..., None, None] * out
+
+    def scalar_hess(self, gaps: np.ndarray, rvec: np.ndarray) -> np.ndarray:
+        """The scalar c of phi'' = c I per bond, shape gaps.shape[:-1]."""
+        return self.psi * np.ones(gaps.shape[:-1])
 
 
 class LennardJonesLaw:

@@ -4,12 +4,15 @@ helpers.  They are thin wrappers over the package's stacked routines, kept
 here so that the package carries no API without a caller.  The per-spec bond
 compile that ``compile_system`` replaced, the COO Hessian build of every
 field, a bond-order sum of the dense Hessian, and the grid average of a
-matrix's blocks stay here as references of ``BondSystem`` and of the stencils
-of ``BondSystem.hessian`` and ``fem.assemble``.  The atomistic system in
+matrix's blocks stay here as references of ``BondSystem``'s Hessians and
+stencils and of ``fem.assemble``'s stencil.  The atomistic system in
 displacement variables, its gaps divided by eps bond by bond, stays as the
 reference of the corrector-variable ``atomistic`` routines, and the Verlet
 loop that checks the energy at every step as the reference of
-``run_atomistic_dynamics``."""
+``run_atomistic_dynamics``.  The vector route that every system took before
+spring systems solved their scalar Laplacian (the full Hessian, d^2 unit
+gradients, the general condensed tangent) stays as ``VectorSystem``, the
+reference of ``BondSystem.operator`` and ``hqc.conductance_tensors``."""
 
 from __future__ import annotations
 
@@ -28,6 +31,7 @@ from hqclab.dynamics import (
     verlet_step,
 )
 from hqclab.fem import MacroMesh, P1Field, all_element_gradients, assemble
+from hqclab.hqc import condensed_tangent, micro_sensitivity
 from hqclab.lattice import (
     ZERO_MEAN_TOL,
     LatticeError,
@@ -261,6 +265,10 @@ class GapScaledSystem(BondSystem):
     def bond_stiffness(self, w: np.ndarray, F: np.ndarray | None = None) -> np.ndarray:
         return super().bond_stiffness(w, F) / self.eps**2
 
+    def scalar_stiffness(self, w: np.ndarray, F: np.ndarray | None = None) -> np.ndarray | None:
+        c = super().scalar_stiffness(w, F)
+        return None if c is None else c / self.eps**2
+
 
 def gap_scaled_solve(problem: EquilibriumProblem, tol: float = 1e-10) -> LatticeField:
     """The equilibrium solve in displacement variables on ``GapScaledSystem``."""
@@ -268,6 +276,38 @@ def gap_scaled_solve(problem: EquilibriumProblem, tol: float = 1e-10) -> Lattice
     ref = l2_norm(problem.force) if problem.force is not None else 0.0
     result = newton_zero_mean(GapScaledSystem(problem), f_ext=f, tol=tol, ref=ref)
     return project_zero_mean(LatticeField(problem.lattice, result.w))
+
+
+class VectorSystem(BondSystem):
+    """A compiled system with no scalar stiffness, so ``operator`` solves its
+    full Hessian (blocks of d per site) whatever its law: the vector route."""
+
+    def __init__(self, system: BondSystem) -> None:
+        super().__init__(system.n_sites, system.d, system.src, system.dst, system.rvec, system.law,
+                         system.cells)
+
+    def scalar_stiffness(self, w: np.ndarray, F: np.ndarray | None = None) -> None:
+        return None
+
+
+def vector_tensors(system: BondSystem, relax: bool = True) -> tuple[np.ndarray | None, np.ndarray]:
+    """Unit-gradient sensitivities (d, d, n_sites, d) and condensed tangent
+    (d, d, d, d) of a quadratic system at rest through the vector route:
+    ``affine_force`` over the d^2 unit gradients, one solve of the full
+    Hessian, the general ``condensed_tangent``."""
+    vector = VectorSystem(system)
+    zero = np.zeros((system.n_sites, system.d))
+    sens = micro_sensitivity(vector, zero, None) if relax else None
+    return sens, condensed_tangent(vector, zero, None, sens)
+
+
+def vector_solve(problem: EquilibriumProblem, tol: float = 1e-10) -> LatticeField:
+    """``atomistic.solve_equilibrium`` through the full Hessian of ``VectorSystem``."""
+    eps = problem.lattice.eps_float
+    f = eps * problem.force.values if problem.force is not None else None
+    ref = l2_norm(problem.force) if problem.force is not None else 0.0
+    result = newton_zero_mean(VectorSystem(problem.system), f_ext=f, tol=eps * tol, ref=ref)
+    return project_zero_mean(LatticeField(problem.lattice, eps * result.w))
 
 
 def reference_hessian(system: BondSystem, w: np.ndarray, F: np.ndarray | None = None):

@@ -15,6 +15,7 @@ from hqclab.atomistic import (
 )
 from hqclab.lattice import (
     LatticeField,
+    Multilattice,
     average,
     chain_lattice,
     l2_norm,
@@ -22,7 +23,7 @@ from hqclab.lattice import (
 )
 from hqclab.network import SolverError
 from hqclab.potential import LinearSpring1D, RandomBond2D, make_dynamics_model, make_stochastic_model
-from support import GapScaledSystem, gap_scaled_solve, residual_norm, zeros_field
+from support import GapScaledSystem, gap_scaled_solve, residual_norm, vector_solve, zeros_field
 
 
 def spring_problem(eps, psi, force=None):
@@ -200,6 +201,34 @@ def test_corrector_variables_reproduce_the_gap_scaled_formula(eps):
                 assert np.array_equal(u_eq.values, u_ref.values), name
             else:
                 assert np.max(np.abs(u_eq.values - u_ref.values)) <= 10 * tol * np.max(np.abs(u_ref.values)), name
+
+
+def _vector_route_cases():
+    """(id, problem, exact) of spring problems: the random network on a grid
+    (PCG), a two-species 2D multilattice on a grid, and the two-species chain."""
+    from test_mqc import _TwoSpecies2D
+
+    lat, model, f = make_stochastic_model(16, seed=2)
+    two = _TwoSpecies2D(psi0=1.0, psi1=3.0)
+    lat2, chain = Multilattice(2, Fraction(1, 8), two.shifts()), chain_lattice(Fraction(1, 16), 2)
+    return [
+        ("network", EquilibriumProblem(lat, model, force=f), False),
+        ("two-species-2d", EquilibriumProblem(lat2, two, force=_smooth_force(lat2, 1.0)), False),
+        ("spring-chain", EquilibriumProblem(chain, LinearSpring1D((1.0, 3.0)), force=_smooth_force(chain, 1.0)),
+         True),
+    ]
+
+
+@pytest.mark.parametrize("name, prob, exact", _vector_route_cases(), ids=[c[0] for c in _vector_route_cases()])
+def test_scalar_laplacian_solve_matches_the_full_hessian_solve(name, prob, exact):
+    # a spring problem solves d scalar columns on L; the full Hessian L (x) I_d
+    # gives the same equilibrium to rounding, and bit for bit on a chain
+    for tol in (1e-11, 1e-8):
+        u, ref = solve_equilibrium(prob, tol=tol).values, vector_solve(prob, tol=tol).values
+        if exact:
+            assert np.array_equal(u, ref)
+        else:
+            assert np.max(np.abs(u - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_reference_and_full_sampling_share_one_system():

@@ -70,9 +70,10 @@ def test_stochastic_cli_deterministic_through_pcg(tmp_path, monkeypatch):
     for out in outs:
         assert main(["stochastic-2d", "--config", str(cfg), "--out", str(out)]) == 0
     # every solve runs through PCG: the atomistic reference and the full-sample
-    # sensitivity (2048 DOF), the n_rep = 8 sensitivity (128) and the macro
-    # stiffness at h = 1/4 (32) and 1/8 (128)
-    assert set(pcg_sizes) == {2048, 128, 32}
+    # sensitivity on the scalar Laplacian of the network (1024 DOF), the
+    # n_rep = 8 sensitivity (64) and the macro stiffness at h = 1/4 (32) and
+    # 1/8 (128)
+    assert set(pcg_sizes) == {1024, 64, 32, 128}
     assert outs[0].read_bytes() == outs[1].read_bytes()
 
 

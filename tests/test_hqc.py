@@ -33,7 +33,7 @@ from hqclab.potential import (
     SpringLaw,
     make_dynamics_model,
 )
-from support import constant_tensor_stiffness
+from support import constant_tensor_stiffness, vector_tensors
 
 
 def random_uh(mesh, scale, seed):
@@ -250,7 +250,7 @@ def test_quadratic_sensitivity_equals_micro_solve():
     system = op.system
     sens, _ = op._quad_data()
     direct = newton_zero_mean(system, F=np.array([[1.0]]), tol=1e-14, ref=1.0).w
-    assert np.max(np.abs(sens[0, 0] - direct)) < 1e-12
+    assert np.max(np.abs(sens - direct)) < 1e-12
 
 
 def test_hqc_energy_zero_field():
@@ -869,13 +869,13 @@ def test_effective_tensors_are_cached_per_model(monkeypatch):
     from hqclab import hqc
 
     calls = []
-    real = hqc.micro_sensitivity
+    real = hqc.conductance_tensors
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def counting(system, relax):
+        calls.append(relax)
+        return real(system, relax)
 
-    monkeypatch.setattr(hqc, "micro_sensitivity", counting)
+    monkeypatch.setattr(hqc, "conductance_tensors", counting)
     model = LinearSpring1D((1.0, 3.0))
     lat = chain_lattice(Fraction(1, 16), 2)
     uh = random_uh(build_mesh(1, 4), 0.3, seed=40)
@@ -896,10 +896,10 @@ def test_effective_tensors_are_cached_per_model(monkeypatch):
     sens_cb, A_cb = frozen._quad_data()
     assert sens_cb is None and A_cb is not A and not np.allclose(A_cb, A)
     assert frozen.energy(uh) > e_relaxed
-    assert len(calls) == 1
+    assert calls == [True, False]
     # another model gets its own entries
     HQCOperator(LinearSpring1D((1.0, 3.0)), lat, build_mesh(1, 4)).energy(uh)
-    assert len(calls) == 2
+    assert calls == [True, False, True]
 
 
 def test_full_sample_tensors_keyed_by_lattice_size():
@@ -910,7 +910,7 @@ def test_full_sample_tensors_keyed_by_lattice_size():
     sens_small, A_small = op_small._quad_data()
     sens_large, A_large = op_large._quad_data()
     assert A_small is not A_large
-    assert sens_small.shape[2] == 8 and sens_large.shape[2] == 16
+    assert sens_small.shape[0] == 8 and sens_large.shape[0] == 16
 
 
 def test_a_memoized_sampling_still_refuses_other_species_shifts():
@@ -957,8 +957,9 @@ def test_tensor_route_contracts_one_tensor_like_per_element_copies():
     op = HQCOperator(RandomBond2D(8, seed=3), lat, mesh, n_rep=4)
     uh = random_uh(mesh, 0.3, seed=61)
     grads = all_element_gradients(uh)
-    A = np.repeat(op._quad_data()[1][None], mesh.n_elements, axis=0)
-    P = np.einsum("tijkl,tkl->tij", A, grads)
+    a = np.repeat(op._quad_data()[1][None], mesh.n_elements, axis=0)
+    P = np.einsum("til,tjl->tij", grads, a)
+    A = np.einsum("ik,tjl->tijkl", np.eye(2), a)   # delta_ik a_jl
     assert op.energy(uh) == 0.5 * float(np.einsum("t,tij,tij->", mesh.volumes, grads, P))
     assert np.array_equal(op.gradient(uh), nodal_forces(mesh, P))
     assert np.array_equal(op.element_tangents(uh), A)
@@ -1066,18 +1067,19 @@ def test_stochastic_study_compiles_one_system_per_sampling(monkeypatch):
     from hqclab import experiments, hqc, network
 
     built, solved = [], []
-    init, sensitivity = network.BondSystem.__init__, hqc.micro_sensitivity
+    init, tensors = network.BondSystem.__init__, hqc.conductance_tensors
 
     def counting_init(self, *args, **kwargs):
         built.append(kwargs["n_sites"])
         init(self, *args, **kwargs)
 
-    def counting_sensitivity(system, *args):
-        solved.append(system.n_sites)
-        return sensitivity(system, *args)
+    def counting_tensors(system, relax):
+        if relax:
+            solved.append(system.n_sites)
+        return tensors(system, relax)
 
     monkeypatch.setattr(network.BondSystem, "__init__", counting_init)
-    monkeypatch.setattr(hqc, "micro_sensitivity", counting_sensitivity)
+    monkeypatch.setattr(hqc, "conductance_tensors", counting_tensors)
     res = experiments.run_stochastic_2d({"n": "16", "seed": "3", "h_list": "1/2,1/4",
                                          "n_rep_list": "4,16", "fit_range": "0:2"})
     assert all(row[-1] == "ok" for row in res.rows)
@@ -1097,3 +1099,126 @@ def test_period_sampling_accepts_cell_independent_bond_laws(make_model, lat):
     mesh = build_mesh(model.d, 4)
     op = HQCOperator(model, lat, mesh)
     assert np.isfinite(op.energy(random_uh(mesh, 0.01, seed=62)))
+
+
+# ------------------------------------- spring systems: the scalar tensor route
+
+
+def scalar_route_cases():
+    """(model, lattice, n_rep, exact) of spring samplings: a network subgrid
+    solved by PCG, a one-cell network sampling (dense), a two-species 2D
+    multilattice cell and a two-species chain, whose route must not move a bit."""
+    from test_mqc import _TwoSpecies2D
+
+    from hqclab.lattice import Multilattice
+
+    two = _TwoSpecies2D(psi0=1.0, psi1=3.0)
+    return [
+        pytest.param(lambda: (RandomBond2D(32, seed=1), square_lattice(32), 8, False), id="network-pcg"),
+        pytest.param(lambda: (RandomBond2D(8, seed=2), square_lattice(8), 1, False), id="network-n_rep-1"),
+        pytest.param(lambda: (two, Multilattice(2, Fraction(1, 8), two.shifts()), None, False),
+                     id="two-species-2d"),
+        pytest.param(lambda: (LinearSpring1D((1.0, 3.0)), chain_lattice(Fraction(1, 16), 2), None, True),
+                     id="springs-1d"),
+    ]
+
+
+@pytest.mark.parametrize("case", scalar_route_cases())
+def test_scalar_tensor_route_matches_the_vector_route(case):
+    # d scalar sensitivities s_j against the d^2 vector ones (e_i s_j), the
+    # tensor delta_ik a_jl against the general condensed tangent, with and
+    # without relaxation, and the correctors contracted from either
+    model, lat, n_rep, exact = case()
+    d = model.d
+    mesh = build_mesh(d, 2)
+
+    def close(x, ref):
+        if exact:
+            return np.array_equal(x, ref)
+        return np.max(np.abs(x - ref)) <= 1e-12 * max(np.max(np.abs(ref)), 1e-300)
+
+    for relax in (True, False):
+        op = HQCOperator(model, lat, mesh, n_rep=n_rep, relax=relax)
+        s, a = op._quad_data()
+        sens, A = vector_tensors(op.system, relax)
+        assert close(op.element_tangents(random_uh(mesh, 0.1, seed=70))[0], A)
+        assert close(np.einsum("ik,jl->ijkl", np.eye(d), a), A)
+        if not relax:
+            assert s is None and sens is None
+            continue
+        assert s.shape == (op.system.n_sites, d)
+        assert close(np.einsum("ix,nj->ijnx", np.eye(d), s), sens)
+        grads = all_element_gradients(random_uh(mesh, 0.1, seed=71))
+        assert close(op.correctors(grads), np.einsum("tij,ijnx->tnx", grads, sens))
+
+
+class _AnisotropicSpringLaw:
+    """Test-local quadratic law with the stiffness psi diag(1, 2): quadratic,
+    but not a scalar times the identity, so it has no ``scalar_hess``."""
+
+    is_quadratic = True
+    K = np.array([1.0, 2.0])
+
+    def __init__(self, psi):
+        self.psi = np.asarray(psi, dtype=float)
+
+    @classmethod
+    def stack(cls, laws, counts):
+        return cls(np.concatenate([np.broadcast_to(law.psi, (n,)) for law, n in zip(laws, counts)]))
+
+    def energy(self, gaps, rvec):
+        return 0.5 * self.psi * np.sum(self.K * gaps**2, axis=-1)
+
+    def grad(self, gaps, rvec):
+        return self.psi[..., None] * self.K * gaps
+
+    def hess(self, gaps, rvec):
+        return self.psi[..., None, None] * np.broadcast_to(np.diag(self.K), gaps.shape[:-1] + (2, 2))
+
+
+class _AnisotropicNetwork(RandomBond2D):
+    def bond_specs(self, alpha, cells=None):
+        return [BondSpec(spec.offset, _AnisotropicSpringLaw(spec.law.psi))
+                for spec in super().bond_specs(alpha, cells)]
+
+
+def test_tensor_route_refuses_a_quadratic_law_without_scalar_stiffness():
+    # the tensor route needs the stiffness psi I and names the law it refuses;
+    # the network solves the law's full Hessian instead of its scalar Laplacian
+    from hqclab.potential import external_force_2d
+
+    model = _AnisotropicNetwork(8, seed=4)
+    lat, mesh = square_lattice(8), build_mesh(2, 2)
+    op = HQCOperator(model, lat, mesh, n_rep=4)
+    with pytest.raises(HQCError, match="_AnisotropicSpringLaw has no scalar stiffness"):
+        op.energy(random_uh(mesh, 0.1, seed=72))
+    assert op.system.operator(np.zeros((op.system.n_sites, 2))).d == 2
+    f = external_force_2d(lat.site_positions())
+    prob = EquilibriumProblem(lat, model, force=LatticeField(lat, f - f.mean(axis=0)))
+    u = solve_equilibrium(prob, tol=1e-11)
+    residual = prob.system.gradient(u.values / lat.eps_float) / lat.eps_float - prob.force.values
+    assert avg_norm(residual) <= 1e-11 * (1 + avg_norm(prob.force.values))
+
+
+def test_stochastic_sensitivity_and_reference_solve_scalar_columns(monkeypatch):
+    # the n_rep = 128 sampling of the stochastic study and its atomistic
+    # reference: every PCG holds the scalar Laplacian L of the 128 x 128
+    # network (one row per site, 9 entries per row) and solves d = 2 columns
+    from hqclab import network
+    from hqclab.potential import make_stochastic_model
+
+    solves = []
+    pcg = network.GaugeFixedOperator._pcg
+
+    def recorded(self, B):
+        solves.append((self._H.shape, self._H.nnz, B.shape))
+        return pcg(self, B)
+
+    monkeypatch.setattr(network.GaugeFixedOperator, "_pcg", recorded)
+    lat, model, f = make_stochastic_model(128, seed=1)
+    expected = ((16384, 16384), 147456, (2, 16384))
+    HQCOperator(model, lat, build_mesh(2, 8), n_rep=128)._quad_data()
+    assert solves == [expected]
+    solves.clear()
+    solve_equilibrium(EquilibriumProblem(lat, model, force=f), tol=1e-11)
+    assert solves and set(solves) == {expected}

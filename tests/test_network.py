@@ -185,9 +185,15 @@ def test_incidence_scatter_matches_add_at_bitwise():
 # ------------------------------------------------------------ PCG solves
 
 
+def hessian_and_stencil(system, w, F=None):
+    """The full Hessian of one field and its grid-averaged stencil (blocks of d per site)."""
+    return system.hessian(w, F), system._stencil(system.bond_stiffness(w, F))
+
+
 def network_hessian(log_decades=None):
-    """Hessian of an n = 32 random network (2048 DOF), optionally with bond
-    strengths redrawn log-uniformly over ``log_decades`` decades."""
+    """Full Hessian of an n = 32 random network (2048 DOF) and its stencil,
+    optionally with bond strengths redrawn log-uniformly over ``log_decades``
+    decades."""
     n = 32
     model = RandomBond2D(n, seed=11)
     if log_decades is not None:
@@ -195,7 +201,7 @@ def network_hessian(log_decades=None):
         model.psi = 10.0 ** rng.uniform(0.0, log_decades, size=model.psi.shape)
     system = compile_system(square_lattice(n), model)
     assert system.cells == (n, n)
-    return (system,) + system.hessian(np.zeros((system.n_sites, 2)), stencil=True)
+    return (system,) + hessian_and_stencil(system, np.zeros((system.n_sites, 2)))
 
 
 def zero_mean_stack(k, n_sites, d, seed):
@@ -206,21 +212,47 @@ def zero_mean_stack(k, n_sites, d, seed):
 @pytest.mark.parametrize("log_decades, tol", [(None, 1e-10), (3.0, 1e-9)],
                          ids=["uniform-bonds", "log-uniform-3-decades"])
 def test_pcg_matches_dense_least_squares(log_decades, tol):
+    # the full Hessian's solver and the system's own, which holds the scalar
+    # Laplacian and solves each field as two scalar columns
     system, H, stencil = network_hessian(log_decades)
     rhs = zero_mean_stack(4, system.n_sites, 2, seed=13)
-    x = GaugeFixedOperator(H, 2, stencil).solve(rhs)
+    scalar = system.operator(np.zeros((system.n_sites, 2)))
+    assert scalar.n_dof == system.n_sites
     # minimum-norm solution = the zero-mean one, since the kernel is the translations
     ref = np.linalg.lstsq(H.toarray(), rhs.reshape(4, -1).T, rcond=None)[0].T.reshape(rhs.shape)
     assert np.abs(ref.mean(axis=1)).max() <= 1e-12 * np.abs(ref).max()
-    for xk, rk in zip(x, ref):
-        assert np.linalg.norm(xk - rk) <= tol * np.linalg.norm(rk)
-    assert np.abs(x.mean(axis=1)).max() <= 1e-14 * np.abs(x).max()
+    for op in (GaugeFixedOperator(H, 2, stencil), scalar):
+        x = op.solve(rhs)
+        for xk, rk in zip(x, ref):
+            assert np.linalg.norm(xk - rk) <= tol * np.linalg.norm(rk)
+        assert np.abs(x.mean(axis=1)).max() <= 1e-14 * np.abs(x).max()
+
+
+def test_pcg_leaves_zero_columns_at_iteration_zero(monkeypatch):
+    # a zero right-hand side meets ||r|| <= PCG_RTOL * 0 before any iteration:
+    # its column is exact zeros, and the other columns of its stack solve as
+    # they do alone; a field with a zero component (a force along x only) is
+    # one zero scalar column of the Laplacian's stack
+    system, H, stencil = network_hessian()
+    rhs = zero_mean_stack(3, system.n_sites, 2, seed=18)
+    rhs[1] = 0.0
+    vector, scalar = GaugeFixedOperator(H, 2, stencil), system.operator(np.zeros((system.n_sites, 2)))
+    x = vector.solve(rhs)
+    assert np.all(x[1] == 0.0)
+    for t in (0, 2):
+        assert np.array_equal(x[t], vector.solve(rhs[t]))
+    assert np.all(vector.solve(np.zeros_like(rhs)) == 0.0)
+    along_x = rhs[0] * [1.0, 0.0]
+    y = scalar.solve(along_x)
+    assert np.all(y[:, 1] == 0.0) and np.array_equal(y[:, :1], scalar.solve(along_x[:, :1]))
+    monkeypatch.setattr(network, "PCG_MAX_ITER", 0)   # zero columns need no iteration
+    assert np.all(scalar.solve(np.zeros((4, system.n_sites, 2))) == 0.0)
 
 
 def chain_spring_hessian():
     lat = chain_lattice(Fraction(1, 384), 2)
     system = compile_system(lat, LinearSpring1D((1.0, 3.0)))
-    return system.hessian(np.zeros((lat.n_sites, 1)), stencil=True) + (1,)
+    return hessian_and_stencil(system, np.zeros((lat.n_sites, 1))) + (1,)
 
 
 def p1_constant_tensor_stiffness():
@@ -252,7 +284,7 @@ def subgrid_sensitivity():
     system = compile_system(sub.torus, RandomBond2D(32, seed=1))
     zero = np.zeros((system.n_sites, 2))
     rhs = -system.affine_force(zero, None, np.eye(4).reshape(4, 2, 2))
-    return system.hessian(zero, stencil=True) + (rhs, 2)
+    return hessian_and_stencil(system, zero) + (rhs, 2)
 
 
 def macro_stiffness(d, n):
@@ -443,9 +475,13 @@ def test_grid_hessian_matches_the_coo_reference(build, coincident):
     blocks = system.n_sites + system.incidence.nnz       # one per site and incident bond
     assert (system.d**2 * blocks > reference_hessian(system, w).nnz) == coincident
     for args in ((w, F), (w, None)):
-        (H, stencil), ref = system.hessian(*args, stencil=True), reference_hessian(system, *args)
+        (H, stencil), ref = hessian_and_stencil(system, *args), reference_hessian(system, *args)
         assert isinstance(H, sp.csr_matrix) and H.shape == ref.shape and H.nnz == ref.nnz
-        assert np.array_equal(H.data, system.hessian(*args).data)
+        # a spring system's solver holds L with H = L (x) I_d bit for bit, any other the full H
+        held = system.operator(*args)._H
+        if held.shape != H.shape:
+            held = sp.kron(held, sp.eye(system.d))
+        assert np.array_equal(held.toarray(), H.toarray())
         rows = np.repeat(np.arange(H.shape[0]), np.diff(H.indptr))
         assert len(np.unique(rows * H.shape[1] + H.indices)) == H.nnz    # no duplicate (row, col)
         assert np.max(np.abs(H.toarray() - ref.toarray())) <= 1e-14 * np.max(np.abs(ref.data))
@@ -455,27 +491,31 @@ def test_grid_hessian_matches_the_coo_reference(build, coincident):
 
 
 def test_grid_hessian_and_solver_set_up_stay_near_the_matrix_size():
-    # the n = 128 random network of the stochastic study: the Hessian and the
-    # operator's set-up allocate little beyond the CSR matrix they keep
+    # the n = 128 random network of the stochastic study: the full Hessian, and
+    # the operator's set-up with its scalar Laplacian, each allocate little
+    # beyond the CSR matrix they return or keep
     n = 128
     system = compile_system(square_lattice(n), RandomBond2D(n, seed=1))
     zero = np.zeros((system.n_sites, 2))
+    peaks = []
     tracemalloc.start()
     try:
-        base = tracemalloc.get_traced_memory()[0]
-        H, stencil = system.hessian(zero, stencil=True)
-        GaugeFixedOperator(H, 2, stencil)
-        peak = tracemalloc.get_traced_memory()[1] - base
+        for build in (system.hessian, lambda w: system.operator(w)._H):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            H = build(zero)
+            peaks.append((tracemalloc.get_traced_memory()[1] - base, H))
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * (H.data.nbytes + H.indices.nbytes + H.indptr.nbytes)
+    for peak, H in peaks:
+        assert peak <= 2.5 * (H.data.nbytes + H.indices.nbytes + H.indptr.nbytes)
 
 
 def cell_callbacks(system, F):
     """``newton`` callbacks of the cell problems at the gradient stack F."""
     return (lambda w, rows: system.energy(w, F[rows]),
             lambda w, rows: system.gradient(w, F[rows]),
-            lambda w, rows: system.hessian(w, F[rows], stencil=True))
+            lambda w, rows: system.operator(w, F[rows]))
 
 
 def test_collapsing_step_is_halved_for_its_entry_only(monkeypatch):
