@@ -65,9 +65,8 @@ class MacroMesh:
 
     def vertex_weights(self) -> np.ndarray:
         """Integrals of the nodal hat functions (uniform: 1/n_vertices each)."""
-        w = np.zeros(self.n_vertices)
-        np.add.at(w, self.elements.ravel(), np.repeat(self.volumes / (self.d + 1), self.d + 1))
-        return w
+        w = np.repeat(self.volumes / (self.d + 1), self.d + 1)
+        return scatter_to_vertices(self, self.elements.ravel(), w[:, None])[:, 0]
 
 
 def build_mesh(d: int, n_elements: int) -> MacroMesh:
@@ -163,52 +162,71 @@ def lattice_error(u_lattice: LatticeField, approx) -> tuple[float, float]:
     return discrete_norms(diff)
 
 
+def scatter_to_vertices(mesh: MacroMesh, nodes: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Sum the rows of ``values`` (k, c) onto the vertices ``nodes`` (k,), shape
+    (n_vertices, c): one ``bincount`` per component, which adds in input order
+    as ``np.add.at`` does."""
+    return np.stack([np.bincount(nodes, weights=col, minlength=mesh.n_vertices)
+                     for col in values.T], axis=1)
+
+
 def load_from_lattice(mesh: MacroMesh, f: LatticeField) -> np.ndarray:
     """Load vector b[k, i] = <f_i phi_k>_M pairing the force with nodal hats."""
     lat = f.lattice
     pos = lat.site_positions()
     elems = locate(mesh, pos)
     lam = barycentric_weights(mesh, pos, elems)
-    b = np.zeros((mesh.n_vertices, mesh.d))
-    nodes = mesh.elements[elems]  # (ns, d+1)
     w = lam[:, :, None] * f.values[:, None, :] / lat.n_sites
-    np.add.at(b, nodes.ravel(), w.reshape(-1, mesh.d))
-    return b
+    return scatter_to_vertices(mesh, mesh.elements[elems].ravel(), w.reshape(-1, mesh.d))
 
 
 def nodal_forces(mesh: MacroMesh, stresses: np.ndarray) -> np.ndarray:
     """Nodal residual sum_T |T| P_T grad(phi_k) of per-element stresses (n_elements, d, d)."""
     contrib = mesh.volumes[:, None, None] * np.einsum("tlj,tij->tli", mesh.grad_basis(), stresses)
-    out = np.zeros((mesh.n_vertices, mesh.d))
-    np.add.at(out, mesh.elements.ravel(), contrib.reshape(-1, mesh.d))
-    return out
+    return scatter_to_vertices(mesh, mesh.elements.ravel(), contrib.reshape(-1, mesh.d))
 
 
-def assemble(mesh: MacroMesh, tangents: np.ndarray, stencil: bool = False):
-    """P1 stiffness of per-element tangents A_T[i,j,k,l], shape (n_elements, d, d, d, d):
-    K[(a,i),(b,k)] = sum_T |T| A_T[i,j,k,l] d_j phi_a d_l phi_b, a CSR matrix.
+def assemble(mesh: MacroMesh, tangents: np.ndarray):
+    """P1 stiffness K[(a,i),(b,k)] = sum_T |T| A_T[i,j,k,l] d_j phi_a d_l phi_b, a
+    CSR matrix, and its stencil S ((n,)*d + (d, d)), the grid average of K:
+    block [delta] couples a vertex to the vertex delta further on.
 
-    With ``stencil=True`` the result is a pair (K, S), where S ((n,)*d + (d, d))
-    is the grid average of K: block [delta] couples a vertex to the vertex
-    delta further on.  Elements come cell by cell, one per orientation, and
-    each local vertex pair of an orientation sits at a fixed vertex offset, so
-    S sums the local stiffnesses per orientation and pair.
+    ``tangents`` is one tangent per element (n_elements, d, d, d, d) or one
+    tangent (d, d, d, d) shared by all; its shape picks the path.  Elements
+    come cell by cell, one per orientation, and each local vertex pair of an
+    orientation sits at a fixed vertex offset, so S sums the local stiffnesses
+    per orientation and pair.  Per element, K is summed from every element's
+    block.  A shared tangent makes K block-circulant, K = S on every vertex, so
+    only the reference elements of cell 0 are integrated and K is written
+    straight into CSR rows of one width: d blocks per distinct offset (3 in
+    1D and 7 in 2D for n >= 3, fewer where offsets alias mod n).
     """
-    gb = mesh.grad_basis()
-    local = np.einsum("tlj,tijkm,tpm->tlipk", gb, tangents, gb, optimize=True)
-    local *= mesh.volumes[:, None, None, None, None]
-    dofs = mesh.dofs
-    rows = np.broadcast_to(dofs[:, :, :, None, None], local.shape)
-    cols = np.broadcast_to(dofs[:, None, None, :, :], local.shape)
-    n_dof = mesh.n_vertices * mesh.d
-    K = sp.coo_matrix((local.ravel(), (rows.ravel(), cols.ravel())), shape=(n_dof, n_dof)).tocsr()
-    if not stencil:
-        return K
     d, n = mesh.d, mesh.n
     n_orient = mesh.n_elements // mesh.n_vertices
-    per_pair = local.reshape((mesh.n_vertices, n_orient) + local.shape[1:]).sum(axis=0) / mesh.n_vertices
+    shared = tangents.ndim == 4
+    gb = mesh.grad_basis()[:n_orient] if shared else mesh.grad_basis()
+    local = np.einsum(f"tlj,{'' if shared else 't'}ijkm,tpm->tlipk", gb, tangents, gb, optimize=True)
+    local *= mesh.volumes[0]    # uniform mesh
     corners = np.rint(mesh.el_coords[:n_orient] * n).astype(int)    # the elements of cell 0, unwrapped
+    delta = (corners[:, None, :] - corners[:, :, None]) % n        # [o, a, b]: vertex b less vertex a
+    per_pair = local if shared else local.reshape(
+        (mesh.n_vertices, n_orient) + local.shape[1:]).sum(axis=0) / mesh.n_vertices
     S = np.zeros((n,) * d + (d, d))
     for o, a, b in np.ndindex(n_orient, d + 1, d + 1):
-        S[tuple((corners[o, b] - corners[o, a]) % n)] += per_pair[o, a, :, b]
-    return K, S
+        S[tuple(delta[o, a, b])] += per_pair[o, a, :, b]
+    n_dof = mesh.n_vertices * d
+    if not shared:
+        rows = np.broadcast_to(mesh.dofs[:, :, :, None, None], local.shape)
+        cols = np.broadcast_to(mesh.dofs[:, None, None, :, :], local.shape)
+        K = sp.coo_matrix((local.ravel(), (rows.ravel(), cols.ravel())), shape=(n_dof, n_dof)).tocsr()
+        return K, S
+    offsets = np.unique(delta.reshape(-1, d), axis=0)
+    grid = np.indices((n,) * d).reshape(d, -1, 1)                    # vertex multi-indices
+    neighbours = np.ravel_multi_index(tuple(grid + offsets.T[:, None]), (n,) * d, mode="wrap")
+    # row (v, i) holds, per offset o and component k, K[(v, i), (v + o, k)] = S[o][i, k]
+    shape = (mesh.n_vertices, d, len(offsets), d)
+    cols = np.broadcast_to((neighbours[:, None, :, None] * d + np.arange(d)).astype(np.int32), shape)
+    data = np.broadcast_to(S[tuple(offsets.T)].transpose(1, 0, 2), shape)
+    width = len(offsets) * d
+    indptr = np.arange(0, n_dof * width + 1, width, dtype=np.int32)
+    return sp.csr_matrix((data.ravel(), cols.ravel(), indptr), shape=(n_dof, n_dof)), S

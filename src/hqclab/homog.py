@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fem import MacroMesh, P1Field, all_element_gradients, nodal_forces
+from .fem import MacroMesh, P1Field, all_element_gradients, assemble, nodal_forces
 from .hqc import MICRO_TOL, condensed_tangent, macro_newton, micro_sensitivity, micro_solve
 from .lattice import unit_cell
 from .network import BondSystem, compile_system, newton_zero_mean
@@ -111,7 +111,7 @@ def solve_homogenized_fem(
     def gradient(uh):
         return nodal_forces(mesh, density.dphi0(all_element_gradients(uh)))
 
-    def tangents(uh):
-        return density.d2phi0(all_element_gradients(uh))
+    def stiffness(uh):
+        return assemble(mesh, density.d2phi0(all_element_gradients(uh)))
 
-    return macro_newton(mesh, energy, gradient, tangents, load, tol)[0]
+    return macro_newton(mesh, energy, gradient, stiffness, load, tol)[0]

@@ -17,7 +17,10 @@ sampling shares both, whatever its mesh and relax value.  The route follows
 the bond law of the micro system.  A quadratic law, whose stiffness must be
 psi I, takes the tensor route (``conductance_tensors``): d scalar
 sensitivities on the graph Laplacian, solved as one stack, and the effective
-tensor A_ijkl = delta_ik a_jl, contracted over all elements at once.  Any
+tensor A_ijkl = delta_ik a_jl, contracted over all elements at once.  That
+one tangent makes the macro stiffness block-circulant: each operator builds
+its (K, S) once from the tangent's stencil, takes the macro gradient as K u,
+and builds no per-element tangent, block or COO matrix in a solve.  Any
 other law solves the microproblems of all elements as one stack,
 each from zero (``micro_solve``, one stacked ``network.newton``), and
 ``micro_sensitivity`` and ``condensed_tangent`` take the same stack.  No
@@ -47,6 +50,7 @@ from .fem import (
     locate,
     nodal_forces,
     p1_zero_mean,
+    scatter_to_vertices,
 )
 from .lattice import LatticeField, Multilattice, unit_cell
 from .network import (
@@ -199,14 +203,14 @@ def conductance_tensors(system: BondSystem, relax: bool) -> tuple[np.ndarray | N
     return s, np.einsum("bj,b,bl->jl", g, psi, g) / system.n_sites
 
 
-def macro_newton(mesh: MacroMesh, energy, gradient, tangents, load: np.ndarray | None,
+def macro_newton(mesh: MacroMesh, energy, gradient, stiffness, load: np.ndarray | None,
                  tol: float) -> tuple[P1Field, NewtonResult]:
     """Outer Newton from u^h = 0 for the critical point of energy(u^h) - load . u^h
     over zero-mean P1 fields; returns the zero-mean macro field and the result.
 
-    ``energy``, ``gradient`` and ``tangents`` map a P1Field to the macro
-    energy, its nodal residual (n_vertices, d) and its element tangents, which
-    ``assemble`` turns into the sparse Hessian and its stencil.  The macro
+    ``energy``, ``gradient`` and ``stiffness`` map a P1Field to the macro
+    energy, its nodal residual (n_vertices, d) and the pair (K, S) of
+    ``assemble``: the sparse Hessian and its stencil.  The macro
     equation lives on zero-mean test functions, so the constant component of
     the residual minus the load is dropped (the load's sampling averages need
     not vanish domain by domain).  Converges once the Euclidean norm of that
@@ -217,7 +221,7 @@ def macro_newton(mesh: MacroMesh, energy, gradient, tangents, load: np.ndarray |
     threshold = tol * (1.0 + float(np.linalg.norm(b))) / np.sqrt(mesh.n_vertices)
 
     def operator(u, _):
-        K, S = assemble(mesh, tangents(P1Field(mesh, u[0])), stencil=True)
+        K, S = stiffness(P1Field(mesh, u[0]))
         return GaugeFixedOperator(K, mesh.d, S)
 
     result = newton(lambda u, _: [energy(P1Field(mesh, u[0])) - float(np.sum(b * u[0]))],
@@ -239,10 +243,13 @@ class HQCOperator:
     model and sampling shares it and its effective tensors (``_TENSORS``).
     Period sampling takes the model's cell system (compiled at cell 0) and is
     refused for a model whose bond laws vary by cell.  A quadratic bond law
-    takes the tensor route; otherwise the correctors of all elements are
-    evaluated as one stack, each from the zero guess.  The operator keeps no
-    micro state, so ``energy``, ``gradient`` and ``correctors`` depend on
-    their arguments alone.
+    takes the tensor route, with one block-circulant stiffness (K, S) per
+    operator (``stiffness``) that also gives the gradient K u; otherwise the
+    correctors of all elements are evaluated as one stack, each from the zero
+    guess, and every Newton step assembles their tangents.  The operator
+    keeps no micro state (the cached stiffness depends on the mesh and the
+    effective tensor only), so ``energy``, ``gradient`` and ``correctors``
+    depend on their arguments alone.
     """
 
     def __init__(
@@ -299,18 +306,27 @@ class HQCOperator:
         return float(self.mesh.volumes @ self.system.energy(self.correctors(grads), grads))
 
     def gradient(self, uh: P1Field) -> np.ndarray:
-        """Nodal residual of the macro energy (sensitivity-free stress form)."""
-        grads = all_element_gradients(uh)
+        """Nodal residual of the macro energy: K u on the tensor route, whose
+        energy is the quadratic form of the stiffness K; otherwise the
+        sensitivity-free stress form."""
         if self.system.law.is_quadratic:
-            P = np.einsum("til,jl->tij", grads, self._quad_data()[1])
-        else:
-            P = self.system.stress(self.correctors(grads), grads)
-        return nodal_forces(self.mesh, P)
+            return (self.stiffness(uh)[0] @ uh.values.ravel()).reshape(uh.values.shape)
+        grads = all_element_gradients(uh)
+        return nodal_forces(self.mesh, self.system.stress(self.correctors(grads), grads))
+
+    @cached_property
+    def _tangent(self) -> np.ndarray:
+        """The tensor route's one tangent A_ijkl = delta_ik a_jl, shared by all elements."""
+        return np.einsum("ik,jl->ijkl", np.eye(self.mesh.d), self._quad_data()[1])
+
+    @cached_property
+    def _shared_stiffness(self):
+        """(K, S) of ``assemble`` on the shared tangent, built once per operator."""
+        return assemble(self.mesh, self._tangent)
 
     def element_tangents(self, uh: P1Field) -> np.ndarray:
         if self.system.law.is_quadratic:
-            A = np.einsum("ik,jl->ijkl", np.eye(self.mesh.d), self._quad_data()[1])
-            return np.broadcast_to(A, (self.mesh.n_elements,) + A.shape)
+            return np.broadcast_to(self._tangent, (self.mesh.n_elements,) + self._tangent.shape)
         grads = all_element_gradients(uh)
         chi = self.correctors(grads)
         sens = micro_sensitivity(self.system, chi, grads) if self.relax else None
@@ -326,9 +342,17 @@ class HQCOperator:
         rel = np.mod(pos - mesh.el_coords[owner, 0], 1.0)
         return owner, rel, self.domains[0].torus.site_index(lat.site_cells(), lat.site_species())
 
-    def hessian(self, uh: P1Field):
-        """The assembled P1 tangent, a CSR matrix."""
+    def stiffness(self, uh: P1Field):
+        """The P1 tangent at ``uh`` and its stencil, (K, S) of ``assemble``: on
+        the tensor route the one block-circulant pair of the shared tangent,
+        otherwise assembled from ``element_tangents``."""
+        if self.system.law.is_quadratic:
+            return self._shared_stiffness
         return assemble(self.mesh, self.element_tangents(uh))
+
+    def hessian(self, uh: P1Field):
+        """The P1 tangent that the Newton steps of ``solve`` use, a CSR matrix."""
+        return self.stiffness(uh)[0]
 
     def rhs(self, f: LatticeField) -> np.ndarray:
         """Load vector F^hqc: per-element sampling-domain averages of f against hats.
@@ -352,15 +376,13 @@ class HQCOperator:
         elems = locate(mesh, pts)
         lam = barycentric_weights(mesh, pts, elems)
         w = lam[:, :, None] * f.values[sites][:, None, :] * weight[:, None, None]
-        b = np.zeros((mesh.n_vertices, mesh.d))
-        np.add.at(b, mesh.elements[elems].ravel(), w.reshape(-1, mesh.d))
-        return b
+        return scatter_to_vertices(mesh, mesh.elements[elems].ravel(), w.reshape(-1, mesh.d))
 
     # ------------------------------------------------------------------ solve
 
     def solve(self, load: np.ndarray | None = None, tol: float = 1e-10) -> "HQCSolution":
         """``macro_newton`` on the HQC energy."""
-        macro, result = macro_newton(self.mesh, self.energy, self.gradient, self.element_tangents, load, tol)
+        macro, result = macro_newton(self.mesh, self.energy, self.gradient, self.stiffness, load, tol)
         return HQCSolution(macro=macro, operator=self, residual=result.residual,
                            iterations=result.iterations)
 

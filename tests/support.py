@@ -176,7 +176,7 @@ def constant_tensor_stiffness(mesh: MacroMesh, A: np.ndarray):
     """
     d = mesh.d
     A = np.asarray(A, dtype=float).reshape(d, d, d, d)
-    return assemble(mesh, np.broadcast_to(A, (mesh.n_elements, d, d, d, d)))
+    return assemble(mesh, np.broadcast_to(A, (mesh.n_elements, d, d, d, d)))[0]
 
 
 # ------------------------------------------------ fields and residuals

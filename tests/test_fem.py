@@ -1,6 +1,7 @@
 """Uniform periodic meshes, P1 fields, interpolation, and error norms."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from hqclab.fem import (
     p1_interpolate_lattice,
     p1_zero_mean,
     sample_on_lattice,
+    scatter_to_vertices,
 )
 from hqclab.lattice import LatticeField, chain_lattice, square_lattice
 from support import affine_extension, element_gradient, grid_average
@@ -215,7 +217,7 @@ def test_assemble_matches_element_loop(d, n):
     mesh = build_mesh(d, n)
     rng = np.random.default_rng(7 + d + n)
     tangents = rng.standard_normal((mesh.n_elements, d, d, d, d))
-    K = assemble(mesh, tangents).toarray()
+    K = assemble(mesh, tangents)[0].toarray()
     oracle = assemble_oracle(mesh, tangents)
     assert np.max(np.abs(K - oracle)) <= 1e-14 * np.max(np.abs(oracle))
 
@@ -228,11 +230,61 @@ def test_p1_stencil_is_the_grid_average_of_the_stiffness(d, n):
     mesh = build_mesh(d, n)
     rng = np.random.default_rng(13 + d + n)
     tangents = rng.standard_normal((mesh.n_elements, d, d, d, d))
-    K, S = assemble(mesh, tangents, stencil=True)
-    assert np.array_equal(K.toarray(), assemble(mesh, tangents).toarray())
+    K, S = assemble(mesh, tangents)
     ref = grid_average(assemble_oracle(mesh, tangents), (n,) * d)
     assert S.shape == ref.shape == (n,) * d + (d, d)
     assert np.max(np.abs(S - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+#: vertex offsets coupled by a P1 element, before they wrap mod n
+P1_OFFSETS = {1: [(0,), (1,), (-1,)],
+              2: [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)]}
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 16])
+def test_shared_tangent_assembles_like_per_element_copies(d, n):
+    # one tangent for all elements against the per-element path on its
+    # copies; at n = 1 and 2 the offsets alias, and at n = 1 the stiffness
+    # cancels to zero, so the scale is that of one element's block
+    mesh = build_mesh(d, n)
+    A = np.random.default_rng(17 + d + n).standard_normal((d, d, d, d))
+    K, S = assemble(mesh, A)
+    K_ref, S_ref = assemble(mesh, np.broadcast_to(A, (mesh.n_elements,) + A.shape))
+    scale = np.abs(A).sum() * mesh.volumes[0] * np.abs(mesh.grad_basis()).max() ** 2
+    assert np.max(np.abs(K.toarray() - K_ref.toarray())) <= 1e-14 * scale
+    assert S.shape == S_ref.shape and np.max(np.abs(S - S_ref)) <= 1e-14 * scale
+    # every row stores d entries per distinct offset, indexed in int32
+    width = d * len({tuple(np.mod(o, n)) for o in P1_OFFSETS[d]})
+    assert np.array_equal(np.diff(K.indptr), np.full(mesh.n_vertices * d, width))
+    assert K.indices.dtype == np.int32
+
+
+def test_shared_tangent_assembly_stays_near_the_matrix_size():
+    # no per-element block, index copy or COO matrix: the n = 64 assembly
+    # allocates little beyond the CSR matrix it returns
+    mesh = build_mesh(2, 64)
+    A = np.einsum("ik,jl->ijkl", np.eye(2), [[2.0, 0.5], [0.5, 1.0]])
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        K, _ = assemble(mesh, A)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * (K.data.nbytes + K.indices.nbytes + K.indptr.nbytes)
+
+
+def test_vertex_scatter_matches_add_at_bitwise():
+    # bincount adds in input order as np.add.at does, so the nodal sums, and
+    # the CSVs built on them, do not move
+    mesh = build_mesh(2, 16)
+    rng = np.random.default_rng(19)
+    nodes = rng.integers(0, mesh.n_vertices, 50_000)
+    values = rng.standard_normal((len(nodes), 2)) * 10.0 ** rng.integers(-8, 8, (len(nodes), 1))
+    ref = np.zeros((mesh.n_vertices, 2))
+    np.add.at(ref, nodes, values)
+    assert np.array_equal(scatter_to_vertices(mesh, nodes, values), ref)
 
 
 @pytest.mark.parametrize("d,n", [(1, 5), (2, 3)])

@@ -259,7 +259,7 @@ def p1_constant_tensor_stiffness():
     mesh = MacroMesh(2, 32)
     M = np.random.default_rng(14).standard_normal((4, 4))
     A = (M @ M.T / 4 + np.eye(4)).reshape(2, 2, 2, 2)   # positive on every gradient
-    return assemble(mesh, np.broadcast_to(A, (mesh.n_elements, 2, 2, 2, 2)), stencil=True) + (2,)
+    return assemble(mesh, A) + (2,)
 
 
 @pytest.mark.parametrize("build", [chain_spring_hessian, p1_constant_tensor_stiffness],
@@ -301,7 +301,7 @@ def macro_stiffness(d, n):
         op = HQCOperator(make_dynamics_model().model, chain_lattice(Fraction(1, 16), 2), mesh)
         uh = 0.01 * np.random.default_rng(31).standard_normal((n, 1))
     rhs = zero_mean_stack(3, mesh.n_vertices, d, seed=32)
-    return assemble(mesh, op.element_tangents(P1Field(mesh, uh)), stencil=True) + (rhs, d)
+    return op.stiffness(P1Field(mesh, uh)) + (rhs, d)
 
 
 @pytest.mark.parametrize("build", [subgrid_sensitivity, lambda: macro_stiffness(2, 8),
