@@ -25,7 +25,7 @@ from .homog import HomogenizedDensity
 from .hqc import HQCOperator
 from .lattice import Multilattice
 from .network import SolverError
-from .potential import InteractionModel, energies_or_inf
+from .potential import InteractionModel, compensated_sum, energies_or_inf
 
 SHIFT_TOL = 1e-12
 #: the line search gives up once its step factor falls to this value
@@ -58,6 +58,9 @@ class ShiftTable:
         np.add.at(incidence, (self.dst, np.arange(len(bonds))), 1.0)
         np.add.at(incidence, (self.src, np.arange(len(bonds))), -1.0)
         self.B = incidence[1:]
+        # the rounding band of the shift gradient per unit of |forces| (settle_at_rounding_floor)
+        width = float(np.abs(self.B).sum(axis=1).max(initial=0.0))   # B holds 0 and +-1
+        self._band = width * np.finfo(float).eps * np.sqrt(2.0 * width) / self.m
 
     def gaps(self, F: np.ndarray, q: np.ndarray) -> np.ndarray:
         """F r + q_dst - q_src per bond, shape (T, n_bonds, d)."""
@@ -68,14 +71,41 @@ class ShiftTable:
         """Element densities (1/m) sum_bonds phi_b, shape (T,)."""
         return self.law.energy(self.gaps(F, q), self.rvec).sum(axis=-1) / self.m
 
-    def derivatives(self, F: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Shift gradient (T, m-1, d) and Hessian (T, (m-1)d, (m-1)d) of the densities."""
+    def derivatives(self, F: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Shift gradient (T, m-1, d) and Hessian (T, (m-1)d, (m-1)d) of the
+        densities, and the bond forces (T, n_bonds, d) that the gradient sums."""
         gaps = self.gaps(F, q)
-        grad = self.B @ self.law.grad(gaps, self.rvec) / self.m
+        forces = self.law.grad(gaps, self.rvec)
+        grad = self.B @ forces / self.m
         k = self.law.hess(gaps, self.rvec)
         nq = (self.m - 1) * self.d
         hess = np.einsum("ab,cb,tbij->taicj", self.B, self.B, k).reshape(len(q), nq, nq) / self.m
-        return grad, hess
+        return grad, hess, forces
+
+    def settle_at_rounding_floor(self, grad: np.ndarray, forces: np.ndarray,
+                                 threshold: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The shift gradients ``grad`` = B forces / m and their residuals |grad|,
+        with each element whose residual exceeds its ``threshold`` by no more
+        than the rounding error of that product re-summed by
+        ``compensated_sum`` over each row of B.
+
+        A row of W nonzero terms sums with an error of at most (W - 1) u times
+        the sum of their magnitudes (u the unit roundoff).  Over the rows that
+        is at most (W - 1) u sqrt(2 W) |forces| / m, since each bond enters at
+        most two rows; the band taken is twice that.  Elements far from their
+        threshold never pay for the compensated sum."""
+        flat = grad.reshape(len(grad), -1)
+        res = np.sqrt(np.add.reduce(flat * flat, axis=1))   # np.linalg.norm, without its overhead
+        above = res > threshold
+        if not np.count_nonzero(above):
+            return grad, res
+        band = self._band * np.sqrt(np.einsum("tbi,tbi->t", forces, forces))
+        near = np.flatnonzero(above & (res <= threshold + band))
+        if len(near):
+            terms = self.B.T[:, None, :, None] * np.moveaxis(forces[near], 1, 0)[:, :, None, :]
+            grad[near] = compensated_sum(terms) / self.m
+            res[near] = np.linalg.norm(grad[near].reshape(len(near), -1), axis=1)
+        return grad, res
 
 
 _TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()  # model -> its ShiftTable
@@ -98,8 +128,8 @@ def _shift_newton(table: ShiftTable, F: np.ndarray, q: np.ndarray, tol: float,
     res = np.zeros(len(F))
     active = np.arange(len(F))
     for it in range(max_iter + 1):
-        grad, hess = table.derivatives(F[active], q[active])
-        res[active] = np.linalg.norm(grad.reshape(len(active), -1), axis=1)
+        grad, hess, forces = table.derivatives(F[active], q[active])
+        grad, res[active] = table.settle_at_rounding_floor(grad, forces, threshold[active])
         unconverged = ~(res[active] <= threshold[active])
         active, grad, hess = active[unconverged], grad[unconverged], hess[unconverged]
         if not len(active):

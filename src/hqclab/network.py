@@ -41,12 +41,13 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
 from .lattice import Multilattice, cell_index
-from .potential import InteractionModel, PotentialError, energies_or_inf
+from .potential import InteractionModel, PotentialError, compensated_sum, energies_or_inf
 
 #: PCG stops once the relative residual ||r|| / ||b|| is at most PCG_RTOL ...
 PCG_RTOL = 1e-13
@@ -55,6 +56,8 @@ PCG_RTOL = 1e-13
 PCG_BACKWARD_TOL = 1e-15
 #: PCG iterations before a solve fails with SolverError
 PCG_MAX_ITER = 1000
+#: twice the unit roundoff of float64
+EPS = float(np.finfo(float).eps)
 
 
 class SolverError(RuntimeError):
@@ -95,6 +98,8 @@ class BondSystem:
         self.law = law
         self.n_dof = n_sites * d
         self.incidence = incidence_matrix(n_sites, src, dst)
+        indptr = self.incidence.indptr
+        self.row_width = int((indptr[1:] - indptr[:-1]).max())   # the most terms _scatter sums into a site
 
     # ------------------------------------------------------------- evaluation
 
@@ -129,6 +134,22 @@ class BondSystem:
 
     def gradient(self, w: np.ndarray, F: np.ndarray | None = None) -> np.ndarray:
         return self._scatter(self.bond_forces(w, F))
+
+    @cached_property
+    def _rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """The incidence rows padded to the widest: bond and sign (W, n_sites)
+        of each site's terms in row order, sign 0 in the padding."""
+        D = self.incidence
+        filled = np.arange(self.row_width) < np.diff(D.indptr)[:, None]
+        bonds, signs = np.zeros(filled.shape, dtype=D.indices.dtype), np.zeros(filled.shape)
+        bonds[filled], signs[filled] = D.indices, D.data
+        return bonds.T, signs.T
+
+    def row_terms(self, per_bond: np.ndarray) -> np.ndarray:
+        """The signed terms that ``_scatter`` sums into each site, (W, ...,
+        n_sites, d) from per-bond values (..., n_bonds, d), W the widest row."""
+        bonds, signs = self._rows
+        return np.moveaxis(signs[:, :, None] * np.take(per_bond, bonds, axis=-2), -3, 0)
 
     def stress(self, w: np.ndarray, F: np.ndarray | None = None) -> np.ndarray:
         """Averaged first Piola-type stress < sum_r phi'_r r^T >, shape (..., d, d)."""
@@ -317,13 +338,14 @@ def compile_system(lattice: Multilattice, model: InteractionModel) -> BondSystem
 
 def avg_norm(v: np.ndarray):
     """Discrete L2 norm sqrt(<|v|^2>) over sites: a float, or one per stack entry."""
-    out = np.sqrt(np.mean(np.sum(np.atleast_2d(v) ** 2, axis=-1), axis=-1))
+    squares = np.add.reduce(np.atleast_2d(v) ** 2, axis=-1)
+    out = np.sqrt(np.add.reduce(squares, axis=-1) / squares.shape[-1])   # np.mean, without its overhead
     return float(out) if np.ndim(out) == 0 else out
 
 
 def project_zero_mean_array(w: np.ndarray) -> np.ndarray:
     """Subtract the site mean (of each stack entry)."""
-    return w - w.mean(axis=-2, keepdims=True)
+    return w - np.add.reduce(w, axis=-2, keepdims=True) / w.shape[-2]   # w.mean, without its overhead
 
 
 def _circulant_inverse(S: np.ndarray, d: int) -> np.ndarray:
@@ -519,6 +541,35 @@ def newton(energy, gradient, operator, w0: np.ndarray, threshold, max_iter: int 
                       f"of {T} entries after {max_iter} iterations")
 
 
+def _settle_at_rounding_floor(system: BondSystem, g: np.ndarray, forces: np.ndarray,
+                              f_ext: np.ndarray | None, threshold: np.ndarray) -> np.ndarray:
+    """The gradients g (k, n_sites, d) = D forces - f_ext, with each entry
+    whose residual exceeds its ``threshold`` (k,) by no more than the rounding
+    error of that sum re-summed by ``compensated_sum`` over each site's row.
+
+    A row of W terms sums with an error of at most (W - 1) u times the sum of
+    their magnitudes (u the unit roundoff).  Over the sites that is at most
+    (W - 1) u (sqrt(2 W / n_sites) ||forces|| + <|f_ext|>), since each bond
+    enters two rows; the band taken is twice that.  Entries far from their
+    threshold never pay for the compensated sum."""
+    n = system.n_sites
+    res = np.sqrt(np.einsum("kni,kni->k", g, g) / n)   # avg_norm(g) to rounding, for less
+    above = res > threshold
+    if not np.count_nonzero(above):
+        return g
+    width = system.row_width
+    magnitude = np.sqrt(np.einsum("kbi,kbi->k", forces, forces) * (2.0 * width / n))
+    if f_ext is not None:
+        width, magnitude = width + 1, magnitude + np.sqrt(np.einsum("ni,ni->", f_ext, f_ext) / n)
+    near = np.flatnonzero(above & (res <= threshold + width * EPS * magnitude))
+    if len(near):
+        terms = system.row_terms(forces[near])
+        if f_ext is not None:
+            terms = np.concatenate([terms, np.broadcast_to(-f_ext, (1,) + terms.shape[1:])])
+        g[near] = compensated_sum(terms)
+    return g
+
+
 def newton_zero_mean(
     system: BondSystem,
     F: np.ndarray | None = None,
@@ -532,11 +583,15 @@ def newton_zero_mean(
     ``F`` is None, one gradient (d, d), or a stack (T, d, d) of independent
     problems, for which ``w0`` and the result are (T, n_sites, d).  Entry t
     converges once sqrt(<|gradient|^2>) <= ``tol * (1 + ref_t)``; quadratic
-    energies converge in one iteration.
+    energies converge in one iteration.  A residual above that threshold by
+    no more than the rounding error of its per-site sums is judged on the
+    compensated sums (``_settle_at_rounding_floor``), so a converged entry
+    whose bond forces cancel to below their rounding does not stall.
     """
     stacked = np.ndim(F) == 3
     Fs = None if F is None else np.asarray(F, dtype=float).reshape(-1, system.d, system.d)
     shape = (len(Fs) if stacked else 1, system.n_sites, system.d)
+    threshold = np.broadcast_to(tol * (1.0 + np.asarray(ref)), shape[:1])
 
     def at(rows):
         return None if Fs is None else Fs[rows]
@@ -546,8 +601,11 @@ def newton_zero_mean(
         return e if f_ext is None else e - np.mean(np.sum(f_ext * w, axis=-1), axis=-1)
 
     def gradient(w, rows):
-        g = system.gradient(w, at(rows))
-        return g if f_ext is None else g - f_ext
+        forces = system.bond_forces(w, at(rows))
+        g = system._scatter(forces)
+        if f_ext is not None:
+            g = g - f_ext
+        return _settle_at_rounding_floor(system, g, forces, f_ext, threshold[rows])
 
     def operator(w, rows):   # one field on a grid: the sparse Hessian, which PCG solves
         if len(rows) == 1:
@@ -555,5 +613,5 @@ def newton_zero_mean(
         return system.operator(w, at(rows))
 
     result = newton(energy, gradient, operator, np.zeros(shape) if w0 is None else np.reshape(w0, shape),
-                    tol * (1.0 + np.asarray(ref)))
+                    threshold)
     return result if stacked else NewtonResult(result.w[0], result.residual, result.iterations)

@@ -5,12 +5,15 @@ Three material models are provided:
 * ``LinearSpring1D``   -- nearest-neighbor quadratic springs on a 1D chain
   with m species per period, V(g) = psi * g^2 / 2 per bond.
 * ``LennardJones1D``   -- finite-range Lennard-Jones chain with per-species
-  strength/equilibrium-distance parameters.
+  strength/equilibrium-distance parameters, one bond per atom pair.
 * ``RandomBond2D``     -- 2D quadratic bond network with per-site random bond
   strengths on the offsets (1,0), (0,1), (1,1), (-1,1).
 
 All models are pairwise: the site energy is a sum over the neighborhood of
-per-bond terms, each a function of the single gap D_r u.
+per-bond terms, each a function of the single gap D_r u.  The LJ chain lists
+each atom pair once, from its left end, with both ends' terms on that bond, so
+its split of the energy into site energies is bookkeeping: totals, forces and
+stresses are those of one term per directed bond.
 """
 
 from __future__ import annotations
@@ -40,6 +43,23 @@ def energies_or_inf(energy, *stacks) -> np.ndarray:
             with contextlib.suppress(PotentialError):
                 out[t] = energy(*(s[t:t + 1] for s in stacks))[0]
         return out
+
+
+def compensated_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum of ``terms`` over their first axis, as accurate as if summed in three
+    times the working precision and then rounded: Ogita, Rump and Oishi's SumK
+    with K = 3 (SIAM J. Sci. Comput. 26 (2005)), two sweeps of error-free
+    TwoSum transformations and then a plain sum.  The residuals of both Newton
+    drivers are re-summed this way at their rounding floor."""
+    p = np.array(terms, dtype=float)
+    for _ in range(2):
+        for i in range(1, len(p)):
+            a, b = p[i - 1], p[i]
+            s = a + b
+            z = s - a
+            p[i - 1] = (a - (s - z)) + (b - z)
+            p[i] = s
+    return p[:-1].sum(axis=0) + p[-1]
 
 
 # ------------------------------------------------------------------- bond laws
@@ -93,63 +113,60 @@ class SpringLaw:
 
 
 class LennardJonesLaw:
-    """Bond energy s * (-2 (b/l)^-6 + (b/l)^-12) with b = scale * |r + g|.
+    """Bond energy a12 b^-12 - 2 a6 b^-6 with b = scale * |r + g|.
 
+    One LJ term s (-2 (l/b)^6 + (l/b)^12) has a6 = s l^6 and a12 = s l^12, so
+    a sum of terms on one bond is the law with the summed coefficients.
     ``scale`` converts the lattice-unit bond vector to the units in which the
-    equilibrium distances ``ell`` are expressed (the finest inter-site spacing
-    for a chain with m species, so the nearest-neighbor bond has b = 1).
+    equilibrium distances l are expressed (the finest inter-site spacing for a
+    chain with m species, so the nearest-neighbor bond has b = 1).  Energy,
+    force and stiffness are polynomials in q = 1/b^2: no square root or power.
     """
 
     is_quadratic = False
 
-    def __init__(self, s: np.ndarray, ell: np.ndarray, scale: float = 1.0) -> None:
-        self.s = np.asarray(s, dtype=float)
-        self.ell = np.asarray(ell, dtype=float)
+    def __init__(self, a6: np.ndarray, a12: np.ndarray, scale: float = 1.0) -> None:
+        self.a6 = np.asarray(a6, dtype=float)
+        self.a12 = np.asarray(a12, dtype=float)
         self.scale = float(scale)
-        self.l6 = self.ell**6
-        self.l12 = self.l6**2
 
     @classmethod
     def stack(cls, laws: Sequence["LennardJonesLaw"], counts: Sequence[int]) -> "LennardJonesLaw":
         scales = {law.scale for law in laws}
         if len(scales) != 1:
             raise PotentialError("stacked LJ laws must share one length scale")
-        return cls(_per_bond(laws, counts, "s"), _per_bond(laws, counts, "ell"), scales.pop())
+        return cls(_per_bond(laws, counts, "a6"), _per_bond(laws, counts, "a12"), scales.pop())
 
-    def _bond_vectors(self, gaps: np.ndarray, rvec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _inverse_square(self, gaps: np.ndarray, rvec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Scaled bond vectors scale * (r + g) and q = 1/b^2 per bond."""
         vec = self.scale * (rvec + gaps)
-        b = np.sqrt(np.sum(vec**2, axis=-1))
-        if np.any(b <= 0.0):
+        b2 = np.sum(vec * vec, axis=-1)
+        if np.any(b2 <= 0.0):
             raise PotentialError("bond length collapsed to zero")
-        return vec, b
+        return vec, 1.0 / b2
 
     def energy(self, gaps: np.ndarray, rvec: np.ndarray) -> np.ndarray:
-        _, b = self._bond_vectors(gaps, rvec)
-        q = self.ell / b
-        return self.s * (-2.0 * q**6 + q**12)
-
-    def _dphi(self, b: np.ndarray) -> np.ndarray:
-        return 12.0 * self.s * (self.l6 * b**-7 - self.l12 * b**-13)
-
-    def _d2phi(self, b: np.ndarray) -> np.ndarray:
-        return self.s * (-84.0 * self.l6 * b**-8 + 156.0 * self.l12 * b**-14)
+        _, q = self._inverse_square(gaps, rvec)
+        q3 = q * q * q
+        return q3 * (self.a12 * q3 - 2.0 * self.a6)
 
     def grad(self, gaps: np.ndarray, rvec: np.ndarray) -> np.ndarray:
-        vec, b = self._bond_vectors(gaps, rvec)
-        dphi = self._dphi(b)
-        # d/dg phi(|scale*(r+g)|) = phi'(b) * scale * n,  n the unit bond vector
-        return (dphi * self.scale / b)[..., None] * vec
+        vec, q = self._inverse_square(gaps, rvec)
+        q3 = q * q * q
+        # d/dg phi(|scale*(r+g)|) = scale * (phi'(b)/b) * scale*(r+g), phi'/b = 12 q^4 (a6 - a12 q^3)
+        return (12.0 * self.scale * q3 * q * (self.a6 - self.a12 * q3))[..., None] * vec
 
     def hess(self, gaps: np.ndarray, rvec: np.ndarray) -> np.ndarray:
-        vec, b = self._bond_vectors(gaps, rvec)
-        dphi, d2phi = self._dphi(b), self._d2phi(b)
-        n = vec / b[..., None]
-        d = gaps.shape[-1]
-        eye = np.eye(d)
-        nn = n[..., :, None] * n[..., None, :]
-        radial = (d2phi * self.scale**2)[..., None, None] * nn
-        tangential = (dphi * self.scale**2 / b)[..., None, None] * (eye - nn)
-        return radial + tangential
+        vec, q = self._inverse_square(gaps, rvec)
+        q3 = q * q * q
+        q4 = q3 * q
+        dphi_b = 12.0 * q4 * (self.a6 - self.a12 * q3)              # phi'(b) / b
+        d2phi = q4 * (156.0 * self.a12 * q3 - 84.0 * self.a6)        # phi''(b)
+        s2 = self.scale**2
+        vv = vec[..., :, None] * vec[..., None, :]
+        # scale^2 [phi'' n n^T + (phi'/b)(I - n n^T)] with n n^T = q vec vec^T
+        radial = (s2 * q * (d2phi - dphi_b))[..., None, None] * vv
+        return radial + (s2 * dphi_b)[..., None, None] * np.eye(vec.shape[-1])
 
 
 # ----------------------------------------------------------------- bond specs
@@ -232,8 +249,13 @@ class LennardJonesParams:
 class LennardJones1D(InteractionModel):
     """Finite-range LJ chain with m species at the uniform shifts k/m.
 
-    Bond parameters (s, ell) are keyed on the species of the site that owns
-    the energy term.  Bond lengths are measured in units of the finest
+    Every site of species alpha has the LJ term s_alpha (-2 (ell_alpha/b)^6 +
+    (ell_alpha/b)^12) on each neighbor within the cutoff.  Each atom pair is
+    one bond, listed by its left end (offsets r > 0 only), whose law carries
+    both ends' terms: own(alpha) + own(beta), beta the target species.  The
+    reversed bond has the same length, so energy, forces, stresses and
+    Hessian are those of one term per directed bond; only the split into site
+    energies differs.  Bond lengths are measured in units of the finest
     inter-site spacing eps/m, so the nearest neighbor sits at b = 1 in the
     undeformed state; the cutoff is expressed in lattice units.
     """
@@ -246,22 +268,16 @@ class LennardJones1D(InteractionModel):
         if len(params.ell) != self.m:
             raise PotentialError("s and ell must have one entry per species")
         cell = unit_cell(1, self.shifts())
-        step = Fraction(1, self.m)
-        offsets = []
-        k = 1
-        while k * step <= Fraction(params.cutoff).limit_denominator(10**6):
-            offsets.extend([k * step, -k * step])
-            k += 1
+        count = int(Fraction(params.cutoff).limit_denominator(10**6) * self.m)   # offsets k/m within it
+        s, ell = np.array(params.s), np.array(params.ell)
+        a6, a12 = s * ell**6, s * ell**12
         self._specs = []
         for alpha in range(self.m):
-            specs = []
-            for r in sorted(offsets):
-                off = cell.resolve_offset(alpha, r)
-                law = LennardJonesLaw(
-                    np.array(params.s[alpha]), np.array(params.ell[alpha]), scale=float(self.m)
-                )
-                specs.append(BondSpec(off, law))
-            self._specs.append(specs)
+            offsets = [cell.resolve_offset(alpha, Fraction(k, self.m)) for k in range(1, count + 1)]
+            self._specs.append([BondSpec(off, LennardJonesLaw(a6[alpha] + a6[off.species_target],
+                                                              a12[alpha] + a12[off.species_target],
+                                                              scale=float(self.m)))
+                                for off in offsets])
 
     def shifts(self) -> list:
         return [(Fraction(k, self.m),) for k in range(self.m)]

@@ -12,11 +12,15 @@ loop that checks the energy at every step as the reference of
 ``run_atomistic_dynamics``.  The vector route that every system took before
 spring systems solved their scalar Laplacian (the full Hessian, d^2 unit
 gradients, the general condensed tangent) stays as ``VectorSystem``, the
-reference of ``BondSystem.operator`` and ``hqc.conductance_tensors``."""
+reference of ``BondSystem.operator`` and ``hqc.conductance_tensors``.  The LJ
+chain as it was before pair bonds (one term per directed bond, with the
+owner's (s, l), evaluated by powers of b) stays as ``DirectedLJ1D``, the
+reference of ``LennardJones1D``."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import scipy.sparse as sp
@@ -41,9 +45,10 @@ from hqclab.lattice import (
     cell_index,
     l2_norm,
     project_zero_mean,
+    unit_cell,
 )
 from hqclab.network import BondSystem, avg_norm, newton_zero_mean
-from hqclab.potential import PotentialError
+from hqclab.potential import BondSpec, InteractionModel, LennardJonesParams, PotentialError
 
 # ------------------------------------------- single-site model evaluation
 # gaps: one vector per neighborhood offset of species alpha; cell: a Bravais
@@ -79,6 +84,78 @@ def site_hessian(model, alpha: int, gaps, cell=None) -> list[list[np.ndarray]]:
     for j, (spec, g) in enumerate(zip(specs, gaps)):
         blocks[j][j] = spec.law.hess(g[None, :], spec.offset.r_float[None, :])[0]
     return blocks
+
+
+# ------------------------------------------------ directed-bond LJ chain
+
+
+class DirectedLJLaw:
+    """Bond energy s * (-2 (b/l)^-6 + (b/l)^-12) with b = scale * |r + g| and
+    per-bond (s, l), its derivatives by powers of b."""
+
+    is_quadratic = False
+
+    def __init__(self, s, ell, scale: float) -> None:
+        self.s = np.asarray(s, dtype=float)
+        self.ell = np.asarray(ell, dtype=float)
+        self.scale = float(scale)
+
+    @classmethod
+    def stack(cls, laws, counts) -> "DirectedLJLaw":
+        return cls(np.repeat([law.s for law in laws], counts), np.repeat([law.ell for law in laws], counts),
+                   laws[0].scale)
+
+    def _bond_vectors(self, gaps, rvec):
+        vec = self.scale * (rvec + gaps)
+        b = np.sqrt(np.sum(vec**2, axis=-1))
+        if np.any(b <= 0.0):
+            raise PotentialError("bond length collapsed to zero")
+        return vec, b
+
+    def _dphi(self, b):
+        return 12.0 * self.s * (self.ell**6 * b**-7 - self.ell**12 * b**-13)
+
+    def energy(self, gaps, rvec):
+        q = self.ell / self._bond_vectors(gaps, rvec)[1]
+        return self.s * (-2.0 * q**6 + q**12)
+
+    def grad(self, gaps, rvec):
+        vec, b = self._bond_vectors(gaps, rvec)
+        return (self._dphi(b) * self.scale / b)[..., None] * vec
+
+    def hess(self, gaps, rvec):
+        vec, b = self._bond_vectors(gaps, rvec)
+        dphi = self._dphi(b)
+        d2phi = self.s * (-84.0 * self.ell**6 * b**-8 + 156.0 * self.ell**12 * b**-14)
+        n = vec / b[..., None]
+        nn = n[..., :, None] * n[..., None, :]
+        radial = (d2phi * self.scale**2)[..., None, None] * nn
+        return radial + (dphi * self.scale**2 / b)[..., None, None] * (np.eye(vec.shape[-1]) - nn)
+
+
+class DirectedLJ1D(InteractionModel):
+    """The LJ chain of ``LennardJones1D`` with one term per directed bond: every
+    site lists its neighbors on both sides within the cutoff, each bond with
+    the owner's (s, l), so each atom pair appears twice."""
+
+    d = 1
+
+    def __init__(self, params: LennardJonesParams) -> None:
+        self.params = params
+        self.m = len(params.s)
+        cell = unit_cell(1, self.shifts())
+        step = Fraction(1, self.m)
+        count = int(Fraction(params.cutoff).limit_denominator(10**6) / step)
+        offsets = sorted(k * step * sign for k in range(1, count + 1) for sign in (1, -1))
+        self._specs = [[BondSpec(cell.resolve_offset(alpha, r),
+                                 DirectedLJLaw(params.s[alpha], params.ell[alpha], float(self.m)))
+                        for r in offsets] for alpha in range(self.m)]
+
+    def shifts(self) -> list:
+        return [(Fraction(k, self.m),) for k in range(self.m)]
+
+    def bond_specs(self, alpha: int, cells=None) -> list[BondSpec]:
+        return self._specs[alpha]
 
 
 # ------------------------------------------------ shift / corrector gauges
@@ -245,9 +322,10 @@ def reference_compile(lattice: Multilattice, model) -> BondSystem:
 
 class GapScaledSystem(BondSystem):
     """The atomistic system of a problem in displacement variables: the gaps
-    (u[dst] - u[src]) / eps, the gradient scattered and divided by eps, the
-    stiffnesses divided by eps^2 before the Hessian sums them.  The formula
-    ``BondSystem`` evaluated with a gap scale of eps, built from
+    (u[dst] - u[src]) / eps, the bond forces divided by eps before the
+    gradient scatters them, the stiffnesses divided by eps^2 before the
+    Hessian sums them.  The formula ``BondSystem`` evaluated with a gap scale
+    of eps, built from
     ``reference_compile``: the oracle of ``atomistic``'s corrector variables."""
 
     def __init__(self, problem: EquilibriumProblem) -> None:
@@ -259,8 +337,8 @@ class GapScaledSystem(BondSystem):
         assert F is None
         return (np.take(w, self.dst, axis=-2) - np.take(w, self.src, axis=-2)) / self.eps
 
-    def _scatter(self, per_bond: np.ndarray) -> np.ndarray:
-        return super()._scatter(per_bond) / self.eps
+    def bond_forces(self, w: np.ndarray, F: np.ndarray | None = None) -> np.ndarray:
+        return super().bond_forces(w, F) / self.eps
 
     def bond_stiffness(self, w: np.ndarray, F: np.ndarray | None = None) -> np.ndarray:
         return super().bond_stiffness(w, F) / self.eps**2

@@ -1,5 +1,7 @@
 """Shift-vector solves, the corrector bijection, and the three-way equivalence."""
 
+import math
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -273,7 +275,7 @@ def test_shift_table_matches_bond_by_bond_oracle(name):
     table = ShiftTable(model)
     F, q = _random_stack(model, 6, seed=len(name))
     energy = table.energy(F, q)
-    grad, hess = table.derivatives(F, q)
+    grad, hess, _ = table.derivatives(F, q)
     assert energy.shape == (6,) and grad.shape == (6, model.m - 1, model.d)
     for t in range(6):
         e_ref, g_ref, h_ref = _bond_by_bond(model, F[t], q[t])
@@ -288,11 +290,11 @@ def test_shift_table_stack_equals_single_elements(name):
     table = ShiftTable(model)
     F, q = _random_stack(model, 5, seed=7)
     energy = table.energy(F, q)
-    grad, hess = table.derivatives(F, q)
+    grad, hess, _ = table.derivatives(F, q)
     shifts = solve_shift_vectors(model, F)
     for t in range(5):
         one = slice(t, t + 1)
-        g1, h1 = table.derivatives(F[one], q[one])
+        g1, h1, _ = table.derivatives(F[one], q[one])
         assert _rel_err(energy[one], table.energy(F[one], q[one])) <= 1e-15
         assert _rel_err(grad[one], g1) <= 1e-15
         assert _rel_err(hess[one], h1) <= 1e-15
@@ -312,26 +314,83 @@ def test_solve_shift_state_reports_the_newton_residual():
     assert 0.0 < state.residual <= 1e-12 * (1 + np.abs(grads).max())
 
 
+# ------------------------------------------- the rounding floor of the shift Newton
+
+
+@pytest.mark.parametrize("name", ["lj-dynamics", "two-species-2d"])
+def test_shift_rows_are_summed_exactly_at_the_rounding_floor(name):
+    # bond forces of +-1e4 per element and component with residues near
+    # 1e-12: each species is the source of as many bonds as it is the target
+    # of, so every row of B cancels to its residues
+    model = ORACLE_MODELS[name]()
+    table = ShiftTable(model)
+    rng = np.random.default_rng(9)
+    T, nb, d = 3, len(table.src), model.d
+    forces = 1e4 * rng.choice([-1.0, 1.0], size=(T, 1, d)) + 1e-12 * rng.standard_normal((T, nb, d))
+    exact = np.array([[[math.fsum(table.B[a] * forces[t, :, c]) for c in range(d)]
+                       for a in range(model.m - 1)] for t in range(T)]) / model.m
+    grad = table.B @ forces / model.m
+    res = np.linalg.norm(grad.reshape(T, -1), axis=1)
+    assert not np.array_equal(grad, exact)
+    # in the band above the threshold every element is re-summed; an element
+    # whose float residual is 0 is converged already.  Below the band none is
+    settled, settled_res = table.settle_at_rounding_floor(grad.copy(), forces, 0.5 * res)
+    above = res > 0
+    assert above.sum() >= 2
+    assert np.array_equal(settled[above], exact[above]) and np.array_equal(settled[~above], grad[~above])
+    assert np.array_equal(settled_res, np.linalg.norm(settled.reshape(T, -1), axis=1))
+    unchanged, unchanged_res = table.settle_at_rounding_floor(grad.copy(), forces, res)
+    assert np.array_equal(unchanged, grad) and np.array_equal(unchanged_res, res)
+
+
+def test_shift_newton_converges_at_its_rounding_floor():
+    # the compressions at which the float shift residual of the dynamics
+    # chain stalls above SHIFT_TOL (1 + |F|) (24 of 31 with one LJ term per
+    # directed bond): the compensated sums stop every element, one at a time
+    # or as one stack
+    from test_network import COMPRESSIONS
+
+    model = make_dynamics_model().model
+    F = COMPRESSIONS[:, None, None]
+    q = solve_shift_vectors(model, F)
+    table = ShiftTable(model)
+    _, _, forces = table.derivatives(F, q)
+    exact = np.array([[math.fsum(table.B[0] * forces[t, :, 0])] for t in range(len(F))]) / model.m
+    assert np.all(np.abs(exact[:, 0]) <= mqc.SHIFT_TOL * (1 + np.abs(COMPRESSIONS)))
+    for t in range(len(F)):
+        assert np.array_equal(solve_shift_vectors(model, F[t]), q[t])
+
+
 # ------------------------------------------------------ failure semantics
 
 
 class _HardCoreLaw(LennardJonesLaw):
-    """LJ bond that counts as collapsed (PotentialError) below half its equilibrium length."""
+    """LJ bond that counts as collapsed (PotentialError) below ``core``."""
 
-    def _bond_vectors(self, gaps, rvec):
-        vec, b = super()._bond_vectors(gaps, rvec)
-        if np.any(b < 0.5 * self.ell):
+    def __init__(self, a6, a12, scale, core):
+        super().__init__(a6, a12, scale)
+        self.core = np.asarray(core, dtype=float)
+
+    @classmethod
+    def stack(cls, laws, counts):
+        plain = LennardJonesLaw.stack(laws, counts)
+        return cls(plain.a6, plain.a12, plain.scale, np.repeat([law.core for law in laws], counts))
+
+    def _inverse_square(self, gaps, rvec):
+        vec, q = super()._inverse_square(gaps, rvec)
+        if np.any(q * self.core**2 > 1.0):
             raise PotentialError("bond collapsed into the hard core")
-        return vec, b
+        return vec, q
 
 
 class _HardCoreDynamicsModel(LennardJones1D):
-    """The dynamics LJ chain with hard-core bonds."""
+    """The dynamics LJ chain with hard-core bonds: a bond collapses below half
+    the equilibrium length of the species that lists it."""
 
     def __init__(self):
         super().__init__(make_dynamics_model().model.params)
-        self._specs = [[BondSpec(s.offset, _HardCoreLaw(s.law.s, s.law.ell, s.law.scale))
-                        for s in specs] for specs in self._specs]
+        self._specs = [[BondSpec(s.offset, _HardCoreLaw(s.law.a6, s.law.a12, s.law.scale, 0.5 * ell))
+                        for s in specs] for specs, ell in zip(self._specs, self.params.ell)]
 
 
 @pytest.mark.parametrize("model", [make_dynamics_model().model, _HardCoreDynamicsModel()],
@@ -343,7 +402,7 @@ def test_collapsing_step_is_halved_for_its_element_only(model, monkeypatch):
     F = np.array([[[0.2]], [[0.2]], [[0.05]]])
     guess = np.array([[[-0.062]], [[0.1]], [[0.03]]])
     table = ShiftTable(model)
-    grad, hess = table.derivatives(F[:1], guess[:1])
+    grad, hess, _ = table.derivatives(F[:1], guess[:1])
     full = guess[:1] - grad / hess  # one shift dof: the Newton step is a quotient
     bonds = table.law.scale * np.abs(table.rvec + table.gaps(F[:1], full))
     assert np.min(bonds) < 0.2

@@ -1,6 +1,7 @@
 """The stacked bond kernel (one law per system, incidence scatter, stacked
 fields) and the FFT-preconditioned CG behind the gauge-fixed solves."""
 
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ import scipy.sparse as sp
 from hqclab import network
 from hqclab.fem import MacroMesh, assemble, build_mesh
 from hqclab.lattice import Multilattice, chain_lattice, square_lattice
-from hqclab.network import GaugeFixedOperator, SolverError, compile_system
+from hqclab.network import GaugeFixedOperator, SolverError, avg_norm, compile_system
 from hqclab.potential import (
     BondSpec,
     InteractionModel,
@@ -21,6 +22,7 @@ from hqclab.potential import (
     PotentialError,
     RandomBond2D,
     SpringLaw,
+    compensated_sum,
     make_dynamics_model,
 )
 from support import bond_order_hessian, grid_average, reference_compile, reference_hessian
@@ -568,3 +570,69 @@ def test_unconverged_entry_fails_the_whole_stack():
     rest = [0, 2, 3]
     result = network.newton(*cell_callbacks(system, F[rest]), w0[rest], threshold[rest], max_iter=2)
     assert np.array_equal(result.w, w0[rest]) and result.iterations == 0
+
+
+# ------------------------------------------------ the rounding floor of Newton
+
+#: element gradients of the dynamics chain's one-cell system whose converged
+#: float residuals stall above MICRO_TOL (1 + |F|): 28 of these 31 with one LJ
+#: term per directed bond, all 31 with pair bonds
+COMPRESSIONS = -0.56 + 0.005 * np.arange(31)
+
+
+def exact_row_sums(system, forces, f_ext=None):
+    """D forces - f_ext by ``math.fsum`` over each incidence row, per stack
+    entry and component."""
+    D = system.incidence
+    out = np.empty((len(forces), system.n_sites, system.d))
+    for t in range(len(forces)):
+        for i in range(system.n_sites):
+            cols, signs = D.indices[D.indptr[i]:D.indptr[i + 1]], D.data[D.indptr[i]:D.indptr[i + 1]]
+            for c in range(system.d):
+                extra = [] if f_ext is None else [-f_ext[i, c]]
+                out[t, i, c] = math.fsum(list(signs * forces[t, cols, c]) + extra)
+    return out
+
+
+@pytest.mark.parametrize("lattice, model", [
+    (chain_lattice(Fraction(1, 8), 2), make_dynamics_model().model),
+    (square_lattice(4), RandomBond2D(4, seed=3)),
+], ids=["d1", "d2"])
+def test_compensated_row_sums_equal_fsum_under_heavy_cancellation(lattice, model):
+    # bond forces of +-1e4 per stack entry and component with residues near
+    # 1e-12: every site is the source of as many bonds as it is the target
+    # of, so each row cancels to its residues, which the float scatter loses
+    system = compile_system(lattice, model)
+    rng = np.random.default_rng(5)
+    k, nb, d = 3, len(system.src), system.d
+    forces = 1e4 * rng.choice([-1.0, 1.0], size=(k, 1, d)) + 1e-12 * rng.standard_normal((k, nb, d))
+    f_ext = 1e-12 * rng.standard_normal((system.n_sites, d))
+    exact = exact_row_sums(system, forces)
+    assert np.array_equal(compensated_sum(system.row_terms(forces)), exact)
+    g = system._scatter(forces)
+    assert not np.array_equal(g, exact)
+    # in the band above the threshold every entry is re-summed; below it none is
+    settled = network._settle_at_rounding_floor(system, g.copy(), forces, None, 0.5 * avg_norm(g))
+    assert np.array_equal(settled, exact)
+    assert np.array_equal(network._settle_at_rounding_floor(system, g.copy(), forces, None, 2 * avg_norm(g)), g)
+    g_ext = g - f_ext
+    settled = network._settle_at_rounding_floor(system, g_ext, forces, f_ext, 0.5 * avg_norm(g_ext))
+    assert np.array_equal(settled, exact_row_sums(system, forces, f_ext))
+
+
+def test_micro_solve_converges_at_its_rounding_floor():
+    # under these compressions the dynamics chain's bond forces reach 1e5 and,
+    # at the symmetric corrector, cancel exactly per site: a float residual
+    # above the threshold is rounding alone, and the compensated sums stop
+    # every entry, one at a time or as one stack
+    from hqclab.hqc import MICRO_TOL, micro_solve
+
+    model = make_dynamics_model().model
+    system = compile_system(Multilattice(1, 1, model.shifts()), model)
+    F = COMPRESSIONS[:, None, None]
+    chi = micro_solve(system, F)
+    forces = system.bond_forces(chi, F)
+    assert np.abs(forces).max() > 7e4
+    assert np.all(avg_norm(compensated_sum(system.row_terms(forces))) <= MICRO_TOL * (1 + np.abs(COMPRESSIONS)))
+    for t in range(len(F)):
+        assert np.array_equal(micro_solve(system, F[t:t + 1])[0], chi[t])

@@ -135,11 +135,19 @@ def test_dynamics_model_parameters():
     assert model.params.s == (1.6, 0.4)
     assert model.params.ell == (0.99, 1.01)
     assert setup.species_masses == (2.0, 1.0)
-    # all sites within 3 lattice units at spacing 1/2: 12 offsets
-    assert len(model.bond_specs(0)) == 12
-    assert len(model.bond_specs(1)) == 12
-    rs = sorted(float(s.offset.r_float[0]) for s in model.bond_specs(0))
-    assert rs == [x / 2 for x in range(-6, 0)] + [x / 2 for x in range(1, 7)]
+    # one bond per atom pair, listed by its left end: the sites within 3
+    # lattice units to the right at spacing 1/2, 6 offsets per species, each
+    # with the owner's plus the target's LJ coefficients
+    s, ell = np.array(model.params.s), np.array(model.params.ell)
+    for alpha in range(2):
+        specs = model.bond_specs(alpha)
+        assert [float(spec.offset.r_float[0]) for spec in specs] == [x / 2 for x in range(1, 7)]
+        for spec in specs:
+            beta = spec.offset.species_target
+            assert beta == (alpha + 2 * float(spec.offset.r_float[0])) % 2
+            assert spec.law.a6 == s[alpha] * ell[alpha]**6 + s[beta] * ell[beta]**6
+            assert spec.law.a12 == s[alpha] * ell[alpha]**12 + s[beta] * ell[beta]**12
+            assert spec.law.scale == 2.0
 
 
 def test_dynamics_mass_field():

@@ -1,10 +1,11 @@
 """Property tests on random models, strains and fields: the stacked bond kernel,
-and the three-way HQC / homogenized FEM / MQC equivalence."""
+the pair-bond LJ chain against its directed-bond form, and the three-way
+HQC / homogenized FEM / MQC equivalence."""
 
 from fractions import Fraction
 
 import numpy as np
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from hqclab.fem import P1Field, all_element_gradients, build_mesh, p1_zero_mean
 from hqclab.homog import solve_cell_problem
@@ -12,20 +13,26 @@ from hqclab.lattice import chain_lattice, square_lattice
 from hqclab.mqc import equivalence_report, solve_shift_vectors
 from hqclab.network import compile_system
 from hqclab.potential import LennardJones1D, LennardJonesParams, LinearSpring1D, RandomBond2D
-from support import shifts_from_corrector
+from support import DirectedLJ1D, reference_compile, shifts_from_corrector
 
 STEP = 1e-6
 
 
 @st.composite
-def lj_systems(draw):
-    """A random LJ chain cell problem on a 4-cell torus under a random strain."""
+def lj_models(draw):
+    """A random LJ chain: 1 to 3 species, cutoff 1, 1.5 or 2 lattice units."""
     m = draw(st.integers(1, 3))
     s = tuple(draw(st.lists(st.floats(0.5, 2.0), min_size=m, max_size=m)))
     ell = tuple(draw(st.lists(st.floats(0.97, 1.03), min_size=m, max_size=m)))
     cutoff = draw(st.sampled_from([1.0, 1.5, 2.0]))
-    model = LennardJones1D(LennardJonesParams(s=s, ell=ell, cutoff=cutoff))
-    system = compile_system(chain_lattice(Fraction(1, 4), m), model)
+    return LennardJones1D(LennardJonesParams(s=s, ell=ell, cutoff=cutoff))
+
+
+@st.composite
+def lj_systems(draw):
+    """A random LJ chain cell problem on a 4-cell torus under a random strain."""
+    model = draw(lj_models())
+    system = compile_system(chain_lattice(Fraction(1, 4), model.m), model)
     F = np.array([[draw(st.floats(-0.04, 0.04))]])
     return system, F, 0.01
 
@@ -100,3 +107,54 @@ def test_three_way_equivalence_on_random_spring_chains(psi, nodal):
     for t, F in enumerate(grads):
         q = shifts_from_corrector(solve_cell_problem(model, F))
         assert np.max(np.abs(shifts[t] - q)) <= 1e-11
+
+
+@given(lj_models(), st.floats(-0.04, 0.04), st.integers(0, 2**16))
+def test_pair_bonds_match_the_directed_bond_chain(model, strain, seed):
+    # one bond per atom pair with both ends' terms, evaluated from 1/b^2,
+    # against one term per directed bond with the owner's (s, l), evaluated
+    # by powers of b: the same energy, gradient, stress and Hessian from half
+    # the bonds
+    lattice = chain_lattice(Fraction(1, 4), model.m)
+    pair = compile_system(lattice, model)
+    directed = reference_compile(lattice, DirectedLJ1D(model.params))
+    assert 2 * len(pair.src) == len(directed.src)
+    w = random_field(pair, 0.01, seed)
+    F = np.array([[strain]])
+    assert abs(pair.energy(w, F) - directed.energy(w, F)) <= 1e-13 * abs(directed.energy(w, F))
+    for fn in ("gradient", "stress"):
+        ref = getattr(directed, fn)(w, F)
+        assert np.max(np.abs(getattr(pair, fn)(w, F) - ref)) <= 1e-13 * np.max(np.abs(ref)), fn
+    ref = directed.hessian(w, F).toarray()
+    assert np.max(np.abs(pair.hessian(w, F).toarray() - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+#: element gradients of the compressed element: the range where the bond
+#: forces of the micro problems reach 1e5 and a converged residual lies within
+#: the rounding of their per-site sums
+COMPRESSION = (-0.56, -0.41)
+
+
+@settings(max_examples=40, deadline=None)
+@given(lj_models(), st.floats(0.0, 1.0), st.floats(-0.1, 0.05), st.integers(0, 15))
+def test_three_way_equivalence_on_random_lj_chains(model, depth, second, shift):
+    # on a 16-element mesh one element is compressed, a second is strained
+    # at random, and the other 14 take the mild tension that closes the
+    # period.  A cell of one or two species is inversion symmetric, so its
+    # bond forces cancel exactly in the compensated sums and its compressed
+    # element goes into COMPRESSION; a three-species cell is not, and its
+    # residual floor is the rounding of the bond forces themselves, which
+    # passes MICRO_TOL from about F = -0.12 on, so it is compressed less
+    lo, hi = COMPRESSION if model.m <= 2 else (-0.1, 0.0)
+    first = lo + depth * (hi - lo)
+    grads = np.roll([first, second] + [-(first + second) / 14] * 14, shift)
+    mesh = build_mesh(1, 16)
+    uh = p1_zero_mean(P1Field(mesh, np.concatenate([[0.0], np.cumsum(grads[:-1]) / 16])[:, None]))
+    F = all_element_gradients(uh)
+    assert np.max(np.abs(F[:, 0, 0] - grads)) <= 1e-14
+    rep = equivalence_report(model, chain_lattice(Fraction(1, 32), model.m), mesh, uh)
+    assert rep.max_gap <= 1e-9 * (1.0 + abs(rep.e_hqc))
+    shifts = solve_shift_vectors(model, F)
+    for t in range(len(F)):
+        q = shifts_from_corrector(solve_cell_problem(model, F[t]))
+        assert np.all(np.abs(shifts[t] - q) <= 1e-11)
