@@ -149,8 +149,9 @@ class MacroTrajectory:
 
 
 def lumped_node_masses(mesh: MacroMesh, mass_density: float) -> np.ndarray:
-    """Diagonal macro mass: averaged density times the nodal share of the domain."""
-    return mass_density * mesh.vertex_weights()
+    """Diagonal macro mass: averaged density times the nodal share of the
+    domain, which on a uniform mesh is the same 1/n_vertices for every vertex."""
+    return np.full(mesh.n_vertices, mass_density / mesh.n_vertices)
 
 
 def run_hqc_dynamics(

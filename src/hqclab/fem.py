@@ -3,10 +3,13 @@
 Meshes are structured: intervals in 1D, right triangles from a square grid in
 2D (each cell split along its main diagonal).  Vertices are periodic; element
 corner coordinates are stored unwrapped so that gradients never see the seam.
+Lattice sites find their elements in exact integer coordinates
+(``site_elements``), never from float positions.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -42,7 +45,8 @@ class MacroMesh:
             steps = np.array([[[0, 0], [1, 0], [1, 1]], [[0, 0], [1, 1], [0, 1]]])
             cells = np.stack([ii.ravel(), jj.ravel()], axis=1)
             corners = (cells[:, None, None, :] + steps[None]).reshape(-1, 3, 2)
-        # unwrapped corner indices on the 1/n grid; vertex ids wrap periodically
+        #: unwrapped corner indices on the 1/n grid, (n_elements, d+1, d); vertex ids wrap
+        self.corners = corners
         wrapped = corners % n
         self.elements = wrapped[..., 0] if d == 1 else wrapped[..., 0] * n + wrapped[..., 1]
         self.el_coords = corners.astype(float) / n
@@ -57,16 +61,59 @@ class MacroMesh:
         # global DOF of each local (vertex, component) pair: (n_elements, d+1, d)
         self.dofs = self.elements[:, :, None] * d + np.arange(d)
 
-    def barycenters(self) -> np.ndarray:
-        return self.el_coords.mean(axis=1)
-
     def grad_basis(self, t: int | None = None) -> np.ndarray:
         return self._grad_basis if t is None else self._grad_basis[t]
 
-    def vertex_weights(self) -> np.ndarray:
-        """Integrals of the nodal hat functions (uniform: 1/n_vertices each)."""
-        w = np.repeat(self.volumes / (self.d + 1), self.d + 1)
-        return scatter_to_vertices(self, self.elements.ravel(), w[:, None])[:, 0]
+
+def site_elements(mesh: MacroMesh, lattice, sites=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Owner element, P1 weights and offset from the owner's first corner of
+    every lattice site (or of the flat site ids ``sites``), in exact integers.
+
+    With Q the lcm of the shift denominators, N cells and g = gcd(N, n), the
+    site (cell c, species alpha) sits at X = (c + p_alpha) Q n / g in units of
+    1/K mesh cell, K = Q N / g: grid cell X // K, local coordinates
+    r = X mod K.  The elements holding it are the cell's simplices that
+    contain r (in 2D the lower one for r_x >= r_y, the upper one for
+    r_x <= r_y) and, for n > 1, those of the cell one step back along each
+    axis where r = 0, at local coordinate K; for n = 1 only the image in
+    [X0, X0 + 1)^d counts.  The owner is the one with the lexicographically
+    smallest barycenter, the smallest (i, upper before lower, j).  Returns
+    the owners (k,), the weights (k, d+1), (K - r, r) / K in 1D and
+    (K - r_x, r_x - r_y, r_y) / K (lower) or (K - r_y, r_x, r_y - r_x) / K
+    (upper) in 2D, and the offsets r / (K n), (k, d).
+    """
+    d, n, N = mesh.d, mesh.n, lattice.cells_per_dim
+    Q = math.lcm(*(x.denominator for p in lattice.shifts for x in p))
+    g = math.gcd(N, n)
+    K = Q * (N // g)
+    shifts = np.array([[int(x * Q) for x in p] for p in lattice.shifts], dtype=np.int64)
+    if sites is None:
+        X = (lattice.cell_multi[:, None, :] * Q + shifts).reshape(-1, d)
+    else:
+        sites = np.asarray(sites)
+        X = lattice.cell_multi[sites // lattice.m] * Q + shifts[sites % lattice.m]
+    cell, r = np.divmod(X * (n // g), K)
+    back = (r == 0) & (n > 1)    # the cell one step back holds the site too, at local K
+    # smallest i: step back along x unless that wraps to cell n - 1
+    step = back & (cell > 0)
+    if d == 2:
+        # upper before lower: the upper simplex holds r_x <= r_y, and any r_x
+        # at r_y = K; then smallest j: step back along y unless that wraps,
+        # or where only the cell before has an upper simplex holding the site
+        rx, ry = r[:, 0] + step[:, 0] * K, r[:, 1]
+        upper = (rx <= ry) | back[:, 1]
+        step[:, 1] = back[:, 1] & ((rx > ry) | (cell[:, 1] > 0))
+    cell = (cell - step) % n
+    loc = r + step * K
+    if d == 1:
+        owner = cell[:, 0]
+        lam = np.stack([K - loc[:, 0], loc[:, 0]], axis=1)
+    else:
+        owner = 2 * (cell[:, 0] * n + cell[:, 1]) + upper
+        lx, ly = loc[:, 0], loc[:, 1]
+        lam = np.where(upper[:, None], np.stack([K - ly, lx, ly - lx], axis=1),
+                       np.stack([K - lx, lx - ly, ly], axis=1))
+    return owner, lam / K, loc / (K * n)
 
 
 def build_mesh(d: int, n_elements: int) -> MacroMesh:
@@ -101,39 +148,6 @@ def all_element_gradients(u: P1Field) -> np.ndarray:
     return np.einsum("tlj,tli->tij", u.mesh.grad_basis(), U)
 
 
-def locate(mesh: MacroMesh, points: np.ndarray) -> np.ndarray:
-    """Element index containing each point (ties broken deterministically)."""
-    pts = np.atleast_2d(np.mod(points, 1.0))
-    n = mesh.n
-    scaled = pts * n
-    cell = np.minimum(np.floor(scaled).astype(int), n - 1)
-    frac = scaled - cell
-    if mesh.d == 1:
-        return cell[:, 0]
-    base = 2 * (cell[:, 0] * n + cell[:, 1])
-    upper = frac[:, 0] < frac[:, 1]
-    return base + upper.astype(int)
-
-
-def barycentric_weights(mesh: MacroMesh, points: np.ndarray, elems: np.ndarray) -> np.ndarray:
-    """P1 nodal weights of each point within its element, shape (np, d+1)."""
-    pts = np.atleast_2d(np.mod(points, 1.0))
-    X0 = mesh.el_coords[elems, 0]
-    rel = np.mod(pts - X0, 1.0)  # wrap to the element's unwrapped frame
-    grads = mesh.grad_basis()[elems]  # (np, d+1, d)
-    lam = np.einsum("pld,pd->pl", grads, rel)
-    lam[:, 0] += 1.0
-    return lam
-
-
-def p1_eval(u: P1Field, points: np.ndarray) -> np.ndarray:
-    """Evaluate the P1 field at arbitrary points of the periodic cell."""
-    elems = locate(u.mesh, points)
-    lam = barycentric_weights(u.mesh, points, elems)
-    vals = u.values[u.mesh.elements[elems]]  # (np, d+1, d)
-    return np.einsum("pl,pli->pi", lam, vals)
-
-
 def p1_interpolate_lattice(mesh: MacroMesh, u: LatticeField) -> P1Field:
     """Nodal interpolation: sample the lattice field at the mesh vertices.
 
@@ -148,7 +162,9 @@ def p1_interpolate_lattice(mesh: MacroMesh, u: LatticeField) -> P1Field:
 
 
 def sample_on_lattice(u: P1Field, lattice) -> LatticeField:
-    return LatticeField(lattice, p1_eval(u, lattice.site_positions()))
+    """The P1 field at every lattice site, from the weights of ``site_elements``."""
+    elems, lam, _ = site_elements(u.mesh, lattice)
+    return LatticeField(lattice, np.einsum("pl,pli->pi", lam, u.values[u.mesh.elements[elems]]))
 
 
 def lattice_error(u_lattice: LatticeField, approx) -> tuple[float, float]:
@@ -172,11 +188,8 @@ def scatter_to_vertices(mesh: MacroMesh, nodes: np.ndarray, values: np.ndarray) 
 
 def load_from_lattice(mesh: MacroMesh, f: LatticeField) -> np.ndarray:
     """Load vector b[k, i] = <f_i phi_k>_M pairing the force with nodal hats."""
-    lat = f.lattice
-    pos = lat.site_positions()
-    elems = locate(mesh, pos)
-    lam = barycentric_weights(mesh, pos, elems)
-    w = lam[:, :, None] * f.values[:, None, :] / lat.n_sites
+    elems, lam, _ = site_elements(mesh, f.lattice)
+    w = lam[:, :, None] * f.values[:, None, :] / f.lattice.n_sites
     return scatter_to_vertices(mesh, mesh.elements[elems].ravel(), w.reshape(-1, mesh.d))
 
 
@@ -207,7 +220,7 @@ def assemble(mesh: MacroMesh, tangents: np.ndarray):
     gb = mesh.grad_basis()[:n_orient] if shared else mesh.grad_basis()
     local = np.einsum(f"tlj,{'' if shared else 't'}ijkm,tpm->tlipk", gb, tangents, gb, optimize=True)
     local *= mesh.volumes[0]    # uniform mesh
-    corners = np.rint(mesh.el_coords[:n_orient] * n).astype(int)    # the elements of cell 0, unwrapped
+    corners = mesh.corners[:n_orient]                                # the elements of cell 0, unwrapped
     delta = (corners[:, None, :] - corners[:, :, None]) % n        # [o, a, b]: vertex b less vertex a
     per_pair = local if shared else local.reshape(
         (mesh.n_vertices, n_orient) + local.shape[1:]).sum(axis=0) / mesh.n_vertices

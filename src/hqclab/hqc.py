@@ -44,13 +44,12 @@ from .fem import (
     P1Field,
     all_element_gradients,
     assemble,
-    barycentric_weights,
     check_alignment,
     load_from_lattice,
-    locate,
     nodal_forces,
     p1_zero_mean,
     scatter_to_vertices,
+    site_elements,
 )
 from .lattice import LatticeField, Multilattice, unit_cell
 from .network import (
@@ -66,7 +65,6 @@ from .network import (
 from .potential import InteractionModel
 
 MICRO_TOL = 1e-12
-BOUNDARY_SNAP_TOL = 1e-9
 
 
 class HQCError(SolverError):
@@ -89,7 +87,7 @@ def nearest_bravais_cells(mesh: MacroMesh, eps: Fraction, n_cells: int) -> np.nd
     floor(S q / (n (d+1) p) + 1/2), minus one on an exact half-distance tie
     (ties go to the smaller coordinate).
     """
-    S = np.rint(mesh.el_coords * mesh.n).astype(np.int64).sum(axis=1)
+    S = mesh.corners.sum(axis=1)
     p, q = eps.numerator, eps.denominator
     den = 2 * mesh.n * (mesh.d + 1) * p
     num = 2 * S * q + mesh.n * (mesh.d + 1) * p
@@ -334,12 +332,10 @@ class HQCOperator:
 
     @cached_property
     def site_map(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per lattice site: owner element, offset from the owner's first
-        vertex, and site of the owner's sampling torus."""
-        lat, mesh = self.lattice, self.mesh
-        pos = lat.site_positions()
-        owner = owner_elements(mesh, pos)
-        rel = np.mod(pos - mesh.el_coords[owner, 0], 1.0)
+        """Per lattice site: owner element and offset from the owner's first
+        vertex (``site_elements``), and site of the owner's sampling torus."""
+        lat = self.lattice
+        owner, _, rel = site_elements(self.mesh, lat)
         return owner, rel, self.domains[0].torus.site_index(lat.site_cells(), lat.site_species())
 
     def stiffness(self, uh: P1Field):
@@ -372,9 +368,7 @@ class HQCOperator:
         m = self.lattice.m
         sites = np.concatenate([dom.parent_sites for dom in self.domains])
         weight = np.repeat(mesh.volumes / m, m)
-        pts = self.lattice.site_positions()[sites]
-        elems = locate(mesh, pts)
-        lam = barycentric_weights(mesh, pts, elems)
+        elems, lam, _ = site_elements(mesh, self.lattice, sites)
         w = lam[:, :, None] * f.values[sites][:, None, :] * weight[:, None, None]
         return scatter_to_vertices(mesh, mesh.elements[elems].ravel(), w.reshape(-1, mesh.d))
 
@@ -402,42 +396,6 @@ class HQCSolution:
 
 
 # ------------------------------------------------------------- reconstruction
-
-
-def owner_elements(mesh: MacroMesh, points: np.ndarray) -> np.ndarray:
-    """Deterministic element ownership: interior points by location, boundary
-    points by the containing element with lexicographically smallest barycenter."""
-    pts = np.atleast_2d(np.mod(points, 1.0))
-    owners = locate(mesh, pts)
-    n = mesh.n
-    scaled = pts * n
-    frac = scaled - np.floor(scaled)
-    on_axis = np.minimum(frac, 1.0 - frac) <= BOUNDARY_SNAP_TOL * n
-    boundary = on_axis.any(axis=1)
-    if mesh.d == 2:
-        boundary |= np.abs(frac[:, 0] - frac[:, 1]) <= BOUNDARY_SNAP_TOL * n
-    bary = mesh.barycenters()
-    order = np.lexsort(bary.T[::-1])  # elements sorted by barycenter, lexicographically
-    rank = np.empty(mesh.n_elements, dtype=int)
-    rank[order] = np.arange(mesh.n_elements)
-    idx = np.flatnonzero(boundary)
-    # candidates: both simplices (one in 1D) of the 3^d grid cells around each point
-    shifts = np.array(list(np.ndindex(*(3,) * mesh.d))) - 1
-    cells = (np.floor(pts[idx] * n).astype(int)[:, None, :] + shifts) % n
-    if mesh.d == 1:
-        cand = cells[..., 0]
-    else:
-        flat = 2 * (cells[..., 0] * n + cells[..., 1])
-        cand = np.stack([flat, flat + 1], axis=-1).reshape(len(idx), 2 * len(shifts))
-    lam = barycentric_weights(mesh, np.repeat(pts[idx], cand.shape[1], axis=0), cand.ravel())
-    # a point belongs to t if all barycentric weights are in [0, 1] up to snap
-    # tolerance within the element's periodic frame; none found keeps ``locate``
-    snap = BOUNDARY_SNAP_TOL * n
-    inside = np.all((lam >= -snap) & (lam <= 1 + snap), axis=1).reshape(cand.shape)
-    best = np.where(inside, rank[cand], mesh.n_elements).argmin(axis=1)
-    found = inside.any(axis=1)
-    owners[idx[found]] = cand[found, best[found]]
-    return owners
 
 
 def reconstruct(op: HQCOperator, uh: P1Field) -> LatticeField:

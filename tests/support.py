@@ -15,7 +15,9 @@ gradients, the general condensed tangent) stays as ``VectorSystem``, the
 reference of ``BondSystem.operator`` and ``hqc.conductance_tensors``.  The LJ
 chain as it was before pair bonds (one term per directed bond, with the
 owner's (s, l), evaluated by powers of b) stays as ``DirectedLJ1D``, the
-reference of ``LennardJones1D``."""
+reference of ``LennardJones1D``.  An element search in exact rational
+arithmetic (``site_element_oracle``) is the reference of
+``fem.site_elements``."""
 
 from __future__ import annotations
 
@@ -244,6 +246,48 @@ def affine_extension(u: P1Field, t: int) -> AffineMap:
     F = element_gradient(u, t)
     x0 = u.mesh.el_coords[t, 0]
     return AffineMap(F=F, x0=x0, value0=u.values[u.mesh.elements[t, 0]].copy())
+
+
+# ------------------------------------------------ exact site geometry
+
+
+def site_position(lattice: Multilattice, site: int) -> tuple[Fraction, ...]:
+    """Exact position in [0, 1)^d of the flat site ``site``."""
+    cell = lattice.cell_multi[site // lattice.m]
+    return tuple((int(c) + p) * lattice.eps for c, p in zip(cell, lattice.shifts[site % lattice.m]))
+
+
+def exact_barycentric(mesh: MacroMesh, t: int, x) -> list[Fraction]:
+    """Barycentric coordinates of the point x in element t's unwrapped frame,
+    exact (Cramer's rule on the corner coordinates)."""
+    c = [[Fraction(int(v), mesh.n) for v in corner] for corner in mesh.corners[t]]
+    e = [[ck[j] - c[0][j] for j in range(mesh.d)] for ck in c[1:]]     # edge vectors
+    y = [x[j] - c[0][j] for j in range(mesh.d)]
+    if mesh.d == 1:
+        lam = [y[0] / e[0][0]]
+    else:
+        det = e[0][0] * e[1][1] - e[1][0] * e[0][1]
+        lam = [(y[0] * e[1][1] - e[1][0] * y[1]) / det, (e[0][0] * y[1] - y[0] * e[0][1]) / det]
+    return [1 - sum(lam)] + lam
+
+
+def site_element_oracle(mesh: MacroMesh, lattice: Multilattice, site: int):
+    """(owner, weights, offset) of one site in exact arithmetic, by testing
+    every element: the owner is the element with the lexicographically
+    smallest barycenter among those holding the site's image in
+    [X0, X0 + 1)^d, X0 the element's first corner."""
+    x = site_position(lattice, site)
+    best = None
+    for t in range(mesh.n_elements):
+        x0 = [Fraction(int(v), mesh.n) for v in mesh.corners[t, 0]]
+        y = [a + (xi - a) % 1 for xi, a in zip(x, x0)]
+        lam = exact_barycentric(mesh, t, y)
+        if min(lam) >= 0:
+            bary = tuple(Fraction(int(mesh.corners[t, :, j].sum()), mesh.n * (mesh.d + 1))
+                         for j in range(mesh.d))
+            if best is None or bary < best[0]:
+                best = (bary, t, lam, [yi - a for yi, a in zip(y, x0)])
+    return best[1:]
 
 
 def constant_tensor_stiffness(mesh: MacroMesh, A: np.ndarray):

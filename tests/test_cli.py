@@ -99,6 +99,15 @@ def test_converge_cli_small(tmp_path, capsys):
     assert "slope_uhc_h1" in captured.out
 
 
+def test_converge_cli_passes_on_non_dyadic_meshes(tmp_path, capsys):
+    # h = 1/6 ... 1/48 are not powers of two: a site on an element corner
+    # can have a float position a rounding error below that corner
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("eps = 1/768\nh_list = 1/6,1/12,1/24,1/48\nfit_range_h1 = 0:4\nfit_range_l2 = 0:3\n")
+    assert main(["converge-1d", "--config", str(cfg), "--out", str(tmp_path / "c.csv")]) == 0
+    assert "status: PASS" in capsys.readouterr().out
+
+
 def test_dynamics_cli_small(tmp_path):
     cfg = tmp_path / "d.cfg"
     cfg.write_text("n_atoms = 128\nh_list = 1/4,1/8\nt_final = 1/80\n")

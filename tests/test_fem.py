@@ -16,16 +16,21 @@ from hqclab.fem import (
     check_alignment,
     lattice_error,
     load_from_lattice,
-    locate,
     nodal_forces,
-    p1_eval,
     p1_interpolate_lattice,
     p1_zero_mean,
     sample_on_lattice,
     scatter_to_vertices,
+    site_elements,
 )
 from hqclab.lattice import LatticeField, chain_lattice, square_lattice
-from support import affine_extension, element_gradient, grid_average
+from support import (
+    affine_extension,
+    element_gradient,
+    exact_barycentric,
+    grid_average,
+    site_position,
+)
 
 
 def test_1d_mesh_counts():
@@ -84,15 +89,15 @@ def test_affine_extension_consistency():
     assert np.allclose(ext.F, element_gradient(u, 1))
 
 
-def test_p1_eval_reproduces_vertices_and_partition_of_unity():
+def test_sample_on_lattice_reproduces_vertices_and_partition_of_unity():
     mesh = build_mesh(2, 4)
+    lat = square_lattice(12)
     rng = np.random.default_rng(3)
     u = P1Field(mesh, rng.standard_normal((mesh.n_vertices, 2)))
-    vals = p1_eval(u, mesh.vertices)
-    assert np.allclose(vals, u.values, atol=1e-12)
+    vertex_sites = lat.site_index(np.rint(mesh.vertices * 12).astype(int))
+    assert np.array_equal(sample_on_lattice(u, lat).values[vertex_sites], u.values)
     ones = P1Field(mesh, np.ones((mesh.n_vertices, 2)))
-    pts = rng.random((50, 2))
-    assert np.allclose(p1_eval(ones, pts), 1.0, atol=1e-12)
+    assert np.allclose(sample_on_lattice(ones, lat).values, 1.0, atol=1e-12)
 
 
 def test_interpolation_round_trip():
@@ -169,12 +174,42 @@ def test_zero_mean_projection_idempotent():
     assert np.allclose(p1_zero_mean(v).values, v.values)
 
 
-def test_locate_2d_triangles():
+def test_site_elements_2d_triangles():
     mesh = build_mesh(2, 2)
-    # below the diagonal of cell (0,0): lower triangle (index 0)
-    assert locate(mesh, np.array([[0.3, 0.1]]))[0] == 0
-    # above the diagonal: upper triangle (index 1)
-    assert locate(mesh, np.array([[0.1, 0.3]]))[0] == 1
+    lat = square_lattice(10)
+    owners = site_elements(mesh, lat, lat.site_index([[3, 1], [1, 3]]))[0]
+    # below the diagonal of cell (0,0): lower triangle (index 0); above it: upper (index 1)
+    assert owners.tolist() == [0, 1]
+
+
+def _cell_element(mesh, x):
+    """The element of the grid cell holding x in [0, 1)^d (in 2D the lower
+    triangle on the diagonal), with the exact weights of x in it."""
+    n = mesh.n
+    cell = [int(xi * n) for xi in x]
+    t = cell[0] if mesh.d == 1 else 2 * (cell[0] * n + cell[1]) + int(x[0] * n - cell[0] < x[1] * n - cell[1])
+    return t, exact_barycentric(mesh, t, x)
+
+
+@pytest.mark.parametrize("lat,d,n", [
+    (chain_lattice(Fraction(1, 96), 2), 1, 6),
+    (chain_lattice(Fraction(1, 96), 2), 1, 12),
+    (square_lattice(96), 2, 6),
+])
+def test_sample_and_load_match_exact_hats_on_non_dyadic_meshes(lat, d, n):
+    # the P1 value and the hat weights at a site do not depend on which
+    # element holding it is used, so the oracle takes the grid cell's own
+    mesh = build_mesh(d, n)
+    hats = np.zeros((lat.n_sites, mesh.n_vertices))    # hat k at site x, exact then rounded
+    for site in range(lat.n_sites):
+        t, lam = _cell_element(mesh, site_position(lat, site))
+        hats[site, mesh.elements[t]] = [float(w) for w in lam]
+    rng = np.random.default_rng(n)
+    u = P1Field(mesh, rng.standard_normal((mesh.n_vertices, d)))
+    f = rng.standard_normal((lat.n_sites, d))
+    load = hats.T @ f / lat.n_sites
+    assert np.max(np.abs(sample_on_lattice(u, lat).values - hats @ u.values)) <= 1e-13 * np.max(np.abs(u.values))
+    assert np.max(np.abs(load_from_lattice(mesh, LatticeField(lat, f)) - load)) <= 1e-13 * np.max(np.abs(load))
 
 
 def test_load_from_lattice_matches_quadrature():

@@ -14,17 +14,17 @@ from hqclab.fem import (
     nodal_forces,
     p1_zero_mean,
     sample_on_lattice,
+    site_elements,
 )
 from hqclab.homog import HomogenizedDensity, harmonic_mean, solve_homogenized_fem
 from hqclab.hqc import (
     HQCError,
     HQCOperator,
-    owner_elements,
     place_sampling_domains,
     reconstruct,
     solve_hqc,
 )
-from hqclab.lattice import LatticeField, chain_lattice, square_lattice, unit_cell
+from hqclab.lattice import LatticeField, Multilattice, chain_lattice, square_lattice, unit_cell
 from hqclab.network import avg_norm
 from hqclab.potential import (
     BondSpec,
@@ -33,7 +33,7 @@ from hqclab.potential import (
     SpringLaw,
     make_dynamics_model,
 )
-from support import constant_tensor_stiffness, vector_tensors
+from support import constant_tensor_stiffness, site_element_oracle, vector_tensors
 
 
 def random_uh(mesh, scale, seed):
@@ -385,19 +385,17 @@ def test_rhs_quadrature_consistency():
 
 
 def _rhs_by_domain(op, f):
-    """Oracle for the stacked ``rhs``: one scatter per sampling domain, in domain order."""
-    from hqclab.fem import barycentric_weights, locate
-
+    """Oracle for the stacked ``rhs``: one scatter per sampling domain, in
+    domain order, with each site's element and weights found in exact
+    arithmetic."""
     mesh = op.mesh
     b = np.zeros((mesh.n_vertices, mesh.d))
-    pos = op.lattice.site_positions()
     for t, dom in enumerate(op.domains):
-        pts = pos[dom.parent_sites]
-        elems = locate(mesh, pts)
-        lam = barycentric_weights(mesh, pts, elems)
-        w = lam[:, :, None] * f.values[dom.parent_sites][:, None, :] * (
-            mesh.volumes[t] / len(pts))
-        np.add.at(b, mesh.elements[elems].ravel(), w.reshape(-1, mesh.d))
+        for site in dom.parent_sites:
+            owner, lam, _ = site_element_oracle(mesh, op.lattice, site)
+            w = np.array([float(x) for x in lam])[:, None] * f.values[site] * (
+                mesh.volumes[t] / len(dom.parent_sites))
+            np.add.at(b, mesh.elements[owner], w)
     return b
 
 
@@ -576,7 +574,7 @@ def test_nonlinear_micro_path_matches_effective_tensors():
     from support import affine_extension
 
     pos = lat.site_positions()
-    owners = owner_elements(mesh, pos)
+    owners = site_elements(mesh, lat)[0]
     for t in range(mesh.n_elements):
         mask = owners == t
         expected = affine_extension(uh, t)(pos[mask]) + lat.eps_float * chi[t][lat.site_species()[mask]]
@@ -709,7 +707,7 @@ def test_reconstruct_single_period_element():
     # every site value is the element's affine part plus eps * chi
     chi = op.correctors(all_element_gradients(uh))
     pos = lat.site_positions()
-    owners = owner_elements(mesh, pos)
+    owners = site_elements(mesh, lat)[0]
     from support import affine_extension
 
     for t in range(mesh.n_elements):
@@ -723,11 +721,11 @@ def test_reconstruct_single_period_element():
 
 def test_owner_rule_boundary_sites():
     mesh = build_mesh(1, 4)
-    pts = np.array([[0.0], [0.25], [0.3]])
-    owners = owner_elements(mesh, pts)
-    # vertex 0 and 0.25 belong to the element with smallest barycenter that
-    # contains them: elements 0 and 0, respectively
-    assert owners[0] == 0 and owners[1] == 0 and owners[2] == 1
+    lat = chain_lattice(Fraction(1, 20), 1)
+    owners = site_elements(mesh, lat, [0, 5, 6])[0]
+    # the sites at 0 and 0.25 belong to the element with smallest barycenter
+    # that contains them: elements 0 and 0; the one at 0.3 to element 1
+    assert owners.tolist() == [0, 0, 1]
 
 
 def test_affine_closure_two_spring_coefficient():
@@ -801,26 +799,19 @@ def test_reconstruct_2d_homogeneous_network():
 
 
 def test_owner_rule_2d_boundaries():
-    # a point shared by several elements goes to the lexicographically
-    # smallest barycenter among them; oracle: containment tested against
-    # every element
-    from hqclab.fem import barycentric_weights
-    from hqclab.hqc import BOUNDARY_SNAP_TOL
-
-    rng = np.random.default_rng(21)
-    for n in (2, 4):
+    # a site shared by several elements goes to the lexicographically
+    # smallest barycenter among them; oracle: exact containment tested
+    # against every element
+    three_species = Multilattice(2, Fraction(1, 6), [(0, 0), (Fraction(1, 3), Fraction(1, 2)),
+                                                     (Fraction(1, 2), Fraction(1, 2))])
+    for lat, n in [(square_lattice(4), 2), (square_lattice(8), 4), (three_species, 3), (three_species, 1)]:
         mesh = build_mesh(2, n)
-        bary = mesh.barycenters()
-        grid = np.stack(np.meshgrid(*(np.arange(2 * n) / (2 * n),) * 2), axis=-1).reshape(-1, 2)
-        pts = np.concatenate([grid, grid + 1e-11 * rng.standard_normal(grid.shape),
-                              rng.uniform(0, 1, (50, 2))])
-        owners = owner_elements(mesh, pts)
-        every = np.arange(mesh.n_elements)
-        snap = BOUNDARY_SNAP_TOL * n
-        for p, t in zip(pts, owners):
-            lam = barycentric_weights(mesh, np.repeat(p[None], mesh.n_elements, axis=0), every)
-            cands = every[np.all((lam >= -snap) & (lam <= 1 + snap), axis=1)]
-            assert t == min(cands, key=lambda c: tuple(bary[c]))
+        owners, lam, offsets = site_elements(mesh, lat)
+        for site in range(lat.n_sites):
+            t, exact_lam, exact_offset = site_element_oracle(mesh, lat, site)
+            assert owners[site] == t
+            assert lam[site].tolist() == [float(x) for x in exact_lam]
+            assert offsets[site].tolist() == [float(x) for x in exact_offset]
 
 
 def test_micro_solve_collapse_reports():

@@ -1,19 +1,26 @@
 """Property tests on random models, strains and fields: the stacked bond kernel,
-the pair-bond LJ chain against its directed-bond form, and the three-way
-HQC / homogenized FEM / MQC equivalence."""
+the pair-bond LJ chain against its directed-bond form, the three-way
+HQC / homogenized FEM / MQC equivalence, and the site-to-element map on
+random lattices and meshes."""
 
 from fractions import Fraction
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from hqclab.fem import P1Field, all_element_gradients, build_mesh, p1_zero_mean
+from hqclab.fem import P1Field, all_element_gradients, build_mesh, p1_zero_mean, site_elements
 from hqclab.homog import solve_cell_problem
 from hqclab.lattice import chain_lattice, square_lattice
 from hqclab.mqc import equivalence_report, solve_shift_vectors
 from hqclab.network import compile_system
 from hqclab.potential import LennardJones1D, LennardJonesParams, LinearSpring1D, RandomBond2D
-from support import DirectedLJ1D, reference_compile, shifts_from_corrector
+from support import (
+    DirectedLJ1D,
+    reference_compile,
+    shifts_from_corrector,
+    site_element_oracle,
+    site_position,
+)
 
 STEP = 1e-6
 
@@ -158,3 +165,48 @@ def test_three_way_equivalence_on_random_lj_chains(model, depth, second, shift):
     for t in range(len(F)):
         q = shifts_from_corrector(solve_cell_problem(model, F[t]))
         assert np.all(np.abs(shifts[t] - q) <= 1e-11)
+
+
+@st.composite
+def meshed_lattices(draw):
+    """A mesh of n elements per direction (n = 1 included) on a 1D chain of
+    m <= 4 species or a square lattice, mostly of N = n k cells and
+    otherwise of N = n k + 1, and the lattice's sites: all of them where
+    the pair is small, a few otherwise."""
+    d = draw(st.sampled_from([1, 2]))
+    n = draw(st.integers(1, 8 if d == 1 else 4))
+    N = n * draw(st.integers(1, 6 if d == 1 else 3)) + draw(st.sampled_from([0, 0, 0, 1]))
+    lat = chain_lattice(Fraction(1, N), draw(st.integers(1, 4))) if d == 1 else square_lattice(N)
+    mesh = build_mesh(d, n)
+    if lat.n_sites * mesh.n_elements <= 400:
+        return mesh, lat, list(range(lat.n_sites))
+    return mesh, lat, draw(st.lists(st.integers(0, lat.n_sites - 1), min_size=1, max_size=4))
+
+
+@settings(max_examples=100)
+@given(meshed_lattices())
+def test_site_elements_follow_the_exact_owner_rule(case):
+    mesh, lat, sites = case
+    d = mesh.d
+    owners, lam, offsets = site_elements(mesh, lat)
+    # on every site: nonnegative weights that reproduce the owner's offset,
+    # which leads from its first corner to the site, up to whole periods
+    assert np.all(lam >= 0)
+    x0 = mesh.el_coords[owners, 0]
+    assert np.allclose(np.einsum("pl,pld->pd", lam, mesh.el_coords[owners]), x0 + offsets,
+                       rtol=0, atol=1e-15)
+    periods = x0 + offsets - lat.site_positions()
+    assert np.allclose(periods, np.rint(periods), rtol=0, atol=1e-15)
+    # on the drawn sites, through both the full and the site-list call: the
+    # owner of the exact rule, and its exact weights and offset, rounded
+    picked = site_elements(mesh, lat, sites)
+    for k, site in enumerate(sites):
+        t, exact_lam, exact_offset = site_element_oracle(mesh, lat, site)
+        assert owners[site] == picked[0][k] == t
+        assert lam[site].tolist() == picked[1][k].tolist() == [float(x) for x in exact_lam]
+        assert offsets[site].tolist() == picked[2][k].tolist() == [float(x) for x in exact_offset]
+        # the exact weights place the site exactly
+        corners = [[Fraction(int(v), mesh.n) for v in c] for c in mesh.corners[t]]
+        placed = [sum(w * c[j] for w, c in zip(exact_lam, corners)) for j in range(d)]
+        assert placed == [corners[0][j] + exact_offset[j] for j in range(d)]
+        assert [p % 1 for p in placed] == list(site_position(lat, site))
