@@ -33,7 +33,6 @@ class MacroMesh:
             raise MeshError("need at least one element per direction")
         self.d = d
         self.n = int(n)
-        self.h = 1.0 / n
         if d == 1:
             self.vertices = np.arange(n)[:, None] / n
             corners = np.stack([np.arange(n), np.arange(n) + 1], axis=1)[:, :, None]
@@ -49,20 +48,17 @@ class MacroMesh:
         self.corners = corners
         wrapped = corners % n
         self.elements = wrapped[..., 0] if d == 1 else wrapped[..., 0] * n + wrapped[..., 1]
-        self.el_coords = corners.astype(float) / n
         self.n_vertices = len(self.vertices)
         self.n_elements = len(self.elements)
         self.volumes = np.full(self.n_elements, 1.0 / self.n_elements)
-        # gradients of the local P1 basis, (n_elements, d+1, d): with the edge
-        # vectors from vertex 0 as columns of G, lambda(x) = G^-1 (x - X0)
-        G = (self.el_coords[:, 1:] - self.el_coords[:, :1]).transpose(0, 2, 1)
-        Ginv = np.linalg.inv(G)
-        self._grad_basis = np.concatenate([-Ginv.sum(axis=1, keepdims=True), Ginv], axis=1)
-        # global DOF of each local (vertex, component) pair: (n_elements, d+1, d)
-        self.dofs = self.elements[:, :, None] * d + np.arange(d)
-
-    def grad_basis(self, t: int | None = None) -> np.ndarray:
-        return self._grad_basis if t is None else self._grad_basis[t]
+        # gradients of the local P1 basis, one per orientation (element t has
+        # orientation t % n_orient), (n_orient, d+1, d): with the integer edge
+        # steps E of cell 0's elements as columns, lambda(x) = n E^-1 (x - X0),
+        # and E^-1 of these unimodular steps is exact
+        n_orient = self.n_elements // self.n_vertices
+        E = (corners[:n_orient, 1:] - corners[:n_orient, :1]).transpose(0, 2, 1)
+        Einv = np.linalg.inv(E)
+        self.grad_basis = n * np.concatenate([-Einv.sum(axis=1, keepdims=True), Einv], axis=1)
 
 
 def site_elements(mesh: MacroMesh, lattice, sites=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -144,21 +140,18 @@ def p1_zero_mean(u: P1Field) -> P1Field:
 
 
 def all_element_gradients(u: P1Field) -> np.ndarray:
-    U = u.values[u.mesh.elements]  # (ne, d+1, d)
-    return np.einsum("tlj,tli->tij", u.mesh.grad_basis(), U)
+    gb = u.mesh.grad_basis
+    U = u.values[u.mesh.elements].reshape((-1,) + gb.shape)  # (cells, orientations, d+1, d)
+    return (U.swapaxes(-1, -2) @ gb).reshape(u.mesh.n_elements, u.mesh.d, u.mesh.d)
 
 
 def p1_interpolate_lattice(mesh: MacroMesh, u: LatticeField) -> P1Field:
-    """Nodal interpolation: sample the lattice field at the mesh vertices.
-
-    Vertices must coincide with lattice sites (aligned meshes).
-    """
-    lat = u.lattice
-    rel = mesh.vertices * (1.0 / lat.eps_float)  # in cell units
-    cells = np.round(rel).astype(int)
-    if not np.allclose(rel, cells, atol=1e-9):
-        raise MeshError("mesh vertex does not coincide with a Bravais site")
-    return P1Field(mesh, u.values[lat.site_index(cells)])
+    """Nodal interpolation: the value of the species-0 site at every vertex.
+    The mesh must be aligned (n divides the N cells per direction); vertex
+    multi-index v then sits at Bravais cell v N / n."""
+    check_alignment(mesh, u.lattice)
+    grid = np.indices((mesh.n,) * mesh.d).reshape(mesh.d, -1).T     # vertex multi-indices
+    return P1Field(mesh, u.values[u.lattice.site_index(grid * (u.lattice.cells_per_dim // mesh.n))])
 
 
 def sample_on_lattice(u: P1Field, lattice) -> LatticeField:
@@ -195,7 +188,9 @@ def load_from_lattice(mesh: MacroMesh, f: LatticeField) -> np.ndarray:
 
 def nodal_forces(mesh: MacroMesh, stresses: np.ndarray) -> np.ndarray:
     """Nodal residual sum_T |T| P_T grad(phi_k) of per-element stresses (n_elements, d, d)."""
-    contrib = mesh.volumes[:, None, None] * np.einsum("tlj,tij->tli", mesh.grad_basis(), stresses)
+    gb = mesh.grad_basis
+    P = stresses.reshape((-1, len(gb)) + stresses.shape[1:])     # (cells, orientations, d, d)
+    contrib = mesh.volumes[:, None, None] * (gb @ P.swapaxes(-1, -2)).reshape(-1, mesh.d + 1, mesh.d)
     return scatter_to_vertices(mesh, mesh.elements.ravel(), contrib.reshape(-1, mesh.d))
 
 
@@ -205,41 +200,44 @@ def assemble(mesh: MacroMesh, tangents: np.ndarray):
     block [delta] couples a vertex to the vertex delta further on.
 
     ``tangents`` is one tangent per element (n_elements, d, d, d, d) or one
-    tangent (d, d, d, d) shared by all; its shape picks the path.  Elements
-    come cell by cell, one per orientation, and each local vertex pair of an
-    orientation sits at a fixed vertex offset, so S sums the local stiffnesses
-    per orientation and pair.  Per element, K is summed from every element's
-    block.  A shared tangent makes K block-circulant, K = S on every vertex, so
-    only the reference elements of cell 0 are integrated and K is written
-    straight into CSR rows of one width: d blocks per distinct offset (3 in
-    1D and 7 in 2D for n >= 3, fewer where offsets alias mod n).
+    tangent (d, d, d, d) shared by all, which is taken as a grid of one cell.
+    Elements come cell by cell, one per orientation, and each local vertex
+    pair (a, b) of an orientation sits at a fixed vertex offset, so every
+    vertex row of K holds d blocks per distinct offset (3 in 1D and 7 in 2D
+    for n >= 3, fewer where offsets alias mod n): the local blocks of the
+    pair, rolled by the grid position of corner a.  K is written straight
+    into CSR rows of one width, and S is the vertex mean of the row blocks,
+    which on one cell is the block itself, so a shared tangent gives the
+    block-circulant K = S on every vertex.
     """
-    d, n = mesh.d, mesh.n
-    n_orient = mesh.n_elements // mesh.n_vertices
-    shared = tangents.ndim == 4
-    gb = mesh.grad_basis()[:n_orient] if shared else mesh.grad_basis()
-    local = np.einsum(f"tlj,{'' if shared else 't'}ijkm,tpm->tlipk", gb, tangents, gb, optimize=True)
+    d, n, gb = mesh.d, mesh.n, mesh.grad_basis
+    n_orient = len(gb)
+    cells = (n,) * d if tangents.ndim == 5 else (1,) * d
+    A = tangents.reshape(cells + (-1,) + (d,) * 4)    # shared: one orientation, broadcast
+    # over j, then over m, on every grid (einsum's own search picks the order by shape)
+    local = np.einsum("olj,...oijkm,opm->...olipk", gb, A, gb, optimize=["einsum_path", (0, 1), (0, 1)])
     local *= mesh.volumes[0]    # uniform mesh
     corners = mesh.corners[:n_orient]                                # the elements of cell 0, unwrapped
     delta = (corners[:, None, :] - corners[:, :, None]) % n        # [o, a, b]: vertex b less vertex a
-    per_pair = local if shared else local.reshape(
-        (mesh.n_vertices, n_orient) + local.shape[1:]).sum(axis=0) / mesh.n_vertices
+    offsets, slot = np.unique(delta.reshape(-1, d), axis=0, return_inverse=True)
+    slot = slot.reshape(delta.shape[:-1])
+    axes = tuple(range(d))
+    # rows[v, q] = K[(v, i), (v + offsets[q], k)] as (i, k)
+    rows = np.zeros(cells + (len(offsets), d, d))
+    for o, a in np.ndindex(n_orient, d + 1):
+        block = np.roll(local[..., o, a, :, :, :], tuple(corners[o, a]), axis=axes)
+        for b in range(d + 1):
+            rows[..., slot[o, a, b], :, :] += block[..., :, b, :]
     S = np.zeros((n,) * d + (d, d))
-    for o, a, b in np.ndindex(n_orient, d + 1, d + 1):
-        S[tuple(delta[o, a, b])] += per_pair[o, a, :, b]
+    S[tuple(offsets.T)] = rows.mean(axis=axes)
     n_dof = mesh.n_vertices * d
-    if not shared:
-        rows = np.broadcast_to(mesh.dofs[:, :, :, None, None], local.shape)
-        cols = np.broadcast_to(mesh.dofs[:, None, None, :, :], local.shape)
-        K = sp.coo_matrix((local.ravel(), (rows.ravel(), cols.ravel())), shape=(n_dof, n_dof)).tocsr()
-        return K, S
-    offsets = np.unique(delta.reshape(-1, d), axis=0)
     grid = np.indices((n,) * d).reshape(d, -1, 1)                    # vertex multi-indices
     neighbours = np.ravel_multi_index(tuple(grid + offsets.T[:, None]), (n,) * d, mode="wrap")
-    # row (v, i) holds, per offset o and component k, K[(v, i), (v + o, k)] = S[o][i, k]
-    shape = (mesh.n_vertices, d, len(offsets), d)
-    cols = np.broadcast_to((neighbours[:, None, :, None] * d + np.arange(d)).astype(np.int32), shape)
-    data = np.broadcast_to(S[tuple(offsets.T)].transpose(1, 0, 2), shape)
+    # row (v, i) holds, per offset q and component k, rows[v, q][i, k]
     width = len(offsets) * d
+    shape = (mesh.n_vertices, d, width)
+    cols = (neighbours[:, :, None] * d + np.arange(d)).astype(np.int32).reshape(-1, 1, width)
+    data = rows.reshape(-1, len(offsets), d, d).transpose(0, 2, 1, 3).reshape(-1, d, width)
+    cols, data = np.broadcast_to(cols, shape), np.broadcast_to(data, shape)
     indptr = np.arange(0, n_dof * width + 1, width, dtype=np.int32)
     return sp.csr_matrix((data.ravel(), cols.ravel(), indptr), shape=(n_dof, n_dof)), S

@@ -107,8 +107,6 @@ def place_sampling_domains(
     is the whole lattice in site order.
     """
     check_alignment(mesh, lattice)
-    if mesh.h < lattice.eps_float * (1 - 1e-12):
-        raise HQCError("macro elements must be at least one lattice period wide (h >= eps)")
     d = lattice.d
     N = lattice.cells_per_dim
     m = lattice.m

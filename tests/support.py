@@ -225,7 +225,24 @@ def element_vertex_values(u: P1Field, t: int) -> np.ndarray:
 def element_gradient(u: P1Field, t: int) -> np.ndarray:
     """Constant gradient of u^h on element t, F[i, j] = d u_i / d x_j."""
     U = element_vertex_values(u, t)  # (d+1, d)
-    return U.T @ u.mesh.grad_basis(t)
+    return U.T @ u.mesh.grad_basis[t % len(u.mesh.grad_basis)]
+
+
+def assemble_oracle(mesh: MacroMesh, tangents: np.ndarray) -> np.ndarray:
+    """Element-by-element P1 stiffness, one local block at a time."""
+    d = mesh.d
+    K = np.zeros((mesh.n_vertices * d,) * 2)
+    for t in range(mesh.n_elements):
+        gb = mesh.grad_basis[t % len(mesh.grad_basis)]
+        nodes = mesh.elements[t]
+        for l in range(d + 1):
+            for p in range(d + 1):
+                for i in range(d):
+                    for k in range(d):
+                        val = sum(gb[l, j] * tangents[t, i, j, k, m] * gb[p, m]
+                                  for j in range(d) for m in range(d))
+                        K[nodes[l] * d + i, nodes[p] * d + k] += mesh.volumes[t] * val
+    return K
 
 
 @dataclass(frozen=True)
@@ -244,7 +261,7 @@ class AffineMap:
 def affine_extension(u: P1Field, t: int) -> AffineMap:
     """The affine map agreeing with u^h on element t, defined on all of R^d."""
     F = element_gradient(u, t)
-    x0 = u.mesh.el_coords[t, 0]
+    x0 = u.mesh.corners[t, 0] / u.mesh.n
     return AffineMap(F=F, x0=x0, value0=u.values[u.mesh.elements[t, 0]].copy())
 
 

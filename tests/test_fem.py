@@ -26,6 +26,7 @@ from hqclab.fem import (
 from hqclab.lattice import LatticeField, chain_lattice, square_lattice
 from support import (
     affine_extension,
+    assemble_oracle,
     element_gradient,
     exact_barycentric,
     grid_average,
@@ -44,6 +45,23 @@ def test_2d_mesh_counts_and_areas():
     assert mesh.n_elements == 8
     assert np.allclose(mesh.volumes, 1 / 8)
     assert np.allclose(mesh.volumes.sum(), 1.0)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 6, 64])
+def test_grad_basis_is_the_exact_basis_of_each_orientation(d, n):
+    # one basis per orientation, equal to every element's basis gradients
+    # from exact barycentric coordinates, non-dyadic n included
+    mesh = build_mesh(d, n)
+    n_orient = d
+    assert mesh.grad_basis.shape == (n_orient, d + 1, d)
+    last = mesh.n_elements - n_orient    # all elements, or those of the first and last cell
+    elements = range(mesh.n_elements) if n <= 6 else [*range(n_orient), *range(last, last + n_orient)]
+    for t in elements:
+        x0 = [Fraction(int(c), n) for c in mesh.corners[t, 0]]
+        exact = np.array([exact_barycentric(mesh, t, [x + (j == k) for k, x in enumerate(x0)])
+                          for j in range(d)]).T - np.eye(d + 1)[:, :1]
+        assert np.array_equal(mesh.grad_basis[t % n_orient], exact.astype(float))
 
 
 def test_alignment_check():
@@ -159,7 +177,7 @@ def test_gradient_of_smooth_interpolant_first_order():
         vals = np.sin(2 * np.pi * mesh.vertices)
         u = P1Field(mesh, vals)
         grads = all_element_gradients(u)[:, 0, 0]
-        left = mesh.el_coords[:, 0, 0]
+        left = mesh.corners[:, 0, 0] / mesh.n
         errs.append(np.max(np.abs(grads - 2 * np.pi * np.cos(2 * np.pi * left))))
     ratio = errs[0] / errs[1]
     assert 1.7 <= ratio <= 2.5  # one halving of h
@@ -230,23 +248,6 @@ def test_load_from_lattice_matches_quadrature():
     assert np.max(np.abs(b - b_fine)) < 5e-3 * np.max(np.abs(b_fine))
 
 
-def assemble_oracle(mesh, tangents):
-    """Element-by-element P1 stiffness, one local block at a time."""
-    d = mesh.d
-    K = np.zeros((mesh.n_vertices * d,) * 2)
-    for t in range(mesh.n_elements):
-        gb = mesh.grad_basis(t)
-        nodes = mesh.elements[t]
-        for l in range(d + 1):
-            for p in range(d + 1):
-                for i in range(d):
-                    for k in range(d):
-                        val = sum(gb[l, j] * tangents[t, i, j, k, m] * gb[p, m]
-                                  for j in range(d) for m in range(d))
-                        K[nodes[l] * d + i, nodes[p] * d + k] += mesh.volumes[t] * val
-    return K
-
-
 @pytest.mark.parametrize("d,n", [(1, 2), (1, 5), (2, 2), (2, 3)])
 def test_assemble_matches_element_loop(d, n):
     mesh = build_mesh(d, n)
@@ -286,7 +287,7 @@ def test_shared_tangent_assembles_like_per_element_copies(d, n):
     A = np.random.default_rng(17 + d + n).standard_normal((d, d, d, d))
     K, S = assemble(mesh, A)
     K_ref, S_ref = assemble(mesh, np.broadcast_to(A, (mesh.n_elements,) + A.shape))
-    scale = np.abs(A).sum() * mesh.volumes[0] * np.abs(mesh.grad_basis()).max() ** 2
+    scale = np.abs(A).sum() * mesh.volumes[0] * np.abs(mesh.grad_basis).max() ** 2
     assert np.max(np.abs(K.toarray() - K_ref.toarray())) <= 1e-14 * scale
     assert S.shape == S_ref.shape and np.max(np.abs(S - S_ref)) <= 1e-14 * scale
     # every row stores d entries per distinct offset, indexed in int32
@@ -329,5 +330,5 @@ def test_nodal_forces_match_element_loop(d, n):
     P = rng.standard_normal((mesh.n_elements, d, d))
     oracle = np.zeros((mesh.n_vertices, d))
     for t in range(mesh.n_elements):
-        oracle[mesh.elements[t]] += mesh.volumes[t] * mesh.grad_basis(t) @ P[t].T
+        oracle[mesh.elements[t]] += mesh.volumes[t] * mesh.grad_basis[t % len(mesh.grad_basis)] @ P[t].T
     assert np.max(np.abs(nodal_forces(mesh, P) - oracle)) <= 1e-14 * np.max(np.abs(oracle))

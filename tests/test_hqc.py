@@ -56,7 +56,7 @@ def gradient_full(op, uh):
         chi = correctors[t]
         sens = micro_sensitivity(system, chi, grads[t])
         forces = system.bond_forces(chi, grads[t])  # (nb, d)
-        gb = mesh.grad_basis(t)
+        gb = mesh.grad_basis[t % len(mesh.grad_basis)]
         nodes = mesh.elements[t]
         for l in range(d + 1):
             for i in range(d):
@@ -85,7 +85,7 @@ def nearest_cell_oracle(mesh, t, eps, n_cells, ties):
     """Nearest Bravais cell of element t's barycenter in exact Fraction
     arithmetic; exact half-distance ties go to the smaller coordinate and are
     counted in ``ties``."""
-    idx = np.round(mesh.el_coords[t] * mesh.n).astype(int)
+    idx = mesh.corners[t]
     out = []
     for j in range(mesh.d):
         bary = Fraction(int(idx[:, j].sum()), mesh.n * (mesh.d + 1))

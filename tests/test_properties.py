@@ -1,14 +1,14 @@
 """Property tests on random models, strains and fields: the stacked bond kernel,
 the pair-bond LJ chain against its directed-bond form, the three-way
-HQC / homogenized FEM / MQC equivalence, and the site-to-element map on
-random lattices and meshes."""
+HQC / homogenized FEM / MQC equivalence, the site-to-element map on
+random lattices and meshes, and the P1 assembly on random tangents."""
 
 from fractions import Fraction
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from hqclab.fem import P1Field, all_element_gradients, build_mesh, p1_zero_mean, site_elements
+from hqclab.fem import P1Field, all_element_gradients, assemble, build_mesh, p1_zero_mean, site_elements
 from hqclab.homog import solve_cell_problem
 from hqclab.lattice import chain_lattice, square_lattice
 from hqclab.mqc import equivalence_report, solve_shift_vectors
@@ -16,6 +16,8 @@ from hqclab.network import compile_system
 from hqclab.potential import LennardJones1D, LennardJonesParams, LinearSpring1D, RandomBond2D
 from support import (
     DirectedLJ1D,
+    assemble_oracle,
+    grid_average,
     reference_compile,
     shifts_from_corrector,
     site_element_oracle,
@@ -192,8 +194,8 @@ def test_site_elements_follow_the_exact_owner_rule(case):
     # on every site: nonnegative weights that reproduce the owner's offset,
     # which leads from its first corner to the site, up to whole periods
     assert np.all(lam >= 0)
-    x0 = mesh.el_coords[owners, 0]
-    assert np.allclose(np.einsum("pl,pld->pd", lam, mesh.el_coords[owners]), x0 + offsets,
+    x0 = mesh.corners[owners, 0] / mesh.n
+    assert np.allclose(np.einsum("pl,pld->pd", lam, mesh.corners[owners] / mesh.n), x0 + offsets,
                        rtol=0, atol=1e-15)
     periods = x0 + offsets - lat.site_positions()
     assert np.allclose(periods, np.rint(periods), rtol=0, atol=1e-15)
@@ -210,3 +212,19 @@ def test_site_elements_follow_the_exact_owner_rule(case):
         placed = [sum(w * c[j] for w, c in zip(exact_lam, corners)) for j in range(d)]
         assert placed == [corners[0][j] + exact_offset[j] for j in range(d)]
         assert [p % 1 for p in placed] == list(site_position(lat, site))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([1, 2]), st.integers(1, 9), st.integers(0, 2**32 - 1))
+def test_assembly_matches_the_element_loop(d, n, seed):
+    # per-element tangents on any grid, aliasing (n <= 2) and non-dyadic n
+    # included: K against the element-by-element oracle, S against its grid
+    # average, both on the scale of one element's block (K cancels at n = 1)
+    mesh = build_mesh(d, n)
+    tangents = np.random.default_rng(seed).standard_normal((mesh.n_elements, d, d, d, d))
+    K, S = assemble(mesh, tangents)
+    oracle = assemble_oracle(mesh, tangents)
+    block = np.abs(tangents).sum(axis=(1, 2, 3, 4)).max()
+    scale = block * mesh.volumes[0] * np.abs(mesh.grad_basis).max() ** 2
+    assert np.max(np.abs(K.toarray() - oracle)) <= 1e-14 * scale
+    assert np.max(np.abs(S - grid_average(oracle, (n,) * d))) <= 1e-14 * scale
