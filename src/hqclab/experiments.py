@@ -62,15 +62,22 @@ def _list_of(parse):
 
 
 def _positive(parse):
-    """Parser of a ``parse`` value that must be positive."""
+    """Parser of a ``parse`` value that must be positive and finite."""
 
     def parser(text: str):
         value = parse(text)
-        if not value > 0:
-            raise ValueError("must be positive")
+        if not 0 < value < np.inf:
+            raise ValueError("must be positive and finite")
         return value
 
     return parser
+
+
+def _finite(text: str) -> float:
+    """Parser of a float that must be finite."""
+    if not np.isfinite(value := float(text)):
+        raise ValueError("must be finite")
+    return value
 
 
 def _parse_lattice_eps(text: str) -> Fraction:
@@ -144,7 +151,7 @@ CONVERGE_1D_SCHEMA = {
                _parse_mesh_sizes),
     "fit_range_h1": ((0, 5), _parse_range),
     "fit_range_l2": ((0, 4), _parse_range),
-    "force_scale": (1.0, float),
+    "force_scale": (1.0, _finite),
 }
 
 
@@ -279,7 +286,7 @@ DYNAMICS_1D_SCHEMA = {
     "h_list": ([Fraction(1, 4), Fraction(1, 8), Fraction(1, 16), Fraction(1, 32)],
                _parse_mesh_sizes),
     "t_final": (Fraction(1, 20), _parse_fraction),
-    "amplitude": (0.01, float),
+    "amplitude": (0.01, _positive(float)),
 }
 
 
@@ -295,8 +302,6 @@ def run_dynamics_1d(cfg: dict) -> ExperimentResult:
         raise ConfigError(f"n_atoms must be at least {3 * model.m}: the slowest Bloch mode "
                           "needs a chain of at least 3 cells")
     _check_mesh_divides(p["h_list"], Fraction(1) / eps)
-    if p["amplitude"] <= 0:
-        raise ConfigError("amplitude must be positive")
     # a whole number of macro steps h/20 is one of reference steps too, which divide h
     if not all(q > 0 and q.denominator == 1 for q in (20 * p["t_final"] / h for h in p["h_list"])):
         raise ConfigError(f"t_final = {p['t_final']} must be a positive whole number of macro "
@@ -355,9 +360,9 @@ EQUIVALENCE_SCHEMA = {
     "trials_simple": (4, int),
     "mesh_n": (4, _positive(int)),
     "eps": (Fraction(1, 32), _parse_lattice_eps),
-    "tol_spring": (1e-10, float),
-    "tol_lj": (1e-9, float),
-    "tol_simple": (1e-12, float),
+    "tol_spring": (1e-10, _positive(float)),
+    "tol_lj": (1e-9, _positive(float)),
+    "tol_simple": (1e-12, _positive(float)),
 }
 
 
@@ -365,8 +370,6 @@ def run_equivalence(cfg: dict) -> ExperimentResult:
     """Three formulations of the same coarse-grained energy agree on random
     piecewise-linear macro fields."""
     p = read_config(cfg, EQUIVALENCE_SCHEMA)
-    if min(p["tol_spring"], p["tol_lj"], p["tol_simple"]) <= 0:
-        raise ConfigError("tolerances must be positive")
     eps = p["eps"]
     _check_mesh_divides([Fraction(1, p["mesh_n"])], 1 / eps)
     rng = np.random.Generator(np.random.Philox(p["seed"]))

@@ -22,14 +22,14 @@ the constant fields in its kernel.
 ``newton`` solves stacks of such problems (one problem is a stack of one), and
 also the macro problems of the HQC and homogenized-FEM solvers, whose nodal
 fields are zero-mean in the same way.  Each Newton step is one
-``GaugeFixedOperator`` solve: batched dense LAPACK for the dense Hessian stacks
-(one-cell systems, stacked fields), FFT-preconditioned CG for every sparse
-system on a grid of cells, with the grid-averaged stencil as the preconditioner
-(the lattice analogue of Moulinec-Suquet FFT homogenization).  A dense Hessian
-is one ``bincount`` of the bond terms in bond order; a Hessian on a grid is
-filled from the incidence rows and its stencil class by class, with no COO
-matrix.  scipy serves only the sparse matrices (the incidence scatter, the
-Hessian on a grid) that PCG needs.
+``GaugeFixedOperator`` solve: batched dense LAPACK for the Hessian stacks of
+one-cell systems, FFT-preconditioned CG for one field on a grid of cells, with
+the grid-averaged stencil as the preconditioner (the lattice analogue of
+Moulinec-Suquet FFT homogenization).  The stencil is summed class by class,
+and on one cell it is the whole Hessian.  On a grid the Hessian is filled from
+the incidence rows, with no COO matrix, and a stack of fields is refused.
+scipy serves only the sparse matrices (the incidence scatter, the Hessian on a
+grid) that PCG needs.
 
 Springs have the stiffness psi_b I, so their Hessian is L (x) I_d, with L the
 weighted graph Laplacian of the bonds (the discrete random-conductance
@@ -91,6 +91,7 @@ class BondSystem:
     ) -> None:
         self.n_sites = n_sites
         self.cells = tuple(cells)
+        self.n_cells = int(np.prod(self.cells))
         self.d = d
         self.src = src
         self.dst = dst
@@ -168,12 +169,7 @@ class BondSystem:
         gr = self.rvec @ np.swapaxes(np.atleast_2d(G), -1, -2)
         if k.ndim > 3:
             k = np.expand_dims(k, tuple(range(1, gr.ndim - 1)))
-        # written bond-major, the layout _scatter multiplies, so it needs no copy
-        lead = np.broadcast_shapes(k.shape[:-3], gr.shape[:-2])
-        per_bond = np.empty((len(self.rvec),) + lead + (self.d,))
-        np.einsum("...bij,...bj->...bi", k, gr, out=np.moveaxis(per_bond, 0, -2))
-        del k, gr   # freed before the scatter allocates its result
-        return self._scatter(np.moveaxis(per_bond, 0, -2))
+        return self._scatter(np.einsum("...bij,...bj->...bi", k, gr))
 
     def scalar_stiffness(self, w: np.ndarray, F: np.ndarray | None = None) -> np.ndarray | None:
         """c_b per bond, shape (..., n_bonds), when every phi''_b is c_b I (a law
@@ -182,40 +178,36 @@ class BondSystem:
         return None if scalar is None else scalar(self.gaps(w, F), self.rvec)
 
     def hessian(self, w: np.ndarray, F: np.ndarray | None = None):
-        """Riesz Hessian.  A stack of fields, or one field on a one-cell torus
-        (a stack of one), gives a dense stack (T, n_dof, n_dof) whose entries
-        sum their terms in bond order, so a stack entry equals the Hessian of
-        its own field as a stack of one bit for bit.  One field on a grid of
-        cells gives a CSR matrix (n_dof x n_dof) filled from the incidence
-        rows: a site's row block is its diagonal block, its incident bonds'
-        stiffnesses summed in incidence order, then one -k block per incident
-        bond at the bond's other end (bonds reaching one site share a block)."""
+        """Riesz Hessian.  On a one-cell torus a field or a stack gives the dense
+        stack (T, n_dof, n_dof) of their stencils (one field: T = 1).  On a
+        grid of cells one field, or a stack of one, gives a CSR matrix filled
+        from the incidence rows: a site's row block is its diagonal block, its
+        incident bonds' stiffnesses summed in incidence order, then one -k
+        block per incident bond at the bond's other end (bonds reaching one
+        site share a block); a longer stack there raises SolverError."""
         return self._matrix(self.bond_stiffness(w, F))
 
     def operator(self, w: np.ndarray, F: np.ndarray | None = None) -> "GaugeFixedOperator":
-        """The solver of the Riesz Hessian at w (one field or a stack, as
-        ``hessian`` takes them), and the one place that picks scalar or
-        vector: with a scalar stiffness c_b I it holds the graph Laplacian L
-        of H = L (x) I_d, one DOF per site; otherwise the full Hessian."""
+        """The solver of the Riesz Hessian at w (as ``hessian`` takes it), and
+        the one place that picks scalar or vector: with a scalar stiffness
+        c_b I it holds the graph Laplacian L of H = L (x) I_d, one DOF per
+        site; otherwise the full Hessian."""
         c = self.scalar_stiffness(w, F)
         k = self.bond_stiffness(w, F) if c is None else c[..., None, None]
         H = self._matrix(k)
-        return GaugeFixedOperator(H, k.shape[-1], self._stencil(k) if sp.issparse(H) else None)
+        stencil = self._stencil(k.reshape(k.shape[-3:])) if sp.issparse(H) else None
+        return GaugeFixedOperator(H, k.shape[-1], stencil)
 
     def _matrix(self, k: np.ndarray):
         """The Hessian of ``hessian`` from per-bond stiffness blocks k (..., n_bonds,
-        b, b): b = d for the full Hessian, b = 1 for the scalar Laplacian."""
-        if k.ndim == 3 and np.prod(self.cells) > 1:
-            return self._grid_hessian(k)
-        b = k.shape[-1]
-        n = self.n_sites * b
-        i, j = np.indices((b, b))
-        rows = (b * np.hstack([self.src, self.dst, self.src, self.dst])[:, None, None] + i).ravel()
-        cols = (b * np.hstack([self.src, self.dst, self.dst, self.src])[:, None, None] + j).ravel()
-        vals = np.concatenate([k, k, -k, -k], axis=-3).reshape(-1, len(rows))
-        T = len(vals)
-        where = rows * n + cols + n * n * np.arange(T)[:, None]
-        return np.bincount(where.ravel(), weights=vals.ravel(), minlength=T * n * n).reshape(T, n, n)
+        b, b): b = d for the full Hessian, b = 1 for the scalar Laplacian.  On
+        one cell the stencil is the Hessian; a grid takes one field's blocks."""
+        n, T = self.n_sites * k.shape[-1], int(np.prod(k.shape[:-3]))
+        if self.n_cells == 1:
+            return self._stencil(k).reshape(-1, n, n)
+        if T > 1:
+            raise SolverError(f"a stack of {T} Hessians on the grid of cells {self.cells}: one field only")
+        return self._grid_hessian(k.reshape(k.shape[-3:]))
 
     def _grid_hessian(self, k: np.ndarray) -> sp.csr_matrix:
         """CSR Hessian of one field on a grid from the per-bond stiffness blocks
@@ -223,7 +215,7 @@ class BondSystem:
         the same bond classes in the same order, so the blocks of a species'
         rows are laid out once, from cell 0, and each incident bond is filled
         for all cells at once."""
-        d, n_cells = k.shape[-1], int(np.prod(self.cells))
+        d, n_cells = k.shape[-1], self.n_cells
         n_dof = self.n_sites * d
         m = self.n_sites // n_cells
         D = self.incidence
@@ -259,24 +251,30 @@ class BondSystem:
             start += q
         return sp.csr_matrix((data.ravel(), indices.ravel(), indptr), shape=(n_dof, n_dof))
 
+    @cached_property
+    def _class_blocks(self) -> np.ndarray:
+        """Per bond class, the stencil blocks (cell offset, row species, column
+        species), flat, that it adds to: (a, a) and (b, b) at offset 0, then
+        (a, b) at its cell offset and (b, a) at the opposite one."""
+        m = self.n_sites // self.n_cells
+        # the bond of each class from cell 0: its source site is its species
+        a, (ahead, b) = self.src[::self.n_cells], np.divmod(self.dst[::self.n_cells], m)
+        back = cell_index([-x for x in np.unravel_index(ahead, self.cells)], self.cells)
+        return np.array([a * (m + 1), b * (m + 1), (ahead * m + a) * m + b, (back * m + b) * m + a]).T.ravel()
+
     def _stencil(self, k: np.ndarray) -> np.ndarray:
         """Grid average of the Hessian from the per-bond stiffness blocks k
-        (n_bonds, d, d), shape cells + (m d, m d): block [delta] couples a cell
-        to the cell delta further on.  Each bond class adds its summed
-        stiffness to the four blocks of its species pair and cell offset."""
-        d, n_cells = k.shape[-1], int(np.prod(self.cells))
-        m = self.n_sites // n_cells
-        k_class = k.reshape(-1, n_cells, d, d).sum(axis=1) / n_cells
-        # the bond of each class from cell 0: its source site is its species
-        alpha, (ahead, beta) = self.src[::n_cells], np.divmod(self.dst[::n_cells], m)
-        back = cell_index([-x for x in np.unravel_index(ahead, self.cells)], self.cells)
-        S = np.zeros((n_cells, m, d, m, d))
-        for kc, a, b, fwd, bwd in zip(k_class, alpha, beta, ahead, back):
-            S[0, a, :, a] += kc
-            S[0, b, :, b] += kc
-            S[fwd, a, :, b] -= kc
-            S[bwd, b, :, a] -= kc
-        return S.reshape(self.cells + (m * d, m * d))
+        (..., n_bonds, d, d), shape ... + cells + (m d, m d): block [delta]
+        couples a cell to the cell delta further on.  Each bond class adds
+        its summed stiffness to the four blocks of ``_class_blocks`` (minus at
+        the last two), class by class in one unbuffered ``np.add.at``."""
+        lead, d, m = k.shape[:-3], k.shape[-1], self.n_sites // self.n_cells
+        kc = k.reshape(lead + (-1, self.n_cells, 1, d, d)).sum(axis=-4) / self.n_cells
+        terms = (kc * np.array([1.0, 1.0, -1.0, -1.0])[:, None, None]).reshape(lead + (-1, d, d))
+        S = np.zeros(lead + (self.n_cells * m * m, d, d))
+        np.add.at(S, (slice(None),) * len(lead) + (self._class_blocks,), terms)
+        S = S.reshape(lead + (self.n_cells, m, m, d, d)).swapaxes(-3, -2)
+        return S.reshape(lead + self.cells + (m * d, m * d))
 
 
 def incidence_matrix(n_sites: int, src: np.ndarray, dst: np.ndarray) -> sp.csr_matrix:
@@ -382,7 +380,7 @@ class GaugeFixedOperator:
     c d components per site against H (x) I_c, as one stack: the scalar
     Laplacian of a spring system (d = 1) solves its fields of any dimension.
     The type of ``H`` picks the path.  A dense stack (T, n_dof, n_dof) of
-    independent Hessians (one-cell systems, stacked fields) goes through
+    independent Hessians (the stacks of one-cell systems) goes through
     batched LAPACK: a rank-d regularization on the constant modes, one inverse
     per entry, one refinement step.  A sparse H (a system on a grid of cells,
     or a macro stiffness) goes, at any size, through CG preconditioned by the
@@ -607,11 +605,6 @@ def newton_zero_mean(
             g = g - f_ext
         return _settle_at_rounding_floor(system, g, forces, f_ext, threshold[rows])
 
-    def operator(w, rows):   # one field on a grid: the sparse Hessian, which PCG solves
-        if len(rows) == 1:
-            return system.operator(w[0], at(rows[0]))
-        return system.operator(w, at(rows))
-
-    result = newton(energy, gradient, operator, np.zeros(shape) if w0 is None else np.reshape(w0, shape),
-                    threshold)
+    result = newton(energy, gradient, lambda w, rows: system.operator(w, at(rows)),
+                    np.zeros(shape) if w0 is None else np.reshape(w0, shape), threshold)
     return result if stacked else NewtonResult(result.w[0], result.residual, result.iterations)

@@ -453,7 +453,7 @@ def reference_hessian(system: BondSystem, w: np.ndarray, F: np.ndarray | None = 
     """The Hessian through scipy's COO -> CSR conversion: CSR for one field; a
     stack assembled block-diagonally and scattered into a dense (T, n_dof,
     n_dof) array.  The oracle of the sparse ``BondSystem.hessian``, and of its
-    dense stacks to rounding."""
+    one-cell stacks to rounding."""
     k = system.bond_stiffness(w, F)
     n, T = system.n_dof, int(np.prod(k.shape[:-3]))
     i, j = np.indices((system.d, system.d))
@@ -489,21 +489,21 @@ def grid_average(H, cells: tuple[int, ...]) -> np.ndarray:
     return S.reshape(tuple(cells) + (b, b)) / n_cells
 
 
-def bond_order_hessian(system: BondSystem, w: np.ndarray, F: np.ndarray | None = None) -> np.ndarray:
-    """The dense Hessian stack (T, n_dof, n_dof) summed in bond order: for each
-    of the blocks (src, src), (dst, dst), (src, dst) and (dst, src) in turn,
-    ``np.add.at`` of every bond's d x d block, bond by bond, per stack entry.
-    The oracle of the dense ``BondSystem.hessian``."""
+def class_order_hessian(system: BondSystem, w: np.ndarray, F: np.ndarray | None = None) -> np.ndarray:
+    """The dense Hessian stack (T, n_dof, n_dof) of a one-cell system summed in
+    class order: bond by bond (one bond per class), the bond's d x d block
+    added at (src, src) and (dst, dst) and subtracted at (src, dst) and
+    (dst, src) in turn, per stack entry.  The oracle of the one-cell
+    ``BondSystem.hessian``."""
+    assert system.cells == (1,) * system.d
     k = system.bond_stiffness(w, F)
     k = k.reshape((-1,) + k.shape[-3:])
-    d, n = system.d, system.n_dof
-    i, j = np.indices((d, d))
-    out = np.zeros((len(k), n, n))
-    blocks = ((system.src, system.src, k), (system.dst, system.dst, k),
-              (system.src, system.dst, -k), (system.dst, system.src, -k))
-    for a, b, vals in blocks:
-        for t in range(len(k)):
-            np.add.at(out[t], (d * a[:, None, None] + i, d * b[:, None, None] + j), vals[t])
+    d = system.d
+    out = np.zeros((len(k), system.n_dof, system.n_dof))
+    for t in range(len(k)):
+        for a, b, kb in zip(system.src, system.dst, k[t]):
+            for i, j, sign in ((a, a, 1), (b, b, 1), (a, b, -1), (b, a, -1)):
+                out[t, d * i:d * (i + 1), d * j:d * (j + 1)] += sign * kb   # x + (-y) rounds as x - y
     return out
 
 

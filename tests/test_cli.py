@@ -227,6 +227,14 @@ def test_bug_in_equivalence_row_propagates(monkeypatch):
     pytest.param("equivalence", "mesh_n = 0\n", id="equivalence-zero-mesh_n"),
     pytest.param("equivalence", "mesh_n = 3\n", id="equivalence-misaligned-mesh_n"),
     pytest.param("equivalence", "eps = 0\n", id="equivalence-zero-eps"),
+    pytest.param("dynamics-1d", "amplitude = nan\n", id="dynamics-nan-amplitude"),
+    pytest.param("dynamics-1d", "amplitude = inf\n", id="dynamics-inf-amplitude"),
+    pytest.param("converge-1d", "psi = 1,inf\n", id="converge-inf-psi"),
+    pytest.param("converge-1d", "force_scale = nan\n", id="converge-nan-force_scale"),
+    pytest.param("converge-1d", "force_scale = inf\n", id="converge-inf-force_scale"),
+    pytest.param("equivalence", "tol_spring = nan\n", id="equivalence-nan-tol_spring"),
+    pytest.param("equivalence", "tol_lj = inf\n", id="equivalence-inf-tol_lj"),
+    pytest.param("equivalence", "tol_simple = 0\n", id="equivalence-zero-tol_simple"),
 ])
 def test_config_errors_exit_before_any_solve(tmp_path, monkeypatch, capsys, experiment, text):
     def no_solve(*args, **kwargs):
@@ -287,3 +295,13 @@ def test_shipped_configs_show_the_defaults(experiment):
     parsed = read_config(cfg, schema)
     for key in cfg:
         assert parsed[key] == schema[key][0], key
+
+
+@pytest.mark.parametrize("experiment", sorted(SCHEMAS))
+def test_every_config_value_refuses_nan_and_inf(experiment):
+    # every key is numeric, and a non-finite number is a config error in the
+    # schema, never a value that a solve or an acceptance band meets
+    for key in SCHEMAS[experiment]:
+        for text in ("nan", "inf", "-inf", "1,nan"):
+            with pytest.raises(ConfigError, match=f"bad value for '{key}'"):
+                read_config({key: text}, SCHEMAS[experiment])

@@ -2,6 +2,7 @@
 fields) and the FFT-preconditioned CG behind the gauge-fixed solves."""
 
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -25,7 +26,7 @@ from hqclab.potential import (
     compensated_sum,
     make_dynamics_model,
 )
-from support import bond_order_hessian, grid_average, reference_compile, reference_hessian
+from support import class_order_hessian, grid_average, reference_compile, reference_hessian
 
 
 def per_spec_laws(lattice, model):
@@ -367,20 +368,21 @@ def test_dense_stack_operator_equals_per_entry_sparse_operators(name, model, sca
         assert np.array_equal(x_many[t], single.solve(many_rhs[t]))
 
 
-def test_dense_hessian_stack_sums_duplicates_like_the_sparse_matrix():
-    # a 2 x 2 torus bonds every site to its neighbors more than once: each stack
-    # entry is its own field's stack of one bit for bit, and the sparse matrix
-    # of that field to rounding
-    system = compile_system(square_lattice(2), RandomBond2D(2, seed=18))
-    rng = np.random.default_rng(19)
-    W = 0.1 * rng.standard_normal((3, system.n_sites, 2))
-    Fs = 0.1 * rng.standard_normal((3, 2, 2))
-    stack = system.hessian(W, Fs)
-    assert stack.shape == (3, system.n_dof, system.n_dof)
-    for t in range(3):
-        assert np.array_equal(stack[t], system.hessian(W[t:t + 1], Fs[t:t + 1])[0])
-        sparse = system.hessian(W[t], Fs[t]).toarray()
-        assert np.max(np.abs(stack[t] - sparse)) <= 1e-14 * np.max(np.abs(sparse))
+def test_one_cell_stacks_keep_the_dense_exact_inverse():
+    # the LJ cell of the dynamics study stretched to F = 0.2: its Hessian is
+    # negative definite on zero-mean fields, so PCG meets non-positive
+    # curvature, and the dense path's exact inverse still solves it
+    model = make_dynamics_model().model
+    system = compile_system(Multilattice(1, 1, model.shifts()), model)
+    zero, F = np.zeros((system.n_sites, 1)), np.array([[0.2]])
+    H = system.hessian(zero, F)[0]
+    zero_mean = np.linalg.svd(np.ones((1, system.n_dof)))[2][1:].T   # orthonormal basis
+    assert np.linalg.eigvalsh(zero_mean.T @ H @ zero_mean).max() < 0
+    b = np.random.default_rng(20).standard_normal((system.n_sites, 1))
+    x = system.operator(zero, F).solve(b)
+    assert np.max(np.abs(H @ x - (b - b.mean()))) <= 1e-13 * np.max(np.abs(b))
+    with pytest.raises(SolverError, match="non-positive curvature"):
+        GaugeFixedOperator(sp.csr_matrix(H), 1, H[None]).solve(b)
 
 
 #: the cases of hessian_cases on a grid of cells, whose one field has a CSR Hessian
@@ -408,18 +410,16 @@ def hessian_cases():
     ]
 
 
-def dense_hessian_cases():
-    """Every case of hessian_cases at every stack size whose Hessian is a dense
-    stack: a stack of fields, or one field on a one-cell torus."""
+def cell_hessian_cases():
+    """Every one-cell case of hessian_cases as one field and as stacks of one and three."""
     return [pytest.param(case.values[0], T, id=f"{case.id}-{name}") for case in hessian_cases()
-            for T, name in ((None, "field"), (1, "stack-1"), (3, "stack-3"))
-            if T is not None or case.id not in GRID_CASES]
+            if case.id not in GRID_CASES for T, name in ((None, "field"), (1, "stack-1"), (3, "stack-3"))]
 
 
-@pytest.mark.parametrize("build, T", dense_hessian_cases())
+@pytest.mark.parametrize("build, T", cell_hessian_cases())
 def test_hessian_equals_the_coo_reference_bitwise(build, T):
-    # a stack, or one field on a one-cell torus, sums every entry in bond
-    # order, which differs from the COO -> CSR conversion's order only by rounding
+    # a one-cell Hessian is its stencil, which sums every entry class by class;
+    # that differs from the COO -> CSR conversion's order only by rounding
     system = build()
     rng = np.random.default_rng(23)
     lead = () if T is None else (T,)
@@ -428,9 +428,56 @@ def test_hessian_equals_the_coo_reference_bitwise(build, T):
     for args in ((w, F), (w, None)):
         H, ref = system.hessian(*args), reference_hessian(system, *args)
         dense = ref.toarray()[None] if T is None else ref
-        assert _bitwise_equal(H, bond_order_hessian(system, *args))
+        assert _bitwise_equal(H, class_order_hessian(system, *args))
         assert H.shape == dense.shape
         assert np.max(np.abs(H - dense)) <= 1e-14 * np.max(np.abs(dense))
+
+
+def grid_stack_cases():
+    """Systems on a grid of cells: the grid cases of hessian_cases and a 2 x 2
+    torus, which bonds every site to its neighbors more than once."""
+    grid = [pytest.param(case.values[0], id=case.id) for case in hessian_cases() if case.id in GRID_CASES]
+    return grid + [pytest.param(lambda: compile_system(square_lattice(2), RandomBond2D(2, seed=18)),
+                                id="network-2x2")]
+
+
+def _grid_stack(system, T, seed):
+    rng = np.random.default_rng(seed)
+    W = 0.01 * rng.standard_normal((T, system.n_sites, system.d))
+    return W, 0.02 * rng.standard_normal((T, system.d, system.d))
+
+
+@pytest.mark.parametrize("build", grid_stack_cases())
+def test_a_stack_of_one_on_a_grid_is_its_field(build):
+    # its CSR Hessian and its solver's solve equal those of its field bit for
+    # bit, and the CSR holds the COO -> CSR reference to rounding
+    system = build()
+    W, Fs = _grid_stack(system, 1, seed=19)
+    rhs = zero_mean_stack(1, system.n_sites, system.d, seed=21)
+    for stack, field in (((W, Fs), (W[0], Fs[0])), ((W, None), (W[0], None))):
+        H, single = system.hessian(*stack), system.hessian(*field)
+        assert isinstance(H, sp.csr_matrix)
+        for part in ("data", "indices", "indptr"):
+            assert _bitwise_equal(getattr(H, part), getattr(single, part)), part
+        ref = reference_hessian(system, *field)
+        assert np.max(np.abs(H.toarray() - ref.toarray())) <= 1e-14 * np.max(np.abs(ref.data))
+        x = system.operator(*field).solve(rhs[0])
+        assert _bitwise_equal(system.operator(*stack).solve(rhs[0]), x)
+        assert _bitwise_equal(system.operator(*stack).solve(rhs)[0], x)
+
+
+@pytest.mark.parametrize("build", grid_stack_cases())
+def test_grid_systems_refuse_a_stack_of_fields(build):
+    # a stack of more than one field on a grid is refused with the grid named,
+    # not densified: its Hessians belong in a stacked CSR (ROADMAP item 4)
+    system = build()
+    W, Fs = _grid_stack(system, 3, seed=22)
+    refused = rf"a stack of 3 Hessians on the grid of cells {re.escape(str(system.cells))}"
+    for call in (system.hessian, system.operator):
+        with pytest.raises(SolverError, match=refused):
+            call(W, Fs)
+    with pytest.raises(SolverError, match=refused):
+        network.newton_zero_mean(system, F=Fs)
 
 
 class _UnevenChain(InteractionModel):
