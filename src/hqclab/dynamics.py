@@ -18,6 +18,7 @@ from .atomistic import EquilibriumProblem, energy_gradient, slowest_eigenmode, s
 from .fem import MacroMesh, P1Field, p1_interpolate_lattice
 from .hqc import HQCOperator, reconstruct
 from .lattice import LatticeField, Multilattice, discrete_derivative, discrete_norms, nearest_neighbor_offsets
+from .network import SolverError
 
 
 @dataclass
@@ -92,49 +93,50 @@ def _whole_steps(t_final: float, tau: float) -> int:
     return n_steps
 
 
-def run_atomistic_dynamics(
-    problem: EquilibriumProblem,
-    u0: LatticeField,
-    t_final: float,
-    tau: float,
-    sample_every: int = 1,
-) -> Trajectory:
-    """Verlet evolution from rest; samples every ``sample_every``-th step and
-    the last one.
+def evolve(accel, u0: np.ndarray, t_final: float, tau: float, sample_every: int, record) -> list:
+    """Velocity Verlet from rest at ``u0`` over t_final in steps tau: the
+    list of ``record(state)`` at t = 0, at every ``sample_every``-th step and
+    at the last one.
 
-    Blow-up guard (instability): every step checks that its new acceleration
-    is finite, and every recorded state checks its total energy, which must be
-    finite and within 1e3 * max(|E0|, 1) of the initial E0. Either failure
-    raises RuntimeError at the step where it happens, so no returned sample
-    escapes the energy check. The energy is evaluated at recorded states only.
-    Raises ValueError for ``sample_every < 1`` and unless t_final is a whole
-    number of steps tau.
+    Blow-up guard (instability): raises SolverError at the first step whose
+    acceleration is not finite. Raises ValueError for ``sample_every < 1`` and
+    unless t_final is a whole number of steps tau.
     """
     if sample_every < 1:
         raise ValueError(f"sample_every must be at least 1, got {sample_every}")
     n_steps = _whole_steps(t_final, tau)
-    accel = atomistic_accel(problem)
-    state = DynamicState(u=u0.values.copy(), v=np.zeros_like(u0.values), t=0.0)
-    e0 = atomistic_total_energy(problem, state)
-    scale = max(abs(e0), 1.0)
-    times = [0.0]
-    disp = [state.u.copy()]
-    vel = [state.v.copy()]
-    energies = [e0]
+    state = DynamicState(u=u0, v=np.zeros_like(u0), t=0.0)
+    records = [record(state)]
     for k in range(1, n_steps + 1):
         state = verlet_step(state, accel, tau)
-        if k % sample_every and k < n_steps:
-            if not np.isfinite(state.a).all():
-                raise RuntimeError(f"atomistic dynamics blew up at t = {state.t:.6g}")
-            continue
+        if not np.isfinite(state.a).all():
+            raise SolverError(f"dynamics blew up at t = {state.t:.6g}")
+        if k % sample_every == 0 or k == n_steps:
+            records.append(record(state))
+    return records
+
+
+def run_atomistic_dynamics(problem: EquilibriumProblem, u0: LatticeField, t_final: float, tau: float,
+                           sample_every: int = 1) -> Trajectory:
+    """``evolve`` of the atomistic chain, sampled every ``sample_every``-th
+    step and at the last one.
+
+    Every recorded state also checks its total energy, which must be finite
+    and within 1e3 * max(|E0|, 1) of the initial E0, and raises SolverError
+    where it fails, so no returned sample escapes the check. The energy is
+    evaluated at recorded states only.
+    """
+    energies: list[float] = []
+
+    def record(state: DynamicState):
         e = atomistic_total_energy(problem, state)
-        if not np.isfinite(e) or abs(e - e0) > 1e3 * scale:
-            raise RuntimeError(f"atomistic dynamics blew up at t = {state.t:.6g}")
-        times.append(state.t)
-        disp.append(state.u.copy())
-        vel.append(state.v.copy())
+        if energies and (not np.isfinite(e) or abs(e - energies[0]) > 1e3 * max(abs(energies[0]), 1.0)):
+            raise SolverError(f"dynamics blew up at t = {state.t:.6g}")
         energies.append(e)
-    return Trajectory(np.array(times), disp, vel, np.array(energies))
+        return state.t, state.u.copy(), state.v.copy()
+
+    times, disp, vel = zip(*evolve(atomistic_accel(problem), u0.values, t_final, tau, sample_every, record))
+    return Trajectory(np.array(times), list(disp), list(vel), np.array(energies))
 
 
 def energy_drift(traj: Trajectory) -> float:
@@ -154,40 +156,26 @@ def lumped_node_masses(mesh: MacroMesh, mass_density: float) -> np.ndarray:
     return np.full(mesh.n_vertices, mass_density / mesh.n_vertices)
 
 
-def run_hqc_dynamics(
-    model,
-    lattice: Multilattice,
-    mesh: MacroMesh,
-    species_masses,
-    u0_lattice: LatticeField,
-    t_final: float,
-    tau: float,
-) -> MacroTrajectory:
-    """HQC-discretized slow dynamics with lumped macro masses.
+def run_hqc_dynamics(model, lattice: Multilattice, mesh: MacroMesh, species_masses, u0_lattice: LatticeField,
+                     t_final: float, tau: float) -> MacroTrajectory:
+    """HQC-discretized slow dynamics with lumped macro masses: ``evolve``
+    with the reconstruction of every macro step.
 
     The initial macro displacement interpolates the atomistic initial state at
-    the mesh vertices; initial velocity is zero.  Reconstructions are stored at
-    every macro step.  Raises ValueError unless t_final is a whole number of
-    steps tau.
+    the mesh vertices; initial velocity is zero.
     """
-    n_steps = _whole_steps(t_final, tau)
     op = HQCOperator(model, lattice, mesh)
-    m0 = float(np.mean(species_masses))
-    node_mass = lumped_node_masses(mesh, m0)
-    u_init = p1_interpolate_lattice(mesh, u0_lattice)
+    node_mass = lumped_node_masses(mesh, float(np.mean(species_masses)))
 
     def accel(u: np.ndarray) -> np.ndarray:
-        g = op.gradient(P1Field(mesh, u))
-        return -g / node_mass[:, None]
+        return -op.gradient(P1Field(mesh, u)) / node_mass[:, None]
 
-    state = DynamicState(u=u_init.values.copy(), v=np.zeros_like(u_init.values), t=0.0)
-    times = [0.0]
-    recon = [reconstruct(op, P1Field(mesh, state.u))]
-    for _ in range(n_steps):
-        state = verlet_step(state, accel, tau)
-        times.append(state.t)
-        recon.append(reconstruct(op, P1Field(mesh, state.u)))
-    return MacroTrajectory(np.array(times), recon)
+    def record(state: DynamicState):
+        return state.t, reconstruct(op, P1Field(mesh, state.u))
+
+    u0 = p1_interpolate_lattice(mesh, u0_lattice).values
+    times, recon = zip(*evolve(accel, u0, t_final, tau, 1, record))
+    return MacroTrajectory(np.array(times), list(recon))
 
 
 def trajectory_error(

@@ -326,9 +326,9 @@ def run_dynamics_1d(cfg: dict) -> ExperimentResult:
     columns = ["n_atoms", "h", "tau", "linf_l2", "l2_h1", "status"]
 
     def one_row(h: Fraction):
+        tau_h = float(h) / 20.0
         try:
             mesh = fem.build_mesh(1, int(1 / h))
-            tau_h = float(h) / 20.0
             traj = dynamics.run_hqc_dynamics(
                 model, lat, mesh, setup.species_masses, u0, t_final, tau_h
             )
@@ -338,7 +338,7 @@ def run_dynamics_1d(cfg: dict) -> ExperimentResult:
             linf_l2, l2_h1 = dynamics.trajectory_error(traj.times, ref_fields, traj.reconstructions)
             return [n_atoms, str(h), f"{tau_h:.17g}", linf_l2, l2_h1, "ok"]
         except ROW_ERRORS as exc:
-            return [n_atoms, str(h), "", float("nan"), float("nan"), _failed(exc)]
+            return [n_atoms, str(h), f"{tau_h:.17g}", float("nan"), float("nan"), _failed(exc)]
 
     rows = [one_row(h) for h in h_list]
     h_floats = [float(h) for h in h_list]

@@ -238,8 +238,10 @@ class HQCOperator:
     model's compiled system on the sampling's cells, and every operator on one
     model and sampling shares it and its effective tensors (``_TENSORS``).
     Period sampling takes the model's cell system (compiled at cell 0) and is
-    refused for a model whose bond laws vary by cell.  A quadratic bond law
-    takes the tensor route, with one block-circulant stiffness (K, S) per
+    refused for a model whose bond laws vary by cell.  A nonlinear law with
+    relaxed correctors on a subgrid of several cells is refused on more than
+    one element: its tangents need a stack of grid Hessians.  A quadratic bond
+    law takes the tensor route, with one block-circulant stiffness (K, S) per
     operator (``stiffness``) that also gives the gradient K u; otherwise the
     correctors of all elements are evaluated as one stack, each from the zero
     guess, and every Newton step assembles their tangents.  The operator
@@ -266,6 +268,9 @@ class HQCOperator:
             cells = np.concatenate([dom.parent_cells for dom in self.domains])
             _require_cell_independent(model, lattice.cell_multi[cells])
         self.system = compile_system(self.domains[0].torus, model)
+        if relax and not self.system.law.is_quadratic and self.system.n_cells > 1 and mesh.n_elements > 1:
+            raise HQCError(f"subgrid sampling (n_rep={n_rep}) of a nonlinear law on {mesh.n_elements} "
+                           "elements: stacks of grid Hessians wait for ROADMAP item 4")
         self._tensors = _TENSORS.setdefault(self.system, {})
 
     # ------------------------------------------------------------- micro layer

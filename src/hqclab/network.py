@@ -61,7 +61,8 @@ EPS = float(np.finfo(float).eps)
 
 
 class SolverError(RuntimeError):
-    """Newton iteration failed to converge or hit a singular operator."""
+    """Newton iteration failed to converge or hit a singular operator, or a
+    dynamics run blew up."""
 
 
 class BondSystem:

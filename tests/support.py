@@ -17,7 +17,8 @@ chain as it was before pair bonds (one term per directed bond, with the
 owner's (s, l), evaluated by powers of b) stays as ``DirectedLJ1D``, the
 reference of ``LennardJones1D``.  An element search in exact rational
 arithmetic (``site_element_oracle``) is the reference of
-``fem.site_elements``."""
+``fem.site_elements``, and a plain Verlet loop of the HQC macro system
+(``every_step_hqc_dynamics``) that of ``run_hqc_dynamics``."""
 
 from __future__ import annotations
 
@@ -31,13 +32,15 @@ from hqclab import mqc
 from hqclab.atomistic import EquilibriumProblem
 from hqclab.dynamics import (
     DynamicState,
+    MacroTrajectory,
     Trajectory,
     atomistic_accel,
     atomistic_total_energy,
+    lumped_node_masses,
     verlet_step,
 )
-from hqclab.fem import MacroMesh, P1Field, all_element_gradients, assemble
-from hqclab.hqc import condensed_tangent, micro_sensitivity
+from hqclab.fem import MacroMesh, P1Field, all_element_gradients, assemble, p1_interpolate_lattice
+from hqclab.hqc import HQCOperator, condensed_tangent, micro_sensitivity, reconstruct
 from hqclab.lattice import (
     ZERO_MEAN_TOL,
     LatticeError,
@@ -49,7 +52,7 @@ from hqclab.lattice import (
     project_zero_mean,
     unit_cell,
 )
-from hqclab.network import BondSystem, avg_norm, newton_zero_mean
+from hqclab.network import BondSystem, SolverError, avg_norm, newton_zero_mean
 from hqclab.potential import BondSpec, InteractionModel, LennardJonesParams, PotentialError
 
 # ------------------------------------------- single-site model evaluation
@@ -526,10 +529,32 @@ def every_step_energy_dynamics(problem: EquilibriumProblem, u0: LatticeField, t_
         state = verlet_step(state, accel, tau)
         e = atomistic_total_energy(problem, state)
         if not np.isfinite(e) or abs(e - e0) > 1e3 * scale:
-            raise RuntimeError(f"atomistic dynamics blew up at t = {state.t:.6g}")
+            raise SolverError(f"dynamics blew up at t = {state.t:.6g}")
         if k % sample_every == 0 or k == n_steps:
             times.append(state.t)
             disp.append(state.u.copy())
             vel.append(state.v.copy())
             energies.append(e)
     return Trajectory(np.array(times), disp, vel, np.array(energies))
+
+
+def every_step_hqc_dynamics(model, lattice: Multilattice, mesh: MacroMesh, species_masses,
+                            u0_lattice: LatticeField, t_final: float, tau: float) -> MacroTrajectory:
+    """A plain Verlet loop over the HQC macro system with lumped masses that
+    reconstructs every step, with no blow-up guard. The oracle of
+    ``run_hqc_dynamics``."""
+    op = HQCOperator(model, lattice, mesh)
+    node_mass = lumped_node_masses(mesh, float(np.mean(species_masses)))
+
+    def accel(u: np.ndarray) -> np.ndarray:
+        return -op.gradient(P1Field(mesh, u)) / node_mass[:, None]
+
+    u0 = p1_interpolate_lattice(mesh, u0_lattice).values
+    state = DynamicState(u=u0.copy(), v=np.zeros_like(u0), t=0.0)
+    times = [0.0]
+    recon = [reconstruct(op, P1Field(mesh, state.u))]
+    for _ in range(int(round(t_final / tau))):
+        state = verlet_step(state, accel, tau)
+        times.append(state.t)
+        recon.append(reconstruct(op, P1Field(mesh, state.u)))
+    return MacroTrajectory(np.array(times), recon)

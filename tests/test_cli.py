@@ -193,6 +193,22 @@ def test_failed_rows_name_their_cause(tmp_path, monkeypatch):
     assert all(row.endswith(",failed:SolverError") for row in rows)
 
 
+def test_failed_dynamics_rows_keep_their_tau(tmp_path, monkeypatch):
+    from hqclab.network import SolverError
+
+    def blown(*args, **kwargs):
+        raise SolverError("dynamics blew up at t = 1")
+
+    monkeypatch.setattr(experiments.dynamics, "run_hqc_dynamics", blown)
+    cfg = tmp_path / "d.cfg"
+    cfg.write_text("n_atoms = 64\nh_list = 1/4,1/8\n")
+    out = tmp_path / "d.csv"
+    assert main(["dynamics-1d", "--config", str(cfg), "--out", str(out)]) == 1
+    rows = [row.split(",") for row in out.read_text().strip().splitlines()[1:]]
+    assert [(float(row[2]), row[-1]) for row in rows] == [(0.25 / 20, "failed:SolverError"),
+                                                          (0.125 / 20, "failed:SolverError")]
+
+
 def test_bug_in_equivalence_row_propagates(monkeypatch):
     # only solver-family errors become failed rows; a programming error surfaces
     from hqclab import mqc

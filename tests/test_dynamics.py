@@ -18,9 +18,11 @@ from hqclab.dynamics import (
     verlet_step,
 )
 from hqclab.fem import P1Field, build_mesh, p1_interpolate_lattice
+from hqclab.hqc import HQCOperator
 from hqclab.lattice import LatticeField, chain_lattice, discrete_derivative
+from hqclab.network import SolverError
 from hqclab.potential import LinearSpring1D, make_dynamics_model
-from support import constant_tensor_stiffness, every_step_energy_dynamics
+from support import constant_tensor_stiffness, every_step_energy_dynamics, every_step_hqc_dynamics
 
 
 def dynamics_problem(n_atoms):
@@ -229,6 +231,27 @@ def test_blowup_between_samples_stops_at_the_first_non_finite_step():
                                    sample_every=128)
 
 
+def test_hqc_blowup_stops_at_the_first_non_finite_step():
+    # tau = 1 is far beyond the stability limit of the 8-element spring chain:
+    # the acceleration overflows long before the last of 400 steps
+    model, lat, mesh = LinearSpring1D((1.0, 3.0)), chain_lattice(Fraction(1, 64), 2), build_mesh(1, 8)
+    u0 = LatticeField(lat, 0.01 * np.sin(2 * np.pi * lat.site_positions()))
+    op = HQCOperator(model, lat, mesh)
+    node_mass = lumped_node_masses(mesh, 1.0)
+
+    def accel(u):
+        return -op.gradient(P1Field(mesh, u)) / node_mass[:, None]
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        state = DynamicState(p1_interpolate_lattice(mesh, u0).values, np.zeros((mesh.n_vertices, 1)), 0.0)
+        state = verlet_step(state, accel, 1.0)
+        while np.isfinite(state.a).all():
+            state = verlet_step(state, accel, 1.0)
+        assert 1.0 < state.t < 400.0
+        with pytest.raises(SolverError, match=f"blew up at t = {state.t:.6g}$"):
+            run_hqc_dynamics(model, lat, mesh, (1.0, 1.0), u0, t_final=400.0, tau=1.0)
+
+
 @pytest.mark.parametrize("sample_every", [0, -1])
 def test_sample_every_must_be_positive(sample_every):
     prob, _, lat = dynamics_problem(64)
@@ -261,8 +284,6 @@ def test_hqc_dynamics_simple_lattice_is_lumped_fem():
     mesh = build_mesh(1, 8)
     rng = np.random.default_rng(7)
     u = rng.standard_normal((mesh.n_vertices, 1))
-    from hqclab.hqc import HQCOperator
-
     op = HQCOperator(model, lat, mesh)
     g = op.gradient(P1Field(mesh, u))
     node_mass = lumped_node_masses(mesh, mass)
@@ -281,6 +302,24 @@ def test_hqc_dynamics_runs_and_reconstructs():
     assert isinstance(traj, MacroTrajectory)
     assert len(traj.times) == len(traj.reconstructions) == 3
     assert traj.reconstructions[0].values.shape == (lat.n_sites, 1)
+
+
+@pytest.mark.parametrize("case", ["lj-chain", "spring-chain"])
+def test_hqc_trajectory_equals_the_plain_verlet_reference(case):
+    if case == "lj-chain":
+        prob, setup, lat = dynamics_problem(128)
+        model, masses, u0 = setup.model, setup.species_masses, initial_condition(prob)
+    else:
+        model, masses, lat = LinearSpring1D((1.0, 3.0)), (1.0, 2.0), chain_lattice(Fraction(1, 64), 2)
+        u0 = LatticeField(lat, 0.01 * np.sin(2 * np.pi * lat.site_positions()))
+    mesh = build_mesh(1, 8)
+    tau = (1 / 8) / 20
+    traj = run_hqc_dynamics(model, lat, mesh, masses, u0, t_final=6 * tau, tau=tau)
+    ref = every_step_hqc_dynamics(model, lat, mesh, masses, u0, t_final=6 * tau, tau=tau)
+    assert len(traj.times) == len(traj.reconstructions) == 7
+    assert np.array_equal(traj.times, ref.times)
+    for got, want in zip(traj.reconstructions, ref.reconstructions):
+        assert np.array_equal(got.values, want.values)
 
 
 def test_trajectory_error_conventions():

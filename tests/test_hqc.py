@@ -28,6 +28,8 @@ from hqclab.lattice import LatticeField, Multilattice, chain_lattice, square_lat
 from hqclab.network import avg_norm
 from hqclab.potential import (
     BondSpec,
+    LennardJones1D,
+    LennardJonesParams,
     LinearSpring1D,
     RandomBond2D,
     SpringLaw,
@@ -902,6 +904,22 @@ def test_full_sample_tensors_keyed_by_lattice_size():
     sens_large, A_large = op_large._quad_data()
     assert A_small is not A_large
     assert sens_small.shape[0] == 8 and sens_large.shape[0] == 16
+
+
+def test_nonlinear_subgrid_sampling_on_several_elements_is_refused_at_construction():
+    # its relaxed tangents need a stack of 4 Hessians on the 8-cell subgrid
+    model = LennardJones1D(LennardJonesParams(s=(1.0,), ell=(1.0,), cutoff=2.0))
+    lat = chain_lattice(Fraction(1, 64), 1)
+    with pytest.raises(HQCError, match=r"n_rep=8\).*ROADMAP item 4"):
+        HQCOperator(model, lat, build_mesh(1, 4), n_rep=8)
+    # frozen correctors, a one-cell subgrid, one element and a quadratic law run
+    for op in (HQCOperator(model, lat, build_mesh(1, 4), n_rep=8, relax=False),
+               HQCOperator(model, lat, build_mesh(1, 4), n_rep=1),
+               HQCOperator(model, lat, build_mesh(1, 1), n_rep=8),
+               HQCOperator(LinearSpring1D((2.0,)), lat, build_mesh(1, 4), n_rep=8)):
+        uh = random_uh(op.mesh, 0.01, seed=5)
+        assert np.isfinite(op.energy(uh)) and np.isfinite(op.gradient(uh)).all()
+        assert np.isfinite(op.element_tangents(uh)).all()
 
 
 def test_a_memoized_sampling_still_refuses_other_species_shifts():
