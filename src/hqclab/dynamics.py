@@ -11,6 +11,7 @@ relaxed one of the current macro field, solved from the zero guess.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -93,50 +94,42 @@ def _whole_steps(t_final: float, tau: float) -> int:
     return n_steps
 
 
-def evolve(accel, u0: np.ndarray, t_final: float, tau: float, sample_every: int, record) -> list:
+def evolve(accel, energy, u0: np.ndarray, t_final: float, tau: float, sample_every: int, record):
     """Velocity Verlet from rest at ``u0`` over t_final in steps tau: the
     list of ``record(state)`` at t = 0, at every ``sample_every``-th step and
-    at the last one.
+    at the last one, and the array of ``energy(state)`` at the same states.
 
     Blow-up guard (instability): raises SolverError at the first step whose
-    acceleration is not finite. Raises ValueError for ``sample_every < 1`` and
-    unless t_final is a whole number of steps tau.
+    acceleration is not finite, and at the first recorded state whose energy
+    is not finite or not within 1e3 * max(|E0|, 1) of the initial E0; the
+    energy is evaluated at recorded states only. Raises ValueError for
+    ``sample_every < 1`` and unless t_final is a whole number of steps tau.
     """
     if sample_every < 1:
         raise ValueError(f"sample_every must be at least 1, got {sample_every}")
     n_steps = _whole_steps(t_final, tau)
     state = DynamicState(u=u0, v=np.zeros_like(u0), t=0.0)
-    records = [record(state)]
+    records, energies = [record(state)], [energy(state)]
+    bound = 1e3 * max(abs(energies[0]), 1.0)
     for k in range(1, n_steps + 1):
         state = verlet_step(state, accel, tau)
-        if not np.isfinite(state.a).all():
+        sampled = k % sample_every == 0 or k == n_steps
+        if not np.isfinite(state.a).all() or (sampled and not abs((e := energy(state)) - energies[0]) <= bound):
             raise SolverError(f"dynamics blew up at t = {state.t:.6g}")
-        if k % sample_every == 0 or k == n_steps:
+        if sampled:
+            energies.append(e)
             records.append(record(state))
-    return records
+    return records, np.array(energies)
 
 
 def run_atomistic_dynamics(problem: EquilibriumProblem, u0: LatticeField, t_final: float, tau: float,
                            sample_every: int = 1) -> Trajectory:
-    """``evolve`` of the atomistic chain, sampled every ``sample_every``-th
-    step and at the last one.
-
-    Every recorded state also checks its total energy, which must be finite
-    and within 1e3 * max(|E0|, 1) of the initial E0, and raises SolverError
-    where it fails, so no returned sample escapes the check. The energy is
-    evaluated at recorded states only.
-    """
-    energies: list[float] = []
-
-    def record(state: DynamicState):
-        e = atomistic_total_energy(problem, state)
-        if energies and (not np.isfinite(e) or abs(e - energies[0]) > 1e3 * max(abs(energies[0]), 1.0)):
-            raise SolverError(f"dynamics blew up at t = {state.t:.6g}")
-        energies.append(e)
-        return state.t, state.u.copy(), state.v.copy()
-
-    times, disp, vel = zip(*evolve(atomistic_accel(problem), u0.values, t_final, tau, sample_every, record))
-    return Trajectory(np.array(times), list(disp), list(vel), np.array(energies))
+    """``evolve`` of the atomistic chain with its total energy, sampled every
+    ``sample_every``-th step and at the last one."""
+    records, energies = evolve(atomistic_accel(problem), partial(atomistic_total_energy, problem), u0.values,
+                               t_final, tau, sample_every, lambda s: (s.t, s.u.copy(), s.v.copy()))
+    times, disp, vel = zip(*records)
+    return Trajectory(np.array(times), list(disp), list(vel), energies)
 
 
 def energy_drift(traj: Trajectory) -> float:
@@ -159,7 +152,8 @@ def lumped_node_masses(mesh: MacroMesh, mass_density: float) -> np.ndarray:
 def run_hqc_dynamics(model, lattice: Multilattice, mesh: MacroMesh, species_masses, u0_lattice: LatticeField,
                      t_final: float, tau: float) -> MacroTrajectory:
     """HQC-discretized slow dynamics with lumped macro masses: ``evolve``
-    with the reconstruction of every macro step.
+    with the reconstruction of every macro step, guarded by the macro energy
+    (lumped kinetic energy plus ``HQCOperator.energy``).
 
     The initial macro displacement interpolates the atomistic initial state at
     the mesh vertices; initial velocity is zero.
@@ -170,11 +164,14 @@ def run_hqc_dynamics(model, lattice: Multilattice, mesh: MacroMesh, species_mass
     def accel(u: np.ndarray) -> np.ndarray:
         return -op.gradient(P1Field(mesh, u)) / node_mass[:, None]
 
+    def energy(state: DynamicState) -> float:
+        return 0.5 * float(node_mass @ np.sum(state.v**2, axis=1)) + op.energy(P1Field(mesh, state.u))
+
     def record(state: DynamicState):
         return state.t, reconstruct(op, P1Field(mesh, state.u))
 
     u0 = p1_interpolate_lattice(mesh, u0_lattice).values
-    times, recon = zip(*evolve(accel, u0, t_final, tau, 1, record))
+    times, recon = zip(*evolve(accel, energy, u0, t_final, tau, 1, record)[0])
     return MacroTrajectory(np.array(times), list(recon))
 
 

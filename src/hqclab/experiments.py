@@ -73,6 +73,13 @@ def _positive(parse):
     return parser
 
 
+def _nonnegative(text: str) -> int:
+    """Parser of an integer that must not be negative."""
+    if (value := int(text)) < 0:
+        raise ValueError("must not be negative")
+    return value
+
+
 def _finite(text: str) -> float:
     """Parser of a float that must be finite."""
     if not np.isfinite(value := float(text)):
@@ -210,7 +217,7 @@ def run_converge_1d(cfg: dict) -> ExperimentResult:
 
 STOCHASTIC_2D_SCHEMA = {
     "n": (128, _parse_power_of_two),
-    "seed": (1, int),
+    "seed": (1, _nonnegative),
     # start where the Cauchy-Born tensor gap dominates the macro error, so the
     # affine-closure curve exhibits its non-convergent floor
     "h_list": ([Fraction(1, 8), Fraction(1, 16), Fraction(1, 32), Fraction(1, 64)],
@@ -354,10 +361,10 @@ def run_dynamics_1d(cfg: dict) -> ExperimentResult:
 # --------------------------------------------------------------- equivalence
 
 EQUIVALENCE_SCHEMA = {
-    "seed": (0, int),
-    "trials_spring": (36, int),
-    "trials_lj": (15, int),
-    "trials_simple": (4, int),
+    "seed": (0, _nonnegative),
+    "trials_spring": (36, _nonnegative),
+    "trials_lj": (15, _nonnegative),
+    "trials_simple": (4, _nonnegative),
     "mesh_n": (4, _positive(int)),
     "eps": (Fraction(1, 32), _parse_lattice_eps),
     "tol_spring": (1e-10, _positive(float)),
@@ -370,6 +377,8 @@ def run_equivalence(cfg: dict) -> ExperimentResult:
     """Three formulations of the same coarse-grained energy agree on random
     piecewise-linear macro fields."""
     p = read_config(cfg, EQUIVALENCE_SCHEMA)
+    if not p["trials_spring"] + p["trials_lj"] + p["trials_simple"]:
+        raise ConfigError("the trial counts add up to zero: nothing to check")
     eps = p["eps"]
     _check_mesh_divides([Fraction(1, p["mesh_n"])], 1 / eps)
     rng = np.random.Generator(np.random.Philox(p["seed"]))

@@ -140,9 +140,10 @@ def p1_zero_mean(u: P1Field) -> P1Field:
 
 
 def all_element_gradients(u: P1Field) -> np.ndarray:
-    gb = u.mesh.grad_basis
-    U = u.values[u.mesh.elements].reshape((-1,) + gb.shape)  # (cells, orientations, d+1, d)
-    return (U.swapaxes(-1, -2) @ gb).reshape(u.mesh.n_elements, u.mesh.d, u.mesh.d)
+    gb, d = u.mesh.grad_basis, u.mesh.d
+    # one matrix product per orientation on rows (cell, i), not a tiny BLAS call per element
+    U = np.take(u.values, u.mesh.elements, axis=0).reshape(-1, len(gb), d + 1, d).transpose(1, 0, 3, 2)
+    return (U.reshape(len(gb), -1, d + 1) @ gb).reshape(len(gb), -1, d, d).swapaxes(0, 1).reshape(-1, d, d)
 
 
 def p1_interpolate_lattice(mesh: MacroMesh, u: LatticeField) -> P1Field:
@@ -188,10 +189,11 @@ def load_from_lattice(mesh: MacroMesh, f: LatticeField) -> np.ndarray:
 
 def nodal_forces(mesh: MacroMesh, stresses: np.ndarray) -> np.ndarray:
     """Nodal residual sum_T |T| P_T grad(phi_k) of per-element stresses (n_elements, d, d)."""
-    gb = mesh.grad_basis
-    P = stresses.reshape((-1, len(gb)) + stresses.shape[1:])     # (cells, orientations, d, d)
-    contrib = mesh.volumes[:, None, None] * (gb @ P.swapaxes(-1, -2)).reshape(-1, mesh.d + 1, mesh.d)
-    return scatter_to_vertices(mesh, mesh.elements.ravel(), contrib.reshape(-1, mesh.d))
+    gb, d = mesh.grad_basis, mesh.d
+    # one matrix product per orientation, on stress rows (cell, i), as in all_element_gradients
+    P = stresses.reshape(-1, len(gb), d, d).swapaxes(0, 1).reshape(len(gb), -1, d) @ gb.swapaxes(-1, -2)
+    local = P.reshape(len(gb), -1, d, d + 1).transpose(1, 0, 3, 2).reshape(-1, d + 1, d)
+    return scatter_to_vertices(mesh, mesh.elements.ravel(), (mesh.volumes[:, None, None] * local).reshape(-1, d))
 
 
 def assemble(mesh: MacroMesh, tangents: np.ndarray):

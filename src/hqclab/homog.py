@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fem import MacroMesh, P1Field, all_element_gradients, assemble, nodal_forces
+from .fem import MacroMesh, P1Field
 from .hqc import MICRO_TOL, condensed_tangent, macro_newton, micro_sensitivity, micro_solve
 from .lattice import unit_cell
 from .network import BondSystem, compile_system, newton_zero_mean
@@ -101,17 +101,7 @@ def solve_homogenized_fem(
 
     ``load`` is a (n_vertices, d) vector of nodal load values (the pairing of
     the external force with the nodal hats); omit it for the unforced problem.
-    Runs the ``macro_newton`` of ``HQCOperator.solve``, with its convergence
-    test.
+    It is ``macro_newton`` over Phi0, the solve of ``HQCOperator.solve``; an
+    ``HQCOperator`` as ``density`` gives that operator's solve.
     """
-
-    def energy(uh):
-        return float(mesh.volumes @ density.phi0(all_element_gradients(uh)))
-
-    def gradient(uh):
-        return nodal_forces(mesh, density.dphi0(all_element_gradients(uh)))
-
-    def stiffness(uh):
-        return assemble(mesh, density.d2phi0(all_element_gradients(uh)))
-
-    return macro_newton(mesh, energy, gradient, stiffness, load, tol)[0]
+    return macro_newton(mesh, density, load, tol)[0]

@@ -8,25 +8,25 @@ variables), so the physical corrector is eps * chi and the bond gaps are
 
     D_r R_T(u^h) = F r + chi[neighbor] - chi[site],   F = grad u^h|_T.
 
-The element energy density, its stress, and the condensed tangent then feed a
-standard P1 assembly.  The micro system of a sampling (one period, or n_rep
-cells per dimension) is the model's compiled system on that many cells, the
-one homogenization (one period) and the atomistic reference (n_rep = N) use;
-its effective tensors are kept per system, so every operator on one model and
-sampling shares both, whatever its mesh and relax value.  The route follows
-the bond law of the micro system.  A quadratic law, whose stiffness must be
-psi I, takes the tensor route (``conductance_tensors``): d scalar
-sensitivities on the graph Laplacian, solved as one stack, and the effective
-tensor A_ijkl = delta_ik a_jl, contracted over all elements at once.  That
-one tangent makes the macro stiffness block-circulant: each operator builds
-its (K, S) once from the tangent's stencil, takes the macro gradient as K u,
-and builds no per-element tangent, block or COO matrix in a solve.  Any
-other law solves the microproblems of all elements as one stack,
-each from zero (``micro_solve``, one stacked ``network.newton``), and
+HQC is the macro P1 problem of an element energy density Phi that the micro
+problems evaluate: ``HQCOperator.phi0``, ``dphi0`` and ``d2phi0`` give Phi,
+its stress and the condensed tangent over the stack of element gradients, and
+``macro_newton`` solves for any such density (``homog``'s FEM is the same
+solve over the exact cell problem).  The micro system of a sampling (one
+period, or n_rep cells per dimension) is the model's compiled system on that
+many cells, the one homogenization (one period) and the atomistic reference
+(n_rep = N) use; its effective tensors are kept per system, so every operator
+on one model and sampling shares both, whatever its mesh and relax value.
+The route follows the bond law of the micro system.  A quadratic law, whose
+stiffness must be psi I, takes the tensor route (``conductance_tensors``): d
+scalar sensitivities on the graph Laplacian, solved as one stack, and the
+effective tensor A_ijkl = delta_ik a_jl, one tangent for all elements, whose
+macro stiffness ``assemble`` builds block-circulant from its stencil.  Any
+other law solves the microproblems of all elements as one stack, each from
+zero (``micro_solve``, one stacked ``network.newton``), and
 ``micro_sensitivity`` and ``condensed_tangent`` take the same stack.  No
 micro state is kept between evaluations, so the macro energy is a function of
-u^h alone.  The stacked micro layer and the macro Newton (``macro_newton``)
-also serve the homogenized FEM of ``homog``.
+u^h alone.
 """
 
 from __future__ import annotations
@@ -199,30 +199,38 @@ def conductance_tensors(system: BondSystem, relax: bool) -> tuple[np.ndarray | N
     return s, np.einsum("bj,b,bl->jl", g, psi, g) / system.n_sites
 
 
-def macro_newton(mesh: MacroMesh, energy, gradient, stiffness, load: np.ndarray | None,
+def macro_newton(mesh: MacroMesh, density, load: np.ndarray | None,
                  tol: float) -> tuple[P1Field, NewtonResult]:
-    """Outer Newton from u^h = 0 for the critical point of energy(u^h) - load . u^h
-    over zero-mean P1 fields; returns the zero-mean macro field and the result.
+    """Outer Newton from u^h = 0 for the critical point of
+    sum_T |T| Phi(grad u^h|_T) - load . u^h over zero-mean P1 fields; returns
+    the zero-mean macro field and the result.
 
-    ``energy``, ``gradient`` and ``stiffness`` map a P1Field to the macro
-    energy, its nodal residual (n_vertices, d) and the pair (K, S) of
-    ``assemble``: the sparse Hessian and its stencil.  The macro
-    equation lives on zero-mean test functions, so the constant component of
-    the residual minus the load is dropped (the load's sampling averages need
-    not vanish domain by domain).  Converges once the Euclidean norm of that
-    residual is at most ``tol * (1 + ||load||)``; ``newton`` measures the
-    vertex-averaged norm, so the threshold is divided by sqrt(n_vertices).
+    ``density`` gives Phi over a stack of element gradients (n_el, d, d):
+    ``phi0`` (n_el,), ``dphi0`` (n_el, d, d) and ``d2phi0``, per element or
+    one tangent (d, d, d, d) for all; ``volumes @``, ``nodal_forces`` and
+    ``assemble`` make them the energy, residual and Newton operator.  The
+    macro equation lives on zero-mean test functions, so the constant
+    component of the residual minus the load is dropped (the load's sampling
+    averages need not vanish domain by domain).  Converges once the Euclidean
+    norm of that residual is at most ``tol * (1 + ||load||)``; ``newton``
+    measures the vertex-averaged norm, so the threshold is divided by
+    sqrt(n_vertices).
     """
     b = np.zeros((mesh.n_vertices, mesh.d)) if load is None else np.asarray(load, dtype=float)
     threshold = tol * (1.0 + float(np.linalg.norm(b))) / np.sqrt(mesh.n_vertices)
 
+    def grads(u):
+        return all_element_gradients(P1Field(mesh, u[0]))
+
+    def gradient(u, _):
+        return project_zero_mean_array(nodal_forces(mesh, density.dphi0(grads(u))) - b)[None]
+
     def operator(u, _):
-        K, S = stiffness(P1Field(mesh, u[0]))
+        K, S = assemble(mesh, density.d2phi0(grads(u)))
         return GaugeFixedOperator(K, mesh.d, S)
 
-    result = newton(lambda u, _: [energy(P1Field(mesh, u[0])) - float(np.sum(b * u[0]))],
-                    lambda u, _: project_zero_mean_array(gradient(P1Field(mesh, u[0])) - b)[None],
-                    operator, np.zeros_like(b)[None], threshold)
+    result = newton(lambda u, _: [float(mesh.volumes @ density.phi0(grads(u))) - float(np.sum(b * u[0]))],
+                    gradient, operator, np.zeros_like(b)[None], threshold)
     return p1_zero_mean(P1Field(mesh, result.w[0])), result
 
 
@@ -240,14 +248,14 @@ class HQCOperator:
     Period sampling takes the model's cell system (compiled at cell 0) and is
     refused for a model whose bond laws vary by cell.  A nonlinear law with
     relaxed correctors on a subgrid of several cells is refused on more than
-    one element: its tangents need a stack of grid Hessians.  A quadratic bond
-    law takes the tensor route, with one block-circulant stiffness (K, S) per
-    operator (``stiffness``) that also gives the gradient K u; otherwise the
-    correctors of all elements are evaluated as one stack, each from the zero
-    guess, and every Newton step assembles their tangents.  The operator
-    keeps no micro state (the cached stiffness depends on the mesh and the
-    effective tensor only), so ``energy``, ``gradient`` and ``correctors``
-    depend on their arguments alone.
+    one element: its tangents need a stack of grid Hessians.  The operator is
+    a density for ``macro_newton`` (``phi0``, ``dphi0``, ``d2phi0``), and only
+    these and ``correctors`` tell the routes apart: a quadratic bond law takes
+    the tensor route, one tangent for all elements; otherwise the correctors
+    of all elements are one stack, each from the zero guess.  ``energy``,
+    ``gradient``, ``element_tangents`` and ``hessian`` compose the density
+    with the P1 layer.  No micro state is kept, so every value depends on the
+    arguments alone.
     """
 
     def __init__(
@@ -297,41 +305,46 @@ class HQCOperator:
             return np.einsum("txj,nj->tnx", grads, self._quad_data()[0])
         return micro_solve(system, grads)
 
-    # ------------------------------------------------------------- macro layer
-
-    def energy(self, uh: P1Field) -> float:
-        grads = all_element_gradients(uh)
+    def phi0(self, grads: np.ndarray) -> np.ndarray:
+        """Element energy densities (n_el,) at gradients (n_el, d, d): 1/2 F:(F a)
+        on the tensor route, otherwise the micro energy at the correctors."""
         if self.system.law.is_quadratic:
-            P = np.einsum("til,jl->tij", grads, self._quad_data()[1])
-            return 0.5 * float(np.einsum("t,tij,tij->", self.mesh.volumes, grads, P))
-        return float(self.mesh.volumes @ self.system.energy(self.correctors(grads), grads))
+            return 0.5 * np.einsum("tij,tij->t", grads, self.dphi0(grads))
+        return self.system.energy(self.correctors(grads), grads)
 
-    def gradient(self, uh: P1Field) -> np.ndarray:
-        """Nodal residual of the macro energy: K u on the tensor route, whose
-        energy is the quadratic form of the stiffness K; otherwise the
-        sensitivity-free stress form."""
+    def dphi0(self, grads: np.ndarray) -> np.ndarray:
+        """Element stresses (n_el, d, d): F a on the tensor route, otherwise the
+        sensitivity-free micro stress at the correctors."""
         if self.system.law.is_quadratic:
-            return (self.stiffness(uh)[0] @ uh.values.ravel()).reshape(uh.values.shape)
-        grads = all_element_gradients(uh)
-        return nodal_forces(self.mesh, self.system.stress(self.correctors(grads), grads))
+            return np.einsum("til,jl->tij", grads, self._quad_data()[1])
+        return self.system.stress(self.correctors(grads), grads)
 
-    @cached_property
-    def _tangent(self) -> np.ndarray:
-        """The tensor route's one tangent A_ijkl = delta_ik a_jl, shared by all elements."""
-        return np.einsum("ik,jl->ijkl", np.eye(self.mesh.d), self._quad_data()[1])
-
-    @cached_property
-    def _shared_stiffness(self):
-        """(K, S) of ``assemble`` on the shared tangent, built once per operator."""
-        return assemble(self.mesh, self._tangent)
-
-    def element_tangents(self, uh: P1Field) -> np.ndarray:
+    def d2phi0(self, grads: np.ndarray) -> np.ndarray:
+        """Element tangents: on the tensor route the one tangent
+        A_ijkl = delta_ik a_jl (d, d, d, d) shared by all elements, otherwise
+        the condensed tangents of the correctors (n_el, d, d, d, d)."""
         if self.system.law.is_quadratic:
-            return np.broadcast_to(self._tangent, (self.mesh.n_elements,) + self._tangent.shape)
-        grads = all_element_gradients(uh)
+            return np.einsum("ik,jl->ijkl", np.eye(self.mesh.d), self._quad_data()[1])
         chi = self.correctors(grads)
         sens = micro_sensitivity(self.system, chi, grads) if self.relax else None
         return condensed_tangent(self.system, chi, grads, sens)
+
+    # ------------------------------------------------------------- macro layer
+
+    def energy(self, uh: P1Field) -> float:
+        return float(self.mesh.volumes @ self.phi0(all_element_gradients(uh)))
+
+    def gradient(self, uh: P1Field) -> np.ndarray:
+        """Nodal residual of the macro energy, the stress form of ``dphi0``."""
+        return nodal_forces(self.mesh, self.dphi0(all_element_gradients(uh)))
+
+    def element_tangents(self, uh: P1Field) -> np.ndarray:
+        A = self.d2phi0(all_element_gradients(uh))
+        return np.broadcast_to(A, (self.mesh.n_elements,) + A.shape[-4:])
+
+    def hessian(self, uh: P1Field):
+        """The P1 tangent that the Newton steps of ``solve`` use, a CSR matrix."""
+        return assemble(self.mesh, self.d2phi0(all_element_gradients(uh)))[0]
 
     @cached_property
     def site_map(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -340,18 +353,6 @@ class HQCOperator:
         lat = self.lattice
         owner, _, rel = site_elements(self.mesh, lat)
         return owner, rel, self.domains[0].torus.site_index(lat.site_cells(), lat.site_species())
-
-    def stiffness(self, uh: P1Field):
-        """The P1 tangent at ``uh`` and its stencil, (K, S) of ``assemble``: on
-        the tensor route the one block-circulant pair of the shared tangent,
-        otherwise assembled from ``element_tangents``."""
-        if self.system.law.is_quadratic:
-            return self._shared_stiffness
-        return assemble(self.mesh, self.element_tangents(uh))
-
-    def hessian(self, uh: P1Field):
-        """The P1 tangent that the Newton steps of ``solve`` use, a CSR matrix."""
-        return self.stiffness(uh)[0]
 
     def rhs(self, f: LatticeField) -> np.ndarray:
         """Load vector F^hqc: per-element sampling-domain averages of f against hats.
@@ -379,7 +380,7 @@ class HQCOperator:
 
     def solve(self, load: np.ndarray | None = None, tol: float = 1e-10) -> "HQCSolution":
         """``macro_newton`` on the HQC energy."""
-        macro, result = macro_newton(self.mesh, self.energy, self.gradient, self.stiffness, load, tol)
+        macro, result = macro_newton(self.mesh, self, load, tol)
         return HQCSolution(macro=macro, operator=self, residual=result.residual,
                            iterations=result.iterations)
 

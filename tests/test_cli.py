@@ -251,6 +251,11 @@ def test_bug_in_equivalence_row_propagates(monkeypatch):
     pytest.param("equivalence", "tol_spring = nan\n", id="equivalence-nan-tol_spring"),
     pytest.param("equivalence", "tol_lj = inf\n", id="equivalence-inf-tol_lj"),
     pytest.param("equivalence", "tol_simple = 0\n", id="equivalence-zero-tol_simple"),
+    pytest.param("stochastic-2d", "seed = -2\n", id="stochastic-negative-seed"),
+    pytest.param("equivalence", "seed = -2\n", id="equivalence-negative-seed"),
+    pytest.param("equivalence", "trials_lj = -1\n", id="equivalence-negative-trials_lj"),
+    pytest.param("equivalence", "trials_spring = 0\ntrials_lj = 0\ntrials_simple = 0\n",
+                 id="equivalence-zero-trials"),
 ])
 def test_config_errors_exit_before_any_solve(tmp_path, monkeypatch, capsys, experiment, text):
     def no_solve(*args, **kwargs):
@@ -262,6 +267,18 @@ def test_config_errors_exit_before_any_solve(tmp_path, monkeypatch, capsys, expe
     if text is not None:
         cfg.write_text(text)
     assert main([experiment, "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("experiment", ["stochastic-2d", "equivalence"])
+def test_a_negative_seed_flag_is_a_config_error(tmp_path, monkeypatch, capsys, experiment):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the seed was checked")
+
+    monkeypatch.setattr(experiments.atomistic, "solve_equilibrium", no_solve)
+    monkeypatch.setattr(experiments.mqc, "equivalence_report", no_solve)
+    assert main([experiment, "--seed", "-1", "--out", str(tmp_path / "o.csv")]) == 2
     assert "config error:" in capsys.readouterr().err
     assert not (tmp_path / "o.csv").exists()
 

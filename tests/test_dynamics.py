@@ -10,6 +10,7 @@ from hqclab.dynamics import (
     MacroTrajectory,
     atomistic_accel,
     energy_drift,
+    evolve,
     initial_condition,
     lumped_node_masses,
     run_atomistic_dynamics,
@@ -243,13 +244,43 @@ def test_hqc_blowup_stops_at_the_first_non_finite_step():
         return -op.gradient(P1Field(mesh, u)) / node_mass[:, None]
 
     with np.errstate(over="ignore", invalid="ignore"):
-        state = DynamicState(p1_interpolate_lattice(mesh, u0).values, np.zeros((mesh.n_vertices, 1)), 0.0)
+        u0_macro = p1_interpolate_lattice(mesh, u0).values
+        state = DynamicState(u0_macro, np.zeros((mesh.n_vertices, 1)), 0.0)
         state = verlet_step(state, accel, 1.0)
         while np.isfinite(state.a).all():
             state = verlet_step(state, accel, 1.0)
         assert 1.0 < state.t < 400.0
+        # the acceleration guard alone, with an energy that never leaves its bound
         with pytest.raises(SolverError, match=f"blew up at t = {state.t:.6g}$"):
+            evolve(accel, lambda s: 0.0, u0_macro, 400.0, 1.0, 1, lambda s: None)
+        # the run's energy guard stops it earlier still
+        with pytest.raises(SolverError, match="blew up"):
             run_hqc_dynamics(model, lat, mesh, (1.0, 1.0), u0, t_final=400.0, tau=1.0)
+
+
+def test_hqc_energy_blowup_with_finite_values_is_stopped():
+    # the LJ chain at tau = 0.5 runs away while every value stays finite: the
+    # macro energy (lumped kinetic plus HQC) first leaves 1e3 max(|E0|, 1) at step 5
+    prob, setup, lat = dynamics_problem(128)
+    u0 = initial_condition(prob)
+    mesh, tau = build_mesh(1, 8), 0.5
+    op = HQCOperator(setup.model, lat, mesh)
+    node_mass = lumped_node_masses(mesh, float(np.mean(setup.species_masses)))
+
+    def accel(u):
+        return -op.gradient(P1Field(mesh, u)) / node_mass[:, None]
+
+    def energy(state):
+        return 0.5 * float(node_mass @ np.sum(state.v**2, axis=1)) + op.energy(P1Field(mesh, state.u))
+
+    state = DynamicState(p1_interpolate_lattice(mesh, u0).values, np.zeros((mesh.n_vertices, 1)), 0.0)
+    e0 = energy(state)
+    while abs(energy(state) - e0) <= 1e3 * max(abs(e0), 1.0):
+        state = verlet_step(state, accel, tau)
+        assert np.isfinite(state.a).all()
+    assert state.t == 5 * tau
+    with pytest.raises(SolverError, match=f"blew up at t = {state.t:.6g}$"):
+        run_hqc_dynamics(setup.model, lat, mesh, setup.species_masses, u0, t_final=32.0, tau=tau)
 
 
 @pytest.mark.parametrize("sample_every", [0, -1])

@@ -323,6 +323,14 @@ def test_vertex_scatter_matches_add_at_bitwise():
     assert np.array_equal(scatter_to_vertices(mesh, nodes, values), ref)
 
 
+@pytest.mark.parametrize("d,n", [(1, 5), (2, 3), (2, 8)])
+def test_element_gradients_match_element_loop(d, n):
+    mesh = build_mesh(d, n)
+    u = P1Field(mesh, np.random.default_rng(13 + d).standard_normal((mesh.n_vertices, d)))
+    oracle = np.array([element_gradient(u, t) for t in range(mesh.n_elements)])
+    assert np.max(np.abs(all_element_gradients(u) - oracle)) <= 1e-14 * np.max(np.abs(oracle))
+
+
 @pytest.mark.parametrize("d,n", [(1, 5), (2, 3)])
 def test_nodal_forces_match_element_loop(d, n):
     mesh = build_mesh(d, n)

@@ -11,6 +11,7 @@ from hqclab.fem import (
     all_element_gradients,
     assemble,
     build_mesh,
+    load_from_lattice,
     nodal_forces,
     p1_zero_mean,
     sample_on_lattice,
@@ -479,6 +480,33 @@ def test_lj_homogenized_fem_matches_hqc_solve():
     u_fem = solve_homogenized_fem(mesh, HomogenizedDensity(model), load=load, tol=1e-12)
     gap = np.max(np.abs(sol.macro.values - u_fem.values))
     assert gap <= 1e-12 * np.max(np.abs(u_fem.values))
+
+
+@pytest.mark.parametrize("case", ["lj-period", "tensor-route"])
+def test_the_operator_is_a_density_of_the_homogenized_fem(case):
+    # both macro solvers are one macro_newton over a density: the homogenized
+    # FEM of the operator itself is its solve, bit for bit
+    lj = case == "lj-period"
+    model = make_dynamics_model().model if lj else RandomBond2D(16, seed=5)
+    lat = chain_lattice(Fraction(1, 64), 2) if lj else square_lattice(16)
+    mesh = build_mesh(model.d, 8 if lj else 4)
+    fvals = (50.0 if lj else 1.0) * np.random.default_rng(63).standard_normal((lat.n_sites, model.d))
+    op = HQCOperator(model, lat, mesh, n_rep=None if lj else 8)
+    load = load_from_lattice(mesh, LatticeField(lat, fvals - fvals.mean(axis=0)))
+    sol = op.solve(load=load)
+    assert sol.iterations >= 1
+    assert np.array_equal(solve_homogenized_fem(mesh, op, load=load).values, sol.macro.values)
+
+
+def test_period_sampling_phi0_is_the_homogenized_density():
+    model = make_dynamics_model().model
+    mesh = build_mesh(1, 8)
+    op = HQCOperator(model, chain_lattice(Fraction(1, 64), 2), mesh)
+    grads = all_element_gradients(random_uh(mesh, 0.03, seed=64))
+    density = HomogenizedDensity(model)
+    assert np.array_equal(op.phi0(grads), density.phi0(grads))
+    assert np.array_equal(op.dphi0(grads), density.dphi0(grads))
+    assert np.array_equal(op.d2phi0(grads), density.d2phi0(grads))
 
 
 def test_d2phi0_matches_element_tangents():
@@ -969,14 +997,15 @@ def test_tensor_route_contracts_one_tensor_like_per_element_copies():
     a = np.repeat(op._quad_data()[1][None], mesh.n_elements, axis=0)
     P = np.einsum("til,tjl->tij", grads, a)
     A = np.einsum("ik,tjl->tijkl", np.eye(2), a)   # delta_ik a_jl
-    assert op.energy(uh) == 0.5 * float(np.einsum("t,tij,tij->", mesh.volumes, grads, P))
+    assert op.energy(uh) == float(mesh.volumes @ (0.5 * np.einsum("tij,tij->t", grads, P)))
     assert np.array_equal(op.element_tangents(uh), A)
-    # the gradient is the product with the one Hessian Newton solves with,
-    # and matches the stress form of the per-element copies
-    K = op.hessian(uh)
-    assert np.array_equal(op.gradient(uh), (K @ uh.values.ravel()).reshape(uh.values.shape))
+    # the gradient is the stress form of the per-element copies, and the
+    # product with the one Hessian Newton solves with agrees to rounding
     forces = nodal_forces(mesh, P)
-    assert np.max(np.abs(op.gradient(uh) - forces)) <= 1e-14 * np.max(np.abs(forces))
+    assert np.array_equal(op.gradient(uh), forces)
+    K = op.hessian(uh)
+    Ku = (K @ uh.values.ravel()).reshape(uh.values.shape)
+    assert np.max(np.abs(Ku - forces)) <= 1e-14 * np.max(np.abs(forces))
     K_ref = assemble(mesh, A)[0].toarray()
     assert np.max(np.abs(K.toarray() - K_ref)) <= 1e-14 * np.max(np.abs(K_ref))
 

@@ -293,7 +293,7 @@ def subgrid_sensitivity():
 def macro_stiffness(d, n):
     """HQC macro Hessian on n elements per direction: the n_rep = 8 random
     network in 2D, the nonlinear LJ chain at a random macro field in 1D."""
-    from hqclab.fem import P1Field
+    from hqclab.fem import P1Field, all_element_gradients, assemble
     from hqclab.hqc import HQCOperator
 
     mesh = build_mesh(d, n)
@@ -304,7 +304,7 @@ def macro_stiffness(d, n):
         op = HQCOperator(make_dynamics_model().model, chain_lattice(Fraction(1, 16), 2), mesh)
         uh = 0.01 * np.random.default_rng(31).standard_normal((n, 1))
     rhs = zero_mean_stack(3, mesh.n_vertices, d, seed=32)
-    return op.stiffness(P1Field(mesh, uh)) + (rhs, d)
+    return assemble(mesh, op.d2phi0(all_element_gradients(P1Field(mesh, uh)))) + (rhs, d)
 
 
 @pytest.mark.parametrize("build", [subgrid_sensitivity, lambda: macro_stiffness(2, 8),
