@@ -110,7 +110,8 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 def read_config(cfg: dict, schema: dict) -> dict:
-    """Validate a flat key=value config against defaults plus parsers."""
+    """Validate a flat key=value config against defaults plus parsers; a
+    ``fit_range*`` window lo:hi into h_list must hold two h values or more."""
     out = {}
     unknown = set(cfg) - set(schema)
     if unknown:
@@ -123,6 +124,9 @@ def read_config(cfg: dict, schema: dict) -> dict:
                 raise ConfigError(f"bad value for {key!r}: {cfg[key]!r} ({exc})") from exc
         else:
             out[key] = default
+    for key, (lo, hi) in ((k, v) for k, v in out.items() if k.startswith("fit_range")):
+        if not 0 <= lo <= hi - 2 <= len(out["h_list"]) - 2:
+            raise ConfigError(f"{key} = {lo}:{hi} must hold at least two of the {len(out['h_list'])} h values")
     return out
 
 

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import scipy.sparse as sp
 
-from .lattice import LatticeField, discrete_norms
+from .lattice import LatticeField, cell_index, discrete_norms
+from .network import BlockRows
 
 
 class MeshError(ValueError):
@@ -59,6 +59,12 @@ class MacroMesh:
         E = (corners[:n_orient, 1:] - corners[:n_orient, :1]).transpose(0, 2, 1)
         Einv = np.linalg.inv(E)
         self.grad_basis = n * np.concatenate([-Einv.sum(axis=1, keepdims=True), Einv], axis=1)
+        # the stiffness's vertex rows: one block per distinct vertex offset of the
+        # local vertex pairs, pair_blocks[o, a, b] that of pair (a, b) of orientation o
+        delta = (corners[:n_orient, None, :] - corners[:n_orient, :, None]) % n     # vertex b less vertex a
+        offsets, blocks = np.unique(delta.reshape(-1, d), axis=0, return_inverse=True)
+        self.stiffness_rows = BlockRows((n,) * d, [cell_index(offsets.T, (n,) * d)])
+        self.pair_blocks = blocks.reshape(delta.shape[:-1])
 
 
 def site_elements(mesh: MacroMesh, lattice, sites=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -158,7 +164,8 @@ def p1_interpolate_lattice(mesh: MacroMesh, u: LatticeField) -> P1Field:
 def sample_on_lattice(u: P1Field, lattice) -> LatticeField:
     """The P1 field at every lattice site, from the weights of ``site_elements``."""
     elems, lam, _ = site_elements(u.mesh, lattice)
-    return LatticeField(lattice, np.einsum("pl,pli->pi", lam, u.values[u.mesh.elements[elems]]))
+    corners = np.take(u.values, np.take(u.mesh.elements, elems, axis=0), axis=0)   # not a 2-D fancy index
+    return LatticeField(lattice, np.einsum("pl,pli->pi", lam, corners))
 
 
 def lattice_error(u_lattice: LatticeField, approx) -> tuple[float, float]:
@@ -198,19 +205,15 @@ def nodal_forces(mesh: MacroMesh, stresses: np.ndarray) -> np.ndarray:
 
 def assemble(mesh: MacroMesh, tangents: np.ndarray):
     """P1 stiffness K[(a,i),(b,k)] = sum_T |T| A_T[i,j,k,l] d_j phi_a d_l phi_b, a
-    CSR matrix, and its stencil S ((n,)*d + (d, d)), the grid average of K:
-    block [delta] couples a vertex to the vertex delta further on.
+    CSR matrix, and its stencil S ((n,)*d + (d, d)), the grid average of K.
 
     ``tangents`` is one tangent per element (n_elements, d, d, d, d) or one
-    tangent (d, d, d, d) shared by all, which is taken as a grid of one cell.
-    Elements come cell by cell, one per orientation, and each local vertex
-    pair (a, b) of an orientation sits at a fixed vertex offset, so every
-    vertex row of K holds d blocks per distinct offset (3 in 1D and 7 in 2D
-    for n >= 3, fewer where offsets alias mod n): the local blocks of the
-    pair, rolled by the grid position of corner a.  K is written straight
-    into CSR rows of one width, and S is the vertex mean of the row blocks,
-    which on one cell is the block itself, so a shared tangent gives the
-    block-circulant K = S on every vertex.
+    (d, d, d, d) shared by all, taken as a grid of one cell, which gives the
+    block-circulant K = S.  Each local vertex pair (a, b) of an orientation
+    sits at a fixed vertex offset, so a vertex row holds one block per distinct
+    offset (``MacroMesh.pair_blocks``): the pair's local blocks, rolled by
+    corner a's grid position, are summed into those rows, and
+    ``MacroMesh.stiffness_rows`` (a ``network.BlockRows``) writes K and S.
     """
     d, n, gb = mesh.d, mesh.n, mesh.grad_basis
     n_orient = len(gb)
@@ -219,27 +222,11 @@ def assemble(mesh: MacroMesh, tangents: np.ndarray):
     # over j, then over m, on every grid (einsum's own search picks the order by shape)
     local = np.einsum("olj,...oijkm,opm->...olipk", gb, A, gb, optimize=["einsum_path", (0, 1), (0, 1)])
     local *= mesh.volumes[0]    # uniform mesh
-    corners = mesh.corners[:n_orient]                                # the elements of cell 0, unwrapped
-    delta = (corners[:, None, :] - corners[:, :, None]) % n        # [o, a, b]: vertex b less vertex a
-    offsets, slot = np.unique(delta.reshape(-1, d), axis=0, return_inverse=True)
-    slot = slot.reshape(delta.shape[:-1])
-    axes = tuple(range(d))
-    # rows[v, q] = K[(v, i), (v + offsets[q], k)] as (i, k)
-    rows = np.zeros(cells + (len(offsets), d, d))
+    corners, axes = mesh.corners[:n_orient], tuple(range(d))     # the elements of cell 0, unwrapped
+    rows = np.zeros(cells + (mesh.pair_blocks.max() + 1, d, d))   # rows[v, q] = K[(v, i), (v + offset q, k)]
     for o, a in np.ndindex(n_orient, d + 1):
         block = np.roll(local[..., o, a, :, :, :], tuple(corners[o, a]), axis=axes)
         for b in range(d + 1):
-            rows[..., slot[o, a, b], :, :] += block[..., :, b, :]
-    S = np.zeros((n,) * d + (d, d))
-    S[tuple(offsets.T)] = rows.mean(axis=axes)
-    n_dof = mesh.n_vertices * d
-    grid = np.indices((n,) * d).reshape(d, -1, 1)                    # vertex multi-indices
-    neighbours = np.ravel_multi_index(tuple(grid + offsets.T[:, None]), (n,) * d, mode="wrap")
-    # row (v, i) holds, per offset q and component k, rows[v, q][i, k]
-    width = len(offsets) * d
-    shape = (mesh.n_vertices, d, width)
-    cols = (neighbours[:, :, None] * d + np.arange(d)).astype(np.int32).reshape(-1, 1, width)
-    data = rows.reshape(-1, len(offsets), d, d).transpose(0, 2, 1, 3).reshape(-1, d, width)
-    cols, data = np.broadcast_to(cols, shape), np.broadcast_to(data, shape)
-    indptr = np.arange(0, n_dof * width + 1, width, dtype=np.int32)
-    return sp.csr_matrix((data.ravel(), cols.ravel(), indptr), shape=(n_dof, n_dof)), S
+            rows[..., mesh.pair_blocks[o, a, b], :, :] += block[..., :, b, :]
+    data = rows.swapaxes(-3, -2).reshape(-1, rows[(0,) * d].size)   # each row's (i, q, k), CSR order
+    return mesh.stiffness_rows.matrix(data, d), mesh.stiffness_rows.stencil(data, d)

@@ -24,12 +24,10 @@ from .fem import MacroMesh, P1Field, all_element_gradients
 from .homog import HomogenizedDensity
 from .hqc import HQCOperator
 from .lattice import Multilattice
-from .network import SolverError
+from .network import MIN_STEP, RISE_TOL, SolverError
 from .potential import InteractionModel, compensated_sum, energies_or_inf
 
 SHIFT_TOL = 1e-12
-#: the line search gives up once its step factor falls to this value
-MIN_STEP = 2.0**-30
 
 
 class ShiftSolveError(SolverError):
@@ -144,7 +142,7 @@ def _shift_newton(table: ShiftTable, F: np.ndarray, q: np.ndarray, tol: float,
             raise ShiftSolveError("singular shift Hessian") from exc
         Fa, qa = F[active], q[active]
         base = table.energy(Fa, qa)
-        bound = base + 1e-14 * (1 + np.abs(base))
+        bound = base + RISE_TOL * (1 + np.abs(base))
         lam, pending, size = np.ones(len(active)), np.arange(len(active)), 1.0
         while len(pending):  # halve the steps of the elements whose density rose
             if size <= MIN_STEP:

@@ -25,11 +25,11 @@ fields are zero-mean in the same way.  Each Newton step is one
 ``GaugeFixedOperator`` solve: batched dense LAPACK for the Hessian stacks of
 one-cell systems, FFT-preconditioned CG for one field on a grid of cells, with
 the grid-averaged stencil as the preconditioner (the lattice analogue of
-Moulinec-Suquet FFT homogenization).  The stencil is summed class by class,
-and on one cell it is the whole Hessian.  On a grid the Hessian is filled from
-the incidence rows, with no COO matrix, and a stack of fields is refused.
-scipy serves only the sparse matrices (the incidence scatter, the Hessian on a
-grid) that PCG needs.
+Moulinec-Suquet FFT homogenization).  The Hessian, like ``fem.assemble``'s
+stiffness, is per-cell block rows (``BlockRows``) whose cell mean is the
+stencil: the whole Hessian on one cell, and on a grid, where a stack of fields
+is refused, the grid average of the CSR matrix the rows are.  scipy serves
+only the sparse matrices (the incidence scatter, the grid Hessian) PCG needs.
 
 Springs have the stiffness psi_b I, so their Hessian is L (x) I_d, with L the
 weighted graph Laplacian of the bonds (the discrete random-conductance
@@ -58,6 +58,8 @@ PCG_BACKWARD_TOL = 1e-15
 PCG_MAX_ITER = 1000
 #: twice the unit roundoff of float64
 EPS = float(np.finfo(float).eps)
+#: a line search takes a trial that rises by at most RISE_TOL (1 + |base|), halving down to MIN_STEP
+RISE_TOL, MIN_STEP = 1e-14, 2.0**-30
 
 
 class SolverError(RuntimeError):
@@ -76,8 +78,8 @@ class BondSystem:
     ``Multilattice.site_index`` (C order over ``cells``, species-minor).  The
     bonds come class by class, ``n_cells`` per class in cell order, and the
     bonds of a class share their source species, target species and cell
-    offset (the layout of ``compile_system``); the Hessian on a grid and its
-    stencil rely on it.
+    offset (the layout of ``compile_system``); the block rows of the Hessian
+    rely on it, laid out once from cell 0.
     """
 
     def __init__(
@@ -179,14 +181,10 @@ class BondSystem:
         return None if scalar is None else scalar(self.gaps(w, F), self.rvec)
 
     def hessian(self, w: np.ndarray, F: np.ndarray | None = None):
-        """Riesz Hessian.  On a one-cell torus a field or a stack gives the dense
-        stack (T, n_dof, n_dof) of their stencils (one field: T = 1).  On a
-        grid of cells one field, or a stack of one, gives a CSR matrix filled
-        from the incidence rows: a site's row block is its diagonal block, its
-        incident bonds' stiffnesses summed in incidence order, then one -k
-        block per incident bond at the bond's other end (bonds reaching one
-        site share a block); a longer stack there raises SolverError."""
-        return self._matrix(self.bond_stiffness(w, F))
+        """Riesz Hessian: on a one-cell torus the dense stack (T, n_dof, n_dof) of
+        a field's (T = 1) or a stack's stencils; on a grid of cells the CSR
+        matrix of one field or a stack of one (a longer stack raises SolverError)."""
+        return self._matrix(self.bond_stiffness(w, F))[0]
 
     def operator(self, w: np.ndarray, F: np.ndarray | None = None) -> "GaugeFixedOperator":
         """The solver of the Riesz Hessian at w (as ``hessian`` takes it), and
@@ -195,87 +193,47 @@ class BondSystem:
         site; otherwise the full Hessian."""
         c = self.scalar_stiffness(w, F)
         k = self.bond_stiffness(w, F) if c is None else c[..., None, None]
-        H = self._matrix(k)
-        stencil = self._stencil(k.reshape(k.shape[-3:])) if sp.issparse(H) else None
+        H, stencil = self._matrix(k)
         return GaugeFixedOperator(H, k.shape[-1], stencil)
 
-    def _matrix(self, k: np.ndarray):
-        """The Hessian of ``hessian`` from per-bond stiffness blocks k (..., n_bonds,
-        b, b): b = d for the full Hessian, b = 1 for the scalar Laplacian.  On
-        one cell the stencil is the Hessian; a grid takes one field's blocks."""
-        n, T = self.n_sites * k.shape[-1], int(np.prod(k.shape[:-3]))
-        if self.n_cells == 1:
-            return self._stencil(k).reshape(-1, n, n)
-        if T > 1:
-            raise SolverError(f"a stack of {T} Hessians on the grid of cells {self.cells}: one field only")
-        return self._grid_hessian(k.reshape(k.shape[-3:]))
-
-    def _grid_hessian(self, k: np.ndarray) -> sp.csr_matrix:
-        """CSR Hessian of one field on a grid from the per-bond stiffness blocks
-        k (n_bonds, d, d), with d the block size of k.  Every cell's rows list
-        the same bond classes in the same order, so the blocks of a species'
-        rows are laid out once, from cell 0, and each incident bond is filled
-        for all cells at once."""
-        d, n_cells = k.shape[-1], self.n_cells
-        n_dof = self.n_sites * d
-        m = self.n_sites // n_cells
-        D = self.incidence
-        bonds = D.indices.reshape(n_cells, -1)      # per cell: the bonds of its m rows in turn
-        layouts = []                                # per species: block of each incident bond, blocks per row
-        for alpha in range(m):
-            incident = D.indices[D.indptr[alpha]:D.indptr[alpha + 1]]
-            ends = [alpha] + list(self.src[incident] + self.dst[incident] - alpha)
-            blocks = list(dict.fromkeys(ends))
-            layouts.append(([blocks.index(e) for e in ends[1:]], len(blocks)))
-        widths = np.array([q for _, q in layouts])
-        nnz = n_cells * d * d * int(widths.sum())
-        itype = np.int32 if max(nnz, n_dof) < 2**31 else np.int64
-        indptr = np.zeros(n_dof + 1, dtype=itype)
-        np.cumsum(np.tile(np.repeat(d * widths, d), n_cells), out=indptr[1:])
-        data = np.zeros((n_cells, nnz // n_cells))
-        indices = np.empty((n_cells, nnz // n_cells), dtype=itype)
-        start = entry = 0
-        for alpha, (slots, q) in enumerate(layouts):
-            span = slice(d * d * start, d * d * (start + q))
-            # views [cell, row component, block, column component] of the rows of this species
-            block = data[:, span].reshape(n_cells, d, q, d)
-            column = indices[:, span].reshape(n_cells, d, q, d)
-            row = np.arange(n_cells) * m + alpha
-            column[:, :, 0] = (d * row)[:, None, None] + np.arange(d)
-            for slot in slots:
-                b = bonds[:, entry]
-                kb = k[b]
-                block[:, :, 0] += kb
-                block[:, :, slot] -= kb
-                column[:, :, slot] = (d * (self.src[b] + self.dst[b] - row))[:, None, None] + np.arange(d)
-                entry += 1
-            start += q
-        return sp.csr_matrix((data.ravel(), indices.ravel(), indptr), shape=(n_dof, n_dof))
-
     @cached_property
-    def _class_blocks(self) -> np.ndarray:
-        """Per bond class, the stencil blocks (cell offset, row species, column
-        species), flat, that it adds to: (a, a) and (b, b) at offset 0, then
-        (a, b) at its cell offset and (b, a) at the opposite one."""
-        m = self.n_sites // self.n_cells
-        # the bond of each class from cell 0: its source site is its species
-        a, (ahead, b) = self.src[::self.n_cells], np.divmod(self.dst[::self.n_cells], m)
-        back = cell_index([-x for x in np.unravel_index(ahead, self.cells)], self.cells)
-        return np.array([a * (m + 1), b * (m + 1), (ahead * m + a) * m + b, (back * m + b) * m + a]).T.ravel()
+    def _block_rows(self) -> tuple["BlockRows", np.ndarray, np.ndarray]:
+        """The Hessian's ``BlockRows``: a site's row is its diagonal block, then
+        one per other end of its incident bonds in incidence order (ends met
+        twice share one).  Then the blocks that the four terms of each class add
+        to, in a cell (n_classes, 4) and for each bond in the grid (n_classes, n_cells, 4)."""
+        m, D = self.n_sites // self.n_cells, self.incidence
+        columns = [list(dict.fromkeys([a] + list(self.src[bonds] + self.dst[bonds] - a)))
+                   for a, bonds in enumerate(np.split(D.indices[:D.indptr[m]], D.indptr[1:m]))]
+        rows = BlockRows(self.cells, columns)
+        block = {(x, y): lo + j for x, (lo, ends) in enumerate(zip(rows.start, columns)) for j, y in enumerate(ends)}
+        # the bond of each class from cell 0 (a -> e), and a seen from e's cell
+        a, e = self.src[::self.n_cells], self.dst[::self.n_cells]
+        back = cell_index([-x for x in np.unravel_index(e // m, self.cells)], self.cells) * m + a
+        blocks = np.array([[block[i, i], block[j, j], block[i, f], block[j, k]]
+                           for i, j, f, k in zip(a, e % m, e, back)])
+        cell = np.stack([self.src, self.dst, self.src, self.dst], axis=-1).reshape(len(blocks), -1, 4) // m
+        return rows, blocks, (cell * len(rows.species) + blocks[:, None]).astype(np.int32)
 
-    def _stencil(self, k: np.ndarray) -> np.ndarray:
-        """Grid average of the Hessian from the per-bond stiffness blocks k
-        (..., n_bonds, d, d), shape ... + cells + (m d, m d): block [delta]
-        couples a cell to the cell delta further on.  Each bond class adds
-        its summed stiffness to the four blocks of ``_class_blocks`` (minus at
-        the last two), class by class in one unbuffered ``np.add.at``."""
-        lead, d, m = k.shape[:-3], k.shape[-1], self.n_sites // self.n_cells
-        kc = k.reshape(lead + (-1, self.n_cells, 1, d, d)).sum(axis=-4) / self.n_cells
-        terms = (kc * np.array([1.0, 1.0, -1.0, -1.0])[:, None, None]).reshape(lead + (-1, d, d))
-        S = np.zeros(lead + (self.n_cells * m * m, d, d))
-        np.add.at(S, (slice(None),) * len(lead) + (self._class_blocks,), terms)
-        S = S.reshape(lead + (self.n_cells, m, m, d, d)).swapaxes(-3, -2)
-        return S.reshape(lead + self.cells + (m * d, m * d))
+    def _matrix(self, k: np.ndarray) -> tuple:
+        """(Hessian, stencil) from per-bond blocks k (..., n_bonds, b, b), b = d or 1:
+        one sum adds k, k, -k, -k to each bond's (src, src), (dst, dst), (src, dst)
+        and (dst, src) blocks, bond by bond in class order, into the block rows.
+        On one cell their mean is the dense Hessian stack (stencil None)."""
+        b, T = k.shape[-1], int(np.prod(k.shape[:-3]))
+        if T > 1 and self.n_cells > 1:
+            raise SolverError(f"a stack of {T} Hessians on the grid of cells {self.cells}: one field only")
+        rows, blocks, index = self._block_rows
+        place = rows.positions(b)[0]
+        data, k = np.zeros((T, self.n_cells, place.size)), k.reshape(T, -1, b, b)
+        for r, c in np.ndindex(b, b):       # one unbuffered sum per block component
+            at = index if b == 1 else b * b * (index - blocks[:, None]) + place[r, blocks, c][:, None]
+            if T > 1:                       # entry t's rows follow entry t - 1's
+                at = at + data[0].size * np.arange(T)[:, None, None, None]
+            np.add.at(data.reshape(-1), at.ravel(), (k[:, :, r, c, None] * [1.0, 1.0, -1.0, -1.0]).ravel())
+        if self.n_cells == 1:
+            return rows.stencil(data, b).reshape(T, self.n_sites * b, -1), None
+        return rows.matrix(data[0], b), rows.stencil(data[0], b)
 
 
 def incidence_matrix(n_sites: int, src: np.ndarray, dst: np.ndarray) -> sp.csr_matrix:
@@ -347,13 +305,64 @@ def project_zero_mean_array(w: np.ndarray) -> np.ndarray:
     return w - np.add.reduce(w, axis=-2, keepdims=True) / w.shape[-2]   # w.mean, without its overhead
 
 
+class BlockRows:
+    """Per-cell block rows of an operator that couples every cell of the
+    periodic grid ``cells`` alike (m sites per cell, cell-major), whose cell
+    mean is its stencil.  ``columns`` lists per species the sites (cell offset
+    * m + species) its row in cell 0 couples to, each once.  At block size b a
+    cell's data is its sites' rows in turn, each (b, blocks, b) in CSR order,
+    indexed in int32 (a grid's rows hold fewer than 2^31 entries)."""
+
+    def __init__(self, cells: tuple[int, ...], columns: list) -> None:
+        self.cells, self.m, self._positions = tuple(cells), len(columns), {}
+        self.start = np.cumsum([0] + [len(c) for c in columns])     # per species: its first block
+        self.species = np.repeat(np.arange(self.m), np.diff(self.start))
+        self.delta, self.beta = np.divmod(np.concatenate(columns), self.m)
+        ahead = zip(np.ix_(*map(np.arange, self.cells)), np.unravel_index(self.delta, self.cells))
+        #: the column site of every block of every cell, (n_cells, n_blocks): block [delta] reaches cell + delta
+        self.sites = (cell_index([x[..., None] + y for x, y in ahead], self.cells).reshape(-1, len(self.delta))
+                      * self.m + self.beta).astype(np.int32)
+
+    def positions(self, b: int) -> tuple[np.ndarray, np.ndarray]:
+        """Where each entry (r, block, c) at block size b, (b, n_blocks, b),
+        sits in a cell's data and in the flat stencil."""
+        if b not in self._positions:
+            first, r, c = self.start[self.species], np.arange(b)[:, None], np.arange(b)
+            row = b * first + r * np.diff(self.start)[self.species] + np.arange(len(first)) - first
+            at = ((self.delta * self.m + self.species) * b + r) * (self.m * b) + self.beta * b
+            self._positions[b] = b * row[:, :, None] + c, at[:, :, None] + c
+        return self._positions[b]
+
+    def matrix(self, data: np.ndarray, b: int) -> sp.csr_matrix:
+        """The CSR matrix of the cells' rows ``data`` (n_cells, b b n_blocks)
+        at block size b, or of one cell's rows (1, b b n_blocks) in every cell."""
+        n_cells = len(self.sites)
+        indices = np.empty((n_cells, data.shape[-1]), dtype=np.int32)
+        for lo, hi in zip(self.start[:-1], self.start[1:]):    # b copies of a species' columns
+            cols = b * self.sites[:, lo:hi, None] + np.arange(b, dtype=np.int32)
+            indices[:, b * b * lo:b * b * hi].reshape(n_cells, b, -1)[...] = cols.reshape(n_cells, 1, -1)
+        widths = np.tile(np.repeat(b * np.diff(self.start), b), n_cells)
+        indptr = np.concatenate([[0], np.cumsum(widths)]).astype(np.int32)
+        data = np.broadcast_to(data, indices.shape).ravel()
+        return sp.csr_matrix((data, indices.ravel(), indptr), shape=(len(widths),) * 2)
+
+    def stencil(self, data: np.ndarray, b: int) -> np.ndarray:
+        """The cell mean of the rows ``data`` (..., n_cells or 1, b b n_blocks),
+        the grid average of their operator: ... + cells + (m b, m b), block
+        [delta] coupling a cell to the cell delta further on."""
+        place, at = self.positions(b)
+        S = np.zeros(data.shape[:-2] + (len(self.sites) * (self.m * b) ** 2,))
+        S[..., at] = (data.sum(axis=-2) / data.shape[-2])[..., place]
+        return S.reshape(data.shape[:-2] + self.cells + (self.m * b,) * 2)
+
+
 def _circulant_inverse(S: np.ndarray, d: int) -> np.ndarray:
     """Inverse symbol of a grid-averaged stencil, one block per rfft wavevector.
 
     S (cells + (b, b)) averages a Hessian's b x b blocks per periodic cell
-    offset (exactly H when H is block-circulant), as ``BondSystem.operator``
-    and ``fem.assemble`` build it: block [delta] couples a cell to the cell
-    delta further on.  Its symbol S^(k) = sum_delta S[delta] e^{2 pi i k.delta/N}
+    offset (exactly H when H is block-circulant), the cell mean of the rows
+    of ``BlockRows``: block [delta] couples a cell to the cell delta further
+    on.  Its symbol S^(k) = sum_delta S[delta] e^{2 pi i k.delta/N}
     is inverted block by block.  At k = 0 the d translations are projected out, so the
     inverse maps onto zero-mean fields.  Returns shape ``(b, b) + rfft grid``.
     """
@@ -385,11 +394,10 @@ class GaugeFixedOperator:
     batched LAPACK: a rank-d regularization on the constant modes, one inverse
     per entry, one refinement step.  A sparse H (a system on a grid of cells,
     or a macro stiffness) goes, at any size, through CG preconditioned by the
-    inverse of its grid-averaged ``stencil`` (cells + (b, b), from
-    ``BondSystem.operator`` or ``fem.assemble``; exact for block-circulant H, so
-    on one cell it is the whole matrix); a dense stack takes None.  Either way
-    the solution is the zero-mean field, and a failure raises SolverError
-    naming its cause.
+    inverse of its grid-averaged ``stencil`` (cells + (b, b), the cell mean of
+    the ``BlockRows`` rows that H is; exact for block-circulant H); a dense
+    stack takes None.  Either way the solution is the zero-mean field, and a
+    failure raises SolverError naming its cause.
     """
 
     def __init__(self, H, d: int, stencil: np.ndarray | None) -> None:
@@ -523,10 +531,10 @@ def newton(energy, gradient, operator, w0: np.ndarray, threshold, max_iter: int 
         wa = w[active]
         step = operator(wa, active).solve(-g)
         base = np.asarray(energy(wa, active), dtype=float)
-        bound = base + 1e-14 * (1 + np.abs(base))
+        bound = base + RISE_TOL * (1 + np.abs(base))
         lam, pending, size = np.ones(len(active)), np.arange(len(active)), 1.0
         while len(pending):   # halve the steps of the entries whose objective rose
-            if size <= 2.0**-30:
+            if size <= MIN_STEP:
                 raise SolverError(f"line search failed on {len(pending)} of {T} entries "
                                   "(bond collapse or ascent direction)")
             trial = energies_or_inf(energy, project_zero_mean_array(wa[pending] + size * step[pending]),

@@ -256,6 +256,10 @@ def test_bug_in_equivalence_row_propagates(monkeypatch):
     pytest.param("equivalence", "trials_lj = -1\n", id="equivalence-negative-trials_lj"),
     pytest.param("equivalence", "trials_spring = 0\ntrials_lj = 0\ntrials_simple = 0\n",
                  id="equivalence-zero-trials"),
+    pytest.param("stochastic-2d", "fit_range = 1:0\n", id="stochastic-empty-fit_range"),
+    pytest.param("stochastic-2d", "fit_range = 0:1\n", id="stochastic-one-point-fit_range"),
+    pytest.param("converge-1d", "h_list = 1/4,1/8\nfit_range_h1 = 0:7\nfit_range_l2 = 0:2\n",
+                 id="converge-fit_range_h1-beyond-h_list"),
 ])
 def test_config_errors_exit_before_any_solve(tmp_path, monkeypatch, capsys, experiment, text):
     def no_solve(*args, **kwargs):

@@ -190,7 +190,7 @@ def test_incidence_scatter_matches_add_at_bitwise():
 
 def hessian_and_stencil(system, w, F=None):
     """The full Hessian of one field and its grid-averaged stencil (blocks of d per site)."""
-    return system.hessian(w, F), system._stencil(system.bond_stiffness(w, F))
+    return system._matrix(system.bond_stiffness(w, F))
 
 
 def network_hessian(log_decades=None):
@@ -537,6 +537,50 @@ def test_grid_hessian_matches_the_coo_reference(build, coincident):
         average = grid_average(ref, system.cells)
         assert stencil.shape == average.shape
         assert np.max(np.abs(stencil - average)) <= 1e-14 * np.max(np.abs(average))
+
+
+def _bond_stencils(build):
+    """The grid Hessian and stencil of a system at a random field, with and without a gradient."""
+    system = build()
+    rng = np.random.default_rng(29)
+    w = 0.01 * rng.standard_normal((system.n_sites, system.d))
+    F = 0.02 * rng.standard_normal((system.d, system.d))
+    return [hessian_and_stencil(system, *args) + (system.cells,) for args in ((w, F), (w, None))]
+
+
+def _p1_stencils(d, n, shared):
+    """``assemble`` of random per-element tangents, or of one shared tangent
+    with dyadic entries on a grid of 2^k vertices per direction: its stencil
+    is its one cell's rows, the exact mean, which the reference's n^d-fold
+    sum of one value reaches only where that sum is exact."""
+    mesh = build_mesh(d, n)
+    if shared:
+        tangents = np.einsum("ik,jl->ijkl", np.eye(d), np.array([[2.0, 0.5], [0.5, 1.0]])[:d, :d])
+    else:
+        tangents = np.random.default_rng(31 + d + n).standard_normal((mesh.n_elements,) + (d,) * 4)
+    return [assemble(mesh, tangents) + ((n,) * d,)]
+
+
+def stencil_cases():
+    """Every case of grid_hessian_cases, the n = 32 network and the 512-cell LJ
+    chain of the dynamics study, and P1 stiffnesses."""
+    grids = [(case.values[0], case.id) for case in grid_hessian_cases()] + [
+        (lambda: compile_system(square_lattice(32), RandomBond2D(32, seed=11)), "network-32"),
+        (lambda: compile_system(chain_lattice(Fraction(1, 512), 2), make_dynamics_model().model), "lj-chain-512")]
+    bonds = [pytest.param(lambda build=build: _bond_stencils(build), id=name) for build, name in grids]
+    p1 = [pytest.param(lambda d=d, n=n, shared=shared: _p1_stencils(d, n, shared),
+                       id=f"p1-{d}d-{n}-{'shared' if shared else 'per-element'}")
+          for d, n, shared in ((1, 5, False), (2, 3, False), (2, 8, False), (1, 8, True), (2, 16, True))]
+    return bonds + p1
+
+
+@pytest.mark.parametrize("build", stencil_cases())
+def test_the_stencil_is_the_grid_average_of_its_matrix_bitwise(build):
+    # one sum fills the block rows, and the stencil is their cell mean: the
+    # reference's per-offset sums over the matrix, cell by cell, bit for bit
+    for H, stencil, cells in build():
+        assert sp.issparse(H)
+        assert _bitwise_equal(stencil, grid_average(H, cells))
 
 
 def test_grid_hessian_and_solver_set_up_stay_near_the_matrix_size():
