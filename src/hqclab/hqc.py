@@ -223,7 +223,7 @@ def macro_newton(mesh: MacroMesh, density, load: np.ndarray | None,
         return all_element_gradients(P1Field(mesh, u[0]))
 
     def gradient(u, _):
-        return project_zero_mean_array(nodal_forces(mesh, density.dphi0(grads(u))) - b)[None]
+        return project_zero_mean_array(nodal_forces(mesh, density.dphi0(grads(u))) - b)[None], 0.0
 
     def operator(u, _):
         K, S = assemble(mesh, density.d2phi0(grads(u)))

@@ -25,7 +25,7 @@ from .homog import HomogenizedDensity
 from .hqc import HQCOperator
 from .lattice import Multilattice
 from .network import MIN_STEP, RISE_TOL, SolverError
-from .potential import InteractionModel, compensated_sum, energies_or_inf
+from .potential import InteractionModel, energies_or_inf
 
 SHIFT_TOL = 1e-12
 
@@ -56,7 +56,7 @@ class ShiftTable:
         np.add.at(incidence, (self.dst, np.arange(len(bonds))), 1.0)
         np.add.at(incidence, (self.src, np.arange(len(bonds))), -1.0)
         self.B = incidence[1:]
-        # the rounding band of the shift gradient per unit of |forces| (settle_at_rounding_floor)
+        # the rounding band of the shift gradient per unit of |forces| (derivatives)
         width = float(np.abs(self.B).sum(axis=1).max(initial=0.0))   # B holds 0 and +-1
         self._band = width * np.finfo(float).eps * np.sqrt(2.0 * width) / self.m
 
@@ -71,39 +71,20 @@ class ShiftTable:
 
     def derivatives(self, F: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Shift gradient (T, m-1, d) and Hessian (T, (m-1)d, (m-1)d) of the
-        densities, and the bond forces (T, n_bonds, d) that the gradient sums."""
+        densities, and the rounding band (T,) of the gradient's norm.
+
+        A row of W nonzero terms of B forces sums with an error of at most
+        (W - 1) u times the sum of their magnitudes (u the unit roundoff).
+        Over the rows that is at most (W - 1) u sqrt(2 W) |forces| / m, since
+        each bond enters at most two rows; the band taken, with W in place
+        of W - 1, is over twice that."""
         gaps = self.gaps(F, q)
         forces = self.law.grad(gaps, self.rvec)
         grad = self.B @ forces / self.m
         k = self.law.hess(gaps, self.rvec)
         nq = (self.m - 1) * self.d
         hess = np.einsum("ab,cb,tbij->taicj", self.B, self.B, k).reshape(len(q), nq, nq) / self.m
-        return grad, hess, forces
-
-    def settle_at_rounding_floor(self, grad: np.ndarray, forces: np.ndarray,
-                                 threshold: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The shift gradients ``grad`` = B forces / m and their residuals |grad|,
-        with each element whose residual exceeds its ``threshold`` by no more
-        than the rounding error of that product re-summed by
-        ``compensated_sum`` over each row of B.
-
-        A row of W nonzero terms sums with an error of at most (W - 1) u times
-        the sum of their magnitudes (u the unit roundoff).  Over the rows that
-        is at most (W - 1) u sqrt(2 W) |forces| / m, since each bond enters at
-        most two rows; the band taken is twice that.  Elements far from their
-        threshold never pay for the compensated sum."""
-        flat = grad.reshape(len(grad), -1)
-        res = np.sqrt(np.add.reduce(flat * flat, axis=1))   # np.linalg.norm, without its overhead
-        above = res > threshold
-        if not np.count_nonzero(above):
-            return grad, res
-        band = self._band * np.sqrt(np.einsum("tbi,tbi->t", forces, forces))
-        near = np.flatnonzero(above & (res <= threshold + band))
-        if len(near):
-            terms = self.B.T[:, None, :, None] * np.moveaxis(forces[near], 1, 0)[:, :, None, :]
-            grad[near] = compensated_sum(terms) / self.m
-            res[near] = np.linalg.norm(grad[near].reshape(len(near), -1), axis=1)
-        return grad, res
+        return grad, hess, self._band * np.sqrt(np.einsum("tbi,tbi->t", forces, forces))
 
 
 _TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()  # model -> its ShiftTable
@@ -121,14 +102,17 @@ def _trial_energy(table: ShiftTable, F: np.ndarray, q: np.ndarray) -> np.ndarray
 
 def _shift_newton(table: ShiftTable, F: np.ndarray, q: np.ndarray, tol: float,
                   max_iter: int) -> tuple[np.ndarray, np.ndarray]:
-    """Newton on every element of the stack; returns the shifts and final residuals."""
+    """Newton on every element of the stack; returns the shifts and final
+    residuals.  An element stops once its residual is at most tol (1 + |F|)
+    plus the rounding band of its gradient (``ShiftTable.derivatives``)."""
     threshold = tol * (1.0 + np.linalg.norm(F.reshape(len(F), -1), axis=1))
     res = np.zeros(len(F))
     active = np.arange(len(F))
     for it in range(max_iter + 1):
-        grad, hess, forces = table.derivatives(F[active], q[active])
-        grad, res[active] = table.settle_at_rounding_floor(grad, forces, threshold[active])
-        unconverged = ~(res[active] <= threshold[active])
+        grad, hess, band = table.derivatives(F[active], q[active])
+        flat = grad.reshape(len(grad), -1)
+        res[active] = np.sqrt(np.add.reduce(flat * flat, axis=1))   # np.linalg.norm, without its overhead
+        unconverged = ~(res[active] <= threshold[active] + band)
         active, grad, hess = active[unconverged], grad[unconverged], hess[unconverged]
         if not len(active):
             return q, res

@@ -47,7 +47,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .lattice import Multilattice, cell_index
-from .potential import InteractionModel, PotentialError, compensated_sum, energies_or_inf
+from .potential import InteractionModel, PotentialError, energies_or_inf
 
 #: PCG stops once the relative residual ||r|| / ||b|| is at most PCG_RTOL ...
 PCG_RTOL = 1e-13
@@ -138,22 +138,6 @@ class BondSystem:
 
     def gradient(self, w: np.ndarray, F: np.ndarray | None = None) -> np.ndarray:
         return self._scatter(self.bond_forces(w, F))
-
-    @cached_property
-    def _rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """The incidence rows padded to the widest: bond and sign (W, n_sites)
-        of each site's terms in row order, sign 0 in the padding."""
-        D = self.incidence
-        filled = np.arange(self.row_width) < np.diff(D.indptr)[:, None]
-        bonds, signs = np.zeros(filled.shape, dtype=D.indices.dtype), np.zeros(filled.shape)
-        bonds[filled], signs[filled] = D.indices, D.data
-        return bonds.T, signs.T
-
-    def row_terms(self, per_bond: np.ndarray) -> np.ndarray:
-        """The signed terms that ``_scatter`` sums into each site, (W, ...,
-        n_sites, d) from per-bond values (..., n_bonds, d), W the widest row."""
-        bonds, signs = self._rows
-        return np.moveaxis(signs[:, :, None] * np.take(per_bond, bonds, axis=-2), -3, 0)
 
     def stress(self, w: np.ndarray, F: np.ndarray | None = None) -> np.ndarray:
         """Averaged first Piola-type stress < sum_r phi'_r r^T >, shape (..., d, d)."""
@@ -500,7 +484,7 @@ class GaugeFixedOperator:
 @dataclass
 class NewtonResult:
     w: np.ndarray
-    residual: float     # the worst final residual over the stack
+    residual: float     # the worst final float residual over the stack, which may exceed the threshold by its band
     iterations: int     # Newton steps summed over the stack entries
 
 
@@ -509,10 +493,12 @@ def newton(energy, gradient, operator, w0: np.ndarray, threshold, max_iter: int 
 
     ``w0`` is a stack (T, n, d) of independent problems.  ``energy``,
     ``gradient`` and ``operator`` map the fields w (k, n, d) of the entries
-    ``rows`` to their objectives, Riesz gradients and the
-    ``GaugeFixedOperator`` of their Hessians.  Entry t leaves once
-    avg_norm(gradient) <= ``threshold`` (a float or one per entry); its step
-    is halved until its objective does not rise, and a trial that raises
+    ``rows`` to their objectives, their Riesz gradients with the rounding
+    band (k,) of each (or a float for all), and the ``GaugeFixedOperator`` of
+    their Hessians.  Entry t leaves once avg_norm(gradient) <= ``threshold``
+    (a float or one per entry) plus its band: a residual inside the rounding
+    of its own sums is a backward error at the floor, as in PCG.  Its step is
+    halved until its objective does not rise, and a trial that raises
     PotentialError is a rise of the entries whose bonds collapsed.
     """
     w = project_zero_mean_array(np.array(w0, dtype=float))
@@ -520,9 +506,9 @@ def newton(energy, gradient, operator, w0: np.ndarray, threshold, max_iter: int 
     threshold = np.broadcast_to(threshold, (T,))
     res, active, steps = np.zeros(T), np.arange(T), 0
     for it in range(max_iter + 1):
-        g = gradient(w[active], active)
+        g, band = gradient(w[active], active)
         res[active] = avg_norm(g)
-        keep = ~(res[active] <= threshold[active])
+        keep = ~(res[active] <= threshold[active] + band)
         active, g = active[keep], g[keep]
         if not len(active):
             return NewtonResult(w, float(res.max()), steps)
@@ -548,33 +534,19 @@ def newton(energy, gradient, operator, w0: np.ndarray, threshold, max_iter: int 
                       f"of {T} entries after {max_iter} iterations")
 
 
-def _settle_at_rounding_floor(system: BondSystem, g: np.ndarray, forces: np.ndarray,
-                              f_ext: np.ndarray | None, threshold: np.ndarray) -> np.ndarray:
-    """The gradients g (k, n_sites, d) = D forces - f_ext, with each entry
-    whose residual exceeds its ``threshold`` (k,) by no more than the rounding
-    error of that sum re-summed by ``compensated_sum`` over each site's row.
+def rounding_band(system: BondSystem, forces: np.ndarray, f_ext: np.ndarray | None) -> np.ndarray:
+    """The rounding band (k,) of the residuals avg_norm(D forces - f_ext) of
+    the bond forces (k, n_bonds, d).
 
     A row of W terms sums with an error of at most (W - 1) u times the sum of
     their magnitudes (u the unit roundoff).  Over the sites that is at most
     (W - 1) u (sqrt(2 W / n_sites) ||forces|| + <|f_ext|>), since each bond
-    enters two rows; the band taken is twice that.  Entries far from their
-    threshold never pay for the compensated sum."""
-    n = system.n_sites
-    res = np.sqrt(np.einsum("kni,kni->k", g, g) / n)   # avg_norm(g) to rounding, for less
-    above = res > threshold
-    if not np.count_nonzero(above):
-        return g
-    width = system.row_width
+    enters two rows; the band taken, with W in place of W - 1, is over twice that."""
+    n, width = system.n_sites, system.row_width
     magnitude = np.sqrt(np.einsum("kbi,kbi->k", forces, forces) * (2.0 * width / n))
     if f_ext is not None:
         width, magnitude = width + 1, magnitude + np.sqrt(np.einsum("ni,ni->", f_ext, f_ext) / n)
-    near = np.flatnonzero(above & (res <= threshold + width * EPS * magnitude))
-    if len(near):
-        terms = system.row_terms(forces[near])
-        if f_ext is not None:
-            terms = np.concatenate([terms, np.broadcast_to(-f_ext, (1,) + terms.shape[1:])])
-        g[near] = compensated_sum(terms)
-    return g
+    return width * EPS * magnitude
 
 
 def newton_zero_mean(
@@ -589,11 +561,10 @@ def newton_zero_mean(
 
     ``F`` is None, one gradient (d, d), or a stack (T, d, d) of independent
     problems, for which ``w0`` and the result are (T, n_sites, d).  Entry t
-    converges once sqrt(<|gradient|^2>) <= ``tol * (1 + ref_t)``; quadratic
-    energies converge in one iteration.  A residual above that threshold by
-    no more than the rounding error of its per-site sums is judged on the
-    compensated sums (``_settle_at_rounding_floor``), so a converged entry
-    whose bond forces cancel to below their rounding does not stall.
+    converges once sqrt(<|gradient|^2>) <= ``tol * (1 + ref_t)`` plus the
+    rounding band of its per-site sums (``rounding_band``), so an entry whose
+    bond forces are too large for its float residual to reach the threshold
+    does not stall; quadratic energies converge in one iteration.
     """
     stacked = np.ndim(F) == 3
     Fs = None if F is None else np.asarray(F, dtype=float).reshape(-1, system.d, system.d)
@@ -610,9 +581,7 @@ def newton_zero_mean(
     def gradient(w, rows):
         forces = system.bond_forces(w, at(rows))
         g = system._scatter(forces)
-        if f_ext is not None:
-            g = g - f_ext
-        return _settle_at_rounding_floor(system, g, forces, f_ext, threshold[rows])
+        return (g if f_ext is None else g - f_ext), rounding_band(system, forces, f_ext)
 
     result = newton(energy, gradient, lambda w, rows: system.operator(w, at(rows)),
                     np.zeros(shape) if w0 is None else np.reshape(w0, shape), threshold)

@@ -45,23 +45,6 @@ def energies_or_inf(energy, *stacks) -> np.ndarray:
         return out
 
 
-def compensated_sum(terms: np.ndarray) -> np.ndarray:
-    """Sum of ``terms`` over their first axis, as accurate as if summed in three
-    times the working precision and then rounded: Ogita, Rump and Oishi's SumK
-    with K = 3 (SIAM J. Sci. Comput. 26 (2005)), two sweeps of error-free
-    TwoSum transformations and then a plain sum.  The residuals of both Newton
-    drivers are re-summed this way at their rounding floor."""
-    p = np.array(terms, dtype=float)
-    for _ in range(2):
-        for i in range(1, len(p)):
-            a, b = p[i - 1], p[i]
-            s = a + b
-            z = s - a
-            p[i - 1] = (a - (s - z)) + (b - z)
-            p[i] = s
-    return p[:-1].sum(axis=0) + p[-1]
-
-
 # ------------------------------------------------------------------- bond laws
 #
 # A law evaluates gaps of shape (..., n_bonds, d) against bond vectors

@@ -317,48 +317,62 @@ def test_solve_shift_state_reports_the_newton_residual():
 # ------------------------------------------- the rounding floor of the shift Newton
 
 
+class _GivenForces:
+    """A stand-in bond law whose forces are given, with zero stiffness."""
+
+    def __init__(self, forces):
+        self.forces = forces
+
+    def grad(self, gaps, rvec):
+        return self.forces
+
+    def hess(self, gaps, rvec):
+        return np.zeros(gaps.shape + gaps.shape[-1:])
+
+
+def _exact_shift_gradient(table, forces):
+    """B forces / m by ``math.fsum`` over each row of B, per element and component."""
+    T, _, d = forces.shape
+    return np.array([[[math.fsum(table.B[a] * forces[t, :, c]) for c in range(d)]
+                      for a in range(table.m - 1)] for t in range(T)]) / table.m
+
+
 @pytest.mark.parametrize("name", ["lj-dynamics", "two-species-2d"])
-def test_shift_rows_are_summed_exactly_at_the_rounding_floor(name):
+def test_shift_gradient_is_within_its_rounding_band_under_heavy_cancellation(name):
     # bond forces of +-1e4 per element and component with residues near
     # 1e-12: each species is the source of as many bonds as it is the target
-    # of, so every row of B cancels to its residues
+    # of, so every row of B cancels to its residues, which the float product
+    # loses to rounding, but by no more than the band
     model = ORACLE_MODELS[name]()
     table = ShiftTable(model)
     rng = np.random.default_rng(9)
     T, nb, d = 3, len(table.src), model.d
     forces = 1e4 * rng.choice([-1.0, 1.0], size=(T, 1, d)) + 1e-12 * rng.standard_normal((T, nb, d))
-    exact = np.array([[[math.fsum(table.B[a] * forces[t, :, c]) for c in range(d)]
-                       for a in range(model.m - 1)] for t in range(T)]) / model.m
-    grad = table.B @ forces / model.m
-    res = np.linalg.norm(grad.reshape(T, -1), axis=1)
+    table.law = _GivenForces(forces)
+    grad, _, band = table.derivatives(np.zeros((T, d, d)), np.zeros((T, model.m - 1, d)))
+    exact = _exact_shift_gradient(table, forces)
     assert not np.array_equal(grad, exact)
-    # in the band above the threshold every element is re-summed; an element
-    # whose float residual is 0 is converged already.  Below the band none is
-    settled, settled_res = table.settle_at_rounding_floor(grad.copy(), forces, 0.5 * res)
-    above = res > 0
-    assert above.sum() >= 2
-    assert np.array_equal(settled[above], exact[above]) and np.array_equal(settled[~above], grad[~above])
-    assert np.array_equal(settled_res, np.linalg.norm(settled.reshape(T, -1), axis=1))
-    unchanged, unchanged_res = table.settle_at_rounding_floor(grad.copy(), forces, res)
-    assert np.array_equal(unchanged, grad) and np.array_equal(unchanged_res, res)
+    assert np.all(np.linalg.norm((grad - exact).reshape(T, -1), axis=1) <= band)
 
 
 def test_shift_newton_converges_at_its_rounding_floor():
     # the compressions at which the float shift residual of the dynamics
     # chain stalls above SHIFT_TOL (1 + |F|) (24 of 31 with one LJ term per
-    # directed bond): the compensated sums stop every element, one at a time
-    # or as one stack
-    from test_network import COMPRESSIONS
+    # directed bond), and a three-species cell whose bond forces do not
+    # cancel: the band stops every element, one at a time or as one stack,
+    # with the exact residual inside it
+    from test_network import COMPRESSIONS, three_species_lj
 
-    model = make_dynamics_model().model
     F = COMPRESSIONS[:, None, None]
-    q = solve_shift_vectors(model, F)
-    table = ShiftTable(model)
-    _, _, forces = table.derivatives(F, q)
-    exact = np.array([[math.fsum(table.B[0] * forces[t, :, 0])] for t in range(len(F))]) / model.m
-    assert np.all(np.abs(exact[:, 0]) <= mqc.SHIFT_TOL * (1 + np.abs(COMPRESSIONS)))
-    for t in range(len(F)):
-        assert np.array_equal(solve_shift_vectors(model, F[t]), q[t])
+    threshold = mqc.SHIFT_TOL * (1 + np.abs(COMPRESSIONS))
+    for model in (make_dynamics_model().model, three_species_lj()):
+        q = solve_shift_vectors(model, F)
+        table = ShiftTable(model)
+        _, _, band = table.derivatives(F, q)
+        exact = _exact_shift_gradient(table, table.law.grad(table.gaps(F, q), table.rvec))
+        assert np.all(np.linalg.norm(exact.reshape(len(F), -1), axis=1) <= threshold + band)
+        for t in range(len(F)):
+            assert np.array_equal(solve_shift_vectors(model, F[t]), q[t])
 
 
 # ------------------------------------------------------ failure semantics

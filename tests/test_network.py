@@ -23,7 +23,6 @@ from hqclab.potential import (
     PotentialError,
     RandomBond2D,
     SpringLaw,
-    compensated_sum,
     make_dynamics_model,
 )
 from support import class_order_hessian, grid_average, reference_compile, reference_hessian
@@ -607,7 +606,7 @@ def test_grid_hessian_and_solver_set_up_stay_near_the_matrix_size():
 def cell_callbacks(system, F):
     """``newton`` callbacks of the cell problems at the gradient stack F."""
     return (lambda w, rows: system.energy(w, F[rows]),
-            lambda w, rows: system.gradient(w, F[rows]),
+            lambda w, rows: (system.gradient(w, F[rows]), 0.0),
             lambda w, rows: system.operator(w, F[rows]))
 
 
@@ -624,7 +623,7 @@ def test_collapsing_step_is_halved_for_its_entry_only(monkeypatch):
     shifts = np.array([-0.062, 0.1, 0.03])
     w0 = np.stack([-shifts / 2, shifts / 2], axis=1)[:, :, None]
     energy, gradient, hessian = cell_callbacks(system, F)
-    step = GaugeFixedOperator(system.hessian(w0[0], F[0]), 1, None).solve(-gradient(w0[:1], [0])[0])
+    step = GaugeFixedOperator(system.hessian(w0[0], F[0]), 1, None).solve(-gradient(w0[:1], [0])[0][0])
     with pytest.raises(PotentialError):
         system.energy(w0[0] + step, F[0])
 
@@ -663,12 +662,44 @@ def test_unconverged_entry_fails_the_whole_stack():
     assert np.array_equal(result.w, w0[rest]) and result.iterations == 0
 
 
+def test_an_entry_inside_its_rounding_band_stops():
+    # both entries start a little off their correctors, above the threshold:
+    # entry 0's band reaches its residual and it stops at once; entry 1's
+    # band leaves it above, and with no step allowed the stack fails on it
+    from hqclab.hqc import MICRO_TOL, micro_solve
+
+    model = make_dynamics_model().model
+    system = compile_system(Multilattice(1, 1, model.shifts()), model)
+    F = np.array([[[0.01]], [[-0.02]]])
+    w0 = micro_solve(system, F) + np.array([[-1e-6], [1e-6]])
+    threshold = MICRO_TOL * (1 + np.abs(F[:, 0, 0]))
+    res = avg_norm(system.gradient(w0, F))
+    assert np.all(res > threshold)
+    band = np.array([res[0] - 0.5 * threshold[0], 0.5 * (res[1] - threshold[1])])
+    energy, gradient, operator = cell_callbacks(system, F)
+
+    def banded(w, rows):
+        return gradient(w, rows)[0], band[rows]
+
+    with pytest.raises(SolverError, match=r"on 1 of 2 entries after 0 iterations"):
+        network.newton(energy, banded, operator, w0, threshold, max_iter=0)
+    result = network.newton(energy, banded, operator, w0[:1], threshold[:1], max_iter=0)
+    assert np.array_equal(result.w, w0[:1]) and result.iterations == 0
+    assert threshold[0] < result.residual <= threshold[0] + band[0]
+
+
 # ------------------------------------------------ the rounding floor of Newton
 
 #: element gradients of the dynamics chain's one-cell system whose converged
 #: float residuals stall above MICRO_TOL (1 + |F|): 28 of these 31 with one LJ
 #: term per directed bond, all 31 with pair bonds
 COMPRESSIONS = -0.56 + 0.005 * np.arange(31)
+
+
+def three_species_lj():
+    """An LJ chain cell with no inversion symmetry: under COMPRESSIONS its
+    converged bond forces reach 3.4e6 and do not cancel per site."""
+    return LennardJones1D(LennardJonesParams(s=(1.0, 1.5, 0.7), ell=(1.0, 1.02, 0.98), cutoff=2.0))
 
 
 def exact_row_sums(system, forces, f_ext=None):
@@ -689,41 +720,39 @@ def exact_row_sums(system, forces, f_ext=None):
     (chain_lattice(Fraction(1, 8), 2), make_dynamics_model().model),
     (square_lattice(4), RandomBond2D(4, seed=3)),
 ], ids=["d1", "d2"])
-def test_compensated_row_sums_equal_fsum_under_heavy_cancellation(lattice, model):
+def test_row_sums_are_within_their_rounding_band_under_heavy_cancellation(lattice, model):
     # bond forces of +-1e4 per stack entry and component with residues near
     # 1e-12: every site is the source of as many bonds as it is the target
     # of, so each row cancels to its residues, which the float scatter loses
+    # to rounding, but by no more than the band
     system = compile_system(lattice, model)
     rng = np.random.default_rng(5)
     k, nb, d = 3, len(system.src), system.d
     forces = 1e4 * rng.choice([-1.0, 1.0], size=(k, 1, d)) + 1e-12 * rng.standard_normal((k, nb, d))
     f_ext = 1e-12 * rng.standard_normal((system.n_sites, d))
-    exact = exact_row_sums(system, forces)
-    assert np.array_equal(compensated_sum(system.row_terms(forces)), exact)
     g = system._scatter(forces)
+    exact = exact_row_sums(system, forces)
     assert not np.array_equal(g, exact)
-    # in the band above the threshold every entry is re-summed; below it none is
-    settled = network._settle_at_rounding_floor(system, g.copy(), forces, None, 0.5 * avg_norm(g))
-    assert np.array_equal(settled, exact)
-    assert np.array_equal(network._settle_at_rounding_floor(system, g.copy(), forces, None, 2 * avg_norm(g)), g)
-    g_ext = g - f_ext
-    settled = network._settle_at_rounding_floor(system, g_ext, forces, f_ext, 0.5 * avg_norm(g_ext))
-    assert np.array_equal(settled, exact_row_sums(system, forces, f_ext))
+    assert np.all(avg_norm(g - exact) <= network.rounding_band(system, forces, None))
+    exact = exact_row_sums(system, forces, f_ext)
+    assert np.all(avg_norm(g - f_ext - exact) <= network.rounding_band(system, forces, f_ext))
 
 
 def test_micro_solve_converges_at_its_rounding_floor():
-    # under these compressions the dynamics chain's bond forces reach 1e5 and,
-    # at the symmetric corrector, cancel exactly per site: a float residual
-    # above the threshold is rounding alone, and the compensated sums stop
-    # every entry, one at a time or as one stack
+    # under these compressions the bond forces reach 1e5 (dynamics chain) or
+    # 3.4e6 (three species): the float residual of a converged corrector may
+    # stay above the threshold by its rounding, and the band stops every
+    # entry, one at a time or as one stack, with the exact residual inside it
     from hqclab.hqc import MICRO_TOL, micro_solve
 
-    model = make_dynamics_model().model
-    system = compile_system(Multilattice(1, 1, model.shifts()), model)
     F = COMPRESSIONS[:, None, None]
-    chi = micro_solve(system, F)
-    forces = system.bond_forces(chi, F)
-    assert np.abs(forces).max() > 7e4
-    assert np.all(avg_norm(compensated_sum(system.row_terms(forces))) <= MICRO_TOL * (1 + np.abs(COMPRESSIONS)))
-    for t in range(len(F)):
-        assert np.array_equal(micro_solve(system, F[t:t + 1])[0], chi[t])
+    threshold = MICRO_TOL * (1 + np.abs(COMPRESSIONS))
+    for model in (make_dynamics_model().model, three_species_lj()):
+        system = compile_system(Multilattice(1, 1, model.shifts()), model)
+        chi = micro_solve(system, F)
+        forces = system.bond_forces(chi, F)
+        assert np.abs(forces).max() > 7e4
+        band = network.rounding_band(system, forces, None)
+        assert np.all(avg_norm(exact_row_sums(system, forces)) <= threshold + band)
+        for t in range(len(F)):
+            assert np.array_equal(micro_solve(system, F[t:t + 1])[0], chi[t])

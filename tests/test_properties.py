@@ -149,12 +149,12 @@ COMPRESSION = (-0.56, -0.41)
 def test_three_way_equivalence_on_random_lj_chains(model, depth, second, shift):
     # on a 16-element mesh one element is compressed, a second is strained
     # at random, and the other 14 take the mild tension that closes the
-    # period.  A cell of one or two species is inversion symmetric, so its
-    # bond forces cancel exactly in the compensated sums and its compressed
-    # element goes into COMPRESSION; a three-species cell is not, and its
-    # residual floor is the rounding of the bond forces themselves, which
-    # passes MICRO_TOL from about F = -0.12 on, so it is compressed less
-    lo, hi = COMPRESSION if model.m <= 2 else (-0.1, 0.0)
+    # period.  The compressed element goes into COMPRESSION for any number of
+    # species: a three-species cell is not inversion symmetric, so its bond
+    # forces do not cancel and its residual floor is their rounding, which
+    # passes MICRO_TOL from about F = -0.12 on, but the rounding band of
+    # the Newton stop covers it
+    lo, hi = COMPRESSION
     first = lo + depth * (hi - lo)
     grads = np.roll([first, second] + [-(first + second) / 14] * 14, shift)
     mesh = build_mesh(1, 16)
