@@ -5,7 +5,9 @@ The atomistic evolution solves M(x) u''(x) = -dE(u)(x) with the Riesz gradient
 of the interaction energy; the macro evolution uses the averaged mass density
 M0 = <M> lumped at the mesh nodes and the HQC nodal residual as the force.
 The micro problems carry no inertia: at every step each corrector is the
-relaxed one of the current macro field, solved from the zero guess.
+relaxed one of the current macro field, solved from the zero guess, with one
+corrector solve per state that the force, the energy guard and the
+reconstruction share.
 """
 
 from __future__ import annotations
@@ -15,22 +17,25 @@ from functools import partial
 
 import numpy as np
 
-from .atomistic import EquilibriumProblem, energy_gradient, slowest_eigenmode, solve_equilibrium, total_energy
+from .atomistic import EquilibriumProblem, slowest_eigenmode, solve_equilibrium, total_energy
 from .fem import MacroMesh, P1Field, p1_interpolate_lattice
 from .hqc import HQCOperator, reconstruct
-from .lattice import LatticeField, Multilattice, discrete_derivative, discrete_norms, nearest_neighbor_offsets
+from .lattice import (LatticeField, Multilattice, discrete_derivative, discrete_norms, nearest_neighbor_offsets,
+                      neighbor_sites)
 from .network import SolverError
 
 
 @dataclass
 class DynamicState:
     """Displacement, velocity, and time of an evolving system; ``a`` is the
-    acceleration at ``u`` when it is already known."""
+    acceleration at ``u`` when it is already known, and ``micro`` what else
+    its evaluation returned (the HQC ``micro_state`` at ``u``)."""
 
     u: np.ndarray
     v: np.ndarray
     t: float
     a: np.ndarray | None = None
+    micro: object = None
 
 
 def initial_condition(problem: EquilibriumProblem, amplitude: float = 0.01) -> LatticeField:
@@ -47,18 +52,26 @@ def initial_condition(problem: EquilibriumProblem, amplitude: float = 0.01) -> L
     return LatticeField(problem.lattice, u_eq.values + amplitude * mode.values / dmax)
 
 
+def _evaluate(accel, u: np.ndarray) -> tuple[np.ndarray, object]:
+    """``accel(u)`` as the pair (acceleration, micro): an ``accel`` returns
+    either the acceleration alone or that pair."""
+    out = accel(u)
+    return out if isinstance(out, tuple) else (out, None)
+
+
 def verlet_step(state: DynamicState, accel, tau: float) -> DynamicState:
     """One velocity-Verlet step: half kick, drift, force refresh, half kick.
 
-    The returned state carries its acceleration, so a chain of steps
-    evaluates the force once per step.
+    The returned state carries its acceleration (and the ``micro`` that
+    ``accel`` returned with it), so a chain of steps evaluates the force once
+    per step.
     """
-    a0 = accel(state.u) if state.a is None else state.a
+    a0 = _evaluate(accel, state.u)[0] if state.a is None else state.a
     v_half = state.v + 0.5 * tau * a0
     u_new = state.u + tau * v_half
-    a1 = accel(u_new)
+    a1, micro = _evaluate(accel, u_new)
     v_new = v_half + 0.5 * tau * a1
-    return DynamicState(u=u_new, v=v_new, t=state.t + tau, a=a1)
+    return DynamicState(u=u_new, v=v_new, t=state.t + tau, a=a1, micro=micro)
 
 
 @dataclass
@@ -70,10 +83,12 @@ class Trajectory:
 
 
 def atomistic_accel(problem: EquilibriumProblem):
-    masses = problem.masses
+    """u -> -M^-1 dE(u), the Riesz gradient of ``atomistic.energy_gradient``
+    (the system's gradient at u / eps, divided by eps) per unit mass."""
+    system, eps, masses = problem.system, problem.lattice.eps_float, problem.masses[:, None]
 
     def accel(u: np.ndarray) -> np.ndarray:
-        return -energy_gradient(problem, LatticeField(problem.lattice, u)).values / masses[:, None]
+        return -(system.gradient(u / eps) / eps) / masses
 
     return accel
 
@@ -98,6 +113,7 @@ def evolve(accel, energy, u0: np.ndarray, t_final: float, tau: float, sample_eve
     """Velocity Verlet from rest at ``u0`` over t_final in steps tau: the
     list of ``record(state)`` at t = 0, at every ``sample_every``-th step and
     at the last one, and the array of ``energy(state)`` at the same states.
+    Every state carries its acceleration, so ``accel`` runs once per state.
 
     Blow-up guard (instability): raises SolverError at the first step whose
     acceleration is not finite, and at the first recorded state whose energy
@@ -108,7 +124,7 @@ def evolve(accel, energy, u0: np.ndarray, t_final: float, tau: float, sample_eve
     if sample_every < 1:
         raise ValueError(f"sample_every must be at least 1, got {sample_every}")
     n_steps = _whole_steps(t_final, tau)
-    state = DynamicState(u=u0, v=np.zeros_like(u0), t=0.0)
+    state = DynamicState(u0, np.zeros_like(u0), 0.0, *_evaluate(accel, u0))
     records, energies = [record(state)], [energy(state)]
     bound = 1e3 * max(abs(energies[0]), 1.0)
     for k in range(1, n_steps + 1):
@@ -153,7 +169,8 @@ def run_hqc_dynamics(model, lattice: Multilattice, mesh: MacroMesh, species_mass
                      t_final: float, tau: float) -> MacroTrajectory:
     """HQC-discretized slow dynamics with lumped macro masses: ``evolve``
     with the reconstruction of every macro step, guarded by the macro energy
-    (lumped kinetic energy plus ``HQCOperator.energy``).
+    (lumped kinetic energy plus ``HQCOperator.energy``).  The force, the energy
+    and the reconstruction of a state share its one ``micro_state``.
 
     The initial macro displacement interpolates the atomistic initial state at
     the mesh vertices; initial velocity is zero.
@@ -161,14 +178,16 @@ def run_hqc_dynamics(model, lattice: Multilattice, mesh: MacroMesh, species_mass
     op = HQCOperator(model, lattice, mesh)
     node_mass = lumped_node_masses(mesh, float(np.mean(species_masses)))
 
-    def accel(u: np.ndarray) -> np.ndarray:
-        return -op.gradient(P1Field(mesh, u)) / node_mass[:, None]
+    def accel(u: np.ndarray) -> tuple[np.ndarray, tuple]:
+        uh = P1Field(mesh, u)
+        micro = op.micro_state(uh)
+        return -op.gradient(uh, micro) / node_mass[:, None], micro
 
     def energy(state: DynamicState) -> float:
-        return 0.5 * float(node_mass @ np.sum(state.v**2, axis=1)) + op.energy(P1Field(mesh, state.u))
+        return 0.5 * float(node_mass @ np.sum(state.v**2, axis=1)) + op.energy(P1Field(mesh, state.u), state.micro)
 
     def record(state: DynamicState):
-        return state.t, reconstruct(op, P1Field(mesh, state.u))
+        return state.t, reconstruct(op, P1Field(mesh, state.u), state.micro)
 
     u0 = p1_interpolate_lattice(mesh, u0_lattice).values
     times, recon = zip(*evolve(accel, energy, u0, t_final, tau, 1, record)[0])
@@ -180,17 +199,21 @@ def trajectory_error(
     reference: list[LatticeField],
     approx: list[LatticeField],
 ) -> tuple[float, float]:
-    """Space-time error norms between two sampled lattice trajectories.
+    """Space-time error norms between two sampled lattice trajectories on
+    one lattice, whose neighbor index is resolved once for all samples.
 
     Returns (max-over-time L2 error, trapezoid-in-time H1 error); a single
     common sample reduces to the static (L2, H1) pair.
     """
-    if len(reference) != len(approx) or len(reference) != len(times):
-        raise ValueError("trajectories must share their sample times")
+    if not 0 < len(reference) == len(approx) == len(times):
+        raise ValueError("trajectories must share their sample times, at least one")
+    lat = reference[0].lattice
+    if any(ref.lattice is not lat for ref in reference):
+        raise ValueError("the reference samples must share one lattice")
+    neighbors = [neighbor_sites(lat, r) for r in nearest_neighbor_offsets(lat)]
     l2s, h1s = [], []
     for ref, app in zip(reference, approx):
-        diff = LatticeField(ref.lattice, app.values - ref.values)
-        l2, h1 = discrete_norms(diff)
+        l2, h1 = discrete_norms(LatticeField(lat, app.values - ref.values), neighbors)
         l2s.append(l2)
         h1s.append(h1)
     linf_l2 = float(np.max(l2s))

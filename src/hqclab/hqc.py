@@ -254,8 +254,10 @@ class HQCOperator:
     the tensor route, one tangent for all elements; otherwise the correctors
     of all elements are one stack, each from the zero guess.  ``energy``,
     ``gradient``, ``element_tangents`` and ``hessian`` compose the density
-    with the P1 layer.  No micro state is kept, so every value depends on the
-    arguments alone.
+    with the P1 layer; ``energy``, ``gradient`` and ``reconstruct`` also take
+    a macro field's ``micro_state`` (element gradients and correctors), so one
+    corrector solve can serve all three.  No micro state is kept, so every
+    value depends on the arguments alone.
     """
 
     def __init__(
@@ -305,19 +307,27 @@ class HQCOperator:
             return np.einsum("txj,nj->tnx", grads, self._quad_data()[0])
         return micro_solve(system, grads)
 
-    def phi0(self, grads: np.ndarray) -> np.ndarray:
+    def micro_state(self, uh: P1Field) -> tuple[np.ndarray, np.ndarray]:
+        """The element gradients of ``uh`` (n_el, d, d) and the correctors at
+        them: one evaluation that ``energy``, ``gradient`` and ``reconstruct``
+        can share."""
+        grads = all_element_gradients(uh)
+        return grads, self.correctors(grads)
+
+    def phi0(self, grads: np.ndarray, chi: np.ndarray | None = None) -> np.ndarray:
         """Element energy densities (n_el,) at gradients (n_el, d, d): 1/2 F:(F a)
-        on the tensor route, otherwise the micro energy at the correctors."""
+        on the tensor route, otherwise the micro energy at the correctors
+        ``chi`` (solved for when None)."""
         if self.system.law.is_quadratic:
             return 0.5 * np.einsum("tij,tij->t", grads, self.dphi0(grads))
-        return self.system.energy(self.correctors(grads), grads)
+        return self.system.energy(self.correctors(grads) if chi is None else chi, grads)
 
-    def dphi0(self, grads: np.ndarray) -> np.ndarray:
+    def dphi0(self, grads: np.ndarray, chi: np.ndarray | None = None) -> np.ndarray:
         """Element stresses (n_el, d, d): F a on the tensor route, otherwise the
-        sensitivity-free micro stress at the correctors."""
+        sensitivity-free micro stress at the correctors ``chi`` (as for ``phi0``)."""
         if self.system.law.is_quadratic:
             return np.einsum("til,jl->tij", grads, self._quad_data()[1])
-        return self.system.stress(self.correctors(grads), grads)
+        return self.system.stress(self.correctors(grads) if chi is None else chi, grads)
 
     def d2phi0(self, grads: np.ndarray) -> np.ndarray:
         """Element tangents: on the tensor route the one tangent
@@ -331,12 +341,16 @@ class HQCOperator:
 
     # ------------------------------------------------------------- macro layer
 
-    def energy(self, uh: P1Field) -> float:
-        return float(self.mesh.volumes @ self.phi0(all_element_gradients(uh)))
+    def energy(self, uh: P1Field, micro: tuple | None = None) -> float:
+        """Macro energy of ``uh``; ``micro`` is its ``micro_state`` when already known."""
+        grads, chi = (all_element_gradients(uh), None) if micro is None else micro
+        return float(self.mesh.volumes @ self.phi0(grads, chi))
 
-    def gradient(self, uh: P1Field) -> np.ndarray:
-        """Nodal residual of the macro energy, the stress form of ``dphi0``."""
-        return nodal_forces(self.mesh, self.dphi0(all_element_gradients(uh)))
+    def gradient(self, uh: P1Field, micro: tuple | None = None) -> np.ndarray:
+        """Nodal residual of the macro energy, the stress form of ``dphi0``;
+        ``micro`` as for ``energy``."""
+        grads, chi = (all_element_gradients(uh), None) if micro is None else micro
+        return nodal_forces(self.mesh, self.dphi0(grads, chi))
 
     def element_tangents(self, uh: P1Field) -> np.ndarray:
         A = self.d2phi0(all_element_gradients(uh))
@@ -402,13 +416,12 @@ class HQCSolution:
 # ------------------------------------------------------------- reconstruction
 
 
-def reconstruct(op: HQCOperator, uh: P1Field) -> LatticeField:
+def reconstruct(op: HQCOperator, uh: P1Field, micro: tuple | None = None) -> LatticeField:
     """Lattice-resolution field u^{h,c} of the macro field ``uh``: at every site,
     the affine part of its owner element plus the periodic tiling of that
-    element's corrector."""
+    element's corrector.  ``micro`` is ``op.micro_state(uh)`` when already known."""
     owner, rel, torus_site = op.site_map
-    grads = all_element_gradients(uh)
-    chi = op.correctors(grads)
+    grads, chi = op.micro_state(uh) if micro is None else micro
     u0 = uh.values[op.mesh.elements[owner, 0]]
     lin = u0 + (grads[owner] @ rel[:, :, None])[:, :, 0]
     return LatticeField(op.lattice, lin + op.lattice.eps_float * chi[owner, torus_site])

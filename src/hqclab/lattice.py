@@ -176,17 +176,22 @@ class LatticeField:
 # ---------------------------------------------------------------------- calculus
 
 
-def discrete_derivative(u: LatticeField, r) -> LatticeField:
-    """Forward difference quotient D_r u(x) = (u(x + eps*r) - u(x)) / eps.
+def neighbor_sites(lattice: Multilattice, r) -> np.ndarray:
+    """Flat id of the site x + eps*r for every site x, shape (n_sites,).
 
     The offset must land on a lattice site from every species present.
     """
-    lat = u.lattice
     rvec = r.r if isinstance(r, NeighborOffset) else r
-    offsets = [lat.resolve_offset(alpha, rvec) for alpha in range(lat.m)]
-    dst = lat.site_index(lat.cell_multi[:, None, :] + [off.cell_shift for off in offsets],
-                         [off.species_target for off in offsets]).ravel()
-    return LatticeField(lat, (u.values[dst] - u.values) / lat.eps_float)
+    offsets = [lattice.resolve_offset(alpha, rvec) for alpha in range(lattice.m)]
+    return lattice.site_index(lattice.cell_multi[:, None, :] + [off.cell_shift for off in offsets],
+                              [off.species_target for off in offsets]).ravel()
+
+
+def discrete_derivative(u: LatticeField, r) -> LatticeField:
+    """Forward difference quotient D_r u(x) = (u(x + eps*r) - u(x)) / eps;
+    ``r`` as for ``neighbor_sites``."""
+    dst = neighbor_sites(u.lattice, r)
+    return LatticeField(u.lattice, (u.values[dst] - u.values) / u.lattice.eps_float)
 
 
 def translate(u: LatticeField, cells: Sequence[int]) -> LatticeField:
@@ -216,13 +221,21 @@ def nearest_neighbor_offsets(lattice: Multilattice) -> list:
     return [(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))]
 
 
-def discrete_norms(u: LatticeField) -> tuple[float, float]:
-    """Discrete (L2, H1) norms: l2 = <|u|^2>^(1/2), h1 = (l2^2 + sum_r <|D_r u|^2>)^(1/2)."""
+def discrete_norms(u: LatticeField, neighbors: list[np.ndarray] | None = None) -> tuple[float, float]:
+    """Discrete (L2, H1) norms: l2 = <|u|^2>^(1/2), h1 = (l2^2 + sum_r <|D_r u|^2>)^(1/2).
+
+    ``neighbors`` is the ``neighbor_sites`` of each of the lattice's
+    ``nearest_neighbor_offsets`` when already resolved (fields on one lattice
+    share them); None resolves them here.
+    """
+    lat = u.lattice
+    if neighbors is None:
+        neighbors = [neighbor_sites(lat, r) for r in nearest_neighbor_offsets(lat)]
     l2sq = float(np.mean(np.sum(u.values**2, axis=1)))
     h1sq = l2sq
-    for r in nearest_neighbor_offsets(u.lattice):
-        du = discrete_derivative(u, r)
-        h1sq += float(np.mean(np.sum(du.values**2, axis=1)))
+    for dst in neighbors:
+        du = (u.values[dst] - u.values) / lat.eps_float
+        h1sq += float(np.mean(np.sum(du**2, axis=1)))
     return np.sqrt(l2sq), np.sqrt(h1sq)
 
 

@@ -129,12 +129,14 @@ class BondSystem:
         return self.law.hess(self.gaps(w, F), self.rvec)
 
     def _scatter(self, per_bond: np.ndarray) -> np.ndarray:
-        """Riesz gradient from per-bond forces: +phi' at dst, -phi' at src."""
-        nb, d = per_bond.shape[-2:]
-        lead = per_bond.shape[:-2]
-        flat = np.moveaxis(per_bond, -2, 0).reshape(nb, -1)
-        out = (self.incidence @ flat).reshape((self.n_sites,) + lead + (d,))
-        return np.moveaxis(out, 0, -2)
+        """Riesz gradient from per-bond forces: +phi' at dst, -phi' at src.
+
+        The bond axis of (..., n_bonds, d) forces moves to the front through
+        transposed views, so one field is scattered without a copy."""
+        k = per_bond.ndim - 2
+        flat = per_bond.transpose(k, *range(k), k + 1).reshape(len(self.src), -1)
+        out = (self.incidence @ flat).reshape(self.n_sites, *per_bond.shape[:k], per_bond.shape[-1])
+        return out.transpose(*range(1, k + 1), 0, k + 1)
 
     def gradient(self, w: np.ndarray, F: np.ndarray | None = None) -> np.ndarray:
         return self._scatter(self.bond_forces(w, F))

@@ -120,24 +120,45 @@ class LennardJonesLaw:
             raise PotentialError("stacked LJ laws must share one length scale")
         return cls(_per_bond(laws, counts, "a6"), _per_bond(laws, counts, "a12"), scales.pop())
 
+    # _inverse_square, energy and grad work in place on the temporaries they
+    # create, in the operation order of the plain expression each comment
+    # gives, so every value is bitwise that expression's.
+
     def _inverse_square(self, gaps: np.ndarray, rvec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Scaled bond vectors scale * (r + g) and q = 1/b^2 per bond."""
-        vec = self.scale * (rvec + gaps)
-        b2 = np.sum(vec * vec, axis=-1)
-        if np.any(b2 <= 0.0):
+        """Scaled bond vectors vec = scale * (r + g) and q = 1/b^2 per bond."""
+        vec = rvec + gaps
+        vec *= self.scale
+        # b^2 summed component by component, as np.sum(vec * vec, axis=-1) sums d < 8 terms
+        b2 = vec[..., 0] * vec[..., 0]
+        for k in range(1, vec.shape[-1]):
+            b2 += vec[..., k] * vec[..., k]
+        if (b2 <= 0.0).any():
             raise PotentialError("bond length collapsed to zero")
-        return vec, 1.0 / b2
+        return vec, np.divide(1.0, b2, out=b2)
 
     def energy(self, gaps: np.ndarray, rvec: np.ndarray) -> np.ndarray:
+        # q3 * (a12 * q3 - 2 a6)
         _, q = self._inverse_square(gaps, rvec)
-        q3 = q * q * q
-        return q3 * (self.a12 * q3 - 2.0 * self.a6)
+        q3 = q * q
+        q3 *= q
+        e = self.a12 * q3
+        e -= 2.0 * self.a6
+        e *= q3
+        return e
 
     def grad(self, gaps: np.ndarray, rvec: np.ndarray) -> np.ndarray:
+        # d/dg phi(|scale*(r+g)|) = scale * (phi'(b)/b) * scale*(r+g), phi'/b = 12 q^4 (a6 - a12 q^3):
+        # (12 scale * q3 * q * (a6 - a12 * q3))[..., None] * vec
         vec, q = self._inverse_square(gaps, rvec)
-        q3 = q * q * q
-        # d/dg phi(|scale*(r+g)|) = scale * (phi'(b)/b) * scale*(r+g), phi'/b = 12 q^4 (a6 - a12 q^3)
-        return (12.0 * self.scale * q3 * q * (self.a6 - self.a12 * q3))[..., None] * vec
+        q3 = q * q
+        q3 *= q
+        c = self.a12 * q3
+        np.subtract(self.a6, c, out=c)
+        q3 *= 12.0 * self.scale
+        q3 *= q
+        q3 *= c
+        vec *= q3[..., None]
+        return vec
 
     def hess(self, gaps: np.ndarray, rvec: np.ndarray) -> np.ndarray:
         vec, q = self._inverse_square(gaps, rvec)

@@ -15,7 +15,10 @@ gradients, the general condensed tangent) stays as ``VectorSystem``, the
 reference of ``BondSystem.operator`` and ``hqc.conductance_tensors``.  The LJ
 chain as it was before pair bonds (one term per directed bond, with the
 owner's (s, l), evaluated by powers of b) stays as ``DirectedLJ1D``, the
-reference of ``LennardJones1D``.  An element search in exact rational
+reference of ``LennardJones1D``.  The LJ law and the incidence scatter as
+plain expressions (``PlainLJLaw``, ``moveaxis_scatter``) are the bitwise
+references of ``LennardJonesLaw``'s in-place kernels and of
+``BondSystem._scatter``; ``HardCoreLaw`` collapses inside a hard core.  An element search in exact rational
 arithmetic (``site_element_oracle``) is the reference of
 ``fem.site_elements``, and a plain Verlet loop of the HQC macro system
 (``every_step_hqc_dynamics``) that of ``run_hqc_dynamics``."""
@@ -53,7 +56,7 @@ from hqclab.lattice import (
     unit_cell,
 )
 from hqclab.network import BondSystem, SolverError, avg_norm, newton_zero_mean
-from hqclab.potential import BondSpec, InteractionModel, LennardJonesParams, PotentialError
+from hqclab.potential import BondSpec, InteractionModel, LennardJonesLaw, LennardJonesParams, PotentialError
 
 # ------------------------------------------- single-site model evaluation
 # gaps: one vector per neighborhood offset of species alpha; cell: a Bravais
@@ -161,6 +164,78 @@ class DirectedLJ1D(InteractionModel):
 
     def bond_specs(self, alpha: int, cells=None) -> list[BondSpec]:
         return self._specs[alpha]
+
+
+# ------------------------------------------------ plain bond kernels
+
+
+class PlainLJLaw(LennardJonesLaw):
+    """``LennardJonesLaw`` as plain expressions, each a fresh array: the
+    reference of the in-place kernels, which must equal it bit for bit."""
+
+    def _inverse_square(self, gaps, rvec):
+        vec = self.scale * (rvec + gaps)
+        b2 = np.sum(vec * vec, axis=-1)
+        if np.any(b2 <= 0.0):
+            raise PotentialError("bond length collapsed to zero")
+        return vec, 1.0 / b2
+
+    def energy(self, gaps, rvec):
+        _, q = self._inverse_square(gaps, rvec)
+        q3 = q * q * q
+        return q3 * (self.a12 * q3 - 2.0 * self.a6)
+
+    def grad(self, gaps, rvec):
+        vec, q = self._inverse_square(gaps, rvec)
+        q3 = q * q * q
+        return (12.0 * self.scale * q3 * q * (self.a6 - self.a12 * q3))[..., None] * vec
+
+    def hess(self, gaps, rvec):
+        vec, q = self._inverse_square(gaps, rvec)
+        q3 = q * q * q
+        q4 = q3 * q
+        dphi_b = 12.0 * q4 * (self.a6 - self.a12 * q3)
+        d2phi = q4 * (156.0 * self.a12 * q3 - 84.0 * self.a6)
+        s2 = self.scale**2
+        vv = vec[..., :, None] * vec[..., None, :]
+        radial = (s2 * q * (d2phi - dphi_b))[..., None, None] * vv
+        return radial + (s2 * dphi_b)[..., None, None] * np.eye(vec.shape[-1])
+
+
+class HardCoreLaw(LennardJonesLaw):
+    """LJ bond that counts as collapsed (PotentialError) below ``core``."""
+
+    def __init__(self, a6, a12, scale, core):
+        super().__init__(a6, a12, scale)
+        self.core = np.asarray(core, dtype=float)
+
+    @classmethod
+    def stack(cls, laws, counts):
+        plain = LennardJonesLaw.stack(laws, counts)
+        return cls(plain.a6, plain.a12, plain.scale, np.repeat([law.core for law in laws], counts))
+
+    def _inverse_square(self, gaps, rvec):
+        vec, q = super()._inverse_square(gaps, rvec)
+        if np.any(q * self.core**2 > 1.0):
+            raise PotentialError("bond collapsed into the hard core")
+        return vec, q
+
+
+def moveaxis_scatter(system: BondSystem, per_bond: np.ndarray) -> np.ndarray:
+    """``BondSystem._scatter`` through ``np.moveaxis``: the reference of its
+    transposed views."""
+    nb, d = per_bond.shape[-2:]
+    lead = per_bond.shape[:-2]
+    flat = np.moveaxis(per_bond, -2, 0).reshape(nb, -1)
+    out = (system.incidence @ flat).reshape((system.n_sites,) + lead + (d,))
+    return np.moveaxis(out, 0, -2)
+
+
+def bitwise_equal(a, b) -> bool:
+    """Same shape and the same float64 bits in every entry (signed zeros and
+    NaNs included)."""
+    a, b = np.ascontiguousarray(a, dtype=float), np.ascontiguousarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 # ------------------------------------------------ shift / corrector gauges

@@ -53,6 +53,15 @@ def test_equivalence_cli_deterministic(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_dynamics_cli_deterministic(tmp_path):
+    cfg = tmp_path / "d.cfg"
+    cfg.write_text("n_atoms = 128\n")
+    outs = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    for out in outs:
+        assert main(["dynamics-1d", "--config", str(cfg), "--out", str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
 def test_stochastic_cli_deterministic_through_pcg(tmp_path, monkeypatch):
     from hqclab.network import GaugeFixedOperator
 

@@ -20,7 +20,7 @@ from hqclab.dynamics import (
 )
 from hqclab.fem import P1Field, build_mesh, p1_interpolate_lattice
 from hqclab.hqc import HQCOperator
-from hqclab.lattice import LatticeField, chain_lattice, discrete_derivative
+from hqclab.lattice import LatticeField, chain_lattice, discrete_derivative, discrete_norms
 from hqclab.network import SolverError
 from hqclab.potential import LinearSpring1D, make_dynamics_model
 from support import constant_tensor_stiffness, every_step_energy_dynamics, every_step_hqc_dynamics
@@ -353,6 +353,27 @@ def test_hqc_trajectory_equals_the_plain_verlet_reference(case):
         assert np.array_equal(got.values, want.values)
 
 
+def test_hqc_dynamics_solves_the_correctors_once_per_state(monkeypatch):
+    # the force, the energy guard and the reconstruction of a state share one
+    # stacked micro solve: n_steps + 1 solves for the states t = 0, tau, ..., 6 tau
+    from hqclab import hqc
+
+    prob, setup, lat = dynamics_problem(128)
+    calls = []
+    real = hqc.micro_solve
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(hqc, "micro_solve", counting)
+    tau = (1 / 8) / 20
+    traj = run_hqc_dynamics(setup.model, lat, build_mesh(1, 8), setup.species_masses, initial_condition(prob),
+                            t_final=6 * tau, tau=tau)
+    assert len(traj.times) == 7
+    assert len(calls) == 7
+
+
 def test_trajectory_error_conventions():
     lat = chain_lattice(Fraction(1, 8), 1)
     rng = np.random.default_rng(9)
@@ -366,6 +387,23 @@ def test_trajectory_error_conventions():
     # single-sample trajectories reduce to the static norms
     one = trajectory_error(np.array([0.0]), fields[:1], offset[:1])
     assert one[0] == pytest.approx(0.2) and one[1] == pytest.approx(0.2)
+
+
+def test_trajectory_error_is_bitwise_the_per_sample_norms():
+    # the neighbor index resolved once per call gives the norms of each sample alone
+    lat = chain_lattice(Fraction(1, 16), 2)
+    rng = np.random.default_rng(10)
+    ref, app = ([LatticeField(lat, rng.standard_normal((lat.n_sites, 1))) for _ in range(4)] for _ in range(2))
+    times = np.array([0.0, 0.1, 0.2, 0.3])
+    norms = [discrete_norms(LatticeField(lat, a.values - r.values)) for r, a in zip(ref, app)]
+    l2s, h1s = zip(*norms)
+    want = float(np.max(l2s)), float(np.sqrt(np.trapezoid(np.asarray(h1s) ** 2, times)))
+    assert trajectory_error(times, ref, app) == want
+    other = chain_lattice(Fraction(1, 16), 2)
+    with pytest.raises(ValueError, match="one lattice"):
+        trajectory_error(times, ref[:3] + [LatticeField(other, ref[3].values)], app)
+    with pytest.raises(ValueError, match="sample times"):
+        trajectory_error(times[:0], [], [])
 
 
 def test_macro_initial_condition_interpolates():

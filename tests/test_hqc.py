@@ -988,6 +988,35 @@ def test_micro_route_follows_the_compiled_bond_law(monkeypatch, make_model, newt
     assert len(calls) == 2 * newton_calls
 
 
+@pytest.mark.parametrize("make_model, newton_calls", [
+    pytest.param(lambda: make_dynamics_model().model, 1, id="lj-chain"),
+    pytest.param(newton_springs, 1, id="newton-springs"),
+    pytest.param(lambda: LinearSpring1D((1.0, 3.0)), 0, id="springs"),
+])
+def test_one_micro_state_serves_energy_gradient_and_reconstruction(monkeypatch, make_model, newton_calls):
+    # energy, gradient and reconstruction given the field's micro_state equal
+    # those that solve their own correctors, bit for bit, at one corrector solve
+    from hqclab import hqc
+
+    mesh = build_mesh(1, 4)
+    op = HQCOperator(make_model(), chain_lattice(Fraction(1, 16), 2), mesh)
+    uh = random_uh(mesh, 0.03, seed=61)
+    alone = op.energy(uh), op.gradient(uh), reconstruct(op, uh).values
+    calls = []
+    real = hqc.micro_solve
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(hqc, "micro_solve", counting)
+    micro = op.micro_state(uh)
+    shared = op.energy(uh, micro), op.gradient(uh, micro), reconstruct(op, uh, micro).values
+    assert len(calls) == newton_calls
+    assert shared[0] == alone[0]
+    assert np.array_equal(shared[1], alone[1]) and np.array_equal(shared[2], alone[2])
+
+
 def test_tensor_route_contracts_one_tensor_like_per_element_copies():
     lat = square_lattice(8)
     mesh = build_mesh(2, 4)

@@ -15,6 +15,8 @@ from hqclab.lattice import (
     chain_lattice,
     discrete_derivative,
     discrete_norms,
+    nearest_neighbor_offsets,
+    neighbor_sites,
     project_zero_mean,
     square_lattice,
     translate,
@@ -119,6 +121,19 @@ def test_discrete_norms():
     l2, h1 = discrete_norms(u)
     assert l2 == pytest.approx(np.sqrt(0.5))
     assert h1 == pytest.approx(np.sqrt(0.5 + 4.0))
+
+
+@pytest.mark.parametrize("lat", [chain_lattice(Fraction(1, 8), 3), square_lattice(4)], ids=["chain-m3", "square"])
+def test_discrete_norms_with_resolved_neighbors_are_bitwise_the_derivative_sums(lat):
+    u = LatticeField(lat, np.random.default_rng(4).standard_normal((lat.n_sites, lat.d)))
+    l2sq = float(np.mean(np.sum(u.values**2, axis=1)))
+    h1sq = l2sq
+    for r in nearest_neighbor_offsets(lat):
+        h1sq += float(np.mean(np.sum(discrete_derivative(u, r).values ** 2, axis=1)))
+    want = (np.sqrt(l2sq), np.sqrt(h1sq))
+    neighbors = [neighbor_sites(lat, r) for r in nearest_neighbor_offsets(lat)]
+    assert discrete_norms(u) == want
+    assert discrete_norms(u, neighbors) == want
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])

@@ -19,7 +19,6 @@ from hqclab.mqc import (
 from hqclab.potential import (
     BondSpec,
     LennardJones1D,
-    LennardJonesLaw,
     LennardJonesParams,
     LinearSpring1D,
     PotentialError,
@@ -27,6 +26,7 @@ from hqclab.potential import (
     make_dynamics_model,
 )
 from support import (
+    HardCoreLaw,
     corrector_from_shifts,
     mqc_element_energy,
     shifts_from_corrector,
@@ -378,32 +378,13 @@ def test_shift_newton_converges_at_its_rounding_floor():
 # ------------------------------------------------------ failure semantics
 
 
-class _HardCoreLaw(LennardJonesLaw):
-    """LJ bond that counts as collapsed (PotentialError) below ``core``."""
-
-    def __init__(self, a6, a12, scale, core):
-        super().__init__(a6, a12, scale)
-        self.core = np.asarray(core, dtype=float)
-
-    @classmethod
-    def stack(cls, laws, counts):
-        plain = LennardJonesLaw.stack(laws, counts)
-        return cls(plain.a6, plain.a12, plain.scale, np.repeat([law.core for law in laws], counts))
-
-    def _inverse_square(self, gaps, rvec):
-        vec, q = super()._inverse_square(gaps, rvec)
-        if np.any(q * self.core**2 > 1.0):
-            raise PotentialError("bond collapsed into the hard core")
-        return vec, q
-
-
 class _HardCoreDynamicsModel(LennardJones1D):
     """The dynamics LJ chain with hard-core bonds: a bond collapses below half
     the equilibrium length of the species that lists it."""
 
     def __init__(self):
         super().__init__(make_dynamics_model().model.params)
-        self._specs = [[BondSpec(s.offset, _HardCoreLaw(s.law.a6, s.law.a12, s.law.scale, 0.5 * ell))
+        self._specs = [[BondSpec(s.offset, HardCoreLaw(s.law.a6, s.law.a12, s.law.scale, 0.5 * ell))
                         for s in specs] for specs, ell in zip(self._specs, self.params.ell)]
 
 

@@ -25,7 +25,14 @@ from hqclab.potential import (
     SpringLaw,
     make_dynamics_model,
 )
-from support import class_order_hessian, grid_average, reference_compile, reference_hessian
+from support import (
+    bitwise_equal,
+    class_order_hessian,
+    grid_average,
+    moveaxis_scatter,
+    reference_compile,
+    reference_hessian,
+)
 
 
 def per_spec_laws(lattice, model):
@@ -182,6 +189,22 @@ def test_incidence_scatter_matches_add_at_bitwise():
     # a single-cell torus bonds sites to themselves: both entries are kept
     cell = compile_system(Multilattice(1, 1, lat.shifts), make_dynamics_model().model)
     assert cell.incidence.nnz == 2 * len(cell.src)
+
+
+@pytest.mark.parametrize("lead", [(), (3,), (3, 2)], ids=["field", "stack", "stack-of-stacks"])
+@pytest.mark.parametrize("layout", ["contiguous", "bond-major"])
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: compile_system(chain_lattice(Fraction(1, 512), 2), make_dynamics_model().model),
+                 id="lj-chain"),
+    pytest.param(lambda: compile_system(square_lattice(8), RandomBond2D(8, seed=3)), id="random-springs"),
+])
+def test_scatter_equals_the_moveaxis_reference_bitwise(build, layout, lead):
+    system = build()
+    shape = (len(system.src),) + lead + (system.d,)
+    per_bond = np.moveaxis(np.random.default_rng(10).standard_normal(shape), 0, -2)
+    if layout == "contiguous":
+        per_bond = np.ascontiguousarray(per_bond)
+    assert bitwise_equal(system._scatter(per_bond), moveaxis_scatter(system, per_bond))
 
 
 # ------------------------------------------------------------ PCG solves

@@ -12,7 +12,7 @@ from hqclab.potential import (
     make_dynamics_model,
     make_stochastic_model,
 )
-from support import site_energy, site_gradient, site_hessian
+from support import HardCoreLaw, PlainLJLaw, bitwise_equal, site_energy, site_gradient, site_hessian
 
 
 def test_spring_site_energy_and_derivatives():
@@ -194,3 +194,74 @@ def test_stochastic_bond_ranges():
 def test_stochastic_requires_power_of_two():
     with pytest.raises(PotentialError):
         make_stochastic_model(12, seed=0)
+
+
+# ------------------------------------------- in-place LJ kernels, bitwise
+
+
+def _plain(law):
+    return PlainLJLaw(law.a6, law.a12, law.scale)
+
+
+def _random_lj_law(rng, n_bonds, d):
+    law = LennardJonesLaw(rng.uniform(0.5, 2.0, n_bonds), rng.uniform(0.5, 2.0, n_bonds), scale=2.0)
+    return law, rng.uniform(-1.0, 1.0, (n_bonds, d))
+
+
+def _assert_kernels_equal_the_plain_expressions(law, gaps, rvec):
+    plain = _plain(law)
+    for kernel in ("energy", "grad", "hess"):
+        got, want = getattr(law, kernel)(gaps, rvec), getattr(plain, kernel)(gaps, rvec)
+        assert bitwise_equal(got, want), kernel
+
+
+@pytest.mark.parametrize("lead", [(), (3,), (3, 2)], ids=["field", "stack", "stack-of-stacks"])
+def test_dynamics_chain_lj_kernels_equal_the_plain_expressions_bitwise(lead):
+    from fractions import Fraction
+
+    from hqclab.lattice import chain_lattice
+    from hqclab.network import compile_system
+
+    system = compile_system(chain_lattice(Fraction(1, 32), 2), make_dynamics_model().model)
+    w = 0.02 * np.random.default_rng(21).standard_normal(lead + (system.n_sites, 1))
+    F = np.broadcast_to(np.array([[0.03]]), lead + (1, 1)) if lead else None
+    _assert_kernels_equal_the_plain_expressions(system.law, system.gaps(w, F), system.rvec)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("lead", [(), (3,), (3, 2)], ids=["field", "stack", "stack-of-stacks"])
+def test_lj_kernels_equal_the_plain_expressions_bitwise(d, lead):
+    # b^2 is summed one component at a time, as np.sum(., axis=-1) does below 8 terms
+    rng = np.random.default_rng(22)
+    law, rvec = _random_lj_law(rng, 40, d)
+    _assert_kernels_equal_the_plain_expressions(law, 0.3 * rng.standard_normal(lead + (40, d)), rvec)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_lj_kernels_near_collapse_equal_the_plain_expressions_bitwise(d):
+    # bond lengths from 1e-8 to 1e-1: q^7 spans ~ 1e5 to 1e112, and overflows nowhere
+    rng = np.random.default_rng(23)
+    law, rvec = _random_lj_law(rng, 64, d)
+    direction = rng.standard_normal((2, 64, d))
+    direction /= np.linalg.norm(direction, axis=-1, keepdims=True)
+    gaps = -rvec + 10.0 ** rng.uniform(-8.0, -1.0, (2, 64, 1)) * direction
+    _assert_kernels_equal_the_plain_expressions(law, gaps, rvec)
+    _assert_kernels_equal_the_plain_expressions(law, gaps[0], rvec)
+
+
+@pytest.mark.parametrize("lead", [(), (2,)], ids=["field", "stack"])
+def test_collapsed_bond_raises_through_the_inverse_square(lead):
+    rng = np.random.default_rng(24)
+    law, rvec = _random_lj_law(rng, 6, 2)
+    gaps = np.zeros(lead + (6, 2))
+    gaps[..., 4, :] = -rvec[4]
+    for kernel in ("energy", "grad", "hess"):
+        with pytest.raises(PotentialError, match="collapsed to zero"):
+            getattr(law, kernel)(gaps, rvec)
+    # a subclass's check in _inverse_square runs for every kernel
+    hard = HardCoreLaw(law.a6, law.a12, law.scale, core=0.5)
+    gaps[..., 4, :] = rvec[4] * (0.2 / (law.scale * np.linalg.norm(rvec[4])) - 1.0)   # b = 0.2
+    assert np.all(np.isfinite(law.energy(gaps, rvec)))
+    for kernel in ("energy", "grad", "hess"):
+        with pytest.raises(PotentialError, match="hard core"):
+            getattr(hard, kernel)(gaps, rvec)
