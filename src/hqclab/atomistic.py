@@ -45,12 +45,6 @@ def total_energy(problem: EquilibriumProblem, u: LatticeField) -> float:
     return problem.system.energy(u.values / problem.lattice.eps_float)
 
 
-def energy_gradient(problem: EquilibriumProblem, u: LatticeField) -> LatticeField:
-    """Riesz representer of the first variation of E with respect to <., .>."""
-    eps = problem.lattice.eps_float
-    return LatticeField(problem.lattice, problem.system.gradient(u.values / eps) / eps)
-
-
 def energy_hessian(problem: EquilibriumProblem, u: LatticeField):
     """Riesz Hessian, symmetric with constants in the kernel: a CSR matrix, or
     on a one-cell lattice a dense stack of one (1, n_dof, n_dof)."""

@@ -12,6 +12,10 @@ import sys
 from pathlib import Path
 
 from .experiments import (
+    CONVERGE_1D_SCHEMA,
+    DYNAMICS_1D_SCHEMA,
+    EQUIVALENCE_SCHEMA,
+    STOCHASTIC_2D_SCHEMA,
     ConfigError,
     ExperimentResult,
     run_converge_1d,
@@ -20,11 +24,12 @@ from .experiments import (
     run_stochastic_2d,
 )
 
+#: experiment -> (runner, config schema)
 EXPERIMENTS = {
-    "converge-1d": run_converge_1d,
-    "stochastic-2d": run_stochastic_2d,
-    "dynamics-1d": run_dynamics_1d,
-    "equivalence": run_equivalence,
+    "converge-1d": (run_converge_1d, CONVERGE_1D_SCHEMA),
+    "stochastic-2d": (run_stochastic_2d, STOCHASTIC_2D_SCHEMA),
+    "dynamics-1d": (run_dynamics_1d, DYNAMICS_1D_SCHEMA),
+    "equivalence": (run_equivalence, EQUIVALENCE_SCHEMA),
 }
 
 
@@ -77,9 +82,12 @@ def main(argv: list[str] | None = None) -> int:
         if Path(out).is_dir() or not Path(out).parent.is_dir():
             raise ConfigError(f"cannot write {out}: it is not a file name in an existing directory")
         cfg = parse_config_file(args.config) if args.config else {}
+        run, schema = EXPERIMENTS[args.experiment]
         if args.seed is not None:
+            if "seed" not in schema:
+                raise ConfigError(f"--seed: the {args.experiment} experiment has no seed")
             cfg["seed"] = str(args.seed)
-        result = EXPERIMENTS[args.experiment](cfg)
+        result = run(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

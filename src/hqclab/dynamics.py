@@ -5,9 +5,11 @@ The atomistic evolution solves M(x) u''(x) = -dE(u)(x) with the Riesz gradient
 of the interaction energy; the macro evolution uses the averaged mass density
 M0 = <M> lumped at the mesh nodes and the HQC nodal residual as the force.
 The micro problems carry no inertia: at every step each corrector is the
-relaxed one of the current macro field, solved from the zero guess, with one
-corrector solve per state that the force, the energy guard and the
-reconstruction share.
+relaxed one of the current macro field, solved from the zero guess.  Every
+``accel`` returns the acceleration and what else its evaluation made (the
+HQC ``DensityState`` of the macro field, None for the chain), so the force,
+the energy guard and the reconstruction of a state share one corrector
+solve.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from functools import partial
 import numpy as np
 
 from .atomistic import EquilibriumProblem, slowest_eigenmode, solve_equilibrium, total_energy
-from .fem import MacroMesh, P1Field, p1_interpolate_lattice
-from .hqc import HQCOperator, reconstruct
+from .fem import MacroMesh, P1Field, all_element_gradients, nodal_forces, p1_interpolate_lattice
+from .hqc import DensityState, HQCOperator, reconstruct
 from .lattice import (LatticeField, Multilattice, discrete_derivative, discrete_norms, nearest_neighbor_offsets,
                       neighbor_sites)
 from .network import SolverError
@@ -29,7 +31,7 @@ from .network import SolverError
 class DynamicState:
     """Displacement, velocity, and time of an evolving system; ``a`` is the
     acceleration at ``u`` when it is already known, and ``micro`` what else
-    its evaluation returned (the HQC ``micro_state`` at ``u``)."""
+    its evaluation returned (the HQC ``DensityState`` at ``u``)."""
 
     u: np.ndarray
     v: np.ndarray
@@ -52,24 +54,16 @@ def initial_condition(problem: EquilibriumProblem, amplitude: float = 0.01) -> L
     return LatticeField(problem.lattice, u_eq.values + amplitude * mode.values / dmax)
 
 
-def _evaluate(accel, u: np.ndarray) -> tuple[np.ndarray, object]:
-    """``accel(u)`` as the pair (acceleration, micro): an ``accel`` returns
-    either the acceleration alone or that pair."""
-    out = accel(u)
-    return out if isinstance(out, tuple) else (out, None)
-
-
 def verlet_step(state: DynamicState, accel, tau: float) -> DynamicState:
     """One velocity-Verlet step: half kick, drift, force refresh, half kick.
 
-    The returned state carries its acceleration (and the ``micro`` that
-    ``accel`` returned with it), so a chain of steps evaluates the force once
-    per step.
+    ``accel(u)`` returns the pair (acceleration, micro).  The returned state
+    carries both, so a chain of steps evaluates the force once per step.
     """
-    a0 = _evaluate(accel, state.u)[0] if state.a is None else state.a
+    a0 = accel(state.u)[0] if state.a is None else state.a
     v_half = state.v + 0.5 * tau * a0
     u_new = state.u + tau * v_half
-    a1, micro = _evaluate(accel, u_new)
+    a1, micro = accel(u_new)
     v_new = v_half + 0.5 * tau * a1
     return DynamicState(u=u_new, v=v_new, t=state.t + tau, a=a1, micro=micro)
 
@@ -83,12 +77,12 @@ class Trajectory:
 
 
 def atomistic_accel(problem: EquilibriumProblem):
-    """u -> -M^-1 dE(u), the Riesz gradient of ``atomistic.energy_gradient``
+    """u -> (-M^-1 dE(u), None): the Riesz gradient of the interaction energy
     (the system's gradient at u / eps, divided by eps) per unit mass."""
     system, eps, masses = problem.system, problem.lattice.eps_float, problem.masses[:, None]
 
-    def accel(u: np.ndarray) -> np.ndarray:
-        return -(system.gradient(u / eps) / eps) / masses
+    def accel(u: np.ndarray) -> tuple[np.ndarray, None]:
+        return -(system.gradient(u / eps) / eps) / masses, None
 
     return accel
 
@@ -124,7 +118,7 @@ def evolve(accel, energy, u0: np.ndarray, t_final: float, tau: float, sample_eve
     if sample_every < 1:
         raise ValueError(f"sample_every must be at least 1, got {sample_every}")
     n_steps = _whole_steps(t_final, tau)
-    state = DynamicState(u0, np.zeros_like(u0), 0.0, *_evaluate(accel, u0))
+    state = DynamicState(u0, np.zeros_like(u0), 0.0, *accel(u0))
     records, energies = [record(state)], [energy(state)]
     bound = 1e3 * max(abs(energies[0]), 1.0)
     for k in range(1, n_steps + 1):
@@ -169,8 +163,8 @@ def run_hqc_dynamics(model, lattice: Multilattice, mesh: MacroMesh, species_mass
                      t_final: float, tau: float) -> MacroTrajectory:
     """HQC-discretized slow dynamics with lumped macro masses: ``evolve``
     with the reconstruction of every macro step, guarded by the macro energy
-    (lumped kinetic energy plus ``HQCOperator.energy``).  The force, the energy
-    and the reconstruction of a state share its one ``micro_state``.
+    (lumped kinetic energy plus the HQC macro energy).  The force, the energy
+    and the reconstruction of a state read its one ``HQCOperator.at`` state.
 
     The initial macro displacement interpolates the atomistic initial state at
     the mesh vertices; initial velocity is zero.
@@ -178,16 +172,15 @@ def run_hqc_dynamics(model, lattice: Multilattice, mesh: MacroMesh, species_mass
     op = HQCOperator(model, lattice, mesh)
     node_mass = lumped_node_masses(mesh, float(np.mean(species_masses)))
 
-    def accel(u: np.ndarray) -> tuple[np.ndarray, tuple]:
-        uh = P1Field(mesh, u)
-        micro = op.micro_state(uh)
-        return -op.gradient(uh, micro) / node_mass[:, None], micro
+    def accel(u: np.ndarray) -> tuple[np.ndarray, DensityState]:
+        micro = op.at(all_element_gradients(P1Field(mesh, u)))
+        return -nodal_forces(mesh, micro.stress) / node_mass[:, None], micro
 
     def energy(state: DynamicState) -> float:
-        return 0.5 * float(node_mass @ np.sum(state.v**2, axis=1)) + op.energy(P1Field(mesh, state.u), state.micro)
+        return 0.5 * float(node_mass @ np.sum(state.v**2, axis=1)) + float(mesh.volumes @ state.micro.phi)
 
     def record(state: DynamicState):
-        return state.t, reconstruct(op, P1Field(mesh, state.u), state.micro)
+        return state.t, reconstruct(op, P1Field(mesh, state.u), state.micro.chi)
 
     u0 = p1_interpolate_lattice(mesh, u0_lattice).values
     times, recon = zip(*evolve(accel, energy, u0, t_final, tau, 1, record)[0])

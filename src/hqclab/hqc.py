@@ -9,23 +9,24 @@ variables), so the physical corrector is eps * chi and the bond gaps are
     D_r R_T(u^h) = F r + chi[neighbor] - chi[site],   F = grad u^h|_T.
 
 HQC is the macro P1 problem of an element energy density Phi that the micro
-problems evaluate: ``HQCOperator.phi0``, ``dphi0`` and ``d2phi0`` give Phi,
-its stress and the condensed tangent over the stack of element gradients, and
-``macro_newton`` solves for any such density (``homog``'s FEM is the same
-solve over the exact cell problem).  The micro system of a sampling (one
-period, or n_rep cells per dimension) is the model's compiled system on that
-many cells, the one homogenization (one period) and the atomistic reference
-(n_rep = N) use; its effective tensors are kept per system, so every operator
-on one model and sampling shares both, whatever its mesh and relax value.
-The route follows the bond law of the micro system.  A quadratic law, whose
-stiffness must be psi I, takes the tensor route (``conductance_tensors``): d
-scalar sensitivities on the graph Laplacian, solved as one stack, and the
-effective tensor A_ijkl = delta_ik a_jl, one tangent for all elements, whose
-macro stiffness ``assemble`` builds block-circulant from its stencil.  Any
-other law solves the microproblems of all elements as one stack, each from
-zero (``micro_solve``, one stacked ``network.newton``), and
-``micro_sensitivity`` and ``condensed_tangent`` take the same stack.  No
-micro state is kept between evaluations, so the macro energy is a function of
+problems evaluate: ``HQCOperator.at`` gives Phi, its stress, the condensed
+tangent and the correctors at the stack of element gradients as one lazy
+``DensityState``, and ``macro_newton`` solves for any such density
+(``homog``'s FEM is the same solve over the exact cell problem).  The micro
+system of a sampling (one period, or n_rep cells per dimension) is the
+model's compiled system on that many cells, the one homogenization (one
+period) and the atomistic reference (n_rep = N) use; its effective tensors
+are kept per system, so every operator on one model and sampling shares
+both, whatever its mesh and relax value.  The route follows the bond law of
+the micro system.  A quadratic law, whose stiffness must be psi I, takes the
+tensor route (``conductance_tensors``): d scalar sensitivities on the graph
+Laplacian, solved as one stack, and the effective tensor
+A_ijkl = delta_ik a_jl, one tangent for all elements, whose macro stiffness
+``assemble`` builds block-circulant from its stencil.  Any other law solves
+the microproblems of all elements as one stack, each from zero
+(``micro_solve``, one stacked ``network.newton``), and ``micro_sensitivity``
+and ``condensed_tangent`` take the same stack.  No micro state is kept
+between evaluations, so the macro energy is a function of
 u^h alone.
 """
 
@@ -199,16 +200,62 @@ def conductance_tensors(system: BondSystem, relax: bool) -> tuple[np.ndarray | N
     return s, np.einsum("bj,b,bl->jl", g, psi, g) / system.n_sites
 
 
+class DensityState:
+    """The element density Phi of a micro ``system`` at a stack of element
+    gradients (T, d, d): ``phi`` (T,), ``stress`` (T, d, d), ``tangent`` and
+    the correctors ``chi`` (T, n_sites, d), each computed on first use, so
+    one state solves its correctors at most once, and only if asked.
+
+    ``tensors`` is the (s, a) of ``conductance_tensors`` on the tensor route:
+    stress F a, Phi = 1/2 F:(F a), the one tangent A_ijkl = delta_ik a_jl
+    (d, d, d, d) for all elements, and correctors F s, which nothing but a
+    reconstruction reads.  Otherwise the correctors are one ``micro_solve``
+    of the stack (zero when not ``relax``), Phi their micro energy, the stress
+    sensitivity-free, and the tangents condensed (T, d, d, d, d).
+    """
+
+    def __init__(self, system: BondSystem, grads: np.ndarray, relax: bool = True,
+                 tensors: tuple | None = None) -> None:
+        self.system, self.grads, self.relax, self.tensors = system, grads, relax, tensors
+
+    @cached_property
+    def chi(self) -> np.ndarray:
+        if not self.relax:
+            return np.zeros((len(self.grads), self.system.n_sites, self.system.d))
+        if self.tensors is not None:
+            return np.einsum("txj,nj->tnx", self.grads, self.tensors[0])
+        return micro_solve(self.system, self.grads)
+
+    @cached_property
+    def phi(self) -> np.ndarray:
+        if self.tensors is not None:
+            return 0.5 * np.einsum("tij,tij->t", self.grads, self.stress)
+        return self.system.energy(self.chi, self.grads)
+
+    @cached_property
+    def stress(self) -> np.ndarray:
+        if self.tensors is not None:
+            return np.einsum("til,jl->tij", self.grads, self.tensors[1])
+        return self.system.stress(self.chi, self.grads)
+
+    @cached_property
+    def tangent(self) -> np.ndarray:
+        if self.tensors is not None:
+            return np.einsum("ik,jl->ijkl", np.eye(self.system.d), self.tensors[1])
+        sens = micro_sensitivity(self.system, self.chi, self.grads) if self.relax else None
+        return condensed_tangent(self.system, self.chi, self.grads, sens)
+
+
 def macro_newton(mesh: MacroMesh, density, load: np.ndarray | None,
                  tol: float) -> tuple[P1Field, NewtonResult]:
     """Outer Newton from u^h = 0 for the critical point of
     sum_T |T| Phi(grad u^h|_T) - load . u^h over zero-mean P1 fields; returns
     the zero-mean macro field and the result.
 
-    ``density`` gives Phi over a stack of element gradients (n_el, d, d):
-    ``phi0`` (n_el,), ``dphi0`` (n_el, d, d) and ``d2phi0``, per element or
-    one tangent (d, d, d, d) for all; ``volumes @``, ``nodal_forces`` and
-    ``assemble`` make them the energy, residual and Newton operator.  The
+    ``density.at(grads)`` is the ``DensityState`` of Phi at the element
+    gradients (n_el, d, d) of an iterate; ``volumes @``, ``nodal_forces`` and
+    ``assemble`` make its ``phi``, ``stress`` and ``tangent`` the energy,
+    residual and Newton operator of that iterate's one evaluation.  The
     macro equation lives on zero-mean test functions, so the constant
     component of the residual minus the load is dropped (the load's sampling
     averages need not vanish domain by domain).  Converges once the Euclidean
@@ -219,18 +266,18 @@ def macro_newton(mesh: MacroMesh, density, load: np.ndarray | None,
     b = np.zeros((mesh.n_vertices, mesh.d)) if load is None else np.asarray(load, dtype=float)
     threshold = tol * (1.0 + float(np.linalg.norm(b))) / np.sqrt(mesh.n_vertices)
 
-    def grads(u):
-        return all_element_gradients(P1Field(mesh, u[0]))
+    def evaluate(u, _):
+        state = density.at(all_element_gradients(P1Field(mesh, u[0])))
 
-    def gradient(u, _):
-        return project_zero_mean_array(nodal_forces(mesh, density.dphi0(grads(u))) - b)[None], 0.0
+        def operator():
+            K, S = assemble(mesh, state.tangent)
+            return GaugeFixedOperator(K, mesh.d, S)
 
-    def operator(u, _):
-        K, S = assemble(mesh, density.d2phi0(grads(u)))
-        return GaugeFixedOperator(K, mesh.d, S)
+        return (lambda: [float(mesh.volumes @ state.phi) - float(np.sum(b * u[0]))],
+                lambda: (project_zero_mean_array(nodal_forces(mesh, state.stress) - b)[None], 0.0),
+                operator)
 
-    result = newton(lambda u, _: [float(mesh.volumes @ density.phi0(grads(u))) - float(np.sum(b * u[0]))],
-                    gradient, operator, np.zeros_like(b)[None], threshold)
+    result = newton(evaluate, np.zeros_like(b)[None], threshold)
     return p1_zero_mean(P1Field(mesh, result.w[0])), result
 
 
@@ -249,15 +296,13 @@ class HQCOperator:
     refused for a model whose bond laws vary by cell.  A nonlinear law with
     relaxed correctors on a subgrid of several cells is refused on more than
     one element: its tangents need a stack of grid Hessians.  The operator is
-    a density for ``macro_newton`` (``phi0``, ``dphi0``, ``d2phi0``), and only
-    these and ``correctors`` tell the routes apart: a quadratic bond law takes
+    a density for ``macro_newton``, and only ``at``, its ``DensityState`` at
+    the element gradients, tells the routes apart: a quadratic bond law takes
     the tensor route, one tangent for all elements; otherwise the correctors
     of all elements are one stack, each from the zero guess.  ``energy``,
-    ``gradient``, ``element_tangents`` and ``hessian`` compose the density
-    with the P1 layer; ``energy``, ``gradient`` and ``reconstruct`` also take
-    a macro field's ``micro_state`` (element gradients and correctors), so one
-    corrector solve can serve all three.  No micro state is kept, so every
-    value depends on the arguments alone.
+    ``gradient``, ``element_tangents`` and ``hessian`` compose a state with
+    the P1 layer.  No state is kept, so every value depends on the arguments
+    alone.
     """
 
     def __init__(
@@ -293,72 +338,29 @@ class HQCOperator:
             self._tensors[self.relax] = conductance_tensors(self.system, self.relax)
         return self._tensors[self.relax]
 
-    def correctors(self, grads: np.ndarray) -> np.ndarray:
-        """Zero-mean correctors of all elements at gradients (n_el, d, d), shape
-        (n_el, n_sites, d).
-
-        A quadratic bond law contracts the scalar sensitivities,
-        chi[:, x] = F[x, j] s_j; any other runs ``micro_solve``.
-        """
-        system = self.system
-        if not self.relax:
-            return np.zeros((len(grads), system.n_sites, system.d))
-        if system.law.is_quadratic:
-            return np.einsum("txj,nj->tnx", grads, self._quad_data()[0])
-        return micro_solve(system, grads)
-
-    def micro_state(self, uh: P1Field) -> tuple[np.ndarray, np.ndarray]:
-        """The element gradients of ``uh`` (n_el, d, d) and the correctors at
-        them: one evaluation that ``energy``, ``gradient`` and ``reconstruct``
-        can share."""
-        grads = all_element_gradients(uh)
-        return grads, self.correctors(grads)
-
-    def phi0(self, grads: np.ndarray, chi: np.ndarray | None = None) -> np.ndarray:
-        """Element energy densities (n_el,) at gradients (n_el, d, d): 1/2 F:(F a)
-        on the tensor route, otherwise the micro energy at the correctors
-        ``chi`` (solved for when None)."""
-        if self.system.law.is_quadratic:
-            return 0.5 * np.einsum("tij,tij->t", grads, self.dphi0(grads))
-        return self.system.energy(self.correctors(grads) if chi is None else chi, grads)
-
-    def dphi0(self, grads: np.ndarray, chi: np.ndarray | None = None) -> np.ndarray:
-        """Element stresses (n_el, d, d): F a on the tensor route, otherwise the
-        sensitivity-free micro stress at the correctors ``chi`` (as for ``phi0``)."""
-        if self.system.law.is_quadratic:
-            return np.einsum("til,jl->tij", grads, self._quad_data()[1])
-        return self.system.stress(self.correctors(grads) if chi is None else chi, grads)
-
-    def d2phi0(self, grads: np.ndarray) -> np.ndarray:
-        """Element tangents: on the tensor route the one tangent
-        A_ijkl = delta_ik a_jl (d, d, d, d) shared by all elements, otherwise
-        the condensed tangents of the correctors (n_el, d, d, d, d)."""
-        if self.system.law.is_quadratic:
-            return np.einsum("ik,jl->ijkl", np.eye(self.mesh.d), self._quad_data()[1])
-        chi = self.correctors(grads)
-        sens = micro_sensitivity(self.system, chi, grads) if self.relax else None
-        return condensed_tangent(self.system, chi, grads, sens)
+    def at(self, grads: np.ndarray) -> DensityState:
+        """The ``DensityState`` at element gradients (n_el, d, d): a quadratic
+        bond law takes the tensor route, any other one stacked micro solve."""
+        tensors = self._quad_data() if self.system.law.is_quadratic else None
+        return DensityState(self.system, grads, self.relax, tensors)
 
     # ------------------------------------------------------------- macro layer
 
-    def energy(self, uh: P1Field, micro: tuple | None = None) -> float:
-        """Macro energy of ``uh``; ``micro`` is its ``micro_state`` when already known."""
-        grads, chi = (all_element_gradients(uh), None) if micro is None else micro
-        return float(self.mesh.volumes @ self.phi0(grads, chi))
+    def energy(self, uh: P1Field) -> float:
+        """Macro energy of ``uh``."""
+        return float(self.mesh.volumes @ self.at(all_element_gradients(uh)).phi)
 
-    def gradient(self, uh: P1Field, micro: tuple | None = None) -> np.ndarray:
-        """Nodal residual of the macro energy, the stress form of ``dphi0``;
-        ``micro`` as for ``energy``."""
-        grads, chi = (all_element_gradients(uh), None) if micro is None else micro
-        return nodal_forces(self.mesh, self.dphi0(grads, chi))
+    def gradient(self, uh: P1Field) -> np.ndarray:
+        """Nodal residual of the macro energy, the stress form of the density."""
+        return nodal_forces(self.mesh, self.at(all_element_gradients(uh)).stress)
 
     def element_tangents(self, uh: P1Field) -> np.ndarray:
-        A = self.d2phi0(all_element_gradients(uh))
+        A = self.at(all_element_gradients(uh)).tangent
         return np.broadcast_to(A, (self.mesh.n_elements,) + A.shape[-4:])
 
     def hessian(self, uh: P1Field):
         """The P1 tangent that the Newton steps of ``solve`` use, a CSR matrix."""
-        return assemble(self.mesh, self.d2phi0(all_element_gradients(uh)))[0]
+        return assemble(self.mesh, self.at(all_element_gradients(uh)).tangent)[0]
 
     @cached_property
     def site_map(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -416,12 +418,14 @@ class HQCSolution:
 # ------------------------------------------------------------- reconstruction
 
 
-def reconstruct(op: HQCOperator, uh: P1Field, micro: tuple | None = None) -> LatticeField:
+def reconstruct(op: HQCOperator, uh: P1Field, chi: np.ndarray | None = None) -> LatticeField:
     """Lattice-resolution field u^{h,c} of the macro field ``uh``: at every site,
     the affine part of its owner element plus the periodic tiling of that
-    element's corrector.  ``micro`` is ``op.micro_state(uh)`` when already known."""
+    element's corrector.  ``chi`` holds the correctors of ``uh`` when already
+    known (a ``DensityState``'s), else they are solved for."""
     owner, rel, torus_site = op.site_map
-    grads, chi = op.micro_state(uh) if micro is None else micro
+    grads = all_element_gradients(uh)
+    chi = op.at(grads).chi if chi is None else chi
     u0 = uh.values[op.mesh.elements[owner, 0]]
     lin = u0 + (grads[owner] @ rel[:, :, None])[:, :, 0]
     return LatticeField(op.lattice, lin + op.lattice.eps_float * chi[owner, torus_site])

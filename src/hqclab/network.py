@@ -21,7 +21,9 @@ the constant fields in its kernel.
 
 ``newton`` solves stacks of such problems (one problem is a stack of one), and
 also the macro problems of the HQC and homogenized-FEM solvers, whose nodal
-fields are zero-mean in the same way.  Each Newton step is one
+fields are zero-mean in the same way.  Its one ``evaluate`` callback gives an
+iterate's objectives, gradients and operator, each computed only when asked
+for, and each iterate is evaluated once.  Each Newton step is one
 ``GaugeFixedOperator`` solve: batched dense LAPACK for the Hessian stacks of
 one-cell systems, FFT-preconditioned CG for one field on a grid of cells, with
 the grid-averaged stencil as the preconditioner (the lattice analogue of
@@ -490,25 +492,32 @@ class NewtonResult:
     iterations: int     # Newton steps summed over the stack entries
 
 
-def newton(energy, gradient, operator, w0: np.ndarray, threshold, max_iter: int = 50) -> NewtonResult:
+def newton(evaluate, w0: np.ndarray, threshold, max_iter: int = 50) -> NewtonResult:
     """Zero-mean Newton iteration: the one nonlinear solver of the package.
 
-    ``w0`` is a stack (T, n, d) of independent problems.  ``energy``,
-    ``gradient`` and ``operator`` map the fields w (k, n, d) of the entries
-    ``rows`` to their objectives, their Riesz gradients with the rounding
-    band (k,) of each (or a float for all), and the ``GaugeFixedOperator`` of
-    their Hessians.  Entry t leaves once avg_norm(gradient) <= ``threshold``
-    (a float or one per entry) plus its band: a residual inside the rounding
-    of its own sums is a backward error at the floor, as in PCG.  Its step is
-    halved until its objective does not rise, and a trial that raises
-    PotentialError is a rise of the entries whose bonds collapsed.
+    ``w0`` is a stack (T, n, d) of independent problems.  ``evaluate(w, rows)``
+    takes the fields w (k, n, d) of the entries ``rows`` and returns three
+    functions of no argument, each computing only when called: the
+    objectives (k,), the Riesz gradients with the rounding band (k,) of each
+    (or a float for all), and the ``GaugeFixedOperator`` of the Hessians.
+    Entry t leaves once avg_norm(gradient) <= ``threshold`` (a float or one
+    per entry) plus its band: a residual inside the rounding of its own sums
+    is a backward error at the floor, as in PCG.  Its step is halved until
+    its objective does not rise, and a trial that raises PotentialError is a
+    rise of the entries whose bonds collapsed.  Each iterate is evaluated
+    once: the trial of a line-search round in which every entry took its
+    step is the next iterate, evaluation included, and the stack is
+    evaluated afresh only after a round that split it or once some entries
+    have converged.
     """
     w = project_zero_mean_array(np.array(w0, dtype=float))
     T = len(w)
     threshold = np.broadcast_to(threshold, (T,))
     res, active, steps = np.zeros(T), np.arange(T), 0
+    evaluation, base = evaluate(w.copy(), active), None
     for it in range(max_iter + 1):
-        g, band = gradient(w[active], active)
+        energy, gradient, operator = evaluation
+        g, band = gradient()
         res[active] = avg_norm(g)
         keep = ~(res[active] <= threshold[active] + band)
         active, g = active[keep], g[keep]
@@ -517,23 +526,45 @@ def newton(energy, gradient, operator, w0: np.ndarray, threshold, max_iter: int 
         if it == max_iter:
             break
         wa = w[active]
-        step = operator(wa, active).solve(-g)
-        base = np.asarray(energy(wa, active), dtype=float)
+        if len(active) < len(keep):
+            (energy, _, operator), base = evaluate(wa, active), None
+        step = operator().solve(-g)
+        base = np.asarray(energy(), dtype=float) if base is None else base
         bound = base + RISE_TOL * (1 + np.abs(base))
-        lam, pending, size = np.ones(len(active)), np.arange(len(active)), 1.0
+        lam, pending, size, evaluation = np.ones(len(active)), np.arange(len(active)), 1.0, None
         while len(pending):   # halve the steps of the entries whose objective rose
             if size <= MIN_STEP:
                 raise SolverError(f"line search failed on {len(pending)} of {T} entries "
                                   "(bond collapse or ascent direction)")
-            trial = energies_or_inf(energy, project_zero_mean_array(wa[pending] + size * step[pending]),
-                                    active[pending])
-            pending = pending[~(trial <= bound[pending])]
+            trial, trial_evaluation = _trial(evaluate, project_zero_mean_array(wa[pending] + size * step[pending]),
+                                             active[pending])
+            rose = ~(trial <= bound[pending])
+            if len(pending) == len(active) and not rose.any():
+                evaluation, base = trial_evaluation, trial
+            pending = pending[rose]
             size *= 0.5
             lam[pending] = size
+        # where every entry took one round's step, this is that round's trial, bit for bit
         w[active] = project_zero_mean_array(wa + lam[:, None, None] * step)
         steps += len(active)
+        if evaluation is None:
+            evaluation, base = evaluate(w[active], active), None
     raise SolverError(f"Newton did not converge: residual {res[active].max():.3e} on {len(active)} "
                       f"of {T} entries after {max_iter} iterations")
+
+
+def _trial(evaluate, w: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, tuple | None]:
+    """The objectives of the trial fields ``w`` of ``rows``, inf for the
+    entries whose bonds collapse (``energies_or_inf``), and their evaluation,
+    which a trial that raised PotentialError does not keep."""
+    evaluations = []
+
+    def objectives(x, r):
+        evaluations.append(evaluate(x, r))
+        return evaluations[-1][0]()
+
+    trial = energies_or_inf(objectives, w, rows)
+    return trial, evaluations[0] if len(evaluations) == 1 else None
 
 
 def rounding_band(system: BondSystem, forces: np.ndarray, f_ext: np.ndarray | None) -> np.ndarray:
@@ -573,18 +604,19 @@ def newton_zero_mean(
     shape = (len(Fs) if stacked else 1, system.n_sites, system.d)
     threshold = np.broadcast_to(tol * (1.0 + np.asarray(ref)), shape[:1])
 
-    def at(rows):
-        return None if Fs is None else Fs[rows]
+    def evaluate(w, rows):
+        F = None if Fs is None else Fs[rows]
 
-    def energy(w, rows):
-        e = system.energy(w, at(rows))
-        return e if f_ext is None else e - np.mean(np.sum(f_ext * w, axis=-1), axis=-1)
+        def energy():
+            e = system.energy(w, F)
+            return e if f_ext is None else e - np.mean(np.sum(f_ext * w, axis=-1), axis=-1)
 
-    def gradient(w, rows):
-        forces = system.bond_forces(w, at(rows))
-        g = system._scatter(forces)
-        return (g if f_ext is None else g - f_ext), rounding_band(system, forces, f_ext)
+        def gradient():
+            forces = system.bond_forces(w, F)
+            g = system._scatter(forces)
+            return (g if f_ext is None else g - f_ext), rounding_band(system, forces, f_ext)
 
-    result = newton(energy, gradient, lambda w, rows: system.operator(w, at(rows)),
-                    np.zeros(shape) if w0 is None else np.reshape(w0, shape), threshold)
+        return energy, gradient, lambda: system.operator(w, F)
+
+    result = newton(evaluate, np.zeros(shape) if w0 is None else np.reshape(w0, shape), threshold)
     return result if stacked else NewtonResult(result.w[0], result.residual, result.iterations)

@@ -418,6 +418,13 @@ def is_zero_mean(u: LatticeField) -> bool:
     return bool(np.all(np.abs(average(u)) <= ZERO_MEAN_TOL * max(scale, 1.0)))
 
 
+def energy_gradient(problem: EquilibriumProblem, u: LatticeField) -> LatticeField:
+    """Riesz representer of the first variation of E with respect to <., .>:
+    the system's gradient at u / eps, divided by eps."""
+    eps = problem.lattice.eps_float
+    return LatticeField(problem.lattice, problem.system.gradient(u.values / eps) / eps)
+
+
 def residual_norm(problem: EquilibriumProblem, u: LatticeField) -> float:
     """||dE(u) - f||, the gradient from the oracle ``GapScaledSystem``."""
     g = GapScaledSystem(problem).gradient(u.values)
@@ -621,8 +628,8 @@ def every_step_hqc_dynamics(model, lattice: Multilattice, mesh: MacroMesh, speci
     op = HQCOperator(model, lattice, mesh)
     node_mass = lumped_node_masses(mesh, float(np.mean(species_masses)))
 
-    def accel(u: np.ndarray) -> np.ndarray:
-        return -op.gradient(P1Field(mesh, u)) / node_mass[:, None]
+    def accel(u: np.ndarray) -> tuple[np.ndarray, None]:
+        return -op.gradient(P1Field(mesh, u)) / node_mass[:, None], None
 
     u0 = p1_interpolate_lattice(mesh, u0_lattice).values
     state = DynamicState(u=u0.copy(), v=np.zeros_like(u0), t=0.0)

@@ -7,7 +7,6 @@ from fractions import Fraction
 
 from hqclab.atomistic import (
     EquilibriumProblem,
-    energy_gradient,
     energy_hessian,
     slowest_eigenmode,
     solve_equilibrium,
@@ -23,7 +22,7 @@ from hqclab.lattice import (
 )
 from hqclab.network import SolverError
 from hqclab.potential import LinearSpring1D, RandomBond2D, make_dynamics_model, make_stochastic_model
-from support import GapScaledSystem, gap_scaled_solve, residual_norm, vector_solve, zeros_field
+from support import GapScaledSystem, energy_gradient, gap_scaled_solve, residual_norm, vector_solve, zeros_field
 
 
 def spring_problem(eps, psi, force=None):

@@ -296,6 +296,20 @@ def test_a_negative_seed_flag_is_a_config_error(tmp_path, monkeypatch, capsys, e
     assert not (tmp_path / "o.csv").exists()
 
 
+@pytest.mark.parametrize("experiment", ["converge-1d", "dynamics-1d"])
+def test_a_seed_flag_for_an_experiment_without_a_seed_is_refused(tmp_path, monkeypatch, capsys, experiment):
+    # the message names the flag and the experiment, not a config key the user never wrote
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the seed was checked")
+
+    monkeypatch.setattr(experiments.atomistic, "solve_equilibrium", no_solve)
+    assert main([experiment, "--seed", "3", "--out", str(tmp_path / "o.csv")]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: --seed: the {experiment} experiment has no seed" in err
+    assert "unknown config keys" not in err
+    assert not (tmp_path / "o.csv").exists()
+
+
 @pytest.mark.parametrize("out", ["missing/x.csv", "."], ids=["missing-directory", "a-directory"])
 def test_unwritable_output_path_exits_before_any_solve(tmp_path, monkeypatch, capsys, out):
     def no_solve(*args, **kwargs):

@@ -46,7 +46,7 @@ def test_initial_condition_amplitude_and_mean():
 
 def test_verlet_free_drift():
     state = DynamicState(u=np.array([[0.5]]), v=np.array([[2.0]]), t=0.0)
-    new = verlet_step(state, lambda u: np.zeros_like(u), 0.1)
+    new = verlet_step(state, lambda u: (np.zeros_like(u), None), 0.1)
     assert new.u[0, 0] == pytest.approx(0.5 + 0.1 * 2.0)
     assert new.v[0, 0] == pytest.approx(2.0)
     assert new.t == pytest.approx(0.1)
@@ -59,7 +59,7 @@ def test_verlet_harmonic_oscillator_second_order():
     period = 2 * np.pi / w
 
     def accel(u):
-        return -k * u
+        return -k * u, None
 
     errs = []
     for tau in (period / 200, period / 400):
@@ -77,7 +77,7 @@ def test_verlet_energy_error_bounded():
     k = 4.0
 
     def accel(u):
-        return -k * u
+        return -k * u, None
 
     tau = 0.01
     state = DynamicState(u=np.array([[1.0]]), v=np.array([[0.0]]), t=0.0)
@@ -106,7 +106,7 @@ def test_verlet_chain_evaluates_force_once_per_step():
         chained = verlet_step(chained, counted, 1e-4)
         fresh = verlet_step(DynamicState(fresh.u, fresh.v, fresh.t), accel, 1e-4)
     assert len(calls) == 11
-    assert np.array_equal(chained.a, accel(chained.u))
+    assert np.array_equal(chained.a, accel(chained.u)[0])
     assert np.array_equal(chained.u, fresh.u) and np.array_equal(chained.v, fresh.v)
 
 
@@ -241,7 +241,7 @@ def test_hqc_blowup_stops_at_the_first_non_finite_step():
     node_mass = lumped_node_masses(mesh, 1.0)
 
     def accel(u):
-        return -op.gradient(P1Field(mesh, u)) / node_mass[:, None]
+        return -op.gradient(P1Field(mesh, u)) / node_mass[:, None], None
 
     with np.errstate(over="ignore", invalid="ignore"):
         u0_macro = p1_interpolate_lattice(mesh, u0).values
@@ -268,7 +268,7 @@ def test_hqc_energy_blowup_with_finite_values_is_stopped():
     node_mass = lumped_node_masses(mesh, float(np.mean(setup.species_masses)))
 
     def accel(u):
-        return -op.gradient(P1Field(mesh, u)) / node_mass[:, None]
+        return -op.gradient(P1Field(mesh, u)) / node_mass[:, None], None
 
     def energy(state):
         return 0.5 * float(node_mass @ np.sum(state.v**2, axis=1)) + op.energy(P1Field(mesh, state.u))

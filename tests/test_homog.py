@@ -5,12 +5,12 @@ import pytest
 from fractions import Fraction
 
 from hqclab.fem import build_mesh, load_from_lattice
+from hqclab.hqc import macro_newton
 from hqclab.homog import (
     HomogenizedDensity,
     cell_system,
     harmonic_mean,
     solve_cell_problem,
-    solve_homogenized_fem,
 )
 from hqclab.lattice import LatticeField, chain_lattice
 from hqclab.potential import LinearSpring1D, RandomBond2D, make_dynamics_model
@@ -60,7 +60,7 @@ def test_phi0_closed_form_worked_example():
     model = LinearSpring1D((1.0, 3.0))
     density = HomogenizedDensity(model)
     assert density.phi0([[1.0]]) == pytest.approx(0.1875, abs=1e-14)
-    assert density.dphi0([[1.0]])[0, 0] == pytest.approx(0.375, abs=1e-12)
+    assert density.at([[1.0]]).stress[0, 0, 0] == pytest.approx(0.375, abs=1e-12)
 
 
 def test_phi0_harmonic_average_random():
@@ -101,7 +101,7 @@ def test_envelope_property():
         for _ in range(5):
             F = scale * rng.uniform(-1, 1)
             step = 1e-5 * max(abs(F), 1.0)
-            exact = density.dphi0([[F]])[0, 0]
+            exact = density.at([[F]]).stress[0, 0, 0]
             fd = (density.phi0([[F + step]]) - density.phi0([[F - step]])) / (2 * step)
             assert exact == pytest.approx(fd, rel=1e-6, abs=1e-8)
 
@@ -113,8 +113,8 @@ def test_quadratic_scaling_and_symmetry():
     for lam in (0.5, 2.0):
         assert density.phi0([[lam * F]]) == pytest.approx(lam**2 * base, rel=1e-12)
     assert density.phi0([[-F]]) == pytest.approx(base, rel=1e-12)
-    # dphi0 linear in F for quadratic models
-    assert density.dphi0([[2 * F]])[0, 0] == pytest.approx(2 * density.dphi0([[F]])[0, 0], rel=1e-10)
+    # the stress is linear in F for quadratic models
+    assert density.at([[2 * F]]).stress[0, 0, 0] == pytest.approx(2 * density.at([[F]]).stress[0, 0, 0], rel=1e-10)
 
 
 def test_guess_determinism():
@@ -137,7 +137,7 @@ def test_residual_tolerance():
 def test_homogenized_fem_zero_force():
     density = HomogenizedDensity(LinearSpring1D((1.0, 3.0)))
     mesh = build_mesh(1, 4)
-    u = solve_homogenized_fem(mesh, density, load=None)
+    u = macro_newton(mesh, density, None, 1e-10)[0]
     assert np.allclose(u.values, 0.0, atol=1e-12)
 
 
@@ -154,7 +154,7 @@ def test_homogenized_fem_matches_constant_coefficient_oracle():
     fvals = rng.standard_normal((lat.n_sites, 1))
     fvals -= fvals.mean(axis=0)
     load = load_from_lattice(mesh, LatticeField(lat, fvals))
-    u = solve_homogenized_fem(mesh, density, load=load, tol=1e-12)
+    u = macro_newton(mesh, density, load, 1e-12)[0]
 
     coeff = harmonic_mean(psi) / m**2
     K = np.asarray(constant_tensor_stiffness(mesh, np.array(coeff)).todense())
@@ -187,7 +187,7 @@ def test_homogenized_fem_2d_homogeneous_oracle():
     fvals = rng.standard_normal((lat.n_sites, 2))
     fvals -= fvals.mean(axis=0)
     load = load_from_lattice(mesh, LatticeField(lat, fvals))
-    u = solve_homogenized_fem(mesh, density, load=load, tol=1e-11)
+    u = macro_newton(mesh, density, load, 1e-11)[0]
 
     A = np.zeros((2, 2, 2, 2))
     for i in range(2):
@@ -213,7 +213,7 @@ def test_corrector_is_a_function_of_F():
     density = HomogenizedDensity(model)
     F = np.array([[0.7]])
     for G in (F, F + 4e-13):
-        assert np.array_equal(density.chi(G), solve_cell_problem(model, G))
+        assert np.array_equal(density.at(G).chi[0], solve_cell_problem(model, G))
 
 
 def _uniform_network():
@@ -238,9 +238,9 @@ def test_stacked_density_matches_single_calls(make_model, scale):
     assert phi.shape == (5,)
     assert np.array_equal(phi, [density.phi0(F) for F in grads])
     assert all(type(density.phi0(F)) is float for F in grads)
-    for name, shape in (("chi", (model.m, d)), ("dphi0", (d, d)), ("d2phi0", (d,) * 4)):
-        stacked = getattr(density, name)(grads)
-        singles = [getattr(density, name)(F) for F in grads]
+    for name, shape in (("chi", (model.m, d)), ("stress", (d, d)), ("tangent", (d,) * 4)):
+        stacked = getattr(density.at(grads), name)
+        singles = [getattr(density.at(F), name)[0] for F in grads]
         assert stacked.shape == (5,) + shape and all(x.shape == shape for x in singles)
         assert np.array_equal(stacked, singles)
 

@@ -17,10 +17,11 @@ from hqclab.fem import (
     sample_on_lattice,
     site_elements,
 )
-from hqclab.homog import HomogenizedDensity, harmonic_mean, solve_homogenized_fem
+from hqclab.homog import HomogenizedDensity, harmonic_mean
 from hqclab.hqc import (
     HQCError,
     HQCOperator,
+    macro_newton,
     place_sampling_domains,
     reconstruct,
     solve_hqc,
@@ -50,7 +51,7 @@ def gradient_full(op, uh):
     from hqclab.hqc import micro_sensitivity
 
     grads = all_element_gradients(uh)
-    correctors = op.correctors(grads)
+    correctors = op.at(grads).chi
     mesh = op.mesh
     d = mesh.d
     system = op.system
@@ -177,7 +178,7 @@ def test_micro_matches_cell_problem():
         uh = random_uh(mesh, scale, seed=1)
         op = HQCOperator(model, lat, mesh)
         grads = all_element_gradients(uh)
-        chis = op.correctors(grads)
+        chis = op.at(grads).chi
         for F, chi, residual in zip(grads, chis, avg_norm(op.system.gradient(chis, grads))):
             chi_cell = solve_cell_problem(model, F)
             assert np.max(np.abs(chi - chi_cell)) < 1e-12 * (1 + np.linalg.norm(F))
@@ -190,7 +191,7 @@ def test_micro_simple_lattice_trivial():
     lat = chain_lattice(Fraction(1, 16), 1)
     mesh = build_mesh(1, 4)
     op = HQCOperator(model, lat, mesh)
-    chi = op.correctors(all_element_gradients(random_uh(mesh, 0.5, seed=2)))
+    chi = op.at(all_element_gradients(random_uh(mesh, 0.5, seed=2))).chi
     assert np.allclose(chi, 0.0)
 
 
@@ -460,7 +461,7 @@ def test_solve_matches_homogenized_fem():
     op = HQCOperator(model, lat, mesh)
     load = op.rhs(f)
     sol = op.solve(load=load, tol=1e-12)
-    u_fem = solve_homogenized_fem(mesh, HomogenizedDensity(model), load=load, tol=1e-12)
+    u_fem = macro_newton(mesh, HomogenizedDensity(model), load, 1e-12)[0]
     assert np.max(np.abs(sol.macro.values - u_fem.values)) < 1e-10
 
 
@@ -477,9 +478,57 @@ def test_lj_homogenized_fem_matches_hqc_solve():
     load = op.rhs(LatticeField(lat, fvals))
     sol = op.solve(load=load, tol=1e-12)
     assert sol.iterations > 1
-    u_fem = solve_homogenized_fem(mesh, HomogenizedDensity(model), load=load, tol=1e-12)
+    u_fem = macro_newton(mesh, HomogenizedDensity(model), load, 1e-12)[0]
     gap = np.max(np.abs(sol.macro.values - u_fem.values))
     assert gap <= 1e-12 * np.max(np.abs(u_fem.values))
+
+
+def test_each_macro_iterate_solves_its_correctors_once(monkeypatch):
+    # the setup above: both macro solves take 5 Newton steps, each accepting
+    # its full step, so 6 distinct iterates, and one stacked micro solve each
+    from hqclab import hqc
+
+    model = make_dynamics_model().model
+    lat = chain_lattice(Fraction(1, 64), 2)
+    mesh = build_mesh(1, 8)
+    fvals = 50.0 * np.random.default_rng(13).standard_normal((lat.n_sites, 1))
+    op = HQCOperator(model, lat, mesh)
+    load = op.rhs(LatticeField(lat, fvals - fvals.mean(axis=0)))
+    grads = []
+    real = hqc.micro_solve
+
+    def counting(system, F):
+        grads.append(F.tobytes())
+        return real(system, F)
+
+    monkeypatch.setattr(hqc, "micro_solve", counting)
+    for density in (op, HomogenizedDensity(model)):
+        grads.clear()
+        result = macro_newton(mesh, density, load, 1e-12)[1]
+        assert result.iterations == 5
+        assert len(grads) == len(set(grads)) == 6
+
+
+def test_a_quadratic_macro_solve_takes_each_iterates_gradients_once(monkeypatch):
+    # one Newton step: the start and the accepted trial, whose evaluation the
+    # residual check of the converged field reads
+    from hqclab import hqc
+
+    mesh, lat = build_mesh(2, 4), square_lattice(16)
+    op = HQCOperator(RandomBond2D(16, seed=5), lat, mesh, n_rep=8)
+    fvals = np.random.default_rng(63).standard_normal((lat.n_sites, 2))
+    load = load_from_lattice(mesh, LatticeField(lat, fvals - fvals.mean(axis=0)))
+    calls = []
+    real = hqc.all_element_gradients
+
+    def counting(uh):
+        calls.append(uh.values.tobytes())
+        return real(uh)
+
+    monkeypatch.setattr(hqc, "all_element_gradients", counting)
+    sol = op.solve(load=load)
+    assert sol.iterations == 1
+    assert len(calls) == len(set(calls)) == 2
 
 
 @pytest.mark.parametrize("case", ["lj-period", "tensor-route"])
@@ -495,7 +544,7 @@ def test_the_operator_is_a_density_of_the_homogenized_fem(case):
     load = load_from_lattice(mesh, LatticeField(lat, fvals - fvals.mean(axis=0)))
     sol = op.solve(load=load)
     assert sol.iterations >= 1
-    assert np.array_equal(solve_homogenized_fem(mesh, op, load=load).values, sol.macro.values)
+    assert np.array_equal(macro_newton(mesh, op, load, 1e-10)[0].values, sol.macro.values)
 
 
 def test_period_sampling_phi0_is_the_homogenized_density():
@@ -504,9 +553,9 @@ def test_period_sampling_phi0_is_the_homogenized_density():
     op = HQCOperator(model, chain_lattice(Fraction(1, 64), 2), mesh)
     grads = all_element_gradients(random_uh(mesh, 0.03, seed=64))
     density = HomogenizedDensity(model)
-    assert np.array_equal(op.phi0(grads), density.phi0(grads))
-    assert np.array_equal(op.dphi0(grads), density.dphi0(grads))
-    assert np.array_equal(op.d2phi0(grads), density.d2phi0(grads))
+    assert np.array_equal(op.at(grads).phi, density.at(grads).phi)
+    assert np.array_equal(op.at(grads).stress, density.at(grads).stress)
+    assert np.array_equal(op.at(grads).tangent, density.at(grads).tangent)
 
 
 def test_d2phi0_matches_element_tangents():
@@ -518,7 +567,7 @@ def test_d2phi0_matches_element_tangents():
     tangents = HQCOperator(model, lat, mesh).element_tangents(uh)
     density = HomogenizedDensity(model)
     for F, A in zip(all_element_gradients(uh), tangents):
-        assert np.max(np.abs(density.d2phi0(F) - A)) <= 1e-12 * np.max(np.abs(A))
+        assert np.max(np.abs(density.at(F).tangent[0] - A)) <= 1e-12 * np.max(np.abs(A))
 
 
 class NewtonSpringLaw(SpringLaw):
@@ -555,7 +604,7 @@ def test_energy_independent_of_call_history(make_model):
     uh = random_uh(mesh, 0.03, seed=15)
     grads = all_element_gradients(uh)
     fresh = HQCOperator(model, lat, mesh)
-    expected = (fresh.energy(uh), fresh.gradient(uh), fresh.correctors(grads))
+    expected = (fresh.energy(uh), fresh.gradient(uh), fresh.at(grads).chi)
     op = HQCOperator(model, lat, mesh)
     for seed in (16, 17, 18):
         other = random_uh(mesh, 0.05, seed=seed)
@@ -564,7 +613,7 @@ def test_energy_independent_of_call_history(make_model):
         op.element_tangents(other)
         assert op.energy(uh) == expected[0]
         assert np.array_equal(op.gradient(uh), expected[1])
-        assert np.array_equal(op.correctors(grads), expected[2])
+        assert np.array_equal(op.at(grads).chi, expected[2])
 
 
 @pytest.mark.parametrize("make_model, scale", [
@@ -579,8 +628,8 @@ def test_homogenized_correctors_match_hqc_correctors(make_model, scale):
     mesh = build_mesh(1, 8)
     op = HQCOperator(model, chain_lattice(Fraction(1, 32), model.m), mesh)
     grads = all_element_gradients(random_uh(mesh, scale, seed=52))
-    chi = op.correctors(grads)
-    assert np.array_equal(HomogenizedDensity(model).chi(grads), chi)
+    chi = op.at(grads).chi
+    assert np.array_equal(HomogenizedDensity(model).at(grads).chi, chi)
 
 
 def test_nonlinear_micro_path_matches_effective_tensors():
@@ -589,7 +638,7 @@ def test_nonlinear_micro_path_matches_effective_tensors():
     uh = random_uh(mesh, 0.3, seed=50)
     newton_op = HQCOperator(newton_springs(), lat, mesh)
     tensor_op = HQCOperator(LinearSpring1D((1.0, 3.0)), lat, mesh)
-    chi = newton_op.correctors(all_element_gradients(uh))
+    chi = newton_op.at(all_element_gradients(uh)).chi
     assert np.max(np.abs(chi)) > 0.01
 
     def close(a, b):
@@ -626,12 +675,17 @@ def test_micro_solves_run_where_zero_guess_fails(monkeypatch, make_model, failin
     calls = set()   # stack entries whose Hessian a Newton step asked for
     real = network.newton
 
-    def counting(energy, gradient, hessian, *args, **kwargs):
+    def counting(evaluate, *args, **kwargs):
         def tracked(w, rows):
-            calls.update(rows.tolist())
-            return hessian(w, rows)
+            energy, gradient, operator = evaluate(w, rows)
 
-        return real(energy, gradient, tracked, *args, **kwargs)
+            def hessian():
+                calls.update(rows.tolist())
+                return operator()
+
+            return energy, gradient, hessian
+
+        return real(tracked, *args, **kwargs)
 
     monkeypatch.setattr(network, "newton", counting)
     lat = chain_lattice(Fraction(1, 32), 2)
@@ -735,7 +789,7 @@ def test_reconstruct_single_period_element():
     op = HQCOperator(model, lat, mesh)
     recon = reconstruct(op, uh)
     # every site value is the element's affine part plus eps * chi
-    chi = op.correctors(all_element_gradients(uh))
+    chi = op.at(all_element_gradients(uh)).chi
     pos = lat.site_positions()
     owners = site_elements(mesh, lat)[0]
     from support import affine_extension
@@ -805,7 +859,7 @@ def test_stability_flag():
     mesh = build_mesh(1, 2)
     op = HQCOperator(model, lat, mesh)
     grads = all_element_gradients(random_uh(mesh, 0.01, seed=20))
-    for F, chi in zip(grads, op.correctors(grads)):
+    for F, chi in zip(grads, op.at(grads).chi):
         # constants are in the kernel, so stability on the zero-mean subspace
         # is a nonnegative spectrum overall
         H = op.system.hessian(chi, F)   # the one-cell system: a dense stack of one
@@ -871,7 +925,7 @@ def test_micro_energy_matches_independent_minimizer():
     op = HQCOperator(model, lat, mesh, n_rep=4)
     system = op.system
     F = np.array([[0.3, 0.1], [-0.2, 0.4]])
-    chi = op.correctors(F[None])[0]
+    chi = op.at(F[None]).chi[0]
     e_solver = system.energy(chi, F)
 
     n, d = system.n_sites, system.d
@@ -983,7 +1037,7 @@ def test_micro_route_follows_the_compiled_bond_law(monkeypatch, make_model, newt
         evaluate(uh)
         assert len(calls) == newton_calls
     calls.clear()
-    op.correctors(all_element_gradients(uh))
+    op.at(all_element_gradients(uh)).chi
     reconstruct(op, uh)
     assert len(calls) == 2 * newton_calls
 
@@ -994,7 +1048,7 @@ def test_micro_route_follows_the_compiled_bond_law(monkeypatch, make_model, newt
     pytest.param(lambda: LinearSpring1D((1.0, 3.0)), 0, id="springs"),
 ])
 def test_one_micro_state_serves_energy_gradient_and_reconstruction(monkeypatch, make_model, newton_calls):
-    # energy, gradient and reconstruction given the field's micro_state equal
+    # energy, gradient and reconstruction read from one density state equal
     # those that solve their own correctors, bit for bit, at one corrector solve
     from hqclab import hqc
 
@@ -1010,11 +1064,45 @@ def test_one_micro_state_serves_energy_gradient_and_reconstruction(monkeypatch, 
         return real(*args, **kwargs)
 
     monkeypatch.setattr(hqc, "micro_solve", counting)
-    micro = op.micro_state(uh)
-    shared = op.energy(uh, micro), op.gradient(uh, micro), reconstruct(op, uh, micro).values
+    state = op.at(all_element_gradients(uh))
+    shared = (float(mesh.volumes @ state.phi), nodal_forces(mesh, state.stress),
+              reconstruct(op, uh, state.chi).values)
     assert len(calls) == newton_calls
     assert shared[0] == alone[0]
     assert np.array_equal(shared[1], alone[1]) and np.array_equal(shared[2], alone[2])
+
+
+@pytest.mark.parametrize("case", ["lj-chain", "tensor-route"])
+def test_a_density_state_computes_only_what_is_read(monkeypatch, case):
+    # the energy and phi0 compute no micro stress; the tensor route solves
+    # nothing per state and contracts its correctors only for a reconstruction
+    from hqclab import hqc, network
+
+    lj = case == "lj-chain"
+    model = make_dynamics_model().model if lj else LinearSpring1D((1.0, 3.0))
+    mesh = build_mesh(1, 4)
+    op = HQCOperator(model, chain_lattice(Fraction(1, 16), 2), mesh)
+    uh = random_uh(mesh, 0.03, seed=62)
+    grads = all_element_gradients(uh)
+    op.at(grads).tangent   # the tensor route solves its tensors once per micro system
+    calls = []
+    for owner, name in ((hqc, "micro_solve"), (network.BondSystem, "stress"), (network.GaugeFixedOperator, "solve")):
+        def counting(*args, _real=getattr(owner, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+    op.energy(uh)
+    assert calls == (["micro_solve"] if lj else [])
+    HomogenizedDensity(model).phi0(grads)   # the cell system's corrector route on any law
+    assert "stress" not in calls
+    calls.clear()
+    state = op.at(grads)
+    state.phi, state.stress, state.tangent
+    assert calls == (["micro_solve", "stress", "solve"] if lj else [])
+    assert ("chi" in vars(state)) == lj
+    reconstruct(op, uh, state.chi)
+    assert "chi" in vars(state) and calls == (["micro_solve", "stress", "solve"] if lj else [])
 
 
 def test_tensor_route_contracts_one_tensor_like_per_element_copies():
@@ -1222,7 +1310,7 @@ def test_scalar_tensor_route_matches_the_vector_route(case):
         assert s.shape == (op.system.n_sites, d)
         assert close(np.einsum("ix,nj->ijnx", np.eye(d), s), sens)
         grads = all_element_gradients(random_uh(mesh, 0.1, seed=71))
-        assert close(op.correctors(grads), np.einsum("tij,ijnx->tnx", grads, sens))
+        assert close(op.at(grads).chi, np.einsum("tij,ijnx->tnx", grads, sens))
 
 
 class _AnisotropicSpringLaw:

@@ -1,4 +1,5 @@
-"""Every package module other than ``__init__.py`` uses each name it imports."""
+"""Every package module other than ``__init__.py`` uses each name it imports,
+and the package defines no top-level function or class that nothing reads."""
 
 import ast
 from pathlib import Path
@@ -25,6 +26,31 @@ def unused_imports(source: str) -> list[str]:
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
 
 
+def unused_definitions(sources: dict[str, str], exported: set[str]) -> list[str]:
+    """Top-level functions and classes of the modules ``sources`` (module name
+    -> source) whose name no expression of any module reads, as a name or as
+    an attribute, and that are not ``exported``."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        defined += [(module, node.name) for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [f"{module}.{name}" for module, name in defined if name not in read | exported]
+
+
+def exported_names() -> set[str]:
+    """The ``__all__`` of the package's ``__init__.py``."""
+    for node in ast.parse((PACKAGE / "__init__.py").read_text()).body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            return set(ast.literal_eval(node.value))
+    raise AssertionError("the package __init__ defines no __all__")
+
+
 def test_the_check_sees_an_unused_import():
     source = "from __future__ import annotations\nimport numpy as np\nfrom os import path, sep\nx = sep\n"
     assert unused_imports(source) == ["np (line 2)", "path (line 3)"]
@@ -33,3 +59,14 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("module", MODULES, ids=[p.stem for p in MODULES])
 def test_every_imported_name_is_used(module):
     assert unused_imports(module.read_text()) == []
+
+
+def test_the_check_sees_an_unused_definition():
+    sources = {"a": "def f():\n    return g()\n\ndef g():\n    pass\n\nclass C:\n    def h(self):\n        pass\n",
+               "b": "from .a import f\n\ndef k():\n    return f.__name__\n\ndef unread():\n    pass\n"}
+    assert unused_definitions(sources, {"k"}) == ["a.C", "b.unread"]
+
+
+def test_every_top_level_definition_is_read_or_exported():
+    sources = {p.stem: p.read_text() for p in MODULES}
+    assert unused_definitions(sources, exported_names()) == []

@@ -326,7 +326,7 @@ def macro_stiffness(d, n):
         op = HQCOperator(make_dynamics_model().model, chain_lattice(Fraction(1, 16), 2), mesh)
         uh = 0.01 * np.random.default_rng(31).standard_normal((n, 1))
     rhs = zero_mean_stack(3, mesh.n_vertices, d, seed=32)
-    return assemble(mesh, op.d2phi0(all_element_gradients(P1Field(mesh, uh)))) + (rhs, d)
+    return assemble(mesh, op.at(all_element_gradients(P1Field(mesh, uh))).tangent) + (rhs, d)
 
 
 @pytest.mark.parametrize("build", [subgrid_sensitivity, lambda: macro_stiffness(2, 8),
@@ -626,11 +626,13 @@ def test_grid_hessian_and_solver_set_up_stay_near_the_matrix_size():
         assert peak <= 2.5 * (H.data.nbytes + H.indices.nbytes + H.indptr.nbytes)
 
 
-def cell_callbacks(system, F):
-    """``newton`` callbacks of the cell problems at the gradient stack F."""
-    return (lambda w, rows: system.energy(w, F[rows]),
-            lambda w, rows: (system.gradient(w, F[rows]), 0.0),
-            lambda w, rows: system.operator(w, F[rows]))
+def cell_evaluate(system, F):
+    """The ``newton`` evaluation of the cell problems at the gradient stack F."""
+    def evaluate(w, rows):
+        return (lambda: system.energy(w, F[rows]), lambda: (system.gradient(w, F[rows]), 0.0),
+                lambda: system.operator(w, F[rows]))
+
+    return evaluate
 
 
 def test_collapsing_step_is_halved_for_its_entry_only(monkeypatch):
@@ -645,8 +647,9 @@ def test_collapsing_step_is_halved_for_its_entry_only(monkeypatch):
     F = np.array([[[0.2]], [[0.2]], [[0.05]]])
     shifts = np.array([-0.062, 0.1, 0.03])
     w0 = np.stack([-shifts / 2, shifts / 2], axis=1)[:, :, None]
-    energy, gradient, hessian = cell_callbacks(system, F)
-    step = GaugeFixedOperator(system.hessian(w0[0], F[0]), 1, None).solve(-gradient(w0[:1], [0])[0][0])
+    evaluate = cell_evaluate(system, F)
+    g0 = evaluate(w0[:1], [0])[1]()[0][0]
+    step = GaugeFixedOperator(system.hessian(w0[0], F[0]), 1, None).solve(-g0)
     with pytest.raises(PotentialError):
         system.energy(w0[0] + step, F[0])
 
@@ -659,11 +662,11 @@ def test_collapsing_step_is_halved_for_its_entry_only(monkeypatch):
 
     monkeypatch.setattr(network, "energies_or_inf", counted)
     threshold = 1e-12 * (1 + np.abs(F[:, 0, 0]))
-    stacked = network.newton(energy, gradient, hessian, w0, threshold)
+    stacked = network.newton(evaluate, w0, threshold)
     assert trials[:2] == [3, 1]   # only entry 0 is tried again, with half the step
     monkeypatch.undo()
     for t in range(3):
-        single = network.newton(*cell_callbacks(system, F[t:t + 1]), w0[t:t + 1], threshold[t])
+        single = network.newton(cell_evaluate(system, F[t:t + 1]), w0[t:t + 1], threshold[t])
         assert np.array_equal(stacked.w[t], single.w[0])
 
 
@@ -679,9 +682,9 @@ def test_unconverged_entry_fails_the_whole_stack():
     w0[1] += [[-0.01], [0.01]]
     threshold = MICRO_TOL * (1 + np.abs(F[:, 0, 0]))
     with pytest.raises(SolverError, match=r"residual \d\.\d{3}e[-+]\d+ on 1 of 4 entries after 2 iterations"):
-        network.newton(*cell_callbacks(system, F), w0, threshold, max_iter=2)
+        network.newton(cell_evaluate(system, F), w0, threshold, max_iter=2)
     rest = [0, 2, 3]
-    result = network.newton(*cell_callbacks(system, F[rest]), w0[rest], threshold[rest], max_iter=2)
+    result = network.newton(cell_evaluate(system, F[rest]), w0[rest], threshold[rest], max_iter=2)
     assert np.array_equal(result.w, w0[rest]) and result.iterations == 0
 
 
@@ -699,16 +702,78 @@ def test_an_entry_inside_its_rounding_band_stops():
     res = avg_norm(system.gradient(w0, F))
     assert np.all(res > threshold)
     band = np.array([res[0] - 0.5 * threshold[0], 0.5 * (res[1] - threshold[1])])
-    energy, gradient, operator = cell_callbacks(system, F)
+    evaluate = cell_evaluate(system, F)
 
     def banded(w, rows):
-        return gradient(w, rows)[0], band[rows]
+        energy, gradient, operator = evaluate(w, rows)
+        return energy, lambda: (gradient()[0], band[rows]), operator
 
     with pytest.raises(SolverError, match=r"on 1 of 2 entries after 0 iterations"):
-        network.newton(energy, banded, operator, w0, threshold, max_iter=0)
-    result = network.newton(energy, banded, operator, w0[:1], threshold[:1], max_iter=0)
+        network.newton(banded, w0, threshold, max_iter=0)
+    result = network.newton(banded, w0[:1], threshold[:1], max_iter=0)
     assert np.array_equal(result.w, w0[:1]) and result.iterations == 0
     assert threshold[0] < result.residual <= threshold[0] + band[0]
+
+
+def scripted_evaluate(log, reads):
+    """``newton`` evaluation of three problems on two-site fields w (k, 2, 1),
+    x = w[1] - w[0]: entries 0 and 1 minimize sqrt(1 + x^2), whose full Newton
+    step from x = 1.5 overshoots to -3.375, where entry 0's objective rises
+    and entry 1 collapses (x < -2 raises PotentialError); entry 2 minimizes
+    (x - 0.3)^2 in one step.  Each call appends its rows to ``log`` and each
+    read of its objectives, gradients or operator one count to ``reads``."""
+    from hqclab.potential import PotentialError
+
+    a, smooth, core = np.array([0.0, 0.0, 0.3]), np.array([True, True, False]), np.array([-np.inf, -2.0, -np.inf])
+
+    def evaluate(w, rows):
+        log.append(np.asarray(rows).tolist())
+        x, sm = w[:, 1, 0] - w[:, 0, 0], smooth[rows]
+        e, count = x - a[rows], reads.setdefault(len(log), [0, 0, 0])
+
+        def energy():
+            count[0] += 1
+            if np.any(x < core[rows]):
+                raise PotentialError("inside the hard core")
+            return np.where(sm, np.sqrt(1 + e**2), e**2)
+
+        # Riesz representers for <u, v> = (1/2) sum u v: g = 2 f' (-1, 1), H = 2 f'' [[1, -1], [-1, 1]]
+        def gradient():
+            count[1] += 1
+            return 2 * np.where(sm, e / np.sqrt(1 + e**2), 2 * e)[:, None, None] * [[-1.0], [1.0]], 0.0
+
+        def operator():
+            count[2] += 1
+            d2f = np.where(sm, (1 + e**2) ** -1.5, 2.0)
+            return GaugeFixedOperator(2 * d2f[:, None, None] * [[1.0, -1.0], [-1.0, 1.0]], 1, None)
+
+        return energy, gradient, operator
+
+    return evaluate
+
+
+def test_an_iterate_is_evaluated_once_and_again_only_after_a_split():
+    # round 1 of step 1 splits the stack: entry 0 rises, entry 1 collapses
+    # (one stack trial, then one per entry), entry 2 takes its full step;
+    # round 2 takes the half steps of entries 0 and 1.  After the split the
+    # stack is evaluated afresh, and again once entry 2 has converged; from
+    # then on every round takes both full steps, so its trial is the next
+    # iterate's evaluation: one evaluation per round, none of it read twice
+    w0 = np.array([1.5, 1.5, 1.0])[:, None, None] * [[-0.5], [0.5]]
+    threshold = 1e-12
+    log, reads = [], {}
+    stacked = network.newton(scripted_evaluate(log, reads), w0, threshold)
+    later = (stacked.iterations - 3) // 2   # steps of entries 0 and 1 after the first
+    assert later >= 3 and stacked.iterations == 3 + 2 * later
+    head = [[0, 1, 2], [0, 1, 2], [0], [1], [2], [0, 1], [0, 1, 2], [0, 1]]
+    assert log == head + [[0, 1]] * later
+    assert all(max(count) == 1 for count in reads.values())
+    assert reads[7] == [0, 1, 0]   # the afresh stack serves one residual check
+    assert all(reads[k] == [1, 1, 1] for k in range(9, len(log)))   # reused trials serve the whole step
+    for t in range(3):
+        single = network.newton(lambda w, rows: scripted_evaluate([], {})(w, np.asarray(rows) + t),
+                                w0[t:t + 1], threshold)
+        assert np.array_equal(stacked.w[t], single.w[0])
 
 
 # ------------------------------------------------ the rounding floor of Newton
