@@ -180,7 +180,7 @@ def run_hqc_dynamics(model, lattice: Multilattice, mesh: MacroMesh, species_mass
         return 0.5 * float(node_mass @ np.sum(state.v**2, axis=1)) + float(mesh.volumes @ state.micro.phi)
 
     def record(state: DynamicState):
-        return state.t, reconstruct(op, P1Field(mesh, state.u), state.micro.chi)
+        return state.t, reconstruct(op, P1Field(mesh, state.u), state.micro)
 
     u0 = p1_interpolate_lattice(mesh, u0_lattice).values
     times, recon = zip(*evolve(accel, energy, u0, t_final, tau, 1, record)[0])

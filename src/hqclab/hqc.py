@@ -418,17 +418,17 @@ class HQCSolution:
 # ------------------------------------------------------------- reconstruction
 
 
-def reconstruct(op: HQCOperator, uh: P1Field, chi: np.ndarray | None = None) -> LatticeField:
+def reconstruct(op: HQCOperator, uh: P1Field, state: DensityState | None = None) -> LatticeField:
     """Lattice-resolution field u^{h,c} of the macro field ``uh``: at every site,
     the affine part of its owner element plus the periodic tiling of that
-    element's corrector.  ``chi`` holds the correctors of ``uh`` when already
-    known (a ``DensityState``'s), else they are solved for."""
+    element's corrector.  ``state`` is the ``DensityState`` of ``uh`` when
+    already known, whose element gradients and correctors are read; else it
+    is ``op.at`` of the gradients of ``uh``."""
     owner, rel, torus_site = op.site_map
-    grads = all_element_gradients(uh)
-    chi = op.at(grads).chi if chi is None else chi
+    state = op.at(all_element_gradients(uh)) if state is None else state
     u0 = uh.values[op.mesh.elements[owner, 0]]
-    lin = u0 + (grads[owner] @ rel[:, :, None])[:, :, 0]
-    return LatticeField(op.lattice, lin + op.lattice.eps_float * chi[owner, torus_site])
+    lin = u0 + (state.grads[owner] @ rel[:, :, None])[:, :, 0]
+    return LatticeField(op.lattice, lin + op.lattice.eps_float * state.chi[owner, torus_site])
 
 
 # --------------------------------------------------------- module-level API

@@ -35,8 +35,11 @@ only the sparse matrices (the incidence scatter, the grid Hessian) PCG needs.
 
 Springs have the stiffness psi_b I, so their Hessian is L (x) I_d, with L the
 weighted graph Laplacian of the bonds (the discrete random-conductance
-operator).  Their solvers (``BondSystem.operator``) hold L, built by the same
-code at block size 1, and solve a field's d components as d scalar columns.
+operator).  Their solver (``BondSystem.operator``) holds L, built by the same
+code at block size 1, and solves a field's d components as d scalar columns.
+L does not depend on the state, so a spring system builds its solver once
+and every solve on the system (the atomistic reference, the sensitivities of
+a full sampling, each Newton step of a cell stack) shares it.
 """
 
 from __future__ import annotations
@@ -178,11 +181,29 @@ class BondSystem:
         """The solver of the Riesz Hessian at w (as ``hessian`` takes it), and
         the one place that picks scalar or vector: with a scalar stiffness
         c_b I it holds the graph Laplacian L of H = L (x) I_d, one DOF per
-        site; otherwise the full Hessian."""
+        site; otherwise the full Hessian.  A quadratic law's Hessian does not
+        depend on the state, so its system returns one operator, built once at
+        w = 0, for every w and F, which on one cell serves a stack of fields
+        with one inverse."""
+        if not self.law.is_quadratic:
+            return self._operator(w, F)
+        self._one_field(int(np.prod(np.broadcast_shapes(w.shape[:-2], np.shape(F)[:-2]))))
+        return self._state_free_operator
+
+    @cached_property
+    def _state_free_operator(self) -> "GaugeFixedOperator":
+        return self._operator(np.zeros((self.n_sites, self.d)))
+
+    def _operator(self, w: np.ndarray, F: np.ndarray | None = None) -> "GaugeFixedOperator":
         c = self.scalar_stiffness(w, F)
         k = self.bond_stiffness(w, F) if c is None else c[..., None, None]
         H, stencil = self._matrix(k)
         return GaugeFixedOperator(H, k.shape[-1], stencil)
+
+    def _one_field(self, T: int) -> None:
+        """Refuse a stack of T > 1 Hessians on a grid of cells."""
+        if T > 1 and self.n_cells > 1:
+            raise SolverError(f"a stack of {T} Hessians on the grid of cells {self.cells}: one field only")
 
     @cached_property
     def _block_rows(self) -> tuple["BlockRows", np.ndarray, np.ndarray]:
@@ -209,8 +230,7 @@ class BondSystem:
         and (dst, src) blocks, bond by bond in class order, into the block rows.
         On one cell their mean is the dense Hessian stack (stencil None)."""
         b, T = k.shape[-1], int(np.prod(k.shape[:-3]))
-        if T > 1 and self.n_cells > 1:
-            raise SolverError(f"a stack of {T} Hessians on the grid of cells {self.cells}: one field only")
+        self._one_field(T)
         rows, blocks, index = self._block_rows
         place = rows.positions(b)[0]
         data, k = np.zeros((T, self.n_cells, place.size)), k.reshape(T, -1, b, b)
@@ -286,6 +306,11 @@ def avg_norm(v: np.ndarray):
     squares = np.add.reduce(np.atleast_2d(v) ** 2, axis=-1)
     out = np.sqrt(np.add.reduce(squares, axis=-1) / squares.shape[-1])   # np.mean, without its overhead
     return float(out) if np.ndim(out) == 0 else out
+
+
+def _norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of v (k, n): np.linalg.norm(v, axis=1), without its conj copy."""
+    return np.sqrt(np.add.reduce(v * v, axis=1))
 
 
 def project_zero_mean_array(w: np.ndarray) -> np.ndarray:
@@ -378,14 +403,16 @@ class GaugeFixedOperator:
     c d components per site against H (x) I_c, as one stack: the scalar
     Laplacian of a spring system (d = 1) solves its fields of any dimension.
     The type of ``H`` picks the path.  A dense stack (T, n_dof, n_dof) of
-    independent Hessians (the stacks of one-cell systems) goes through
-    batched LAPACK: a rank-d regularization on the constant modes, one inverse
-    per entry, one refinement step.  A sparse H (a system on a grid of cells,
-    or a macro stiffness) goes, at any size, through CG preconditioned by the
-    inverse of its grid-averaged ``stencil`` (cells + (b, b), the cell mean of
-    the ``BlockRows`` rows that H is; exact for block-circulant H); a dense
-    stack takes None.  Either way the solution is the zero-mean field, and a
-    failure raises SolverError naming its cause.
+    the distinct Hessians of a stack of fields (those of a one-cell system,
+    or the one Hessian of a quadratic law, which serves a stack of any size)
+    goes through batched LAPACK: a rank-d regularization on the constant
+    modes, one inverse per Hessian, one refinement step.  A sparse H (a
+    system on a grid of cells, or a macro stiffness) goes, at any size,
+    through CG preconditioned by the inverse of its grid-averaged ``stencil``
+    (cells + (b, b), the cell mean of the ``BlockRows`` rows that H is; exact
+    for block-circulant H); a dense stack takes None.  Either way the
+    solution is the zero-mean field, and a failure raises SolverError naming
+    its cause.
     """
 
     def __init__(self, H, d: int, stencil: np.ndarray | None) -> None:
@@ -432,42 +459,48 @@ class GaugeFixedOperator:
 
     def _pcg(self, B: np.ndarray) -> np.ndarray:
         """Preconditioned CG on a stack of zero-mean right-hand sides B (k, n_dof);
-        an entry leaves the iteration once it meets PCG_RTOL or PCG_BACKWARD_TOL."""
+        an entry leaves the iteration once it meets PCG_RTOL or PCG_BACKWARD_TOL,
+        before its residual is preconditioned.  H multiplies one column at a
+        time, which sums each row in stored order as a product with the stack would."""
         X = np.zeros_like(B)
-        b_norm = np.linalg.norm(B, axis=1)
+        b_norm = _norms(B)
         rows = np.arange(len(B))                # stack entries still iterating
         x = np.zeros_like(B)
         r = B.copy()
-        z = self._precondition(r)
-        p = z
-        rz = np.sum(r * z, axis=1)
+        p = rz = None
         it = 0
         while True:
-            r_norm = np.linalg.norm(r, axis=1)
-            floor = PCG_BACKWARD_TOL * (self._h_inf * np.linalg.norm(x, axis=1) + b_norm[rows])
+            r_norm = _norms(r)
+            floor = PCG_BACKWARD_TOL * (self._h_inf * _norms(x) + b_norm[rows])
             done = (r_norm <= PCG_RTOL * b_norm[rows]) | (r_norm <= floor)
             if done.any():
                 X[rows[done]] = x[done]
                 keep = ~done
-                rows, x, r, p, rz, r_norm = rows[keep], x[keep], r[keep], p[keep], rz[keep], r_norm[keep]
+                rows, x, r, r_norm = rows[keep], x[keep], r[keep], r_norm[keep]
                 if not len(rows):
                     return X
+                if p is not None:
+                    p, rz = p[keep], rz[keep]
             rel = float(np.max(r_norm / b_norm[rows]))
             if it == PCG_MAX_ITER:
                 raise SolverError(f"PCG did not converge: relative residual {rel:.3e} "
                                   f"after {it} iterations")
-            Hp = (self._H @ p.T).T
+            z = self._precondition(r)
+            rz_new = np.sum(r * z, axis=1)
+            if p is None:
+                p = z
+            else:
+                p *= (rz_new / rz)[:, None]
+                p += z
+            rz = rz_new
+            Hp = np.stack([self._H @ q for q in p])
             pHp = np.sum(p * Hp, axis=1)
             if not np.all(pHp > 0):
                 raise SolverError(f"PCG met non-positive curvature p.Hp = {pHp.min():.3e} at "
                                   f"iteration {it} (relative residual {rel:.3e})")
             alpha = (rz / pHp)[:, None]
-            x = x + alpha * p
-            r = r - alpha * Hp
-            z = self._precondition(r)
-            rz_new = np.sum(r * z, axis=1)
-            p = z + (rz_new / rz)[:, None] * p
-            rz = rz_new
+            x += alpha * p
+            r -= alpha * Hp
             it += 1
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:

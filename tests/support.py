@@ -18,8 +18,10 @@ owner's (s, l), evaluated by powers of b) stays as ``DirectedLJ1D``, the
 reference of ``LennardJones1D``.  The LJ law and the incidence scatter as
 plain expressions (``PlainLJLaw``, ``moveaxis_scatter``) are the bitwise
 references of ``LennardJonesLaw``'s in-place kernels and of
-``BondSystem._scatter``; ``HardCoreLaw`` collapses inside a hard core.  An element search in exact rational
-arithmetic (``site_element_oracle``) is the reference of
+``BondSystem._scatter``; ``HardCoreLaw`` collapses inside a hard core.
+The PCG loop as it was before its in-place updates (``reference_pcg``) is
+the bitwise reference of ``GaugeFixedOperator._pcg``.  An element search in
+exact rational arithmetic (``site_element_oracle``) is the reference of
 ``fem.site_elements``, and a plain Verlet loop of the HQC macro system
 (``every_step_hqc_dynamics``) that of ``run_hqc_dynamics``."""
 
@@ -31,7 +33,7 @@ from fractions import Fraction
 import numpy as np
 import scipy.sparse as sp
 
-from hqclab import mqc
+from hqclab import mqc, network
 from hqclab.atomistic import EquilibriumProblem
 from hqclab.dynamics import (
     DynamicState,
@@ -590,6 +592,49 @@ def class_order_hessian(system: BondSystem, w: np.ndarray, F: np.ndarray | None 
             for i, j, sign in ((a, a, 1), (b, b, 1), (a, b, -1), (b, a, -1)):
                 out[t, d * i:d * (i + 1), d * j:d * (j + 1)] += sign * kb   # x + (-y) rounds as x - y
     return out
+
+
+def reference_pcg(op, B: np.ndarray) -> np.ndarray:
+    """``GaugeFixedOperator._pcg`` as it was before its in-place updates: the
+    whole stack multiplied by H at once, new arrays for every update, norms
+    by ``np.linalg.norm``, and each residual preconditioned before the
+    convergence test.  The bitwise oracle of the PCG loop."""
+    X = np.zeros_like(B)
+    b_norm = np.linalg.norm(B, axis=1)
+    rows = np.arange(len(B))                # stack entries still iterating
+    x = np.zeros_like(B)
+    r = B.copy()
+    z = op._precondition(r)
+    p = z
+    rz = np.sum(r * z, axis=1)
+    it = 0
+    while True:
+        r_norm = np.linalg.norm(r, axis=1)
+        floor = network.PCG_BACKWARD_TOL * (op._h_inf * np.linalg.norm(x, axis=1) + b_norm[rows])
+        done = (r_norm <= network.PCG_RTOL * b_norm[rows]) | (r_norm <= floor)
+        if done.any():
+            X[rows[done]] = x[done]
+            keep = ~done
+            rows, x, r, p, rz, r_norm = rows[keep], x[keep], r[keep], p[keep], rz[keep], r_norm[keep]
+            if not len(rows):
+                return X
+        rel = float(np.max(r_norm / b_norm[rows]))
+        if it == network.PCG_MAX_ITER:
+            raise SolverError(f"PCG did not converge: relative residual {rel:.3e} "
+                              f"after {it} iterations")
+        Hp = (op._H @ p.T).T
+        pHp = np.sum(p * Hp, axis=1)
+        if not np.all(pHp > 0):
+            raise SolverError(f"PCG met non-positive curvature p.Hp = {pHp.min():.3e} at "
+                              f"iteration {it} (relative residual {rel:.3e})")
+        alpha = (rz / pHp)[:, None]
+        x = x + alpha * p
+        r = r - alpha * Hp
+        z = op._precondition(r)
+        rz_new = np.sum(r * z, axis=1)
+        p = z + (rz_new / rz)[:, None] * p
+        rz = rz_new
+        it += 1
 
 
 def every_step_energy_dynamics(problem: EquilibriumProblem, u0: LatticeField, t_final: float,

@@ -355,23 +355,23 @@ def test_hqc_trajectory_equals_the_plain_verlet_reference(case):
 
 def test_hqc_dynamics_solves_the_correctors_once_per_state(monkeypatch):
     # the force, the energy guard and the reconstruction of a state share one
-    # stacked micro solve: n_steps + 1 solves for the states t = 0, tau, ..., 6 tau
-    from hqclab import hqc
+    # stacked micro solve and one evaluation of the element gradients: n_steps + 1
+    # of each for the states t = 0, tau, ..., 6 tau
+    from hqclab import dynamics, hqc
 
     prob, setup, lat = dynamics_problem(128)
     calls = []
-    real = hqc.micro_solve
+    for owner, name in ((hqc, "micro_solve"), (hqc, "all_element_gradients"), (dynamics, "all_element_gradients")):
+        def counting(*args, _real=getattr(owner, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(hqc, "micro_solve", counting)
+        monkeypatch.setattr(owner, name, counting)
     tau = (1 / 8) / 20
     traj = run_hqc_dynamics(setup.model, lat, build_mesh(1, 8), setup.species_masses, initial_condition(prob),
                             t_final=6 * tau, tau=tau)
     assert len(traj.times) == 7
-    assert len(calls) == 7
+    assert calls.count("micro_solve") == calls.count("all_element_gradients") == 7
 
 
 def test_trajectory_error_conventions():

@@ -1066,7 +1066,7 @@ def test_one_micro_state_serves_energy_gradient_and_reconstruction(monkeypatch, 
     monkeypatch.setattr(hqc, "micro_solve", counting)
     state = op.at(all_element_gradients(uh))
     shared = (float(mesh.volumes @ state.phi), nodal_forces(mesh, state.stress),
-              reconstruct(op, uh, state.chi).values)
+              reconstruct(op, uh, state).values)
     assert len(calls) == newton_calls
     assert shared[0] == alone[0]
     assert np.array_equal(shared[1], alone[1]) and np.array_equal(shared[2], alone[2])
@@ -1101,7 +1101,7 @@ def test_a_density_state_computes_only_what_is_read(monkeypatch, case):
     state.phi, state.stress, state.tangent
     assert calls == (["micro_solve", "stress", "solve"] if lj else [])
     assert ("chi" in vars(state)) == lj
-    reconstruct(op, uh, state.chi)
+    reconstruct(op, uh, state)
     assert "chi" in vars(state) and calls == (["micro_solve", "stress", "solve"] if lj else [])
 
 
@@ -1383,3 +1383,24 @@ def test_stochastic_sensitivity_and_reference_solve_scalar_columns(monkeypatch):
     solves.clear()
     solve_equilibrium(EquilibriumProblem(lat, model, force=f), tol=1e-11)
     assert solves and set(solves) == {expected}
+
+
+def test_the_reference_and_full_sampling_share_one_laplacian(monkeypatch):
+    # the atomistic reference and the n_rep = N sampling solve on one system,
+    # whose spring Laplacian is built once for both
+    from hqclab import network
+    from hqclab.potential import make_stochastic_model
+
+    calls = []
+    matrix = network.BondSystem._matrix
+
+    def counting(self, k):
+        calls.append(self.cells)
+        return matrix(self, k)
+
+    monkeypatch.setattr(network.BondSystem, "_matrix", counting)
+    lat, model, f = make_stochastic_model(16, seed=1)
+    mesh = build_mesh(2, 4)
+    solve_equilibrium(EquilibriumProblem(lat, model, force=f))
+    HQCOperator(model, lat, mesh, n_rep=16).energy(random_uh(mesh, 0.1, seed=72))
+    assert calls == [(16, 16)]

@@ -32,6 +32,7 @@ from support import (
     moveaxis_scatter,
     reference_compile,
     reference_hessian,
+    reference_pcg,
 )
 
 
@@ -354,6 +355,156 @@ def test_pcg_failures_name_their_cause(monkeypatch):
     monkeypatch.setattr(network, "PCG_MAX_ITER", 3)
     with pytest.raises(SolverError, match=r"relative residual \d\.\d{3}e[-+]\d+ after 3 iterations"):
         GaugeFixedOperator(H, 2, stencil).solve(rhs)
+
+
+def scalar_laplacian_two_columns():
+    """The scalar Laplacian of the n = 32 random network and one 2D field: two columns."""
+    system = network_hessian()[0]
+    return system.operator(np.zeros((system.n_sites, 2))), zero_mean_stack(1, system.n_sites, 2, seed=41)[0]
+
+
+def lj_chain_grid():
+    """The full Hessian of a 128-site LJ chain (blocks of 2 per cell) at a
+    random state, and two fields."""
+    system = compile_system(chain_lattice(Fraction(1, 64), 2), make_dynamics_model().model)
+    w = 0.002 * np.random.default_rng(42).standard_normal((system.n_sites, 1))
+    return system.operator(w), zero_mean_stack(2, system.n_sites, 1, seed=43)
+
+
+def p1_stiffness_one_column():
+    """A P1 stiffness of a constant tensor on a 2D mesh and one field, solved as one column."""
+    H, stencil, d = p1_constant_tensor_stiffness()
+    return GaugeFixedOperator(H, d, stencil), zero_mean_stack(1, H.shape[0] // d, d, seed=44)[0]
+
+
+def stack_with_a_zero_column():
+    """The full Hessian of a network with bonds over 3 decades and three fields:
+    one zero, one smooth and one random, which leave PCG at different iterations."""
+    system, H, stencil = network_hessian(3.0)
+    rhs = zero_mean_stack(3, system.n_sites, 2, seed=45)
+    rhs[0] = 0.0
+    x = np.arange(system.n_sites) // 32 / 32
+    rhs[1] = np.stack([np.cos(2 * np.pi * x), np.sin(2 * np.pi * x)], axis=-1)
+    return GaugeFixedOperator(H, 2, stencil), rhs
+
+
+@pytest.mark.parametrize("build, sizes", [
+    pytest.param(scalar_laplacian_two_columns, {2}, id="scalar-laplacian-2-columns"),
+    pytest.param(lj_chain_grid, {2}, id="lj-chain-grid"),
+    pytest.param(p1_stiffness_one_column, {1}, id="p1-stiffness-1-column"),
+    pytest.param(stack_with_a_zero_column, {2, 1}, id="stack-with-a-zero-column"),
+])
+def test_pcg_equals_the_reference_loop_bitwise(monkeypatch, build, sizes):
+    # in-place updates, column-by-column products and the preconditioner after
+    # the convergence test give the former loop's solution bit for bit; the
+    # stack sizes preconditioned show when columns leave
+    op, rhs = build()
+    seen = []
+    precondition = GaugeFixedOperator._precondition
+
+    def recording(self, R):
+        seen.append(len(R))
+        return precondition(self, R)
+
+    monkeypatch.setattr(GaugeFixedOperator, "_precondition", recording)
+    x = op.solve(rhs)
+    assert set(seen) == sizes and seen == sorted(seen, reverse=True)
+    monkeypatch.setattr(GaugeFixedOperator, "_pcg", reference_pcg)
+    assert bitwise_equal(x, op.solve(rhs))
+
+
+def test_pcg_and_the_reference_loop_fail_alike(monkeypatch):
+    system, H, stencil = network_hessian(3.0)
+    rhs = zero_mean_stack(1, system.n_sites, 2, seed=16)[0]
+    monkeypatch.setattr(network, "PCG_MAX_ITER", 3)
+    messages = []
+    for pcg in (GaugeFixedOperator._pcg, reference_pcg):
+        monkeypatch.setattr(GaugeFixedOperator, "_pcg", pcg)
+        for op in (GaugeFixedOperator(-H, 2, -stencil), GaugeFixedOperator(H, 2, stencil)):
+            with pytest.raises(SolverError) as failure:
+                op.solve(rhs)
+            messages.append(str(failure.value))
+    assert messages[:2] == messages[2:]
+
+
+def test_the_preconditioner_runs_once_per_iteration(monkeypatch):
+    # one preconditioned residual per column product of H, and k iterations
+    # that fail at PCG_MAX_ITER = k apply the preconditioner k times
+    system, H, stencil = network_hessian(3.0)
+    rhs = zero_mean_stack(2, system.n_sites, 2, seed=46)
+    op = GaugeFixedOperator(H, 2, stencil)
+    rows, products = [], []
+    precondition = GaugeFixedOperator._precondition
+
+    def recording(self, R):
+        rows.append(len(R))
+        return precondition(self, R)
+
+    class CountingMatrix:
+        def __matmul__(self, q):
+            products.append(q.shape)
+            return H @ q
+
+    monkeypatch.setattr(GaugeFixedOperator, "_precondition", recording)
+    op._H = CountingMatrix()
+    op.solve(rhs)
+    assert rows and sum(rows) == len(products) and set(products) == {(H.shape[0],)}
+    monkeypatch.setattr(network, "PCG_MAX_ITER", 5)
+    rows.clear()
+    with pytest.raises(SolverError, match="after 5 iterations"):
+        op.solve(rhs)
+    assert rows == [2] * 5
+
+
+def spring_systems():
+    from test_mqc import _TwoSpecies2D
+
+    def cell(model):
+        return compile_system(Multilattice(model.d, 1, model.shifts()), model)
+
+    return [pytest.param(lambda: cell(LinearSpring1D((1.0, 2.0, 3.0))), id="springs-m3"),
+            pytest.param(lambda: cell(_TwoSpecies2D(psi0=1.0, psi1=3.0)), id="two-species-2d"),
+            pytest.param(lambda: compile_system(chain_lattice(Fraction(1, 64), 2), LinearSpring1D((1.0, 2.0))),
+                         id="chain-128")]
+
+
+@pytest.fixture
+def matrix_calls(monkeypatch):
+    """The shapes of the per-bond blocks of every ``BondSystem._matrix`` build."""
+    calls = []
+    matrix = network.BondSystem._matrix
+
+    def counting(self, k):
+        calls.append(k.shape)
+        return matrix(self, k)
+
+    monkeypatch.setattr(network.BondSystem, "_matrix", counting)
+    return calls
+
+
+@pytest.mark.parametrize("build", spring_systems())
+def test_a_spring_system_returns_one_operator(matrix_calls, build):
+    # a quadratic law's Hessian does not depend on w or F: one operator, one
+    # Hessian build, and on one cell a stack solves through its one inverse
+    # as through the inverse of each entry, bit for bit
+    system = build()
+    rng = np.random.default_rng(47)
+    T = 3 if system.n_cells == 1 else 1
+    W = 0.1 * rng.standard_normal((T, system.n_sites, system.d))
+    Fs = 0.2 * rng.standard_normal((T, system.d, system.d))
+    op = system.operator(np.zeros((system.n_sites, system.d)))
+    assert all(system.operator(*args) is op for args in ((W[0],), (W[0], Fs[0]), (W, Fs), (W,)))
+    assert len(matrix_calls) == 1
+    rhs = zero_mean_stack(T, system.n_sites, system.d, seed=48)
+    assert bitwise_equal(op.solve(rhs), system._operator(W, Fs).solve(rhs))
+
+
+def test_a_nonlinear_system_builds_one_operator_per_state(matrix_calls):
+    system = compile_system(chain_lattice(Fraction(1, 64), 2), make_dynamics_model().model)
+    w = 0.002 * np.random.default_rng(49).standard_normal((2, system.n_sites, 1))
+    ops = [system.operator(w[0]), system.operator(w[0]), system.operator(w[1])]
+    assert len(matrix_calls) == 3 and len({id(op) for op in ops}) == 3
+    assert not bitwise_equal(ops[0]._H.data, ops[2]._H.data)
 
 
 # ------------------------------------------------- stacked Newton and solves
