@@ -52,7 +52,7 @@ from .fem import (
     scatter_to_vertices,
     site_elements,
 )
-from .lattice import LatticeField, Multilattice, unit_cell
+from .lattice import LatticeField, Multilattice
 from .network import (
     BondSystem,
     GaugeFixedOperator,
@@ -112,7 +112,7 @@ def place_sampling_domains(
     N = lattice.cells_per_dim
     m = lattice.m
     if n_rep is None:
-        torus = unit_cell(d, lattice.shifts)
+        torus = lattice.cell
         reps = nearest_bravais_cells(mesh, lattice.eps, N)
         sites = lattice.site_index(reps[:, None, :], np.arange(m))  # (T, m)
         return [SamplingDomain(torus, row[:1] // m, row) for row in sites]

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -96,6 +97,11 @@ class Multilattice:
         self.n_sites = self.m * self.n_cells
         #: cell multi-indices in C order, (n_cells, d): cell_multi[k] is the k-th cell
         self.cell_multi = np.indices((self.cells_per_dim,) * d).reshape(d, -1).T
+
+    @cached_property
+    def cell(self) -> "Multilattice":
+        """One period of this lattice, its shared ``unit_cell``."""
+        return unit_cell(self.d, self.shifts)
 
     # ------------------------------------------------------------------ geometry
 

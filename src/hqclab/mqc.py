@@ -34,6 +34,25 @@ class ShiftSolveError(SolverError):
     pass
 
 
+#: per (d, species shifts, (species, offset) pairs of the bond specs): the
+#: ``src``, ``dst``, ``rvec``, ``B`` and band factor of a ``ShiftTable``,
+#: shared by every model of that structure for the whole process
+_STRUCTURES: dict = {}
+
+
+def _shift_structure(m: int, bonds: list) -> tuple:
+    """(src, dst, rvec, B, band factor) of the (species, offset) pairs ``bonds``."""
+    src = np.array([beta for beta, _ in bonds])
+    dst = np.array([off.species_target for _, off in bonds])
+    rvec = np.array([off.r_float for _, off in bonds])
+    incidence = np.zeros((m, len(bonds)))
+    np.add.at(incidence, (dst, np.arange(len(bonds))), 1.0)
+    np.add.at(incidence, (src, np.arange(len(bonds))), -1.0)
+    # the rounding band of the shift gradient per unit of |forces| (derivatives)
+    width = float(np.abs(incidence[1:]).sum(axis=1).max(initial=0.0))   # B holds 0 and +-1
+    return src, dst, rvec, incidence[1:], width * np.finfo(float).eps * np.sqrt(2.0 * width) / m
+
+
 class ShiftTable:
     """Every bond of a unit cell as flat arrays, evaluated over a stack of elements.
 
@@ -41,24 +60,20 @@ class ShiftTable:
     its offset (n_bonds, d) and ``law`` one law with per-bond parameters.
     ``B`` (m-1, n_bonds) is the signed species incidence of the free shifts:
     +1 at the target species, -1 at the source, and no row for q_0 = 0.
+    All but the law come from ``_STRUCTURES``, built once per structure.
     Gradients F are (T, d, d) and shifts q (T, m-1, d).
     """
 
     def __init__(self, model: InteractionModel) -> None:
-        bonds = [(beta, spec) for beta in range(model.m) for spec in model.bond_specs(beta)]
+        specs = [(beta, spec) for beta in range(model.m) for spec in model.bond_specs(beta)]
         self.m, self.d = model.m, model.d
-        self.src = np.array([beta for beta, _ in bonds])
-        self.dst = np.array([spec.offset.species_target for _, spec in bonds])
-        self.rvec = np.array([spec.offset.r_float for _, spec in bonds])
-        laws = [spec.law for _, spec in bonds]
+        bonds = [(beta, spec.offset) for beta, spec in specs]
+        key = (self.d, tuple(map(tuple, model.shifts())), tuple(bonds))
+        if key not in _STRUCTURES:
+            _STRUCTURES[key] = _shift_structure(self.m, bonds)
+        self.src, self.dst, self.rvec, self.B, self._band = _STRUCTURES[key]
+        laws = [spec.law for _, spec in specs]
         self.law = type(laws[0]).stack(laws, [1] * len(laws))
-        incidence = np.zeros((self.m, len(bonds)))
-        np.add.at(incidence, (self.dst, np.arange(len(bonds))), 1.0)
-        np.add.at(incidence, (self.src, np.arange(len(bonds))), -1.0)
-        self.B = incidence[1:]
-        # the rounding band of the shift gradient per unit of |forces| (derivatives)
-        width = float(np.abs(self.B).sum(axis=1).max(initial=0.0))   # B holds 0 and +-1
-        self._band = width * np.finfo(float).eps * np.sqrt(2.0 * width) / self.m
 
     def gaps(self, F: np.ndarray, q: np.ndarray) -> np.ndarray:
         """F r + q_dst - q_src per bond, shape (T, n_bonds, d)."""

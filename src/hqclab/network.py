@@ -40,6 +40,12 @@ code at block size 1, and solves a field's d components as d scalar columns.
 L does not depend on the state, so a spring system builds its solver once
 and every solve on the system (the atomistic reference, the sensitivities of
 a full sampling, each Newton step of a cell stack) shares it.
+
+``compile_system`` keeps two memos: ``_SYSTEMS``, weak-keyed by the model,
+holds its systems (law, operator and all they cache); ``_STRUCTURES``,
+weak-keyed by the lattice, holds only the ``BondStructure`` (sites, bonds,
+incidence, block rows) of each ordered list of bond classes, which every model
+that differs only in its bond laws shares.
 """
 
 from __future__ import annotations
@@ -72,8 +78,45 @@ class SolverError(RuntimeError):
     dynamics run blew up."""
 
 
+class BondStructure:
+    """What the bonds of a compiled system fix, whatever their laws: the
+    periodic torus ``cells`` of ``n_sites`` sites, the bonds (``src``,
+    ``dst``, ``rvec``), their CSR ``incidence`` with its widest row, and the
+    Hessian's block rows, built on first use.  Systems whose models differ
+    only in their bond laws share one (``compile_system``)."""
+
+    def __init__(self, n_sites: int, src: np.ndarray, dst: np.ndarray, rvec: np.ndarray,
+                 cells: tuple[int, ...]) -> None:
+        self.n_sites, self.src, self.dst, self.rvec = n_sites, src, dst, rvec
+        self.cells = tuple(cells)
+        self.n_cells = int(np.prod(self.cells))
+        self.incidence = incidence_matrix(n_sites, src, dst)
+        indptr = self.incidence.indptr
+        self.row_width = int((indptr[1:] - indptr[:-1]).max())   # the most terms _scatter sums into a site
+
+    @cached_property
+    def block_rows(self) -> tuple["BlockRows", np.ndarray, np.ndarray]:
+        """The Hessian's ``BlockRows``: a site's row is its diagonal block, then
+        one per other end of its incident bonds in incidence order (ends met
+        twice share one).  Then the blocks that the four terms of each class add
+        to, in a cell (n_classes, 4) and for each bond in the grid (n_classes, n_cells, 4)."""
+        m, D = self.n_sites // self.n_cells, self.incidence
+        columns = [list(dict.fromkeys([a] + list(self.src[bonds] + self.dst[bonds] - a)))
+                   for a, bonds in enumerate(np.split(D.indices[:D.indptr[m]], D.indptr[1:m]))]
+        rows = BlockRows(self.cells, columns)
+        block = {(x, y): lo + j for x, (lo, ends) in enumerate(zip(rows.start, columns)) for j, y in enumerate(ends)}
+        # the bond of each class from cell 0 (a -> e), and a seen from e's cell
+        a, e = self.src[::self.n_cells], self.dst[::self.n_cells]
+        back = cell_index([-x for x in np.unravel_index(e // m, self.cells)], self.cells) * m + a
+        blocks = np.array([[block[i, i], block[j, j], block[i, f], block[j, k]]
+                           for i, j, f, k in zip(a, e % m, e, back)])
+        cell = np.stack([self.src, self.dst, self.src, self.dst], axis=-1).reshape(len(blocks), -1, 4) // m
+        return rows, blocks, (cell * len(rows.species) + blocks[:, None]).astype(np.int32)
+
+
 class BondSystem:
-    """Compiled bond list of an interaction model on a periodic site torus.
+    """Compiled bond list of an interaction model on a periodic site torus:
+    a ``BondStructure`` and one bond law for all its bonds.
 
     ``law`` holds the per-bond parameters of every bond, so each evaluation is
     one law call.  ``gaps``, ``energy``, ``bond_forces``, ``gradient`` and
@@ -84,7 +127,9 @@ class BondSystem:
     bonds come class by class, ``n_cells`` per class in cell order, and the
     bonds of a class share their source species, target species and cell
     offset (the layout of ``compile_system``); the block rows of the Hessian
-    rely on it, laid out once from cell 0.
+    rely on it, laid out once from cell 0.  ``structure`` is the
+    ``BondStructure`` of these arguments when one is built already, which the
+    system then shares (``compile_system``); by default it builds its own.
     """
 
     def __init__(
@@ -96,6 +141,7 @@ class BondSystem:
         rvec: np.ndarray,
         law,
         cells: tuple[int, ...],
+        structure: BondStructure | None = None,
     ) -> None:
         self.n_sites = n_sites
         self.cells = tuple(cells)
@@ -106,9 +152,8 @@ class BondSystem:
         self.rvec = rvec
         self.law = law
         self.n_dof = n_sites * d
-        self.incidence = incidence_matrix(n_sites, src, dst)
-        indptr = self.incidence.indptr
-        self.row_width = int((indptr[1:] - indptr[:-1]).max())   # the most terms _scatter sums into a site
+        self.structure = BondStructure(n_sites, src, dst, rvec, cells) if structure is None else structure
+        self.incidence, self.row_width = self.structure.incidence, self.structure.row_width
 
     # ------------------------------------------------------------- evaluation
 
@@ -205,25 +250,6 @@ class BondSystem:
         if T > 1 and self.n_cells > 1:
             raise SolverError(f"a stack of {T} Hessians on the grid of cells {self.cells}: one field only")
 
-    @cached_property
-    def _block_rows(self) -> tuple["BlockRows", np.ndarray, np.ndarray]:
-        """The Hessian's ``BlockRows``: a site's row is its diagonal block, then
-        one per other end of its incident bonds in incidence order (ends met
-        twice share one).  Then the blocks that the four terms of each class add
-        to, in a cell (n_classes, 4) and for each bond in the grid (n_classes, n_cells, 4)."""
-        m, D = self.n_sites // self.n_cells, self.incidence
-        columns = [list(dict.fromkeys([a] + list(self.src[bonds] + self.dst[bonds] - a)))
-                   for a, bonds in enumerate(np.split(D.indices[:D.indptr[m]], D.indptr[1:m]))]
-        rows = BlockRows(self.cells, columns)
-        block = {(x, y): lo + j for x, (lo, ends) in enumerate(zip(rows.start, columns)) for j, y in enumerate(ends)}
-        # the bond of each class from cell 0 (a -> e), and a seen from e's cell
-        a, e = self.src[::self.n_cells], self.dst[::self.n_cells]
-        back = cell_index([-x for x in np.unravel_index(e // m, self.cells)], self.cells) * m + a
-        blocks = np.array([[block[i, i], block[j, j], block[i, f], block[j, k]]
-                           for i, j, f, k in zip(a, e % m, e, back)])
-        cell = np.stack([self.src, self.dst, self.src, self.dst], axis=-1).reshape(len(blocks), -1, 4) // m
-        return rows, blocks, (cell * len(rows.species) + blocks[:, None]).astype(np.int32)
-
     def _matrix(self, k: np.ndarray) -> tuple:
         """(Hessian, stencil) from per-bond blocks k (..., n_bonds, b, b), b = d or 1:
         one sum adds k, k, -k, -k to each bond's (src, src), (dst, dst), (src, dst)
@@ -231,7 +257,7 @@ class BondSystem:
         On one cell their mean is the dense Hessian stack (stencil None)."""
         b, T = k.shape[-1], int(np.prod(k.shape[:-3]))
         self._one_field(T)
-        rows, blocks, index = self._block_rows
+        rows, blocks, index = self.structure.block_rows
         place = rows.positions(b)[0]
         data, k = np.zeros((T, self.n_cells, place.size)), k.reshape(T, -1, b, b)
         for r, c in np.ndindex(b, b):       # one unbuffered sum per block component
@@ -264,6 +290,9 @@ def incidence_matrix(n_sites: int, src: np.ndarray, dst: np.ndarray) -> sp.csr_m
 #: per model: its compiled systems by cells per dimension.  Models are
 #: immutable once compiled.
 _SYSTEMS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+#: per lattice: its ``BondStructure`` per bond classes (the ordered (species,
+#: ``NeighborOffset``) pairs of ``bond_specs``).  Structure only, never a law.
+_STRUCTURES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def compile_system(lattice: Multilattice, model: InteractionModel) -> BondSystem:
@@ -275,7 +304,11 @@ def compile_system(lattice: Multilattice, model: InteractionModel) -> BondSystem
     multi-indices, so a model with site-dependent coefficients compiles the
     corner subgrid of its own grid.  The system is then fixed by the model and
     the cells per dimension: it is compiled once per pair and returned on
-    every later call.
+    every later call (``_SYSTEMS``).  Its structure is fixed by the lattice
+    and the bond classes, and lives as long as the lattice (a ``unit_cell``
+    for the whole process): a later model of those classes on that lattice,
+    such as springs of other coefficients, stacks only its law
+    (``_STRUCTURES``).
     """
     if tuple(map(tuple, model.shifts())) != lattice.shifts:
         raise PotentialError("model and lattice are incompatible: their species shifts differ")
@@ -284,17 +317,21 @@ def compile_system(lattice: Multilattice, model: InteractionModel) -> BondSystem
     if n not in systems:
         species, offsets, laws = zip(*[(alpha, spec.offset, spec.law) for alpha in range(lattice.m)
                                        for spec in model.bond_specs(alpha, lattice.cell_multi)])
-        shift = np.array([off.cell_shift for off in offsets])[:, None, :]
-        target = np.array([off.species_target for off in offsets])[:, None]
-        systems[n] = BondSystem(
-            n_sites=lattice.n_sites,
-            d=lattice.d,
-            src=lattice.site_index(lattice.cell_multi, np.array(species)[:, None]).ravel(),
-            dst=lattice.site_index(lattice.cell_multi + shift, target).ravel(),
-            rvec=np.repeat([off.r_float for off in offsets], lattice.n_cells, axis=0),
-            law=type(laws[0]).stack(laws, [lattice.n_cells] * len(laws)),
-            cells=(n,) * lattice.d,
-        )
+        structures = _STRUCTURES.setdefault(lattice, {})
+        key = tuple(zip(species, offsets))
+        if key not in structures:
+            shift = np.array([off.cell_shift for off in offsets])[:, None, :]
+            target = np.array([off.species_target for off in offsets])[:, None]
+            structures[key] = BondStructure(
+                n_sites=lattice.n_sites,
+                src=lattice.site_index(lattice.cell_multi, np.array(species)[:, None]).ravel(),
+                dst=lattice.site_index(lattice.cell_multi + shift, target).ravel(),
+                rvec=np.repeat([off.r_float for off in offsets], lattice.n_cells, axis=0),
+                cells=(n,) * lattice.d,
+            )
+        s, law = structures[key], type(laws[0]).stack(laws, [lattice.n_cells] * len(laws))
+        systems[n] = BondSystem(n_sites=s.n_sites, d=lattice.d, src=s.src, dst=s.dst, rvec=s.rvec, law=law,
+                                cells=s.cells, structure=s)
     return systems[n]
 
 

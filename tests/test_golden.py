@@ -1,7 +1,9 @@
-"""Every default study writes the CSV it wrote before, byte for byte.
+"""Every default study writes the CSV it wrote before, byte for byte, and so
+does the equivalence study at four times its default trial counts.
 
 The hashes are the sha256 prefixes of each study's CSV at its default config
-(``configs/``), as CHANGES.md records them.  A change that keeps the solvers'
+(``configs/``), and of the scaled equivalence study at three seeds, as
+CHANGES.md records them.  A change that keeps the solvers'
 arithmetic keeps them; one that reorders a float sum may not, and must say so
 and update them.  They were taken with the numpy and scipy versions below,
 whose kernels may round otherwise in other versions, so other versions skip.
@@ -27,12 +29,28 @@ HASHES = {
     "stochastic-2d": "71b24daa44cf",
 }
 
+#: per seed: the same for the equivalence study at four times the default
+#: trial counts (the benchmark's equivalence-x4 workload at that seed)
+X4_HASHES = {0: "628640b64318", 5: "2301738d3f22", 107: "4e24aec6330a"}
 
-@pytest.mark.skipif((np.__version__, scipy.__version__) != VERSIONS,
-                    reason=f"the hashes hold for numpy {VERSIONS[0]} and scipy {VERSIONS[1]}, "
-                           f"not numpy {np.__version__} and scipy {scipy.__version__}")
+recorded_versions = pytest.mark.skipif(
+    (np.__version__, scipy.__version__) != VERSIONS,
+    reason=f"the hashes hold for numpy {VERSIONS[0]} and scipy {VERSIONS[1]}, "
+           f"not numpy {np.__version__} and scipy {scipy.__version__}")
+
+
+@recorded_versions
 @pytest.mark.parametrize("study", list(HASHES))
 def test_default_study_writes_its_recorded_csv(study, tmp_path):
     out = tmp_path / f"{study}.csv"
     assert main([study, "--config", str(CONFIGS / f"{study}.cfg"), "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest()[:12] == HASHES[study]
+
+
+@recorded_versions
+@pytest.mark.parametrize("seed", list(X4_HASHES))
+def test_equivalence_at_four_times_its_trials_writes_its_recorded_csv(seed, tmp_path):
+    config, out = tmp_path / "equivalence-x4.cfg", tmp_path / "equivalence-x4.csv"
+    config.write_text(f"seed = {seed}\ntrials_spring = 144\ntrials_lj = 60\ntrials_simple = 16\n")
+    assert main(["equivalence", "--config", str(config), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest()[:12] == X4_HASHES[seed]

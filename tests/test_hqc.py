@@ -1221,6 +1221,46 @@ def test_equivalence_study_compiles_one_system_per_model(monkeypatch):
     assert len(built) == len({id(model) for model in models}) == 5
 
 
+def test_equivalence_study_builds_one_structure_per_bond_classes(monkeypatch):
+    # nine models (eight spring draws and the LJ chain) on five bond
+    # structures, spring m = 1..4 and the LJ cell: incidence and shift-table
+    # structure once per structure, block rows once per spring structure (the
+    # LJ cells are stationary at the zero corrector and form no Hessian), and
+    # one chain lattice per species count
+    import weakref
+
+    from hqclab import experiments, mqc, network
+
+    counts = {"incidence": 0, "rows": 0, "shift": 0, "chain": 0}
+    models = set()
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    class CountingRows(network.BlockRows):
+        def __init__(self, *args):
+            counts["rows"] += 1
+            super().__init__(*args)
+
+    report = experiments.mqc.equivalence_report
+    monkeypatch.setattr(network, "_STRUCTURES", weakref.WeakKeyDictionary())
+    monkeypatch.setattr(mqc, "_STRUCTURES", {})
+    monkeypatch.setattr(network, "incidence_matrix", counting("incidence", network.incidence_matrix))
+    monkeypatch.setattr(network, "BlockRows", CountingRows)
+    monkeypatch.setattr(mqc, "_shift_structure", counting("shift", mqc._shift_structure))
+    monkeypatch.setattr(experiments, "chain_lattice", counting("chain", experiments.chain_lattice))
+    monkeypatch.setattr(experiments.mqc, "equivalence_report",
+                        lambda model, *args: models.add(model) or report(model, *args))
+    res = experiments.run_equivalence({"seed": "3", "trials_spring": "6", "trials_lj": "2",
+                                       "trials_simple": "2"})
+    assert res.summary["all_within_tolerance"] and len(res.rows) == 10
+    assert len(models) == 9
+    assert counts == {"incidence": 5, "rows": 4, "shift": 5, "chain": 4}
+
+
 def test_stochastic_study_compiles_one_system_per_sampling(monkeypatch):
     # two samplings, two meshes, two relax values: each sampling's torus is
     # compiled once for its four operators, and the full sampling's is the

@@ -27,6 +27,7 @@ from hqclab.potential import (
 )
 from support import (
     HardCoreLaw,
+    bitwise_equal,
     corrector_from_shifts,
     mqc_element_energy,
     shifts_from_corrector,
@@ -300,6 +301,25 @@ def test_shift_table_stack_equals_single_elements(name):
         assert _rel_err(hess[one], h1) <= 1e-15
         single = solve_shift_vectors(model, F[t])
         assert np.max(np.abs(shifts[t] - single)) <= 1e-15 * (1 + np.max(np.abs(single)))
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
+def test_shift_tables_of_one_structure_share_it(name, monkeypatch):
+    # a table's bond arrays and incidence are fixed by its structure: a second
+    # model of it (other spring coefficients) shares them, and a table built
+    # with the memo cleared evaluates bit for bit alike
+    model = ORACLE_MODELS[name]()
+    table = ShiftTable(model)
+    other = ShiftTable(LinearSpring1D(model.psi[::-1]) if isinstance(model, LinearSpring1D)
+                       else ORACLE_MODELS[name]())
+    assert all(getattr(other, key) is getattr(table, key) for key in ("src", "dst", "rvec", "B"))
+    monkeypatch.setattr(mqc, "_STRUCTURES", {})
+    fresh = ShiftTable(model)
+    assert fresh.B is not table.B
+    F, q = _random_stack(model, 5, seed=3)
+    assert bitwise_equal(fresh.energy(F, q), table.energy(F, q))
+    for mine, theirs in zip(fresh.derivatives(F, q), table.derivatives(F, q)):
+        assert bitwise_equal(mine, theirs)
 
 
 def test_solve_shift_state_reports_the_newton_residual():

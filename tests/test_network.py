@@ -1,9 +1,11 @@
 """The stacked bond kernel (one law per system, incidence scatter, stacked
 fields) and the FFT-preconditioned CG behind the gauge-fixed solves."""
 
+import gc
 import math
 import re
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +14,7 @@ import scipy.sparse as sp
 
 from hqclab import network
 from hqclab.fem import MacroMesh, assemble, build_mesh
-from hqclab.lattice import Multilattice, chain_lattice, square_lattice
+from hqclab.lattice import Multilattice, chain_lattice, square_lattice, unit_cell
 from hqclab.network import GaugeFixedOperator, SolverError, avg_norm, compile_system
 from hqclab.potential import (
     BondSpec,
@@ -176,6 +178,72 @@ def test_one_system_per_model_and_cells_per_dimension():
     assert compile_system(chain_lattice(Fraction(1, 16), 2), model) is not first
     assert sorted(network._SYSTEMS[model]) == [8, 16]
     assert compile_system(chain_lattice(Fraction(1, 8), 2), LinearSpring1D((1.0, 3.0))) is not first
+
+
+def test_spring_models_of_one_species_count_share_one_structure():
+    # two spring models on one cell differ only in their laws: their systems
+    # share sites, bonds, incidence and block rows, but not law or operator
+    models = [LinearSpring1D((1.0, 3.0, 0.5)), LinearSpring1D((2.5, 0.7, 4.0))]
+    cell = unit_cell(1, models[0].shifts())
+    first, second = (compile_system(cell, model) for model in models)
+    assert first is not second and first.law is not second.law
+    assert first.structure is second.structure and first.incidence is second.incidence
+    w = np.zeros((cell.n_sites, 1))
+    first.hessian(w)                        # lays out the block rows ...
+    rows = first.structure.block_rows
+    second.hessian(w)                       # ... which the second system reads
+    assert second.structure.block_rows is rows
+    assert first.operator(w) is not second.operator(w)
+
+
+@pytest.mark.parametrize("psi", [(1.0, 3.0, 0.5), (2.5, 0.7, 4.0)], ids=["first", "second"])
+def test_a_shared_structure_evaluates_like_its_own_reference(psi):
+    # whichever model laid the structure out, each system's values are bit
+    # for bit those of its per-spec reference, which builds its own
+    model = LinearSpring1D(psi)
+    cell = unit_cell(1, model.shifts())
+    compile_system(cell, LinearSpring1D((1.5, 1.5, 1.5))).hessian(np.zeros((3, 1)))
+    system, ref = compile_system(cell, model), reference_compile(cell, model)
+    assert system.structure is not ref.structure
+    rng = np.random.default_rng(11)
+    w, F = rng.standard_normal((4, 3, 1)), rng.standard_normal((4, 1, 1))
+    for name in ("energy", "gradient", "stress", "hessian"):
+        assert bitwise_equal(getattr(system, name)(w, F), getattr(ref, name)(w, F)), name
+    rhs = rng.standard_normal((2, 3, 1))
+    assert bitwise_equal(system.operator(w[0]).solve(rhs), ref.operator(w[0]).solve(rhs))
+
+
+def test_other_bond_classes_get_their_own_structure():
+    # another species count is another cell; on one lattice, other offsets
+    # (an LJ cutoff, LJ against springs) are other bond classes
+    lat = chain_lattice(Fraction(1, 8), 2)
+    springs = compile_system(lat, LinearSpring1D((1.0, 3.0)))
+    lj = compile_system(lat, make_dynamics_model().model)
+    short = compile_system(lat, LennardJones1D(LennardJonesParams(s=(1.6, 0.4), ell=(0.99, 1.01), cutoff=2.0)))
+    assert len({id(x.structure) for x in (springs, lj, short)}) == 3
+    assert compile_system(lat, make_dynamics_model().model).structure is lj.structure
+    three = LinearSpring1D((1.0, 3.0, 0.5))
+    assert compile_system(chain_lattice(Fraction(1, 8), 3), three).structure is not springs.structure
+
+
+def test_random_networks_of_one_size_share_the_structure_of_a_lattice():
+    lat = square_lattice(8)
+    first, second = (compile_system(lat, RandomBond2D(8, seed)) for seed in (1, 2))
+    assert first.structure is second.structure
+    assert not np.array_equal(first.law.psi, second.law.psi)
+    # another lattice of the same size has structures of its own
+    assert compile_system(square_lattice(8), RandomBond2D(8, 3)).structure is not first.structure
+
+
+def test_a_structure_lives_as_long_as_its_lattice():
+    lat = chain_lattice(Fraction(1, 8), 2)
+    system = compile_system(lat, LinearSpring1D((1.0, 3.0)))
+    assert list(network._STRUCTURES[lat].values()) == [system.structure]
+    entries, lattice = len(network._STRUCTURES), weakref.ref(lat)
+    del lat
+    gc.collect()
+    assert lattice() is None and len(network._STRUCTURES) == entries - 1
+    assert system.energy(np.zeros((16, 1)), np.eye(1)) > 0     # the system keeps its own
 
 
 def test_incidence_scatter_matches_add_at_bitwise():
