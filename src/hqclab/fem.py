@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -124,9 +123,8 @@ def build_mesh(d: int, n_elements: int) -> MacroMesh:
 
 
 def check_alignment(mesh: MacroMesh, lattice) -> None:
-    cells = Fraction(1) / lattice.eps
-    if cells % mesh.n != 0:
-        raise MeshError(f"mesh size {mesh.n} does not divide 1/eps = {cells}")
+    if lattice.cells_per_dim % mesh.n:
+        raise MeshError(f"mesh size {mesh.n} does not divide 1/eps = {lattice.cells_per_dim}")
 
 
 @dataclass

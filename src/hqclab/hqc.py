@@ -1,7 +1,9 @@
 """Homogenized quasicontinuum solver: macro Newton over per-element microproblems.
 
 Each macro element T carries a sampling domain (one lattice period for
-crystals, an N_rep^d subgrid for random networks).  Constrained by the affine
+crystals, an N_rep^d subgrid for random networks): the lattice's shared
+``unit_cell`` or its ``subgrid`` torus, placed once per (mesh, lattice,
+n_rep) and kept while mesh and lattice live.  Constrained by the affine
 extension of u^h on T, the microproblem relaxes a zero-mean periodic corrector
 on the sampling domain; correctors are stored per unit macro length (chi
 variables), so the physical corrector is eps * chi and the bond gaps are
@@ -95,6 +97,12 @@ def nearest_bravais_cells(mesh: MacroMesh, eps: Fraction, n_cells: int) -> np.nd
     return (num // den - (num % den == 0)) % n_cells
 
 
+#: per mesh, then per lattice: the placement of each n_rep, kept while both
+#: live (a placement at n_rep = N holds its lattice, so that entry goes with
+#: the mesh)
+_PLACEMENTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def place_sampling_domains(
     mesh: MacroMesh, lattice: Multilattice, n_rep: int | None = None
 ) -> list[SamplingDomain]:
@@ -104,18 +112,29 @@ def place_sampling_domains(
     ``n_rep`` selects subgrid sampling of n_rep^d Bravais cells for simple
     lattices (random networks); the default is one lattice period (crystals).
     Subgrid domains do not depend on the element, so every element gets the
-    one shared domain; with n_rep equal to the cells per dimension the subgrid
-    is the whole lattice in site order.
+    one shared domain, on the lattice's ``subgrid`` torus: the lattice itself
+    at n_rep equal to the cells per dimension.  A placement is fixed by
+    (mesh, lattice, n_rep), so it is computed once (``_PLACEMENTS``); each
+    call returns a new list of its domains.
     """
+    placements = _PLACEMENTS.get(mesh)
+    if placements is None:
+        placements = _PLACEMENTS[mesh] = weakref.WeakKeyDictionary()
+    by_rep = placements.setdefault(lattice, {})
+    if n_rep not in by_rep:
+        by_rep[n_rep] = _placement(mesh, lattice, n_rep)
+    return list(by_rep[n_rep])
+
+
+def _placement(mesh: MacroMesh, lattice: Multilattice, n_rep: int | None) -> tuple[SamplingDomain, ...]:
+    """The domains of ``place_sampling_domains``, computed."""
     check_alignment(mesh, lattice)
-    d = lattice.d
     N = lattice.cells_per_dim
     m = lattice.m
     if n_rep is None:
-        torus = lattice.cell
         reps = nearest_bravais_cells(mesh, lattice.eps, N)
         sites = lattice.site_index(reps[:, None, :], np.arange(m))  # (T, m)
-        return [SamplingDomain(torus, row[:1] // m, row) for row in sites]
+        return tuple(SamplingDomain(lattice.cell, row[:1] // m, row) for row in sites)
     if m != 1:
         raise HQCError("subgrid sampling domains require a simple lattice (m = 1)")
     if not 1 <= n_rep <= N:
@@ -123,9 +142,9 @@ def place_sampling_domains(
     # one subsystem shared by all elements: below n_rep = N its effective
     # response replaces the (unknown) full-sample tensor, so the error floors
     # at an n_rep-dependent level
-    torus = Multilattice(d, Fraction(1, int(n_rep)), lattice.shifts)
+    torus = lattice.subgrid(int(n_rep))
     parent_cells = lattice.site_index(torus.cell_multi)  # m = 1: one site per cell
-    return [SamplingDomain(torus, parent_cells, parent_cells)] * mesh.n_elements
+    return (SamplingDomain(torus, parent_cells, parent_cells),) * mesh.n_elements
 
 
 def _require_cell_independent(model: InteractionModel, cells: np.ndarray) -> None:

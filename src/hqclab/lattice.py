@@ -7,13 +7,19 @@ pairs into flat site ids; it numbers the cells through ``cell_index``, which
 also numbers the cell offsets of the FFT preconditioner.  Adjacency is
 resolved with exact rational arithmetic so that periodic wrap-around never
 suffers from floating-point coincidence checks.
+
+That arithmetic is done once per species-shift set: ``species_shifts`` keeps
+one validated ``SpeciesShifts`` per set, hashed once, which every lattice,
+model and memo key of the set shares; ``unit_cell`` keeps one lattice period
+per set, ``chain_offsets`` the resolved offsets of each chain cell, and a
+lattice keeps its ``subgrid`` tori.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Sequence
 
 import numpy as np
@@ -45,17 +51,64 @@ def cell_index(coords, grid: tuple[int, ...]) -> np.ndarray:
     return flat
 
 
+class SpeciesShifts(tuple):
+    """The species shift vectors p_0, ..., p_{m-1} of a multilattice, tuples of
+    Fractions: one object per shift set (``species_shifts``), hashed once.
+    Two lattices of one set hold the same vectors, so comparing them tests
+    identity, not Fractions."""
+
+    @cached_property
+    def _hash(self) -> int:
+        return tuple.__hash__(self)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+
+#: the ``SpeciesShifts`` of every shift set met, keyed by its vectors
+_SHIFTS: dict = {}
+
+
+def species_shifts(d: int, shifts: Sequence) -> SpeciesShifts:
+    """The one ``SpeciesShifts`` of the d-vectors ``shifts`` (Fractions or
+    numbers), validated when first met: at least one, p_0 = 0, each in [0,1)^d,
+    pairwise distinct.  A ``SpeciesShifts`` of d-vectors is returned as it is."""
+    if type(shifts) is SpeciesShifts and len(shifts[0]) == d:
+        return shifts
+    vectors = tuple(_as_fraction_vector(p, d) for p in shifts)
+    if vectors not in _SHIFTS:
+        if not vectors:
+            raise LatticeError("at least one species shift is required")
+        if any(x != 0 for x in vectors[0]):
+            raise LatticeError("the first species shift must be zero")
+        for p in vectors:
+            if any(x < 0 or x >= 1 for x in p):
+                raise LatticeError(f"species shift {p} outside [0,1)^d")
+        if len(set(vectors)) != len(vectors):
+            raise LatticeError("species shifts must be pairwise distinct")
+        _SHIFTS[vectors] = SpeciesShifts(vectors)
+    return _SHIFTS[vectors]
+
+
 @dataclass(frozen=True)
 class NeighborOffset:
     """Offset r (in lattice units: the neighbor of x sits at x + eps*r).
 
     ``species_target`` is the species of the neighbor and ``cell_shift`` the
     integer Bravais-cell displacement, i.e. p_source + r = cell_shift + p_target.
+    Hashed once: offsets key the structure memos of ``network`` and ``mqc``.
     """
 
     r: tuple[Fraction, ...]
     species_target: int
     cell_shift: tuple[int, ...]
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.r, self.species_target, self.cell_shift))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def r_float(self) -> np.ndarray:
@@ -69,7 +122,8 @@ class Multilattice:
     ----------
     d : spatial dimension (1 or 2)
     eps : lattice parameter; 1/eps must be a positive integer
-    shifts : species shift vectors p_0, ..., p_{m-1} in [0,1)^d, p_0 = 0
+    shifts : species shift vectors p_0, ..., p_{m-1} in [0,1)^d, p_0 = 0,
+        held as their ``species_shifts``
     """
 
     def __init__(self, d: int, eps, shifts: Sequence) -> None:
@@ -81,27 +135,29 @@ class Multilattice:
         self.d = d
         self.eps = eps
         self.eps_float = float(eps)
-        self.shifts: tuple[tuple[Fraction, ...], ...] = tuple(_as_fraction_vector(p, d) for p in shifts)
-        if not self.shifts:
-            raise LatticeError("at least one species shift is required")
-        if any(x != 0 for x in self.shifts[0]):
-            raise LatticeError("the first species shift must be zero")
-        for p in self.shifts:
-            if any(x < 0 or x >= 1 for x in p):
-                raise LatticeError(f"species shift {p} outside [0,1)^d")
-        if len(set(self.shifts)) != len(self.shifts):
-            raise LatticeError("species shifts must be pairwise distinct")
+        self.shifts = species_shifts(d, shifts)
         self.m = len(self.shifts)
         self.cells_per_dim = int(1 / eps)
         self.n_cells = self.cells_per_dim**d
         self.n_sites = self.m * self.n_cells
         #: cell multi-indices in C order, (n_cells, d): cell_multi[k] is the k-th cell
         self.cell_multi = np.indices((self.cells_per_dim,) * d).reshape(d, -1).T
+        self._subgrids: dict = {}
 
     @cached_property
     def cell(self) -> "Multilattice":
         """One period of this lattice, its shared ``unit_cell``."""
         return unit_cell(self.d, self.shifts)
+
+    def subgrid(self, n: int) -> "Multilattice":
+        """The lattice of these shifts on n cells per dimension, an HQC
+        sampling torus: built once per n and kept by this lattice, and at
+        n = ``cells_per_dim`` this lattice itself."""
+        if n == self.cells_per_dim:
+            return self
+        if n not in self._subgrids:
+            self._subgrids[n] = Multilattice(self.d, Fraction(1, n), self.shifts)
+        return self._subgrids[n]
 
     # ------------------------------------------------------------------ geometry
 
@@ -144,19 +200,19 @@ class Multilattice:
         raise LatticeError(f"offset {r} from species {species} does not land on a lattice site")
 
 
-#: one-cell lattices by (d, species shifts): see ``unit_cell``
+#: one-cell lattices by ``SpeciesShifts``: see ``unit_cell``
 _UNIT_CELLS: dict = {}
 
 
 def unit_cell(d: int, shifts: Sequence) -> Multilattice:
     """One lattice period (eps = 1) with the species ``shifts``, built once per
-    (d, shifts) and shared: the cell system of homogenization and the period
+    shift set and shared: the cell system of homogenization and the period
     tori of HQC sampling stand on the same lattice.  Lattices are not changed
     once built."""
-    key = (d, tuple(_as_fraction_vector(p, d) for p in shifts))
-    if key not in _UNIT_CELLS:
-        _UNIT_CELLS[key] = Multilattice(d, 1, key[1])
-    return _UNIT_CELLS[key]
+    shifts = species_shifts(d, shifts)
+    if shifts not in _UNIT_CELLS:
+        _UNIT_CELLS[shifts] = Multilattice(d, 1, shifts)
+    return _UNIT_CELLS[shifts]
 
 
 @dataclass
@@ -249,11 +305,31 @@ def l2_norm(u: LatticeField) -> float:
     return float(np.sqrt(np.mean(np.sum(u.values**2, axis=1))))
 
 
+@cache
+def chain_shifts(m: int) -> SpeciesShifts:
+    """The uniform chain shifts P = (0, 1/m, ..., (m-1)/m)."""
+    return species_shifts(1, [(Fraction(k, m),) for k in range(m)])
+
+
+@cache
+def chain_offsets(m: int, count: int) -> tuple[tuple[NeighborOffset, ...], ...]:
+    """The offsets r = k/m, k = 1..count, from each species of the uniform
+    m-species chain: resolved once per (m, count) on its ``unit_cell``, so
+    chain models of one species count share them."""
+    cell = unit_cell(1, chain_shifts(m))
+    return tuple(tuple(cell.resolve_offset(alpha, Fraction(k, m)) for k in range(1, count + 1))
+                 for alpha in range(m))
+
+
+#: the shift set of the simple square lattice
+SQUARE_SHIFTS = species_shifts(2, [(0, 0)])
+
+
 def chain_lattice(eps, m: int) -> Multilattice:
-    """1D multilattice with the uniform shifts P = (0, 1/m, ..., (m-1)/m)."""
-    return Multilattice(1, eps, [(Fraction(k, m),) for k in range(m)])
+    """1D multilattice with the uniform shifts ``chain_shifts(m)``."""
+    return Multilattice(1, eps, chain_shifts(m))
 
 
 def square_lattice(n: int) -> Multilattice:
     """Simple 2D lattice (1/n)*Z^2 on the unit cell."""
-    return Multilattice(2, Fraction(1, n), [(Fraction(0), Fraction(0))])
+    return Multilattice(2, Fraction(1, n), SQUARE_SHIFTS)

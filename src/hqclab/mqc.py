@@ -34,7 +34,7 @@ class ShiftSolveError(SolverError):
     pass
 
 
-#: per (d, species shifts, (species, offset) pairs of the bond specs): the
+#: per (species count, (species, offset) pairs of the bond specs): the
 #: ``src``, ``dst``, ``rvec``, ``B`` and band factor of a ``ShiftTable``,
 #: shared by every model of that structure for the whole process
 _STRUCTURES: dict = {}
@@ -68,7 +68,7 @@ class ShiftTable:
         specs = [(beta, spec) for beta in range(model.m) for spec in model.bond_specs(beta)]
         self.m, self.d = model.m, model.d
         bonds = [(beta, spec.offset) for beta, spec in specs]
-        key = (self.d, tuple(map(tuple, model.shifts())), tuple(bonds))
+        key = (self.m, tuple(bonds))
         if key not in _STRUCTURES:
             _STRUCTURES[key] = _shift_structure(self.m, bonds)
         self.src, self.dst, self.rvec, self.B, self._band = _STRUCTURES[key]

@@ -25,7 +25,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .lattice import LatticeField, Multilattice, NeighborOffset, cell_index, square_lattice, unit_cell
+from .lattice import (SQUARE_SHIFTS, LatticeField, Multilattice, NeighborOffset, SpeciesShifts, cell_index,
+                      chain_offsets, chain_shifts, square_lattice, unit_cell)
 
 
 class PotentialError(ValueError):
@@ -187,7 +188,9 @@ class BondSpec:
 class InteractionModel:
     """Base class: species-resolved pairwise site potentials.
 
-    Concrete models define ``bond_specs(alpha, cells)``: the interaction
+    Concrete models define ``shifts()``, their species shifts (the package's
+    models return the shared ``SpeciesShifts`` of their set), and
+    ``bond_specs(alpha, cells)``: the interaction
     neighborhood of species alpha together with one bond law per offset, whose
     parameters may vary over ``cells`` (multi-indices (n_cells, d); None: the
     origin).  A model on a grid of its own takes a smaller lattice as its
@@ -201,7 +204,7 @@ class InteractionModel:
     d: int
     m: int
 
-    def shifts(self) -> list:
+    def shifts(self) -> SpeciesShifts:
         raise NotImplementedError
 
     def bond_specs(self, alpha: int, cells=None) -> list[BondSpec]:
@@ -222,14 +225,11 @@ class LinearSpring1D(InteractionModel):
         if any(p <= 0 for p in self.psi):
             raise PotentialError("spring coefficients must be positive")
         self.m = len(self.psi)
-        cell = unit_cell(1, self.shifts())
-        self._specs = [
-            [BondSpec(cell.resolve_offset(alpha, Fraction(1, self.m)), SpringLaw(np.array(self.psi[alpha])))]
-            for alpha in range(self.m)
-        ]
+        self._specs = [[BondSpec(off, SpringLaw(np.array(psi)))]
+                       for (off,), psi in zip(chain_offsets(self.m, 1), self.psi)]
 
-    def shifts(self) -> list:
-        return [(Fraction(k, self.m),) for k in range(self.m)]
+    def shifts(self) -> SpeciesShifts:
+        return chain_shifts(self.m)
 
     def bond_specs(self, alpha: int, cells=None) -> list[BondSpec]:
         return self._specs[alpha]
@@ -271,20 +271,17 @@ class LennardJones1D(InteractionModel):
         self.m = len(params.s)
         if len(params.ell) != self.m:
             raise PotentialError("s and ell must have one entry per species")
-        cell = unit_cell(1, self.shifts())
         count = int(Fraction(params.cutoff).limit_denominator(10**6) * self.m)   # offsets k/m within it
         s, ell = np.array(params.s), np.array(params.ell)
         a6, a12 = s * ell**6, s * ell**12
-        self._specs = []
-        for alpha in range(self.m):
-            offsets = [cell.resolve_offset(alpha, Fraction(k, self.m)) for k in range(1, count + 1)]
-            self._specs.append([BondSpec(off, LennardJonesLaw(a6[alpha] + a6[off.species_target],
-                                                              a12[alpha] + a12[off.species_target],
-                                                              scale=float(self.m)))
-                                for off in offsets])
+        self._specs = [[BondSpec(off, LennardJonesLaw(a6[alpha] + a6[off.species_target],
+                                                      a12[alpha] + a12[off.species_target],
+                                                      scale=float(self.m)))
+                        for off in offsets]
+                       for alpha, offsets in enumerate(chain_offsets(self.m, count))]
 
-    def shifts(self) -> list:
-        return [(Fraction(k, self.m),) for k in range(self.m)]
+    def shifts(self) -> SpeciesShifts:
+        return chain_shifts(self.m)
 
     def bond_specs(self, alpha: int, cells=None) -> list[BondSpec]:
         return self._specs[alpha]
@@ -318,11 +315,11 @@ class RandomBond2D(InteractionModel):
         lo = np.array([AXIS_BOND_RANGE[0]] * 2 + [DIAGONAL_BOND_RANGE[0]] * 2)
         hi = np.array([AXIS_BOND_RANGE[1]] * 2 + [DIAGONAL_BOND_RANGE[1]] * 2)
         self.psi = lo + (hi - lo) * raw  # (n_cells, 4), cells in C order
-        cell = unit_cell(2, self.shifts())
+        cell = unit_cell(2, SQUARE_SHIFTS)
         self._offsets = [cell.resolve_offset(0, r) for r in STOCHASTIC_OFFSETS]
 
-    def shifts(self) -> list:
-        return [(Fraction(0), Fraction(0))]
+    def shifts(self) -> SpeciesShifts:
+        return SQUARE_SHIFTS
 
     def bond_specs(self, alpha: int, cells=None) -> list[BondSpec]:
         cells = np.zeros((1, 2), dtype=int) if cells is None else np.reshape(cells, (-1, 2))

@@ -321,6 +321,32 @@ def test_unwritable_output_path_exits_before_any_solve(tmp_path, monkeypatch, ca
     assert list(tmp_path.iterdir()) == []
 
 
+def _studies_in_one_process(studies, tmp_path, tag) -> list[bytes]:
+    """The CSV each (experiment, config) of ``studies`` writes, run in this
+    order in one fresh process."""
+    outs = [tmp_path / f"{tag}-{k}.csv" for k in range(len(studies))]
+    argvs = [[name, "--config", str(cfg), "--out", str(out)] for (name, cfg), out in zip(studies, outs)]
+    code = f"from hqclab import cli\nfor argv in {argvs!r}:\n    assert cli.main(argv) == 0\n"
+    src = str(Path(hqclab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, check=True)
+    return [out.read_bytes() for out in outs]
+
+
+def test_studies_in_one_process_write_the_csvs_they_write_alone(tmp_path):
+    # the process-lifetime memos (shift sets, offsets, unit cells, shift
+    # tables) carry no state from one study to the next: each of two studies
+    # run back to back, in either order, writes what it writes as the first
+    # study of its process
+    small = tmp_path / "stochastic.cfg"
+    small.write_text("n = 16\nseed = 3\nh_list = 1/2,1/4\nn_rep_list = 4,16\nfit_range = 0:2\n")
+    equivalence = ("equivalence", Path(__file__).resolve().parent.parent / "configs" / "equivalence.cfg")
+    stochastic = ("stochastic-2d", small)
+    eq_alone, st_after = _studies_in_one_process([equivalence, stochastic], tmp_path, "eq-first")
+    st_alone, eq_after = _studies_in_one_process([stochastic, equivalence], tmp_path, "st-first")
+    assert eq_after == eq_alone and st_after == st_alone
+
+
 def test_a_study_loads_no_dense_scipy(tmp_path):
     # numpy is the one dense linear-algebra library; scipy serves sparse matrices only
     cfg = tmp_path / "tiny.cfg"

@@ -150,6 +150,81 @@ def test_sampling_placement_uses_the_oracle_and_shares_subgrid_indices():
         assert dom.parent_sites.tolist() == [3 * cell + a for a in range(3)]
 
 
+PLACEMENT_CASES = [
+    pytest.param(1, lambda: chain_lattice(Fraction(1, 16), 3), 4, None, id="period-1d"),
+    pytest.param(2, lambda: square_lattice(8), 2, None, id="period-2d"),
+    pytest.param(2, lambda: square_lattice(8), 2, 4, id="subgrid"),
+    pytest.param(2, lambda: square_lattice(8), 4, 8, id="full-sampling"),
+]
+
+
+@pytest.mark.parametrize("d, make_lattice, n, n_rep", PLACEMENT_CASES)
+def test_a_memoized_placement_is_bitwise_a_fresh_one(d, make_lattice, n, n_rep):
+    from hqclab import hqc
+
+    mesh, lat = build_mesh(d, n), make_lattice()
+    first = place_sampling_domains(mesh, lat, n_rep)
+    again = place_sampling_domains(mesh, lat, n_rep)
+    assert again is not first and all(a is b for a, b in zip(again, first))
+    # against a computation on the same pair and one on a new equal pair
+    fresh_lat = make_lattice()
+    for fresh in (hqc._placement(mesh, lat, n_rep), place_sampling_domains(build_mesh(d, n), fresh_lat, n_rep)):
+        assert len(fresh) == len(again) == mesh.n_elements
+        for mine, theirs in zip(again, fresh):
+            assert (mine.torus.cells_per_dim, mine.torus.shifts) == (theirs.torus.cells_per_dim, theirs.torus.shifts)
+            for key in ("parent_cells", "parent_sites"):
+                a, b = getattr(mine, key), getattr(theirs, key)
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert again[0].torus is (lat.cell if n_rep is None else lat.subgrid(n_rep))
+
+
+def test_a_placement_goes_with_its_mesh():
+    import gc
+    import weakref
+
+    from hqclab import hqc
+
+    lat = square_lattice(8)
+    mesh = build_mesh(2, 4)
+    place_sampling_domains(mesh, lat, 8)    # full sampling: the domains hold the lattice
+    assert list(hqc._PLACEMENTS[mesh][lat]) == [8]
+    gc.collect()    # only this mesh may leave the memo below
+    entries, meshes, lattices = len(hqc._PLACEMENTS), weakref.ref(mesh), weakref.ref(lat)
+    del mesh, lat
+    gc.collect()
+    assert meshes() is None and lattices() is None and len(hqc._PLACEMENTS) == entries - 1
+
+
+def test_equivalence_trials_resolve_no_geometry_of_their_own(monkeypatch):
+    # offsets are resolved once per species count and a placement once per
+    # (mesh, lattice): 6 and 12 spring trials do the same geometry, one
+    # placement for each of the four chain lattices of a run
+    from hqclab import experiments, hqc, lattice
+
+    counts = {"offsets": 0, "placements": 0}
+    init, nearest = lattice.NeighborOffset.__init__, hqc.nearest_bravais_cells
+
+    def counting_init(self, *args, **kwargs):
+        counts["offsets"] += 1
+        init(self, *args, **kwargs)
+
+    def counting_nearest(*args):
+        counts["placements"] += 1
+        return nearest(*args)
+
+    cfg = {"seed": "3", "trials_lj": "2", "trials_simple": "2"}
+    experiments.run_equivalence(dict(cfg, trials_spring="6"))
+    monkeypatch.setattr(lattice.NeighborOffset, "__init__", counting_init)
+    monkeypatch.setattr(hqc, "nearest_bravais_cells", counting_nearest)
+    seen = []
+    for trials in ("6", "12"):
+        res = experiments.run_equivalence(dict(cfg, trials_spring=trials))
+        assert res.summary["all_within_tolerance"]
+        seen.append(dict(counts))
+        counts.update(offsets=0, placements=0)
+    assert seen[0] == seen[1] == {"offsets": 0, "placements": 4}
+
+
 def test_period_tori_and_the_cell_system_share_one_unit_cell():
     # every crystal domain and homogenization's cell system stand on the one
     # shared lattice period of the model's shifts
@@ -1263,16 +1338,21 @@ def test_equivalence_study_builds_one_structure_per_bond_classes(monkeypatch):
 
 def test_stochastic_study_compiles_one_system_per_sampling(monkeypatch):
     # two samplings, two meshes, two relax values: each sampling's torus is
-    # compiled once for its four operators, and the full sampling's is the
-    # atomistic system; each sampling solves for its sensitivities once
+    # built and compiled once for its four operators, and the full sampling's
+    # is the atomistic system; each sampling solves for its sensitivities once
     from hqclab import experiments, hqc, network
 
-    built, solved = [], []
+    built, solved, lattices = [], [], []
     init, tensors = network.BondSystem.__init__, hqc.conductance_tensors
+    lattice_init = Multilattice.__init__
 
     def counting_init(self, *args, **kwargs):
         built.append(kwargs["n_sites"])
         init(self, *args, **kwargs)
+
+    def counting_lattice_init(self, *args, **kwargs):
+        lattice_init(self, *args, **kwargs)
+        lattices.append(self.cells_per_dim)
 
     def counting_tensors(system, relax):
         if relax:
@@ -1281,11 +1361,15 @@ def test_stochastic_study_compiles_one_system_per_sampling(monkeypatch):
 
     monkeypatch.setattr(network.BondSystem, "__init__", counting_init)
     monkeypatch.setattr(hqc, "conductance_tensors", counting_tensors)
+    unit_cell(2, [(0, 0)])    # the process's one square unit cell, built by now
+    monkeypatch.setattr(Multilattice, "__init__", counting_lattice_init)
     res = experiments.run_stochastic_2d({"n": "16", "seed": "3", "h_list": "1/2,1/4",
                                          "n_rep_list": "4,16", "fit_range": "0:2"})
     assert all(row[-1] == "ok" for row in res.rows)
     assert sorted(built) == [16, 256]
     assert sorted(solved) == [16, 256]
+    # the study's lattice and its one n_rep = 4 torus; the n_rep = 16 torus is the lattice
+    assert sorted(lattices) == [4, 16]
 
 
 @pytest.mark.parametrize("make_model, lat", [

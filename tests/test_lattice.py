@@ -18,8 +18,10 @@ from hqclab.lattice import (
     nearest_neighbor_offsets,
     neighbor_sites,
     project_zero_mean,
+    species_shifts,
     square_lattice,
     translate,
+    unit_cell,
 )
 from support import inner_product, is_zero_mean, zeros_field
 
@@ -252,3 +254,25 @@ def test_multilattice_takes_eps_and_shifts_as_exact_floats():
     assert lat.eps == Fraction(1, 4)
     assert lat.shifts == ((Fraction(0),), (Fraction(1, 2),))
     assert lat.n_sites == 8
+
+
+def test_one_shift_set_is_one_shared_object():
+    # lattices of one shift set, however given, hold one shifts object, equal
+    # and hashed like the plain tuple of its vectors
+    lat = chain_lattice(Fraction(1, 8), 2)
+    plain = ((Fraction(0),), (Fraction(1, 2),))
+    assert Multilattice(1, 0.25, [(0,), (0.5,)]).shifts is lat.shifts
+    assert species_shifts(1, plain) is lat.shifts is lat.cell.shifts
+    assert lat.shifts == plain and hash(lat.shifts) == hash(plain)
+    assert unit_cell(1, plain) is lat.cell
+    assert species_shifts(2, [(0, 0)]) is square_lattice(4).shifts is not lat.shifts
+    with pytest.raises(LatticeError):
+        species_shifts(2, lat.shifts)   # 1-vectors are no 2-vectors
+
+
+def test_a_lattice_keeps_one_subgrid_per_size():
+    lat = square_lattice(8)
+    assert lat.subgrid(8) is lat
+    torus = lat.subgrid(4)
+    assert lat.subgrid(4) is torus and square_lattice(8).subgrid(4) is not torus
+    assert (torus.cells_per_dim, torus.eps, torus.shifts) == (4, Fraction(1, 4), lat.shifts)

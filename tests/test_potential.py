@@ -1,8 +1,11 @@
 """Material models: energies, derivatives, and the two model factories."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+from hqclab.lattice import chain_lattice, unit_cell
 from hqclab.potential import (
     LennardJonesLaw,
     LinearSpring1D,
@@ -265,3 +268,15 @@ def test_collapsed_bond_raises_through_the_inverse_square(lead):
     for kernel in ("energy", "grad", "hess"):
         with pytest.raises(PotentialError, match="hard core"):
             getattr(hard, kernel)(gaps, rvec)
+
+
+def test_chain_models_of_one_species_count_share_their_geometry():
+    # one shifts object and one set of resolved offsets per species count,
+    # shared with the chain lattices and the unit cell of those shifts
+    first, second = LinearSpring1D((1.0, 2.0)), LinearSpring1D((3.0, 0.5))
+    assert first.shifts() is second.shifts() is chain_lattice(Fraction(1, 8), 2).shifts
+    assert all(a.offset is b.offset for alpha in range(2)
+               for a, b in zip(first.bond_specs(alpha), second.bond_specs(alpha)))
+    assert make_dynamics_model().model.shifts() is first.shifts()
+    assert first.bond_specs(0)[0].offset == unit_cell(1, first.shifts()).resolve_offset(0, Fraction(1, 2))
+    assert LinearSpring1D((1.0, 2.0, 3.0)).shifts() is not first.shifts()
