@@ -27,6 +27,8 @@ class EquilibriumProblem:
 
     def __post_init__(self) -> None:
         if self.force is not None:
+            if self.force.lattice is not self.lattice:
+                raise ValueError("the external force stands on another lattice than the problem's")
             scale = max(np.max(np.abs(self.force.values)), 1.0)
             if np.any(np.abs(average(self.force)) > 1e-12 * scale):
                 raise ValueError("external force must have zero mean over the lattice")

@@ -193,7 +193,8 @@ def trajectory_error(
     approx: list[LatticeField],
 ) -> tuple[float, float]:
     """Space-time error norms between two sampled lattice trajectories on
-    one lattice, whose neighbor index is resolved once for all samples.
+    one lattice, whose neighbor index is resolved once for all samples; every
+    sample of both must stand on that lattice.
 
     Returns (max-over-time L2 error, trapezoid-in-time H1 error); a single
     common sample reduces to the static (L2, H1) pair.
@@ -201,8 +202,8 @@ def trajectory_error(
     if not 0 < len(reference) == len(approx) == len(times):
         raise ValueError("trajectories must share their sample times, at least one")
     lat = reference[0].lattice
-    if any(ref.lattice is not lat for ref in reference):
-        raise ValueError("the reference samples must share one lattice")
+    if any(u.lattice is not lat for u in (*reference, *approx)):
+        raise ValueError("the samples of both trajectories must share one lattice")
     neighbors = [neighbor_sites(lat, r) for r in nearest_neighbor_offsets(lat)]
     l2s, h1s = [], []
     for ref, app in zip(reference, approx):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import LatticeField, cell_index, discrete_norms
+from .lattice import LatticeError, LatticeField, cell_index, discrete_norms
 from .network import BlockRows
 
 
@@ -84,6 +84,8 @@ def site_elements(mesh: MacroMesh, lattice, sites=None) -> tuple[np.ndarray, np.
     (upper) in 2D, and the offsets r / (K n), (k, d).
     """
     d, n, N = mesh.d, mesh.n, lattice.cells_per_dim
+    if d != lattice.d:
+        raise MeshError(f"a {d}D mesh on a {lattice.d}D lattice")
     Q = math.lcm(*(x.denominator for p in lattice.shifts for x in p))
     g = math.gcd(N, n)
     K = Q * (N // g)
@@ -123,6 +125,8 @@ def build_mesh(d: int, n_elements: int) -> MacroMesh:
 
 
 def check_alignment(mesh: MacroMesh, lattice) -> None:
+    if mesh.d != lattice.d:
+        raise MeshError(f"a {mesh.d}D mesh on a {lattice.d}D lattice")
     if lattice.cells_per_dim % mesh.n:
         raise MeshError(f"mesh size {mesh.n} does not divide 1/eps = {lattice.cells_per_dim}")
 
@@ -169,10 +173,13 @@ def sample_on_lattice(u: P1Field, lattice) -> LatticeField:
 def lattice_error(u_lattice: LatticeField, approx) -> tuple[float, float]:
     """Discrete (L2, H1) norms of the difference on the lattice.
 
-    ``approx`` may be another lattice field or a P1 field (sampled at sites).
+    ``approx`` may be another field on the same lattice or a P1 field
+    (sampled at sites).
     """
     if isinstance(approx, P1Field):
         approx = sample_on_lattice(approx, u_lattice.lattice)
+    elif approx.lattice is not u_lattice.lattice:
+        raise LatticeError("the two lattice fields stand on different lattices")
     diff = LatticeField(u_lattice.lattice, approx.values - u_lattice.values)
     return discrete_norms(diff)
 

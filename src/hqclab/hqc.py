@@ -54,7 +54,7 @@ from .fem import (
     scatter_to_vertices,
     site_elements,
 )
-from .lattice import LatticeField, Multilattice
+from .lattice import LatticeField, Multilattice, unit_cell
 from .network import (
     BondSystem,
     GaugeFixedOperator,
@@ -134,7 +134,8 @@ def _placement(mesh: MacroMesh, lattice: Multilattice, n_rep: int | None) -> tup
     if n_rep is None:
         reps = nearest_bravais_cells(mesh, lattice.eps, N)
         sites = lattice.site_index(reps[:, None, :], np.arange(m))  # (T, m)
-        return tuple(SamplingDomain(lattice.cell, row[:1] // m, row) for row in sites)
+        cell = unit_cell(lattice.d, lattice.shifts)
+        return tuple(SamplingDomain(cell, row[:1] // m, row) for row in sites)
     if m != 1:
         raise HQCError("subgrid sampling domains require a simple lattice (m = 1)")
     if not 1 <= n_rep <= N:
@@ -395,9 +396,11 @@ class HQCOperator:
         A full-lattice domain on every element (volumes summing to 1) is the
         exact lattice pairing ``load_from_lattice``.  A subgrid below the full
         lattice is shared by all elements and samples f near the origin only,
-        so it has no load of its own.
+        so it has no load of its own.  ``f`` must stand on the operator's lattice.
         """
         mesh = self.mesh
+        if f.lattice is not self.lattice:
+            raise HQCError("the force stands on another lattice than the operator's")
         if self.n_rep == self.lattice.cells_per_dim:
             return load_from_lattice(mesh, f)
         if self.n_rep is not None:

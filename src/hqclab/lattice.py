@@ -144,11 +144,6 @@ class Multilattice:
         self.cell_multi = np.indices((self.cells_per_dim,) * d).reshape(d, -1).T
         self._subgrids: dict = {}
 
-    @cached_property
-    def cell(self) -> "Multilattice":
-        """One period of this lattice, its shared ``unit_cell``."""
-        return unit_cell(self.d, self.shifts)
-
     def subgrid(self, n: int) -> "Multilattice":
         """The lattice of these shifts on n cells per dimension, an HQC
         sampling torus: built once per n and kept by this lattice, and at

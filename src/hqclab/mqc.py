@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -34,14 +35,11 @@ class ShiftSolveError(SolverError):
     pass
 
 
-#: per (species count, (species, offset) pairs of the bond specs): the
-#: ``src``, ``dst``, ``rvec``, ``B`` and band factor of a ``ShiftTable``,
-#: shared by every model of that structure for the whole process
-_STRUCTURES: dict = {}
-
-
-def _shift_structure(m: int, bonds: list) -> tuple:
-    """(src, dst, rvec, B, band factor) of the (species, offset) pairs ``bonds``."""
+@cache
+def _shift_structure(m: int, bonds: tuple) -> tuple:
+    """(src, dst, rvec, B, band factor) of the (species, offset) pairs ``bonds``
+    of a ``ShiftTable``: built once per (m, bonds) and shared by every model
+    of that structure for the whole process."""
     src = np.array([beta for beta, _ in bonds])
     dst = np.array([off.species_target for _, off in bonds])
     rvec = np.array([off.r_float for _, off in bonds])
@@ -60,18 +58,15 @@ class ShiftTable:
     its offset (n_bonds, d) and ``law`` one law with per-bond parameters.
     ``B`` (m-1, n_bonds) is the signed species incidence of the free shifts:
     +1 at the target species, -1 at the source, and no row for q_0 = 0.
-    All but the law come from ``_STRUCTURES``, built once per structure.
+    All but the law come from the cached ``_shift_structure``.
     Gradients F are (T, d, d) and shifts q (T, m-1, d).
     """
 
     def __init__(self, model: InteractionModel) -> None:
         specs = [(beta, spec) for beta in range(model.m) for spec in model.bond_specs(beta)]
         self.m, self.d = model.m, model.d
-        bonds = [(beta, spec.offset) for beta, spec in specs]
-        key = (self.m, tuple(bonds))
-        if key not in _STRUCTURES:
-            _STRUCTURES[key] = _shift_structure(self.m, bonds)
-        self.src, self.dst, self.rvec, self.B, self._band = _STRUCTURES[key]
+        bonds = tuple((beta, spec.offset) for beta, spec in specs)
+        self.src, self.dst, self.rvec, self.B, self._band = _shift_structure(self.m, bonds)
         laws = [spec.law for _, spec in specs]
         self.law = type(laws[0]).stack(laws, [1] * len(laws))
 

@@ -45,7 +45,8 @@ a full sampling, each Newton step of a cell stack) shares it.
 holds its systems (law, operator and all they cache); ``_STRUCTURES``,
 weak-keyed by the lattice, holds only the ``BondStructure`` (sites, bonds,
 incidence, block rows) of each ordered list of bond classes, which every model
-that differs only in its bond laws shares.
+that differs only in its bond laws shares: a system is exactly such a
+structure and its law, ``BondSystem(structure, law)``.
 """
 
 from __future__ import annotations
@@ -116,7 +117,7 @@ class BondStructure:
 
 class BondSystem:
     """Compiled bond list of an interaction model on a periodic site torus:
-    a ``BondStructure`` and one bond law for all its bonds.
+    a shared ``BondStructure`` and one bond law for all its bonds.
 
     ``law`` holds the per-bond parameters of every bond, so each evaluation is
     one law call.  ``gaps``, ``energy``, ``bond_forces``, ``gradient`` and
@@ -127,33 +128,16 @@ class BondSystem:
     bonds come class by class, ``n_cells`` per class in cell order, and the
     bonds of a class share their source species, target species and cell
     offset (the layout of ``compile_system``); the block rows of the Hessian
-    rely on it, laid out once from cell 0.  ``structure`` is the
-    ``BondStructure`` of these arguments when one is built already, which the
-    system then shares (``compile_system``); by default it builds its own.
+    rely on it, laid out once from cell 0.
     """
 
-    def __init__(
-        self,
-        n_sites: int,
-        d: int,
-        src: np.ndarray,
-        dst: np.ndarray,
-        rvec: np.ndarray,
-        law,
-        cells: tuple[int, ...],
-        structure: BondStructure | None = None,
-    ) -> None:
-        self.n_sites = n_sites
-        self.cells = tuple(cells)
-        self.n_cells = int(np.prod(self.cells))
-        self.d = d
-        self.src = src
-        self.dst = dst
-        self.rvec = rvec
-        self.law = law
-        self.n_dof = n_sites * d
-        self.structure = BondStructure(n_sites, src, dst, rvec, cells) if structure is None else structure
-        self.incidence, self.row_width = self.structure.incidence, self.structure.row_width
+    def __init__(self, structure: BondStructure, law) -> None:
+        self.structure, self.law = structure, law
+        self.n_sites, self.src, self.dst, self.rvec = structure.n_sites, structure.src, structure.dst, structure.rvec
+        self.cells, self.n_cells = structure.cells, structure.n_cells
+        self.incidence, self.row_width = structure.incidence, structure.row_width
+        self.d = self.rvec.shape[-1]
+        self.n_dof = self.n_sites * self.d
 
     # ------------------------------------------------------------- evaluation
 
@@ -329,9 +313,7 @@ def compile_system(lattice: Multilattice, model: InteractionModel) -> BondSystem
                 rvec=np.repeat([off.r_float for off in offsets], lattice.n_cells, axis=0),
                 cells=(n,) * lattice.d,
             )
-        s, law = structures[key], type(laws[0]).stack(laws, [lattice.n_cells] * len(laws))
-        systems[n] = BondSystem(n_sites=s.n_sites, d=lattice.d, src=s.src, dst=s.dst, rvec=s.rvec, law=law,
-                                cells=s.cells, structure=s)
+        systems[n] = BondSystem(structures[key], type(laws[0]).stack(laws, [lattice.n_cells] * len(laws)))
     return systems[n]
 
 

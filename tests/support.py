@@ -57,7 +57,7 @@ from hqclab.lattice import (
     project_zero_mean,
     unit_cell,
 )
-from hqclab.network import BondSystem, SolverError, avg_norm, newton_zero_mean
+from hqclab.network import BondStructure, BondSystem, SolverError, avg_norm, newton_zero_mean
 from hqclab.potential import BondSpec, InteractionModel, LennardJonesLaw, LennardJonesParams, PotentialError
 
 # ------------------------------------------- single-site model evaluation
@@ -450,7 +450,7 @@ def _neighbor_sites(lattice: Multilattice, offset) -> np.ndarray:
 def reference_compile(lattice: Multilattice, model) -> BondSystem:
     """The bond list built spec by spec, each offset re-resolved on the lattice
     with exact rational arithmetic: the oracle of ``compile_system``, built
-    anew on every call."""
+    anew, structure and all, on every call."""
     if model.d != lattice.d or model.m != lattice.m:
         raise PotentialError("model and lattice are incompatible")
     src_parts, dst_parts, r_parts, laws, counts = [], [], [], [], []
@@ -463,9 +463,9 @@ def reference_compile(lattice: Multilattice, model) -> BondSystem:
             r_parts.append(np.tile(spec.offset.r_float, (len(src), 1)))
             laws.append(spec.law)
             counts.append(len(src))
-    return BondSystem(lattice.n_sites, lattice.d, np.concatenate(src_parts), np.concatenate(dst_parts),
-                      np.concatenate(r_parts, axis=0), type(laws[0]).stack(laws, counts),
-                      (lattice.cells_per_dim,) * lattice.d)
+    structure = BondStructure(lattice.n_sites, np.concatenate(src_parts), np.concatenate(dst_parts),
+                              np.concatenate(r_parts, axis=0), (lattice.cells_per_dim,) * lattice.d)
+    return BondSystem(structure, type(laws[0]).stack(laws, counts))
 
 
 class GapScaledSystem(BondSystem):
@@ -478,7 +478,7 @@ class GapScaledSystem(BondSystem):
 
     def __init__(self, problem: EquilibriumProblem) -> None:
         ref = reference_compile(problem.lattice, problem.model)
-        super().__init__(ref.n_sites, ref.d, ref.src, ref.dst, ref.rvec, ref.law, ref.cells)
+        super().__init__(ref.structure, ref.law)
         self.eps = problem.lattice.eps_float
 
     def gaps(self, w: np.ndarray, F: np.ndarray | None = None) -> np.ndarray:
@@ -506,11 +506,11 @@ def gap_scaled_solve(problem: EquilibriumProblem, tol: float = 1e-10) -> Lattice
 
 class VectorSystem(BondSystem):
     """A compiled system with no scalar stiffness, so ``operator`` solves its
-    full Hessian (blocks of d per site) whatever its law: the vector route."""
+    full Hessian (blocks of d per site) whatever its law: the vector route,
+    on the structure of the system it copies."""
 
     def __init__(self, system: BondSystem) -> None:
-        super().__init__(system.n_sites, system.d, system.src, system.dst, system.rvec, system.law,
-                         system.cells)
+        super().__init__(system.structure, system.law)
 
     def scalar_stiffness(self, w: np.ndarray, F: np.ndarray | None = None) -> None:
         return None

@@ -264,6 +264,13 @@ def test_nonzero_mean_force_rejected():
         EquilibriumProblem(lat, model, force=bad)
 
 
+def test_a_force_on_another_lattice_is_refused():
+    lat, other = chain_lattice(Fraction(1, 32), 1), chain_lattice(Fraction(1, 64), 1)
+    force = LatticeField(other, np.sin(2 * np.pi * other.site_positions()))
+    with pytest.raises(ValueError, match="another lattice"):
+        EquilibriumProblem(lat, LinearSpring1D((1.0,)), force=force)
+
+
 def test_homogeneous_chain_eigenmode():
     # m=1 chain with constant psi and mass: smallest nonzero eigenvalue of the
     # periodic difference operator is 4 psi sin^2(pi eps) / (eps^2 M)

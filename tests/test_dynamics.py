@@ -402,6 +402,8 @@ def test_trajectory_error_is_bitwise_the_per_sample_norms():
     other = chain_lattice(Fraction(1, 16), 2)
     with pytest.raises(ValueError, match="one lattice"):
         trajectory_error(times, ref[:3] + [LatticeField(other, ref[3].values)], app)
+    with pytest.raises(ValueError, match="one lattice"):
+        trajectory_error(times, ref, app[:3] + [LatticeField(other, app[3].values)])
     with pytest.raises(ValueError, match="sample times"):
         trajectory_error(times[:0], [], [])
 

@@ -23,7 +23,7 @@ from hqclab.fem import (
     scatter_to_vertices,
     site_elements,
 )
-from hqclab.lattice import LatticeField, chain_lattice, square_lattice
+from hqclab.lattice import LatticeError, LatticeField, chain_lattice, square_lattice
 from support import (
     affine_extension,
     assemble_oracle,
@@ -69,6 +69,17 @@ def test_alignment_check():
     check_alignment(mesh, chain_lattice(Fraction(1, 8), 2))
     with pytest.raises(MeshError):
         check_alignment(build_mesh(1, 3), chain_lattice(Fraction(1, 8), 2))
+
+
+def test_a_mesh_of_another_dimension_is_refused():
+    # every mesh-lattice pairing passes through check_alignment or site_elements
+    for mesh, lat in ((build_mesh(2, 4), chain_lattice(Fraction(1, 16), 2)), (build_mesh(1, 4), square_lattice(16))):
+        u = LatticeField(lat, np.zeros((lat.n_sites, lat.d)))
+        message = f"a {mesh.d}D mesh on a {lat.d}D lattice"
+        for call, arg in ((check_alignment, lat), (site_elements, lat), (load_from_lattice, u),
+                          (p1_interpolate_lattice, u)):
+            with pytest.raises(MeshError, match=message):
+                call(mesh, arg)
 
 
 def test_element_gradient_1d():
@@ -167,6 +178,13 @@ def test_lattice_error_constant_offset():
     assert l2 == pytest.approx(0.3) and h1 == pytest.approx(0.3)
     l2, h1 = lattice_error(u, u)
     assert l2 == 0.0 and h1 == 0.0
+
+
+def test_lattice_error_refuses_a_field_on_another_lattice():
+    lat, other = chain_lattice(Fraction(1, 8), 1), chain_lattice(Fraction(1, 8), 1)
+    u = LatticeField(lat, np.ones((lat.n_sites, 1)))
+    with pytest.raises(LatticeError, match="different lattices"):
+        lattice_error(u, LatticeField(other, u.values))
 
 
 def test_gradient_of_smooth_interpolant_first_order():

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from hqclab.atomistic import EquilibriumProblem, solve_equilibrium, total_energy
 from hqclab.fem import (
+    MeshError,
     P1Field,
     all_element_gradients,
     assemble,
@@ -175,7 +176,7 @@ def test_a_memoized_placement_is_bitwise_a_fresh_one(d, make_lattice, n, n_rep):
             for key in ("parent_cells", "parent_sites"):
                 a, b = getattr(mine, key), getattr(theirs, key)
                 assert a.dtype == b.dtype and np.array_equal(a, b)
-    assert again[0].torus is (lat.cell if n_rep is None else lat.subgrid(n_rep))
+    assert again[0].torus is (unit_cell(d, lat.shifts) if n_rep is None else lat.subgrid(n_rep))
 
 
 def test_a_placement_goes_with_its_mesh():
@@ -515,6 +516,27 @@ def test_full_sample_rhs_is_the_lattice_pairing():
         # a subgrid domain samples f on 8^2 of the 16^2 cells only: no load
         with pytest.raises(HQCError, match="fem.load_from_lattice"):
             HQCOperator(model, lat, mesh, n_rep=8).rhs(f)
+
+
+def test_rhs_refuses_a_force_on_another_lattice():
+    # the period load and the full sample's lattice pairing alike
+    from hqclab.potential import make_stochastic_model
+
+    lat = chain_lattice(Fraction(1, 16), 2)
+    op = HQCOperator(LinearSpring1D((1.0, 2.0)), lat, build_mesh(1, 4))
+    fine = chain_lattice(Fraction(1, 32), 2)
+    with pytest.raises(HQCError, match="another lattice"):
+        op.rhs(LatticeField(fine, np.sin(2 * np.pi * fine.site_positions())))
+    net, model, f = make_stochastic_model(16, 3)
+    with pytest.raises(HQCError, match="another lattice"):
+        HQCOperator(model, net, build_mesh(2, 2), n_rep=16).rhs(LatticeField(square_lattice(16), f.values))
+
+
+def test_an_operator_refuses_a_mesh_of_another_dimension():
+    with pytest.raises(MeshError, match="a 1D mesh on a 2D lattice"):
+        HQCOperator(RandomBond2D(16, 0), square_lattice(16), build_mesh(1, 4), n_rep=16)
+    with pytest.raises(MeshError, match="a 2D mesh on a 1D lattice"):
+        HQCOperator(LinearSpring1D((1.0, 2.0)), chain_lattice(Fraction(1, 16), 2), build_mesh(2, 4))
 
 
 def test_solve_zero_force():
@@ -1306,7 +1328,7 @@ def test_equivalence_study_builds_one_structure_per_bond_classes(monkeypatch):
 
     from hqclab import experiments, mqc, network
 
-    counts = {"incidence": 0, "rows": 0, "shift": 0, "chain": 0}
+    counts = {"incidence": 0, "rows": 0, "chain": 0}
     models = set()
 
     def counting(key, fn):
@@ -1322,10 +1344,9 @@ def test_equivalence_study_builds_one_structure_per_bond_classes(monkeypatch):
 
     report = experiments.mqc.equivalence_report
     monkeypatch.setattr(network, "_STRUCTURES", weakref.WeakKeyDictionary())
-    monkeypatch.setattr(mqc, "_STRUCTURES", {})
+    mqc._shift_structure.cache_clear()
     monkeypatch.setattr(network, "incidence_matrix", counting("incidence", network.incidence_matrix))
     monkeypatch.setattr(network, "BlockRows", CountingRows)
-    monkeypatch.setattr(mqc, "_shift_structure", counting("shift", mqc._shift_structure))
     monkeypatch.setattr(experiments, "chain_lattice", counting("chain", experiments.chain_lattice))
     monkeypatch.setattr(experiments.mqc, "equivalence_report",
                         lambda model, *args: models.add(model) or report(model, *args))
@@ -1333,7 +1354,8 @@ def test_equivalence_study_builds_one_structure_per_bond_classes(monkeypatch):
                                        "trials_simple": "2"})
     assert res.summary["all_within_tolerance"] and len(res.rows) == 10
     assert len(models) == 9
-    assert counts == {"incidence": 5, "rows": 4, "shift": 5, "chain": 4}
+    assert counts == {"incidence": 5, "rows": 4, "chain": 4}
+    assert mqc._shift_structure.cache_info().misses == 5
 
 
 def test_stochastic_study_compiles_one_system_per_sampling(monkeypatch):
@@ -1346,9 +1368,9 @@ def test_stochastic_study_compiles_one_system_per_sampling(monkeypatch):
     init, tensors = network.BondSystem.__init__, hqc.conductance_tensors
     lattice_init = Multilattice.__init__
 
-    def counting_init(self, *args, **kwargs):
-        built.append(kwargs["n_sites"])
-        init(self, *args, **kwargs)
+    def counting_init(self, structure, law):
+        built.append(structure.n_sites)
+        init(self, structure, law)
 
     def counting_lattice_init(self, *args, **kwargs):
         lattice_init(self, *args, **kwargs)

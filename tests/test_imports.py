@@ -1,13 +1,16 @@
 """Every package module other than ``__init__.py`` uses each name it imports,
-and the package defines no top-level function or class that nothing reads."""
+and the package defines no top-level function or class, and no method of
+such a class, that nothing reads."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "hqclab"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TRACER = PACKAGE.parent.parent / "perfbench" / "tracer.py"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -43,6 +46,37 @@ def unused_definitions(sources: dict[str, str], exported: set[str]) -> list[str]
     return [f"{module}.{name}" for module, name in defined if name not in read | exported]
 
 
+def unused_methods(sources: dict[str, str], pinned: set[str]) -> list[str]:
+    """Non-dunder methods of the top-level classes of ``sources`` whose name no
+    expression of any module reads as an attribute (a local variable of that
+    name does not count) and no string constant names (as in
+    ``getattr(law, "scalar_hess")``), and that are not ``pinned`` as
+    ``module.Class.method``."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        defined += [f"{module}.{cls.name}.{node.name}" for cls in tree.body if isinstance(cls, ast.ClassDef)
+                    for node in cls.body if isinstance(node, ast.FunctionDef)
+                    and not (node.name.startswith("__") and node.name.endswith("__"))]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    return [name for name in defined if name.rsplit(".", 1)[1] not in read and name not in pinned]
+
+
+def tracer_pins() -> set[str]:
+    """The ``module.Class.method`` (or ``module.function``) of every entry of
+    perfbench/tracer.py ``TARGETS``, loaded as tests/test_tracer_pins.py does."""
+    if not TRACER.is_file():
+        pytest.skip("perfbench/tracer.py is absent")
+    spec = importlib.util.spec_from_file_location("hqclab_bench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return {f"{owner}.{path}" for _, owner, path, _ in module.TARGETS}
+
+
 def exported_names() -> set[str]:
     """The ``__all__`` of the package's ``__init__.py``."""
     for node in ast.parse((PACKAGE / "__init__.py").read_text()).body:
@@ -70,3 +104,16 @@ def test_the_check_sees_an_unused_definition():
 def test_every_top_level_definition_is_read_or_exported():
     sources = {p.stem: p.read_text() for p in MODULES}
     assert unused_definitions(sources, exported_names()) == []
+
+
+def test_the_check_sees_an_unused_method():
+    sources = {"a": "class C:\n    def __init__(self):\n        self.f()\n\n    def f(self):\n        pass\n\n"
+                    "    def g(self):\n        pass\n\n    def h(self):\n        pass\n\n"
+                    "    def k(self):\n        pass\n",
+               "b": "def read(c, k):\n    c.k = k\n    return getattr(c, 'g')\n"}
+    assert unused_methods(sources, {"a.C.h"}) == ["a.C.k"]
+
+
+def test_every_method_is_read_named_or_pinned():
+    sources = {p.stem: p.read_text() for p in MODULES}
+    assert unused_methods(sources, tracer_pins()) == []

@@ -262,9 +262,9 @@ def test_one_shift_set_is_one_shared_object():
     lat = chain_lattice(Fraction(1, 8), 2)
     plain = ((Fraction(0),), (Fraction(1, 2),))
     assert Multilattice(1, 0.25, [(0,), (0.5,)]).shifts is lat.shifts
-    assert species_shifts(1, plain) is lat.shifts is lat.cell.shifts
+    assert species_shifts(1, plain) is lat.shifts is unit_cell(1, lat.shifts).shifts
     assert lat.shifts == plain and hash(lat.shifts) == hash(plain)
-    assert unit_cell(1, plain) is lat.cell
+    assert unit_cell(1, plain) is unit_cell(1, lat.shifts)
     assert species_shifts(2, [(0, 0)]) is square_lattice(4).shifts is not lat.shifts
     with pytest.raises(LatticeError):
         species_shifts(2, lat.shifts)   # 1-vectors are no 2-vectors

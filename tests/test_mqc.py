@@ -304,7 +304,7 @@ def test_shift_table_stack_equals_single_elements(name):
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
-def test_shift_tables_of_one_structure_share_it(name, monkeypatch):
+def test_shift_tables_of_one_structure_share_it(name):
     # a table's bond arrays and incidence are fixed by its structure: a second
     # model of it (other spring coefficients) shares them, and a table built
     # with the memo cleared evaluates bit for bit alike
@@ -313,7 +313,7 @@ def test_shift_tables_of_one_structure_share_it(name, monkeypatch):
     other = ShiftTable(LinearSpring1D(model.psi[::-1]) if isinstance(model, LinearSpring1D)
                        else ORACLE_MODELS[name]())
     assert all(getattr(other, key) is getattr(table, key) for key in ("src", "dst", "rvec", "B"))
-    monkeypatch.setattr(mqc, "_STRUCTURES", {})
+    mqc._shift_structure.cache_clear()
     fresh = ShiftTable(model)
     assert fresh.B is not table.B
     F, q = _random_stack(model, 5, seed=3)
