@@ -14,8 +14,9 @@ cell.  The homogenized energy density and stress follow by averaging:
 the latter needing no corrector sensitivity (envelope property).  The tangent
 d2Phi0 is the condensed tangent of the HQC micro layer on the cell system:
 ``HomogenizedDensity.at`` is an ``hqc.DensityState`` of that system, which
-solves the correctors of a stack of gradients as one stack, and the
-homogenized FEM is ``hqc.macro_newton`` over the density.
+solves the correctors of a stack of gradients as one stack (of a
+``potential.ModelStack``, one material per gradient), and the homogenized
+FEM is ``hqc.macro_newton`` over the density.
 """
 
 from __future__ import annotations

@@ -27,9 +27,12 @@ A_ijkl = delta_ik a_jl, one tangent for all elements, whose macro stiffness
 ``assemble`` builds block-circulant from its stencil.  Any other law solves
 the microproblems of all elements as one stack, each from zero
 (``micro_solve``, one stacked ``network.newton``), and ``micro_sensitivity``
-and ``condensed_tangent`` take the same stack.  No micro state is kept
-between evaluations, so the macro energy is a function of
-u^h alone.
+and ``condensed_tangent`` take the same stack.  The model may be a
+``potential.ModelStack`` with one entry per gradient (the equivalence
+report's (trial, element) entries): its system's law then carries an entry
+axis, the tensors are per entry, and both routes serve the stack of
+materials as they serve one.  No micro state is kept between evaluations,
+so the macro energy is a function of u^h alone.
 """
 
 from __future__ import annotations
@@ -152,11 +155,12 @@ def _require_cell_independent(model: InteractionModel, cells: np.ndarray) -> Non
     """Period sampling serves every element with the model's cell system,
     compiled at cell 0: refuse a model with a bond-law parameter that differs
     between cell 0 and the elements' ``cells`` (multi-indices (n, d); a 0-d
-    parameter cannot)."""
+    parameter cannot).  Only the cell (last) axis counts: the entries of a
+    ``ModelStack`` are distinct materials, not cells."""
     cells = np.concatenate([np.zeros((1, model.d), dtype=int), cells])
     for alpha in range(model.m):
         for spec in model.bond_specs(alpha, cells):
-            if any(np.ndim(v) and np.any(v != np.ravel(v)[0]) for v in vars(spec.law).values()):
+            if any(np.ndim(v) and np.any(v != v[..., :1]) for v in vars(spec.law).values()):
                 raise HQCError("bond law varies by cell: period sampling (n_rep=None) "
                                "needs a crystal; pass n_rep for subgrid sampling")
 
@@ -198,7 +202,8 @@ def condensed_tangent(system: BondSystem, chi: np.ndarray, F: np.ndarray | None,
 
 def conductance_tensors(system: BondSystem, relax: bool) -> tuple[np.ndarray | None, np.ndarray]:
     """Unit-gradient sensitivities s and effective tensor a of a quadratic
-    system at rest whose stiffness is psi_b I per bond.
+    system at rest whose stiffness is psi_b I per bond; a law with an entry
+    axis (a ``ModelStack``'s) gives s (T, n_sites, d) and a (T, d, d).
 
     The sensitivity of the unit gradient E_ij is e_i s_j, with the scalar
     field s_j the zero-mean solution of L s_j = -D(psi r_j), L the scalar
@@ -217,7 +222,7 @@ def conductance_tensors(system: BondSystem, relax: bool) -> tuple[np.ndarray | N
     # a quadratic law's force at the gap r is psi r: column j of this gradient is D(psi r_j)
     s = system.operator(zero).solve(-system.gradient(zero, np.eye(d))) if relax else None
     g = system.gaps(zero if s is None else s, np.eye(d))   # r_j + D s_j in column j
-    return s, np.einsum("bj,b,bl->jl", g, psi, g) / system.n_sites
+    return s, np.einsum("...bj,...b,...bl->...jl", g, psi, g) / system.n_sites
 
 
 class DensityState:
@@ -229,8 +234,9 @@ class DensityState:
     ``tensors`` is the (s, a) of ``conductance_tensors`` on the tensor route:
     stress F a, Phi = 1/2 F:(F a), the one tangent A_ijkl = delta_ik a_jl
     (d, d, d, d) for all elements, and correctors F s, which nothing but a
-    reconstruction reads.  Otherwise the correctors are one ``micro_solve``
-    of the stack (zero when not ``relax``), Phi their micro energy, the stress
+    reconstruction reads; per-entry tensors (T, ...) give one tangent per
+    entry.  Otherwise the correctors are one ``micro_solve`` of the stack
+    (zero when not ``relax``), Phi their micro energy, the stress
     sensitivity-free, and the tangents condensed (T, d, d, d, d).
     """
 
@@ -243,7 +249,7 @@ class DensityState:
         if not self.relax:
             return np.zeros((len(self.grads), self.system.n_sites, self.system.d))
         if self.tensors is not None:
-            return np.einsum("txj,nj->tnx", self.grads, self.tensors[0])
+            return np.einsum("...xj,...nj->...nx", self.grads, self.tensors[0])
         return micro_solve(self.system, self.grads)
 
     @cached_property
@@ -255,13 +261,13 @@ class DensityState:
     @cached_property
     def stress(self) -> np.ndarray:
         if self.tensors is not None:
-            return np.einsum("til,jl->tij", self.grads, self.tensors[1])
+            return np.einsum("...il,...jl->...ij", self.grads, self.tensors[1])
         return self.system.stress(self.chi, self.grads)
 
     @cached_property
     def tangent(self) -> np.ndarray:
         if self.tensors is not None:
-            return np.einsum("ik,jl->ijkl", np.eye(self.system.d), self.tensors[1])
+            return np.einsum("ik,...jl->...ijkl", np.eye(self.system.d), self.tensors[1])
         sens = micro_sensitivity(self.system, self.chi, self.grads) if self.relax else None
         return condensed_tangent(self.system, self.chi, self.grads, sens)
 

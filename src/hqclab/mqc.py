@@ -8,16 +8,22 @@ its neighbor of species a(beta, r) under the macro gradient F is
 
 The per-element energy density (1/m) sum_beta V_beta(gaps) is made stationary
 in the shifts by a small dense Newton, run on all elements of a mesh at once
-over the flat bond arrays of a ``ShiftTable``.  A converged shift state and a
-zero-mean cell corrector chi are two gauges of the same microstructure:
-q_alpha = chi(p_alpha) - chi(p_0).
+over the flat bond arrays of a ``ShiftTable``.  The table of a
+``potential.ModelStack`` carries one law entry per element, so one Newton
+also serves the elements of many trials, each material its own.  A
+converged shift state and a zero-mean cell corrector chi are two gauges of
+the same microstructure: q_alpha = chi(p_alpha) - chi(p_0).  The
+equivalence report evaluates a group of trials of one bond layout as one
+such stack through all three formulations.
 """
 
 from __future__ import annotations
 
+import copy
 import weakref
 from dataclasses import dataclass
 from functools import cache
+from typing import Sequence
 
 import numpy as np
 
@@ -26,7 +32,7 @@ from .homog import HomogenizedDensity
 from .hqc import HQCOperator
 from .lattice import Multilattice
 from .network import MIN_STEP, RISE_TOL, SolverError
-from .potential import InteractionModel, energies_or_inf
+from .potential import InteractionModel, ModelStack, energies_or_inf
 
 SHIFT_TOL = 1e-12
 
@@ -59,7 +65,9 @@ class ShiftTable:
     ``B`` (m-1, n_bonds) is the signed species incidence of the free shifts:
     +1 at the target species, -1 at the source, and no row for q_0 = 0.
     All but the law come from the cached ``_shift_structure``.
-    Gradients F are (T, d, d) and shifts q (T, m-1, d).
+    Gradients F are (T, d, d) and shifts q (T, m-1, d).  The table of a
+    ``ModelStack`` has one law entry per element, and ``take(rows)`` is the
+    table of the entries ``rows``.
     """
 
     def __init__(self, model: InteractionModel) -> None:
@@ -69,6 +77,14 @@ class ShiftTable:
         self.src, self.dst, self.rvec, self.B, self._band = _shift_structure(self.m, bonds)
         laws = [spec.law for _, spec in specs]
         self.law = type(laws[0]).stack(laws, [1] * len(laws))
+
+    def take(self, rows) -> "ShiftTable":
+        law = self.law.take(rows)
+        if law is self.law:
+            return self
+        table = copy.copy(self)
+        table.law = law
+        return table
 
     def gaps(self, F: np.ndarray, q: np.ndarray) -> np.ndarray:
         """F r + q_dst - q_src per bond, shape (T, n_bonds, d)."""
@@ -106,20 +122,22 @@ def _shift_table(model: InteractionModel) -> ShiftTable:
 
 
 def _trial_energy(table: ShiftTable, F: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Element densities; an element whose bonds collapse reads inf."""
-    return energies_or_inf(table.energy, F, q)
+    """Element densities; an element whose bonds collapse reads inf.  An
+    element tried alone is tried with its own law entry."""
+    return energies_or_inf(lambda F, q, rows: table.take(rows).energy(F, q), F, q, np.arange(len(F)))
 
 
 def _shift_newton(table: ShiftTable, F: np.ndarray, q: np.ndarray, tol: float,
                   max_iter: int) -> tuple[np.ndarray, np.ndarray]:
-    """Newton on every element of the stack; returns the shifts and final
-    residuals.  An element stops once its residual is at most tol (1 + |F|)
-    plus the rounding band of its gradient (``ShiftTable.derivatives``)."""
+    """Newton on every element of the stack, each with its own law entry
+    (``ShiftTable.take``); returns the shifts and final residuals.  An
+    element stops once its residual is at most tol (1 + |F|) plus the
+    rounding band of its gradient (``ShiftTable.derivatives``)."""
     threshold = tol * (1.0 + np.linalg.norm(F.reshape(len(F), -1), axis=1))
     res = np.zeros(len(F))
     active = np.arange(len(F))
     for it in range(max_iter + 1):
-        grad, hess, band = table.derivatives(F[active], q[active])
+        grad, hess, band = table.take(active).derivatives(F[active], q[active])
         flat = grad.reshape(len(grad), -1)
         res[active] = np.sqrt(np.add.reduce(flat * flat, axis=1))   # np.linalg.norm, without its overhead
         unconverged = ~(res[active] <= threshold[active] + band)
@@ -134,14 +152,14 @@ def _shift_newton(table: ShiftTable, F: np.ndarray, q: np.ndarray, tol: float,
             step = np.linalg.solve(hess, -grad.reshape(len(active), -1, 1)).reshape(grad.shape)
         except np.linalg.LinAlgError as exc:
             raise ShiftSolveError("singular shift Hessian") from exc
-        Fa, qa = F[active], q[active]
-        base = table.energy(Fa, qa)
+        Fa, qa, live = F[active], q[active], table.take(active)
+        base = live.energy(Fa, qa)
         bound = base + RISE_TOL * (1 + np.abs(base))
         lam, pending, size = np.ones(len(active)), np.arange(len(active)), 1.0
         while len(pending):  # halve the steps of the elements whose density rose
             if size <= MIN_STEP:
                 raise ShiftSolveError("shift line search failed")
-            trial = _trial_energy(table, Fa[pending], qa[pending] + size * step[pending])
+            trial = _trial_energy(live.take(pending), Fa[pending], qa[pending] + size * step[pending])
             pending = pending[~(trial <= bound[pending])]
             size *= 0.5
             lam[pending] = size
@@ -168,13 +186,6 @@ def solve_shift_vectors(model: InteractionModel, F, guess: np.ndarray | None = N
     return q[0] if single else q
 
 
-def mqc_energy(model: InteractionModel, mesh: MacroMesh, uh: P1Field) -> float:
-    """Total MQC energy: element volumes times densities at stationary shifts."""
-    grads = all_element_gradients(uh)
-    q = solve_shift_vectors(model, grads)
-    return float(np.sum(mesh.volumes * _shift_table(model).energy(grads, q)))
-
-
 @dataclass
 class EquivalenceReport:
     e_hqc: float
@@ -188,18 +199,28 @@ class EquivalenceReport:
 
 
 def equivalence_report(
-    model: InteractionModel,
+    models: Sequence[InteractionModel],
     lattice: Multilattice,
     mesh: MacroMesh,
-    uh: P1Field,
-) -> EquivalenceReport:
-    """Evaluate the same macro field through the three method formulations.
+    fields: Sequence[P1Field],
+) -> list[EquivalenceReport]:
+    """Evaluate each macro field ``fields[k]`` of model ``models[k]`` through
+    the three method formulations, all trials as one ``ModelStack`` of one
+    bond layout with one entry per (trial, element).
 
     All microproblems start from the zero guess (matched branches), so the
     three energies agree up to solver tolerances whenever the microstructure
-    is unique along that branch.
+    is unique along that branch.  Every entry is solved as it would be alone,
+    so a trial's energies do not depend on the others; a failure of any
+    raises for the whole group.
     """
-    e_hqc = HQCOperator(model, lattice, mesh).energy(uh)
-    e_fem = float(mesh.volumes @ HomogenizedDensity(model).phi0(all_element_gradients(uh)))
-    e_mqc = mqc_energy(model, mesh, uh)
-    return EquivalenceReport(e_hqc=e_hqc, e_fem=e_fem, e_mqc=e_mqc)
+    n = mesh.n_elements
+    stack = ModelStack([model for model in models for _ in range(n)])
+    grads = np.concatenate([all_element_gradients(uh) for uh in fields])
+    e_hqc = HQCOperator(stack, lattice, mesh).at(grads).phi
+    e_fem = HomogenizedDensity(stack).phi0(grads)
+    e_mqc = _shift_table(stack).energy(grads, solve_shift_vectors(stack, grads))
+    return [EquivalenceReport(e_hqc=float(mesh.volumes @ e_hqc[k:k + n]),
+                              e_fem=float(mesh.volumes @ e_fem[k:k + n]),
+                              e_mqc=float(np.sum(mesh.volumes * e_mqc[k:k + n])))
+            for k in range(0, len(grads), n)]

@@ -19,7 +19,9 @@ site-averaged inner product <u, v> = (1/n) sum u(x).v(x), so that the gradient
 of a translation-invariant energy has exactly zero mean and the Hessian carries
 the constant fields in its kernel.
 
-``newton`` solves stacks of such problems (one problem is a stack of one), and
+``newton`` solves stacks of such problems (one problem is a stack of one),
+whose laws may differ per entry on one-cell systems (the law of a
+``potential.ModelStack``, read for the active rows by ``BondSystem.take``), and
 also the macro problems of the HQC and homogenized-FEM solvers, whose nodal
 fields are zero-mean in the same way.  Its one ``evaluate`` callback gives an
 iterate's objectives, gradients and operator, each computed only when asked
@@ -138,6 +140,12 @@ class BondSystem:
         self.incidence, self.row_width = structure.incidence, structure.row_width
         self.d = self.rvec.shape[-1]
         self.n_dof = self.n_sites * self.d
+
+    def take(self, rows) -> "BondSystem":
+        """The system of the law entries ``rows`` (a ``ModelStack``'s) on the
+        same structure; itself for a law with no entry axis."""
+        law = self.law.take(rows)
+        return self if law is self.law else BondSystem(self.structure, law)
 
     # ------------------------------------------------------------- evaluation
 
@@ -645,7 +653,9 @@ def newton_zero_mean(
     """Find the zero-mean critical point of E(w; F) - <f_ext, w> with ``newton``.
 
     ``F`` is None, one gradient (d, d), or a stack (T, d, d) of independent
-    problems, for which ``w0`` and the result are (T, n_sites, d).  Entry t
+    problems, for which ``w0`` and the result are (T, n_sites, d); a law with
+    an entry axis has one entry per problem, and each iterate reads the
+    entries of its rows (``BondSystem.take``).  Entry t
     converges once sqrt(<|gradient|^2>) <= ``tol * (1 + ref_t)`` plus the
     rounding band of its per-site sums (``rounding_band``), so an entry whose
     bond forces are too large for its float residual to reach the threshold
@@ -657,18 +667,18 @@ def newton_zero_mean(
     threshold = np.broadcast_to(tol * (1.0 + np.asarray(ref)), shape[:1])
 
     def evaluate(w, rows):
-        F = None if Fs is None else Fs[rows]
+        F, live = None if Fs is None else Fs[rows], system.take(rows)   # each entry keeps its own law
 
         def energy():
-            e = system.energy(w, F)
+            e = live.energy(w, F)
             return e if f_ext is None else e - np.mean(np.sum(f_ext * w, axis=-1), axis=-1)
 
         def gradient():
-            forces = system.bond_forces(w, F)
-            g = system._scatter(forces)
-            return (g if f_ext is None else g - f_ext), rounding_band(system, forces, f_ext)
+            forces = live.bond_forces(w, F)
+            g = live._scatter(forces)
+            return (g if f_ext is None else g - f_ext), rounding_band(live, forces, f_ext)
 
-        return energy, gradient, lambda: system.operator(w, F)
+        return energy, gradient, lambda: live.operator(w, F)
 
     result = newton(evaluate, np.zeros(shape) if w0 is None else np.reshape(w0, shape), threshold)
     return result if stacked else NewtonResult(result.w[0], result.residual, result.iterations)

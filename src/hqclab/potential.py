@@ -14,6 +14,9 @@ per-bond terms, each a function of the single gap D_r u.  The LJ chain lists
 each atom pair once, from its left end, with both ends' terms on that bond, so
 its split of the energy into site energies is bookkeeping: totals, forces and
 stresses are those of one term per directed bond.
+
+``ModelStack`` holds models of one bond layout as one model whose bond laws
+carry a leading entry axis, one material per entry.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .lattice import (SQUARE_SHIFTS, LatticeField, Multilattice, NeighborOffset, SpeciesShifts, cell_index,
-                      chain_offsets, chain_shifts, square_lattice, unit_cell)
+                      chain_offsets, chain_shifts, species_shifts, square_lattice, unit_cell)
 
 
 class PotentialError(ValueError):
@@ -49,35 +52,76 @@ def energies_or_inf(energy, *stacks) -> np.ndarray:
 # ------------------------------------------------------------------- bond laws
 #
 # A law evaluates gaps of shape (..., n_bonds, d) against bond vectors
-# (n_bonds, d); its parameters are scalars or per-bond arrays (n_bonds,) that
-# broadcast over any leading axes.
+# (n_bonds, d).  Each of its ``params`` is a scalar or an array whose last
+# axis is the bond axis (n_bonds, or 1 for all bonds) behind any entry axes,
+# one value per entry of a stack of models (``ModelStack``); ``shared`` names
+# the scalars that every law of one stack or one system holds alike.
 #
 # ``Law.stack(laws, counts)`` merges laws of one class into a single law in
 # which law k applies to the next counts[k] bonds.  Every per-bond value equals
 # that of the law it came from, so a system evaluates all its bonds in one call
-# instead of one call per bond class.
+# instead of one call per bond class.  ``Law.entries(laws)`` puts law t at
+# entry t, and ``law.take(rows)`` is the law of the entries ``rows``.
 
 
 def _per_bond(laws: Sequence, counts: Sequence[int], name: str) -> np.ndarray:
-    """Parameter ``name`` of law k repeated over its counts[k] bonds, concatenated."""
-    return np.concatenate([np.broadcast_to(getattr(law, name), (n,))
-                           for law, n in zip(laws, counts)])
+    """Parameter ``name`` of law k repeated over its counts[k] bonds, concatenated
+    along the bond axis behind the laws' entry axes."""
+    values = [np.asarray(getattr(law, name)) for law in laws]
+    lead = np.broadcast_shapes(*(v.shape[:-1] for v in values))
+    return np.concatenate([np.broadcast_to(v, lead + (n,)) for v, n in zip(values, counts)], axis=-1)
 
 
-class SpringLaw:
+class BondLaw:
+    """Base of the bond laws: merging, entry stacking and entry selection over
+    the parameters ``params``, sharing the scalars ``shared``."""
+
+    params: tuple[str, ...] = ()
+    shared: tuple[str, ...] = ()
+
+    @classmethod
+    def _build(cls, laws: Sequence, values: dict):
+        fixed = {name: {getattr(law, name) for law in laws} for name in cls.shared}
+        if any(len(v) != 1 for v in fixed.values()):
+            raise PotentialError(f"stacked {cls.__name__} laws must share {', '.join(cls.shared)}")
+        return cls(**values, **{name: v.pop() for name, v in fixed.items()})
+
+    @classmethod
+    def stack(cls, laws: Sequence, counts: Sequence[int]):
+        return cls._build(laws, {name: _per_bond(laws, counts, name) for name in cls.params})
+
+    @classmethod
+    def entries(cls, laws: Sequence):
+        """The law whose entry t is laws[t]: parameters (T, n_bonds or 1)."""
+        values = {}
+        for name in cls.params:
+            v = [np.asarray(getattr(law, name)) for law in laws]
+            shapes = {x.shape for x in v}
+            shape = np.broadcast_shapes((1,), *shapes)
+            v = v if len(shapes) == 1 else [np.broadcast_to(x, shape) for x in v]
+            values[name] = np.array(v).reshape((len(v),) + shape)
+        return cls._build(laws, values)
+
+    def take(self, rows):
+        """The law of the entries ``rows`` (repeats allowed); a law with no
+        entry axis is itself.  ``stack`` and ``entries`` give every parameter
+        of a law the same entry axes."""
+        if getattr(self, self.params[0]).ndim < 2:
+            return self
+        return self._build([self], {name: getattr(self, name)[rows] for name in self.params})
+
+
+class SpringLaw(BondLaw):
     """Quadratic bond energy psi * |g|^2 / 2 with per-bond coefficient psi.
 
     Its stiffness is psi I, and ``scalar_hess`` gives the scalar psi; a law
     without ``scalar_hess`` has a general d x d stiffness."""
 
     is_quadratic = True
+    params = ("psi",)
 
     def __init__(self, psi: np.ndarray) -> None:
         self.psi = np.asarray(psi, dtype=float)
-
-    @classmethod
-    def stack(cls, laws: Sequence["SpringLaw"], counts: Sequence[int]) -> "SpringLaw":
-        return cls(_per_bond(laws, counts, "psi"))
 
     def energy(self, gaps: np.ndarray, rvec: np.ndarray) -> np.ndarray:
         return 0.5 * self.psi * np.sum(gaps**2, axis=-1)
@@ -96,7 +140,7 @@ class SpringLaw:
         return self.psi * np.ones(gaps.shape[:-1])
 
 
-class LennardJonesLaw:
+class LennardJonesLaw(BondLaw):
     """Bond energy a12 b^-12 - 2 a6 b^-6 with b = scale * |r + g|.
 
     One LJ term s (-2 (l/b)^6 + (l/b)^12) has a6 = s l^6 and a12 = s l^12, so
@@ -108,18 +152,12 @@ class LennardJonesLaw:
     """
 
     is_quadratic = False
+    params, shared = ("a6", "a12"), ("scale",)
 
     def __init__(self, a6: np.ndarray, a12: np.ndarray, scale: float = 1.0) -> None:
         self.a6 = np.asarray(a6, dtype=float)
         self.a12 = np.asarray(a12, dtype=float)
         self.scale = float(scale)
-
-    @classmethod
-    def stack(cls, laws: Sequence["LennardJonesLaw"], counts: Sequence[int]) -> "LennardJonesLaw":
-        scales = {law.scale for law in laws}
-        if len(scales) != 1:
-            raise PotentialError("stacked LJ laws must share one length scale")
-        return cls(_per_bond(laws, counts, "a6"), _per_bond(laws, counts, "a12"), scales.pop())
 
     # _inverse_square, energy and grad work in place on the temporaries they
     # create, in the operation order of the plain expression each comment
@@ -327,6 +365,37 @@ class RandomBond2D(InteractionModel):
             raise PotentialError(f"cells outside the model's {self.n} x {self.n} grid")
         flat = cell_index(cells.T, (self.n, self.n))
         return [BondSpec(off, SpringLaw(self.psi[flat, j])) for j, off in enumerate(self._offsets)]
+
+
+class ModelStack(InteractionModel):
+    """T models of one bond layout as one model whose bond laws carry a
+    leading entry axis: entry t of each law is that of ``models[t]``.
+
+    The models share d, the species shifts and, per species, the offsets and
+    law classes of their bond specs (and the ``shared`` scalars of the law
+    class, such as one LJ scale).  A compiled system, a ``ShiftTable`` or a
+    density of the stack then serves T materials at a stack of T states.  A
+    model listed several times is read once and its laws repeated."""
+
+    def __init__(self, models: Sequence[InteractionModel]) -> None:
+        index: dict[int, int] = {}
+        self._rows = np.array([index.setdefault(id(model), len(index)) for model in models])
+        self._models = tuple({id(model): model for model in models}.values())   # each once, in order
+        self.d, self.m = self._models[0].d, self._models[0].m
+        self._shifts = species_shifts(self.d, self._models[0].shifts())
+        if any(species_shifts(model.d, model.shifts()) is not self._shifts for model in self._models):
+            raise PotentialError("the models of a stack must share their species shifts")
+
+    def shifts(self) -> SpeciesShifts:
+        return self._shifts
+
+    def bond_specs(self, alpha: int, cells=None) -> list[BondSpec]:
+        per_model = [model.bond_specs(alpha, cells) for model in self._models]
+        layout = [(spec.offset, type(spec.law)) for spec in per_model[0]]
+        if any([(spec.offset, type(spec.law)) for spec in specs] != layout for specs in per_model):
+            raise PotentialError(f"the models of a stack differ in the bond layout of species {alpha}")
+        return [BondSpec(offset, cls.entries([specs[j].law for specs in per_model]).take(self._rows))
+                for j, (offset, cls) in enumerate(layout)]
 
 
 # ------------------------------------------------------------------ factories

@@ -23,7 +23,10 @@ The PCG loop as it was before its in-place updates (``reference_pcg``) is
 the bitwise reference of ``GaugeFixedOperator._pcg``.  An element search in
 exact rational arithmetic (``site_element_oracle``) is the reference of
 ``fem.site_elements``, and a plain Verlet loop of the HQC macro system
-(``every_step_hqc_dynamics``) that of ``run_hqc_dynamics``."""
+(``every_step_hqc_dynamics``) that of ``run_hqc_dynamics``.  Each entry of a
+``ModelStack`` must equal its model alone bit for bit
+(``check_stack_entries``), and each trial of a stacked equivalence report
+the per-trial report that it replaced (``single_report``)."""
 
 from __future__ import annotations
 
@@ -45,7 +48,9 @@ from hqclab.dynamics import (
     verlet_step,
 )
 from hqclab.fem import MacroMesh, P1Field, all_element_gradients, assemble, p1_interpolate_lattice
-from hqclab.hqc import HQCOperator, condensed_tangent, micro_sensitivity, reconstruct
+from hqclab.homog import HomogenizedDensity
+from hqclab.hqc import (MICRO_TOL, HQCOperator, condensed_tangent, conductance_tensors, micro_sensitivity,
+                        micro_solve, reconstruct)
 from hqclab.lattice import (
     ZERO_MEAN_TOL,
     LatticeError,
@@ -57,8 +62,9 @@ from hqclab.lattice import (
     project_zero_mean,
     unit_cell,
 )
-from hqclab.network import BondStructure, BondSystem, SolverError, avg_norm, newton_zero_mean
-from hqclab.potential import BondSpec, InteractionModel, LennardJonesLaw, LennardJonesParams, PotentialError
+from hqclab.network import BondStructure, BondSystem, SolverError, avg_norm, compile_system, newton_zero_mean
+from hqclab.potential import (BondLaw, BondSpec, InteractionModel, LennardJonesLaw, LennardJonesParams, ModelStack,
+                              PotentialError)
 
 # ------------------------------------------- single-site model evaluation
 # gaps: one vector per neighborhood offset of species alpha; cell: a Bravais
@@ -99,21 +105,17 @@ def site_hessian(model, alpha: int, gaps, cell=None) -> list[list[np.ndarray]]:
 # ------------------------------------------------ directed-bond LJ chain
 
 
-class DirectedLJLaw:
+class DirectedLJLaw(BondLaw):
     """Bond energy s * (-2 (b/l)^-6 + (b/l)^-12) with b = scale * |r + g| and
     per-bond (s, l), its derivatives by powers of b."""
 
     is_quadratic = False
+    params, shared = ("s", "ell"), ("scale",)
 
     def __init__(self, s, ell, scale: float) -> None:
         self.s = np.asarray(s, dtype=float)
         self.ell = np.asarray(ell, dtype=float)
         self.scale = float(scale)
-
-    @classmethod
-    def stack(cls, laws, counts) -> "DirectedLJLaw":
-        return cls(np.repeat([law.s for law in laws], counts), np.repeat([law.ell for law in laws], counts),
-                   laws[0].scale)
 
     def _bond_vectors(self, gaps, rvec):
         vec = self.scale * (rvec + gaps)
@@ -207,14 +209,11 @@ class PlainLJLaw(LennardJonesLaw):
 class HardCoreLaw(LennardJonesLaw):
     """LJ bond that counts as collapsed (PotentialError) below ``core``."""
 
+    params = ("a6", "a12", "core")
+
     def __init__(self, a6, a12, scale, core):
         super().__init__(a6, a12, scale)
         self.core = np.asarray(core, dtype=float)
-
-    @classmethod
-    def stack(cls, laws, counts):
-        plain = LennardJonesLaw.stack(laws, counts)
-        return cls(plain.a6, plain.a12, plain.scale, np.repeat([law.core for law in laws], counts))
 
     def _inverse_square(self, gaps, rvec):
         vec, q = super()._inverse_square(gaps, rvec)
@@ -238,6 +237,62 @@ def bitwise_equal(a, b) -> bool:
     NaNs included)."""
     a, b = np.ascontiguousarray(a, dtype=float), np.ascontiguousarray(b, dtype=float)
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+# ------------------------------------------------------------ entry stacks
+
+
+def single_report(model, lattice: Multilattice, mesh: MacroMesh, uh: P1Field) -> mqc.EquivalenceReport:
+    """The equivalence report of one trial as it was before trial groups: each
+    formulation on the model itself, whose laws have no entry axis.  The
+    reference of each trial of ``mqc.equivalence_report``'s stacked groups."""
+    grads = all_element_gradients(uh)
+    q = mqc.solve_shift_vectors(model, grads)
+    return mqc.EquivalenceReport(
+        e_hqc=float(mesh.volumes @ HQCOperator(model, lattice, mesh).at(grads).phi),
+        e_fem=float(mesh.volumes @ HomogenizedDensity(model).phi0(grads)),
+        e_mqc=float(np.sum(mesh.volumes * mqc._shift_table(model).energy(grads, q))))
+
+
+def check_stack_entries(models, F: np.ndarray, w: np.ndarray, q: np.ndarray | None = None) -> None:
+    """Assert that entry t of ``ModelStack(models)`` is, bit for bit, the model
+    models[t] alone at the gradient F[t] and the cell field w[t] (F (T, d, d),
+    w (T, m, d)): the compiled law on the shared structure; energy, gradient
+    and stress; the dense Hessian stack and its operator's inverse and solve;
+    a quadratic law's conductance tensors; the micro-Newton correctors from
+    zero and from w; and the shift-Newton shifts from zero and from the
+    guess q (T, m-1, d)."""
+    stack = ModelStack(models)
+    cell = unit_cell(stack.d, stack.shifts())
+    system = compile_system(cell, stack)
+    ref = np.linalg.norm(F, axis=(1, 2))
+    H, op, rhs = system.hessian(w, F), system.operator(w, F), system.gradient(w, F)
+    x = op.solve(rhs)
+    quadratic = system.law.is_quadratic
+    tensors = {relax: conductance_tensors(system, relax) for relax in (True, False)} if quadratic else {}
+    chi = micro_solve(system, F)
+    relaxed = newton_zero_mean(system, F=F, w0=w, tol=MICRO_TOL, ref=ref).w
+    shifts = [mqc.solve_shift_vectors(stack, F, guess) for guess in (None, q)]
+    for t, model in enumerate(models):
+        alone = compile_system(cell, model)
+        assert alone.structure is system.structure
+        for name in type(alone.law).params:
+            assert bitwise_equal(getattr(system.law, name)[t], getattr(alone.law, name)), name
+        for fn in ("energy", "gradient", "stress"):
+            assert bitwise_equal(getattr(system, fn)(w, F)[t], getattr(alone, fn)(w[t], F[t])), fn
+        assert bitwise_equal(H[t], alone.hessian(w[t], F[t])[0])
+        single = alone.operator(w[t], F[t])
+        assert bitwise_equal(op._dense[t], single._dense[0])
+        assert bitwise_equal(x[t], single.solve(rhs[t]))
+        for relax, (s, a) in tensors.items():
+            s1, a1 = conductance_tensors(alone, relax)
+            assert bitwise_equal(a[t], a1) and (s is None) == (s1 is None)
+            assert s is None or bitwise_equal(s[t], s1)
+        assert bitwise_equal(chi[t], micro_solve(alone, F[t:t + 1])[0])
+        one = newton_zero_mean(alone, F=F[t:t + 1], w0=w[t:t + 1], tol=MICRO_TOL, ref=ref[t:t + 1]).w
+        assert bitwise_equal(relaxed[t], one[0])
+        for guess, stacked in zip((None, q), shifts):
+            assert bitwise_equal(stacked[t], mqc.solve_shift_vectors(model, F[t], None if guess is None else guess[t]))
 
 
 # ------------------------------------------------ shift / corrector gauges

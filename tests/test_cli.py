@@ -219,16 +219,75 @@ def test_failed_dynamics_rows_keep_their_tau(tmp_path, monkeypatch):
 
 
 def test_bug_in_equivalence_row_propagates(monkeypatch):
-    # only solver-family errors become failed rows; a programming error surfaces
+    # only solver-family errors become failed rows; a programming error
+    # surfaces, from a group's stacked report and from a trial evaluated
+    # alone after its group failed
     from hqclab import mqc
+    from hqclab.network import SolverError
 
-    def broken(*args, **kwargs):
-        raise TypeError("bug")
+    def broken(models, lattice, mesh, fields):
+        raise (SolverError("the group") if len(models) > 1 else TypeError("bug"))
 
     monkeypatch.setattr(mqc, "equivalence_report", broken)
-    cfg = {"trials_spring": "1", "trials_lj": "0", "trials_simple": "0"}
-    with pytest.raises(TypeError, match="bug"):
-        run_equivalence(cfg)
+    for trials in ("1", "2"):
+        cfg = {"trials_spring": "0", "trials_lj": trials, "trials_simple": "0"}
+        with pytest.raises(TypeError, match="bug"):
+            run_equivalence(cfg)
+
+
+def test_a_failing_group_is_evaluated_again_trial_by_trial(monkeypatch):
+    # the LJ group fails as a stack, its three trials are evaluated alone, and
+    # the second fails alone: only its row fails, and every other row is the
+    # row of the run in which the group did not fail
+    from hqclab import mqc
+    from hqclab.network import SolverError
+    from hqclab.potential import LennardJones1D
+
+    cfg = {"seed": "3", "trials_spring": "3", "trials_lj": "3", "trials_simple": "1"}
+    plain = run_equivalence(cfg)
+    report, alone = mqc.equivalence_report, []
+
+    def flaky(models, lattice, mesh, fields):
+        if isinstance(models[0], LennardJones1D):
+            if len(models) > 1:
+                raise SolverError("the group")
+            alone.append(len(models))
+            if len(alone) == 2:
+                raise SolverError("the second LJ trial")
+        return report(models, lattice, mesh, fields)
+
+    monkeypatch.setattr(mqc, "equivalence_report", flaky)
+    res = run_equivalence(cfg)
+    assert alone == [1, 1, 1]
+    assert [row[-1] for row in res.rows] == ["ok"] * 4 + ["failed:SolverError"] + ["ok"] * 2
+    assert [row for k, row in enumerate(res.rows) if k != 4] == [row for k, row in enumerate(plain.rows) if k != 4]
+    assert not res.summary["all_within_tolerance"] and plain.summary["all_within_tolerance"]
+
+
+def test_a_collapsing_trial_fails_alone_and_leaves_its_group_bitwise():
+    # element 0 of the second field has the gradient -1, which collapses
+    # every LJ bond: the stacked report raises, the trial fails alone, and
+    # the other trials read bitwise what a group without it reads
+    from fractions import Fraction
+
+    import numpy as np
+
+    from hqclab import mqc
+    from hqclab.fem import P1Field, all_element_gradients, build_mesh, p1_zero_mean
+    from hqclab.lattice import chain_lattice
+    from hqclab.potential import PotentialError, make_dynamics_model
+
+    model, mesh = make_dynamics_model().model, build_mesh(1, 4)
+    lat, rng = chain_lattice(Fraction(1, 32), 2), np.random.default_rng(8)
+    fields = [p1_zero_mean(P1Field(mesh, 0.02 * rng.standard_normal((4, 1)))) for _ in range(3)]
+    collapsed = P1Field(mesh, np.array([[0.0], [-0.25], [0.0], [0.25]]))
+    assert all_element_gradients(collapsed)[0, 0, 0] == -1.0
+    group = [fields[0], collapsed, fields[1], fields[2]]
+    with pytest.raises(PotentialError):
+        mqc.equivalence_report([model] * 4, lat, mesh, group)
+    out = experiments._group_reports([model] * 4, lat, mesh, group)
+    assert isinstance(out[1], PotentialError)
+    assert [out[0], out[2], out[3]] == experiments._group_reports([model] * 3, lat, mesh, fields)
 
 
 @pytest.mark.parametrize("experiment, text", [
@@ -251,6 +310,7 @@ def test_bug_in_equivalence_row_propagates(monkeypatch):
     pytest.param("stochastic-2d", "n = 0\n", id="stochastic-zero-n"),
     pytest.param("equivalence", "mesh_n = 0\n", id="equivalence-zero-mesh_n"),
     pytest.param("equivalence", "mesh_n = 3\n", id="equivalence-misaligned-mesh_n"),
+    pytest.param("equivalence", "mesh_n = 1\n", id="equivalence-one-element-mesh_n"),
     pytest.param("equivalence", "eps = 0\n", id="equivalence-zero-eps"),
     pytest.param("dynamics-1d", "amplitude = nan\n", id="dynamics-nan-amplitude"),
     pytest.param("dynamics-1d", "amplitude = inf\n", id="dynamics-inf-amplitude"),

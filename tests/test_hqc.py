@@ -30,6 +30,7 @@ from hqclab.hqc import (
 from hqclab.lattice import LatticeField, Multilattice, chain_lattice, square_lattice, unit_cell
 from hqclab.network import avg_norm
 from hqclab.potential import (
+    BondLaw,
     BondSpec,
     LennardJones1D,
     LennardJonesParams,
@@ -1294,33 +1295,49 @@ def test_period_sampling_and_homogenization_share_one_cell_system(make_model):
 
 
 def test_equivalence_study_compiles_one_system_per_model(monkeypatch):
-    # the tiny equivalence config: six reports on five models (the LJ trials
-    # share one); each model's cell is compiled once, not twice per report
-    from hqclab import experiments, network
+    # the tiny equivalence config: six trials in five groups (springs of
+    # m = 2, 3, 4, the two LJ trials, the simple springs), one stacked report
+    # and one ``ModelStack`` each; each stack's cell is compiled once and
+    # shared by HQC and homogenization, not once per formulation
+    from hqclab import experiments, homog, hqc, network
 
-    built, models = [], []
-    init, report = network.BondSystem.__init__, experiments.mqc.equivalence_report
+    built, inside, returned, models = [], [], [], []
+    init, compile_system = network.BondSystem.__init__, network.compile_system
+    report = experiments.mqc.equivalence_report
 
     def counting_init(self, *args, **kwargs):
-        built.append(1)
+        built.append(bool(inside))
         init(self, *args, **kwargs)
 
-    def recording_report(model, *args):
-        models.append(model)
-        return report(model, *args)
+    def recording_compile(lattice, model):
+        inside.append(1)
+        try:
+            returned.append(compile_system(lattice, model))
+        finally:
+            inside.pop()
+        return returned[-1]
+
+    def recording_report(group, *args):
+        models.append(list(group))
+        return report(group, *args)
 
     monkeypatch.setattr(network.BondSystem, "__init__", counting_init)
+    monkeypatch.setattr(hqc, "compile_system", recording_compile)
+    monkeypatch.setattr(homog, "compile_system", recording_compile)
     monkeypatch.setattr(experiments.mqc, "equivalence_report", recording_report)
     res = experiments.run_equivalence({"seed": "3", "trials_spring": "3", "trials_lj": "2",
                                        "trials_simple": "1"})
     assert res.summary["all_within_tolerance"]
-    assert len(models) == 6
-    assert len(built) == len({id(model) for model in models}) == 5
+    assert sorted(map(len, models)) == [1, 1, 1, 1, 2]
+    assert len({id(model) for group in models for model in group}) == 5
+    assert len(returned) == 10 and len({id(system) for system in returned}) == 5
+    assert sum(built) == 5
 
 
 def test_equivalence_study_builds_one_structure_per_bond_classes(monkeypatch):
-    # nine models (eight spring draws and the LJ chain) on five bond
-    # structures, spring m = 1..4 and the LJ cell: incidence and shift-table
+    # nine models (eight spring draws and the LJ chain) in five trial groups
+    # on five bond structures, spring m = 1..4 and the LJ cell: the stacks of
+    # a group share its members' structure; incidence and shift-table
     # structure once per structure, block rows once per spring structure (the
     # LJ cells are stationary at the zero corrector and form no Hessian), and
     # one chain lattice per species count
@@ -1349,13 +1366,42 @@ def test_equivalence_study_builds_one_structure_per_bond_classes(monkeypatch):
     monkeypatch.setattr(network, "BlockRows", CountingRows)
     monkeypatch.setattr(experiments, "chain_lattice", counting("chain", experiments.chain_lattice))
     monkeypatch.setattr(experiments.mqc, "equivalence_report",
-                        lambda model, *args: models.add(model) or report(model, *args))
+                        lambda group, *args: models.update(group) or report(group, *args))
     res = experiments.run_equivalence({"seed": "3", "trials_spring": "6", "trials_lj": "2",
                                        "trials_simple": "2"})
     assert res.summary["all_within_tolerance"] and len(res.rows) == 10
     assert len(models) == 9
     assert counts == {"incidence": 5, "rows": 4, "chain": 4}
     assert mqc._shift_structure.cache_info().misses == 5
+
+
+def test_equivalence_study_makes_one_stacked_report_per_trial_group(monkeypatch):
+    # the tiny config: five groups, so five reports, each with one shift
+    # Newton and one stacked micro Newton for homogenization over its
+    # (trial, element) entries; HQC adds one micro Newton on the LJ group,
+    # while the spring groups take its tensor route
+    from hqclab import experiments, hqc, mqc
+
+    reports, micro, shifts = [], [], []
+    report, micro_solve, solve_shift_vectors = mqc.equivalence_report, hqc.micro_solve, mqc.solve_shift_vectors
+
+    def recording(log, fn, key):
+        def wrapper(*args, **kwargs):
+            log.append(key(*args))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(mqc, "equivalence_report", recording(reports, report, lambda models, *a: len(models)))
+    monkeypatch.setattr(hqc, "micro_solve", recording(
+        micro, micro_solve, lambda system, grads: (type(system.law).__name__, len(grads))))
+    monkeypatch.setattr(mqc, "solve_shift_vectors", recording(shifts, solve_shift_vectors,
+                                                              lambda model, F, *a: (model.m, len(F))))
+    res = experiments.run_equivalence({"seed": "3", "trials_spring": "3", "trials_lj": "2",
+                                       "trials_simple": "1"})
+    assert res.summary["all_within_tolerance"] and res.failures == 0
+    assert reports == [1, 1, 1, 2, 1]
+    assert sorted(micro) == [("LennardJonesLaw", 8)] * 2 + [("SpringLaw", 4)] * 4
+    assert shifts == [(2, 4), (3, 4), (4, 4), (2, 8), (1, 4)]
 
 
 def test_stochastic_study_compiles_one_system_per_sampling(monkeypatch):
@@ -1459,19 +1505,16 @@ def test_scalar_tensor_route_matches_the_vector_route(case):
         assert close(op.at(grads).chi, np.einsum("tij,ijnx->tnx", grads, sens))
 
 
-class _AnisotropicSpringLaw:
+class _AnisotropicSpringLaw(BondLaw):
     """Test-local quadratic law with the stiffness psi diag(1, 2): quadratic,
     but not a scalar times the identity, so it has no ``scalar_hess``."""
 
     is_quadratic = True
+    params = ("psi",)
     K = np.array([1.0, 2.0])
 
     def __init__(self, psi):
         self.psi = np.asarray(psi, dtype=float)
-
-    @classmethod
-    def stack(cls, laws, counts):
-        return cls(np.concatenate([np.broadcast_to(law.psi, (n,)) for law, n in zip(laws, counts)]))
 
     def energy(self, gaps, rvec):
         return 0.5 * self.psi * np.sum(self.K * gaps**2, axis=-1)

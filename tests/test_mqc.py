@@ -28,6 +28,7 @@ from hqclab.potential import (
 from support import (
     HardCoreLaw,
     bitwise_equal,
+    check_stack_entries,
     corrector_from_shifts,
     mqc_element_energy,
     shifts_from_corrector,
@@ -121,7 +122,7 @@ def test_equivalence_spring_chains():
         model = LinearSpring1D(psi)
         lat = chain_lattice(Fraction(1, 32), m)
         uh = p1_zero_mean(P1Field(mesh, 0.3 * rng.standard_normal((4, 1))))
-        rep = equivalence_report(model, lat, mesh, uh)
+        rep, = equivalence_report([model], lat, mesh, [uh])
         assert rep.max_gap <= 1e-10 * (1 + abs(rep.e_hqc))
 
 
@@ -131,7 +132,7 @@ def test_equivalence_lj_small_deformation():
     model = make_dynamics_model().model
     lat = chain_lattice(Fraction(1, 32), 2)
     uh = p1_zero_mean(P1Field(mesh, 0.02 * rng.standard_normal((4, 1))))
-    rep = equivalence_report(model, lat, mesh, uh)
+    rep, = equivalence_report([model], lat, mesh, [uh])
     assert rep.max_gap <= 1e-9 * (1 + abs(rep.e_hqc))
 
 
@@ -141,7 +142,7 @@ def test_equivalence_simple_lattice():
     model = LinearSpring1D((2.0,))
     lat = chain_lattice(Fraction(1, 32), 1)
     uh = p1_zero_mean(P1Field(mesh, rng.standard_normal((4, 1))))
-    rep = equivalence_report(model, lat, mesh, uh)
+    rep, = equivalence_report([model], lat, mesh, [uh])
     assert rep.max_gap <= 1e-12 * (1 + abs(rep.e_hqc))
 
 
@@ -201,7 +202,7 @@ def test_equivalence_2d_two_species_crystal():
     mesh = build_mesh(2, 2)
     rng = np.random.default_rng(55)
     uh = p1_zero_mean(P1Field(mesh, 0.2 * rng.standard_normal((mesh.n_vertices, 2))))
-    rep = equivalence_report(model, lat, mesh, uh)
+    rep, = equivalence_report([model], lat, mesh, [uh])
     assert rep.max_gap <= 1e-10 * (1 + abs(rep.e_hqc))
 
 
@@ -400,10 +401,12 @@ def test_shift_newton_converges_at_its_rounding_floor():
 
 class _HardCoreDynamicsModel(LennardJones1D):
     """The dynamics LJ chain with hard-core bonds: a bond collapses below half
-    the equilibrium length of the species that lists it."""
+    the equilibrium length of the species that lists it.  ``strength`` scales
+    every LJ strength, which leaves the Newton steps as they are."""
 
-    def __init__(self):
-        super().__init__(make_dynamics_model().model.params)
+    def __init__(self, strength=1.0):
+        params = make_dynamics_model().model.params
+        super().__init__(LennardJonesParams(tuple(strength * s for s in params.s), params.ell, params.cutoff))
         self._specs = [[BondSpec(s.offset, HardCoreLaw(s.law.a6, s.law.a12, s.law.scale, 0.5 * ell))
                         for s in specs] for specs, ell in zip(self._specs, self.params.ell)]
 
@@ -458,6 +461,50 @@ def test_unconverged_element_fails_the_whole_stack():
     rest = [0, 2, 3]
     assert np.array_equal(solve_shift_vectors(model, F[rest], guess=guess[rest], max_iter=2),
                           guess[rest])
+
+
+# ------------------------------------------------------------- entry stacks
+
+
+def test_stack_entries_converge_at_their_own_iterations(monkeypatch):
+    # three LJ chains of one layout, whose shifts and correctors are zero by
+    # symmetry: entry 0 starts there, the others at growing distances, so
+    # the active rows of both Newtons shrink and each entry keeps its own law
+    from hqclab.potential import LennardJonesLaw
+
+    params = make_dynamics_model().model.params
+    models = [LennardJones1D(params), LennardJones1D(LennardJonesParams((1.0, 1.0), (1.0, 1.02), 3.0)),
+              LennardJones1D(LennardJonesParams((0.5, 2.0), (1.01, 0.98), 3.0))]
+    models = [models[0], models[1], models[2], models[1]]
+    F = np.array([0.0, 0.03, -0.05, 0.01])[:, None, None]
+    rows, take = [], LennardJonesLaw.take
+
+    def recording(law, r):
+        if law.a6.ndim > 1:   # a law of the stack, not of a model alone
+            rows.append(len(r))
+        return take(law, r)
+
+    monkeypatch.setattr(LennardJonesLaw, "take", recording)
+    q = np.array([0.0, 0.002, 0.01, 0.03])[:, None, None]
+    check_stack_entries(models, F, np.concatenate([-q / 2, q / 2], axis=1), q)
+    assert set(rows) == {1, 3, 4}   # all four, then three, then one
+
+
+def test_a_collapsing_stack_entry_is_tried_with_its_own_law():
+    # the states of test_collapsing_step_is_halved_for_its_element_only on a
+    # stack whose entry 0 has a tenth of the LJ strength: its full Newton step
+    # collapses a hard-core bond, so that trial is re-run entry by entry.
+    # Tried with entry 0's law, entries 1 and 2 would read a rise, halve
+    # their steps and leave their own converged path
+    models = [_HardCoreDynamicsModel(0.1), _HardCoreDynamicsModel(), _HardCoreDynamicsModel()]
+    F = np.array([[[0.2]], [[0.2]], [[0.05]]])
+    shifts = np.array([-0.062, 0.1, 0.03])
+    table = mqc.ShiftTable(models[0])
+    grad, hess, _ = table.derivatives(F[:1], shifts[:1, None, None])
+    with pytest.raises(PotentialError):
+        table.energy(F[:1], shifts[:1, None, None] - grad / hess)
+    w = np.stack([-shifts / 2, shifts / 2], axis=1)[:, :, None]
+    check_stack_entries(models, F, w, shifts[:, None, None])
 
 
 class _DetachedSpecies(LinearSpring1D):

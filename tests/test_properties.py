@@ -1,7 +1,8 @@
 """Property tests on random models, strains and fields: the stacked bond kernel,
 the pair-bond LJ chain against its directed-bond form, the three-way
 HQC / homogenized FEM / MQC equivalence, the site-to-element map on
-random lattices and meshes, and the P1 assembly on random tangents."""
+random lattices and meshes, the P1 assembly on random tangents, and the
+entries of model stacks against their models alone."""
 
 from fractions import Fraction
 
@@ -17,9 +18,12 @@ from hqclab.potential import LennardJones1D, LennardJonesParams, LinearSpring1D,
 from support import (
     DirectedLJ1D,
     assemble_oracle,
+    bitwise_equal,
+    check_stack_entries,
     grid_average,
     reference_compile,
     shifts_from_corrector,
+    single_report,
     site_element_oracle,
     site_position,
 )
@@ -109,7 +113,7 @@ def test_three_way_equivalence_on_random_spring_chains(psi, nodal):
     model = LinearSpring1D(psi)
     mesh = build_mesh(1, 4)
     uh = p1_zero_mean(P1Field(mesh, np.array(nodal)[:, None]))
-    rep = equivalence_report(model, chain_lattice(Fraction(1, 32), model.m), mesh, uh)
+    rep, = equivalence_report([model], chain_lattice(Fraction(1, 32), model.m), mesh, [uh])
     assert rep.max_gap <= 1e-10 * (1.0 + abs(rep.e_hqc))
     grads = all_element_gradients(uh)
     shifts = solve_shift_vectors(model, grads)
@@ -161,7 +165,7 @@ def test_three_way_equivalence_on_random_lj_chains(model, depth, second, shift):
     uh = p1_zero_mean(P1Field(mesh, np.concatenate([[0.0], np.cumsum(grads[:-1]) / 16])[:, None]))
     F = all_element_gradients(uh)
     assert np.max(np.abs(F[:, 0, 0] - grads)) <= 1e-14
-    rep = equivalence_report(model, chain_lattice(Fraction(1, 32), model.m), mesh, uh)
+    rep, = equivalence_report([model], chain_lattice(Fraction(1, 32), model.m), mesh, [uh])
     assert rep.max_gap <= 1e-9 * (1.0 + abs(rep.e_hqc))
     shifts = solve_shift_vectors(model, F)
     for t in range(len(F)):
@@ -228,3 +232,54 @@ def test_assembly_matches_the_element_loop(d, n, seed):
     scale = block * mesh.volumes[0] * np.abs(mesh.grad_basis).max() ** 2
     assert np.max(np.abs(K.toarray() - oracle)) <= 1e-14 * scale
     assert np.max(np.abs(S - grid_average(oracle, (n,) * d))) <= 1e-14 * scale
+
+
+# ---------------------------------------------------------------- entry stacks
+
+
+@st.composite
+def spring_stacks(draw):
+    """1 to 4 spring chains of one species count m = 1..4, each with its
+    gradient and cell field."""
+    m, T = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    models = [LinearSpring1D(draw(st.lists(st.floats(0.5, 5.0), min_size=m, max_size=m))) for _ in range(T)]
+    return models, draw(st.lists(st.floats(-0.5, 0.5), min_size=T, max_size=T)), 0.1
+
+
+@st.composite
+def lj_stacks(draw):
+    """1 to 4 LJ chains of one bond layout (species count and cutoff), with
+    their gradients and cell fields; a model may repeat."""
+    m, cutoff, T = draw(st.integers(1, 3)), draw(st.sampled_from([1.0, 1.5, 2.0])), draw(st.integers(1, 4))
+    params = [LennardJonesParams(s=tuple(draw(st.lists(st.floats(0.5, 2.0), min_size=m, max_size=m))),
+                                 ell=tuple(draw(st.lists(st.floats(0.97, 1.03), min_size=m, max_size=m))),
+                                 cutoff=cutoff) for _ in range(draw(st.integers(1, T)))]
+    distinct = [LennardJones1D(p) for p in params]
+    models = [distinct[draw(st.integers(0, len(distinct) - 1))] for _ in range(T)]
+    return models, draw(st.lists(st.floats(-0.04, 0.04), min_size=T, max_size=T)), 0.01
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(spring_stacks(), lj_stacks()), st.integers(0, 2**16))
+def test_every_stack_entry_is_its_model_alone(case, seed):
+    models, strains, scale = case
+    rng = np.random.default_rng(seed)
+    m, T = models[0].m, len(models)
+    F = np.array(strains)[:, None, None]
+    w = scale * rng.standard_normal((T, m, 1))
+    check_stack_entries(models, F, w - w.mean(axis=1, keepdims=True), scale * rng.standard_normal((T, m - 1, 1)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.one_of(spring_stacks(), lj_stacks()), st.integers(0, 2**16))
+def test_every_trial_of_a_stacked_report_is_its_report_alone(case, seed):
+    models, _, scale = case
+    rng, mesh = np.random.default_rng(seed), build_mesh(1, 4)
+    lattice = chain_lattice(Fraction(1, 32), models[0].m)
+    # nodal values of a quarter of the scale: element gradients of about the scale
+    fields = [p1_zero_mean(P1Field(mesh, scale / 4 * rng.standard_normal((4, 1)))) for _ in models]
+    reports = equivalence_report(models, lattice, mesh, fields)
+    assert len(reports) == len(models)
+    for model, uh, rep in zip(models, fields, reports):
+        ref = single_report(model, lattice, mesh, uh)
+        assert all(bitwise_equal(getattr(rep, e), getattr(ref, e)) for e in ("e_hqc", "e_fem", "e_mqc"))
