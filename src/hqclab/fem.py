@@ -142,16 +142,35 @@ class P1Field:
         self.values = np.asarray(self.values, dtype=float).reshape(self.mesh.n_vertices, self.mesh.d)
 
 
+def nodal_zero_mean(values: np.ndarray) -> np.ndarray:
+    """Nodal values with leading stack axes (..., n_vertices, d), each field
+    less its vertex average (on uniform meshes the integral of u^h).  Read in
+    C order, so every entry is that of its field alone, bit for bit, whatever
+    the layout of the stack."""
+    values = np.ascontiguousarray(values, dtype=float)
+    return values - values.mean(axis=-2, keepdims=True)
+
+
 def p1_zero_mean(u: P1Field) -> P1Field:
-    # uniform meshes: the integral of u^h is the plain vertex average
-    return P1Field(u.mesh, u.values - u.values.mean(axis=0)[None, :])
+    return P1Field(u.mesh, nodal_zero_mean(u.values))
+
+
+def element_gradients(mesh: MacroMesh, values: np.ndarray) -> np.ndarray:
+    """Element gradients of nodal values with leading stack axes,
+    (..., n_vertices, d) -> (..., n_elements, d, d): every entry is the
+    gradient of its own field, bit for bit."""
+    gb, d = mesh.grad_basis, mesh.d
+    n_orient, lead = len(gb), values.shape[:-2]
+    # one matrix product per orientation on rows (entry, cell, i), not a tiny BLAS call per element
+    U = np.take(values.reshape(-1, mesh.n_vertices, d), mesh.elements, axis=1)
+    U = U.reshape(len(U), -1, n_orient, d + 1, d).transpose(2, 0, 1, 4, 3).reshape(n_orient, -1, d + 1)
+    G = (U @ gb).reshape(n_orient, -1, mesh.n_elements // n_orient, d, d).transpose(1, 2, 0, 3, 4)
+    return G.reshape(lead + (mesh.n_elements, d, d))
 
 
 def all_element_gradients(u: P1Field) -> np.ndarray:
-    gb, d = u.mesh.grad_basis, u.mesh.d
-    # one matrix product per orientation on rows (cell, i), not a tiny BLAS call per element
-    U = np.take(u.values, u.mesh.elements, axis=0).reshape(-1, len(gb), d + 1, d).transpose(1, 0, 3, 2)
-    return (U.reshape(len(gb), -1, d + 1) @ gb).reshape(len(gb), -1, d, d).swapaxes(0, 1).reshape(-1, d, d)
+    """The element gradients (n_elements, d, d) of one field."""
+    return element_gradients(u.mesh, u.values)
 
 
 def p1_interpolate_lattice(mesh: MacroMesh, u: LatticeField) -> P1Field:

@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fem import MacroMesh, P1Field, all_element_gradients
+from .fem import MacroMesh, element_gradients
 from .homog import HomogenizedDensity
 from .hqc import HQCOperator
 from .lattice import Multilattice
@@ -202,11 +202,12 @@ def equivalence_report(
     models: Sequence[InteractionModel],
     lattice: Multilattice,
     mesh: MacroMesh,
-    fields: Sequence[P1Field],
+    fields: np.ndarray,
 ) -> list[EquivalenceReport]:
     """Evaluate each macro field ``fields[k]`` of model ``models[k]`` through
     the three method formulations, all trials as one ``ModelStack`` of one
-    bond layout with one entry per (trial, element).
+    bond layout with one entry per (trial, element).  ``fields`` holds the
+    nodal values of the T fields, (T, n_vertices, d).
 
     All microproblems start from the zero guess (matched branches), so the
     three energies agree up to solver tolerances whenever the microstructure
@@ -214,13 +215,15 @@ def equivalence_report(
     so a trial's energies do not depend on the others; a failure of any
     raises for the whole group.
     """
-    n = mesh.n_elements
+    n, d = mesh.n_elements, mesh.d
     stack = ModelStack([model for model in models for _ in range(n)])
-    grads = np.concatenate([all_element_gradients(uh) for uh in fields])
+    grads = element_gradients(mesh, fields).reshape(-1, d, d)
     e_hqc = HQCOperator(stack, lattice, mesh).at(grads).phi
     e_fem = HomogenizedDensity(stack).phi0(grads)
     e_mqc = _shift_table(stack).energy(grads, solve_shift_vectors(stack, grads))
-    return [EquivalenceReport(e_hqc=float(mesh.volumes @ e_hqc[k:k + n]),
-                              e_fem=float(mesh.volumes @ e_fem[k:k + n]),
-                              e_mqc=float(np.sum(mesh.volumes * e_mqc[k:k + n])))
-            for k in range(0, len(grads), n)]
+    # one dot per trial, as alone: a matrix-vector product over the stack rounds
+    # otherwise; the row sums of np.sum are each trial's sum alone
+    v = mesh.volumes
+    sums = np.sum(v * e_mqc.reshape(-1, n), axis=1).tolist()
+    return [EquivalenceReport(e_hqc=float(v @ h), e_fem=float(v @ f), e_mqc=e)
+            for h, f, e in zip(e_hqc.reshape(-1, n), e_fem.reshape(-1, n), sums)]

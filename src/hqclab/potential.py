@@ -375,7 +375,13 @@ class ModelStack(InteractionModel):
     law classes of their bond specs (and the ``shared`` scalars of the law
     class, such as one LJ scale).  A compiled system, a ``ShiftTable`` or a
     density of the stack then serves T materials at a stack of T states.  A
-    model listed several times is read once and its laws repeated."""
+    model listed several times is read once and its laws repeated.
+
+    ``bond_specs`` keeps its last stacked specs per species, under the
+    offsets and law identities its members returned, and holds those laws,
+    so their ids stay theirs: while the members return the same laws the
+    stack returns the same specs, whatever the cells.  Members whose laws
+    depend on the cells return new laws, and are stacked anew."""
 
     def __init__(self, models: Sequence[InteractionModel]) -> None:
         index: dict[int, int] = {}
@@ -385,17 +391,25 @@ class ModelStack(InteractionModel):
         self._shifts = species_shifts(self.d, self._models[0].shifts())
         if any(species_shifts(model.d, model.shifts()) is not self._shifts for model in self._models):
             raise PotentialError("the models of a stack must share their species shifts")
+        self._specs: dict[int, tuple] = {}   # species -> (key, members' laws, stacked specs)
 
     def shifts(self) -> SpeciesShifts:
         return self._shifts
 
     def bond_specs(self, alpha: int, cells=None) -> list[BondSpec]:
         per_model = [model.bond_specs(alpha, cells) for model in self._models]
+        laws = [spec.law for specs in per_model for spec in specs]
+        key = tuple(spec.offset for specs in per_model for spec in specs) + tuple(map(id, laws))
+        held = self._specs.get(alpha)
+        if held is not None and held[0] == key:
+            return held[2]
         layout = [(spec.offset, type(spec.law)) for spec in per_model[0]]
         if any([(spec.offset, type(spec.law)) for spec in specs] != layout for specs in per_model):
             raise PotentialError(f"the models of a stack differ in the bond layout of species {alpha}")
-        return [BondSpec(offset, cls.entries([specs[j].law for specs in per_model]).take(self._rows))
-                for j, (offset, cls) in enumerate(layout)]
+        stacked = [BondSpec(offset, cls.entries([specs[j].law for specs in per_model]).take(self._rows))
+                   for j, (offset, cls) in enumerate(layout)]
+        self._specs[alpha] = (key, laws, stacked)
+        return stacked
 
 
 # ------------------------------------------------------------------ factories

@@ -273,16 +273,16 @@ def test_a_collapsing_trial_fails_alone_and_leaves_its_group_bitwise():
     import numpy as np
 
     from hqclab import mqc
-    from hqclab.fem import P1Field, all_element_gradients, build_mesh, p1_zero_mean
+    from hqclab.fem import P1Field, all_element_gradients, build_mesh, nodal_zero_mean
     from hqclab.lattice import chain_lattice
     from hqclab.potential import PotentialError, make_dynamics_model
 
     model, mesh = make_dynamics_model().model, build_mesh(1, 4)
     lat, rng = chain_lattice(Fraction(1, 32), 2), np.random.default_rng(8)
-    fields = [p1_zero_mean(P1Field(mesh, 0.02 * rng.standard_normal((4, 1)))) for _ in range(3)]
-    collapsed = P1Field(mesh, np.array([[0.0], [-0.25], [0.0], [0.25]]))
-    assert all_element_gradients(collapsed)[0, 0, 0] == -1.0
-    group = [fields[0], collapsed, fields[1], fields[2]]
+    fields = nodal_zero_mean(0.02 * rng.standard_normal((3, 4, 1)))   # nodal values of 3 trials
+    collapsed = np.array([[0.0], [-0.25], [0.0], [0.25]])
+    assert all_element_gradients(P1Field(mesh, collapsed))[0, 0, 0] == -1.0
+    group = np.stack([fields[0], collapsed, fields[1], fields[2]])
     with pytest.raises(PotentialError):
         mqc.equivalence_report([model] * 4, lat, mesh, group)
     out = experiments._group_reports([model] * 4, lat, mesh, group)

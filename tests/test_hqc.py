@@ -1404,6 +1404,43 @@ def test_equivalence_study_makes_one_stacked_report_per_trial_group(monkeypatch)
     assert shifts == [(2, 4), (3, 4), (4, 4), (2, 8), (1, 4)]
 
 
+def test_equivalence_study_stacks_each_group_once(monkeypatch):
+    # the tiny config's five groups: the members' laws of each bond class of
+    # each species are stacked once per group, although the cell-independence
+    # check, the compiled system and the shift table each read the stack's
+    # specs; the nodal values of a group's trials take one gradient call on
+    # their (T, n_vertices, 1) stack, and no trial builds a P1 field
+    from hqclab import experiments, fem, mqc, potential
+
+    stacked, gradients, fields, groups = [], [], [], []
+    entries, element_gradients = potential.BondLaw.entries.__func__, fem.element_gradients
+    report = mqc.equivalence_report
+
+    def counting_entries(cls, laws):
+        stacked.append(cls.__name__)
+        return entries(cls, laws)
+
+    def counting_gradients(mesh, values):
+        gradients.append(values.shape)
+        return element_gradients(mesh, values)
+
+    monkeypatch.setattr(potential.BondLaw, "entries", classmethod(counting_entries))
+    monkeypatch.setattr(fem, "element_gradients", counting_gradients)
+    monkeypatch.setattr(mqc, "element_gradients", counting_gradients)
+    monkeypatch.setattr(fem.P1Field, "__post_init__", lambda self: fields.append(self))
+    monkeypatch.setattr(mqc, "equivalence_report",
+                        lambda models, *args: groups.append(models) or report(models, *args))
+    res = experiments.run_equivalence({"seed": "3", "trials_spring": "3", "trials_lj": "2",
+                                       "trials_simple": "1"})
+    assert res.summary["all_within_tolerance"] and res.failures == 0
+    assert len(groups) == 5
+    # springs of m = 2, 3, 4 and 1: one bond class per species; the LJ chain: 6 per species
+    assert len(stacked) == sum(len(group[0].bond_specs(alpha)) for group in groups
+                               for alpha in range(group[0].m)) == 2 + 3 + 4 + 12 + 1
+    assert gradients == [(len(group), 4, 1) for group in groups]
+    assert fields == []
+
+
 def test_stochastic_study_compiles_one_system_per_sampling(monkeypatch):
     # two samplings, two meshes, two relax values: each sampling's torus is
     # built and compiled once for its four operators, and the full sampling's

@@ -122,7 +122,7 @@ def test_equivalence_spring_chains():
         model = LinearSpring1D(psi)
         lat = chain_lattice(Fraction(1, 32), m)
         uh = p1_zero_mean(P1Field(mesh, 0.3 * rng.standard_normal((4, 1))))
-        rep, = equivalence_report([model], lat, mesh, [uh])
+        rep, = equivalence_report([model], lat, mesh, uh.values[None])
         assert rep.max_gap <= 1e-10 * (1 + abs(rep.e_hqc))
 
 
@@ -132,7 +132,7 @@ def test_equivalence_lj_small_deformation():
     model = make_dynamics_model().model
     lat = chain_lattice(Fraction(1, 32), 2)
     uh = p1_zero_mean(P1Field(mesh, 0.02 * rng.standard_normal((4, 1))))
-    rep, = equivalence_report([model], lat, mesh, [uh])
+    rep, = equivalence_report([model], lat, mesh, uh.values[None])
     assert rep.max_gap <= 1e-9 * (1 + abs(rep.e_hqc))
 
 
@@ -142,7 +142,7 @@ def test_equivalence_simple_lattice():
     model = LinearSpring1D((2.0,))
     lat = chain_lattice(Fraction(1, 32), 1)
     uh = p1_zero_mean(P1Field(mesh, rng.standard_normal((4, 1))))
-    rep, = equivalence_report([model], lat, mesh, [uh])
+    rep, = equivalence_report([model], lat, mesh, uh.values[None])
     assert rep.max_gap <= 1e-12 * (1 + abs(rep.e_hqc))
 
 
@@ -202,7 +202,7 @@ def test_equivalence_2d_two_species_crystal():
     mesh = build_mesh(2, 2)
     rng = np.random.default_rng(55)
     uh = p1_zero_mean(P1Field(mesh, 0.2 * rng.standard_normal((mesh.n_vertices, 2))))
-    rep, = equivalence_report([model], lat, mesh, [uh])
+    rep, = equivalence_report([model], lat, mesh, uh.values[None])
     assert rep.max_gap <= 1e-10 * (1 + abs(rep.e_hqc))
 
 

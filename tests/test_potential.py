@@ -9,6 +9,7 @@ from hqclab.lattice import chain_lattice, unit_cell
 from hqclab.potential import (
     LennardJonesLaw,
     LinearSpring1D,
+    ModelStack,
     PotentialError,
     RandomBond2D,
     external_force_2d,
@@ -280,3 +281,39 @@ def test_chain_models_of_one_species_count_share_their_geometry():
     assert make_dynamics_model().model.shifts() is first.shifts()
     assert first.bond_specs(0)[0].offset == unit_cell(1, first.shifts()).resolve_offset(0, Fraction(1, 2))
     assert LinearSpring1D((1.0, 2.0, 3.0)).shifts() is not first.shifts()
+
+
+def test_model_stack_stacks_its_members_laws_once_while_they_return_the_same():
+    # chain members return the same laws at any cells: the stack returns the
+    # same specs on every call.  RandomBond2D members return new laws on
+    # every call, so each cell set gets its own cells' laws, stacked anew.
+    # The stack keeps one entry per species, however many calls it serves.
+    springs = [LinearSpring1D((1.0, 2.0)), LinearSpring1D((3.0, 0.5))]
+    lj = make_dynamics_model().model
+    stacks = [ModelStack(springs[::-1] + springs), ModelStack([lj, lj, lj])]
+    for stack in stacks:
+        for alpha in range(stack.m):
+            specs = stack.bond_specs(alpha)
+            assert stack.bond_specs(alpha, np.array([[1], [3]])) is specs
+            assert all(a is b for a, b in zip(stack.bond_specs(alpha), specs))
+    rows = [1, 0, 0, 1]
+    for alpha in range(2):   # one spring per species: entry t's psi is member rows[t]'s, (T, 1)
+        spec, = stacks[0].bond_specs(alpha)
+        assert bitwise_equal(spec.law.psi, np.array([[springs[k].psi[alpha]] for k in rows]))
+
+    networks = [RandomBond2D(4, 1), RandomBond2D(4, 2)]
+    stack = ModelStack(networks)
+    cell_sets = (np.array([[0, 0], [1, 2]]), np.array([[3, 3], [2, 0], [0, 1]]))
+    for cells in cell_sets + cell_sets:
+        specs = stack.bond_specs(0, cells)
+        assert stack.bond_specs(0, cells) is not specs
+        for j, spec in enumerate(specs):
+            assert spec.offset is networks[0].bond_specs(0)[j].offset
+            by_hand = np.stack([model.bond_specs(0, cells)[j].law.psi for model in networks])
+            assert bitwise_equal(spec.law.psi, by_hand)
+
+    for k in range(1000):
+        stack.bond_specs(0, cell_sets[k % 2])
+        stacks[0].bond_specs(k % 2, cell_sets[k % 2][:, :1])
+    assert len(stack._specs) == 1 and len(stacks[0]._specs) == 2
+

@@ -1,15 +1,17 @@
 """Property tests on random models, strains and fields: the stacked bond kernel,
 the pair-bond LJ chain against its directed-bond form, the three-way
 HQC / homogenized FEM / MQC equivalence, the site-to-element map on
-random lattices and meshes, the P1 assembly on random tangents, and the
-entries of model stacks against their models alone."""
+random lattices and meshes, the P1 assembly on random tangents, the
+entries of model stacks against their models alone, and the entries of
+stacked P1 fields against their fields alone."""
 
 from fractions import Fraction
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from hqclab.fem import P1Field, all_element_gradients, assemble, build_mesh, p1_zero_mean, site_elements
+from hqclab.fem import (P1Field, all_element_gradients, assemble, build_mesh, element_gradients, nodal_zero_mean,
+                        p1_zero_mean, site_elements)
 from hqclab.homog import solve_cell_problem
 from hqclab.lattice import chain_lattice, square_lattice
 from hqclab.mqc import equivalence_report, solve_shift_vectors
@@ -113,7 +115,7 @@ def test_three_way_equivalence_on_random_spring_chains(psi, nodal):
     model = LinearSpring1D(psi)
     mesh = build_mesh(1, 4)
     uh = p1_zero_mean(P1Field(mesh, np.array(nodal)[:, None]))
-    rep, = equivalence_report([model], chain_lattice(Fraction(1, 32), model.m), mesh, [uh])
+    rep, = equivalence_report([model], chain_lattice(Fraction(1, 32), model.m), mesh, uh.values[None])
     assert rep.max_gap <= 1e-10 * (1.0 + abs(rep.e_hqc))
     grads = all_element_gradients(uh)
     shifts = solve_shift_vectors(model, grads)
@@ -165,7 +167,7 @@ def test_three_way_equivalence_on_random_lj_chains(model, depth, second, shift):
     uh = p1_zero_mean(P1Field(mesh, np.concatenate([[0.0], np.cumsum(grads[:-1]) / 16])[:, None]))
     F = all_element_gradients(uh)
     assert np.max(np.abs(F[:, 0, 0] - grads)) <= 1e-14
-    rep, = equivalence_report([model], chain_lattice(Fraction(1, 32), model.m), mesh, [uh])
+    rep, = equivalence_report([model], chain_lattice(Fraction(1, 32), model.m), mesh, uh.values[None])
     assert rep.max_gap <= 1e-9 * (1.0 + abs(rep.e_hqc))
     shifts = solve_shift_vectors(model, F)
     for t in range(len(F)):
@@ -278,8 +280,32 @@ def test_every_trial_of_a_stacked_report_is_its_report_alone(case, seed):
     lattice = chain_lattice(Fraction(1, 32), models[0].m)
     # nodal values of a quarter of the scale: element gradients of about the scale
     fields = [p1_zero_mean(P1Field(mesh, scale / 4 * rng.standard_normal((4, 1)))) for _ in models]
-    reports = equivalence_report(models, lattice, mesh, fields)
+    reports = equivalence_report(models, lattice, mesh, np.stack([uh.values for uh in fields]))
     assert len(reports) == len(models)
     for model, uh, rep in zip(models, fields, reports):
         ref = single_report(model, lattice, mesh, uh)
         assert all(bitwise_equal(getattr(rep, e), getattr(ref, e)) for e in ("e_hqc", "e_fem", "e_mqc"))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([(1, 2), (1, 4), (1, 9), (1, 17), (2, 1), (2, 3), (2, 8)]), st.sampled_from([1, 2, 7]),
+       st.sampled_from(["C", "transposed", "F"]), st.floats(1e-3, 1e3), st.integers(0, 2**16))
+def test_every_entry_of_a_field_stack_is_its_field_alone(mesh_size, T, layout, scale, seed):
+    # a stack of T fields through the stacked P1 gradient and zero-mean:
+    # entry k is, bit for bit, what the single-field functions give field k
+    # alone, also for a stack that is a non-contiguous view (a transposed
+    # stack, or one in Fortran order)
+    d, n = mesh_size
+    mesh = build_mesh(d, n)
+    values = scale * np.random.default_rng(seed).standard_normal((T, mesh.n_vertices, d))
+    if layout == "transposed":
+        values = values.transpose(1, 0, 2).copy().transpose(1, 0, 2)
+    elif layout == "F":
+        values = np.asfortranarray(values)
+    grads, zero_mean = element_gradients(mesh, values), nodal_zero_mean(values)
+    assert grads.shape == (T, mesh.n_elements, d, d) and zero_mean.shape == values.shape
+    for k in range(T):
+        uh = P1Field(mesh, values[k].copy())
+        assert bitwise_equal(grads[k], all_element_gradients(uh))
+        assert bitwise_equal(zero_mean[k], p1_zero_mean(uh).values)
+
